@@ -22,6 +22,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== bench module vet + short tests =="
+# bench/ is its own module importing the internals, outside ./... above:
+# a PR that restructures those internals must not leave the benchmark
+# uncompilable.
+(cd bench && go vet ./... && go test -short ./...)
+
 echo "== go test -race (runtime packages) =="
 go test -race -count=1 \
     ./internal/exec/ \
@@ -413,6 +419,25 @@ if ! grep -qE 'memo: [1-9][0-9]* hits' "$smoke_dir/memo2.out"; then
     exit 1
 fi
 echo "memoized submissions replay from the shared store, digests unchanged"
+# A multi-node submission runs on the shared engine like any other job:
+# its digest must match the direct -nodes 2 run (and so the single-node
+# digest above).
+direct_nodes=$("$smoke_dir/supmr" -digest -nodes 2 -app wordcount -size 256k -chunk 32k -bw 0 -seed 3 \
+    | grep -o 'digest=[0-9a-f]*')
+"$smoke_dir/supmr" submit -socket "$sock" -app wordcount -size 256k -chunk 32k -seed 3 \
+    -nodes 2 -wait > "$smoke_dir/nodes.out"
+server_nodes=$(grep -o 'digest=[0-9a-f]*' "$smoke_dir/nodes.out")
+if [[ -z "$direct_nodes" || "$direct_nodes" != "$server_nodes" || "$direct_nodes" != "$direct_digest" ]]; then
+    echo "multi-node digest mismatch: direct '$direct_nodes' vs server '$server_nodes' vs single-node '$direct_digest'" >&2
+    cat "$smoke_dir/nodes.out" >&2
+    exit 1
+fi
+if ! grep -qE 'shuffle: 2 node\(s\), .* in [1-9][0-9]* frame' "$smoke_dir/nodes.out"; then
+    echo "multi-node submission moved no frames on the engine:" >&2
+    cat "$smoke_dir/nodes.out" >&2
+    exit 1
+fi
+echo "multi-node submission matches the direct -nodes 2 digest"
 
 "$smoke_dir/supmr" stats -socket "$sock"
 kill -TERM "$supmrd_pid"

@@ -75,6 +75,7 @@ func submitMain(args []string) {
 		retries  = fs.String("retries", "", "retry policy for transient faults (see supmr -retries)")
 		memoKey  = fs.String("memo-key", "", "memo cache key space (default: derived from the app and its parameters)")
 		egLanes  = fs.String("egress-lanes", "0", "IO lanes for parallel output egress (0 = keep pairs in memory only)")
+		nodes    = fs.String("nodes", "0", "run on a simulated cluster of N SupMR worker nodes (0 = single-node)")
 		block    = fs.String("block", "0", "records per block for -app psum1/psum2 (0 = default)")
 		blocks   = fs.String("blocks", "0", "block count for -app psum2 (0 = derived from the input)")
 		wait     = fs.Bool("wait", false, "block until the job finishes and print its result")
@@ -103,6 +104,7 @@ func submitMain(args []string) {
 		MemoKey:       *memoKey,
 		RadixOff:      !bool(radix),
 		EgressLanes:   parseCount0(*egLanes),
+		Nodes:         parseCount0(*nodes),
 		Block:         int64(parseCount0(*block)),
 		Blocks:        int64(parseCount0(*blocks)),
 	}
@@ -227,6 +229,10 @@ func printJob(v server.JobView) {
 		if v.Result.MemoHits > 0 || v.Result.MemoMisses > 0 {
 			fmt.Printf("\n  memo: %d hits, %d misses, %s saved",
 				v.Result.MemoHits, v.Result.MemoMisses, cliutil.FormatBytes(v.Result.MemoBytesSaved))
+		}
+		if v.Result.Nodes > 0 {
+			fmt.Printf("\n  shuffle: %d node(s), %s in %d frame(s) on the wire",
+				v.Result.Nodes, cliutil.FormatBytes(v.Result.ShuffleBytes), v.Result.ShuffleFrames)
 		}
 		if v.Result.RadixRuns > 0 {
 			fmt.Printf("\n  sortpath: %d run(s) radix-sorted", v.Result.RadixRuns)

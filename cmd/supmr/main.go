@@ -204,8 +204,8 @@ func run(ctx context.Context, o runOpts) error {
 		cfg.Retry = policy
 	}
 	if o.egressLanes != 0 {
-		// Negative values flow through so the runtime rejects them with a
-		// named error instead of silently skipping egress.
+		// Negative values flow through so Config.Validate rejects them with
+		// a named error instead of silently skipping egress.
 		cfg.EgressLanes = o.egressLanes
 		cfg.EgressExtentBytes = o.egressExtent
 		cfg.EgressDevice = dev // egress contends with ingest for the same bandwidth
@@ -234,9 +234,6 @@ func run(ctx context.Context, o runOpts) error {
 		cfg.TraceBucket = bucket
 	}
 	if o.budget > 0 {
-		if cfg.Runtime != supmr.RuntimeSupMR {
-			return fmt.Errorf("-budget requires -runtime supmr: the traditional runtime ingests the whole input before mapping, so bounding the container would not bound the job")
-		}
 		switch app {
 		case "histogram", "linreg":
 			return fmt.Errorf("-budget is incompatible with -app %s: its array container has a fixed footprint and cannot spill", app)
@@ -272,9 +269,6 @@ func run(ctx context.Context, o runOpts) error {
 		return fmt.Errorf("-innode-combiner=off requires -nodes: the combiner tier only exists in multi-node runs")
 	}
 	if o.nodes > 0 {
-		if cfg.Runtime != supmr.RuntimeSupMR {
-			return fmt.Errorf("-nodes requires -runtime supmr: each node runs the scale-up pipeline over its local chunks")
-		}
 		switch app {
 		case "invindex":
 			return fmt.Errorf("-nodes is incompatible with -app invindex: []string values have no wire codec")
@@ -286,6 +280,11 @@ func run(ctx context.Context, o runOpts) error {
 			off := false
 			cfg.InNodeCombiner = &off
 		}
+	}
+	// Which modes need the supmr runtime or exclude each other is
+	// supmr.Config's to say; only the per-app rules live here.
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 
 	var (

@@ -17,9 +17,15 @@ package supmr
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"supmr/internal/chunk"
+	"supmr/internal/storage"
 	"supmr/internal/workload"
 )
 
@@ -339,7 +345,6 @@ func TestMultiNodeRejections(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"traditional", func(c *Config) { c.Runtime = RuntimeTraditional }},
-		{"memo", func(c *Config) { c.Memo = true }},
 		{"adaptive", func(c *Config) { c.AdaptiveChunks = true }},
 		{"reset-each-round", func(c *Config) { c.ResetEachRound = true }},
 	}
@@ -350,14 +355,204 @@ func TestMultiNodeRejections(t *testing.T) {
 			t.Fatalf("%s: accepted alongside Nodes, want rejection", tc.name)
 		}
 	}
+}
 
-	eng := NewEngine(EngineConfig{Workers: 2})
-	defer eng.Close()
-	cfg := base
-	cfg.Engine = eng
-	if _, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(8), cfg); err == nil {
-		t.Fatal("engine submission with Nodes accepted, want rejection")
+// multiNodeCompositions runs job on clusters of 1 and 3 nodes composed
+// with every other mode of the one pipeline — a memo store cold then
+// warm, two concurrent submissions to a shared engine, the striped
+// ingest ring, and injected faults with retries — and fails unless every
+// run is byte-identical to the plain single-node solo run, with frames
+// on the wire whenever there is more than one node.
+func multiNodeCompositions[K comparable, V any](t *testing.T, job Job[K, V], mkCont func() Container[K, V], data []byte, cfg Config) {
+	cfg.Runtime = RuntimeSupMR
+	cfg.Workers = 4
+	base, err := RunBytes(job, data, mkCont(), cfg)
+	if err != nil {
+		t.Fatalf("single-node baseline: %v", err)
 	}
+	want := renderPairs(base.Pairs)
+	if want == "" {
+		t.Fatal("no output; the comparison is vacuous")
+	}
+
+	// Each variant returns the reports of the runs it made; the last one
+	// is the run the variant's own assertion (if any) applies to.
+	variants := []struct {
+		name  string
+		runs  func(c Config) ([]*Report[K, V], error)
+		check func(t *testing.T, last *Report[K, V])
+	}{
+		{name: "plain", runs: func(c Config) ([]*Report[K, V], error) {
+			rep, err := RunBytes(job, data, mkCont(), c)
+			return []*Report[K, V]{rep}, err
+		}},
+		{name: "memo-cold-warm", runs: func(c Config) ([]*Report[K, V], error) {
+			store, err := NewMemoStore(MemoConfig{})
+			if err != nil {
+				return nil, err
+			}
+			defer store.Close()
+			c.Memo, c.MemoStore = true, store
+			cold, err := RunBytes(job, data, mkCont(), c)
+			if err != nil {
+				return nil, err
+			}
+			warm, err := RunBytes(job, data, mkCont(), c)
+			return []*Report[K, V]{cold, warm}, err
+		}, check: func(t *testing.T, warm *Report[K, V]) {
+			if warm.Stats.MemoHits == 0 || warm.Stats.MapWaves != 0 {
+				t.Errorf("warm run: %d memo hits, %d map waves; want every chunk replayed",
+					warm.Stats.MemoHits, warm.Stats.MapWaves)
+			}
+		}},
+		{name: "engine-concurrent", runs: func(c Config) ([]*Report[K, V], error) {
+			eng := NewEngine(EngineConfig{Workers: 4, IOLanes: 2})
+			defer eng.Close()
+			c.Engine = eng
+			reps := make([]*Report[K, V], 2)
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for i := range reps {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					reps[i], errs[i] = RunBytes(job, data, mkCont(), c)
+				}(i)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					return nil, err
+				}
+			}
+			return reps, nil
+		}},
+		{name: "lanes4-depth3", runs: func(c Config) ([]*Report[K, V], error) {
+			c.IOLanes, c.PrefetchDepth = 4, 3
+			rep, err := RunBytes(job, data, mkCont(), c)
+			return []*Report[K, V]{rep}, err
+		}},
+		{name: "faulted-retry", runs: func(c Config) ([]*Report[K, V], error) {
+			clk := storage.NewFakeClock()
+			c.Clock = clk
+			c.Faults = NewFaultInjector(FaultPlan{Seed: 3, ReadErrEvery: 5, WriteErrEvery: 3}, clk)
+			c.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond}
+			rep, err := RunBytes(job, data, mkCont(), c)
+			return []*Report[K, V]{rep}, err
+		}, check: func(t *testing.T, rep *Report[K, V]) {
+			if f := rep.Stats.Faults; f.Injected == 0 || f.Retried == 0 {
+				t.Errorf("fault plan never fired or was never retried: %s", f.String())
+			}
+		}},
+	}
+	for _, nodes := range []int{1, 3} {
+		for _, v := range variants {
+			t.Run(fmt.Sprintf("nodes%d/%s", nodes, v.name), func(t *testing.T) {
+				c := cfg
+				c.Nodes = nodes
+				reps, err := v.runs(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, rep := range reps {
+					if got := renderPairs(rep.Pairs); got != want {
+						t.Fatalf("run %d: output differs from the single-node solo run: %d pairs vs %d", i, len(rep.Pairs), len(base.Pairs))
+					}
+					if nodes > 1 && rep.Stats.ShuffleFrames == 0 {
+						t.Fatalf("run %d: no frames crossed the wire; the multi-node run degenerated", i)
+					}
+				}
+				if v.check != nil {
+					v.check(t, reps[len(reps)-1])
+				}
+			})
+		}
+	}
+}
+
+// TestMultiNodeCompositions: Nodes is one more drain step of the one
+// pipeline, so it composes with Memo, Engine, the prefetch ring and the
+// fault seams instead of excluding them.
+func TestMultiNodeCompositions(t *testing.T) {
+	t.Run("wordcount", func(t *testing.T) {
+		multiNodeCompositions[string, int64](t, WordCountJob(),
+			func() Container[string, int64] { return WordCountContainer(16) },
+			genText(t, 96<<10, 47), Config{ChunkBytes: 16 << 10})
+	})
+	t.Run("sort", func(t *testing.T) {
+		multiNodeCompositions[string, uint64](t, SortJob(),
+			func() Container[string, uint64] { return SortContainer() },
+			teraData(1200, 53), Config{ChunkBytes: 20 << 10, Boundary: CRLFRecords})
+	})
+}
+
+// trackedStream counts Next calls and records every chunk the
+// pipeline's pump pulled, forwarding the fetcher so the chunks come
+// from the job's freelist.
+type trackedStream struct {
+	Stream
+	nexts int
+	seen  []*Chunk
+}
+
+func (s *trackedStream) Next() (*Chunk, error) {
+	s.nexts++
+	c, err := s.Stream.Next()
+	if c != nil {
+		s.seen = append(s.seen, c)
+	}
+	return c, err
+}
+
+func (s *trackedStream) SetFetcher(f *chunk.Fetcher) {
+	if fa, ok := s.Stream.(chunk.FetcherAware); ok {
+		fa.SetFetcher(f)
+	}
+}
+
+// panicAfter is a word count whose map callback panics once it has been
+// called more than limit times — mid-stream, with chunks still in the
+// prefetch ring.
+type panicAfter struct {
+	Job[string, int64]
+	calls *atomic.Int64
+	limit int64
+}
+
+func (p panicAfter) Map(split []byte, emit Emitter[string, int64]) {
+	if p.calls.Add(1) > p.limit {
+		panic("mapper exploded mid-stream")
+	}
+	p.Job.Map(split, emit)
+}
+
+// TestMultiNodeMapPanicReleasesChunks: a map panic mid-stream on a
+// multi-node run fails the job with every chunk buffer the stream
+// handed out — mapped, current, or still waiting in the ring — released
+// back to the freelist, and no goroutine left behind.
+func TestMultiNodeMapPanicReleasesChunks(t *testing.T) {
+	text := genText(t, 256<<10, 59)
+	baseGoroutines := runtime.NumGoroutine()
+	cfg := Config{Runtime: RuntimeSupMR, Workers: 2, Splits: 4, ChunkBytes: 8 << 10, Nodes: 3, PrefetchDepth: 4}
+	inner, err := StreamFile(MemoryFile("in", text, cfg.clock()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := &trackedStream{Stream: inner}
+	job := panicAfter{Job: WordCountJob(), calls: new(atomic.Int64), limit: 3 * 4} // three waves succeed
+	_, err = Run[string, int64](job, stream, WordCountContainer(8), cfg)
+	if err == nil || !strings.Contains(err.Error(), "mapper exploded mid-stream") {
+		t.Fatalf("err = %v, want the map panic", err)
+	}
+	if len(stream.seen) < 5 {
+		t.Fatalf("only %d chunks were read before the panic; the ring was not ahead of the mappers", len(stream.seen))
+	}
+	for i, c := range stream.seen {
+		if c.Data != nil {
+			t.Errorf("chunk read #%d was never released (%d bytes still held)", i, len(c.Data))
+		}
+	}
+	checkNoGoroutineLeak(t, baseGoroutines)
 }
 
 // TestDifferentialSortHashContainer covers sort's second compatible

@@ -160,6 +160,19 @@ func TestEgressOnEngine(t *testing.T) {
 
 func TestEgressConfigValidation(t *testing.T) {
 	data := []byte("a b c\n")
+	// Bad egress knobs are rejected before anything is ingested, not
+	// after the job has run to the egress phase.
+	for _, bad := range []Config{{EgressLanes: -1}, {EgressLanes: 1, EgressExtentBytes: -5}} {
+		inner, err := StreamFile(MemoryFile("in", data, NewClock()), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &trackedStream{Stream: inner}
+		if _, err := Run[string, int64](WordCountJob(), s, WordCountContainer(2), bad); err == nil || s.nexts != 0 {
+			t.Errorf("EgressLanes=%d EgressExtentBytes=%d: err = %v after %d stream reads, want a rejection before the first",
+				bad.EgressLanes, bad.EgressExtentBytes, err, s.nexts)
+		}
+	}
 	if _, err := RunBytes[string, int64](WordCountJob(), data, WordCountContainer(2), Config{EgressLanes: -1}); err == nil {
 		t.Error("negative EgressLanes accepted")
 	}

@@ -76,12 +76,6 @@ func (a *Array[V]) SizeBytes() int64 {
 // spilling cannot shrink it.
 func (a *Array[V]) UnspillableContainer() {}
 
-// Fresh returns a new empty container with this one's width, stripe
-// count and combiner (the container.Fresher extension).
-func (a *Array[V]) Fresh() Container[int, V] {
-	return NewArray[V](a.width, a.stripes, a.combine)
-}
-
 // Width returns the key-universe size.
 func (a *Array[V]) Width() int { return a.width }
 

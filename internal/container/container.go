@@ -64,15 +64,6 @@ type PartitionSizer interface {
 	PartitionLen(p int) int
 }
 
-// Fresher is an optional Container extension: Fresh returns a new,
-// empty container with the same shape (shard/partition geometry,
-// hasher, combiner) as the receiver. Multi-node runs use it to give
-// every simulated node its own intermediate container from the one the
-// caller supplied. All built-in containers implement it.
-type Fresher[K comparable, V any] interface {
-	Fresh() Container[K, V]
-}
-
 // Hasher maps a key to a 64-bit hash for shard selection.
 type Hasher[K comparable] func(K) uint64
 

@@ -395,54 +395,3 @@ func TestHashers(t *testing.T) {
 		t.Error("IntHasher collision")
 	}
 }
-
-// Every built-in container must implement the Fresher extension and
-// return an empty clone with the same partition geometry that works
-// independently of the original.
-func TestFresh(t *testing.T) {
-	add := func(c Container[string, int64], key string) {
-		l := c.NewLocal()
-		l.Emit(key, 1)
-		l.Flush()
-	}
-	sum := func(c Container[string, int64]) int {
-		n := 0
-		for p := 0; p < c.Partitions(); p++ {
-			n += len(c.Reduce(p, func(_ string, vs []int64) int64 { return int64(len(vs)) }, nil))
-		}
-		return n
-	}
-	combine := func(a, b int64) int64 { return a + b }
-	for name, c := range map[string]Container[string, int64]{
-		"hash":     NewHash[string, int64](4, StringHasher, combine),
-		"flat":     NewFlatHash[int64](4, combine),
-		"keyrange": NewKeyRange[string, int64](4),
-	} {
-		fr, ok := any(c).(Fresher[string, int64])
-		if !ok {
-			t.Errorf("%s: no Fresher extension", name)
-			continue
-		}
-		add(c, "a")
-		f := fr.Fresh()
-		if f.Len() != 0 {
-			t.Errorf("%s: Fresh() not empty: %d entries", name, f.Len())
-		}
-		add(f, "b")
-		add(f, "c")
-		if got := sum(f); got != 2 {
-			t.Errorf("%s: fresh clone holds %d keys, want 2", name, got)
-		}
-		if got := sum(c); got != 1 {
-			t.Errorf("%s: original disturbed: %d keys, want 1", name, got)
-		}
-	}
-	a := NewArray[int64](8, 2, combine)
-	af, ok := any(a).(Fresher[int, int64])
-	if !ok {
-		t.Fatal("array: no Fresher extension")
-	}
-	if f := af.Fresh(); f.Partitions() != a.Partitions() || f.Len() != 0 {
-		t.Fatal("array: Fresh() clone geometry or emptiness wrong")
-	}
-}

@@ -107,12 +107,6 @@ func (f *FlatHash[V]) entryBytes() int64 {
 	return mapEntryOverhead + shallowSize[string]() + shallowSize[int]() + shallowSize[V]()
 }
 
-// Fresh returns a new empty container with this one's shard count and
-// combiner (the container.Fresher extension).
-func (f *FlatHash[V]) Fresh() Container[string, V] {
-	return NewFlatHash[V](len(f.shards), f.combine)
-}
-
 // Partitions returns the shard count; each shard is one reduce partition.
 func (f *FlatHash[V]) Partitions() int { return len(f.shards) }
 

@@ -98,12 +98,6 @@ func (h *Hash[K, V]) listEntryBytes() int64 {
 }
 
 // Partitions returns the shard count; each shard is one reduce partition.
-// Fresh returns a new empty container with this one's shard count,
-// hasher and combiner (the container.Fresher extension).
-func (h *Hash[K, V]) Fresh() Container[K, V] {
-	return NewHash[K, V](len(h.shards), h.hasher, h.combine)
-}
-
 func (h *Hash[K, V]) Partitions() int { return len(h.shards) }
 
 // Len counts distinct keys across shards.

@@ -54,12 +54,6 @@ func (c *KeyRange[K, V]) SizeBytes() int64 {
 	return c.bytes
 }
 
-// Fresh returns a new empty container with this one's partition count
-// (the container.Fresher extension).
-func (c *KeyRange[K, V]) Fresh() Container[K, V] {
-	return NewKeyRange[K, V](c.partitions)
-}
-
 // Partitions returns the fixed partition count (0 when empty).
 func (c *KeyRange[K, V]) Partitions() int {
 	c.mu.Lock()

@@ -21,6 +21,14 @@
 // job is cancelled), and map/reduce/merge run on the pool's compute
 // workers with panic isolation and cancellation.
 //
+// Run is the only ingest→map→drain loop. Budgeted, memoized and
+// multi-node runs differ in one drain step chosen before the loop —
+// never, when over budget, or after every chunk — whose product, a
+// key-sorted run from spill.DrainContainer, goes to the spill store or
+// to an in-memory chunk-indexed run list; after the loop the runs merge
+// in a single re-reducing round (resident reduce + merge, external
+// merge, chunk-run merge, or the node exchange of internal/shuffle).
+//
 // Persistence (§III-C) applies at two tiers: the global intermediate
 // container accumulates across rounds (runMappers never resets it), and
 // containers that pool their worker-local accumulators (the flat
@@ -46,6 +54,7 @@ import (
 	"supmr/internal/mapreduce"
 	"supmr/internal/memo"
 	"supmr/internal/metrics"
+	"supmr/internal/shuffle"
 	"supmr/internal/sortalgo"
 	"supmr/internal/spill"
 )
@@ -71,6 +80,12 @@ type Tuner interface {
 // to the p-way algorithm, the SupMR sort modification.
 type Options struct {
 	mapreduce.Options
+	// Topology carries the multi-node knobs. With Nodes > 0 the job runs
+	// on a simulated cluster: the container is drained after every
+	// chunk, chunk i's run belongs to node i % Nodes, and after ingest
+	// the nodes exchange hash-partitioned runs over simulated links
+	// (see shuffle.Exchange). Requires key/value types with codecs.
+	shuffle.Topology
 	// ResetEachRound re-initializes the container at every map round,
 	// the traditional behaviour SupMR had to remove (§III-C). It exists
 	// only for the persistent-container ablation: with it set, combiner
@@ -85,14 +100,16 @@ type Options struct {
 	// ingest rounds; a container over budget is drained into a
 	// key-sorted run written to SpillStore on the pool's IO lane while
 	// the next map round computes, and the merge phase streams the runs
-	// back in the same single p-way round. Zero disables spilling.
+	// back in the same single p-way round. Zero disables spilling, and
+	// so do MemoStore and Nodes: draining after every chunk already
+	// bounds residency by one chunk's combined output.
 	MemoryBudget int64
 	// SpillStore receives the spilled runs; required when MemoryBudget
 	// is positive.
 	SpillStore *spill.Store
-	// Retry bounds transient-fault retries on spill-run writes (ingest
-	// reads retry inside the input wrappers; see internal/faults). The
-	// zero policy disables retries.
+	// Retry bounds transient-fault retries on spill-run writes and
+	// shuffle frame transfers (ingest reads retry inside the input
+	// wrappers; see internal/faults). The zero policy disables retries.
 	Retry faults.RetryPolicy
 	// FaultCounters accumulates retry outcomes for the report; nil runs
 	// uncounted.
@@ -117,10 +134,8 @@ type Options struct {
 	// ingest chunk is keyed by its content hash under MemoSpace, a hit
 	// replays the cached map/combine output past the map wave, and a
 	// miss is mapped, drained per chunk and published back to the cache.
-	// Requires an app whose key/value types have spill codecs.
-	// MemoryBudget is ignored in memo mode — the container is drained
-	// after every chunk, so its residency never exceeds one chunk's
-	// combined output.
+	// Requires an app whose key/value types have spill codecs. Composes
+	// with Nodes: a hit replays its cached run into the chunk's node.
 	MemoStore *memo.Store
 	// MemoSpace namespaces memo cache keys (application identity plus
 	// any parameters that change its output for the same input bytes).
@@ -142,7 +157,8 @@ type ingestResult struct {
 // Run launches the SupMR runtime (the run_ingestMR() API call): it
 // drives the ingest chunk pipeline over the stream, reduces once, and
 // merges with the configured algorithm. The container persists across
-// all map rounds. If opts.Pool is nil a job pool is created here and
+// all map rounds unless a drain step (MemoryBudget, MemoStore, Nodes)
+// empties it into key-sorted runs along the way. If opts.Pool is nil a job pool is created here and
 // torn down on return; either way every phase — including the prefetch
 // ingest — runs on that single pool.
 func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont container.Container[K, V], opts Options) (*Result[K, V], error) {
@@ -165,17 +181,16 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	cont.Reset()
 	ro.ResetContainer = false
 
-	// The fixed-key sort fast path: resolved once so the spill drains,
-	// the external merge and the in-memory merge all agree on it.
+	// The fixed-key sort fast path: resolved once so every drain, the
+	// external merge and the in-memory merge all agree on it.
 	var fixed *kv.FixedKeyCodec[K]
 	if !ro.RadixDisabled {
 		fixed = kv.FixedKeyOf[K, V](app)
 	}
-	drainRadixRuns := 0 // radix-sorted spill/memo drains, folded into Stats.RadixRuns
 
-	// The memo cache: the typed layer over the shared store, resolved up
+	// The memo cache, the node exchange and the spiller are resolved up
 	// front so jobs whose key/value types cannot serialize refuse to
-	// start instead of failing at the first publish.
+	// start instead of failing at the first publish, frame or spill.
 	var cache *memo.Cache[K, V]
 	if opts.MemoStore != nil {
 		var err error
@@ -184,13 +199,29 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			return nil, err
 		}
 	}
+	var exchange *shuffle.Exchange[K, V]
+	if opts.Nodes > 0 {
+		var err error
+		exchange, err = shuffle.NewExchange[K, V](opts.Topology, faults.NewRetrier(opts.Retry, opts.Clock, opts.FaultCounters))
+		if err != nil {
+			return nil, err
+		}
+	}
 
-	// The memory budget: a spiller when configured, nil otherwise. Memo
-	// mode never spills — per-chunk drains keep the container's
-	// residency bounded by one chunk's combined output regardless of any
-	// budget (the facade surfaces this as a report note).
+	// The drain step, chosen once: when the container is emptied into a
+	// key-sorted run, and under which phase and task label. Memo and
+	// multi-node runs drain after every chunk into chunkRuns; a budgeted
+	// run drains to the spill store when the container outgrows the
+	// budget; otherwise the container persists to the reduce phase.
+	when, drainPhase, drainLabel := drainNever, metrics.PhaseSpill, "spill"
 	var spiller *spill.Spiller[K, V]
-	if opts.MemoryBudget > 0 && cache == nil {
+	switch {
+	case cache != nil:
+		when, drainPhase, drainLabel = drainEveryChunk, metrics.PhaseMemo, "memo"
+	case exchange != nil:
+		when, drainPhase, drainLabel = drainEveryChunk, metrics.PhaseShuffle, "shuffle"
+	case opts.MemoryBudget > 0:
+		when = drainOverBudget
 		if _, ok := any(cont).(container.Unspillable); ok {
 			return nil, fmt.Errorf("core: container %T cannot spill (its footprint is fixed by construction); run without a memory budget", cont)
 		}
@@ -203,7 +234,22 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			return nil, err
 		}
 		spiller.SetRetry(opts.Retry, opts.FaultCounters)
-		spiller.SetFixedKey(fixed)
+	}
+	drainRadixRuns := 0 // radix-sorted partition drains, folded into Stats.RadixRuns
+	drain := func() ([]kv.Pair[K, V], error) {
+		run, nRad, err := spill.DrainContainer(cont, app.Less, app.Reduce, fixed, pool, drainLabel)
+		drainRadixRuns += nRad
+		return run, err
+	}
+	// inPhase runs fn under phase p, suspending the fused read+map phase
+	// around it.
+	inPhase := func(p metrics.Phase, fn func() error) error {
+		timer.EndPhase(metrics.PhaseReadMap)
+		timer.StartPhase(p)
+		err := fn()
+		timer.EndPhase(p)
+		timer.StartPhase(metrics.PhaseReadMap)
+		return err
 	}
 
 	depth := opts.PrefetchDepth
@@ -354,12 +400,14 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 
 	// fail aborts the job: the cancellation reaches the in-flight
 	// prefetch between stream reads, the pump is stopped and the ring
-	// drained — releasing every unconsumed chunk — so no ingest result
-	// is left behind when the pool shuts down, and an in-flight spill
-	// write is joined so its run writer is not abandoned.
+	// drained — releasing the current and every unconsumed chunk — so no
+	// ingest result is left behind when the pool shuts down, and an
+	// in-flight spill write is joined so its run writer is not abandoned.
+	var cur *chunk.Chunk
 	fail := func(err error) (*Result[K, V], error) {
 		pool.Abort(err)
 		closeStop()
+		cur.Release()
 		for r := range ring {
 			r.c.Release()
 		}
@@ -382,11 +430,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	if first.err != nil && !errors.Is(first.err, io.EOF) {
 		return fail(first.err)
 	}
-	// memoRuns collects one key-sorted run per chunk, in chunk order:
-	// decoded cache payloads for hits, freshly drained combiner output
-	// for misses. The memo merge streams them all in one pass.
-	var memoRuns [][]kv.Pair[K, V]
-	cur := first.c
+	// chunkRuns is the every-chunk drain's sink: chunkRuns[i] is chunk
+	// i's key-sorted run — the decoded cache payload on a memo hit, the
+	// freshly drained combiner output otherwise.
+	var chunkRuns [][]kv.Pair[K, V]
+	cur = first.c
 	for cur != nil {
 		if err := pool.Err(); err != nil {
 			return fail(err)
@@ -395,24 +443,20 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		// container now — before this round's mappers refill it. The run
 		// write lands on an IO lane and executes while the map round
 		// computes (the pump keeps prefetching regardless).
-		var drained []kv.Pair[K, V]
-		if spiller != nil && spiller.Over(cont) {
-			timer.EndPhase(metrics.PhaseReadMap)
-			timer.StartPhase(metrics.PhaseSpill)
-			err := spiller.Join() // at most one spill write in flight
-			if err == nil {
-				var nRad int
-				drained, nRad, err = spiller.Drain(cont, pool)
-				drainRadixRuns += nRad
-			}
-			timer.EndPhase(metrics.PhaseSpill)
-			timer.StartPhase(metrics.PhaseReadMap)
+		if when == drainOverBudget && spiller.Over(cont) {
+			err := inPhase(drainPhase, func() error {
+				if err := spiller.Join(); err != nil { // at most one spill write in flight
+					return err
+				}
+				run, err := drain()
+				if len(run) > 0 {
+					spiller.SpillAsync(run, pool)
+				}
+				return err
+			})
 			if err != nil {
 				return fail(err)
 			}
-		}
-		if len(drained) > 0 {
-			spiller.SpillAsync(drained, pool)
 		}
 		// Memo lookup, serial and in chunk order on the IO lane, so the
 		// operation order any fault plan sees at the memo site is a pure
@@ -420,9 +464,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		// write caught by the digest) is swallowed into a miss — the
 		// store counts it — and only a pool-level error fails the job.
 		var (
-			hit      bool
-			hitPairs []kv.Pair[K, V]
-			memoKey  memo.Key
+			run     []kv.Pair[K, V]
+			hit     bool
+			memoKey memo.Key
 		)
 		if cache != nil {
 			sum := cur.Sum
@@ -430,15 +474,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				sum = sha256.Sum256(cur.Data)
 			}
 			memoKey = cache.Key(sum)
-			timer.EndPhase(metrics.PhaseReadMap)
-			timer.StartPhase(metrics.PhaseMemo)
-			h := pool.GoIO("memo", metrics.StateIOWait, func() error {
-				hitPairs, hit, _ = cache.Get(memoKey)
-				return nil
+			err := inPhase(metrics.PhaseMemo, func() error {
+				return pool.GoIO("memo", metrics.StateIOWait, func() error {
+					run, hit, _ = cache.Get(memoKey)
+					return nil
+				}).Wait()
 			})
-			err := h.Wait()
-			timer.EndPhase(metrics.PhaseMemo)
-			timer.StartPhase(metrics.PhaseReadMap)
 			if err != nil {
 				return fail(err)
 			}
@@ -449,50 +490,49 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		// low-core machines it would otherwise start the read only
 		// after the map wave finishes, defeating the double-buffering.
 		runtime.Gosched()
-		var mapDur time.Duration
+		var (
+			mapDur time.Duration
+			mapErr error
+		)
 		if hit {
 			// The chunk's bytes were read and hashed but are never
 			// mapped: the cached run replays straight into the merge.
-			if len(hitPairs) > 0 {
-				memoRuns = append(memoRuns, hitPairs)
-			}
 			stats.MemoHits++
 			stats.MemoBytesSaved += cur.Size()
 			stats.BytesIngested += cur.Size()
-			cur.Release()
 		} else {
-			var mapErr error
 			mapDur, mapErr = runMappers(cur)
-			cur.Release() // the wave is done with the bytes; recycle the buffer
-			if mapErr != nil {
-				return fail(mapErr)
-			}
-			if cache != nil {
-				// Drain this chunk's combined output and publish it,
-				// synchronously on the IO lane: lookup(i), publish(i),
-				// lookup(i+1) is a deterministic op order, and a failed
-				// publish only skips the cache entry, never the job.
-				timer.EndPhase(metrics.PhaseReadMap)
-				timer.StartPhase(metrics.PhaseMemo)
-				pairs, nRad, err := spill.DrainContainer(cont, app.Less, app.Reduce, fixed, pool, "memo")
-				drainRadixRuns += nRad
-				if err == nil {
-					h := pool.GoIO("memo", metrics.StateIOWait, func() error {
-						cache.Put(memoKey, pairs)
+		}
+		// The wave is done with the bytes: recycle the buffer. cur is
+		// cleared so the failure path cannot release it a second time,
+		// after the pump has reacquired it for a later read.
+		cur.Release()
+		cur = nil
+		if mapErr != nil {
+			return fail(mapErr)
+		}
+		if when == drainEveryChunk {
+			if !hit {
+				// Drain this chunk's combined output and, memoized,
+				// publish it synchronously on the IO lane: lookup(i),
+				// publish(i), lookup(i+1) is a deterministic op order,
+				// and a failed publish only skips the cache entry, never
+				// the job.
+				err := inPhase(drainPhase, func() (err error) {
+					if run, err = drain(); err != nil || cache == nil {
+						return err
+					}
+					stats.MemoMisses++
+					return pool.GoIO("memo", metrics.StateIOWait, func() error {
+						cache.Put(memoKey, run)
 						return nil
-					})
-					err = h.Wait()
-				}
-				timer.EndPhase(metrics.PhaseMemo)
-				timer.StartPhase(metrics.PhaseReadMap)
+					}).Wait()
+				})
 				if err != nil {
 					return fail(err)
 				}
-				if len(pairs) > 0 {
-					memoRuns = append(memoRuns, pairs)
-				}
-				stats.MemoMisses++
 			}
+			chunkRuns = append(chunkRuns, run)
 		}
 		// Join the next chunk, counting how the ring performed: a chunk
 		// already buffered is a prefetch hit; otherwise the map workers
@@ -510,6 +550,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				timer.Mark("ingest stall")
 			}
 		}
+		cur = r.c
 		if r.err != nil && !errors.Is(r.err, io.EOF) {
 			return fail(r.err)
 		}
@@ -518,74 +559,56 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		// clock (pool.Now), so simulated devices feed the tuner their
 		// virtual timeline, not wall time. The resize is handed to the
 		// pump, which applies it before the next read it issues.
-		if opts.Tuner != nil && resizable != nil && r.c != nil {
-			if next := opts.Tuner.Next(r.c.Size(), r.dur, mapDur); next > 0 {
+		if opts.Tuner != nil && resizable != nil && cur != nil {
+			if next := opts.Tuner.Next(cur.Size(), r.dur, mapDur); next > 0 {
 				pendingResize.Store(next)
 			}
 		}
-		cur = r.c
 	}
 	timer.EndPhase(metrics.PhaseReadMap)
 	stats.IntermediateN = cont.Len()
+	for _, run := range chunkRuns {
+		stats.IntermediateN += len(run)
+	}
 	if lanes > 1 {
 		stats.IngestLaneBytes = pool.LaneBytes()
 	}
 
-	// Memo mode: the container drained into per-chunk runs as the
-	// pipeline ran, so there is nothing left to reduce. One streaming
-	// pass merges the chunk runs in chunk order, re-reducing keys that
-	// appear in several chunks — the same associativity contract the
-	// budgeted external merge relies on, so memo output is
-	// byte-identical to the unmemoized pipeline's.
-	if cache != nil {
-		timer.StartPhase(metrics.PhaseMerge)
-		merged, rounds, err := mergeChunkRuns(app, memoRuns, pool)
-		timer.EndPhase(metrics.PhaseMerge)
-		if err != nil {
-			pool.Abort(err)
-			return nil, err
-		}
-		stats.Runs = len(memoRuns)
-		stats.MergeRounds = rounds
-		stats.OutputPairs = len(merged)
-		stats.Tasks = pool.TaskStats()
-		return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats}, nil
-	}
-
-	// Join the last spill write before reducing: the merge below must
-	// see every run complete. The residue still in the container is
-	// never spilled — it feeds the merge from memory.
-	if spiller != nil {
-		timer.StartPhase(metrics.PhaseSpill)
-		err := spiller.Join()
-		timer.EndPhase(metrics.PhaseSpill)
-		if err != nil {
-			pool.Abort(err)
-			return nil, err
-		}
-		stats.SpilledRuns = spiller.RunCount()
-		stats.SpilledBytes = spiller.BytesSpilled()
-	}
-
-	timer.StartPhase(metrics.PhaseReduce)
-	runs, reduceBusy, err := mapreduce.ReducePhaseTimed(app, cont, ro)
-	timer.EndPhase(metrics.PhaseReduce)
-	if err != nil {
-		pool.Abort(err)
-		return nil, err
-	}
-	stats.Runs = len(runs) + stats.SpilledRuns
-	stats.ReduceBusy = reduceBusy
-
+	// The finish path. Every variant merges key-sorted runs in a single
+	// round, re-reducing keys whose values were split across runs — the
+	// associativity contract all drains rely on — so the output is
+	// byte-identical whichever drain step ran.
 	var (
 		merged    []kv.Pair[K, V]
-		rounds    int
+		rounds    = 1
 		radixRuns int
+		err       error
 	)
-	if spiller != nil && spiller.RunCount() > 0 {
-		merged, rounds, radixRuns, err = externalMerge(app, runs, spiller, fixed, pool, timer)
-	} else {
-		merged, rounds, radixRuns, err = mapreduce.MergePhase(app, runs, ro)
+	switch {
+	case exchange != nil:
+		// The chunk runs belong to their nodes round-robin; the nodes
+		// exchange partitions and merge what they receive.
+		nodeRuns := make([][][]kv.Pair[K, V], opts.Nodes)
+		for i, run := range chunkRuns {
+			if n := i % opts.Nodes; len(run) > 0 {
+				nodeRuns[n] = append(nodeRuns[n], run)
+			}
+		}
+		merged, err = exchange.Run(app, nodeRuns, pool, timer, &stats)
+	case when == drainEveryChunk:
+		// The container drained as the pipeline ran, so there is nothing
+		// left to reduce: one streaming pass merges the chunk runs in
+		// chunk order.
+		for _, run := range chunkRuns {
+			if len(run) > 0 {
+				stats.Runs++
+			}
+		}
+		timer.StartPhase(metrics.PhaseMerge)
+		merged, err = sortalgo.MergeRunsTask(pool, "merge", nil, chunkRuns, app.Less, app.Reduce, false)
+		timer.EndPhase(metrics.PhaseMerge)
+	default:
+		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, ro, spiller, fixed, &stats)
 	}
 	if err != nil {
 		pool.Abort(err)
@@ -595,64 +618,69 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	stats.RadixRuns = radixRuns + drainRadixRuns
 	stats.OutputPairs = len(merged)
 	stats.Tasks = pool.TaskStats()
-
 	return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats}, nil
 }
 
-// externalMerge is the budgeted merge: the in-memory residue runs sort
-// in parallel (radix fast path when the app has a fixed-key codec),
-// then one streaming loser-tree pass consumes them together with every
-// on-disk run, re-reducing keys whose values were split across spills.
-// The round count stays 1 — spilling adds merge sources, not merge
-// rounds, preserving the paper's single-round property (§IV). Run-sort
-// and merge time are bracketed separately, like mapreduce.MergePhase.
-func externalMerge[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], spiller *spill.Spiller[K, V],
-	fixed *kv.FixedKeyCodec[K], pool exec.Executor, timer *metrics.Timer) ([]kv.Pair[K, V], int, int, error) {
+// drainWhen is the pipeline's one drain decision: when the container is
+// emptied into a key-sorted run.
+type drainWhen int
+
+const (
+	drainNever      drainWhen = iota // the container persists to the reduce phase
+	drainOverBudget                  // whenever it outgrows MemoryBudget, to the spill store
+	drainEveryChunk                  // after every map wave, to the in-memory chunk runs
+)
+
+// reduceAndMerge finishes a job whose container persisted to the end of
+// ingest: reduce what is resident, then merge it — together with every
+// spilled run when the budget forced drains. ro carries the job's pool
+// and timer.
+func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], ro mapreduce.Options,
+	spiller *spill.Spiller[K, V], fixed *kv.FixedKeyCodec[K], stats *mapreduce.Stats) ([]kv.Pair[K, V], int, int, error) {
+	timer := ro.Timer
+	// Join the last spill write before reducing: the merge below must
+	// see every run complete. The residue still in the container is
+	// never spilled — it feeds the merge from memory.
+	if spiller != nil {
+		timer.StartPhase(metrics.PhaseSpill)
+		err := spiller.Join()
+		timer.EndPhase(metrics.PhaseSpill)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		stats.SpilledRuns = spiller.RunCount()
+		stats.SpilledBytes = spiller.BytesSpilled()
+	}
+
+	timer.StartPhase(metrics.PhaseReduce)
+	runs, reduceBusy, err := mapreduce.ReducePhaseTimed(app, cont, ro)
+	timer.EndPhase(metrics.PhaseReduce)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	stats.Runs = len(runs) + stats.SpilledRuns
+	stats.ReduceBusy = reduceBusy
+	if stats.SpilledRuns == 0 {
+		return mapreduce.MergePhase(app, runs, ro)
+	}
+
+	// The budgeted merge: the in-memory residue runs sort in parallel
+	// (radix fast path when the app has a fixed-key codec), then one
+	// streaming loser-tree pass consumes them together with every
+	// on-disk run. The round count stays 1 — spilling adds merge
+	// sources, not merge rounds, preserving the paper's single-round
+	// property (§IV). Run-sort and merge time are bracketed separately,
+	// like mapreduce.MergePhase.
 	timer.StartPhase(metrics.PhaseRunSort)
-	radixRuns, err := sortalgo.SortRunsWith(runs, app.Less, fixed, pool)
+	radixRuns, err := sortalgo.SortRunsWith(runs, app.Less, fixed, ro.Pool)
 	timer.EndPhase(metrics.PhaseRunSort)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	srcs := spiller.Sources()
-	for _, r := range runs {
-		srcs = append(srcs, sortalgo.NewSliceSource(r))
-	}
-	// One streaming pass over all sources; run it as a pool task so the
-	// device waits of run reads are attributed to the job's workers.
-	var merged []kv.Pair[K, V]
 	timer.StartPhase(metrics.PhaseMerge)
-	_, err = pool.ForEach("merge", metrics.StateUser, 1, func(int) error {
-		var mErr error
-		merged, mErr = sortalgo.MergeSources(srcs, app.Less, app.Reduce, nil)
-		return mErr
-	})
+	merged, err := sortalgo.MergeRunsTask(ro.Pool, "merge", spiller.Sources(), runs, app.Less, app.Reduce, false)
 	timer.EndPhase(metrics.PhaseMerge)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return merged, 1, radixRuns, nil
-}
-
-// mergeChunkRuns is the memo-mode merge: one streaming loser-tree pass
-// over the per-chunk runs (cache hits and fresh drains alike, in chunk
-// order), re-reducing keys whose values were split across chunks. Like
-// the external merge, memoization adds merge sources, not merge rounds.
-func mergeChunkRuns[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], pool exec.Executor) ([]kv.Pair[K, V], int, error) {
-	var merged []kv.Pair[K, V]
-	_, err := pool.ForEach("merge", metrics.StateUser, 1, func(int) error {
-		srcs := make([]sortalgo.Source[K, V], len(runs))
-		for i, r := range runs {
-			srcs[i] = sortalgo.NewSliceSource(r)
-		}
-		var mErr error
-		merged, mErr = sortalgo.MergeSources(srcs, app.Less, app.Reduce, nil)
-		return mErr
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return merged, 1, nil
+	return merged, 1, radixRuns, err
 }
 
 // DefaultMerge is the merge algorithm SupMR ships with: the single-round

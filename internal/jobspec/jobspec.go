@@ -67,10 +67,9 @@ type Spec struct {
 	RadixOff bool `json:"radix_off,omitempty"`
 	// Nodes, when >= 1, runs the job on a simulated cluster of that
 	// many SupMR worker nodes exchanging hash-partitioned runs over
-	// simulated links (supmr runtime, solo execution only — the shared
-	// engine schedules operations on one substrate). Output is
-	// byte-identical to a single-node run; 0 keeps the scale-up
-	// pipeline.
+	// simulated links (supmr runtime; solo or on the shared engine).
+	// Output is byte-identical to a single-node run; 0 keeps the
+	// scale-up pipeline.
 	Nodes int `json:"nodes,omitempty"`
 	// InNodeCombinerOff disables the in-node combiner tier of a
 	// multi-node run — the -innode-combiner=off ablation. Requires
@@ -188,19 +187,8 @@ func (s Spec) Validate() error {
 	if s.Weight < 0 {
 		return fmt.Errorf("jobspec: negative weight %d (fair-share weight must be at least 1; omit for the default)", s.Weight)
 	}
-	if s.Memo && s.Runtime == "traditional" {
-		return fmt.Errorf("jobspec: memo requires the supmr runtime (the traditional runtime ingests the whole input as one chunk)")
-	}
 	if s.Nodes < 0 {
 		return fmt.Errorf("jobspec: negative node count %d", s.Nodes)
-	}
-	if s.Nodes > 0 {
-		if s.Runtime == "traditional" {
-			return fmt.Errorf("jobspec: nodes requires the supmr runtime (each node runs the scale-up pipeline over its local chunks)")
-		}
-		if s.Memo {
-			return fmt.Errorf("jobspec: nodes is incompatible with memo (multi-node runs shard chunks across node containers)")
-		}
 	}
 	if s.InNodeCombinerOff && s.Nodes == 0 {
 		return fmt.Errorf("jobspec: innode_combiner_off set without nodes")
@@ -208,13 +196,8 @@ func (s Spec) Validate() error {
 	if s.MemoKey != "" && !s.Memo {
 		return fmt.Errorf("jobspec: memo_key set without memo")
 	}
-	if s.Budget > 0 {
-		if s.Runtime == "traditional" {
-			return fmt.Errorf("jobspec: budget requires the supmr runtime")
-		}
-		if s.App == "histogram" {
-			return fmt.Errorf("jobspec: budget is incompatible with histogram: its array container has a fixed footprint and cannot spill")
-		}
+	if s.Budget > 0 && s.App == "histogram" {
+		return fmt.Errorf("jobspec: budget is incompatible with histogram: its array container has a fixed footprint and cannot spill")
 	}
 	if s.Faults != "" {
 		if _, err := cliutil.ParseFaultPlan(s.Faults); err != nil {
@@ -241,7 +224,45 @@ func (s Spec) Validate() error {
 	if s.Blocks > 0 && s.App != "psum2" {
 		return fmt.Errorf("jobspec: blocks is only meaningful for psum2, not %q", s.App)
 	}
+	// The mode rules (which knobs need the supmr runtime, which exclude
+	// each other) are supmr.Config's to state.
+	if err := s.config().Validate(); err != nil {
+		return fmt.Errorf("jobspec: %w", err)
+	}
 	return nil
+}
+
+// config is the spec's knobs as the supmr.Config the run will carry;
+// RunInput attaches the substrate (context, clock, devices, engine,
+// faults) around it.
+func (s Spec) config() supmr.Config {
+	cfg := supmr.Config{
+		Runtime:       supmr.RuntimeSupMR,
+		ChunkBytes:    s.ChunkBytes,
+		MemoryBudget:  s.Budget,
+		IOLanes:       s.IOLanes,
+		PrefetchDepth: s.PrefetchDepth,
+		Tenant:        s.Tenant,
+		Weight:        s.Weight,
+		Memo:          s.Memo,
+		Nodes:         s.Nodes,
+		EgressLanes:   s.EgressLanes,
+	}
+	if s.Runtime == "traditional" {
+		cfg.Runtime = supmr.RuntimeTraditional
+	}
+	if cfg.ChunkBytes <= 0 {
+		cfg.ChunkBytes = 256 << 10
+	}
+	if s.RadixOff {
+		off := false
+		cfg.RadixSort = &off
+	}
+	if s.InNodeCombinerOff {
+		off := false
+		cfg.InNodeCombiner = &off
+	}
+	return cfg
 }
 
 // Run executes the spec. With eng non-nil the job is submitted to the
@@ -280,19 +301,9 @@ func RunInput(ctx context.Context, spec Spec, eng *supmr.Engine, input supmr.Inp
 	if seed == 0 {
 		seed = 1
 	}
-	chunk := spec.ChunkBytes
-	if chunk <= 0 {
-		chunk = 256 << 10
-	}
 	block := spec.Block
 	if block <= 0 {
 		block = 256
-	}
-	rt := supmr.RuntimeSupMR
-	rtName := "supmr"
-	if spec.Runtime == "traditional" {
-		rt = supmr.RuntimeTraditional
-		rtName = "traditional"
 	}
 
 	clock := supmr.NewClock()
@@ -307,31 +318,17 @@ func RunInput(ctx context.Context, spec Spec, eng *supmr.Engine, input supmr.Inp
 		dev = supmr.NewFastDevice(clock)
 	}
 
-	cfg := supmr.Config{
-		Context:       ctx,
-		Runtime:       rt,
-		ChunkBytes:    chunk,
-		Clock:         clock,
-		IOLanes:       spec.IOLanes,
-		PrefetchDepth: spec.PrefetchDepth,
-		Engine:        eng,
-		Tenant:        spec.Tenant,
-		Weight:        spec.Weight,
+	cfg := spec.config()
+	cfg.Context = ctx
+	cfg.Clock = clock
+	cfg.Engine = eng
+	rtName := cfg.Runtime.String()
+	// Egress and spill contend with ingest for the same bandwidth.
+	if cfg.EgressLanes > 0 {
+		cfg.EgressDevice = dev
 	}
-	if spec.EgressLanes > 0 {
-		cfg.EgressLanes = spec.EgressLanes
-		cfg.EgressDevice = dev // egress contends with ingest for the same bandwidth
-	}
-	if spec.RadixOff {
-		off := false
-		cfg.RadixSort = &off
-	}
-	if spec.Nodes > 0 {
-		cfg.Nodes = spec.Nodes
-		if spec.InNodeCombinerOff {
-			off := false
-			cfg.InNodeCombiner = &off
-		}
+	if cfg.MemoryBudget > 0 {
+		cfg.SpillDevice = dev
 	}
 	if spec.Faults != "" {
 		plan, err := cliutil.ParseFaultPlan(spec.Faults)
@@ -347,12 +344,7 @@ func RunInput(ctx context.Context, spec Spec, eng *supmr.Engine, input supmr.Inp
 		}
 		cfg.Retry = policy
 	}
-	if spec.Budget > 0 {
-		cfg.MemoryBudget = spec.Budget
-		cfg.SpillDevice = dev // spill contends with ingest for the same bandwidth
-	}
 	if spec.Memo {
-		cfg.Memo = true
 		cfg.MemoKeySpace = spec.MemoKey
 		if cfg.MemoKeySpace == "" {
 			// Derive a key space covering everything that shapes a chunk's

@@ -58,17 +58,10 @@ type Response struct {
 	Stats *supmr.EngineStats `json:"stats,omitempty"`
 }
 
-// Rejection codes a Response.Code can carry.
-const (
-	// CodeNodesUnsupported rejects a submit with Spec.Nodes > 0: the
-	// engine schedules operations on one shared substrate, so a
-	// multi-node simulation can never start server-side.
-	CodeNodesUnsupported = "nodes_unsupported"
-	// CodeDAGUnsupported rejects a submit carrying a pipeline graph:
-	// chained rounds pipe in-process egress outputs, which cannot cross
-	// the socket boundary.
-	CodeDAGUnsupported = "dag_unsupported"
-)
+// CodeDAGUnsupported is the rejection code a Response.Code carries for a
+// submit with a pipeline graph: chained rounds pipe in-process egress
+// outputs, which cannot cross the socket boundary.
+const CodeDAGUnsupported = "dag_unsupported"
 
 // ProtocolError is a server rejection surfaced by the Client: the
 // response's code and message, with the exit status the CLI maps it
@@ -87,17 +80,13 @@ func (e *ProtocolError) Error() string {
 }
 
 // ExitCode maps the rejection to a distinct process exit status
-// (cliutil.ExitCode consumes this via the ExitCoder interface): 3 for
-// multi-node rejections, 4 for pipeline rejections, 1 otherwise.
+// (cliutil.ExitCode consumes this via the ExitCoder interface): 4 for
+// pipeline rejections, 1 otherwise.
 func (e *ProtocolError) ExitCode() int {
-	switch e.Code {
-	case CodeNodesUnsupported:
-		return 3
-	case CodeDAGUnsupported:
+	if e.Code == CodeDAGUnsupported {
 		return 4
-	default:
-		return 1
 	}
+	return 1
 }
 
 // Job states.
@@ -307,15 +296,6 @@ func (s *Server) submit(req Request) Response {
 	spec := *req.Spec
 	if err := spec.Validate(); err != nil {
 		return Response{Error: err.Error()}
-	}
-	if spec.Nodes > 0 {
-		// Rejected at submission rather than as a failed job: the engine
-		// schedules operations on one shared substrate, so a multi-node
-		// run can never start here.
-		return Response{
-			Code:  CodeNodesUnsupported,
-			Error: "submit: nodes requires a solo run (supmr -nodes); the engine schedules operations on one shared substrate",
-		}
 	}
 	s.mu.Lock()
 	if s.closed {

@@ -43,13 +43,15 @@ func startServer(t *testing.T, ec supmr.EngineConfig) (*Client, string) {
 	return c, sock
 }
 
-// TestServerDigestsMatchDirectRuns is the protocol end-to-end: two jobs
-// submitted concurrently over the socket produce digests identical to
-// the same specs run directly (no engine, no server).
+// TestServerDigestsMatchDirectRuns is the protocol end-to-end: jobs
+// submitted concurrently over the socket — a multi-node one among them —
+// produce digests identical to the same specs run directly (no engine,
+// no server).
 func TestServerDigestsMatchDirectRuns(t *testing.T) {
 	specs := []jobspec.Spec{
 		{App: "wordcount", Size: 96 << 10, Seed: 3, ChunkBytes: 16 << 10, Tenant: "alice"},
 		{App: "sort", Size: 80 << 10, Seed: 23, ChunkBytes: 20 << 10, Tenant: "bob"},
+		{App: "wordcount", Size: 96 << 10, Seed: 3, ChunkBytes: 16 << 10, Tenant: "carol", Nodes: 2},
 	}
 	direct := make([]*jobspec.Result, len(specs))
 	for i, s := range specs {
@@ -105,14 +107,17 @@ func TestServerDigestsMatchDirectRuns(t *testing.T) {
 		if v.Result.OutputPairs != direct[i].OutputPairs {
 			t.Errorf("%s: server pairs %d != direct pairs %d", s.App, v.Result.OutputPairs, direct[i].OutputPairs)
 		}
+		if s.Nodes > 1 && v.Result.ShuffleFrames == 0 {
+			t.Errorf("%s nodes=%d: no frames crossed the wire on the engine", s.App, s.Nodes)
+		}
 	}
 
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if stats.Completed != 2 {
-		t.Errorf("engine completed %d jobs, want 2", stats.Completed)
+	if stats.Completed != int64(len(specs)) {
+		t.Errorf("engine completed %d jobs, want %d", stats.Completed, len(specs))
 	}
 	if _, ok := stats.Tenants["alice"]; !ok {
 		t.Errorf("tenant rollup missing alice: %v", stats.Tenants)
@@ -121,8 +126,8 @@ func TestServerDigestsMatchDirectRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("list: %v", err)
 	}
-	if len(jobs) != 2 || jobs[0].ID >= jobs[1].ID {
-		t.Errorf("list returned %+v, want 2 jobs oldest first", jobs)
+	if len(jobs) != len(specs) || jobs[0].ID >= jobs[1].ID || jobs[1].ID >= jobs[2].ID {
+		t.Errorf("list returned %+v, want %d jobs oldest first", jobs, len(specs))
 	}
 }
 
@@ -137,10 +142,10 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		{App: "histogram", Budget: 1 << 20}, // array container cannot spill
 		{App: "wordcount", Runtime: "phoenix"},
 		{App: "wordcount", Nodes: -1},
-		{App: "wordcount", Nodes: 2, Memo: true},
 		{App: "wordcount", Nodes: 2, Runtime: "traditional"},
+		{App: "wordcount", Memo: true, Runtime: "traditional"},
+		{App: "wordcount", Budget: 1 << 20, Runtime: "traditional"},
 		{App: "wordcount", InNodeCombinerOff: true}, // combiner ablation without nodes
-		{App: "wordcount", Nodes: 2},                // valid spec, but the engine path cannot run it
 	}
 	for _, s := range cases {
 		if _, err := c.Submit(s); err == nil {
@@ -226,20 +231,8 @@ func TestServerStaleSocketReclaim(t *testing.T) {
 func TestServerTypedRejections(t *testing.T) {
 	c, _ := startServer(t, supmr.EngineConfig{Workers: 2})
 
-	_, err := c.Submit(jobspec.Spec{App: "wordcount", Size: 4 << 10, Nodes: 2})
+	_, err := c.SubmitGraph(json.RawMessage(`{"nodes":[{"id":"a","spec":{"app":"wordcount"}}]}`))
 	var pe *ProtocolError
-	if !errors.As(err, &pe) {
-		t.Fatalf("multi-node submit: got %v, want *ProtocolError", err)
-	}
-	if pe.Code != CodeNodesUnsupported || pe.ExitCode() != 3 {
-		t.Fatalf("multi-node rejection = code %q exit %d, want %q/3", pe.Code, pe.ExitCode(), CodeNodesUnsupported)
-	}
-	if cliutil.ExitCode(err) != 3 {
-		t.Fatalf("cliutil.ExitCode = %d, want 3", cliutil.ExitCode(err))
-	}
-
-	_, err = c.SubmitGraph(json.RawMessage(`{"nodes":[{"id":"a","spec":{"app":"wordcount"}}]}`))
-	pe = nil
 	if !errors.As(err, &pe) {
 		t.Fatalf("graph submit: got %v, want *ProtocolError", err)
 	}
@@ -271,7 +264,7 @@ func TestServerWireCode(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	req := `{"op":"submit","spec":{"app":"wordcount","nodes":3}}` + "\n"
+	req := `{"op":"submit","graph":{"nodes":[{"id":"a","spec":{"app":"wordcount"}}]}}` + "\n"
 	if _, err := conn.Write([]byte(req)); err != nil {
 		t.Fatalf("send: %v", err)
 	}
@@ -283,7 +276,7 @@ func TestServerWireCode(t *testing.T) {
 	if err := json.Unmarshal(line, &resp); err != nil {
 		t.Fatalf("decode %q: %v", line, err)
 	}
-	if resp.OK || resp.Code != CodeNodesUnsupported {
-		t.Fatalf("wire response = %+v, want code %q", resp, CodeNodesUnsupported)
+	if resp.OK || resp.Code != CodeDAGUnsupported {
+		t.Fatalf("wire response = %+v, want code %q", resp, CodeDAGUnsupported)
 	}
 }

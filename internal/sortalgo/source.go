@@ -1,7 +1,9 @@
 package sortalgo
 
 import (
+	"supmr/internal/exec"
 	"supmr/internal/kv"
+	"supmr/internal/metrics"
 )
 
 // This file extends the merge phase to out-of-core inputs: a Source
@@ -211,4 +213,37 @@ func MergeSources[K any, V any](srcs []Source[K, V], less kv.Less[K], reduce fun
 	}
 	flush()
 	return out, nil
+}
+
+// MergeRuns is MergeSources over in-memory key-sorted runs: head —
+// streaming sources that come first in tie order, such as spilled runs
+// — followed by one slice source per non-empty run. presize allocates
+// the output for the runs' total length up front: exact when the runs
+// hold disjoint keys, wasteful when reduce collapses most of them.
+func MergeRuns[K any, V any](head []Source[K, V], runs [][]kv.Pair[K, V], less kv.Less[K], reduce func(K, []V) V, presize bool) ([]kv.Pair[K, V], error) {
+	srcs, total := head, 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			srcs = append(srcs, NewSliceSource(r))
+			total += len(r)
+		}
+	}
+	var out []kv.Pair[K, V]
+	if presize {
+		out = make([]kv.Pair[K, V], 0, total)
+	}
+	return MergeSources(srcs, less, reduce, out)
+}
+
+// MergeRunsTask runs MergeRuns as one task on ex under label, so the
+// pass — including the device waits of streaming sources — is charged
+// to the job's workers and observes the job's cancellation.
+func MergeRunsTask[K any, V any](ex exec.Executor, label string, head []Source[K, V], runs [][]kv.Pair[K, V], less kv.Less[K], reduce func(K, []V) V, presize bool) ([]kv.Pair[K, V], error) {
+	var merged []kv.Pair[K, V]
+	_, err := ex.ForEach(label, metrics.StateUser, 1, func(int) error {
+		var mErr error
+		merged, mErr = MergeRuns(head, runs, less, reduce, presize)
+		return mErr
+	})
+	return merged, err
 }

@@ -127,31 +127,18 @@ func DrainContainer[K comparable, V any](c container.Container[K, V], less kv.Le
 		return nil, 0, err
 	}
 	c.Reset()
-	nonEmpty := runs[:0]
-	for _, r := range runs {
+	nonEmpty, last := 0, -1
+	for p, r := range runs {
 		if len(r) > 0 {
-			nonEmpty = append(nonEmpty, r)
+			nonEmpty, last = nonEmpty+1, p
 		}
 	}
-	if len(nonEmpty) == 1 {
-		return nonEmpty[0], int(radixed.Load()), nil
+	if nonEmpty == 1 {
+		return runs[last], int(radixed.Load()), nil
 	}
-	// Partitions hold disjoint key sets, so this is a pure merge; run it
-	// as one pool task to keep it on (and attributed to) the pool.
-	total := 0
-	for _, r := range nonEmpty {
-		total += len(r)
-	}
-	var merged []kv.Pair[K, V]
-	_, err = pool.ForEach(label, metrics.StateUser, 1, func(int) error {
-		srcs := make([]sortalgo.Source[K, V], len(nonEmpty))
-		for i, r := range nonEmpty {
-			srcs[i] = sortalgo.NewSliceSource(r)
-		}
-		var mErr error
-		merged, mErr = sortalgo.MergeSources(srcs, less, reduce, make([]kv.Pair[K, V], 0, total))
-		return mErr
-	})
+	// Partitions hold disjoint key sets, so this is a pure merge, kept on
+	// (and attributed to) the pool.
+	merged, err := sortalgo.MergeRunsTask(pool, label, nil, runs, less, reduce, true)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,8 +1,6 @@
 package supmr
 
 import (
-	"errors"
-
 	"supmr/internal/memo"
 	"supmr/internal/spill"
 	"supmr/internal/storage"
@@ -103,31 +101,4 @@ func (c Config) memoStoreFor(sub runSubstrate) (st *MemoStore, owned bool, err e
 		return nil, false, err
 	}
 	return st, true, nil
-}
-
-// validateMemo rejects configurations the memo path cannot serve.
-func (c Config) validateMemo() error {
-	if !c.Memo {
-		return nil
-	}
-	if c.Runtime != RuntimeSupMR {
-		return errors.New("supmr: Memo requires RuntimeSupMR (the traditional runtime ingests the whole input as one chunk, leaving nothing to memoize)")
-	}
-	if c.ChunkBytes <= 0 {
-		return errors.New("supmr: Memo requires ChunkBytes > 0 (content-defined chunk sizes derive from it)")
-	}
-	if c.AdaptiveChunks {
-		return errors.New("supmr: Memo is incompatible with AdaptiveChunks (retuned chunk sizes would shift content-defined boundaries and defeat the cache)")
-	}
-	if c.ResetEachRound {
-		return errors.New("supmr: Memo is incompatible with ResetEachRound (the memo path drains the container after every chunk)")
-	}
-	return nil
-}
-
-// wouldSpill reports whether the run would build the spill path —
-// false in memo mode, whose per-chunk drains bound container residency
-// without a spiller.
-func (c Config) wouldSpill(budget int64) bool {
-	return budget > 0 && !c.Memo
 }

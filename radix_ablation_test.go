@@ -110,6 +110,47 @@ func TestRadixAblationDigests(t *testing.T) {
 	}
 }
 
+// TestRadixAblationDrainModes holds the toggle and the counters it feeds
+// across every drain step of the pipeline: never (plain), every chunk
+// into the memo cache, every chunk into node runs, and both. One chunk
+// holds all 8000 records, so each drain sees ~125 pairs per partition —
+// past the radix cutover — and IntermediateN must not depend on where
+// the drained pairs went.
+func TestRadixAblationDrainModes(t *testing.T) {
+	tera := teraData(8000, 5)
+	base := Config{Runtime: RuntimeSupMR, Boundary: CRLFRecords, ChunkBytes: 1 << 20}
+	var want string
+	for _, m := range []struct {
+		name  string
+		memo  bool
+		nodes int
+	}{{"plain", false, 0}, {"memo", true, 0}, {"nodes", false, 2}, {"memo+nodes", true, 2}} {
+		cfg := base
+		cfg.Memo, cfg.Nodes = m.memo, m.nodes
+		on, onRep := radixRun[string, uint64](t, SortJob(),
+			func() Container[string, uint64] { return SortContainer() }, tera, cfg, true)
+		off, offRep := radixRun[string, uint64](t, SortJob(),
+			func() Container[string, uint64] { return SortContainer() }, tera, cfg, false)
+		if want == "" {
+			want = on
+		}
+		if on != want || off != want {
+			t.Fatalf("%s: digests diverge from the plain radix-on run", m.name)
+		}
+		if onRep.Stats.RadixRuns == 0 {
+			t.Errorf("%s: radix-on sort reported no radix-sorted runs", m.name)
+		}
+		if offRep.Stats.RadixRuns != 0 {
+			t.Errorf("%s: radix-off sort reported %d radix runs", m.name, offRep.Stats.RadixRuns)
+		}
+		for _, rep := range []*Report[string, uint64]{onRep, offRep} {
+			if rep.Stats.IntermediateN != 8000 {
+				t.Errorf("%s: IntermediateN = %d, want 8000", m.name, rep.Stats.IntermediateN)
+			}
+		}
+	}
+}
+
 // TestRadixAblationFaultedAndBudgeted covers the hard corners: the
 // retry path re-reads chunks, and the budget path routes runs through
 // the spill drain plus the streaming external merge — radix on/off

@@ -215,8 +215,9 @@ type Config struct {
 	// admission control, receives a memory grant carved from the
 	// engine's global budget (MemoryBudget becomes the request, the
 	// grant may be smaller), and its operations interleave with
-	// concurrent jobs under the fair-share scheduler. Output is
-	// byte-identical to a solo run; Workers/IOLanes here are ignored
+	// concurrent jobs under the fair-share scheduler. Every mode —
+	// Memo, Nodes, MemoryBudget, egress — runs on an engine exactly as
+	// it does solo, byte-identical; Workers/IOLanes here are ignored
 	// (the engine's substrate wins) and TraceContexts plus
 	// Report.Allocs are disabled (process-wide instruments cannot be
 	// attributed to one of several concurrent jobs).
@@ -238,10 +239,11 @@ type Config struct {
 	// wave entirely — its cached combined output replays into the merge.
 	// Output is byte-identical to a memo-off run. ChunkBytes sizes the
 	// content-defined chunks (min ChunkBytes/2, target ChunkBytes,
-	// max 2*ChunkBytes). Incompatible with AdaptiveChunks,
-	// ResetEachRound and the traditional runtime; MemoryBudget is
-	// ignored (the memo path drains the container after every chunk, so
-	// residency stays bounded without a spiller — see Report.Notes).
+	// max 2*ChunkBytes). Memo is one setting of the pipeline's drain
+	// step — drain the container after every chunk — and composes with
+	// Engine and Nodes; Validate lists what it excludes. MemoryBudget is
+	// ignored (per-chunk drains bound residency without a spiller — see
+	// Report.Notes).
 	Memo bool
 	// MemoStore is the cache a memoized run uses. Nil selects the
 	// engine's shared store (engine mode, EngineConfig.Memo) or, solo, a
@@ -259,20 +261,20 @@ type Config struct {
 	// store is supplied — its own budget governs.
 	MemoBudget int64
 	// Nodes, when >= 1, runs the job on a simulated cluster of that
-	// many SupMR worker nodes (SupMR runtime only): ingest chunks route
-	// round-robin to nodes, each node runs the scale-up pipeline into
-	// its own container clone and drains it per chunk, and the nodes
-	// exchange hash-partitioned intermediate runs as checksummed frames
-	// over simulated per-node network links before the final merge (see
-	// internal/shuffle and DESIGN.md §15). Output is byte-identical to
-	// a single-node run. 1 is the degenerate one-node cluster —
-	// exercising the same code path — and 0, the default, keeps the
-	// scale-up pipeline. Requires a container implementing the Fresher
-	// extension (all built-ins do) and codec-supported key/value types;
-	// incompatible with Engine, Memo, AdaptiveChunks and ResetEachRound.
-	// MemoryBudget is accepted but ignored: the multi-node pipeline
-	// drains the container after every chunk, so residency stays
-	// bounded without a spiller (see Report.Notes).
+	// many SupMR worker nodes (SupMR runtime only). It is the same
+	// ingest loop with the drain step set to every chunk: chunk i is
+	// mapped into the one container, drained to a key-sorted run owned
+	// by node i % Nodes, and after ingest the nodes exchange
+	// hash-partitioned runs as checksummed frames over simulated
+	// per-node links before the final merge (see internal/shuffle and
+	// DESIGN.md §15). Output is byte-identical to a single-node run. 1
+	// is the degenerate one-node cluster — exercising the same code path
+	// — and 0, the default, keeps the scale-up pipeline. Requires
+	// codec-supported key/value types. Composes with Engine, Memo (a
+	// cache hit replays its run into the chunk's node), IOLanes and
+	// PrefetchDepth; Validate lists what it excludes. MemoryBudget is
+	// accepted but ignored: per-chunk drains bound residency without a
+	// spiller (see Report.Notes).
 	Nodes int
 	// InNodeCombiner gates the in-node combiner tier of a multi-node
 	// run: one pre-aggregation pass across all of a node's local
@@ -372,20 +374,42 @@ func (c Config) innodeCombinerOff() bool {
 	return c.InNodeCombiner != nil && !*c.InNodeCombiner
 }
 
-// validateNodes rejects configurations the multi-node pipeline cannot
-// honour, rather than silently changing their meaning.
-func (c Config) validateNodes() error {
+// Validate reports the first contradiction in the configuration. It is
+// the one statement of the mode rules: Run and StreamFile call it before
+// anything is read, and the CLI and jobspec call it on the Config they
+// build. Memo and Nodes both drain the container after every chunk,
+// which is why they share the rules below; everything else composes.
+func (c Config) Validate() error {
+	if c.EgressLanes < 0 {
+		return fmt.Errorf("supmr: EgressLanes must be positive, got %d", c.EgressLanes)
+	}
+	if c.EgressExtentBytes < 0 {
+		return fmt.Errorf("supmr: EgressExtentBytes must be positive, got %d", c.EgressExtentBytes)
+	}
+	if c.Memo && c.ChunkBytes <= 0 {
+		return errors.New("supmr: Memo requires ChunkBytes > 0 (content-defined chunk sizes derive from it)")
+	}
+	// knob names the set mode that needs the chunk pipeline; perChunk
+	// says it drains the container after every chunk.
+	knob, perChunk := "", true
+	switch {
+	case c.Memo:
+		knob = "Memo"
+	case c.Nodes > 0:
+		knob = "Nodes"
+	case c.MemoryBudget > 0:
+		knob, perChunk = "MemoryBudget", false
+	default:
+		return nil
+	}
 	if c.Runtime != RuntimeSupMR {
-		return errors.New("supmr: Nodes requires RuntimeSupMR (each node runs the scale-up pipeline over its local chunks)")
+		return fmt.Errorf("supmr: %s requires RuntimeSupMR (the traditional runtime ingests the whole input as one chunk before mapping: there is nothing to memoize, shard or bound per chunk)", knob)
 	}
-	if c.Memo {
-		return errors.New("supmr: Nodes is incompatible with Memo (memoization keys per-chunk drains of one container; multi-node runs shard chunks across node containers)")
+	if perChunk && c.AdaptiveChunks {
+		return fmt.Errorf("supmr: %s is incompatible with AdaptiveChunks (retuned chunk sizes would make chunk boundaries, and with them cache keys and node routing, depend on timing)", knob)
 	}
-	if c.AdaptiveChunks {
-		return errors.New("supmr: Nodes is incompatible with AdaptiveChunks (chunk-size feedback would make the node routing of each byte depend on timing)")
-	}
-	if c.ResetEachRound {
-		return errors.New("supmr: Nodes is incompatible with ResetEachRound (multi-node mode drains containers per chunk already)")
+	if perChunk && c.ResetEachRound {
+		return fmt.Errorf("supmr: %s is incompatible with ResetEachRound (the container is already drained after every chunk)", knob)
 	}
 	return nil
 }
@@ -431,10 +455,10 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 	if cont == nil {
 		return nil, errors.New("supmr: nil container")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Engine != nil {
-		if cfg.Nodes > 0 {
-			return nil, errors.New("supmr: Nodes is incompatible with Engine (the multi-job engine schedules operations on one shared substrate; run multi-node jobs solo)")
-		}
 		return runOnEngine(cfg.Engine, job, input, cont, cfg)
 	}
 	clk := cfg.clock()
@@ -515,47 +539,21 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		Pool:          sub.pool,
 	}
 
-	var (
-		res *mapreduce.Result[K, V]
-		err error
-	)
-	if err := cfg.validateMemo(); err != nil {
-		return nil, err
-	}
+	// Memo and Nodes drain the container after every chunk, which
+	// bounds its residency without the spill path.
+	everyChunk := cfg.Memo || cfg.Nodes > 0
 	var notes []string
-	if cfg.Nodes > 0 {
-		if err := cfg.validateNodes(); err != nil {
-			return nil, err
+	if cfg.MemoryBudget > 0 {
+		const ignored = ": MemoryBudget ignored (per-chunk drains bound container residency without the spill path)"
+		if cfg.Memo {
+			notes = append(notes, "memo"+ignored)
 		}
-		if cfg.MemoryBudget > 0 {
-			notes = append(notes, "nodes: MemoryBudget ignored (per-chunk drains bound container residency without the spill path)")
+		if cfg.Nodes > 0 {
+			notes = append(notes, "nodes"+ignored)
 		}
-		res, err := shuffle.Run(job, input, cont, shuffle.Options{
-			Options:     ro,
-			Nodes:       cfg.Nodes,
-			CombinerOff: cfg.innodeCombinerOff(),
-			LinkBW:      cfg.NodeLinkBW,
-			LinkLatency: cfg.NodeLinkLatency,
-			Clock:       sub.clk,
-			Injector:    cfg.Faults,
-			Retry:       cfg.Retry,
-			Counters:    cfg.faultCounters(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep := &Report[K, V]{Pairs: res.Pairs, Times: res.Times, Stats: res.Stats, Notes: notes}
-		if err := runEgress(cfg, sub, rep); err != nil {
-			return nil, err
-		}
-		rep.Stats.Faults = cfg.faultCounters().Snapshot()
-		return rep, nil
 	}
 	var store *spill.Store
-	if cfg.wouldSpill(sub.budget) {
-		if cfg.Runtime != RuntimeSupMR {
-			return nil, errors.New("supmr: MemoryBudget requires RuntimeSupMR (the traditional runtime ingests everything up front; bounding the container would not bound the job)")
-		}
+	if sub.budget > 0 && !everyChunk {
 		dev := cfg.SpillDevice
 		if dev == nil {
 			dev = storage.NewNullDevice(sub.clk)
@@ -567,29 +565,28 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 			sc.Device = cfg.Faults.WrapDevice("spill", dev)
 			sc.Backing = faultBacking{inj: cfg.Faults, inner: spill.MemBacking{}}
 		}
+		var err error
 		store, err = spill.NewStore(sc)
 		if err != nil {
 			return nil, err
 		}
 		defer store.Close()
 	}
-	var memoSt *MemoStore
-	if cfg.Memo {
-		var owned bool
-		memoSt, owned, err = cfg.memoStoreFor(sub)
-		if err != nil {
-			return nil, err
-		}
-		if owned {
-			defer memoSt.Close()
-		}
-		if cfg.MemoryBudget > 0 {
-			notes = append(notes, "memo: MemoryBudget ignored (per-chunk drains bound container residency without the spill path)")
-		}
-	}
+	var (
+		res *mapreduce.Result[K, V]
+		err error
+	)
 	if cfg.Runtime == RuntimeSupMR {
 		co := core.Options{
-			Options:        ro,
+			Options: ro,
+			Topology: shuffle.Topology{
+				Nodes:       cfg.Nodes,
+				CombinerOff: cfg.innodeCombinerOff(),
+				LinkBW:      cfg.NodeLinkBW,
+				LinkLatency: cfg.NodeLinkLatency,
+				Clock:       sub.clk,
+				Injector:    cfg.Faults,
+			},
 			ResetEachRound: cfg.ResetEachRound,
 			MemoryBudget:   sub.budget,
 			SpillStore:     store,
@@ -598,10 +595,17 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 			PrefetchDepth:  cfg.PrefetchDepth,
 			IOLanes:        cfg.IOLanes,
 			Freelist:       sub.frees,
+			MemoSpace:      cfg.MemoKeySpace,
 		}
-		if memoSt != nil {
+		if cfg.Memo {
+			memoSt, owned, err := cfg.memoStoreFor(sub)
+			if err != nil {
+				return nil, err
+			}
+			if owned {
+				defer memoSt.Close()
+			}
 			co.MemoStore = memoSt.store
-			co.MemoSpace = cfg.MemoKeySpace
 		}
 		if cfg.AdaptiveChunks {
 			initial := cfg.ChunkBytes
@@ -643,12 +647,6 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 func runEgress[K comparable, V any](cfg Config, sub runSubstrate, rep *Report[K, V]) error {
 	if cfg.EgressLanes == 0 {
 		return nil
-	}
-	if cfg.EgressLanes < 0 {
-		return fmt.Errorf("supmr: EgressLanes must be positive, got %d", cfg.EgressLanes)
-	}
-	if cfg.EgressExtentBytes < 0 {
-		return fmt.Errorf("supmr: EgressExtentBytes must be positive, got %d", cfg.EgressExtentBytes)
 	}
 	sub.timer.StartPhase(metrics.PhaseEgress)
 	defer func() {
@@ -752,11 +750,11 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 	if file == nil {
 		return nil, errors.New("supmr: nil input file")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	file = cfg.wrapInput(file)
 	if cfg.Memo {
-		if err := cfg.validateMemo(); err != nil {
-			return nil, err
-		}
 		// Content-defined chunking: cut points derive from chunk content,
 		// so a re-run over appended or locally edited input re-produces
 		// the unchanged chunks' hashes and hits the memo cache. Sizes

@@ -102,6 +102,14 @@ echo "== race-mode incremental recompute gate =="
 # corrupted output (TestMemoChaos...).
 go test -race -count=1 -run 'TestMemo' .
 
+echo "== run-format decoder fuzz (time-boxed) =="
+# The spill run reader and the memo replay decoder parse the same
+# uvarint-framed record format from storage that faults can tear:
+# arbitrary bytes must end in a typed error or exactly the announced
+# records, never a panic. Five seconds each on top of the seed corpus.
+go test -run '^$' -fuzz '^FuzzCacheReplay$' -fuzztime=5s ./internal/memo/
+go test -run '^$' -fuzz '^FuzzRunDecode$' -fuzztime=5s ./internal/spill/
+
 echo "== ingest lane throughput gate =="
 # The tentpole claim, gated: segmented reads across 4 IO lanes must
 # deliver >= 1.5x the serial virtual ingest throughput on the

@@ -19,7 +19,9 @@ import (
 
 // Local is the per-map-worker view of a container. Map workers emit into
 // a Local with no synchronization; Flush folds the worker's pairs into
-// the global container state at the end of the worker's task.
+// the global container state at the end of the worker's task. A Local
+// not yet flushed is unaffected by the container's Reset: its pairs
+// land on its own Flush.
 type Local[K comparable, V any] interface {
 	kv.Emitter[K, V]
 	// Flush publishes this worker's pairs into the global container.
@@ -30,6 +32,13 @@ type Local[K comparable, V any] interface {
 // Container stores intermediate key-value pairs between map and reduce.
 // Implementations are safe for concurrent NewLocal/Flush during the map
 // phase; Partitions/Reduce run after the map phase completes.
+//
+// Re-emitting already-reduced, key-overlapping runs through any number
+// of concurrent Locals and then reducing and sorting equals
+// sortalgo.MergeRuns' re-reduce of the same runs, given the associative,
+// order-insensitive reduce every drain already requires (and, for the
+// key-range container, its unique-key contract). The memoized pipeline
+// folds parked per-chunk output back in on the strength of this.
 type Container[K comparable, V any] interface {
 	// NewLocal returns an emitter for one map worker or map task.
 	NewLocal() Local[K, V]

@@ -25,9 +25,13 @@
 // multi-node runs differ in one drain step chosen before the loop —
 // never, when over budget, or after every chunk — whose product, a
 // key-sorted run from spill.DrainContainer, goes to the spill store or
-// to an in-memory chunk-indexed run list; after the loop the runs merge
-// in a single re-reducing round (resident reduce + merge, external
-// merge, chunk-run merge, or the node exchange of internal/shuffle).
+// is parked in memory by chunk index. After the loop a memoized run
+// folds what it parked — drained runs and cache hits, the latter still
+// encoded — back into the container in parallel, and then every
+// single-node run finishes the same way: reduce what is resident and
+// merge it in one round (with the spilled runs when the budget forced
+// drains). Multi-node runs hand their parked runs to the node exchange
+// of internal/shuffle instead.
 //
 // Persistence (§III-C) applies at two tiers: the global intermediate
 // container accumulates across rounds (runMappers never resets it), and
@@ -101,8 +105,9 @@ type Options struct {
 	// key-sorted run written to SpillStore on the pool's IO lane while
 	// the next map round computes, and the merge phase streams the runs
 	// back in the same single p-way round. Zero disables spilling, and
-	// so do MemoStore and Nodes: draining after every chunk already
-	// bounds residency by one chunk's combined output.
+	// so do MemoStore and Nodes: they drain after every chunk, so the
+	// container never holds more than one chunk's combined output while
+	// ingest runs, and what they park is not spilled.
 	MemoryBudget int64
 	// SpillStore receives the spilled runs; required when MemoryBudget
 	// is positive.
@@ -131,11 +136,14 @@ type Options struct {
 	// job a private freelist.
 	Freelist *chunk.FreeList
 	// MemoStore, when set, enables content-addressed memoization: every
-	// ingest chunk is keyed by its content hash under MemoSpace, a hit
-	// replays the cached map/combine output past the map wave, and a
-	// miss is mapped, drained per chunk and published back to the cache.
-	// Requires an app whose key/value types have spill codecs. Composes
-	// with Nodes: a hit replays its cached run into the chunk's node.
+	// ingest chunk is keyed by its content hash under MemoSpace; a hit
+	// skips the map wave and parks the cached map/combine output, still
+	// encoded; a miss is mapped, drained per chunk, published back to
+	// the cache and parked as pairs. After ingest the parked output
+	// folds back into the container on every compute worker and the job
+	// finishes like an unmemoized one (reduce, then merge). Requires an
+	// app whose key/value types have spill codecs. Composes with Nodes:
+	// a hit then decodes its cached run into the chunk's node.
 	MemoStore *memo.Store
 	// MemoSpace namespaces memo cache keys (application identity plus
 	// any parameters that change its output for the same input bytes).
@@ -210,9 +218,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 
 	// The drain step, chosen once: when the container is emptied into a
 	// key-sorted run, and under which phase and task label. Memo and
-	// multi-node runs drain after every chunk into chunkRuns; a budgeted
-	// run drains to the spill store when the container outgrows the
-	// budget; otherwise the container persists to the reduce phase.
+	// multi-node runs drain after every chunk and park the run; a
+	// budgeted run drains to the spill store when the container outgrows
+	// the budget; otherwise the container persists to the reduce phase.
 	when, drainPhase, drainLabel := drainNever, metrics.PhaseSpill, "spill"
 	var spiller *spill.Spiller[K, V]
 	switch {
@@ -430,10 +438,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	if first.err != nil && !errors.Is(first.err, io.EOF) {
 		return fail(first.err)
 	}
-	// chunkRuns is the every-chunk drain's sink: chunkRuns[i] is chunk
-	// i's key-sorted run — the decoded cache payload on a memo hit, the
-	// freshly drained combiner output otherwise.
-	var chunkRuns [][]kv.Pair[K, V]
+	// parked is the every-chunk drain's sink: parked[i] is chunk i's
+	// combined output — the freshly drained key-sorted run on a miss or
+	// an unmemoized multi-node run, the cache entry on a hit (still
+	// encoded; decoded to a run only when Nodes needs pairs to exchange).
+	var parked []parkedChunk[K, V]
 	cur = first.c
 	for cur != nil {
 		if err := pool.Err(); err != nil {
@@ -460,11 +469,13 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 		// Memo lookup, serial and in chunk order on the IO lane, so the
 		// operation order any fault plan sees at the memo site is a pure
-		// function of the input. A cache failure (injected fault, torn
-		// write caught by the digest) is swallowed into a miss — the
-		// store counts it — and only a pool-level error fails the job.
+		// function of the input. A hit only fetches and validates the
+		// payload; decoding waits for the fold. A cache failure (injected
+		// fault, torn write caught by the digest, malformed payload) is
+		// swallowed into a miss — the store counts it — and only a
+		// pool-level error fails the job.
 		var (
-			run     []kv.Pair[K, V]
+			out     parkedChunk[K, V]
 			hit     bool
 			memoKey memo.Key
 		)
@@ -476,7 +487,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			memoKey = cache.Key(sum)
 			err := inPhase(metrics.PhaseMemo, func() error {
 				return pool.GoIO("memo", metrics.StateIOWait, func() error {
-					run, hit, _ = cache.Get(memoKey)
+					if exchange != nil {
+						out.run, hit, _ = cache.Get(memoKey)
+					} else {
+						out.entry, hit, _ = cache.Fetch(memoKey)
+					}
 					return nil
 				}).Wait()
 			})
@@ -496,7 +511,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		)
 		if hit {
 			// The chunk's bytes were read and hashed but are never
-			// mapped: the cached run replays straight into the merge.
+			// mapped: the cached output is parked for the finish.
 			stats.MemoHits++
 			stats.MemoBytesSaved += cur.Size()
 			stats.BytesIngested += cur.Size()
@@ -519,12 +534,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				// and a failed publish only skips the cache entry, never
 				// the job.
 				err := inPhase(drainPhase, func() (err error) {
-					if run, err = drain(); err != nil || cache == nil {
+					if out.run, err = drain(); err != nil || cache == nil {
 						return err
 					}
 					stats.MemoMisses++
 					return pool.GoIO("memo", metrics.StateIOWait, func() error {
-						cache.Put(memoKey, run)
+						cache.Put(memoKey, out.run)
 						return nil
 					}).Wait()
 				})
@@ -532,7 +547,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 					return fail(err)
 				}
 			}
-			chunkRuns = append(chunkRuns, run)
+			parked = append(parked, out)
 		}
 		// Join the next chunk, counting how the ring performed: a chunk
 		// already buffered is a prefetch hit; otherwise the map workers
@@ -566,49 +581,44 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 	}
 	timer.EndPhase(metrics.PhaseReadMap)
-	stats.IntermediateN = cont.Len()
-	for _, run := range chunkRuns {
-		stats.IntermediateN += len(run)
-	}
 	if lanes > 1 {
 		stats.IngestLaneBytes = pool.LaneBytes()
 	}
 
-	// The finish path. Every variant merges key-sorted runs in a single
-	// round, re-reducing keys whose values were split across runs — the
-	// associativity contract all drains rely on — so the output is
-	// byte-identical whichever drain step ran.
+	// The finish path. Runs that drained along the way were partially
+	// reduced, so every variant re-reduces keys whose values were split
+	// across drains — the associativity contract all drains rely on —
+	// and the output is byte-identical whichever drain step ran.
 	var (
 		merged    []kv.Pair[K, V]
 		rounds    = 1
 		radixRuns int
 		err       error
 	)
-	switch {
-	case exchange != nil:
-		// The chunk runs belong to their nodes round-robin; the nodes
+	if exchange != nil {
+		// The parked runs belong to their nodes round-robin; the nodes
 		// exchange partitions and merge what they receive.
 		nodeRuns := make([][][]kv.Pair[K, V], opts.Nodes)
-		for i, run := range chunkRuns {
-			if n := i % opts.Nodes; len(run) > 0 {
-				nodeRuns[n] = append(nodeRuns[n], run)
+		for i, p := range parked {
+			stats.IntermediateN += len(p.run)
+			if n := i % opts.Nodes; len(p.run) > 0 {
+				nodeRuns[n] = append(nodeRuns[n], p.run)
 			}
 		}
 		merged, err = exchange.Run(app, nodeRuns, pool, timer, &stats)
-	case when == drainEveryChunk:
-		// The container drained as the pipeline ran, so there is nothing
-		// left to reduce: one streaming pass merges the chunk runs in
-		// chunk order.
-		for _, run := range chunkRuns {
-			if len(run) > 0 {
-				stats.Runs++
-			}
+	} else {
+		if cache != nil {
+			// Every miss drained the container, so it is empty: fold the
+			// parked output back in and finish like an unmemoized run.
+			timer.StartPhase(metrics.PhaseMemo)
+			err = foldParked(cache, parked, cont, pool)
+			timer.EndPhase(metrics.PhaseMemo)
+			parked = nil
 		}
-		timer.StartPhase(metrics.PhaseMerge)
-		merged, err = sortalgo.MergeRunsTask(pool, "merge", nil, chunkRuns, app.Less, app.Reduce, false)
-		timer.EndPhase(metrics.PhaseMerge)
-	default:
-		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, ro, spiller, fixed, &stats)
+		if err == nil {
+			stats.IntermediateN = cont.Len()
+			merged, rounds, radixRuns, err = reduceAndMerge(app, cont, ro, spiller, fixed, &stats)
+		}
 	}
 	if err != nil {
 		pool.Abort(err)
@@ -628,13 +638,48 @@ type drainWhen int
 const (
 	drainNever      drainWhen = iota // the container persists to the reduce phase
 	drainOverBudget                  // whenever it outgrows MemoryBudget, to the spill store
-	drainEveryChunk                  // after every map wave, to the in-memory chunk runs
+	drainEveryChunk                  // after every map wave, parked in memory
 )
 
-// reduceAndMerge finishes a job whose container persisted to the end of
-// ingest: reduce what is resident, then merge it — together with every
-// spilled run when the budget forced drains. ro carries the job's pool
-// and timer.
+// parkedChunk is one chunk's combined output waiting for the finish:
+// the drained key-sorted run, or — on a memo hit of a single-node run —
+// the fetched cache entry, left encoded.
+type parkedChunk[K comparable, V any] struct {
+	run   []kv.Pair[K, V]
+	entry memo.Entry
+}
+
+// foldParked re-emits the parked output of a memoized run into the
+// empty container, one task and one container Local per compute worker,
+// each taking every Workers-th chunk. Cache entries decode straight
+// into the Local (see memo.Cache.Replay); drained runs are emitted pair
+// by pair. The parked values were reduced per chunk, so this relies on
+// the container contract that re-emitting reduced runs and reducing
+// again equals reducing once.
+func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, V],
+	cont container.Container[K, V], pool exec.Executor) error {
+	workers := pool.Workers()
+	_, err := pool.ForEach("memo", metrics.StateUser, workers, func(w int) error {
+		local := cont.NewLocal()
+		for i := w; i < len(parked); i += workers {
+			if err := cache.Replay(parked[i].entry, local); err != nil {
+				return err
+			}
+			for _, p := range parked[i].run {
+				local.Emit(p.Key, p.Val)
+			}
+		}
+		local.Flush()
+		return nil
+	})
+	return err
+}
+
+// reduceAndMerge finishes a job whose container holds the intermediate
+// set at the end of ingest — persisted there, or folded back by a
+// memoized run: reduce what is resident, then merge it — together with
+// every spilled run when the budget forced drains. ro carries the job's
+// pool and timer.
 func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], ro mapreduce.Options,
 	spiller *spill.Spiller[K, V], fixed *kv.FixedKeyCodec[K], stats *mapreduce.Stats) ([]kv.Pair[K, V], int, int, error) {
 	timer := ro.Timer

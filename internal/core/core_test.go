@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"supmr/internal/exec"
 	"supmr/internal/kv"
 	"supmr/internal/mapreduce"
+	"supmr/internal/memo"
 	"supmr/internal/metrics"
 	"supmr/internal/sortalgo"
 	"supmr/internal/storage"
@@ -547,5 +550,75 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "mid-stream ingest failure") {
 			t.Errorf("depth %d: err = %v, want the mid-stream failure", depth, err)
 		}
+	}
+}
+
+// TestMemoMalformedEntryRecomputes plants a digest-valid entry whose
+// record count is wrong under one chunk's key: the run must treat it as
+// a miss, recompute and republish that chunk, and the next run replays
+// every chunk from the cache into the same output.
+func TestMemoMalformedEntryRecomputes(t *testing.T) {
+	text := genText(t, 32<<10)
+	wc := wcApp{}
+	store, err := memo.NewStore(memo.Config{Device: storage.NewNullDevice(storage.NewFakeClock())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	cache, err := memo.NewCache[string, int64](store, "wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []memo.Key
+	for s := textStream(t, text, 4<<10); ; {
+		c, err := s.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, cache.Key(sha256.Sum256(c.Data)))
+		c.Release()
+	}
+	// One well-framed record ("the" -> 8 value bytes) announced as two.
+	bad := append([]byte{3, 't', 'h', 'e', 8}, make([]byte, 8)...)
+	if err := store.Put(keys[2], bad, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func() *Result[string, int64] {
+		t.Helper()
+		res, err := Run[string, int64](wc, textStream(t, text, 4<<10), wc.NewContainer(8),
+			Options{Options: mapreduce.Options{Workers: 4}, MemoStore: store, MemoSpace: "wc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ref := refCounts(text)
+	checkRef := func(res *Result[string, int64]) {
+		t.Helper()
+		if len(res.Pairs) != len(ref) || res.Stats.IntermediateN != len(ref) {
+			t.Fatalf("%d pairs, IntermediateN %d, want %d distinct words", len(res.Pairs), res.Stats.IntermediateN, len(ref))
+		}
+		for _, p := range res.Pairs {
+			if ref[p.Key] != p.Val {
+				t.Fatalf("count[%q] = %d, want %d", p.Key, p.Val, ref[p.Key])
+			}
+		}
+	}
+	first := run()
+	checkRef(first)
+	if first.Stats.MemoHits != 0 || first.Stats.MemoMisses != len(keys) {
+		t.Errorf("hits=%d misses=%d, want the planted entry rejected and all %d chunks mapped", first.Stats.MemoHits, first.Stats.MemoMisses, len(keys))
+	}
+	if st := store.Stats(); st.ReadErrors != 1 || st.Hits != 0 {
+		t.Errorf("store stats = %+v, want the malformed entry counted as one read error and no hit", st)
+	}
+	second := run()
+	checkRef(second)
+	if second.Stats.MemoHits != len(keys) || second.Stats.MapWaves != 0 {
+		t.Errorf("second run: hits=%d waves=%d, want %d hits and nothing mapped", second.Stats.MemoHits, second.Stats.MapWaves, len(keys))
 	}
 }

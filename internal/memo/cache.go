@@ -3,11 +3,18 @@ package memo
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"supmr/internal/kv"
 	"supmr/internal/spill"
 )
+
+// ErrMalformed marks a cache payload whose bytes passed the store's
+// digest check but do not parse as the run format, or do not hold the
+// record count the entry announced. Callers treat it like any other
+// unreadable entry: a miss and a recompute.
+var ErrMalformed = errors.New("memo: malformed entry payload")
 
 // Cache is the typed view over a Store for one job type: it derives
 // entry keys from chunk content hashes under a key space, and
@@ -20,6 +27,14 @@ type Cache[K comparable, V any] struct {
 	space []byte
 	kc    spill.Codec[K]
 	vc    spill.Codec[V]
+}
+
+// Entry is one fetched cache payload, still encoded: the run-format
+// bytes and the record count announced at publish. Fetch returns only
+// entries that Replay accepts.
+type Entry struct {
+	Payload []byte
+	Records int64
 }
 
 // NewCache builds the typed layer. space namespaces keys so different
@@ -56,41 +71,93 @@ func (c *Cache[K, V]) Key(sum [32]byte) Key {
 	return k
 }
 
-// Get fetches and decodes the cached pairs for k. ok reports a usable
-// hit; a present-but-unreadable entry (fault, torn write, corrupt
-// frame) returns ok=false with the error for accounting — the caller
-// recomputes either way.
-func (c *Cache[K, V]) Get(k Key) (pairs []kv.Pair[K, V], ok bool, err error) {
-	payload, records, err := c.store.Get(k)
-	if err != nil {
+// Fetch reads the entry for k without decoding it into pairs: the store
+// verifies the payload digest, and one discarding Replay pass verifies
+// the framing, the codecs and the record count, so a later Replay of
+// the returned entry cannot fail. ok reports a usable hit; a
+// present-but-unreadable entry (fault, torn write, malformed payload)
+// returns ok=false with the error for accounting — the store evicts it
+// and the caller recomputes either way.
+func (c *Cache[K, V]) Fetch(k Key) (Entry, bool, error) {
+	return c.fetch(k, func(e Entry) error { return c.Replay(e, discard[K, V]{}) })
+}
+
+// Get fetches and decodes the cached pairs for k, with Fetch's hit and
+// error contract.
+func (c *Cache[K, V]) Get(k Key) ([]kv.Pair[K, V], bool, error) {
+	var pairs []kv.Pair[K, V]
+	_, ok, err := c.fetch(k, func(e Entry) error {
+		// A record is at least two length bytes, which bounds the
+		// presize whatever count the entry announces.
+		pairs = make([]kv.Pair[K, V], 0, max(0, min(e.Records, int64(len(e.Payload)/2))))
+		return c.Replay(e, kv.EmitFunc[K, V](func(k K, v V) {
+			pairs = append(pairs, kv.Pair[K, V]{Key: k, Val: v})
+		}))
+	})
+	if !ok {
 		return nil, false, err
 	}
-	if payload == nil {
-		return nil, false, nil
+	return pairs, true, nil
+}
+
+// fetch reads k's entry from the store, which counts it as a hit only
+// if check — one Replay pass over the digest-verified payload —
+// accepts it. ok=false with a nil error is a clean miss.
+func (c *Cache[K, V]) fetch(k Key, check func(Entry) error) (Entry, bool, error) {
+	payload, records, err := c.store.get(k, func(payload []byte, records int64) error {
+		return check(Entry{Payload: payload, Records: records})
+	})
+	if err != nil || payload == nil {
+		return Entry{}, false, err
 	}
-	pairs = make([]kv.Pair[K, V], 0, records)
-	for pos := 0; pos < len(payload); {
-		kb, n, err := frame(payload, pos)
+	return Entry{Payload: payload, Records: records}, true, nil
+}
+
+// Replay is the one record decoder: it streams e's records into emit in
+// payload (key-sorted) order. When emit also implements
+// kv.BytesEmitter[V] and K is string, keys are handed over as slices of
+// the payload — valid only during the call, never materialized — so a
+// combining container's Local folds a replay without allocating a key
+// string or a pair slice. Any framing or codec failure, or a record
+// count other than e.Records, returns an error wrapping ErrMalformed;
+// records decoded before the failure have already been emitted.
+func (c *Cache[K, V]) Replay(e Entry, emit kv.Emitter[K, V]) error {
+	// String keys can reach a byte-keyed sink without being decoded.
+	var be kv.BytesEmitter[V]
+	var zero K
+	if _, ok := any(zero).(string); ok {
+		be, _ = emit.(kv.BytesEmitter[V])
+	}
+	payload := e.Payload
+	var n int64
+	for pos := 0; pos < len(payload); n++ {
+		kb, next, err := frame(payload, pos)
 		if err != nil {
-			return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
+			return err
 		}
-		pos = n
-		vb, n, err := frame(payload, pos)
+		vb, next, err := frame(payload, next)
 		if err != nil {
-			return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
+			return err
 		}
-		pos = n
-		key, err := c.kc.Decode(kb)
-		if err != nil {
-			return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
-		}
+		pos = next
 		val, err := c.vc.Decode(vb)
 		if err != nil {
-			return nil, false, fmt.Errorf("memo: entry %x: %w", k[:4], err)
+			return fmt.Errorf("%w: value: %v", ErrMalformed, err)
 		}
-		pairs = append(pairs, kv.Pair[K, V]{Key: key, Val: val})
+		if be != nil {
+			be.EmitBytes(kb, val)
+			continue
+		}
+		key, err := c.kc.Decode(kb)
+		if err != nil {
+			return fmt.Errorf("%w: key: %v", ErrMalformed, err)
+		}
+		emit.Emit(key, val)
 	}
-	return pairs, true, nil
+	if n != e.Records {
+		return fmt.Errorf("%w: %d records, entry announced %d", ErrMalformed, n, e.Records)
+	}
+	return nil
 }
 
 // frame decodes one uvarint-framed field of payload at pos, returning
@@ -98,18 +165,25 @@ func (c *Cache[K, V]) Get(k Key) (pairs []kv.Pair[K, V], ok bool, err error) {
 func frame(payload []byte, pos int) ([]byte, int, error) {
 	u, n := binary.Uvarint(payload[pos:])
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("corrupt length prefix at %d", pos)
+		return nil, 0, fmt.Errorf("%w: corrupt length prefix at %d", ErrMalformed, pos)
 	}
 	pos += n
 	if u > uint64(len(payload)-pos) {
-		return nil, 0, fmt.Errorf("field length %d exceeds remaining %d bytes", u, len(payload)-pos)
+		return nil, 0, fmt.Errorf("%w: field length %d exceeds remaining %d bytes", ErrMalformed, u, len(payload)-pos)
 	}
 	return payload[pos : pos+int(u)], pos + int(u), nil
 }
 
+// discard is Fetch's validating sink: it accepts either emit form and
+// keeps nothing.
+type discard[K comparable, V any] struct{}
+
+func (discard[K, V]) Emit(K, V)           {}
+func (discard[K, V]) EmitBytes([]byte, V) {}
+
 // Put serializes pairs and publishes them under k. The pairs should be
 // the chunk's full combined output in its stable (key-sorted) order, so
-// a later hit replays them as a ready-sorted merge source.
+// equal chunk content always publishes equal payload bytes.
 func (c *Cache[K, V]) Put(k Key, pairs []kv.Pair[K, V]) error {
 	var buf []byte
 	var scratch []byte
@@ -122,27 +196,4 @@ func (c *Cache[K, V]) Put(k Key, pairs []kv.Pair[K, V]) error {
 		buf = append(buf, scratch...)
 	}
 	return c.store.Put(k, buf, int64(len(pairs)))
-}
-
-// PayloadBytes reports how large pairs would serialize, without
-// publishing — used to attribute IO-lane op cost before a Put.
-func (c *Cache[K, V]) PayloadBytes(pairs []kv.Pair[K, V]) int64 {
-	var scratch []byte
-	var total int64
-	for _, p := range pairs {
-		scratch = c.kc.Append(scratch[:0], p.Key)
-		total += int64(uvarintLen(uint64(len(scratch)))) + int64(len(scratch))
-		scratch = c.vc.Append(scratch[:0], p.Val)
-		total += int64(uvarintLen(uint64(len(scratch)))) + int64(len(scratch))
-	}
-	return total
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

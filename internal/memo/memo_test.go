@@ -3,6 +3,8 @@ package memo
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -250,9 +252,6 @@ func TestCacheRoundtripAndKeySpaces(t *testing.T) {
 	if _, ok, err := other.Get(other.Key(sum)); ok || err != nil {
 		t.Fatalf("cross-space hit: ok=%v err=%v", ok, err)
 	}
-	if c.PayloadBytes(pairs) == 0 {
-		t.Fatal("PayloadBytes reported zero for non-empty pairs")
-	}
 }
 
 func TestCacheRejectsUncodableTypes(t *testing.T) {
@@ -276,4 +275,212 @@ func TestCacheEmptyPairs(t *testing.T) {
 	if err != nil || !ok || len(got) != 0 {
 		t.Fatalf("empty entry: pairs=%d ok=%v err=%v", len(got), ok, err)
 	}
+}
+
+// wcPayload frames word-count records in the run format by hand, so
+// tests control payload bytes and announced record count separately.
+func wcPayload(recs ...kv.Pair[string, int64]) []byte {
+	var b []byte
+	for _, r := range recs {
+		b = binary.AppendUvarint(b, uint64(len(r.Key)))
+		b = append(b, r.Key...)
+		b = binary.AppendUvarint(b, 8)
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Val))
+	}
+	return b
+}
+
+// bytesSink records what Replay hands a kv.BytesEmitter; keys are
+// copied because they alias the payload only during the call.
+type bytesSink struct {
+	pairs    []kv.Pair[string, int64]
+	viaBytes int
+}
+
+func (s *bytesSink) Emit(k string, v int64) {
+	s.pairs = append(s.pairs, kv.Pair[string, int64]{Key: k, Val: v})
+}
+
+func (s *bytesSink) EmitBytes(k []byte, v int64) {
+	s.viaBytes++
+	s.Emit(string(k), v)
+}
+
+// TestCacheWrongRecordCountIsAMiss: a digest-valid payload whose record
+// count disagrees with the entry is rejected by Get and Fetch alike,
+// counted as a read error (not a hit) and evicted.
+func TestCacheWrongRecordCountIsAMiss(t *testing.T) {
+	payload := wcPayload(kv.Pair[string, int64]{Key: "alpha", Val: 3}, kv.Pair[string, int64]{Key: "beta", Val: 1})
+	for _, announced := range []int64{1, 3, 0, -1, 1 << 40} {
+		for _, via := range []string{"get", "fetch"} {
+			s := newStore(t, 0)
+			c, err := NewCache[string, int64](s, "wc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := c.Key(sha256.Sum256([]byte("chunk")))
+			if err := s.Put(k, payload, announced); err != nil {
+				t.Fatal(err)
+			}
+			var ok bool
+			if via == "get" {
+				_, ok, err = c.Get(k)
+			} else {
+				_, ok, err = c.Fetch(k)
+			}
+			if ok || !errors.Is(err, ErrMalformed) {
+				t.Fatalf("%s, %d announced for 2 records: ok=%v err=%v, want a malformed-entry miss", via, announced, ok, err)
+			}
+			if st := s.Stats(); st.Hits != 0 || st.ReadErrors != 1 || st.Entries != 0 {
+				t.Fatalf("%s, %d announced: stats = %+v, want Hits=0 ReadErrors=1 Entries=0", via, announced, st)
+			}
+			if _, ok, err := c.Fetch(k); ok || err != nil {
+				t.Fatalf("rejected entry not evicted: ok=%v err=%v", ok, err)
+			}
+		}
+	}
+}
+
+// TestCacheRejectsForeignValueType: a well-framed payload published by
+// a job with another value type under the same key fails the codec at
+// fetch time, so it can never fail a later Replay.
+func TestCacheRejectsForeignValueType(t *testing.T) {
+	s := newStore(t, 0)
+	strs, err := NewCache[string, string](s, "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints, err := NewCache[string, int64](s, "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := strs.Key(sha256.Sum256([]byte("chunk")))
+	if err := strs.Put(k, []kv.Pair[string, string]{{Key: "a", Val: "not eight bytes!"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := ints.Fetch(k); ok || !errors.Is(err, ErrMalformed) {
+		t.Fatalf("foreign entry fetched: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestCacheFetchReplay: Fetch returns the encoded entry, and Replay
+// decodes exactly Get's pairs — through EmitBytes when the sink accepts
+// byte keys, through Emit otherwise.
+func TestCacheFetchReplay(t *testing.T) {
+	s := newStore(t, 0)
+	c, err := NewCache[string, int64](s, "wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := []kv.Pair[string, int64]{{Key: "", Val: -4}, {Key: "alpha", Val: 3}, {Key: "beta", Val: 1}}
+	k := c.Key(sha256.Sum256([]byte("chunk")))
+	if err := c.Put(k, pairs); err != nil {
+		t.Fatal(err)
+	}
+	e, ok, err := c.Fetch(k)
+	if err != nil || !ok {
+		t.Fatalf("fetch: ok=%v err=%v", ok, err)
+	}
+	if e.Records != int64(len(pairs)) || !bytes.Equal(e.Payload, wcPayload(pairs...)) {
+		t.Fatalf("entry = %d records, %d bytes; want the published run-format bytes", e.Records, len(e.Payload))
+	}
+	var fast bytesSink
+	if err := c.Replay(e, &fast); err != nil {
+		t.Fatal(err)
+	}
+	if fast.viaBytes != len(pairs) {
+		t.Errorf("%d of %d records took the byte-key path", fast.viaBytes, len(pairs))
+	}
+	var slow []kv.Pair[string, int64]
+	err = c.Replay(e, kv.EmitFunc[string, int64](func(k string, v int64) {
+		slow = append(slow, kv.Pair[string, int64]{Key: k, Val: v})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		if fast.pairs[i] != p || slow[i] != p {
+			t.Fatalf("record %d: bytes path %+v, emit path %+v, want %+v", i, fast.pairs[i], slow[i], p)
+		}
+	}
+	// Integer keys have no byte form: Replay must decode them even when
+	// the sink offers EmitBytes.
+	ic, err := NewCache[int64, int64](s, "hist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ik := ic.Key(sha256.Sum256([]byte("chunk")))
+	if err := ic.Put(ik, []kv.Pair[int64, int64]{{Key: 7, Val: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	ie, ok, err := ic.Fetch(ik)
+	if err != nil || !ok {
+		t.Fatalf("int fetch: ok=%v err=%v", ok, err)
+	}
+	var got kv.Pair[int64, int64]
+	if err := ic.Replay(ie, kv.EmitFunc[int64, int64](func(k, v int64) { got = kv.Pair[int64, int64]{Key: k, Val: v} })); err != nil || got.Key != 7 || got.Val != 9 {
+		t.Fatalf("int replay = %+v, %v", got, err)
+	}
+}
+
+// FuzzCacheReplay drives the one record decoder with arbitrary bytes
+// and an arbitrary announced count: it never panics, and either returns
+// an ErrMalformed error or emits exactly the announced records from no
+// more bytes than the payload holds. A payload built from the fuzzed
+// fields round-trips through Put and Replay, and every strict prefix of
+// it is rejected.
+func FuzzCacheReplay(f *testing.F) {
+	f.Add([]byte{}, int64(0), "", int64(0))
+	f.Add([]byte{0, 0}, int64(1), "the", int64(48211))
+	f.Add(wcPayload(kv.Pair[string, int64]{Key: "alpha", Val: 3}, kv.Pair[string, int64]{Key: "beta", Val: 1}), int64(2), "zipf", int64(-7))
+	f.Add([]byte{200}, int64(1), "k", int64(1))
+	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}, int64(1), "k", int64(1))
+	f.Add([]byte{5, 'a', 'b'}, int64(1), "k", int64(1))
+	f.Add([]byte{1, 'a', 3, 1, 2, 3}, int64(1), "k", int64(1)) // value is not 8 bytes
+	f.Fuzz(func(t *testing.T, data []byte, announced int64, key string, val int64) {
+		s, err := NewStore(Config{Device: storage.NewNullDevice(storage.NewFakeClock())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		c, err := NewCache[string, int64](s, "fuzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sink bytesSink
+		err = c.Replay(Entry{Payload: data, Records: announced}, &sink)
+		switch {
+		case err != nil && !errors.Is(err, ErrMalformed):
+			t.Fatalf("untyped error: %v", err)
+		case err == nil && int64(len(sink.pairs)) != announced:
+			t.Fatalf("emitted %d records, entry announced %d", len(sink.pairs), announced)
+		}
+		var keyBytes int
+		for _, p := range sink.pairs {
+			keyBytes += len(p.Key)
+		}
+		if keyBytes+8*len(sink.pairs) > len(data) {
+			t.Fatalf("emitted %d key bytes and %d values from a %d-byte payload", keyBytes, len(sink.pairs), len(data))
+		}
+
+		pairs := []kv.Pair[string, int64]{{Key: key, Val: val}, {Key: key + "~", Val: announced}}
+		k := c.Key(sha256.Sum256(data))
+		if err := c.Put(k, pairs); err != nil {
+			t.Fatal(err)
+		}
+		e, ok, err := c.Fetch(k)
+		if err != nil || !ok {
+			t.Fatalf("fetch of a fresh Put: ok=%v err=%v", ok, err)
+		}
+		var back bytesSink
+		if err := c.Replay(e, &back); err != nil || len(back.pairs) != 2 || back.pairs[0] != pairs[0] || back.pairs[1] != pairs[1] {
+			t.Fatalf("round trip = %+v, %v; want %+v", back.pairs, err, pairs)
+		}
+		for cut := 0; cut < len(e.Payload); cut++ {
+			err := c.Replay(Entry{Payload: e.Payload[:cut], Records: e.Records}, discard[string, int64]{})
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("payload truncated to %d of %d bytes replayed: err=%v", cut, len(e.Payload), err)
+			}
+		}
+	})
 }

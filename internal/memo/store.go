@@ -1,10 +1,10 @@
 // Package memo is the content-addressed result cache behind incremental
 // recompute. Each ingest chunk, identified by the content hash the CDC
 // ingest path computes, maps to the serialized map/combine output that
-// chunk produced on a previous run. On re-run a hit replays the cached
-// output straight into the merge path — the chunk's bytes are read and
-// hashed but never mapped — turning a mostly-unchanged job into
-// O(delta) map work.
+// chunk produced on a previous run. On re-run a hit parks the cached
+// output, still encoded, until ingest ends and then folds it back into
+// the job's container — the chunk's bytes are read and hashed but never
+// mapped — turning a mostly-unchanged job into O(delta) map work.
 //
 // The store lives on the simulated storage substrate: payload bytes
 // occupy a device address range and every read and write is charged to
@@ -56,7 +56,7 @@ type Stats struct {
 	Stored      int64 // successful Puts
 	Evicted     int64 // LRU evictions (budget pressure)
 	Torn        int64 // digest mismatches detected on read
-	ReadErrors  int64 // failed Gets of present entries (faults + torn)
+	ReadErrors  int64 // failed Gets of present entries (faults, torn, malformed)
 	WriteErrors int64 // failed Puts
 	Entries     int   // resident entries
 	Bytes       int64 // resident payload bytes
@@ -177,7 +177,13 @@ func (s *Store) dropLocked(e *entry) spill.RunData {
 // the entry was present but unreadable — an injected device fault or a
 // torn write caught by the digest — and the caller must fall back to
 // recomputing; the damaged entry is evicted.
-func (s *Store) Get(k Key) ([]byte, int64, error) {
+func (s *Store) Get(k Key) ([]byte, int64, error) { return s.get(k, nil) }
+
+// get is Get with an optional check of the digest-verified payload (the
+// typed layer's decoder), run before the outcome is counted: a payload
+// the check refuses fails the read exactly like a torn one — a read
+// error, never a hit, and the entry is evicted.
+func (s *Store) get(k Key, check func(payload []byte, records int64) error) ([]byte, int64, error) {
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
@@ -196,6 +202,11 @@ func (s *Store) Get(k Key) ([]byte, int64, error) {
 		s.mu.Lock()
 		s.stats.Torn++
 		s.mu.Unlock()
+	}
+	if err == nil && check != nil {
+		if err = check(payload, e.records); err != nil {
+			err = fmt.Errorf("memo: entry %x: %w", k[:4], err)
+		}
 	}
 
 	s.mu.Lock()

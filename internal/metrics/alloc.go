@@ -2,17 +2,19 @@ package metrics
 
 import (
 	"fmt"
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 )
 
 // AllocStats counts heap allocations attributed to one phase: object
-// count and total bytes. The numbers are process-wide ReadMemStats
-// deltas sampled at phase boundaries, so they are approximate — any
-// concurrent background allocation lands in whichever phase is open —
-// but on a quiet process they expose the map hot path's allocation
-// behaviour directly (the flat combiner should show near-zero map-phase
-// objects per round once its arenas are warm).
+// count and total bytes. The numbers are deltas of the process-wide
+// runtime/metrics allocation counters sampled at phase boundaries, so
+// they are approximate — any concurrent background allocation lands in
+// whichever phase is open, and a P publishes its small-object counts
+// only when its allocation cache swaps a span, so a boundary can lag by
+// a span per size class — but on a quiet process they expose the map
+// hot path's allocation behaviour directly (the flat combiner should
+// show near-zero map-phase objects per round once its arenas are warm).
 type AllocStats struct {
 	Objects int64 // heap objects allocated during the phase
 	Bytes   int64 // heap bytes allocated during the phase
@@ -64,10 +66,20 @@ func fmtBytes(n int64) string {
 }
 
 // readAllocCounters samples the process's cumulative allocation
-// counters. ReadMemStats stops the world briefly, which is why
-// allocation metering is opt-in (WithAllocs) rather than always on.
+// counters through runtime/metrics, which does not stop the world.
+// runtime.ReadMemStats does, and a drain-every-chunk run crosses four
+// phase boundaries per chunk: each stop would cost as long as it takes
+// to interrupt the IO lane and every compute worker, which depends on
+// the machine's load rather than on the job.
 func readAllocCounters() AllocStats {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return AllocStats{Objects: int64(m.Mallocs), Bytes: int64(m.TotalAlloc)}
+	s := [...]rtmetrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"}, // counted apart from the blocks they are packed into
+		{Name: "/gc/heap/allocs:bytes"},
+	}
+	rtmetrics.Read(s[:])
+	return AllocStats{
+		Objects: int64(s[0].Value.Uint64() + s[1].Value.Uint64()),
+		Bytes:   int64(s[2].Value.Uint64()),
+	}
 }

@@ -105,7 +105,7 @@ type Timer struct {
 	start   time.Duration
 	markers *MarkerLog // optional phase-boundary annotations
 
-	// Allocation metering (WithAllocs): cumulative MemStats counters are
+	// Allocation metering (WithAllocs): cumulative runtime counters are
 	// sampled at each phase boundary and the deltas attributed to the
 	// enclosing phase.
 	allocs     *PhaseAllocs
@@ -120,8 +120,8 @@ func NewTimer(now func() time.Duration) *Timer {
 }
 
 // WithAllocs enables per-phase allocation metering: StartPhase/EndPhase
-// additionally sample runtime.ReadMemStats and attribute the deltas to
-// the phase. Process-wide and approximate; see AllocStats. Returns t
+// additionally sample the runtime's allocation counters (without
+// stopping the world) and attribute the deltas to the phase. Process-wide and approximate; see AllocStats. Returns t
 // for chaining.
 func (t *Timer) WithAllocs() *Timer {
 	t.mu.Lock()

@@ -44,6 +44,8 @@ func FuzzRunDecode(f *testing.F) {
 	f.Add([]byte{200})
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1})
 	f.Add([]byte{5, 'a', 'b'})
+	// A ten-byte prefix decoding to a length >= 2^63 (found by this fuzzer).
+	f.Add([]byte{0xff, 0xfb, 0xb9, 0xb9, 0xb9, 0xb9, 0xb9, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, run := rawRun(data)
 		r := s.OpenRun(run)

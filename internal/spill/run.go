@@ -228,7 +228,7 @@ func (r *RunReader) fieldLen() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if int64(n) > r.remaining() {
+	if n > uint64(r.remaining()) { // unsigned: a length >= 2^63 must not wrap negative
 		return 0, fmt.Errorf("spill: run %d: field length %d exceeds remaining %d bytes", r.run.id, n, r.remaining())
 	}
 	if err := r.ensure(int(n)); err != nil {

@@ -236,13 +236,17 @@ type Config struct {
 	// local edits do not shift downstream chunks), each chunk's
 	// map/combine output is memoized in a MemoStore keyed by the chunk's
 	// content hash, and a chunk whose key hits the cache skips the map
-	// wave entirely — its cached combined output replays into the merge.
-	// Output is byte-identical to a memo-off run. ChunkBytes sizes the
-	// content-defined chunks (min ChunkBytes/2, target ChunkBytes,
-	// max 2*ChunkBytes). Memo is one setting of the pipeline's drain
-	// step — drain the container after every chunk — and composes with
-	// Engine and Nodes; Validate lists what it excludes. MemoryBudget is
-	// ignored (per-chunk drains bound residency without a spiller — see
+	// wave entirely — its cached combined output is parked, still
+	// encoded. After ingest every compute worker folds its share of the
+	// parked output (hits and freshly drained misses) back into the
+	// container, and the run finishes like a memo-off run: reduce, then
+	// the parallel merge. Output is byte-identical to a memo-off run.
+	// ChunkBytes sizes the content-defined chunks (min ChunkBytes/2,
+	// target ChunkBytes, max 2*ChunkBytes). Memo is one setting of the
+	// pipeline's drain step — drain the container after every chunk —
+	// and composes with Engine and Nodes; Validate lists what it
+	// excludes. MemoryBudget is ignored (the parked output and the
+	// folded container stay in memory, with no spiller — see
 	// Report.Notes).
 	Memo bool
 	// MemoStore is the cache a memoized run uses. Nil selects the
@@ -271,7 +275,7 @@ type Config struct {
 	// is the degenerate one-node cluster — exercising the same code path
 	// — and 0, the default, keeps the scale-up pipeline. Requires
 	// codec-supported key/value types. Composes with Engine, Memo (a
-	// cache hit replays its run into the chunk's node), IOLanes and
+	// cache hit decodes its run into the chunk's node), IOLanes and
 	// PrefetchDepth; Validate lists what it excludes. MemoryBudget is
 	// accepted but ignored: per-chunk drains bound residency without a
 	// spiller (see Report.Notes).
@@ -319,7 +323,7 @@ type Report[K comparable, V any] struct {
 	Times metrics.PhaseTimes
 	Stats mapreduce.Stats
 	// Allocs attributes heap allocations (object count and bytes) to each
-	// phase via ReadMemStats deltas at phase boundaries. Process-wide and
+	// phase via runtime/metrics deltas at phase boundaries. Process-wide and
 	// approximate — concurrent background allocation lands in whichever
 	// phase is open — but it makes the map hot path's allocation
 	// behaviour visible per run.
@@ -539,17 +543,16 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		Pool:          sub.pool,
 	}
 
-	// Memo and Nodes drain the container after every chunk, which
-	// bounds its residency without the spill path.
+	// Memo and Nodes drain the container after every chunk and park the
+	// runs in memory; neither uses the spill path.
 	everyChunk := cfg.Memo || cfg.Nodes > 0
 	var notes []string
 	if cfg.MemoryBudget > 0 {
-		const ignored = ": MemoryBudget ignored (per-chunk drains bound container residency without the spill path)"
 		if cfg.Memo {
-			notes = append(notes, "memo"+ignored)
+			notes = append(notes, "memo: MemoryBudget ignored (per-chunk output is parked in memory, folded back into the container after ingest and finished resident, without the spill path)")
 		}
 		if cfg.Nodes > 0 {
-			notes = append(notes, "nodes"+ignored)
+			notes = append(notes, "nodes: MemoryBudget ignored (per-chunk drains bound container residency without the spill path)")
 		}
 	}
 	var store *spill.Store

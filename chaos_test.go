@@ -173,6 +173,46 @@ func TestChaosDeterministicCounters(t *testing.T) {
 	}
 }
 
+// TestChaosSpillDeterministicCounters holds the out-of-core finish to
+// the same claim at four workers: the external merge reads its runs a
+// block ahead on the IO lanes while the workers drain in groups, and
+// still every chaos plan must give the same outcome text and the same
+// fault counters on a second run — the spill device is one fault site,
+// so its reads are issued in an order the input alone decides.
+func TestChaosSpillDeterministicCounters(t *testing.T) {
+	text := genText(t, 192<<10, 11)
+	retry := RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond}
+	spill := chaosVariants[1]
+	if spill.budget == 0 {
+		t.Fatal("chaosVariants[1] is not the budgeted variant")
+	}
+	injected := false
+	for _, seed := range []int64{1, 7, 42} {
+		for planName, plan := range chaosPlans(seed) {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, planName), func(t *testing.T) {
+				run := func() (FaultStats, string) {
+					clk := storage.NewFakeClock()
+					inj := NewFaultInjector(plan, clk)
+					out, err := runChaosWC(text, spill, inj, retry, clk)
+					return inj.Counters().Snapshot(), outcome(out, err)
+				}
+				s1, o1 := run()
+				s2, o2 := run()
+				if o1 != o2 {
+					t.Fatalf("nondeterministic outcome:\n  first:  %.200s\n  second: %.200s", o1, o2)
+				}
+				if s1 != s2 {
+					t.Fatalf("fault counters differ across identical runs:\n  first:  %s\n  second: %s", s1.String(), s2.String())
+				}
+				injected = injected || s1.Any()
+			})
+		}
+	}
+	if !injected {
+		t.Error("no plan injected anything; the determinism check is vacuous")
+	}
+}
+
 // TestChaosHDFS drives the fault plan through the HDFS substrate: the
 // injector is attached to the cluster only (HDFSConfig.Faults), so the
 // datanode disks are the fault sites, block fetches fail first-class,

@@ -92,6 +92,12 @@ echo "== race-mode sort-path gate =="
 # spill budget (TestRadixAblation...), and the branch-free merge trees
 # must agree with the comparison reference (TestMerge, fuzz seeds).
 go test -race -count=1 -run 'TestRadixAblation|TestMerge' .
+# The out-of-core finish shares state across goroutines by design — the
+# grouped drain, run blocks decoded a block ahead on the IO lanes, reads
+# joined on failure — so its tests repeat under the detector, and the
+# budgeted differential and spill chaos determinism run with them.
+go test -race -count=10 -run 'TestMergeAhead|TestMergeJoins|TestDrainContainer|TestRunRecordCount|TestBlockMerge' ./internal/spill/ ./internal/sortalgo/
+go test -race -count=2 -run 'TestBudgetedDigestIdentical|TestChaosSpillDeterministic' .
 
 echo "== race-mode incremental recompute gate =="
 # The memo invariants under the race detector: a cold run, a 1% append
@@ -109,6 +115,7 @@ echo "== run-format decoder fuzz (time-boxed) =="
 # records, never a panic. Five seconds each on top of the seed corpus.
 go test -run '^$' -fuzz '^FuzzCacheReplay$' -fuzztime=5s ./internal/memo/
 go test -run '^$' -fuzz '^FuzzRunDecode$' -fuzztime=5s ./internal/spill/
+go test -run '^$' -fuzz '^FuzzBlockDecode$' -fuzztime=5s ./internal/spill/
 
 echo "== ingest lane throughput gate =="
 # The tentpole claim, gated: segmented reads across 4 IO lanes must

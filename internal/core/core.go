@@ -242,8 +242,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			return nil, err
 		}
 		spiller.SetRetry(opts.Retry, opts.FaultCounters)
+		spiller.SetFixedKey(fixed)
 	}
-	drainRadixRuns := 0 // radix-sorted partition drains, folded into Stats.RadixRuns
+	drainRadixRuns := 0 // radix-sorted drain groups, folded into Stats.RadixRuns
 	drain := func() ([]kv.Pair[K, V], error) {
 		run, nRad, err := spill.DrainContainer(cont, app.Less, app.Reduce, fixed, pool, drainLabel)
 		drainRadixRuns += nRad
@@ -710,12 +711,14 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	}
 
 	// The budgeted merge: the in-memory residue runs sort in parallel
-	// (radix fast path when the app has a fixed-key codec), then one
-	// streaming loser-tree pass consumes them together with every
-	// on-disk run. The round count stays 1 — spilling adds merge
-	// sources, not merge rounds, preserving the paper's single-round
-	// property (§IV). Run-sort and merge time are bracketed separately,
-	// like mapreduce.MergePhase.
+	// (radix fast path when the app has a fixed-key codec) and — their
+	// keys are disjoint — p-way merge into one resident run, then one
+	// block-streamed loser-tree pass consumes it together with every
+	// on-disk run, which the IO lanes read and decode a block ahead of
+	// it. The round count stays 1 — spilling adds merge sources, not
+	// merge rounds, preserving the paper's single-round property (§IV).
+	// Run-sort and merge time are bracketed separately, like
+	// mapreduce.MergePhase.
 	timer.StartPhase(metrics.PhaseRunSort)
 	radixRuns, err := sortalgo.SortRunsWith(runs, app.Less, fixed, ro.Pool)
 	timer.EndPhase(metrics.PhaseRunSort)
@@ -723,8 +726,12 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 		return nil, 0, 0, err
 	}
 	timer.StartPhase(metrics.PhaseMerge)
-	merged, err := sortalgo.MergeRunsTask(ro.Pool, "merge", spiller.Sources(), runs, app.Less, app.Reduce, false)
-	timer.EndPhase(metrics.PhaseMerge)
+	defer timer.EndPhase(metrics.PhaseMerge)
+	residue, err := sortalgo.PWayMergeWith(runs, app.Less, fixed, ro.Pool)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	merged, err := spiller.Merge(residue, ro.Pool, "merge")
 	return merged, 1, radixRuns, err
 }
 

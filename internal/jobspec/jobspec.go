@@ -15,6 +15,7 @@ import (
 
 	"supmr"
 	"supmr/internal/cliutil"
+	"supmr/internal/kv"
 	"supmr/internal/workload"
 )
 
@@ -478,9 +479,7 @@ func execJob[K comparable, V any](job supmr.Job[K, V], f supmr.Input, cont supmr
 // rendering.
 func Digest[K comparable, V any](pairs []supmr.Pair[K, V]) string {
 	h := sha256.New()
-	for _, p := range pairs {
-		fmt.Fprintf(h, "%v\t%v\n", p.Key, p.Val)
-	}
+	kv.WriteText(h, pairs) // a hash.Hash never returns an error
 	return hex.EncodeToString(h.Sum(nil))
 }
 

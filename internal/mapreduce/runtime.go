@@ -114,7 +114,7 @@ type Stats struct {
 	IntermediateN int // container entries after map
 	Runs          int // sorted runs entering merge
 	MergeRounds   int // pairwise rounds the merge algorithm performed
-	RadixRuns     int // runs sorted by the radix fast path (0 = all comparison)
+	RadixRuns     int // runs sorted by the radix fast path (0 = all comparison); a drain counts its worker-sized groups, not its partitions
 	OutputPairs   int
 	SpilledRuns   int           // key-sorted runs the spill layer wrote to storage
 	SpilledBytes  int64         // payload bytes the spill layer wrote to storage

@@ -1,6 +1,9 @@
 package sortalgo
 
 import (
+	"slices"
+	"sort"
+
 	"supmr/internal/exec"
 	"supmr/internal/kv"
 	"supmr/internal/metrics"
@@ -8,210 +11,200 @@ import (
 
 // This file extends the merge phase to out-of-core inputs: a Source
 // streams one sorted run — an in-memory slice or an on-disk spill run
-// decoded incrementally — and MergeSources consumes any mix of them in
-// a single loser-tree round. This is the external counterpart of
-// PWayMerge: same single-round structure (Conclusion 3), but run heads
-// are pulled on demand instead of indexed, so merging never needs all
-// runs resident. The spill layer (internal/spill) provides Sources over
-// its run files.
+// decoded block by block — and MergeSources consumes any mix of them in
+// a single pass. This is the external counterpart of PWayMerge: same
+// single-round structure (Conclusion 3), but run heads are pulled a
+// block at a time instead of indexed, so merging never needs all runs
+// resident. The spill layer (internal/spill) provides Sources over its
+// run files.
 
-// Source streams one key-sorted run. Implementations are consumed by a
-// single goroutine; Next returns ok=false when the run is exhausted.
+// Source streams one key-sorted run to a single consumer. NextBlock
+// copies the run's next records into dst and returns how many: fewer
+// than len(dst) when the source's own block ends first, 0 (for a
+// non-empty dst) only once the run is exhausted. Next is NextBlock for
+// one record, ok=false at the end. An error is terminal. The merge
+// consumes sources through NextBlock alone, so a record costs it no
+// interface call.
 type Source[K any, V any] interface {
 	Next() (p kv.Pair[K, V], ok bool, err error)
+	NextBlock(dst []kv.Pair[K, V]) (n int, err error)
 }
 
-// sliceSource adapts an in-memory sorted run.
-type sliceSource[K any, V any] struct {
-	ps []kv.Pair[K, V]
-	i  int
-}
+// sliceSource adapts an in-memory sorted run; ps is what is left of it.
+type sliceSource[K any, V any] struct{ ps []kv.Pair[K, V] }
 
 // NewSliceSource returns a Source over an in-memory sorted run.
 func NewSliceSource[K any, V any](ps []kv.Pair[K, V]) Source[K, V] {
 	return &sliceSource[K, V]{ps: ps}
 }
 
+func (s *sliceSource[K, V]) NextBlock(dst []kv.Pair[K, V]) (int, error) {
+	n := copy(dst, s.ps)
+	s.ps = s.ps[n:]
+	return n, nil
+}
+
 func (s *sliceSource[K, V]) Next() (kv.Pair[K, V], bool, error) {
-	if s.i >= len(s.ps) {
-		var zero kv.Pair[K, V]
-		return zero, false, nil
-	}
-	p := s.ps[s.i]
-	s.i++
-	return p, true, nil
+	var one [1]kv.Pair[K, V]
+	n, _ := s.NextBlock(one[:])
+	return one[0], n == 1, nil
 }
 
-// sourceTree is a tournament tree of losers over streaming sources: the
-// sentinel-padded power-of-two structure loserTreeMerge uses for slices,
-// with two buffered pairs per source. The second buffer is the run-head
-// prefetch: the next record is pulled from a source one pop before it is
-// compared, so incremental spill-run decoding happens off the
-// comparison's critical path. Equal keys resolve by source index, the
-// same tie rule as the in-memory trees, so spill-run groups form in
-// deterministic run order.
-type sourceTree[K any, V any] struct {
-	srcs   []Source[K, V]
-	heads  []kv.Pair[K, V] // current head per source (padded to m)
-	nexts  []kv.Pair[K, V] // prefetched following record per source
-	live   []bool          // head valid (source not exhausted)
-	nlive  []bool          // prefetched record valid
-	nodes  []int           // nodes[1..m-1] hold loser ids
-	winner int
-	m      int // power-of-two leaf count; [k, m) are sentinels
-	less   kv.Less[K]
-}
-
-func newSourceTree[K any, V any](srcs []Source[K, V], less kv.Less[K]) (*sourceTree[K, V], error) {
-	k := len(srcs)
-	m := 2
-	for m < k {
-		m <<= 1
-	}
-	t := &sourceTree[K, V]{
-		srcs:  srcs,
-		heads: make([]kv.Pair[K, V], m),
-		nexts: make([]kv.Pair[K, V], m),
-		live:  make([]bool, m),
-		nlive: make([]bool, m),
-		nodes: make([]int, m),
-		m:     m,
-		less:  less,
-	}
-	for c := 0; c < k; c++ {
-		p, ok, err := srcs[c].Next()
-		if err != nil {
-			return nil, err
-		}
-		t.heads[c], t.live[c] = p, ok
-		if ok {
-			p, ok, err = srcs[c].Next()
-			if err != nil {
-				return nil, err
-			}
-			t.nexts[c], t.nlive[c] = p, ok
-		}
-	}
-	// Build bottom-up: winners bubble toward the root, each internal
-	// node keeps the loser of its match.
-	winners := make([]int, 2*m)
-	for i := 0; i < m; i++ {
-		winners[m+i] = i
-	}
-	for node := m - 1; node >= 1; node-- {
-		a, b := winners[2*node], winners[2*node+1]
-		if t.beats(b, a) {
-			a, b = b, a
-		}
-		winners[node] = a
-		t.nodes[node] = b
-	}
-	t.winner = winners[1]
-	return t, nil
-}
-
-// beats reports whether source a's head strictly precedes source b's: by
-// key, then by source index; exhausted sources and sentinels always
-// lose.
-func (t *sourceTree[K, V]) beats(a, b int) bool {
-	la, lb := t.live[a], t.live[b]
-	if !la || !lb {
-		return la || (!lb && a < b)
-	}
-	ka, kb := t.heads[a].Key, t.heads[b].Key
-	if t.less(ka, kb) {
-		return true
-	}
-	if t.less(kb, ka) {
-		return false
-	}
-	return a < b
-}
-
-// pop removes and returns the globally smallest head, promoting the
-// prefetched record, refilling the prefetch slot, and replaying the tree
-// from the winner's leaf by index halving. ok=false when every source is
-// dry.
-func (t *sourceTree[K, V]) pop() (kv.Pair[K, V], bool, error) {
-	w := t.winner
-	if !t.live[w] {
-		var zero kv.Pair[K, V]
-		return zero, false, nil
-	}
-	out := t.heads[w]
-	t.heads[w], t.live[w] = t.nexts[w], t.nlive[w]
-	if t.nlive[w] {
-		p, ok, err := t.srcs[w].Next()
-		if err != nil {
-			var zero kv.Pair[K, V]
-			return zero, false, err
-		}
-		t.nexts[w], t.nlive[w] = p, ok
-	}
-	for node := (t.m + w) >> 1; node > 0; node >>= 1 {
-		if l := t.nodes[node]; t.beats(l, w) {
-			t.nodes[node] = w
-			w = l
-		}
-	}
-	t.winner = w
-	return out, true, nil
-}
+// sourceBlock is how many records the merge pulls from a streaming
+// source at a time.
+const sourceBlock = 1024
 
 // MergeSources merges key-sorted sources into out in a single streaming
-// loser-tree round, grouping equal keys as they surface and applying
-// reduce to each multi-value group — so reduce output never needs all
-// runs resident. Keys repeat across sources when the spill layer wrote
-// partial combiner state for the same key into different runs; reduce
-// must therefore be associative and accept already-reduced values.
-// Groups of one value pass through un-reduced, matching the in-memory
-// merge path, which never re-reduces.
+// pass, grouping equal keys as they surface and applying reduce to each
+// multi-value group — so reduce output never needs all runs resident.
+// Keys repeat across sources when the spill layer wrote partial
+// combiner state for the same key into different runs; reduce must
+// therefore be associative and accept already-reduced values. Equal
+// keys surface in source order. Groups of one value pass through
+// un-reduced, matching the in-memory merge path, which never re-reduces.
 func MergeSources[K any, V any](srcs []Source[K, V], less kv.Less[K], reduce func(K, []V) V, out []kv.Pair[K, V]) ([]kv.Pair[K, V], error) {
-	if len(srcs) == 0 {
-		return out, nil
-	}
-	tree, err := newSourceTree(srcs, less)
-	if err != nil {
-		return nil, err
-	}
+	return mergeBlocks(srcs, less, nil, reduce, out, 0, sourceBlock)
+}
 
+// MergeSourcesWith is MergeSources with an optional fixed-key codec,
+// which routes the pass through the columnar loser tree, and with the
+// number of records the sources hold between them, when the caller
+// knows it (0 otherwise): out then grows by how far reduce has
+// collapsed the input so far rather than by doubling. Output is
+// byte-identical either way.
+func MergeSourcesWith[K any, V any](srcs []Source[K, V], less kv.Less[K], codec *kv.FixedKeyCodec[K], reduce func(K, []V) V, out []kv.Pair[K, V], total int) ([]kv.Pair[K, V], error) {
+	return mergeBlocks(srcs, less, codec, reduce, out, total, sourceBlock)
+}
+
+// mergeBlocks is the streaming merge, run as rounds over the sources'
+// current blocks with the in-memory trees: a round takes, from every
+// block, the records at or before the bound — the least (last key,
+// source) among the blocks whose source holds more — merges those
+// segments with loserTreeMerge or columnarMerge, whose tie rule is the
+// column index, groups the result, and refills the blocks it used up.
+// Nothing a source has yet to deliver can sort before the bound, so the
+// rounds concatenate to the one merged order; each spends the bounding
+// block, so there are about as many rounds as blocks, and the merged
+// round is the only buffer: sources × block records. An in-memory run
+// is windowed in place, block records at a time, with no copy.
+func mergeBlocks[K any, V any](srcs []Source[K, V], less kv.Less[K], codec *kv.FixedKeyCodec[K], reduce func(K, []V) V, out []kv.Pair[K, V], total, block int) ([]kv.Pair[K, V], error) {
 	var (
-		groupKey  K
-		groupVals []V
-		inGroup   bool
+		blk   = make([][]kv.Pair[K, V], len(srcs)) // unmerged rest of each source's current block
+		bufs  = make([][]kv.Pair[K, V], len(srcs)) // a streaming source's block buffer, until it runs dry
+		rest  = make([][]kv.Pair[K, V], len(srcs)) // an in-memory run's records beyond its current block
+		cols  [][]kv.Pair[K, V]
+		round []kv.Pair[K, V]
+		key   K // the open group: its key and the values seen so far
+		vals  []V
+		seen  int // records grouped so far
 	)
-	flush := func() {
-		if !inGroup {
-			return
+	open := func(c int) bool { return bufs[c] != nil || len(rest[c]) > 0 }
+	refill := func(c int) error {
+		if bufs[c] == nil {
+			n := min(block, len(rest[c]))
+			blk[c], rest[c] = rest[c][:n], rest[c][n:]
+			return nil
 		}
-		v := groupVals[0]
-		if len(groupVals) > 1 {
-			v = reduce(groupKey, groupVals)
+		n, err := srcs[c].NextBlock(bufs[c])
+		if blk[c] = bufs[c][:n]; n == 0 {
+			bufs[c] = nil
 		}
-		out = append(out, kv.Pair[K, V]{Key: groupKey, Val: v})
-		groupVals = groupVals[:0]
-		inGroup = false
+		return err
 	}
-	for {
-		p, ok, err := tree.pop()
-		if err != nil {
+	for c, s := range srcs {
+		if ss, ok := s.(*sliceSource[K, V]); ok {
+			rest[c], ss.ps = ss.ps, nil
+		} else {
+			bufs[c] = make([]kv.Pair[K, V], block)
+		}
+		if err := refill(c); err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
+	}
+	flush := func() {
+		v := vals[0]
+		if len(vals) > 1 {
+			v = reduce(key, vals)
+		}
+		if len(out) == cap(out) {
+			// append's 1.25x steps would copy a large output five times
+			// over: double, or size it from the share of the input seen.
+			want := 2 * len(out)
+			if seen > 0 && total > seen {
+				want = max(int(float64(len(out))/float64(seen)*float64(total)), len(out)+len(out)/4) + len(out)/16
+			}
+			out = slices.Grow(out, want-len(out)+1)
+		}
+		out, vals = append(out, kv.Pair[K, V]{Key: key, Val: v}), vals[:0]
+	}
+	for b := 0; b >= 0; {
+		b = -1
+		for c := range srcs {
+			if open(c) && (b < 0 || less(blk[c][len(blk[c])-1].Key, blk[b][len(blk[b])-1].Key)) {
+				b = c
+			}
+		}
+		var bound K
+		if b >= 0 {
+			bound = blk[b][len(blk[b])-1].Key
+		}
+		cols = cols[:0]
+		size := 0
+		for c, r := range blk {
+			n := len(r)
+			if b >= 0 {
+				// Sources up to b give their keys equal to the bound,
+				// later ones keep theirs for the round after b's refill.
+				n = sort.Search(n, func(i int) bool {
+					if c <= b {
+						return less(bound, r[i].Key)
+					}
+					return !less(r[i].Key, bound)
+				})
+			}
+			if n > 0 {
+				cols, blk[c], size = append(cols, r[:n]), r[n:], size+n
+			}
+		}
+		var merged []kv.Pair[K, V]
+		if len(cols) == 1 {
+			merged = cols[0] // nothing to merge it with: group it where it lies
+		} else {
+			if cap(round) < size {
+				round = make([]kv.Pair[K, V], 0, size)
+			}
+			ok := false
+			if codec != nil {
+				round, ok = columnarMerge(cols, *codec, round[:0])
+			}
+			if !ok {
+				round = loserTreeMerge(cols, less, round[:0])
+			}
+			merged = round
 		}
 		// Keys arrive globally sorted: a new group starts whenever the
 		// key order strictly advances.
-		if inGroup && less(groupKey, p.Key) {
-			flush()
+		for _, p := range merged {
+			if len(vals) > 0 && less(key, p.Key) {
+				flush()
+			}
+			if len(vals) == 0 {
+				key = p.Key
+			}
+			vals = append(vals, p.Val)
+			seen++
 		}
-		if !inGroup {
-			groupKey = p.Key
-			inGroup = true
+		for c := range srcs {
+			if open(c) && len(blk[c]) == 0 {
+				if err := refill(c); err != nil {
+					return nil, err
+				}
+			}
 		}
-		groupVals = append(groupVals, p.Val)
 	}
-	flush()
+	if len(vals) > 0 {
+		flush()
+	}
 	return out, nil
 }
 

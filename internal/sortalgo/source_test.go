@@ -120,6 +120,17 @@ func (f *failingSource) Next() (kv.Pair[int, int64], bool, error) {
 	return kv.Pair[int, int64]{Key: 100 - f.after, Val: 1}, true, nil
 }
 
+func (f *failingSource) NextBlock(dst []kv.Pair[int, int64]) (int, error) {
+	for i := range dst {
+		p, _, err := f.Next()
+		if err != nil {
+			return i, err
+		}
+		dst[i] = p
+	}
+	return len(dst), nil
+}
+
 func TestMergeSourcesPropagatesError(t *testing.T) {
 	srcs := []Source[int, int64]{
 		NewSliceSource([]kv.Pair[int, int64]{{Key: 1, Val: 1}}),

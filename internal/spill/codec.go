@@ -22,60 +22,48 @@ import (
 type Codec[T any] struct {
 	Append func(dst []byte, v T) []byte
 	Decode func(p []byte) (T, error)
+	// str is the identity on strings when T is string, nil otherwise:
+	// the block decoder uses it to cut string fields out of one arena
+	// string per block instead of allocating each.
+	str func(string) T
 }
 
 // CodecFor resolves the codec for T from its dynamic type. The
 // supported set covers every key/value type the bundled applications
 // use: string, []byte, int, int64, uint64, float64. Other types return
 // an error — the budget path refuses to start rather than failing at
-// the first spill.
+// the first spill. The typed functions are asserted to T's function
+// types once, here, so encoding and decoding a field boxes nothing.
 func CodecFor[T any]() (Codec[T], error) {
 	var zero T
-	var c Codec[T]
+	var app, dec, str any
 	switch any(zero).(type) {
 	case string:
-		c.Append = func(dst []byte, v T) []byte { return append(dst, any(v).(string)...) }
-		c.Decode = func(p []byte) (T, error) { return any(string(p)).(T), nil }
+		app = func(dst []byte, v string) []byte { return append(dst, v...) }
+		dec = func(p []byte) (string, error) { return string(p), nil }
+		str = func(s string) string { return s }
 	case []byte:
-		c.Append = func(dst []byte, v T) []byte { return append(dst, any(v).([]byte)...) }
-		c.Decode = func(p []byte) (T, error) {
-			return any(append([]byte(nil), p...)).(T), nil
-		}
+		app = func(dst []byte, v []byte) []byte { return append(dst, v...) }
+		dec = func(p []byte) ([]byte, error) { return append([]byte(nil), p...), nil }
 	case int:
-		c.Append = func(dst []byte, v T) []byte {
-			return binary.LittleEndian.AppendUint64(dst, uint64(any(v).(int)))
-		}
-		c.Decode = func(p []byte) (T, error) {
-			u, err := fixed64(p)
-			return any(int(u)).(T), err
-		}
+		app = func(dst []byte, v int) []byte { return binary.LittleEndian.AppendUint64(dst, uint64(v)) }
+		dec = func(p []byte) (int, error) { u, err := fixed64(p); return int(u), err }
 	case int64:
-		c.Append = func(dst []byte, v T) []byte {
-			return binary.LittleEndian.AppendUint64(dst, uint64(any(v).(int64)))
-		}
-		c.Decode = func(p []byte) (T, error) {
-			u, err := fixed64(p)
-			return any(int64(u)).(T), err
-		}
+		app = func(dst []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(dst, uint64(v)) }
+		dec = func(p []byte) (int64, error) { u, err := fixed64(p); return int64(u), err }
 	case uint64:
-		c.Append = func(dst []byte, v T) []byte {
-			return binary.LittleEndian.AppendUint64(dst, any(v).(uint64))
-		}
-		c.Decode = func(p []byte) (T, error) {
-			u, err := fixed64(p)
-			return any(u).(T), err
-		}
+		app = func(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
+		dec = fixed64
 	case float64:
-		c.Append = func(dst []byte, v T) []byte {
-			return binary.LittleEndian.AppendUint64(dst, math.Float64bits(any(v).(float64)))
+		app = func(dst []byte, v float64) []byte {
+			return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
-		c.Decode = func(p []byte) (T, error) {
-			u, err := fixed64(p)
-			return any(math.Float64frombits(u)).(T), err
-		}
+		dec = func(p []byte) (float64, error) { u, err := fixed64(p); return math.Float64frombits(u), err }
 	default:
-		return c, fmt.Errorf("spill: no codec for type %T; the memory budget supports string, []byte, int, int64, uint64 and float64 keys/values", zero)
+		return Codec[T]{}, fmt.Errorf("spill: no codec for type %T; the memory budget supports string, []byte, int, int64, uint64 and float64 keys/values", zero)
 	}
+	c := Codec[T]{Append: app.(func([]byte, T) []byte), Decode: dec.(func([]byte) (T, error))}
+	c.str, _ = str.(func(string) T)
 	return c, nil
 }
 

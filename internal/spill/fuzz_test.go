@@ -125,3 +125,83 @@ func FuzzRunRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBlockDecode feeds arbitrary bytes to the block decoder — the
+// typed run source, pulled in blocks of a fuzzed size over a fuzzed
+// device block size — beside the record reader: the two must agree on
+// every record, and where the record reader fails or the run table's
+// count is off, the decoder must fail too, never panic or deliver more
+// than the run holds. A second source decodes the values as int64, so
+// any value that is not 8 bytes must surface as an error.
+func FuzzBlockDecode(f *testing.F) {
+	add := func(data []byte, block, dst uint8) { f.Add(data, block, dst) }
+	add([]byte{}, 32, 4)
+	add([]byte{0, 0}, 1, 1)
+	add(seedRecords([][2][]byte{
+		{[]byte("ASCII12345"), []byte("teragen-style payload")},
+		{[]byte("the"), []byte{8, 0, 0, 0, 0, 0, 0, 0}},
+		{[]byte("zipf"), []byte{1, 0, 0, 0, 0, 0, 0, 0}},
+	}), 16, 2)
+	add([]byte{200}, 32, 4)
+	add([]byte{5, 'a', 'b'}, 2, 3)
+	add([]byte{0xff, 0xfb, 0xb9, 0xb9, 0xb9, 0xb9, 0xb9, 0xff, 0xff, 0x01}, 4, 1)
+	f.Fuzz(func(t *testing.T, data []byte, blockRaw, dstRaw uint8) {
+		clock := storage.NewFakeClock()
+		s, _ := NewStore(StoreConfig{Device: storage.NewNullDevice(clock), BlockSize: 1 + int64(blockRaw)})
+		run := &Run{size: int64(len(data)), data: &memRun{buf: data}}
+
+		// The record reader's view: the records, and whether the run
+		// parses to its end.
+		var want [][2]string
+		clean, ints := false, true
+		for r := s.OpenRun(run); ; {
+			key, val, err := r.ReadRecord()
+			if err == io.EOF {
+				clean = true
+				break
+			}
+			if err != nil {
+				break
+			}
+			want = append(want, [2]string{string(key), string(val)})
+			ints = ints && len(val) == 8
+		}
+		run.records = int64(len(want))
+		if len(data)%2 == 1 && clean {
+			run.records++ // a run table that disagrees with a clean payload
+			clean = false
+		}
+
+		cs, _ := CodecFor[string]()
+		ci, _ := CodecFor[int64]()
+		strs := &runSource[string, string]{r: s.OpenRun(run), kc: cs, vc: cs}
+		strs.work = strs.decode
+		got, err := drainSource[string, string](strs, 1+int(dstRaw%32))
+		if len(got) > len(want) {
+			t.Fatalf("decoded %d records from a run of %d", len(got), len(want))
+		}
+		for i, p := range got {
+			if p.Key != want[i][0] || p.Val != want[i][1] {
+				t.Fatalf("record %d = (%q, %q), the record reader says (%q, %q)", i, p.Key, p.Val, want[i][0], want[i][1])
+			}
+		}
+		if clean != (err == nil) {
+			t.Fatalf("record reader clean=%v, block decoder err=%v", clean, err)
+		}
+		if clean && len(got) != len(want) {
+			t.Fatalf("decoded %d of %d records without an error", len(got), len(want))
+		}
+
+		nums := &runSource[string, int64]{r: s.OpenRun(run), kc: cs, vc: ci}
+		nums.work = nums.decode
+		gotN, err := drainSource[string, int64](nums, 1+int(dstRaw%32))
+		if (clean && ints) != (err == nil) {
+			t.Fatalf("clean=%v all-8-byte-values=%v, int64 decoder err=%v", clean, ints, err)
+		}
+		for i, p := range gotN {
+			if v, _ := ci.Decode([]byte(want[i][1])); p.Key != want[i][0] || p.Val != v {
+				t.Fatalf("int64 record %d = %v, want (%q, %d)", i, p, want[i][0], v)
+			}
+		}
+	})
+}

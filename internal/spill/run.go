@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 
 	"supmr/internal/metrics"
 	"supmr/internal/storage"
@@ -58,21 +59,24 @@ func (w *RunWriter) WriteRecord(key, val []byte) error {
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(val)))
 	w.buf = append(w.buf, val...)
 	w.records++
-	for int64(len(w.buf)) >= w.s.blockSize {
-		if err := w.flush(w.s.blockSize); err != nil {
-			return err
-		}
+	if int64(len(w.buf)) >= w.s.blockSize {
+		return w.flush(int64(len(w.buf)) / w.s.blockSize * w.s.blockSize)
 	}
 	return nil
 }
 
-// flush hands the first n buffered bytes to the backing.
+// flush hands the first n buffered bytes to the backing, one block per
+// write from a cursor, and then moves the unwritten tail — less than a
+// block — to the front once.
 func (w *RunWriter) flush(n int64) error {
-	if _, err := w.data.WriteAt(w.buf[:n], w.flushed); err != nil {
-		w.err = fmt.Errorf("spill: write run %d: %w", w.id, err)
-		return w.err
+	for at := int64(0); at < n; at += w.s.blockSize {
+		end := min(at+w.s.blockSize, n)
+		if _, err := w.data.WriteAt(w.buf[at:end], w.flushed); err != nil {
+			w.err = fmt.Errorf("spill: write run %d: %w", w.id, err)
+			return w.err
+		}
+		w.flushed += end - at
 	}
-	w.flushed += n
 	w.buf = w.buf[:copy(w.buf, w.buf[n:])]
 	return nil
 }
@@ -125,59 +129,64 @@ func (s *Store) OpenRun(r *Run) *RunReader {
 	return &RunReader{s: s, run: r}
 }
 
-// RunReader decodes a run record by record, refilling a block-sized
-// buffer from the backing (and charging the device read path) as it
-// drains. Returned key/val slices are valid only until the next
-// ReadRecord call.
+// RunReader streams a run back one device block at a time. A block
+// read has two halves, as in chunk.Fetcher: issue reserves the block on
+// the store's device — the operation a fault plan sees at the spill
+// site, so callers issue in an order that is a pure function of the
+// input — and fill waits out the reservation and copies the bytes in,
+// which may run on another goroutine. The buffer is refilled in place:
+// the undecoded tail moves to the front and the block lands behind it,
+// so a run costs O(1) buffers however many blocks it spans. Records are
+// parsed from the buffer; key/val views are valid until the next fill.
 type RunReader struct {
-	s       *Store
-	run     *Run
-	buf     []byte
-	pos     int   // consume position within buf
-	keep    int   // earliest buf index still referenced (-1: none), pinned across refills
-	fetched int64 // run bytes pulled from the backing so far
+	s      *Store
+	run    *Run
+	buf    []byte
+	pos    int   // first undecoded byte of buf
+	issued int64 // run bytes reserved on the device so far
+	filled int64 // run bytes copied into buf so far
 }
 
-// remaining returns the undecoded bytes left in the run.
-func (r *RunReader) remaining() int64 {
-	return (r.run.size - r.fetched) + int64(len(r.buf)-r.pos)
+// blockRead is one issued, not yet filled block read.
+type blockRead struct {
+	n        int64
+	deadline time.Duration
 }
 
-// ensure makes at least n bytes available at r.pos, refilling from the
-// backing. It reports io.ErrUnexpectedEOF if the run ends first.
-// Compaction preserves everything from r.keep on (when set), so a field
-// view taken earlier in the current record survives the refill.
-func (r *RunReader) ensure(n int) error {
-	for len(r.buf)-r.pos < n {
-		if r.fetched >= r.run.size {
-			return io.ErrUnexpectedEOF
-		}
-		// Compact (down to the pinned index) and refill one block.
-		base := r.pos
-		if r.keep >= 0 && r.keep < base {
-			base = r.keep
-		}
-		r.buf = r.buf[:copy(r.buf, r.buf[base:])]
-		r.pos -= base
-		if r.keep >= 0 {
-			r.keep -= base
-		}
-		chunk := r.s.blockSize
-		if rem := r.run.size - r.fetched; chunk > rem {
-			chunk = rem
-		}
-		dl, err := storage.TryReserve(r.s.dev, r.run.devOff+r.fetched, chunk)
-		if err != nil {
-			return fmt.Errorf("spill: read run %d: %w", r.run.id, err)
-		}
-		r.s.dev.Clock().SleepUntil(dl)
-		at := len(r.buf)
-		r.buf = append(r.buf, make([]byte, chunk)...)
-		if err := readFull(r.run.data, r.buf[at:], r.fetched); err != nil {
-			return fmt.Errorf("spill: read run %d: %w", r.run.id, err)
-		}
-		r.fetched += chunk
+// more reports whether part of the run is still unissued.
+func (r *RunReader) more() bool { return r.issued < r.run.size }
+
+// issue reserves the run's next block on the device.
+func (r *RunReader) issue() (blockRead, error) {
+	n := min(r.s.blockSize, r.run.size-r.issued)
+	dl, err := storage.TryReserve(r.s.dev, r.run.devOff+r.issued, n)
+	if err != nil {
+		return blockRead{}, fmt.Errorf("spill: read run %d: %w", r.run.id, err)
 	}
+	r.issued += n
+	return blockRead{n: n, deadline: dl}, nil
+}
+
+// fill completes an issued read: it sleeps to the reservation's
+// deadline and appends the block behind the undecoded tail.
+func (r *RunReader) fill(b blockRead) error {
+	r.s.dev.Clock().SleepUntil(b.deadline)
+	tail := copy(r.buf, r.buf[r.pos:])
+	r.pos = 0
+	need := tail + int(b.n)
+	if cap(r.buf) < need {
+		// A block plus slack for a record's tail is the steady state; a
+		// record longer than that doubles the buffer until it fits.
+		grown := make([]byte, need, max(need+need/8, 2*cap(r.buf)))
+		copy(grown, r.buf[:tail])
+		r.buf = grown
+	}
+	r.buf = r.buf[:need]
+	if err := readFull(r.run.data, r.buf[tail:], r.filled); err != nil {
+		r.buf = r.buf[:tail]
+		return fmt.Errorf("spill: read run %d: %w", r.run.id, err)
+	}
+	r.filled += b.n
 	return nil
 }
 
@@ -199,68 +208,75 @@ func readFull(data RunData, buf []byte, off int64) error {
 	return nil
 }
 
-// uvarint decodes one length prefix at the cursor.
-func (r *RunReader) uvarint() (uint64, error) {
-	for width := 1; ; width++ {
-		if err := r.ensure(width); err != nil {
-			return 0, err
-		}
-		if r.buf[r.pos+width-1] < 0x80 {
-			u, n := binary.Uvarint(r.buf[r.pos : r.pos+width])
-			if n <= 0 {
-				return 0, fmt.Errorf("spill: run %d: corrupt length prefix", r.run.id)
-			}
-			r.pos += n
-			return u, nil
-		}
-		if width == binary.MaxVarintLen64 {
-			return 0, fmt.Errorf("spill: run %d: length prefix overflows uvarint", r.run.id)
-		}
+// field parses one length-prefixed field from p, the buffered bytes at
+// the cursor. ok is false when p ends inside the field. A valid length
+// never exceeds what is left of the run; checking that first keeps a
+// corrupt (e.g. fuzzed) prefix from forcing a giant buffer.
+func (r *RunReader) field(p []byte) (f []byte, size int, ok bool, err error) {
+	u, n := binary.Uvarint(p)
+	if n == 0 && len(p) < binary.MaxVarintLen64 {
+		return nil, 0, false, nil
 	}
+	if n <= 0 {
+		return nil, 0, false, fmt.Errorf("spill: run %d: length prefix overflows uvarint", r.run.id)
+	}
+	// Unsigned compare: a length >= 2^63 must not wrap negative.
+	if left := (r.run.size - r.filled) + int64(len(p)-n); u > uint64(left) {
+		return nil, 0, false, fmt.Errorf("spill: run %d: field length %d exceeds remaining %d bytes", r.run.id, u, left)
+	}
+	if uint64(len(p)-n) < u {
+		return nil, 0, false, nil
+	}
+	return p[n : n+int(u)], n + int(u), true, nil
 }
 
-// fieldLen decodes one length prefix and buffers that many bytes at the
-// cursor. A valid length never exceeds what is left of the run;
-// checking first keeps corrupt (e.g. fuzzed) prefixes from forcing a
-// giant buffer allocation.
-func (r *RunReader) fieldLen() (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
+// buffered returns the next record if the buffer holds all of it,
+// without touching the device; ok is false when it does not.
+func (r *RunReader) buffered() (key, val []byte, ok bool, err error) {
+	p := r.buf[r.pos:]
+	key, kn, ok, err := r.field(p)
+	if !ok {
+		return nil, nil, false, err
 	}
-	if n > uint64(r.remaining()) { // unsigned: a length >= 2^63 must not wrap negative
-		return 0, fmt.Errorf("spill: run %d: field length %d exceeds remaining %d bytes", r.run.id, n, r.remaining())
+	val, vn, ok, err := r.field(p[kn:])
+	if !ok {
+		return nil, nil, false, err
 	}
-	if err := r.ensure(int(n)); err != nil {
-		return 0, err
+	r.pos += kn + vn
+	return key, val, true, nil
+}
+
+// atEnd reports, once the buffer holds no whole record, how the run
+// ends: io.EOF on a record boundary, io.ErrUnexpectedEOF inside a
+// record, nil while blocks remain.
+func (r *RunReader) atEnd() error {
+	switch {
+	case r.more():
+		return nil
+	case r.pos == len(r.buf):
+		return io.EOF
 	}
-	return int(n), nil
+	return fmt.Errorf("spill: run %d: %w", r.run.id, io.ErrUnexpectedEOF)
 }
 
 // ReadRecord returns the next record, or io.EOF at the clean end of the
-// run. key and val are views into an internal buffer, valid only until
-// the next call.
+// run, reading blocks on demand. key and val are views into an internal
+// buffer, valid only until the next call.
 func (r *RunReader) ReadRecord() (key, val []byte, err error) {
-	if r.pos >= len(r.buf) && r.fetched >= r.run.size {
-		return nil, nil, io.EOF
+	for {
+		key, val, ok, err := r.buffered()
+		if ok || err != nil {
+			return key, val, err
+		}
+		if err := r.atEnd(); err != nil {
+			return nil, nil, err
+		}
+		b, err := r.issue()
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := r.fill(b); err != nil {
+			return nil, nil, err
+		}
 	}
-	r.keep = -1
-	kl, err := r.fieldLen()
-	if err != nil {
-		return nil, nil, err
-	}
-	// Pin the key bytes: decoding the value may refill (and compact) the
-	// buffer, and the key view must survive it.
-	r.keep = r.pos
-	r.pos += kl
-	vl, err := r.fieldLen()
-	if err != nil {
-		r.keep = -1
-		return nil, nil, err
-	}
-	val = r.buf[r.pos : r.pos+vl]
-	r.pos += vl
-	key = r.buf[r.keep : r.keep+kl]
-	r.keep = -1
-	return key, val, nil
 }

@@ -2,9 +2,9 @@ package spill
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"supmr/internal/container"
 	"supmr/internal/exec"
@@ -18,8 +18,9 @@ import (
 // has outgrown its memory budget, drains it into a globally key-sorted
 // slice (partial reduce — the same key may accumulate again in later
 // rounds), writes that slice to the store asynchronously on the pool's
-// IO lane, and finally exposes every written run as a streaming
-// sortalgo.Source for the external merge.
+// IO lane, and finally streams every written run back — as
+// sortalgo.Sources, or through Merge, the external merge itself
+// (readback.go).
 type Spiller[K comparable, V any] struct {
 	store  *Store
 	budget int64
@@ -27,7 +28,7 @@ type Spiller[K comparable, V any] struct {
 	reduce func(K, []V) V
 	kc     Codec[K]
 	vc     Codec[V]
-	fixed  *kv.FixedKeyCodec[K] // optional radix fast path for drain sorts
+	fixed  *kv.FixedKeyCodec[K] // optional fixed-key fast path for drain sorts and the external merge
 
 	pending *exec.Handle
 	retry   *faults.Retrier // nil: no retry
@@ -74,8 +75,8 @@ func (sp *Spiller[K, V]) SetRetry(p faults.RetryPolicy, ctr *faults.Counters) {
 }
 
 // SetFixedKey hands the spiller the app's fixed-key codec so drain
-// sorts take the radix fast path; nil keeps the comparison sort (the
-// -radixsort=off ablation).
+// sorts take the radix fast path and Merge the columnar tree; nil keeps
+// the comparison paths (the -radixsort=off ablation).
 func (sp *Spiller[K, V]) SetFixedKey(c *kv.FixedKeyCodec[K]) { sp.fixed = c }
 
 // Budget returns the configured budget in bytes.
@@ -88,61 +89,72 @@ func (sp *Spiller[K, V]) Over(c container.Container[K, V]) bool {
 }
 
 // Drain empties the container into one globally key-sorted slice and
-// resets it, returning the drained memory to the next map rounds. Each
-// partition is reduced (partial reduce: reduce must be associative and
-// tolerate re-reducing its own output, which every combiner-style app
-// does) and sorted on the pool's compute workers under the "spill"
-// phase label, then the disjoint sorted partitions merge into one run.
-// The int reports how many partition sorts took the radix fast path.
+// resets it, returning the drained memory to the next map rounds; see
+// DrainContainer, which it runs under the "spill" label.
 func (sp *Spiller[K, V]) Drain(c container.Container[K, V], pool exec.Executor) ([]kv.Pair[K, V], int, error) {
 	return DrainContainer(c, sp.less, sp.reduce, sp.fixed, pool, "spill")
 }
 
-// DrainContainer is the container-to-sorted-run primitive behind both
-// the budget spill path and the memo cache's per-chunk drains: reduce
-// and sort every partition on the pool's compute workers under label,
-// merge the disjoint sorted partitions, and Reset the container. The
+// DrainContainer is the container-to-sorted-run primitive behind the
+// budget spill path, the memo cache's per-chunk drains and the
+// multi-node drains: the partitions are split into one contiguous group
+// per compute worker, each group is reduced into one presized slice and
+// sorted once, and the few large runs — partitions hold disjoint keys,
+// so the groups do too — finish through the parallel p-way merge. All
+// of it runs on the pool under label. The container is Reset. The
 // partial reduce requires reduce to be associative and tolerant of
 // re-reducing its own output — the standing combiner contract. A
-// non-nil fixed-key codec routes partition sorts through the radix fast
-// path; post-reduce partitions have unique keys, so the output is
-// byte-identical either way. The int return counts the partition
-// sorts that took the radix path (the Stats.RadixRuns contribution).
+// non-nil fixed-key codec routes the group sorts through the radix
+// fast path and the merge through the columnar tree; post-reduce
+// groups have unique keys, so the output is byte-identical either way.
+// The int return counts the group sorts that took the radix path (the
+// Stats.RadixRuns contribution): at most one per worker, not one per
+// partition.
 func DrainContainer[K comparable, V any](c container.Container[K, V], less kv.Less[K],
 	reduce func(K, []V) V, fixed *kv.FixedKeyCodec[K], pool exec.Executor, label string) ([]kv.Pair[K, V], int, error) {
 	parts := c.Partitions()
-	runs := make([][]kv.Pair[K, V], parts)
+	groups := max(1, min(pool.Workers(), parts))
+	sizer, _ := any(c).(container.PartitionSizer)
+	runs := make([][]kv.Pair[K, V], groups)
 	var radixed atomic.Int64
-	_, err := pool.ForEach(label, metrics.StateUser, parts, func(p int) error {
-		r := c.Reduce(p, reduce, nil)
+	_, err := pool.ForEach(label, metrics.StateUser, groups, func(g int) error {
+		lo, hi := g*parts/groups, (g+1)*parts/groups
+		var r []kv.Pair[K, V]
+		if sizer != nil {
+			n := 0
+			for p := lo; p < hi; p++ {
+				n += sizer.PartitionLen(p)
+			}
+			r = make([]kv.Pair[K, V], 0, n)
+		}
+		for p := lo; p < hi; p++ {
+			r = c.Reduce(p, reduce, r)
+		}
 		if fixed != nil && sortalgo.RadixSortPairs(r, *fixed) {
 			radixed.Add(1)
 		} else {
 			kv.SortPairs(r, less)
 		}
-		runs[p] = r
+		runs[g] = r
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	c.Reset()
-	nonEmpty, last := 0, -1
-	for p, r := range runs {
-		if len(r) > 0 {
-			nonEmpty, last = nonEmpty+1, p
-		}
-	}
-	if nonEmpty == 1 {
-		return runs[last], int(radixed.Load()), nil
-	}
-	// Partitions hold disjoint key sets, so this is a pure merge, kept on
-	// (and attributed to) the pool.
-	merged, err := sortalgo.MergeRunsTask(pool, label, nil, runs, less, reduce, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	return merged, int(radixed.Load()), nil
+	merged, err := sortalgo.PWayMergeWith(runs, less, fixed, relabelled{pool, label})
+	return merged, int(radixed.Load()), err
+}
+
+// relabelled bills the tasks of a callee that names its own phase (the
+// p-way merge says "merge") to the caller's label instead.
+type relabelled struct {
+	exec.Executor
+	label string
+}
+
+func (r relabelled) ForEach(_ string, state metrics.WorkerState, n int, fn func(int) error) (time.Duration, error) {
+	return r.Executor.ForEach(r.label, state, n, fn)
 }
 
 // SpillAsync writes the drained pairs as one run on the pool's IO lane
@@ -219,44 +231,4 @@ func (sp *Spiller[K, V]) BytesSpilled() int64 {
 		n += r.size
 	}
 	return n
-}
-
-// Sources returns one streaming source per completed run, in spill
-// order, for the external merge. Callers must Join first.
-func (sp *Spiller[K, V]) Sources() []sortalgo.Source[K, V] {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	srcs := make([]sortalgo.Source[K, V], len(sp.runs))
-	for i, r := range sp.runs {
-		srcs[i] = &runSource[K, V]{r: sp.store.OpenRun(r), kc: sp.kc, vc: sp.vc}
-	}
-	return srcs
-}
-
-// runSource adapts a RunReader into a sortalgo.Source, decoding records
-// with the spiller's codecs.
-type runSource[K comparable, V any] struct {
-	r  *RunReader
-	kc Codec[K]
-	vc Codec[V]
-}
-
-func (s *runSource[K, V]) Next() (kv.Pair[K, V], bool, error) {
-	var zero kv.Pair[K, V]
-	key, val, err := s.r.ReadRecord()
-	if err == io.EOF {
-		return zero, false, nil
-	}
-	if err != nil {
-		return zero, false, err
-	}
-	k, err := s.kc.Decode(key)
-	if err != nil {
-		return zero, false, err
-	}
-	v, err := s.vc.Decode(val)
-	if err != nil {
-		return zero, false, err
-	}
-	return kv.Pair[K, V]{Key: k, Val: v}, true, nil
 }

@@ -1,6 +1,7 @@
 package supmr
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -182,4 +183,60 @@ func TestBudgetConfigValidation(t *testing.T) {
 		t.Errorf("oversized budget still spilled %d runs", rep.Stats.SpilledRuns)
 	}
 	checkWordCounts(t, rep.Pairs, refWordCount(text))
+}
+
+// TestBudgetedDigestIdenticalAcrossWorkers is the differential gate for
+// the out-of-core finish: the grouped drain cuts the partitions by the
+// worker count and the external merge reads ahead on the IO lanes, so a
+// budgeted sort and a budgeted word count must render byte-identically
+// to the unbudgeted run at every worker count, with the radix path on
+// and off.
+func TestBudgetedDigestIdenticalAcrossWorkers(t *testing.T) {
+	text := genText(t, 160<<10, 17)
+	tera := teraData(6000, 17)
+	off := false
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, radix := range []*bool{nil, &off} {
+			name := fmt.Sprintf("workers%d/radix=%v", workers, radix == nil)
+			t.Run("sort/"+name, func(t *testing.T) {
+				cfg := Config{Runtime: RuntimeSupMR, Workers: workers, ChunkBytes: 48 << 10, Boundary: CRLFRecords, RadixSort: radix}
+				base, err := RunBytes[string, uint64](SortJob(), tera, SortContainer(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.MemoryBudget = 40 << 10
+				got, err := RunBytes[string, uint64](SortJob(), tera, SortContainer(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Stats.SpilledRuns < 2 {
+					t.Fatalf("spilled %d runs, want several", got.Stats.SpilledRuns)
+				}
+				if renderPairs(got.Pairs) != renderPairs(base.Pairs) {
+					t.Fatalf("budgeted sort differs from unbudgeted: %d vs %d pairs", len(got.Pairs), len(base.Pairs))
+				}
+				if (got.Stats.RadixRuns > 0) != (radix == nil) {
+					t.Errorf("RadixRuns = %d with radix on=%v", got.Stats.RadixRuns, radix == nil)
+				}
+			})
+			t.Run("wordcount/"+name, func(t *testing.T) {
+				cfg := Config{Runtime: RuntimeSupMR, Workers: workers, ChunkBytes: 16 << 10, RadixSort: radix}
+				base, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.MemoryBudget = 8 << 10
+				got, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Stats.SpilledRuns < 2 {
+					t.Fatalf("spilled %d runs, want several", got.Stats.SpilledRuns)
+				}
+				if renderPairs(got.Pairs) != renderPairs(base.Pairs) {
+					t.Fatalf("budgeted word count differs from unbudgeted: %d vs %d pairs", len(got.Pairs), len(base.Pairs))
+				}
+			})
+		}
+	}
 }

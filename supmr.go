@@ -22,7 +22,6 @@
 package supmr
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -673,11 +672,7 @@ func runEgress[K comparable, V any](cfg Config, sub runSubstrate, rep *Report[K,
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 64<<10)
-	for _, p := range rep.Pairs {
-		fmt.Fprintf(bw, "%v\t%v\n", p.Key, p.Val)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := kv.WriteText(w, rep.Pairs); err != nil {
 		return err
 	}
 	out, err := w.Close()

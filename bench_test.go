@@ -393,24 +393,31 @@ func BenchmarkExecutorSpawnVsPool(b *testing.B) {
 // the pooled locals first — the SupMR ingest-round shape, §III-C). The
 // flat combiner (bytes fast path, arena-interned keys, pooled locals)
 // should report orders of magnitude fewer allocs/op than the map-backed
-// combiner and higher MB/s; ci.sh gates on the flat allocs/op figure.
-func BenchmarkMapHotPath(b *testing.B) {
-	const size = 1 << 20
-	text := make([]byte, size)
+// combiner and higher MB/s; TestMapHotPathAllocs gates the flat figure.
+const mapHotPathSize = 1 << 20
+
+// mapHotPathWave is the set-up the benchmark and its gate share: it
+// returns one warmed-up steady-state wave over cont.
+func mapHotPathWave(tb testing.TB, cont Container[string, int64]) func() {
+	text := make([]byte, mapHotPathSize)
 	workload.TextGen{Seed: 7}.Fill()(0, text)
-	job := WordCountJob()
-	run := func(b *testing.B, cont Container[string, int64]) {
-		pool := exec.NewLocal(4)
-		defer pool.Close()
-		opts := mapreduce.Options{Splits: 16, Pool: pool}
-		wave := func() {
-			if _, _, err := mapreduce.MapWaveTimed[string, int64](job, text, cont, opts); err != nil {
-				b.Fatal(err)
-			}
+	pool := exec.NewLocal(4)
+	tb.Cleanup(pool.Close)
+	opts := mapreduce.Options{Splits: 16, Pool: pool}
+	wave := func() {
+		if _, _, err := mapreduce.MapWaveTimed[string, int64](WordCountJob(), text, cont, opts); err != nil {
+			tb.Fatal(err)
 		}
-		wave() // warmup: intern the vocabulary, warm pooled locals
+	}
+	wave() // warmup: intern the vocabulary, warm pooled locals
+	return wave
+}
+
+func BenchmarkMapHotPath(b *testing.B) {
+	run := func(b *testing.B, cont Container[string, int64]) {
+		wave := mapHotPathWave(b, cont)
 		b.ReportAllocs()
-		b.SetBytes(size)
+		b.SetBytes(mapHotPathSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			wave()
@@ -421,6 +428,16 @@ func BenchmarkMapHotPath(b *testing.B) {
 	}
 	b.Run("FlatCombiner", func(b *testing.B) { run(b, WordCountContainer(64)) })
 	b.Run("MapCombiner", func(b *testing.B) { run(b, WordCountMapContainer(64)) })
+}
+
+// TestMapHotPathAllocs gates the claim: ~20 allocs a wave measured,
+// ~200k for the map-backed combiner. The bound leaves headroom for GC
+// and scheduler noise and still catches any per-key allocation.
+func TestMapHotPathAllocs(t *testing.T) {
+	wave := mapHotPathWave(t, WordCountContainer(64))
+	if allocs := testing.AllocsPerRun(5, wave); allocs > 2000 {
+		t.Fatalf("flat combiner map wave allocates %.0f objs/op (limit 2000)", allocs)
+	}
 }
 
 // AblationChunkSize: the fine-vs-coarse granularity trade-off of
@@ -613,8 +630,8 @@ func BenchmarkAblationSpill(b *testing.B) {
 // chunk into segments issued across k IO lanes keeps multiple requests
 // in flight per member and recovers the aggregate rate; the virtual
 // ReadMap seconds (FakeClock — device time only, map compute is free)
-// measure exactly that. ci.sh gates Lanes4 at >= 1.5x the Lanes1
-// throughput and bounds Lanes4 allocs/op: the prefetch ring recycles
+// measure exactly that. TestIngestLanesGate holds Lanes4 at >= 1.5x the
+// Lanes1 throughput and bounds its allocs/op: the prefetch ring recycles
 // chunk buffers through the freelist, so steady-state ingest allocates
 // O(depth) buffers, not O(chunks). The app is deliberately trivial —
 // one emission per map split — so allocs/op measures the ingest
@@ -634,67 +651,84 @@ func (ingestNop) Reduce(key string, vals []int64) int64 {
 func (ingestNop) Less(a, b string) bool    { return a < b }
 func (ingestNop) Combine(a, b int64) int64 { return a + b }
 
+const ingestLanesSize = 4 << 20
+
+// ingestLanesRun is the set-up the benchmark and its gate share: one
+// ingestNop job over a fresh stream-capped 3-disk RAID-0 on a virtual
+// clock, returning the virtual ReadMap time.
+func ingestLanesRun(tb testing.TB, lanes, depth int) time.Duration {
+	const memberBW = 128 << 20
+	clk := storage.NewFakeClock()
+	members := make([]*storage.Disk, 3)
+	for j := range members {
+		d, err := storage.NewDisk(storage.DiskConfig{
+			Name:            fmt.Sprintf("m%d", j),
+			Bandwidth:       memberBW,
+			StreamBandwidth: memberBW / 3,
+		}, clk)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		members[j] = d
+	}
+	raid, err := storage.NewRAID0(members, 64<<10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Zero-allocation fill (64-byte 'a' records): the text generator
+	// allocates per word, which would drown the ingest machinery's
+	// allocation figure the gate bounds.
+	f, err := storage.NewFile("in", ingestLanesSize, 0, func(off int64, p []byte) {
+		for i := range p {
+			if (off+int64(i))%64 == 63 {
+				p[i] = '\n'
+			} else {
+				p[i] = 'a'
+			}
+		}
+	}, raid)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := RunFile[string, int64](ingestNop{}, f, WordCountContainer(4),
+		Config{Runtime: RuntimeSupMR, ChunkBytes: 512 << 10, Clock: clk,
+			IOLanes: lanes, PrefetchDepth: depth})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var total int64
+	for _, p := range rep.Pairs {
+		total += p.Val
+	}
+	if total != ingestLanesSize {
+		tb.Fatalf("mapped %d of %d bytes", total, ingestLanesSize)
+	}
+	return rep.Times.Get(PhaseReadMap)
+}
+
 func BenchmarkIngestLanes(b *testing.B) {
-	const (
-		ingestSize  = 4 << 20
-		ingestChunk = 512 << 10
-		memberBW    = 128 << 20
-	)
 	run := func(b *testing.B, lanes, depth int) {
 		b.ReportAllocs()
-		b.SetBytes(ingestSize)
+		b.SetBytes(ingestLanesSize)
 		for i := 0; i < b.N; i++ {
-			clk := storage.NewFakeClock()
-			members := make([]*storage.Disk, 3)
-			for j := range members {
-				d, err := storage.NewDisk(storage.DiskConfig{
-					Name:            fmt.Sprintf("m%d", j),
-					Bandwidth:       memberBW,
-					StreamBandwidth: memberBW / 3,
-				}, clk)
-				if err != nil {
-					b.Fatal(err)
-				}
-				members[j] = d
-			}
-			raid, err := storage.NewRAID0(members, 64<<10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Zero-allocation fill (64-byte 'a' records): the text
-			// generator allocates per word, which would drown the
-			// ingest machinery's allocation figure this bench gates.
-			f, err := storage.NewFile("in", ingestSize, 0, func(off int64, p []byte) {
-				for i := range p {
-					if (off+int64(i))%64 == 63 {
-						p[i] = '\n'
-					} else {
-						p[i] = 'a'
-					}
-				}
-			}, raid)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := RunFile[string, int64](ingestNop{}, f, WordCountContainer(4),
-				Config{Runtime: RuntimeSupMR, ChunkBytes: ingestChunk, Clock: clk,
-					IOLanes: lanes, PrefetchDepth: depth})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var total int64
-			for _, p := range rep.Pairs {
-				total += p.Val
-			}
-			if total != ingestSize {
-				b.Fatalf("mapped %d of %d bytes", total, ingestSize)
-			}
-			b.ReportMetric(rep.Times.Get(PhaseReadMap).Seconds(), "sim-ingest-s")
+			b.ReportMetric(ingestLanesRun(b, lanes, depth).Seconds(), "sim-ingest-s")
 		}
 	}
 	b.Run("Lanes1", func(b *testing.B) { run(b, 1, 1) })
 	b.Run("Lanes2", func(b *testing.B) { run(b, 2, 3) })
 	b.Run("Lanes4", func(b *testing.B) { run(b, 4, 3) })
+}
+
+// TestIngestLanesGate gates the striping claim on the virtual clock:
+// 4 IO lanes ingest >= 1.5x as fast as one (1.80x) in bounded allocs (~600).
+func TestIngestLanesGate(t *testing.T) {
+	serial, wide := ingestLanesRun(t, 1, 1), ingestLanesRun(t, 4, 3)
+	if wide <= 0 || float64(serial)/float64(wide) < 1.5 {
+		t.Fatalf("4-lane ingest %v vs serial %v: want >= 1.5x", wide, serial)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { ingestLanesRun(t, 4, 3) }); allocs > 2000 {
+		t.Fatalf("4-lane ingest allocates %.0f objs/op (limit 2000)", allocs)
+	}
 }
 
 // AblationEnergy: the §VI-C utilization/energy trade-off — small chunks

@@ -62,7 +62,7 @@ func main() {
 		retries   = flag.String("retries", "", "retry policy for transient faults: attempt count (\"4\") or attempts=N,base=DUR,max=DUR,budget=N")
 		ioLanes   = flag.String("io-lanes", "1", "IO lanes for striped ingest: each chunk read splits into this many segments read in parallel (supmr runtime)")
 		prefetch  = flag.String("prefetch-depth", "1", "prefetch ring depth: ingest chunks kept in flight ahead of the map wave (supmr runtime)")
-		digest    = flag.Bool("digest", false, "print the output digest instead of the full report, for diffing against a server-mode run (wordcount/sort/histogram/grep)")
+		digest    = flag.Bool("digest", false, "print the output digest instead of the full report, for diffing against a server-mode run (wordcount/sort/histogram/grep/psum1/psum2); flags a job spec cannot carry are rejected")
 		memoBudg  = flag.String("memo-budget", "64m", "memo-store byte budget; least-recently-used entries evict beyond it")
 		nodes     = flag.Int("nodes", 0, "run on a simulated cluster of N SupMR worker nodes exchanging hash-partitioned runs over simulated links (supmr runtime; 0 = single-node scale-up pipeline; output byte-identical)")
 		egLanes   = flag.Int("egress-lanes", 0, "materialize the merged output across N concurrent extent writers after the merge (1 = serial-writer ablation, byte-identical output at any lane count; 0 = skip output materialization)")
@@ -88,7 +88,14 @@ func main() {
 	defer stop()
 	if *digest {
 		// Digest mode runs through the same jobspec path the server uses,
-		// so its output line diffs cleanly against `supmr submit -wait`.
+		// so its output line diffs cleanly against `supmr submit -wait`. A
+		// flag jobspec.Spec has no field for would be silently dropped.
+		flag.Visit(func(f *flag.Flag) {
+			if !digestFlags[f.Name] {
+				fmt.Fprintf(os.Stderr, "supmr: -digest runs a job spec, which cannot carry -%s\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		rtName := *rt
 		if rtName == "supmr" {
 			rtName = ""
@@ -99,7 +106,7 @@ func main() {
 			IOLanes: parseCount(*ioLanes), PrefetchDepth: parseCount(*prefetch),
 			Pattern: *pattern, Faults: *faultsStr, Retries: *retries, Memo: bool(memo),
 			RadixOff: !bool(radix),
-			Nodes:    *nodes, InNodeCombinerOff: *nodes > 0 && !bool(innodeComb),
+			Nodes:    *nodes, InNodeCombinerOff: !bool(innodeComb),
 			EgressLanes: *egLanes,
 		}, nil)
 		if err != nil {
@@ -134,6 +141,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "supmr:", err)
 		os.Exit(1)
 	}
+}
+
+// digestFlags are the flags -digest maps onto jobspec.Spec.
+var digestFlags = map[string]bool{
+	"digest": true, "app": true, "runtime": true, "size": true, "seed": true, "chunk": true,
+	"budget": true, "bw": true, "io-lanes": true, "prefetch-depth": true, "pattern": true,
+	"faults": true, "retries": true, "memo": true, "radixsort": true, "nodes": true,
+	"innode-combiner": true, "egress-lanes": true,
 }
 
 type runOpts struct {

@@ -5,9 +5,15 @@ import (
 	"context"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"supmr"
+	"supmr/internal/server"
 )
 
 // TestMain re-execs the test binary as the supmr command when asked:
@@ -130,6 +136,11 @@ func TestBadKnobsExitUsage(t *testing.T) {
 		{"size-garbage", []string{"-size", "12q"}, "bad size"},
 		{"memo-budget-negative", []string{"-memo-budget", "-2m"}, "negative size"},
 		{"memo-budget-garbage", []string{"-memo-budget", "lots"}, "bad size"},
+		// -digest runs a jobspec.Spec: a flag it cannot carry is a usage error.
+		{"digest-workers", []string{"-digest", "-workers", "-3"}, "cannot carry -workers"},
+		{"digest-merge", []string{"-digest", "-merge", "bogus"}, "cannot carry -merge"},
+		{"digest-flatcombiner", []string{"-digest", "-flatcombiner=off"}, "cannot carry -flatcombiner"},
+		{"digest-egress-extent", []string{"-digest", "-egress-lanes", "2", "-egress-extent", "7"}, "cannot carry -egress-extent"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,6 +162,116 @@ func TestBadKnobsExitUsage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// supmrOut re-execs the test binary as supmr; it must exit 0.
+func supmrOut(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SUPMR_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("supmr %v: %v\n%s", args, err, stderr.String())
+	}
+	return string(out)
+}
+
+// digestTokens: what no ablation may change — digests, egress counts.
+var digestTokens = regexp.MustCompile(`(digest|egress)=\S+`)
+
+// TestCLIFlagPlumbing drives the ablation and mode flags through the
+// real command line: within a row every variant must print the first
+// one's digests, so a flag that is rejected, dropped (where the output
+// shows it) or changes a byte on its way through flag parsing, jobspec,
+// internal/dag or the supmrd protocol fails here.
+func TestCLIFlagPlumbing(t *testing.T) {
+	wc := []string{"-digest", "-app", "wordcount", "-size", "256k", "-chunk", "32k", "-bw", "0", "-seed", "3"}
+	srt := []string{"-digest", "-app", "sort", "-size", "200k", "-chunk", "20k", "-bw", "0", "-seed", "23"}
+	hist := []string{"-digest", "-app", "histogram", "-size", "256k", "-chunk", "32k", "-bw", "0", "-seed", "5"}
+	torn := append(slices.Clone(wc), "-faults", "seed=1,write-err-every=3", "-retries", "4")
+	radix := [][]string{{}, {"-radixsort=off"}}
+	nodes := [][]string{{}}
+	for _, n := range []string{"1", "2", "4"} {
+		nodes = append(nodes, []string{"-nodes", n}, []string{"-nodes", n, "-innode-combiner=off"})
+	}
+	lanes := [][]string{{"-egress-lanes=1"}, {"-egress-lanes=4"}}
+	pipe := [][]string{{"-egress-lanes", "4"}, {"-materialize"}}
+	cases := []struct {
+		name     string
+		base     []string
+		variants [][]string
+		must     string // every variant's stdout contains this
+	}{
+		{"radix/sort", srt, radix, "digest="},
+		{"radix/histogram", hist, radix, "digest="},
+		{"radix/sort-faulted", append(slices.Clone(srt), "-faults", "seed=1,read-err-every=7", "-retries", "4"), radix, "digest="},
+		{"radix/sort-budget", append(slices.Clone(srt), "-budget", "32k"), radix, "digest="},
+		{"nodes/wordcount", wc, nodes, "digest="},
+		{"nodes/sort", srt, nodes, "digest="},
+		{"nodes/wordcount-torn-wire", torn, nodes, "digest="},
+		{"ingest/wordcount", wc, [][]string{{}, {"-io-lanes", "4", "-prefetch-depth", "3"}}, "digest="},
+		{"egress/wordcount", wc, lanes, " egress="},
+		{"egress/sort", srt, lanes, " egress="},
+		{"egress/wordcount-faulted", torn, lanes, " egress="},
+		{"pipeline/prefixsum", []string{"pipeline", "-kind", "prefixsum", "-size", "256k"}, pipe, "rounds=2"},
+		{"pipeline/sortgrep", []string{"pipeline", "-kind", "sortgrep", "-size", "256k"}, pipe, "rounds=2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []string
+			for i, v := range tc.variants {
+				out := supmrOut(t, append(slices.Clone(tc.base), v...)...)
+				got := digestTokens.FindAllString(out, -1)
+				if !strings.Contains(out, tc.must) || len(got) == 0 {
+					t.Fatalf("%v: output lacks %q or a digest:\n%s", v, tc.must, out)
+				}
+				if i == 0 {
+					want = got
+				} else if !slices.Equal(got, want) {
+					t.Fatalf("%v prints %v, %v prints %v", v, got, tc.variants[0], want)
+				}
+			}
+		})
+	}
+
+	// `supmr submit -wait` against an in-process supmrd: every submission
+	// carries the direct run's digest; the repeated -memo one replays.
+	t.Run("submit", func(t *testing.T) {
+		store, err := supmr.NewMemoStore(supmr.MemoConfig{Budget: 16 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		sock := filepath.Join(t.TempDir(), "d.sock")
+		srv, err := server.New(server.Config{Socket: sock, Engine: supmr.EngineConfig{Workers: 2, MaxJobs: 2, Memo: store}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan struct{})
+		go func() { srv.Serve(); close(served) }()
+		defer func() { srv.Close(); <-served }()
+		want := digestTokens.FindString(supmrOut(t, wc...))
+		submit := []string{"submit", "-socket", sock, "-wait", "-app", "wordcount", "-size", "256k", "-chunk", "32k", "-seed", "3"}
+		for _, v := range []struct {
+			args []string
+			must string // regexp the job report must match
+		}{
+			{nil, `state=done`},
+			{[]string{"-memo"}, `memo: 0 hits`},
+			{[]string{"-memo"}, `memo: [1-9]\d* hits`},
+			{[]string{"-nodes", "2"}, `shuffle: 2 node\(s\), .* in [1-9]\d* frame`},
+		} {
+			out := supmrOut(t, append(slices.Clone(submit), v.args...)...)
+			if got := digestTokens.FindString(out); got != want || !regexp.MustCompile(v.must).MatchString(out) {
+				t.Fatalf("submit %v: digest %q (direct run %q) or no match for %q:\n%s", v.args, got, want, v.must, out)
+			}
+		}
+		if out := supmrOut(t, "stats", "-socket", sock); !strings.Contains(out, "4 completed, 0 failed") {
+			t.Fatalf("stats after four submissions:\n%s", out)
+		}
+	})
 }
 
 // TestBadSubmitKnobsExitUsage covers the submission path: `supmr

@@ -88,13 +88,6 @@ func (sp *Spiller[K, V]) Over(c container.Container[K, V]) bool {
 	return c.SizeBytes() > sp.budget
 }
 
-// Drain empties the container into one globally key-sorted slice and
-// resets it, returning the drained memory to the next map rounds; see
-// DrainContainer, which it runs under the "spill" label.
-func (sp *Spiller[K, V]) Drain(c container.Container[K, V], pool exec.Executor) ([]kv.Pair[K, V], int, error) {
-	return DrainContainer(c, sp.less, sp.reduce, sp.fixed, pool, "spill")
-}
-
 // DrainContainer is the container-to-sorted-run primitive behind the
 // budget spill path, the memo cache's per-chunk drains and the
 // multi-node drains: the partitions are split into one contiguous group

@@ -224,7 +224,7 @@ func TestSpillerDrainSortsAndResets(t *testing.T) {
 	}
 	pool := exec.NewLocal(4)
 	defer pool.Close()
-	pairs, _, err := sp.Drain(c, pool)
+	pairs, _, err := DrainContainer(c, wcApp{}.Less, wcApp{}.Reduce, nil, pool, "spill")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestSpillerAsyncWriteAndStreamBack(t *testing.T) {
 	// Two spill cycles with overlapping keys: "a" and "b" appear in both
 	// runs, so the external merge must re-reduce them across runs.
 	fillHash(t, c, "a a b d")
-	p1, _, err := sp.Drain(c, pool)
+	p1, _, err := DrainContainer(c, wcApp{}.Less, wcApp{}.Reduce, nil, pool, "spill")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestSpillerAsyncWriteAndStreamBack(t *testing.T) {
 	if err := sp.Join(); err != nil {
 		t.Fatal(err)
 	}
-	p2, _, err := sp.Drain(c, pool)
+	p2, _, err := DrainContainer(c, wcApp{}.Less, wcApp{}.Reduce, nil, pool, "spill")
 	if err != nil {
 		t.Fatal(err)
 	}

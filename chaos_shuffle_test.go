@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,5 +187,68 @@ func TestChaosShuffleNoRetryFails(t *testing.T) {
 	}
 	if stats.Injected == 0 {
 		t.Fatal("no faults on the books despite the failure")
+	}
+}
+
+// TestChaosShuffleMidJobFailures: a node's container lives from its
+// first map wave to the exchange, so a job that dies in between — a
+// mapper panic, an ingest read that fails for good, a wire that stays
+// torn — dies with node containers full. Each must fail with its own
+// error, release every chunk buffer the stream handed out, leave no
+// goroutine behind, and book exactly the faults the per-chunk-drain
+// pipeline (PR 22) booked under the same plan: the fault sites and the
+// issue order on them did not move.
+func TestChaosShuffleMidJobFailures(t *testing.T) {
+	text := genText(t, 256<<10, 83)
+	retry := RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond}
+	for _, tc := range []struct {
+		name     string
+		plan     FaultPlan
+		mapLimit int64 // map calls before the mapper panics
+		wantErr  string
+		injected bool
+		want     FaultStats
+	}{
+		// Wire-only plan: the panic lands three waves in, before any
+		// frame exists, so nothing may be on the books.
+		{name: "map-panic", plan: FaultPlan{Seed: 5, WriteErrEvery: 2}, mapLimit: 3 * 4,
+			wantErr: "mapper exploded mid-stream"},
+		{name: "ingest-read", plan: FaultPlan{Seed: 5, ReadErrEvery: 9, Permanent: true}, mapLimit: 1 << 30,
+			wantErr: "ingest failed", injected: true, want: FaultStats{Injected: 1, Permanent: 1}},
+		{name: "wire", plan: FaultPlan{Seed: 5, WriteErrProb: 0.4, PermanentEvery: 3}, mapLimit: 1 << 30,
+			wantErr: "shuffle: n", injected: true, want: FaultStats{Injected: 3, Transient: 2, Permanent: 1, Retried: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseGoroutines := runtime.NumGoroutine()
+			clk := storage.NewFakeClock()
+			inj := NewFaultInjector(tc.plan, clk)
+			cfg := Config{Runtime: RuntimeSupMR, Workers: 2, Splits: 4, ChunkBytes: 8 << 10, Nodes: 4,
+				Clock: clk, Faults: inj, Retry: retry}
+			inner, err := StreamFile(MemoryFile("in", text, clk), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := &trackedStream{Stream: inner}
+			job := panicAfter{Job: WordCountJob(), calls: new(atomic.Int64), limit: tc.mapLimit}
+			_, err = Run[string, int64](job, stream, WordCountContainer(8), cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			}
+			if tc.injected != errors.Is(err, ErrInjectedFault) {
+				t.Fatalf("err = %v; wraps ErrInjectedFault: %v, want %v", err, !tc.injected, tc.injected)
+			}
+			if len(stream.seen) < 4 {
+				t.Fatalf("only %d chunks were read before the failure; no node container held anything", len(stream.seen))
+			}
+			for i, c := range stream.seen {
+				if c.Data != nil {
+					t.Errorf("chunk read #%d was never released (%d bytes still held)", i, len(c.Data))
+				}
+			}
+			if got := inj.Counters().Snapshot(); got != tc.want {
+				t.Errorf("fault counters %s, the per-chunk-drain pipeline booked %s", got.String(), tc.want.String())
+			}
+			checkNoGoroutineLeak(t, baseGoroutines)
+		})
 	}
 }

@@ -49,6 +49,13 @@ go test -race -count=10 -run 'TestMergeAhead|TestMergeJoins|TestDrainContainer|T
     ./internal/spill/ ./internal/sortalgo/
 go test -race -count=2 -run 'TestBudgetedDigestIdentical|TestChaosSpillDeterministic' .
 
+echo "== race: node-container repeats =="
+# A multi-node run's node containers are flushed into by every map
+# worker and drained by worker groups — the sharing pattern the repeats
+# above exist for — so the multi-node suites repeat under the detector.
+go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeDrainsOncePerNode|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
+go test -race -count=2 -run 'TestNodeContainersRouteAndDrainOnce' ./internal/core/
+
 FUZZTIME=${FUZZTIME:-3s}
 echo "== fuzz ($FUZZTIME per target) =="
 # Every target that parses stored or wire bytes, or checks a merge

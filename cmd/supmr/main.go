@@ -474,9 +474,8 @@ func run(ctx context.Context, o runOpts) error {
 		fmt.Printf("sortpath: %d run(s) radix-sorted\n", stats.RadixRuns)
 	}
 	if stats != nil && o.nodes > 0 {
-		fmt.Printf("shuffle: %d node(s), %s in %d frame(s) on the wire, %s saved by the in-node combiner\n",
-			o.nodes, cliutil.FormatBytes(stats.ShuffleBytes), stats.ShuffleFrames,
-			cliutil.FormatBytes(stats.ShuffleBytesSaved))
+		fmt.Printf("shuffle: %d node(s), %s in %d frame(s) on the wire\n",
+			o.nodes, cliutil.FormatBytes(stats.ShuffleBytes), stats.ShuffleFrames)
 	}
 	if stats != nil && (o.ioLanes > 1 || o.prefetch > 1) {
 		fmt.Printf("ingest: %d prefetch hits, %s stalled", stats.PrefetchHits, stats.IngestStall.Round(time.Microsecond))

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -272,6 +273,25 @@ func TestCLIFlagPlumbing(t *testing.T) {
 			t.Fatalf("stats after four submissions:\n%s", out)
 		}
 	})
+}
+
+// TestShuffleLine: a -nodes report names the nodes, the wire bytes and
+// the frames and stops there — the combiner's saving is the wire-byte
+// difference to the -innode-combiner=off run, which must ship more.
+func TestShuffleLine(t *testing.T) {
+	line := regexp.MustCompile(`(?m)^shuffle: 4 node\(s\), \S+ in ([1-9]\d*) frame\(s\) on the wire$`)
+	frames := func(extra ...string) int {
+		out := supmrOut(t, append([]string{"-app", "wordcount", "-size", "256k", "-chunk", "32k", "-bw", "0", "-nodes", "4"}, extra...)...)
+		m := line.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("%v: no shuffle line of the documented shape:\n%s", extra, out)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	if on, off := frames(), frames("-innode-combiner=off"); on >= off {
+		t.Fatalf("combiner on sent %d frames, off %d; the ablation must send more", on, off)
+	}
 }
 
 // TestBadSubmitKnobsExitUsage covers the submission path: `supmr

@@ -260,7 +260,9 @@ func TestInNodeCombinerHalvesWireBytes(t *testing.T) {
 
 // TestMultiNodeBudgetIgnored: a budgeted multi-node run stays
 // byte-identical and surfaces the ignored budget as a note instead of
-// silently changing meaning (per-chunk drains already bound residency).
+// silently changing meaning. Residency is one container per node until
+// the exchange, and nothing bounds it: a node's container is never
+// spilled (ROADMAP item 3 is to overflow it to the spill store).
 func TestMultiNodeBudgetIgnored(t *testing.T) {
 	text := genText(t, 64<<10, 41)
 	cfg := applyIngestEnv(Config{Runtime: RuntimeSupMR, Workers: 4, ChunkBytes: 8 << 10})
@@ -489,9 +491,9 @@ func multiNodeCompositions[K comparable, V any](t *testing.T, job Job[K, V], mkC
 	}
 }
 
-// TestMultiNodeCompositions: Nodes is one more drain step of the one
-// pipeline, so it composes with Memo, Engine, the prefetch ring and the
-// fault seams instead of excluding them.
+// TestMultiNodeCompositions: Nodes is the one pipeline over one
+// container per node, so it composes with Memo, Engine, the prefetch
+// ring and the fault seams instead of excluding them.
 func TestMultiNodeCompositions(t *testing.T) {
 	t.Run("wordcount", func(t *testing.T) {
 		multiNodeCompositions[string, int64](t, WordCountJob(),

@@ -49,6 +49,12 @@ func (a *Array[V]) Reset() {
 	a.vals = make([]V, a.width)
 }
 
+// New returns an empty array container over the same key width, stripe
+// count and combiner.
+func (a *Array[V]) New() Container[int, V] {
+	return NewArray[V](a.width, a.stripes, a.combine)
+}
+
 // SizeBytes returns the container footprint. It is fixed by the key
 // width — the flat value and presence arrays exist whether or not cells
 // are occupied — plus any heap bytes occupied values reference.

@@ -63,6 +63,11 @@ type Container[K comparable, V any] interface {
 	// when the spill layer drains the container to disk, which resets to
 	// actually return the drained memory.
 	Reset()
+	// New returns an empty container configured like the receiver (same
+	// geometry, hasher and combiner) and sharing no state with it. A
+	// multi-node run builds each further node's persistent container
+	// from the caller's this way.
+	New() Container[K, V]
 }
 
 // PartitionSizer is an optional Container extension: PartitionLen

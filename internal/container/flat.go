@@ -97,6 +97,12 @@ func (f *FlatHash[V]) Reset() {
 	f.bytes.Store(0)
 }
 
+// New returns an empty flat container with the receiver's shard count
+// and combiner, and a local pool of its own.
+func (f *FlatHash[V]) New() Container[string, V] {
+	return NewFlatHash[V](len(f.shards), f.combine)
+}
+
 // SizeBytes returns the approximate resident bytes of the shard state.
 func (f *FlatHash[V]) SizeBytes() int64 { return f.bytes.Load() }
 

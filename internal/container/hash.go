@@ -83,6 +83,12 @@ func (h *Hash[K, V]) Reset() {
 	h.bytes.Store(0)
 }
 
+// New returns an empty hash container with the receiver's shard count,
+// hasher and combiner.
+func (h *Hash[K, V]) New() Container[K, V] {
+	return NewHash[K, V](len(h.shards), h.hasher, h.combine)
+}
+
 // SizeBytes returns the approximate resident bytes of the shard maps.
 func (h *Hash[K, V]) SizeBytes() int64 { return h.bytes.Load() }
 

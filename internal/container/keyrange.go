@@ -46,6 +46,12 @@ func (c *KeyRange[K, V]) Reset() {
 	c.mu.Unlock()
 }
 
+// New returns an empty key-range container with the same partition
+// count.
+func (c *KeyRange[K, V]) New() Container[K, V] {
+	return NewKeyRange[K, V](c.partitions)
+}
+
 // SizeBytes returns the approximate resident bytes of the published
 // buffers.
 func (c *KeyRange[K, V]) SizeBytes() int64 {

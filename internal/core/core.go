@@ -22,20 +22,25 @@
 // workers with panic isolation and cancellation.
 //
 // Run is the only ingest→map→drain loop. Budgeted, memoized and
-// multi-node runs differ in one drain step chosen before the loop —
-// never, when over budget, or after every chunk — whose product, a
-// key-sorted run from spill.DrainContainer, goes to the spill store or
-// is parked in memory by chunk index. After the loop a memoized run
-// folds what it parked — drained runs and cache hits, the latter still
-// encoded — back into the container in parallel, and then every
-// single-node run finishes the same way: reduce what is resident and
-// merge it in one round (with the spilled runs when the budget forced
-// drains). Multi-node runs hand their parked runs to the node exchange
-// of internal/shuffle instead.
+// combiner-ablated multi-node runs differ in one drain step chosen
+// before the loop — never, when over budget, or after every chunk —
+// whose product, a key-sorted run from spill.DrainContainer, goes to the
+// spill store or is parked in memory by chunk index. After the loop a
+// memoized run folds what it parked — drained runs and cache hits, the
+// latter still encoded — back into the container in parallel, and then
+// every single-node run finishes the same way: reduce what is resident
+// and merge it in one round (with the spilled runs, if any).
 //
-// Persistence (§III-C) applies at two tiers: the global intermediate
-// container accumulates across rounds (runMappers never resets it), and
-// containers that pool their worker-local accumulators (the flat
+// A multi-node run keeps one container per node (the caller's plus
+// Nodes-1 from Container.New) as the in-node combiner tier: chunk i is
+// mapped into node i % Nodes's, a memoized run folds that node's parked
+// output into it, and it is drained once, into the node's one run for
+// shuffle.Exchange. The combiner ablation keeps the every-chunk drain
+// on the caller's container and exchanges the per-chunk runs.
+//
+// Persistence (§III-C) applies at two tiers: the intermediate
+// containers accumulate across rounds (runMappers never resets them),
+// and containers that pool their worker-local accumulators (the flat
 // combiner) carry local tables and arenas from round to round, so
 // steady-state rounds combine without allocating.
 package core
@@ -85,10 +90,10 @@ type Tuner interface {
 type Options struct {
 	mapreduce.Options
 	// Topology carries the multi-node knobs. With Nodes > 0 the job runs
-	// on a simulated cluster: the container is drained after every
-	// chunk, chunk i's run belongs to node i % Nodes, and after ingest
-	// the nodes exchange hash-partitioned runs over simulated links
-	// (see shuffle.Exchange). Requires key/value types with codecs.
+	// on a simulated cluster: chunk i is mapped into node i % Nodes's
+	// persistent container and, after ingest, the nodes exchange
+	// hash-partitioned runs over simulated links (see shuffle.Exchange).
+	// Requires key/value types with codecs.
 	shuffle.Topology
 	// ResetEachRound re-initializes the container at every map round,
 	// the traditional behaviour SupMR had to remove (§III-C). It exists
@@ -105,9 +110,9 @@ type Options struct {
 	// key-sorted run written to SpillStore on the pool's IO lane while
 	// the next map round computes, and the merge phase streams the runs
 	// back in the same single p-way round. Zero disables spilling, and
-	// so do MemoStore and Nodes: they drain after every chunk, so the
-	// container never holds more than one chunk's combined output while
-	// ingest runs, and what they park is not spilled.
+	// so do MemoStore and Nodes: a memoized run parks every chunk's
+	// output in memory and a node's container must hold everything the
+	// node mapped until the exchange, and neither is spilled.
 	MemoryBudget int64
 	// SpillStore receives the spilled runs; required when MemoryBudget
 	// is positive.
@@ -143,7 +148,7 @@ type Options struct {
 	// folds back into the container on every compute worker and the job
 	// finishes like an unmemoized one (reduce, then merge). Requires an
 	// app whose key/value types have spill codecs. Composes with Nodes:
-	// a hit then decodes its cached run into the chunk's node.
+	// the fold is per node (CombinerOff decodes a hit to the chunk's run).
 	MemoStore *memo.Store
 	// MemoSpace namespaces memo cache keys (application identity plus
 	// any parameters that change its output for the same input bytes).
@@ -165,10 +170,10 @@ type ingestResult struct {
 // Run launches the SupMR runtime (the run_ingestMR() API call): it
 // drives the ingest chunk pipeline over the stream, reduces once, and
 // merges with the configured algorithm. The container persists across
-// all map rounds unless a drain step (MemoryBudget, MemoStore, Nodes)
-// empties it into key-sorted runs along the way. If opts.Pool is nil a job pool is created here and
-// torn down on return; either way every phase — including the prefetch
-// ingest — runs on that single pool.
+// all map rounds unless a drain step (MemoryBudget, MemoStore,
+// CombinerOff) empties it into key-sorted runs along the way. If
+// opts.Pool is nil a job pool is created here and torn down on return;
+// either way every phase, the prefetch ingest too, runs on that pool.
 func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont container.Container[K, V], opts Options) (*Result[K, V], error) {
 	ro := opts.Options
 	pool := ro.Pool
@@ -210,24 +215,33 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	var exchange *shuffle.Exchange[K, V]
 	if opts.Nodes > 0 {
 		var err error
-		exchange, err = shuffle.NewExchange[K, V](opts.Topology, faults.NewRetrier(opts.Retry, opts.Clock, opts.FaultCounters))
+		exchange, err = shuffle.NewExchange[K, V](opts.Topology, faults.NewRetrier(opts.Retry, opts.Clock, opts.FaultCounters), fixed)
 		if err != nil {
 			return nil, err
 		}
 	}
+	// conts[n] is node n's persistent container. Single-node runs, and
+	// multi-node runs that exchange every chunk's run as drained
+	// (perChunk, the combiner ablation), map every chunk into the caller's.
+	conts := []container.Container[K, V]{cont}
+	perChunk := exchange != nil && opts.CombinerOff
+	for exchange != nil && !perChunk && len(conts) < opts.Nodes {
+		conts = append(conts, cont.New())
+	}
 
-	// The drain step, chosen once: when the container is emptied into a
+	// The drain step, chosen once: when a container is emptied into a
 	// key-sorted run, and under which phase and task label. Memo and
-	// multi-node runs drain after every chunk and park the run; a
-	// budgeted run drains to the spill store when the container outgrows
-	// the budget; otherwise the container persists to the reduce phase.
+	// perChunk runs drain after every chunk and park the run; a budgeted
+	// run drains to the spill store when the container outgrows the
+	// budget; otherwise the containers persist to the end of ingest.
 	when, drainPhase, drainLabel := drainNever, metrics.PhaseSpill, "spill"
 	var spiller *spill.Spiller[K, V]
 	switch {
 	case cache != nil:
 		when, drainPhase, drainLabel = drainEveryChunk, metrics.PhaseMemo, "memo"
-	case exchange != nil:
+	case perChunk:
 		when, drainPhase, drainLabel = drainEveryChunk, metrics.PhaseShuffle, "shuffle"
+	case exchange != nil: // node containers are never spilled: MemoryBudget is ignored
 	case opts.MemoryBudget > 0:
 		when = drainOverBudget
 		if _, ok := any(cont).(container.Unspillable); ok {
@@ -245,8 +259,8 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		spiller.SetFixedKey(fixed)
 	}
 	drainRadixRuns := 0 // radix-sorted drain groups, folded into Stats.RadixRuns
-	drain := func() ([]kv.Pair[K, V], error) {
-		run, nRad, err := spill.DrainContainer(cont, app.Less, app.Reduce, fixed, pool, drainLabel)
+	drain := func(c container.Container[K, V], label string) ([]kv.Pair[K, V], error) {
+		run, nRad, err := spill.DrainContainer(c, app.Less, app.Reduce, fixed, pool, label)
 		drainRadixRuns += nRad
 		return run, err
 	}
@@ -388,15 +402,15 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	}()
 
 	var stats mapreduce.Stats
-	runMappers := func(c *chunk.Chunk) (time.Duration, error) {
+	runMappers := func(c *chunk.Chunk, into container.Container[K, V]) (time.Duration, error) {
 		start := pool.Now()
 		if opts.ResetEachRound {
-			cont.Reset()
+			into.Reset()
 		}
 		if ca, ok := any(app).(ChunkAware); ok {
 			ca.SetData(c)
 		}
-		n, busy, err := mapreduce.MapWaveTimed(app, c.Data, cont, ro)
+		n, busy, err := mapreduce.MapWaveTimed(app, c.Data, into, ro)
 		if err != nil {
 			return 0, err
 		}
@@ -440,12 +454,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		return fail(first.err)
 	}
 	// parked is the every-chunk drain's sink: parked[i] is chunk i's
-	// combined output — the freshly drained key-sorted run on a miss or
-	// an unmemoized multi-node run, the cache entry on a hit (still
-	// encoded; decoded to a run only when Nodes needs pairs to exchange).
+	// combined output — the freshly drained key-sorted run, or on a memo
+	// hit the cache entry (still encoded unless perChunk needs its pairs).
 	var parked []parkedChunk[K, V]
 	cur = first.c
-	for cur != nil {
+	for i := 0; cur != nil; i++ {
+		target := conts[i%len(conts)]
 		if err := pool.Err(); err != nil {
 			return fail(err)
 		}
@@ -458,7 +472,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				if err := spiller.Join(); err != nil { // at most one spill write in flight
 					return err
 				}
-				run, err := drain()
+				run, err := drain(cont, drainLabel)
 				if len(run) > 0 {
 					spiller.SpillAsync(run, pool)
 				}
@@ -488,7 +502,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			memoKey = cache.Key(sum)
 			err := inPhase(metrics.PhaseMemo, func() error {
 				return pool.GoIO("memo", metrics.StateIOWait, func() error {
-					if exchange != nil {
+					if perChunk {
 						out.run, hit, _ = cache.Get(memoKey)
 					} else {
 						out.entry, hit, _ = cache.Fetch(memoKey)
@@ -517,7 +531,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			stats.MemoBytesSaved += cur.Size()
 			stats.BytesIngested += cur.Size()
 		} else {
-			mapDur, mapErr = runMappers(cur)
+			mapDur, mapErr = runMappers(cur, target)
 		}
 		// The wave is done with the bytes: recycle the buffer. cur is
 		// cleared so the failure path cannot release it a second time,
@@ -535,7 +549,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				// and a failed publish only skips the cache entry, never
 				// the job.
 				err := inPhase(drainPhase, func() (err error) {
-					if out.run, err = drain(); err != nil || cache == nil {
+					if out.run, err = drain(target, drainLabel); err != nil || cache == nil {
 						return err
 					}
 					stats.MemoMisses++
@@ -596,30 +610,47 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		radixRuns int
 		err       error
 	)
-	if exchange != nil {
-		// The parked runs belong to their nodes round-robin; the nodes
-		// exchange partitions and merge what they receive.
+	if cache != nil && !perChunk {
+		// Every miss drained its container, so all are empty: fold each
+		// container's chunks back in and finish like an unmemoized run.
+		timer.StartPhase(metrics.PhaseMemo)
+		for n := 0; n < len(conts) && err == nil; n++ {
+			err = foldParked(cache, parked, n, len(conts), conts[n], pool)
+		}
+		timer.EndPhase(metrics.PhaseMemo)
+		parked = nil
+	}
+	switch {
+	case err != nil: // the fold failed
+	case exchange != nil:
+		// Each node hands the exchange its container's one drain or,
+		// with the combiner ablated, its round-robin share of the parked
+		// per-chunk runs; an empty run is not handed in.
 		nodeRuns := make([][][]kv.Pair[K, V], opts.Nodes)
-		for i, p := range parked {
-			stats.IntermediateN += len(p.run)
-			if n := i % opts.Nodes; len(p.run) > 0 {
-				nodeRuns[n] = append(nodeRuns[n], p.run)
+		give := func(n int, run []kv.Pair[K, V]) {
+			stats.IntermediateN += len(run)
+			if len(run) > 0 {
+				nodeRuns[n] = append(nodeRuns[n], run)
 			}
 		}
-		merged, err = exchange.Run(app, nodeRuns, pool, timer, &stats)
-	} else {
-		if cache != nil {
-			// Every miss drained the container, so it is empty: fold the
-			// parked output back in and finish like an unmemoized run.
-			timer.StartPhase(metrics.PhaseMemo)
-			err = foldParked(cache, parked, cont, pool)
-			timer.EndPhase(metrics.PhaseMemo)
-			parked = nil
+		for i, p := range parked {
+			give(i%opts.Nodes, p.run)
+		}
+		if !perChunk {
+			timer.StartPhase(metrics.PhaseShuffle)
+			for n := 0; n < len(conts) && err == nil; n++ {
+				var run []kv.Pair[K, V]
+				run, err = drain(conts[n], "shuffle")
+				give(n, run)
+			}
+			timer.EndPhase(metrics.PhaseShuffle)
 		}
 		if err == nil {
-			stats.IntermediateN = cont.Len()
-			merged, rounds, radixRuns, err = reduceAndMerge(app, cont, ro, spiller, fixed, &stats)
+			merged, err = exchange.Run(app, nodeRuns, pool, timer, &stats)
 		}
+	default:
+		stats.IntermediateN = cont.Len()
+		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, ro, spiller, fixed, &stats)
 	}
 	if err != nil {
 		pool.Abort(err)
@@ -632,37 +663,38 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats}, nil
 }
 
-// drainWhen is the pipeline's one drain decision: when the container is
-// emptied into a key-sorted run.
+// drainWhen is the pipeline's one drain decision: when a container is
+// emptied into a key-sorted run while ingest is still running.
 type drainWhen int
 
 const (
-	drainNever      drainWhen = iota // the container persists to the reduce phase
+	drainNever      drainWhen = iota // the containers persist to the end of ingest
 	drainOverBudget                  // whenever it outgrows MemoryBudget, to the spill store
 	drainEveryChunk                  // after every map wave, parked in memory
 )
 
 // parkedChunk is one chunk's combined output waiting for the finish:
-// the drained key-sorted run, or — on a memo hit of a single-node run —
-// the fetched cache entry, left encoded.
+// the drained key-sorted run, or — on a memo hit whose pairs are not
+// exchanged per chunk — the fetched cache entry, left encoded.
 type parkedChunk[K comparable, V any] struct {
 	run   []kv.Pair[K, V]
 	entry memo.Entry
 }
 
-// foldParked re-emits the parked output of a memoized run into the
-// empty container, one task and one container Local per compute worker,
-// each taking every Workers-th chunk. Cache entries decode straight
-// into the Local (see memo.Cache.Replay); drained runs are emitted pair
-// by pair. The parked values were reduced per chunk, so this relies on
-// the container contract that re-emitting reduced runs and reducing
-// again equals reducing once.
-func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, V],
+// foldParked re-emits the parked output of a memoized run's chunks
+// first, first+stride, ... (all of them, or one node's round-robin
+// share) into the empty container cont, one task and one container Local
+// per compute worker, each taking every Workers-th of those chunks.
+// Cache entries decode straight into the Local (see memo.Cache.Replay);
+// drained runs are emitted pair by pair. The parked values were reduced
+// per chunk, so this relies on the container contract that re-emitting
+// reduced runs and reducing again equals reducing once.
+func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, V], first, stride int,
 	cont container.Container[K, V], pool exec.Executor) error {
 	workers := pool.Workers()
 	_, err := pool.ForEach("memo", metrics.StateUser, workers, func(w int) error {
 		local := cont.NewLocal()
-		for i := w; i < len(parked); i += workers {
+		for i := first + w*stride; i < len(parked); i += workers * stride {
 			if err := cache.Replay(parked[i].entry, local); err != nil {
 				return err
 			}

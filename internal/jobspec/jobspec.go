@@ -120,8 +120,9 @@ type Result struct {
 	MemoBytesSaved int64 `json:"memo_bytes_saved,omitempty"`
 	// Nodes echoes the simulated cluster size of a multi-node run.
 	// ShuffleBytes is the framed bytes that crossed simulated links,
-	// ShuffleBytesSaved the encoded bytes the in-node combiner kept off
-	// the wire, ShuffleFrames the delivered frame count.
+	// ShuffleFrames the delivered frame count. ShuffleBytesSaved
+	// (shuffle_bytes_saved) is deprecated and always 0: compare
+	// ShuffleBytes with the innode_combiner_off run's instead.
 	Nodes             int   `json:"nodes,omitempty"`
 	ShuffleBytes      int64 `json:"shuffle_bytes,omitempty"`
 	ShuffleBytesSaved int64 `json:"shuffle_bytes_saved,omitempty"`

@@ -143,9 +143,13 @@ type Stats struct {
 	// simulated inter-node links in a multi-node run. Local-partition
 	// data never leaves its node and is not counted.
 	ShuffleBytes int64
-	// ShuffleBytesSaved is the encoded intermediate bytes the in-node
-	// combiner eliminated by pre-aggregating every local worker's
-	// output before partitioning for transmission.
+	// ShuffleBytesSaved is always 0.
+	//
+	// Deprecated: it was the encoded size of a node's per-chunk runs
+	// minus that of their combined run, and with the combiner on a node
+	// no longer produces per-chunk runs. What the in-node combiner saves
+	// is the ShuffleBytes difference between a run and its
+	// -innode-combiner=off ablation.
 	ShuffleBytesSaved int64
 	// ShuffleFrames counts framed run transfers delivered between
 	// nodes (retries of torn frames resend and recount).

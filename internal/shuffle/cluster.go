@@ -23,11 +23,11 @@ type Topology struct {
 	// single-node, 1 is the degenerate one-node cluster (useful for
 	// differential tests).
 	Nodes int
-	// CombinerOff disables the in-node combiner tier: each per-chunk
-	// drained run is partitioned and transmitted as-is instead of being
-	// pre-aggregated across all of the node's local workers first. The
-	// destination merge re-reduces either way, so output bytes are
-	// identical — only wire traffic changes.
+	// CombinerOff disables the in-node combiner tier (the node's
+	// persistent container, drained once into the node's one run): the
+	// container is drained after every chunk and each per-chunk run is
+	// transmitted as drained. The destination merge re-reduces either
+	// way, so output bytes are identical — only wire traffic changes.
 	CombinerOff bool
 	// LinkBW is each node port's bandwidth in bytes/sec
 	// (0 = netsim.GigabitEthernet); LinkLatency is the per-transfer
@@ -43,25 +43,25 @@ type Topology struct {
 }
 
 // Exchange is the scale-out tail of the pipeline. The ingest loop hands
-// it each node's key-sorted per-chunk runs; Run then executes
+// it each node's key-sorted runs — its container's one drain, or one
+// per chunk with the in-node combiner ablated; Run then executes
 //
-//	combine: (in-node combiner, unless ablated) each node pre-aggregates
-//	         all its local runs into one run before transmission
 //	shuffle: runs are hash-partitioned by encoded key; partition p is
 //	         owned by node p; remote slices travel as checksummed frames
 //	         over per-node fabric links, local slices bypass the wire
 //	reduce:  each node merges its received + local slices with the
 //	         re-reducing loser-tree pass
-//	merge:   node outputs hold disjoint keys; one final interleave
+//	merge:   node outputs hold disjoint keys; one p-way interleave
 //	         produces the globally sorted result
 //
 // Output is byte-identical to a single-node run: hash partitioning
-// keeps each key on one node and every merge re-reduces under the
-// standing associative-combiner contract.
+// keeps each key on one node and the destination merge re-reduces under
+// the standing associative-combiner contract.
 type Exchange[K comparable, V any] struct {
 	top     Topology
 	kc      spill.Codec[K]
 	vc      spill.Codec[V]
+	fixed   *kv.FixedKeyCodec[K]
 	fab     *netsim.Fabric
 	wires   [][]*faults.Wire
 	retrier *faults.Retrier
@@ -69,8 +69,8 @@ type Exchange[K comparable, V any] struct {
 
 // NewExchange builds the fabric and arms the wire fault seams, failing
 // up front when the key or value type has no wire codec. retrier (may
-// be nil) resends torn frames.
-func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier) (*Exchange[K, V], error) {
+// be nil) resends torn frames; fixed (may be nil) serves the assembly.
+func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier, fixed *kv.FixedKeyCodec[K]) (*Exchange[K, V], error) {
 	kc, err := spill.CodecFor[K]()
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: key: %w", err)
@@ -99,7 +99,7 @@ func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier) (*E
 			}
 		}
 	}
-	return &Exchange[K, V]{top: top, kc: kc, vc: vc, fab: fab, wires: wires, retrier: retrier}, nil
+	return &Exchange[K, V]{top: top, kc: kc, vc: vc, fixed: fixed, fab: fab, wires: wires, retrier: retrier}, nil
 }
 
 // Run exchanges nodeRuns (nodeRuns[n]: node n's key-sorted local runs)
@@ -108,7 +108,7 @@ func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier) (*E
 // count and reduce busy time to stats.
 func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor, timer *metrics.Timer, stats *mapreduce.Stats) ([]kv.Pair[K, V], error) {
 	timer.StartPhase(metrics.PhaseShuffle)
-	recv, err := x.transfer(app, nodeRuns, pool, stats)
+	recv, err := x.transfer(nodeRuns, stats)
 	timer.EndPhase(metrics.PhaseShuffle)
 	if err != nil {
 		return nil, err
@@ -130,44 +130,21 @@ func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], poo
 		return nil, err
 	}
 
-	// Global assembly: partitions hold disjoint keys.
+	// Global assembly: partitions hold disjoint keys; nothing to reduce.
 	timer.StartPhase(metrics.PhaseMerge)
-	merged, err := sortalgo.MergeRunsTask(pool, "merge", nil, outs, app.Less, app.Reduce, true)
+	merged, err := sortalgo.PWayMergeWith(outs, app.Less, x.fixed, pool)
 	timer.EndPhase(metrics.PhaseMerge)
 	return merged, err
 }
 
-// transfer is the in-node combine + partition + framed exchange,
-// visiting wires src → run → dst. It returns recv[dst]: the runs to
-// merge at dst, in arrival order.
-func (x *Exchange[K, V]) transfer(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor, stats *mapreduce.Stats) ([][][]kv.Pair[K, V], error) {
+// transfer is the partition + framed exchange, visiting wires
+// src → run → dst. It returns recv[dst]: the runs to merge at dst, in
+// arrival order.
+func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], stats *mapreduce.Stats) ([][][]kv.Pair[K, V], error) {
 	nodes := x.top.Nodes
 	recv := make([][][]kv.Pair[K, V], nodes)
 	var kbuf, vbuf []byte
-	encodedBytes := func(runs [][]kv.Pair[K, V]) (n int64) {
-		for _, r := range runs {
-			for _, p := range r {
-				kbuf = x.kc.Append(kbuf[:0], p.Key)
-				vbuf = x.vc.Append(vbuf[:0], p.Val)
-				n += int64(uvarintLen(len(kbuf)) + len(kbuf) + uvarintLen(len(vbuf)) + len(vbuf))
-			}
-		}
-		return n
-	}
 	for src, runs := range nodeRuns {
-		if !x.top.CombinerOff && len(runs) > 1 {
-			// The in-node combiner tier: one pre-aggregation pass over
-			// every local worker's output before any byte is framed for
-			// transmission. The saved-bytes counter is exact: encoded
-			// size in, encoded size out.
-			before := encodedBytes(runs)
-			combined, err := sortalgo.MergeRunsTask(pool, "shuffle", nil, runs, app.Less, app.Reduce, true)
-			if err != nil {
-				return nil, err
-			}
-			runs = [][]kv.Pair[K, V]{combined}
-			stats.ShuffleBytesSaved += before - encodedBytes(runs)
-		}
 		for _, run := range runs {
 			// Split the sorted run into per-destination sub-runs: a
 			// subsequence of a sorted run stays sorted.
@@ -257,13 +234,4 @@ func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K
 		return nil, fmt.Errorf("%w: %d records, header says %d", ErrCorrupt, len(run), f.Records)
 	}
 	return run, nil
-}
-
-// uvarintLen returns the encoded size of n as a uvarint.
-func uvarintLen(n int) int {
-	l := 1
-	for v := uint64(n); v >= 0x80; v >>= 7 {
-		l++
-	}
-	return l
 }

@@ -4,9 +4,7 @@ import (
 	"slices"
 	"sort"
 
-	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/metrics"
 )
 
 // This file extends the merge phase to out-of-core inputs: a Source
@@ -226,17 +224,4 @@ func MergeRuns[K any, V any](head []Source[K, V], runs [][]kv.Pair[K, V], less k
 		out = make([]kv.Pair[K, V], 0, total)
 	}
 	return MergeSources(srcs, less, reduce, out)
-}
-
-// MergeRunsTask runs MergeRuns as one task on ex under label, so the
-// pass — including the device waits of streaming sources — is charged
-// to the job's workers and observes the job's cancellation.
-func MergeRunsTask[K any, V any](ex exec.Executor, label string, head []Source[K, V], runs [][]kv.Pair[K, V], less kv.Less[K], reduce func(K, []V) V, presize bool) ([]kv.Pair[K, V], error) {
-	var merged []kv.Pair[K, V]
-	_, err := ex.ForEach(label, metrics.StateUser, 1, func(int) error {
-		var mErr error
-		merged, mErr = MergeRuns(head, runs, less, reduce, presize)
-		return mErr
-	})
-	return merged, err
 }

@@ -265,27 +265,31 @@ type Config struct {
 	MemoBudget int64
 	// Nodes, when >= 1, runs the job on a simulated cluster of that
 	// many SupMR worker nodes (SupMR runtime only). It is the same
-	// ingest loop with the drain step set to every chunk: chunk i is
-	// mapped into the one container, drained to a key-sorted run owned
-	// by node i % Nodes, and after ingest the nodes exchange
-	// hash-partitioned runs as checksummed frames over simulated
-	// per-node links before the final merge (see internal/shuffle and
-	// DESIGN.md §15). Output is byte-identical to a single-node run. 1
-	// is the degenerate one-node cluster — exercising the same code path
-	// — and 0, the default, keeps the scale-up pipeline. Requires
-	// codec-supported key/value types. Composes with Engine, Memo (a
-	// cache hit decodes its run into the chunk's node), IOLanes and
+	// ingest loop over one persistent container per node — the caller's
+	// and Nodes-1 built like it: chunk i is mapped into node
+	// i % Nodes's container, which is never drained while ingest runs;
+	// after ingest each node's container is drained once into the
+	// node's key-sorted run and the nodes exchange hash-partitioned
+	// runs as checksummed frames over simulated per-node links before
+	// the final merge (see internal/shuffle and DESIGN.md §15). Output
+	// is byte-identical to a single-node run. 1 is the degenerate
+	// one-node cluster — exercising the same code path — and 0, the
+	// default, keeps the scale-up pipeline. Requires codec-supported
+	// key/value types. Composes with Engine, Memo (a chunk's cached
+	// output folds into its node's container), IOLanes and
 	// PrefetchDepth; Validate lists what it excludes. MemoryBudget is
-	// accepted but ignored: per-chunk drains bound residency without a
-	// spiller (see Report.Notes).
+	// accepted but ignored: a node's container holds everything the
+	// node mapped until the exchange and is not spilled (see
+	// Report.Notes).
 	Nodes int
 	// InNodeCombiner gates the in-node combiner tier of a multi-node
-	// run: one pre-aggregation pass across all of a node's local
-	// workers' output before anything is partitioned for transmission.
+	// run: the node's persistent container, which combines every chunk
+	// the node maps before anything is partitioned for transmission.
 	// nil — the default — and &true enable it; &false is the
-	// -innode-combiner=off ablation, transmitting every per-chunk run
-	// as-is. Output is byte-identical either way (destination merges
-	// re-reduce); only Stats.ShuffleBytes and ShuffleBytesSaved change.
+	// -innode-combiner=off ablation, draining the container after every
+	// chunk and transmitting every per-chunk run as-is. Output is
+	// byte-identical either way (destination merges re-reduce); only
+	// Stats.ShuffleBytes and ShuffleFrames change.
 	InNodeCombiner *bool
 	// NodeLinkBW is each node port's bandwidth in bytes/sec for a
 	// multi-node run (default GigabitLinkBW); NodeLinkLatency is the
@@ -380,8 +384,9 @@ func (c Config) innodeCombinerOff() bool {
 // Validate reports the first contradiction in the configuration. It is
 // the one statement of the mode rules: Run and StreamFile call it before
 // anything is read, and the CLI and jobspec call it on the Config they
-// build. Memo and Nodes both drain the container after every chunk,
-// which is why they share the rules below; everything else composes.
+// build. Memo and Nodes both bind a chunk to what is done with its
+// output (a cache key, a node's container), which is why they share the
+// rules below; everything else composes.
 func (c Config) Validate() error {
 	if c.EgressLanes < 0 {
 		return fmt.Errorf("supmr: EgressLanes must be positive, got %d", c.EgressLanes)
@@ -393,7 +398,7 @@ func (c Config) Validate() error {
 		return errors.New("supmr: Memo requires ChunkBytes > 0 (content-defined chunk sizes derive from it)")
 	}
 	// knob names the set mode that needs the chunk pipeline; perChunk
-	// says it drains the container after every chunk.
+	// says it keys or routes each chunk's output by the chunk.
 	knob, perChunk := "", true
 	switch {
 	case c.Memo:
@@ -412,7 +417,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("supmr: %s is incompatible with AdaptiveChunks (retuned chunk sizes would make chunk boundaries, and with them cache keys and node routing, depend on timing)", knob)
 	}
 	if perChunk && c.ResetEachRound {
-		return fmt.Errorf("supmr: %s is incompatible with ResetEachRound (the container is already drained after every chunk)", knob)
+		why := "the container is already drained after every chunk"
+		if !c.Memo {
+			why = "a node's container holds the node's map output for the exchange; resetting it every round would discard it"
+		}
+		return fmt.Errorf("supmr: %s is incompatible with ResetEachRound (%s)", knob, why)
 	}
 	return nil
 }
@@ -542,20 +551,21 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		Pool:          sub.pool,
 	}
 
-	// Memo and Nodes drain the container after every chunk and park the
-	// runs in memory; neither uses the spill path.
-	everyChunk := cfg.Memo || cfg.Nodes > 0
+	// Memo parks every chunk's output in memory and Nodes keeps a node's
+	// map output in the node's container until the exchange; neither
+	// uses the spill path.
+	noSpill := cfg.Memo || cfg.Nodes > 0
 	var notes []string
 	if cfg.MemoryBudget > 0 {
 		if cfg.Memo {
 			notes = append(notes, "memo: MemoryBudget ignored (per-chunk output is parked in memory, folded back into the container after ingest and finished resident, without the spill path)")
 		}
 		if cfg.Nodes > 0 {
-			notes = append(notes, "nodes: MemoryBudget ignored (per-chunk drains bound container residency without the spill path)")
+			notes = append(notes, "nodes: MemoryBudget ignored (each node's container holds the node's whole map output until the exchange and is never spilled)")
 		}
 	}
 	var store *spill.Store
-	if sub.budget > 0 && !everyChunk {
+	if sub.budget > 0 && !noSpill {
 		dev := cfg.SpillDevice
 		if dev == nil {
 			dev = storage.NewNullDevice(sub.clk)

@@ -10,37 +10,25 @@ import (
 	"strconv"
 
 	"supmr/internal/cliutil"
-	"supmr/internal/jobspec"
 	"supmr/internal/server"
 )
 
-// clientCommands names the subcommands dispatched to a supmrd server.
-var clientCommands = map[string]bool{
-	"submit": true, "status": true, "wait": true,
-	"cancel": true, "list": true, "stats": true,
-}
-
-// clientMain runs one client subcommand against supmrd and exits the
-// process with its status.
-func clientMain(cmd string, args []string) {
-	switch cmd {
-	case "submit":
-		submitMain(args)
-	case "status", "wait", "cancel":
-		jobMain(cmd, args)
-	case "list":
-		listMain(args)
-	case "stats":
-		statsMain(args)
-	}
-	os.Exit(0)
+// subcommands routes `supmr <name> ...`: the supmrd client operations
+// and the local pipeline runner. Each exits the process on failure.
+var subcommands = map[string]func(args []string){
+	"submit":   submitMain,
+	"status":   jobMain("status", (*server.Client).Status),
+	"wait":     jobMain("wait", (*server.Client).Wait),
+	"cancel":   jobMain("cancel", (*server.Client).Cancel),
+	"list":     listMain,
+	"stats":    statsMain,
+	"pipeline": pipelineMain,
 }
 
 func dial(socket string) *server.Client {
 	c, err := server.Dial(socket)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "supmr:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	return c
 }
@@ -57,60 +45,20 @@ func fatal(err error) {
 // submitMain submits one job, optionally waiting for its result.
 func submitMain(args []string) {
 	fs := flag.NewFlagSet("supmr submit", flag.ExitOnError)
+	wire := specFlags(fs, "4m", "256k", "0")
 	var (
-		socket   = fs.String("socket", "/tmp/supmrd.sock", "supmrd unix socket")
-		app      = fs.String("app", "wordcount", "application: wordcount | sort | histogram | grep | psum1 | psum2")
-		rt       = fs.String("runtime", "supmr", "runtime: traditional | supmr")
-		size     = fs.String("size", "4m", "input size in bytes (k/m/g suffixes)")
-		seed     = fs.Int64("seed", 1, "workload generation seed")
-		chunkSz  = fs.String("chunk", "256k", "SupMR ingest chunk size")
-		budget   = fs.String("budget", "0", "requested memory budget; the engine may grant less (0 = unbudgeted)")
-		bw       = fs.String("bw", "0", "simulated storage bandwidth, bytes/sec (0 = infinite)")
-		ioLanes  = fs.String("io-lanes", "1", "IO lanes for striped ingest")
-		prefetch = fs.String("prefetch-depth", "1", "prefetch ring depth")
-		pattern  = fs.String("pattern", "", "comma-separated patterns for -app grep")
-		tenant   = fs.String("tenant", "", "tenant name for the engine's per-tenant rollup")
-		weight   = fs.String("weight", "1", "fair-share weight on the engine scheduler")
-		faults   = fs.String("faults", "", "deterministic fault plan (see supmr -faults)")
-		retries  = fs.String("retries", "", "retry policy for transient faults (see supmr -retries)")
-		memoKey  = fs.String("memo-key", "", "memo cache key space (default: derived from the app and its parameters)")
-		egLanes  = fs.String("egress-lanes", "0", "IO lanes for parallel output egress (0 = keep pairs in memory only)")
-		nodes    = fs.String("nodes", "0", "run on a simulated cluster of N SupMR worker nodes (0 = single-node)")
-		block    = fs.String("block", "0", "records per block for -app psum1/psum2 (0 = default)")
-		blocks   = fs.String("blocks", "0", "block count for -app psum2 (0 = derived from the input)")
-		wait     = fs.Bool("wait", false, "block until the job finishes and print its result")
+		socket  = fs.String("socket", "/tmp/supmrd.sock", "supmrd unix socket")
+		tenant  = fs.String("tenant", "", "tenant name for the engine's per-tenant rollup")
+		weight  = fs.String("weight", "1", "fair-share weight on the engine scheduler")
+		memoKey = fs.String("memo-key", "", "memo cache key space (default: derived from the app and its parameters)")
+		block   = fs.String("block", "0", "records per block for the prefix-sum rounds (0 = default)")
+		blocks  = fs.String("blocks", "0", "block count for the second prefix-sum round (0 = derived from the input)")
+		wait    = fs.Bool("wait", false, "block until the job finishes and print its result")
 	)
-	memo := onOffFlag(false)
-	fs.Var(&memo, "memo", "content-addressed incremental recompute against the server's shared memo store; a re-submission over mostly unchanged content replays cached map output")
-	radix := onOffFlag(true)
-	fs.Var(&radix, "radixsort", "radix sort/columnar merge fast path for fixed-width-key apps; off is the comparison-sort ablation")
 	fs.Parse(args)
-	spec := jobspec.Spec{
-		App:           *app,
-		Runtime:       *rt,
-		Size:          parseSize(*size),
-		Seed:          *seed,
-		ChunkBytes:    parseSize(*chunkSz),
-		Budget:        parseSize(*budget),
-		BW:            parseSize(*bw),
-		IOLanes:       parseCount(*ioLanes),
-		PrefetchDepth: parseCount(*prefetch),
-		Pattern:       *pattern,
-		Tenant:        *tenant,
-		Weight:        parseCount(*weight),
-		Faults:        *faults,
-		Retries:       *retries,
-		Memo:          bool(memo),
-		MemoKey:       *memoKey,
-		RadixOff:      !bool(radix),
-		EgressLanes:   parseCount0(*egLanes),
-		Nodes:         parseCount0(*nodes),
-		Block:         int64(parseCount0(*block)),
-		Blocks:        int64(parseCount0(*blocks)),
-	}
-	if spec.Runtime == "supmr" {
-		spec.Runtime = "" // spec default
-	}
+	spec := wire()
+	spec.Tenant, spec.Weight, spec.MemoKey = *tenant, parseCount(*weight), *memoKey
+	spec.Block, spec.Blocks = int64(parseCount0(*block)), int64(parseCount0(*blocks))
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "supmr:", err)
 		os.Exit(2)
@@ -136,34 +84,28 @@ func submitMain(args []string) {
 }
 
 // jobMain handles the id-addressed ops: status, wait, cancel.
-func jobMain(op string, args []string) {
-	fs := flag.NewFlagSet("supmr "+op, flag.ExitOnError)
-	socket := fs.String("socket", "/tmp/supmrd.sock", "supmrd unix socket")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintf(os.Stderr, "supmr: usage: supmr %s [-socket PATH] JOB-ID\n", op)
-		os.Exit(2)
+func jobMain(op string, call func(*server.Client, int64) (*server.JobView, error)) func(args []string) {
+	return func(args []string) {
+		fs := flag.NewFlagSet("supmr "+op, flag.ExitOnError)
+		socket := fs.String("socket", "/tmp/supmrd.sock", "supmrd unix socket")
+		fs.Parse(args)
+		if fs.NArg() != 1 {
+			fmt.Fprintf(os.Stderr, "supmr: usage: supmr %s [-socket PATH] JOB-ID\n", op)
+			os.Exit(2)
+		}
+		id, err := strconv.ParseInt(fs.Arg(0), 10, 64)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "supmr: bad job id %q\n", fs.Arg(0))
+			os.Exit(2)
+		}
+		c := dial(*socket)
+		defer c.Close()
+		v, err := call(c, id)
+		if err != nil {
+			fatal(err)
+		}
+		printJob(*v)
 	}
-	id, err := strconv.ParseInt(fs.Arg(0), 10, 64)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "supmr: bad job id %q\n", fs.Arg(0))
-		os.Exit(2)
-	}
-	c := dial(*socket)
-	defer c.Close()
-	var v *server.JobView
-	switch op {
-	case "status":
-		v, err = c.Status(id)
-	case "wait":
-		v, err = c.Wait(id)
-	case "cancel":
-		v, err = c.Cancel(id)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	printJob(*v)
 }
 
 func listMain(args []string) {
@@ -221,32 +163,9 @@ func printJob(v server.JobView) {
 	if v.Error != "" {
 		fmt.Printf("  error=%q", v.Error)
 	}
-	if v.Result != nil {
-		fmt.Printf("\n  pairs=%d digest=%s\n  %s", v.Result.OutputPairs, v.Result.Digest, v.Result.Times)
-		if v.Result.SpilledRuns > 0 {
-			fmt.Printf("\n  spill: %d runs, %d bytes", v.Result.SpilledRuns, v.Result.SpilledBytes)
-		}
-		if v.Result.MemoHits > 0 || v.Result.MemoMisses > 0 {
-			fmt.Printf("\n  memo: %d hits, %d misses, %s saved",
-				v.Result.MemoHits, v.Result.MemoMisses, cliutil.FormatBytes(v.Result.MemoBytesSaved))
-		}
-		if v.Result.Nodes > 0 {
-			fmt.Printf("\n  shuffle: %d node(s), %s in %d frame(s) on the wire",
-				v.Result.Nodes, cliutil.FormatBytes(v.Result.ShuffleBytes), v.Result.ShuffleFrames)
-		}
-		if v.Result.RadixRuns > 0 {
-			fmt.Printf("\n  sortpath: %d run(s) radix-sorted", v.Result.RadixRuns)
-		}
-		if v.Result.EgressBytes > 0 {
-			fmt.Printf("\n  egress: %s in %d extent(s)",
-				cliutil.FormatBytes(v.Result.EgressBytes), v.Result.EgressExtents)
-		}
-		if v.Result.Faults != "" {
-			fmt.Printf("\n  faults: %s", v.Result.Faults)
-		}
-		for _, n := range v.Result.Notes {
-			fmt.Printf("\n  note: %s", n)
-		}
-	}
 	fmt.Println()
+	if v.Result != nil {
+		fmt.Printf("  pairs=%d digest=%s\n  %s\n", v.Result.OutputPairs, v.Result.Digest, v.Result.Times)
+		v.Result.WriteReport(os.Stdout, "  ")
+	}
 }

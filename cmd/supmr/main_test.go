@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"supmr"
+	"supmr/internal/jobspec"
 	"supmr/internal/server"
 )
 
@@ -137,11 +139,6 @@ func TestBadKnobsExitUsage(t *testing.T) {
 		{"size-garbage", []string{"-size", "12q"}, "bad size"},
 		{"memo-budget-negative", []string{"-memo-budget", "-2m"}, "negative size"},
 		{"memo-budget-garbage", []string{"-memo-budget", "lots"}, "bad size"},
-		// -digest runs a jobspec.Spec: a flag it cannot carry is a usage error.
-		{"digest-workers", []string{"-digest", "-workers", "-3"}, "cannot carry -workers"},
-		{"digest-merge", []string{"-digest", "-merge", "bogus"}, "cannot carry -merge"},
-		{"digest-flatcombiner", []string{"-digest", "-flatcombiner=off"}, "cannot carry -flatcombiner"},
-		{"digest-egress-extent", []string{"-digest", "-egress-lanes", "2", "-egress-extent", "7"}, "cannot carry -egress-extent"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -330,5 +327,196 @@ func TestBadSubmitKnobsExitUsage(t *testing.T) {
 				t.Fatalf("stderr %q does not explain the usage error (want %q)", out, tc.want)
 			}
 		})
+	}
+}
+
+// TestReportLineShapes pins the plain report's line shapes, per
+// application and per mode flag: each row's regexps must match whole
+// lines of stdout, in order. Scripts read these lines, so the report
+// keeps them whichever layer renders it.
+func TestReportLineShapes(t *testing.T) {
+	const (
+		times  = `total=\S+( [a-z+]+=\S+)+`
+		wcSum  = `distinct words: \d+  occurrences kept: \d+  map waves: \d+`
+		allocs = `allocs: read\+map=\d+objs/\S+( [a-z+]+=\d+objs/\S+)*`
+	)
+	small := []string{"-size", "256k", "-chunk", "32k", "-bw", "0"}
+	hdr := func(app string) string { return `app=` + app + ` runtime=supmr size=262144 chunk=32768 bw=0` }
+	cases := []struct {
+		name  string
+		args  []string
+		lines []string
+	}{
+		{"wordcount", []string{"-app", "wordcount"}, []string{hdr("wordcount"), times, allocs, wcSum}},
+		{"wordcount-traditional", []string{"-app", "wordcount", "-runtime", "traditional"},
+			[]string{`app=wordcount runtime=traditional size=262144 chunk=32768 bw=0`, times, wcSum}},
+		{"wordcount-whole-input", []string{"-app", "wordcount", "-chunk", "0", "-bw", "1g"},
+			[]string{`app=wordcount runtime=supmr size=262144 chunk=0 bw=1073741824`, times, `distinct words: \d+  occurrences kept: \d+  map waves: 1`}},
+		{"wordcount-budget", []string{"-app", "wordcount", "-budget", "16k"},
+			[]string{hdr("wordcount"), times, wcSum, `spill: [1-9]\d* runs, \d+ bytes written, merged in \d+ round\(s\) \(budget 16384\)`}},
+		{"wordcount-memo-budget", []string{"-app", "wordcount", "-memo", "-budget", "16k", "-memo-budget", "1m"},
+			[]string{hdr("wordcount"), times, wcSum, `memo: 0 hits, [1-9]\d* misses, 0B saved \(budget 1\.0MB\)`, `note: memo: MemoryBudget ignored .*`}},
+		{"wordcount-files", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-files-per-chunk", "2", "-flatcombiner=off"},
+			[]string{hdr("wordcount"), times, `distinct words: \d+  occurrences kept: \d+  map waves: 2`}},
+		{"wordcount-faults", []string{"-app", "wordcount", "-faults", "seed=1,read-err-every=5", "-retries", "4"},
+			[]string{hdr("wordcount"), times, wcSum, `faults: injected=[1-9]\d* \(transient=\d+ permanent=0\) .*retried=\d+ recovered=[1-9]\d*`}},
+		{"sort-modes", []string{"-app", "sort", "-nodes", "2", "-io-lanes", "2", "-prefetch-depth", "2", "-egress-lanes", "2", "-egress-extent", "64k"},
+			[]string{hdr("sort"), times, `records sorted: 2621  map waves: \d+  merge rounds: \d+`,
+				`sortpath: [1-9]\d* run\(s\) radix-sorted`,
+				`shuffle: 2 node\(s\), \S+ in [1-9]\d* frame\(s\) on the wire`,
+				`ingest: \d+ prefetch hits, \S+ stalled, lane bytes 0:\S+ 1:\S+`,
+				`egress: \S+ in [1-9]\d* extent\(s\), \S+ stalled, lane bytes 0:\S+ 1:\S+`}},
+		{"histogram", []string{"-app", "histogram"}, []string{hdr("histogram"), times, `byte values seen: \d+  map waves: \d+`}},
+		{"invindex", []string{"-app", "invindex", "-files", "4", "-filesize", "16k"}, []string{hdr("invindex"), times, `indexed words: \d+  files: 4`}},
+		{"grep", []string{"-app", "grep", "-pattern", "ba,zu"},
+			[]string{hdr("grep"), times, allocs, `  ba +\d+ matching lines`, `  zu +\d+ matching lines`}},
+		{"linreg", []string{"-app", "linreg"}, []string{hdr("linreg"), times, `fit: y = -?\d+\.\d{4}\*x \+ -?\d+\.\d\d over 131072 points`}},
+		{"kmeans", []string{"-app", "kmeans"},
+			[]string{hdr("kmeans"), `k-means: \d+ iterations, \d+ total map waves, final movement \d+\.\d{4}`,
+				`  cluster 0: \d+ points, centroid \(\d+\.\d, \d+\.\d\)`, `  cluster 3: \d+ points, centroid \(\d+\.\d, \d+\.\d\)`}},
+		{"trace-energy", []string{"-app", "wordcount", "-energy", "-bucket", "1ms", "-contexts", "2"},
+			[]string{hdr("wordcount"), times, wcSum, ``, `100% \|.*\|`, ` +legend: u=user s=sys w=iowait  bucket=1ms`,
+				`energy: \S+ J over \S+ \(avg \S+ W, peak \S+ W, E\*D \S+ J\*s\)`}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := supmrOut(t, append(slices.Clone(small), tc.args...)...)
+			rest := strings.Split(out, "\n")
+			for _, want := range tc.lines {
+				re := regexp.MustCompile(`^` + want + `$`)
+				i := slices.IndexFunc(rest, re.MatchString)
+				if i < 0 {
+					t.Fatalf("no line (in order) matching %q in:\n%s", want, out)
+				}
+				rest = rest[i+1:]
+			}
+		})
+	}
+}
+
+// TestDigestIsAPrintMode: -digest prints a different line about the
+// same run, so the flags a job server could not carry — they ride in
+// spec.Solo — are accepted beside it and leave the digest where the
+// bare -digest run put it.
+func TestDigestIsAPrintMode(t *testing.T) {
+	base := []string{"-digest", "-app", "wordcount", "-size", "256k", "-chunk", "32k", "-bw", "0", "-seed", "3"}
+	want := regexp.MustCompile(`digest=\S+`).FindString(supmrOut(t, base...))
+	if want == "" {
+		t.Fatal("bare -digest run printed no digest")
+	}
+	for _, extra := range [][]string{
+		{"-workers", "2"},
+		{"-merge", "pairwise"},
+		{"-flatcombiner=off"},
+		{"-egress-lanes", "2", "-egress-extent", "64k"},
+		{"-chunk", "0"},
+	} {
+		out := supmrOut(t, append(slices.Clone(base), extra...)...)
+		if !strings.HasPrefix(out, "app=wordcount pairs=") || !strings.Contains(out, want) || strings.Count(out, "\n") != 1 {
+			t.Errorf("-digest %v printed %q, want one digest line carrying %s", extra, out, want)
+		}
+	}
+}
+
+// TestAppModeMatrix feeds every (app x mode) cell to the plain CLI path
+// — the spec parseFlags builds, run by the function main calls — and to
+// jobspec with a hand-built spec, and requires one outcome from both:
+// the digest of the app's plain run, or the same error text. What an
+// app refuses is stated once, in its table entry, so the surfaces
+// cannot disagree about it.
+func TestAppModeMatrix(t *testing.T) {
+	eng := supmr.NewEngine(supmr.EngineConfig{Workers: 2, MaxJobs: 2})
+	defer eng.Close()
+	upstream := []byte("0\t17\n1\t4\nbazu\t2\n")
+	cells := []struct {
+		name   string
+		flags  []string
+		set    func(*jobspec.Spec)
+		engine bool
+		piped  bool
+	}{
+		{name: "plain"},
+		{name: "budget", flags: []string{"-budget", "8k"}, set: func(s *jobspec.Spec) { s.Budget = 8 << 10 }},
+		{name: "memo", flags: []string{"-memo"}, set: func(s *jobspec.Spec) { s.Memo = true }},
+		{name: "nodes", flags: []string{"-nodes", "2"}, set: func(s *jobspec.Spec) { s.Nodes = 2 }},
+		{name: "engine", engine: true},
+		{name: "piped", piped: true},
+	}
+	for _, app := range strings.Split(jobspec.Apps(), " | ") {
+		plain := ""
+		for _, c := range cells {
+			t.Run(app+"/"+c.name, func(t *testing.T) {
+				cli, _, _ := parseFlags(append([]string{"-app", app, "-size", "96k", "-chunk", "16k", "-bw", "0", "-seed", "7", "-pattern", "ba,zu"}, c.flags...))
+				built := jobspec.Spec{App: app, Size: 96 << 10, ChunkBytes: 16 << 10, Seed: 7, Pattern: "ba,zu"}
+				if c.set != nil {
+					c.set(&built)
+				}
+				outcome := func(spec jobspec.Spec) string {
+					var e *supmr.Engine
+					if c.engine {
+						e = eng
+					}
+					var in supmr.Input
+					if c.piped {
+						in = supmr.MemoryFile("up.out", upstream, supmr.NewClock())
+					}
+					res, _, err := jobspec.RunInput(context.Background(), spec, e, in)
+					if err != nil {
+						return "error: " + err.Error()
+					}
+					return fmt.Sprintf("%d pairs, digest %s", res.OutputPairs, res.Digest)
+				}
+				got, want := outcome(cli), outcome(built)
+				if got != want {
+					t.Fatalf("CLI path: %s\njobspec:  %s", got, want)
+				}
+				refusal := "error: jobspec: " + c.name + " is incompatible with " + app + ": "
+				switch {
+				case c.name == "plain":
+					if plain = got; strings.HasPrefix(got, "error") {
+						t.Fatalf("plain run failed: %s", got)
+					}
+				case c.piped: // another input, so another digest: accepted exactly by the apps that parse piped text
+					if refused := strings.Contains(got, "cannot consume a piped input"); refused == jobspec.CanConsumePiped(app) {
+						t.Fatalf("%s, but CanConsumePiped(%s) = %v", got, app, !refused)
+					}
+				case got != plain && !strings.HasPrefix(got, refusal):
+					t.Fatalf("%s, neither the plain run's (%s) nor this app's refusal of %s", got, plain, c.name)
+				}
+			})
+		}
+	}
+}
+
+// TestNewAppsOnEverySurface: the apps jobspec did not know before the
+// table — invindex, linreg, kmeans — print one digest from `supmr
+// -digest`, jobspec.Run and `supmr submit -wait`, or are refused by
+// supmrd with their table entry's sentence (kmeans, on an engine).
+func TestNewAppsOnEverySurface(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "d.sock")
+	srv, err := server.New(server.Config{Socket: sock, Engine: supmr.EngineConfig{Workers: 2, MaxJobs: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { srv.Serve(); close(served) }()
+	defer func() { srv.Close(); <-served }()
+	for _, app := range []string{"invindex", "linreg", "kmeans"} {
+		knobs := []string{"-app", app, "-size", "96k", "-chunk", "16k", "-seed", "7"}
+		direct := digestTokens.FindString(supmrOut(t, append([]string{"-digest", "-bw", "0"}, knobs...)...))
+		res, err := jobspec.Run(context.Background(), jobspec.Spec{App: app, Size: 96 << 10, ChunkBytes: 16 << 10, Seed: 7}, nil)
+		if err != nil || direct != "digest="+res.Digest {
+			t.Fatalf("%s: supmr -digest prints %q, jobspec.Run %v %v", app, direct, res, err)
+		}
+		cmd := exec.Command(os.Args[0], append([]string{"submit", "-socket", sock, "-wait"}, knobs...)...)
+		cmd.Env = append(os.Environ(), "SUPMR_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if app == "kmeans" {
+			if err == nil || !strings.Contains(string(out), "state=failed") || !strings.Contains(string(out), "engine is incompatible with kmeans") {
+				t.Fatalf("kmeans on supmrd: %v\n%s", err, out)
+			}
+		} else if got := digestTokens.FindString(string(out)); err != nil || got != direct {
+			t.Fatalf("%s: submit -wait prints %q (%v), the direct run %q:\n%s", app, got, err, direct, out)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"supmr/internal/cliutil"
 	"supmr/internal/dag"
 	"supmr/internal/jobspec"
 )
@@ -78,17 +77,11 @@ func pipelineMain(args []string) {
 	}
 	res, err := dag.Run(ctx, g, dag.Options{Materialize: *materialize})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "supmr:", err)
-		os.Exit(cliutil.ExitCode(err))
+		fatal(err)
 	}
 	fmt.Printf("pipeline=%s mode=%s rounds=%d\n", *kind, mode, len(res.Rounds))
 	for _, r := range res.Rounds {
 		fmt.Printf("round %-8s app=%-6s pairs=%d digest=%s\n", r.ID, r.Res.App, r.Res.OutputPairs, r.Res.Digest)
-		if r.Res.EgressBytes > 0 {
-			fmt.Printf("  egress: %s in %d extent(s)\n", cliutil.FormatBytes(r.Res.EgressBytes), r.Res.EgressExtents)
-		}
-		if r.Res.Faults != "" {
-			fmt.Printf("  faults: %s\n", r.Res.Faults)
-		}
+		r.Res.WriteReport(os.Stdout, "  ")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"supmr"
@@ -35,7 +34,7 @@ func main() {
 		opSlots    = flag.String("op-slots", "1", "compute operations (map waves, spill drains, merges) running at once")
 		memoBudg   = flag.String("memo-budget", "64m", "shared memo-store byte budget; least-recently-used entries evict beyond it")
 	)
-	memo := memoFlag(true)
+	memo := cliutil.OnOff(true)
 	flag.Var(&memo, "memo", "host a shared memo store: memoized submissions (supmr submit -memo) replay cached map output across jobs; off disables it")
 	flag.Parse()
 
@@ -91,31 +90,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// memoFlag is a boolean flag that also accepts on/off, so the ablation
-// reads naturally as -memo=off.
-type memoFlag bool
-
-func (f *memoFlag) String() string {
-	if bool(*f) {
-		return "on"
-	}
-	return "off"
-}
-
-func (f *memoFlag) Set(s string) error {
-	switch strings.ToLower(s) {
-	case "on", "true", "1", "yes":
-		*f = true
-	case "off", "false", "0", "no":
-		*f = false
-	default:
-		return fmt.Errorf("invalid value %q (want on or off)", s)
-	}
-	return nil
-}
-
-func (f *memoFlag) IsBoolFlag() bool { return true }
 
 // parseSize parses "64", "64k", "4m", "2g" into bytes; bad or negative
 // values are a usage error.

@@ -99,3 +99,28 @@ func ExitCode(err error) int {
 	}
 	return 1
 }
+
+// OnOff is a boolean flag value that also accepts on/off, so an
+// ablation reads naturally as -flatcombiner=off or -memo=off.
+type OnOff bool
+
+func (f *OnOff) String() string {
+	if bool(*f) {
+		return "on"
+	}
+	return "off"
+}
+
+func (f *OnOff) Set(s string) error {
+	switch strings.ToLower(s) {
+	case "on", "true", "1", "yes":
+		*f = true
+	case "off", "false", "0", "no":
+		*f = false
+	default:
+		return fmt.Errorf("invalid value %q (want on or off)", s)
+	}
+	return nil
+}
+
+func (f *OnOff) IsBoolFlag() bool { return true }

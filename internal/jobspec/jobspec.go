@@ -11,20 +11,21 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
+	"io"
+	"time"
 
 	"supmr"
 	"supmr/internal/cliutil"
 	"supmr/internal/kv"
-	"supmr/internal/workload"
 )
 
 // Spec describes one job submission. The zero value of every optional
 // field selects the documented default; Validate rejects nonsensical
 // values instead of guessing.
 type Spec struct {
-	// App selects the application: wordcount | sort | histogram | grep |
-	// psum1 | psum2 (the two rounds of the prefix-sum pipeline).
+	// App selects the application, one of the table in apps.go (Apps
+	// lists them; psum1 and psum2 are the two rounds of the prefix-sum
+	// pipeline).
 	App string `json:"app"`
 	// Runtime selects the runtime: "supmr" (default) | "traditional".
 	Runtime string `json:"runtime,omitempty"`
@@ -92,6 +93,33 @@ type Spec struct {
 	// (default: derived from Size and Block as a standalone round-1
 	// reference; a DAG fills it from the upstream round).
 	Blocks int64 `json:"blocks,omitempty"`
+	// Solo is the part of a Spec that never crosses the wire.
+	Solo Solo `json:"-"`
+}
+
+// Solo holds the knobs that only make sense for one local run on its
+// own worker pool: cmd/supmr fills them from its flags, supmrd and DAG
+// rounds leave them zero.
+type Solo struct {
+	Workers int    // worker goroutines (0 = GOMAXPROCS)
+	Merge   string // merge algorithm override: "" | "pairwise" | "pway"
+	// Files, when positive, replaces the one generated file with that
+	// many files of FileSize bytes each, FilesPerChunk of them to an
+	// ingest chunk (Hybrid: hybrid inter/intra-file chunking instead).
+	Files, FilesPerChunk int
+	FileSize             int64
+	Hybrid               bool
+	Adaptive             bool // the adaptive chunk-size feedback loop
+	// WholeInput ingests the input as a single chunk (the CLI's
+	// -chunk 0) where a zero ChunkBytes otherwise selects 256 KiB.
+	WholeInput bool
+	// TraceContexts, when positive, records the utilization trace
+	// normalized to that many hardware contexts, TraceBucket wide.
+	TraceContexts int
+	TraceBucket   time.Duration
+	MapCombiner   bool  // the map-backed combining container, where the app has one (-flatcombiner=off)
+	MemoBudget    int64 // budget of a Memo run's private store (0 = 64 MiB)
+	EgressExtent  int64 // egress extent size (0 = 256 KiB)
 }
 
 // Result summarizes a completed job: counters, the phase breakdown, and
@@ -120,13 +148,12 @@ type Result struct {
 	MemoBytesSaved int64 `json:"memo_bytes_saved,omitempty"`
 	// Nodes echoes the simulated cluster size of a multi-node run.
 	// ShuffleBytes is the framed bytes that crossed simulated links,
-	// ShuffleFrames the delivered frame count. ShuffleBytesSaved
-	// (shuffle_bytes_saved) is deprecated and always 0: compare
-	// ShuffleBytes with the innode_combiner_off run's instead.
-	Nodes             int   `json:"nodes,omitempty"`
-	ShuffleBytes      int64 `json:"shuffle_bytes,omitempty"`
-	ShuffleBytesSaved int64 `json:"shuffle_bytes_saved,omitempty"`
-	ShuffleFrames     int   `json:"shuffle_frames,omitempty"`
+	// ShuffleFrames the delivered frame count; the in-node combiner's
+	// saving is the ShuffleBytes difference to the innode_combiner_off
+	// run.
+	Nodes         int   `json:"nodes,omitempty"`
+	ShuffleBytes  int64 `json:"shuffle_bytes,omitempty"`
+	ShuffleFrames int   `json:"shuffle_frames,omitempty"`
 	// EgressBytes/EgressExtents report the materialized output when the
 	// spec set EgressLanes (sha256 of the egressed bytes == Digest).
 	EgressBytes   int64 `json:"egress_bytes,omitempty"`
@@ -134,137 +161,168 @@ type Result struct {
 	// Notes surfaces configuration caveats the run adapted to (engine
 	// instruments disabled, memo ignoring the budget).
 	Notes []string `json:"notes,omitempty"`
+	// Detail is the part of a Result that never crosses the wire; nil
+	// on a result decoded from supmrd.
+	Detail *Detail `json:"-"`
 }
 
-// apps the server knows how to build workloads for.
-var knownApps = map[string]bool{
-	"wordcount": true, "sort": true, "histogram": true, "grep": true,
-	"psum1": true, "psum2": true,
+// Detail is what the plain CLI report prints beyond Result's counters.
+type Detail struct {
+	// Spec is the spec as the pipeline ran it (zero for an app whose
+	// driver bypasses the pipeline's report).
+	Spec   Spec
+	Stats  supmr.Stats
+	Allocs supmr.PhaseAllocs
+	// Trace is the utilization trace when Solo.TraceContexts asked for it.
+	Trace *supmr.UtilTrace
+	// Summary is the application's own report line(s), newline-terminated.
+	Summary string
 }
-
-// pipedApps consume newline-terminated "key\tvalue" text — the egress
-// rendering — so they can run over a piped upstream output in a DAG.
-// sort (100-byte CRLF records) and psum1 (16-byte self-indexed
-// records) need generated workloads and can only be source rounds.
-var pipedApps = map[string]bool{
-	"wordcount": true, "histogram": true, "grep": true, "psum2": true,
-}
-
-// CanConsumePiped reports whether app can run over a piped upstream
-// output (internal/dag uses this to validate graph edges).
-func CanConsumePiped(app string) bool { return pipedApps[app] }
 
 // Validate rejects malformed specs with a descriptive error and fills
 // in no defaults — normalization happens in Run.
 func (s Spec) Validate() error {
+	_, _, err := s.check(false, false, nil)
+	return err
+}
+
+// check is Validate for a run that is (or is not) on an engine and over
+// a piped input. It returns the spec's entry in the app table and the
+// spec's knobs as the supmr.Config the run will carry.
+func (s Spec) check(engine, piped bool, clock supmr.Clock) (a *app, cfg supmr.Config, err error) {
 	if s.App == "" {
-		return fmt.Errorf("jobspec: missing app")
+		return nil, cfg, fmt.Errorf("jobspec: missing app")
 	}
-	if !knownApps[s.App] {
-		return fmt.Errorf("jobspec: unknown app %q (want wordcount, sort, histogram, grep, psum1 or psum2)", s.App)
+	if a = lookup(s.App); a == nil {
+		return nil, cfg, fmt.Errorf("jobspec: unknown app %q (want %s)", s.App, Apps())
 	}
 	switch s.Runtime {
 	case "", "supmr", "traditional":
 	default:
-		return fmt.Errorf("jobspec: unknown runtime %q", s.Runtime)
+		return nil, cfg, fmt.Errorf("jobspec: unknown runtime %q", s.Runtime)
 	}
-	if s.Size < 0 {
-		return fmt.Errorf("jobspec: negative size %d", s.Size)
-	}
-	if s.ChunkBytes < 0 {
-		return fmt.Errorf("jobspec: negative chunk size %d", s.ChunkBytes)
-	}
-	if s.Budget < 0 {
-		return fmt.Errorf("jobspec: negative budget %d", s.Budget)
-	}
-	if s.BW < 0 {
-		return fmt.Errorf("jobspec: negative bandwidth %d", s.BW)
-	}
-	if s.IOLanes < 0 {
-		return fmt.Errorf("jobspec: io_lanes must be positive, got %d", s.IOLanes)
-	}
-	if s.PrefetchDepth < 0 {
-		return fmt.Errorf("jobspec: prefetch_depth must be positive, got %d", s.PrefetchDepth)
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"size", s.Size}, {"chunk size", s.ChunkBytes}, {"budget", s.Budget}, {"bandwidth", s.BW},
+		{"io_lanes", int64(s.IOLanes)}, {"prefetch_depth", int64(s.PrefetchDepth)}, {"egress_lanes", int64(s.EgressLanes)},
+		{"node count", int64(s.Nodes)}, {"block", s.Block}, {"blocks", s.Blocks},
+	} {
+		if f.v < 0 {
+			return nil, cfg, fmt.Errorf("jobspec: negative %s %d", f.name, f.v)
+		}
 	}
 	if s.Weight < 0 {
-		return fmt.Errorf("jobspec: negative weight %d (fair-share weight must be at least 1; omit for the default)", s.Weight)
-	}
-	if s.Nodes < 0 {
-		return fmt.Errorf("jobspec: negative node count %d", s.Nodes)
+		return nil, cfg, fmt.Errorf("jobspec: negative weight %d (fair-share weight must be at least 1; omit for the default)", s.Weight)
 	}
 	if s.InNodeCombinerOff && s.Nodes == 0 {
-		return fmt.Errorf("jobspec: innode_combiner_off set without nodes")
+		return nil, cfg, fmt.Errorf("jobspec: innode_combiner_off set without nodes")
 	}
 	if s.MemoKey != "" && !s.Memo {
-		return fmt.Errorf("jobspec: memo_key set without memo")
+		return nil, cfg, fmt.Errorf("jobspec: memo_key set without memo")
 	}
-	if s.Budget > 0 && s.App == "histogram" {
-		return fmt.Errorf("jobspec: budget is incompatible with histogram: its array container has a fixed footprint and cannot spill")
+	if s.Block > 0 && !a.block {
+		return nil, cfg, fmt.Errorf("jobspec: block is only meaningful for %s, not %q", appList(func(a *app) bool { return a.block }), s.App)
 	}
-	if s.Faults != "" {
-		if _, err := cliutil.ParseFaultPlan(s.Faults); err != nil {
-			return fmt.Errorf("jobspec: %w", err)
+	if s.Blocks > 0 && !a.blocks {
+		return nil, cfg, fmt.Errorf("jobspec: blocks is only meaningful for %s, not %q", appList(func(a *app) bool { return a.blocks }), s.App)
+	}
+	// What this application refuses, by its table entry.
+	for _, m := range []struct {
+		set  bool
+		mode mode
+	}{
+		{s.Budget > 0, modeBudget}, {s.Memo, modeMemo}, {s.Nodes > 0, modeNodes}, {engine, modeEngine},
+	} {
+		if why, refused := a.refuses[m.mode]; m.set && refused {
+			return nil, cfg, fmt.Errorf("jobspec: %s is incompatible with %s: %s", m.mode, a.name, why)
 		}
 	}
-	if s.Retries != "" {
-		if _, err := cliutil.ParseRetryPolicy(s.Retries); err != nil {
-			return fmt.Errorf("jobspec: %w", err)
-		}
+	if s.Solo.Files > 0 && a.docs == "" {
+		return nil, cfg, fmt.Errorf("jobspec: files is incompatible with %s: it maps one generated file (multi-file inputs: %s)", a.name, appList(func(a *app) bool { return a.docs != "" }))
 	}
-	if s.EgressLanes < 0 {
-		return fmt.Errorf("jobspec: egress_lanes must be positive, got %d", s.EgressLanes)
+	if piped && !a.piped {
+		return nil, cfg, fmt.Errorf("jobspec: app %q cannot consume a piped input (it maps a generated record format; pipe into %s)", a.name, appList(func(a *app) bool { return a.piped }))
 	}
-	if s.Block < 0 {
-		return fmt.Errorf("jobspec: negative block %d", s.Block)
+	if piped && s.Memo {
+		return nil, cfg, fmt.Errorf("jobspec: memo is incompatible with a piped input (piped rounds hold no stable file identity to key the cache by)")
 	}
-	if s.Blocks < 0 {
-		return fmt.Errorf("jobspec: negative blocks %d", s.Blocks)
+	if cfg, err = s.config(a, clock); err == nil {
+		// The mode rules (which knobs need the supmr runtime, which
+		// exclude each other) are supmr.Config's to state.
+		err = cfg.Validate()
 	}
-	if s.Block > 0 && s.App != "psum1" && s.App != "psum2" {
-		return fmt.Errorf("jobspec: block is only meaningful for psum1/psum2, not %q", s.App)
+	if err != nil {
+		return nil, cfg, fmt.Errorf("jobspec: %w", err)
 	}
-	if s.Blocks > 0 && s.App != "psum2" {
-		return fmt.Errorf("jobspec: blocks is only meaningful for psum2, not %q", s.App)
-	}
-	// The mode rules (which knobs need the supmr runtime, which exclude
-	// each other) are supmr.Config's to state.
-	if err := s.config().Validate(); err != nil {
-		return fmt.Errorf("jobspec: %w", err)
-	}
-	return nil
+	return a, cfg, nil
 }
 
-// config is the spec's knobs as the supmr.Config the run will carry;
-// RunInput attaches the substrate (context, clock, devices, engine,
-// faults) around it.
-func (s Spec) config() supmr.Config {
-	cfg := supmr.Config{
-		Runtime:       supmr.RuntimeSupMR,
-		ChunkBytes:    s.ChunkBytes,
-		MemoryBudget:  s.Budget,
-		IOLanes:       s.IOLanes,
-		PrefetchDepth: s.PrefetchDepth,
-		Tenant:        s.Tenant,
-		Weight:        s.Weight,
-		Memo:          s.Memo,
-		Nodes:         s.Nodes,
-		EgressLanes:   s.EgressLanes,
+var mergeAlgos = map[string]supmr.MergeAlgo{"pairwise": supmr.MergePairwise, "pway": supmr.MergePWay}
+
+// config is the spec's knobs as a supmr.Config; RunInput attaches the
+// substrate (context, devices, engine) around it.
+func (s Spec) config(a *app, clock supmr.Clock) (cfg supmr.Config, err error) {
+	cfg = supmr.Config{
+		Runtime:           supmr.RuntimeSupMR,
+		Clock:             clock,
+		ChunkBytes:        s.ChunkBytes,
+		MemoryBudget:      s.Budget,
+		IOLanes:           s.IOLanes,
+		PrefetchDepth:     s.PrefetchDepth,
+		Tenant:            s.Tenant,
+		Weight:            s.Weight,
+		Memo:              s.Memo,
+		MemoKeySpace:      s.MemoKey,
+		Nodes:             s.Nodes,
+		EgressLanes:       s.EgressLanes,
+		Workers:           s.Solo.Workers,
+		FilesPerChunk:     s.Solo.FilesPerChunk,
+		HybridChunks:      s.Solo.Hybrid,
+		AdaptiveChunks:    s.Solo.Adaptive,
+		TraceContexts:     s.Solo.TraceContexts,
+		TraceBucket:       s.Solo.TraceBucket,
+		MemoBudget:        s.Solo.MemoBudget,
+		EgressExtentBytes: s.Solo.EgressExtent,
 	}
 	if s.Runtime == "traditional" {
 		cfg.Runtime = supmr.RuntimeTraditional
 	}
-	if cfg.ChunkBytes <= 0 {
+	if cfg.ChunkBytes <= 0 && !s.Solo.WholeInput {
 		cfg.ChunkBytes = 256 << 10
 	}
+	if s.Memo && s.MemoKey == "" {
+		// Derive a key space covering everything that shapes a chunk's map
+		// output besides its content: the app and whatever parameters its
+		// table entry names.
+		if cfg.MemoKeySpace = a.name; a.keySpace != nil {
+			cfg.MemoKeySpace = a.keySpace(s)
+		}
+	}
+	if m, ok := mergeAlgos[s.Solo.Merge]; ok {
+		cfg.Merge = &m
+	} else if s.Solo.Merge != "" {
+		return cfg, fmt.Errorf("unknown merge algorithm %q", s.Solo.Merge)
+	}
+	off := false
 	if s.RadixOff {
-		off := false
 		cfg.RadixSort = &off
 	}
 	if s.InNodeCombinerOff {
-		off := false
 		cfg.InNodeCombiner = &off
 	}
-	return cfg
+	if s.Faults != "" {
+		plan, err := cliutil.ParseFaultPlan(s.Faults)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Faults = supmr.NewFaultInjector(plan, clock)
+	}
+	if s.Retries != "" {
+		cfg.Retry, err = cliutil.ParseRetryPolicy(s.Retries)
+	}
+	return cfg, err
 }
 
 // Run executes the spec. With eng non-nil the job is submitted to the
@@ -276,6 +334,17 @@ func Run(ctx context.Context, spec Spec, eng *supmr.Engine) (*Result, error) {
 	return res, err
 }
 
+// run is one execution in flight: the normalized spec, the Config built
+// from it, the simulated device and the ingest source (file, or files
+// for a multi-file input).
+type run struct {
+	spec  Spec
+	cfg   supmr.Config
+	dev   supmr.Device
+	file  supmr.Input
+	files []supmr.Input
+}
+
 // RunInput is Run over an explicit ingest source: with input non-nil
 // the spec's generated workload is replaced by input — the zero-copy
 // pipe internal/dag chains rounds with (an upstream job's egressed
@@ -284,194 +353,157 @@ func Run(ctx context.Context, spec Spec, eng *supmr.Engine) (*Result, error) {
 // the materialized output when spec.EgressLanes was set, nil
 // otherwise; callers chaining jobs feed it to the next round.
 func RunInput(ctx context.Context, spec Spec, eng *supmr.Engine, input supmr.Input) (*Result, *supmr.EgressOutput, error) {
-	if err := spec.Validate(); err != nil {
+	clock := supmr.NewClock()
+	a, cfg, err := spec.check(eng != nil, input != nil, clock)
+	if err != nil {
 		return nil, nil, err
 	}
-	if input != nil {
-		if !CanConsumePiped(spec.App) {
-			return nil, nil, fmt.Errorf("jobspec: app %q cannot consume a piped input (it maps a generated record format; pipe into wordcount, histogram, grep or psum2)", spec.App)
-		}
-		if spec.Memo {
-			return nil, nil, fmt.Errorf("jobspec: memo is incompatible with a piped input (piped rounds hold no stable file identity to key the cache by)")
-		}
+	if spec.Size <= 0 {
+		spec.Size = 4 << 20
 	}
-	size := spec.Size
-	if size <= 0 {
-		size = 4 << 20
+	if spec.Seed == 0 {
+		spec.Seed = 1
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	block := spec.Block
-	if block <= 0 {
-		block = 256
-	}
-
-	clock := supmr.NewClock()
-	var dev supmr.Device
+	r := &run{spec: spec, cfg: cfg, file: input}
 	if spec.BW > 0 {
-		d, err := supmr.NewDisk("sim", float64(spec.BW), 0, clock)
-		if err != nil {
+		if r.dev, err = supmr.NewDisk("sim", float64(spec.BW), 0, clock); err != nil {
 			return nil, nil, err
 		}
-		dev = d
 	} else {
-		dev = supmr.NewFastDevice(clock)
+		r.dev = supmr.NewFastDevice(clock)
 	}
-
-	cfg := spec.config()
-	cfg.Context = ctx
-	cfg.Clock = clock
-	cfg.Engine = eng
-	rtName := cfg.Runtime.String()
+	r.cfg.Context = ctx
+	r.cfg.Engine = eng
 	// Egress and spill contend with ingest for the same bandwidth.
-	if cfg.EgressLanes > 0 {
-		cfg.EgressDevice = dev
+	if spec.EgressLanes > 0 {
+		r.cfg.EgressDevice = r.dev
 	}
-	if cfg.MemoryBudget > 0 {
-		cfg.SpillDevice = dev
+	if spec.Budget > 0 {
+		r.cfg.SpillDevice = r.dev
 	}
-	if spec.Faults != "" {
-		plan, err := cliutil.ParseFaultPlan(spec.Faults)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Faults = supmr.NewFaultInjector(plan, clock)
+	files, fileSize := spec.Solo.Files, spec.Solo.FileSize
+	if files <= 0 && a.input == nil {
+		files, fileSize = 16, spec.Size/16
 	}
-	if spec.Retries != "" {
-		policy, err := cliutil.ParseRetryPolicy(spec.Retries)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Retry = policy
+	switch {
+	case input != nil:
+	case files > 0:
+		r.files, err = supmr.TextFiles(a.docs, files, fileSize, spec.Seed, r.dev)
+	default:
+		r.file, err = a.input(r)
 	}
-	if spec.Memo {
-		cfg.MemoKeySpace = spec.MemoKey
-		if cfg.MemoKeySpace == "" {
-			// Derive a key space covering everything that shapes a chunk's
-			// map output besides its content: the app and, for grep, its
-			// pattern list.
-			cfg.MemoKeySpace = spec.App
-			if spec.App == "grep" {
-				p := spec.Pattern
-				if p == "" {
-					p = "ERROR"
-				}
-				cfg.MemoKeySpace = "grep:" + p
-			}
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-
-	switch spec.App {
-	case "wordcount":
-		f := input
-		if f == nil {
-			tf, err := supmr.TextFile("wcinput", size, seed, dev)
-			if err != nil {
-				return nil, nil, err
-			}
-			f = tf
-		}
-		return execJob(supmr.WordCountJob(), f, supmr.WordCountContainer(64), cfg, spec.App, rtName)
-	case "sort":
-		cfg.Boundary = supmr.CRLFRecords
-		f, err := supmr.TeraFile("sortinput", size/100, uint64(seed), dev)
-		if err != nil {
-			return nil, nil, err
-		}
-		return execJob(supmr.SortJob(), f, supmr.SortContainer(), cfg, spec.App, rtName)
-	case "histogram":
-		f := input
-		if f == nil {
-			tf, err := supmr.TextFile("histinput", size, seed, dev)
-			if err != nil {
-				return nil, nil, err
-			}
-			f = tf
-		}
-		job := supmr.HistogramJob()
-		return execJob(job, f, job.NewContainer(8), cfg, spec.App, rtName)
-	case "grep":
-		pattern := spec.Pattern
-		if pattern == "" {
-			pattern = "ERROR"
-		}
-		job := supmr.GrepJob(strings.Split(pattern, ",")...)
-		f := input
-		if f == nil {
-			tf, err := supmr.TextFile("grepinput", size, seed, dev)
-			if err != nil {
-				return nil, nil, err
-			}
-			f = tf
-		}
-		return execJob(job, f, job.NewContainer(), cfg, spec.App, rtName)
-	case "psum1":
-		records := size / workload.SeqRecordWidth
-		f, err := supmr.SeqFile("psuminput", records, seed, dev)
-		if err != nil {
-			return nil, nil, err
-		}
-		job := supmr.PrefixPartJob(block)
-		return execJob(job, f, job.NewContainer(64), cfg, spec.App, rtName)
-	case "psum2":
-		f := input
-		blocks := spec.Blocks
-		if f == nil {
-			// Standalone: synthesize round 1's reference output from the
-			// generator's expected block sums.
-			records := size / workload.SeqRecordWidth
-			sums := workload.SeqGen{Seed: seed}.BlockSums(records, block)
-			var buf strings.Builder
-			for b, s := range sums {
-				fmt.Fprintf(&buf, "%d\t%d\n", b, s)
-			}
-			f = supmr.MemoryFile("psum2input", []byte(buf.String()), clock)
-			if blocks <= 0 {
-				blocks = int64(len(sums))
-			}
-		}
-		if blocks <= 0 {
-			return nil, nil, fmt.Errorf("jobspec: psum2 over a piped input needs blocks (the upstream round's block count)")
-		}
-		job := supmr.PrefixTotalJob(blocks)
-		return execJob(job, f, job.NewContainer(64), cfg, spec.App, rtName)
+	res, out, err := a.run(r)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("jobspec: unknown app %q", spec.App)
+	res.App, res.Nodes = a.name, spec.Nodes
+	return res, out, nil
 }
 
-// execJob runs one typed job and flattens its report into a Result.
-func execJob[K comparable, V any](job supmr.Job[K, V], f supmr.Input, cont supmr.Container[K, V], cfg supmr.Config, app, rtName string) (*Result, *supmr.EgressOutput, error) {
-	rep, err := supmr.RunFile(job, f, cont, cfg)
+// execJob runs one typed job over the run's input — the job states its
+// own record boundary — and flattens its report into a Result; summary
+// renders the application's report line.
+func execJob[K comparable, V any, J interface {
+	supmr.Job[K, V]
+	Boundary() supmr.Boundary
+}](r *run, job J, cont supmr.Container[K, V], summary func(*supmr.Report[K, V]) string) (*Result, *supmr.EgressOutput, error) {
+	r.cfg.Boundary = job.Boundary()
+	var rep *supmr.Report[K, V]
+	var err error
+	if r.files != nil {
+		rep, err = supmr.RunFiles[K, V](job, r.files, cont, r.cfg)
+	} else {
+		rep, err = supmr.RunFile[K, V](job, r.file, cont, r.cfg)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	res := &Result{
-		App:               app,
-		Runtime:           rtName,
-		OutputPairs:       len(rep.Pairs),
-		Digest:            Digest(rep.Pairs),
-		Times:             rep.Times.String(),
-		MapWaves:          rep.Stats.MapWaves,
-		RadixRuns:         rep.Stats.RadixRuns,
-		SpilledRuns:       rep.Stats.SpilledRuns,
-		SpilledBytes:      rep.Stats.SpilledBytes,
-		MemoHits:          rep.Stats.MemoHits,
-		MemoMisses:        rep.Stats.MemoMisses,
-		MemoBytesSaved:    rep.Stats.MemoBytesSaved,
-		Nodes:             cfg.Nodes,
-		ShuffleBytes:      rep.Stats.ShuffleBytes,
-		ShuffleBytesSaved: rep.Stats.ShuffleBytesSaved,
-		ShuffleFrames:     rep.Stats.ShuffleFrames,
-		EgressBytes:       rep.Stats.EgressBytes,
-		EgressExtents:     rep.Stats.EgressExtents,
-		Notes:             rep.Notes,
+		Runtime:        r.cfg.Runtime.String(),
+		OutputPairs:    len(rep.Pairs),
+		Digest:         Digest(rep.Pairs),
+		Times:          rep.Times.String(),
+		MapWaves:       rep.Stats.MapWaves,
+		RadixRuns:      rep.Stats.RadixRuns,
+		SpilledRuns:    rep.Stats.SpilledRuns,
+		SpilledBytes:   rep.Stats.SpilledBytes,
+		MemoHits:       rep.Stats.MemoHits,
+		MemoMisses:     rep.Stats.MemoMisses,
+		MemoBytesSaved: rep.Stats.MemoBytesSaved,
+		ShuffleBytes:   rep.Stats.ShuffleBytes,
+		ShuffleFrames:  rep.Stats.ShuffleFrames,
+		EgressBytes:    rep.Stats.EgressBytes,
+		EgressExtents:  rep.Stats.EgressExtents,
+		Notes:          rep.Notes,
+		Detail:         &Detail{Spec: r.spec, Stats: rep.Stats, Allocs: rep.Allocs, Trace: rep.Trace, Summary: summary(rep)},
 	}
 	if rep.Stats.Faults.Any() {
 		res.Faults = rep.Stats.Faults.String()
 	}
 	return res, rep.Egress, nil
+}
+
+// WriteReport prints the counter lines of a finished job, one per mode
+// that left a trace, each prefixed by indent. It is the one renderer of
+// these lines: the plain CLI report, `supmr submit -wait` and `supmr
+// pipeline` all print through it. A result that ran in this process
+// (Detail set) carries the figures the wire format has no field for.
+func (r *Result) WriteReport(w io.Writer, indent string) {
+	line := func(format string, a ...any) { fmt.Fprintf(w, indent+format+"\n", a...) }
+	d := r.Detail
+	if d == nil {
+		d = &Detail{}
+	}
+	// tail renders local-only figures, and nothing for a wire result.
+	tail := func(format string, a ...any) string {
+		if r.Detail == nil {
+			return ""
+		}
+		return fmt.Sprintf(format, a...)
+	}
+	lanes := func(stall time.Duration, bytes []int64) string {
+		s := fmt.Sprintf("%s stalled", stall.Round(time.Microsecond))
+		for i, b := range bytes {
+			if i == 0 {
+				s += ", lane bytes"
+			}
+			s += fmt.Sprintf(" %d:%s", i, cliutil.FormatBytes(b))
+		}
+		return s
+	}
+	if r.SpilledRuns > 0 {
+		line("spill: %d runs, %d bytes written%s", r.SpilledRuns, r.SpilledBytes,
+			tail(", merged in %d round(s) (budget %d)", d.Stats.MergeRounds, d.Spec.Budget))
+	}
+	if r.MemoHits > 0 || r.MemoMisses > 0 {
+		budget := "" // of the run's private store; an engine's store has its own
+		if b := d.Spec.Solo.MemoBudget; b > 0 {
+			budget = fmt.Sprintf(" (budget %s)", cliutil.FormatBytes(b))
+		}
+		line("memo: %d hits, %d misses, %s saved%s", r.MemoHits, r.MemoMisses, cliutil.FormatBytes(r.MemoBytesSaved), budget)
+	}
+	for _, n := range r.Notes {
+		line("note: %s", n)
+	}
+	if r.Faults != "" {
+		line("faults: %s", r.Faults)
+	}
+	if r.RadixRuns > 0 {
+		line("sortpath: %d run(s) radix-sorted", r.RadixRuns)
+	}
+	if r.Nodes > 0 {
+		line("shuffle: %d node(s), %s in %d frame(s) on the wire", r.Nodes, cliutil.FormatBytes(r.ShuffleBytes), r.ShuffleFrames)
+	}
+	if d.Spec.IOLanes > 1 || d.Spec.PrefetchDepth > 1 {
+		line("ingest: %d prefetch hits, %s", d.Stats.PrefetchHits, lanes(d.Stats.IngestStall, d.Stats.IngestLaneBytes))
+	}
+	if r.EgressBytes > 0 {
+		line("egress: %s in %d extent(s)%s", cliutil.FormatBytes(r.EgressBytes), r.EgressExtents,
+			tail(", %s", lanes(d.Stats.EgressStall, d.Stats.EgressLaneBytes)))
+	}
 }
 
 // Digest hashes key-sorted output pairs: hex SHA-256 over one

@@ -3,7 +3,12 @@ package jobspec
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,6 +123,9 @@ func TestSpecValidate(t *testing.T) {
 		{App: "psum1", Block: 64},
 		{App: "psum2", Block: 64, Blocks: 9},
 		{App: "wordcount", Faults: "seed=7,read-err-every=5", Retries: "4", Tenant: "t", Weight: 3},
+		{App: "kmeans"},
+		{App: "invindex", Solo: Solo{Files: 4, FileSize: 1 << 10}},
+		{App: "linreg", Memo: true, Nodes: 2},
 	}
 	for _, s := range accept {
 		if err := s.Validate(); err != nil {
@@ -129,7 +137,16 @@ func TestSpecValidate(t *testing.T) {
 		want string // a fragment of the error
 	}{
 		{Spec{}, "missing app"},
-		{Spec{App: "kmeans"}, "unknown app"},
+		{Spec{App: "mapreduce-bitcoin-miner"}, "unknown app"},
+		// kmeans is a table entry like any other: it runs solo (accepted
+		// above) and hits the rules its entry states.
+		{Spec{App: "kmeans", Budget: 1 << 20}, "budget is incompatible with kmeans"},
+		{Spec{App: "kmeans", Memo: true}, "memo is incompatible with kmeans"},
+		{Spec{App: "kmeans", Nodes: 2}, "nodes is incompatible with kmeans"},
+		{Spec{App: "invindex", Nodes: 2}, "no wire codec"},
+		{Spec{App: "linreg", Budget: 1 << 20}, "cannot spill"},
+		{Spec{App: "sort", Solo: Solo{Files: 4, FileSize: 1 << 10}}, "files is incompatible with sort"},
+		{Spec{App: "sort", Solo: Solo{Merge: "bogo"}}, "unknown merge algorithm"},
 		{Spec{App: "sort", Runtime: "spark"}, "unknown runtime"},
 		{Spec{App: "sort", Size: -1}, "negative size"},
 		{Spec{App: "sort", ChunkBytes: -1}, "negative chunk"},
@@ -165,6 +182,83 @@ func TestSpecValidate(t *testing.T) {
 		}
 		if _, runErr := Run(context.Background(), tc.spec, nil); runErr == nil || runErr.Error() != err.Error() {
 			t.Errorf("%+v: Run returned %v, want Validate's error before any work", tc.spec, runErr)
+		}
+	}
+}
+
+// TestEveryAppRunsSoloAndOnAnEngine runs every table entry both ways:
+// the digests must agree, or the engine run must be refused by the
+// entry's own rule — no app is missing from a surface by omission. It is
+// the first jobspec coverage invindex, linreg and kmeans have.
+func TestEveryAppRunsSoloAndOnAnEngine(t *testing.T) {
+	eng := supmr.NewEngine(supmr.EngineConfig{Workers: 2, MaxJobs: 2})
+	defer eng.Close()
+	for _, a := range table {
+		spec := Spec{App: a.name, Size: 96 << 10, ChunkBytes: 16 << 10, Seed: 7}
+		solo, err := Run(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatalf("%s solo: %v", a.name, err)
+		}
+		if solo.OutputPairs == 0 && a.name != "grep" || solo.App != a.name || solo.Detail == nil {
+			t.Errorf("%s solo: %d pairs, app %q, detail %v", a.name, solo.OutputPairs, solo.App, solo.Detail)
+		}
+		if a.name != "grep" && solo.Detail.Summary == "" {
+			t.Errorf("%s: no summary line", a.name)
+		}
+		shared, err := Run(context.Background(), spec, eng)
+		if why, refused := a.refuses[modeEngine]; refused {
+			if err == nil || !strings.Contains(err.Error(), "engine is incompatible with "+a.name+": "+why) {
+				t.Errorf("%s on an engine: %v, want its table entry's refusal", a.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s on an engine: %v", a.name, err)
+		}
+		if shared.Digest != solo.Digest || shared.OutputPairs != solo.OutputPairs {
+			t.Errorf("%s: engine run %d pairs %.12s, solo %d pairs %.12s", a.name, shared.OutputPairs, shared.Digest, solo.OutputPairs, solo.Digest)
+		}
+	}
+}
+
+// TestAppNamesLiveInTheTable is a vet-style check: outside apps.go an
+// application name never appears as a Go string literal in the layers
+// that turn knobs into runs, so a new app is one table entry and cannot
+// grow a second list. The exceptions are pipeline.go, whose two named
+// pipelines are graphs over specific apps, and — the known remainder,
+// outside the scanned directories — internal/dag's one line deriving
+// psum2's block count from its upstream round.
+func TestAppNamesLiveInTheTable(t *testing.T) {
+	names := map[string]bool{}
+	for _, a := range table {
+		names[a.name] = true
+	}
+	for _, dir := range []string{"../../cmd/supmr", "../../cmd/supmrd", ".", "../server"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: %v, %d files", dir, err, len(files))
+		}
+		for _, file := range files {
+			switch base := filepath.Base(file); {
+			case strings.HasSuffix(base, "_test.go"), base == "apps.go", base == "pipeline.go":
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if _, imp := n.(*ast.ImportSpec); imp {
+					return false // package sort is not the app
+				}
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil && names[v] {
+						t.Errorf("%s: app name %s outside the table", fset.Position(lit.Pos()), lit.Value)
+					}
+				}
+				return true
+			})
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supmr/internal/chunk"
+	"supmr/internal/core"
 	"supmr/internal/kv"
 	"supmr/internal/mapreduce"
 	"supmr/internal/metrics"
@@ -171,8 +172,8 @@ func TestOpenMPMatchesMapReduceSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Sort{}
-	mr, err := mapreduce.Run[string, uint64](s, mk(), s.NewContainer(),
-		mapreduce.Options{Workers: 2, Boundary: chunk.CRLFBoundary{}})
+	mr, err := core.Run[string, uint64](s, mk(), s.NewContainer(),
+		core.Options{Options: mapreduce.Options{Workers: 2, Boundary: chunk.CRLFBoundary{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +199,8 @@ func TestAppsAgainstBothContainers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Sort{}
-	res, err := mapreduce.Run[string, uint64](s, chunk.NewWholeInput(inter), s.NewHashContainer(16),
-		mapreduce.Options{Workers: 2, Boundary: chunk.CRLFBoundary{}})
+	res, err := core.Run[string, uint64](s, chunk.NewWholeInput(inter), s.NewHashContainer(16),
+		core.Options{Options: mapreduce.Options{Workers: 2, Boundary: chunk.CRLFBoundary{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +221,8 @@ func TestWordCountEndToEndSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapreduce.Run[string, int64](wc, chunk.NewWholeInput(inter), wc.NewContainer(8),
-		mapreduce.Options{Workers: 2})
+	res, err := core.Run[string, int64](wc, chunk.NewWholeInput(inter), wc.NewContainer(8),
+		core.Options{Options: mapreduce.Options{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

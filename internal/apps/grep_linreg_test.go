@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"supmr/internal/chunk"
+	"supmr/internal/core"
 	"supmr/internal/kv"
 	"supmr/internal/mapreduce"
 	"supmr/internal/storage"
@@ -32,8 +33,8 @@ func TestGrepEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapreduce.Run[string, int64](g, chunk.NewWholeInput(inter), g.NewContainer(),
-		mapreduce.Options{Workers: 2})
+	res, err := core.Run[string, int64](g, chunk.NewWholeInput(inter), g.NewContainer(),
+		core.Options{Options: mapreduce.Options{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +101,8 @@ func TestLinearRegressionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapreduce.Run[int, float64](lr, chunk.NewWholeInput(inter), lr.NewContainer(),
-		mapreduce.Options{Workers: 2, Boundary: lr.Boundary()})
+	res, err := core.Run[int, float64](lr, chunk.NewWholeInput(inter), lr.NewContainer(),
+		core.Options{Options: mapreduce.Options{Workers: 2, Boundary: lr.Boundary()}})
 	if err != nil {
 		t.Fatal(err)
 	}

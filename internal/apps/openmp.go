@@ -6,7 +6,6 @@ import (
 	"supmr/internal/chunk"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/metrics"
 	"supmr/internal/sortalgo"
 )
@@ -39,7 +38,14 @@ func OpenMPSort(input chunk.Stream, workers int, timer *metrics.Timer, rec *metr
 
 	// Sequential ingest: one thread in IO wait.
 	timer.StartPhase(metrics.PhaseRead)
-	data, err := mapreduce.Ingest(input, pool)
+	var data []byte
+	err := pool.GoIO("ingest", metrics.StateIOWait, func() error {
+		c, err := chunk.NewWholeInput(input).Next()
+		if err == nil {
+			data = c.Data
+		}
+		return err
+	}).Wait()
 	timer.EndPhase(metrics.PhaseRead)
 	if err != nil {
 		return nil, err

@@ -398,14 +398,21 @@ func NewWholeInput(inner Stream) *WholeInput { return &WholeInput{inner: inner} 
 // TotalBytes returns the wrapped stream's size.
 func (c *WholeInput) TotalBytes() int64 { return c.inner.TotalBytes() }
 
-// Next ingests the whole input at once.
+// Next ingests the whole input at once into one buffer presized from
+// TotalBytes. Files lists every source file once, in first-seen order,
+// however many inner chunks it spanned, so chunk-aware applications
+// (set_data) see the same attribution as under a chunked stream.
 func (c *WholeInput) Next() (*Chunk, error) {
 	if c.done {
 		return nil, io.EOF
 	}
 	c.done = true
 	var buf []byte
+	if total := c.inner.TotalBytes(); total > 0 {
+		buf = make([]byte, 0, total)
+	}
 	var names []string
+	seen := make(map[string]bool)
 	for {
 		ch, err := c.inner.Next()
 		if errors.Is(err, io.EOF) {
@@ -415,10 +422,15 @@ func (c *WholeInput) Next() (*Chunk, error) {
 			return nil, err
 		}
 		buf = append(buf, ch.Data...)
-		names = append(names, ch.Files...)
+		for _, n := range ch.Files {
+			if !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
+		}
 		ch.Release()
 	}
-	return &Chunk{Index: 0, Data: buf, Files: names}, nil
+	return &Chunk{Data: buf, Files: names}, nil
 }
 
 // growTo extends buf by n bytes, reallocating with amortized doubling

@@ -243,6 +243,50 @@ func TestWholeInput(t *testing.T) {
 	}
 }
 
+// TestWholeInputListsEachFileOnce: a file spanning several inner chunks
+// is named once, and files coalesced by an intra-file stream keep their
+// order.
+func TestWholeInputListsEachFileOnce(t *testing.T) {
+	text := []byte(strings.Repeat("line\n", 100))
+	inter, err := NewInterFile(memFile(t, "f", text), 64, NewlineBoundary{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intra, err := NewIntraFile([]Input{memFile(t, "a", text), memFile(t, "b", text), memFile(t, "c", text)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		inner Stream
+		want  []string
+	}{{inter, []string{"f"}}, {intra, []string{"a", "b", "c"}}} {
+		c, err := NewWholeInput(tc.inner).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(c.Files, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("Files = %q, want %q", c.Files, tc.want)
+		}
+	}
+}
+
+// TestWholeInputAllocatesOnceAtTotal: the whole-input buffer is sized
+// from TotalBytes up front, not regrown chunk by chunk.
+func TestWholeInputAllocatesOnceAtTotal(t *testing.T) {
+	text := []byte(strings.Repeat("line\n", 1000))
+	inner, err := NewInterFile(memFile(t, "f", text), 256, NewlineBoundary{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewWholeInput(inner).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Data) != len(text) || cap(c.Data) != len(text) {
+		t.Errorf("whole-input buffer len %d cap %d, want both %d", len(c.Data), cap(c.Data), len(text))
+	}
+}
+
 func TestSplitBuffer(t *testing.T) {
 	text := []byte(strings.Repeat("word one two\n", 100))
 	splits := SplitBuffer(text, 8, NewlineBoundary{})

@@ -21,15 +21,20 @@
 // job is cancelled), and map/reduce/merge run on the pool's compute
 // workers with panic isolation and cancellation.
 //
-// Run is the only ingest→map→drain loop. Budgeted, memoized and
-// combiner-ablated multi-node runs differ in one drain step chosen
-// before the loop — never, when over budget, or after every chunk —
-// whose product, a key-sorted run from spill.DrainContainer, goes to the
-// spill store or is parked in memory by chunk index. After the loop a
-// memoized run folds what it parked — drained runs and cache hits, the
-// latter still encoded — back into the container in parallel, and then
-// every single-node run finishes the same way: reduce what is resident
-// and merge it in one round (with the spilled runs, if any).
+// Run is the only ingest→map loop, the traditional baseline included:
+// Table II's "none" row is Run over a chunk.WholeInput stream — one
+// chunk, one map wave — merged pairwise. One chunk has nothing to
+// overlap, so such a run reports its read and map as separate phases;
+// every other stream reports the fused read+map phase.
+//
+// Budgeted, memoized and combiner-ablated multi-node runs differ in one
+// drain step chosen before the loop — never, when over budget, or after
+// every chunk — whose product, a key-sorted run from spill.DrainContainer,
+// goes to the spill store or is parked in memory by chunk index. After
+// the loop a memoized run folds what it parked — drained runs and cache
+// hits, the latter still encoded — back into the container in parallel,
+// and then every single-node run finishes the same way: reduce what is
+// resident and merge it in one round (with the spilled runs, if any).
 //
 // A multi-node run keeps one container per node (the caller's plus
 // Nodes-1 from Container.New) as the in-node combiner tier: chunk i is
@@ -85,8 +90,9 @@ type Tuner interface {
 }
 
 // Options configure the SupMR pipeline. The embedded runtime options
-// carry worker counts, split counts and instrumentation; Merge defaults
-// to the p-way algorithm, the SupMR sort modification.
+// carry worker counts, split counts, instrumentation and the merge
+// algorithm, whose zero value is the pairwise merge: the facade's
+// Config.mergeAlgo is what picks p-way for the SupMR runtime.
 type Options struct {
 	mapreduce.Options
 	// Topology carries the multi-node knobs. With Nodes > 0 the job runs
@@ -192,7 +198,6 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	// Fresh container at job start; never again (unless the ablation
 	// flag asks for the broken behaviour).
 	cont.Reset()
-	ro.ResetContainer = false
 
 	// The fixed-key sort fast path: resolved once so every drain, the
 	// external merge and the in-memory merge all agree on it.
@@ -264,14 +269,22 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		drainRadixRuns += nRad
 		return run, err
 	}
-	// inPhase runs fn under phase p, suspending the fused read+map phase
-	// around it.
+	// The phases the loop bills to, chosen from the stream's shape: a
+	// whole-input stream is one chunk with nothing to overlap, so its
+	// first-chunk wait is the read phase and its map wave the map phase;
+	// every other stream's rounds fuse the two.
+	_, whole := input.(*chunk.WholeInput)
+	readPhase, mapPhase := metrics.PhaseReadMap, metrics.PhaseReadMap
+	if whole {
+		readPhase, mapPhase = metrics.PhaseRead, metrics.PhaseMap
+	}
+	// inPhase runs fn under phase p, suspending the map phase around it.
 	inPhase := func(p metrics.Phase, fn func() error) error {
-		timer.EndPhase(metrics.PhaseReadMap)
+		timer.EndPhase(mapPhase)
 		timer.StartPhase(p)
 		err := fn()
 		timer.EndPhase(p)
-		timer.StartPhase(metrics.PhaseReadMap)
+		timer.StartPhase(mapPhase)
 		return err
 	}
 
@@ -305,6 +318,10 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			list = chunk.NewFreeList()
 		}
 		fa.SetFetcher(chunk.NewFetcherShared(lanes, dispatch, list))
+	} else {
+		// No fetcher, nothing to fan out: the read stays one task on an
+		// IO lane, attributed as IO wait.
+		lanes = 1
 	}
 
 	resizable, _ := input.(chunk.Resizable)
@@ -319,9 +336,10 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	// previous chunk is handed to the mappers.
 	//
 	// Shutdown: the pump exits after delivering a terminal result (EOF
-	// or error) or when stop closes; it always closes the ring, so the
-	// failure path can drain it to completion, releasing any chunks the
-	// mappers never consumed.
+	// or error), a whole-input stream's one chunk, or when stop closes;
+	// it always closes the ring — which the loop reads as end of input —
+	// so the failure path can drain it to completion, releasing any
+	// chunks the mappers never consumed.
 	ring := make(chan ingestResult, depth-1)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -391,8 +409,8 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			res := readNext()
 			select {
 			case ring <- res:
-				if res.err != nil {
-					return // EOF or terminal error: the ring is complete
+				if res.err != nil || whole {
+					return // the ring is complete
 				}
 			case <-stop:
 				res.c.Release()
@@ -437,7 +455,8 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if spiller != nil {
 			spiller.Join() // the job error wins; the write ran or was refused
 		}
-		timer.EndPhase(metrics.PhaseReadMap)
+		timer.EndPhase(readPhase)
+		timer.EndPhase(mapPhase)
 		return nil, err
 	}
 
@@ -448,8 +467,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	//     pump keeps up to `depth` chunk reads ahead
 	//     run mappers on previous chunk
 	//   run mappers on last chunk
-	timer.StartPhase(metrics.PhaseReadMap)
+	timer.StartPhase(readPhase)
 	first := <-ring
+	if readPhase != mapPhase {
+		timer.EndPhase(readPhase)
+		timer.StartPhase(mapPhase)
+	}
 	if first.err != nil && !errors.Is(first.err, io.EOF) {
 		return fail(first.err)
 	}
@@ -595,7 +618,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			}
 		}
 	}
-	timer.EndPhase(metrics.PhaseReadMap)
+	timer.EndPhase(mapPhase)
 	if lanes > 1 {
 		stats.IngestLaneBytes = pool.LaneBytes()
 	}
@@ -766,7 +789,3 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	merged, err := spiller.Merge(residue, ro.Pool, "merge")
 	return merged, 1, radixRuns, err
 }
-
-// DefaultMerge is the merge algorithm SupMR ships with: the single-round
-// parallel p-way merge.
-const DefaultMerge = sortalgo.MergePWay

@@ -18,7 +18,6 @@ import (
 	"supmr/internal/mapreduce"
 	"supmr/internal/memo"
 	"supmr/internal/metrics"
-	"supmr/internal/sortalgo"
 	"supmr/internal/storage"
 	"supmr/internal/workload"
 )
@@ -265,12 +264,6 @@ func TestPipelineOverlapsIngestWithMap(t *testing.T) {
 	// read+map serialized (which would be ~rawRead + mapTime).
 	if fused > rawRead*14/10 {
 		t.Errorf("fused read+map %v far exceeds raw read %v — pipeline not overlapping", fused, rawRead)
-	}
-}
-
-func TestDefaultMergeIsPWay(t *testing.T) {
-	if DefaultMerge != sortalgo.MergePWay {
-		t.Error("SupMR default merge should be p-way")
 	}
 }
 

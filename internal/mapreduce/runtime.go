@@ -1,26 +1,23 @@
-// Package mapreduce implements the traditional Phoenix++-style scale-up
-// MapReduce runtime the paper starts from (§II, top of Fig. 2): the
-// entire input is read into memory (the ingest phase), mapper threads
-// operate on input splits in parallel, reducer threads coalesce
-// intermediate pairs by key, and a final merge phase produces globally
-// sorted output. The intermediate container is re-initialized when
-// mappers start and the merge phase defaults to the iterative pairwise
-// merge — both behaviours SupMR (internal/core) modifies.
+// Package mapreduce holds the phase primitives of the Phoenix++-style
+// scale-up MapReduce runtime the paper starts from (§II, top of Fig. 2):
+// mapper threads operate on input splits in parallel (MapWave), reducer
+// threads coalesce intermediate pairs by key (ReducePhase), and a merge
+// phase produces globally sorted output (MergePhase), iterative pairwise
+// by default. SupMR's run_mappers()/run_reducers() are wrappers over
+// exactly these primitives (Table I).
 //
-// All phases run on a persistent internal/exec pool — one set of worker
-// goroutines per job rather than per phase — which carries the job's
-// cancellation context, converts task panics into job errors, and feeds
-// per-task instrumentation into internal/metrics.
+// The package has no job loop of its own. The traditional baseline —
+// read the entire input, one map wave, reduce, pairwise merge — is
+// internal/core's Run over a single whole-input chunk (chunk.WholeInput),
+// the n = 1 case of the ingest chunk pipeline.
 //
-// The phase primitives (MapWave, ReducePhase, MergePhase) are exported
-// because SupMR's run_mappers()/run_reducers() are wrappers over exactly
-// these internals (Table I).
+// Every primitive runs on an internal/exec pool — the job's persistent
+// pool when Options.Pool is set — which carries the job's cancellation
+// context, converts task panics into job errors, and feeds per-task
+// instrumentation into internal/metrics.
 package mapreduce
 
 import (
-	"errors"
-	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -52,17 +49,12 @@ type Options struct {
 	// consulted when this package creates the pool itself; an explicit
 	// Pool brings its own recorder wiring.
 	Recorder *metrics.UtilRecorder
-	// Pool is the job's execution engine. When nil, Run and the phase
-	// primitives create a transient pool (sized by Workers, observing
-	// Recorder) for the call. The facade sets it so one executor spans
-	// the whole job, with the job context and clock attached — either a
-	// dedicated exec.Pool or a multi-job engine's per-submission handle.
+	// Pool is the job's execution engine. When nil, the phase primitives
+	// create a transient pool (sized by Workers, observing Recorder) for
+	// the call. The facade sets it so one executor spans the whole job,
+	// with the job context and clock attached — either a dedicated
+	// exec.Pool or a multi-job engine's per-submission handle.
 	Pool exec.Executor
-	// ResetContainer controls whether the container is re-initialized
-	// when mappers start — the traditional behaviour (§III-C). The
-	// traditional runtime has a single map wave, so this is safe; it
-	// exists so the persistent-container ablation can flip it.
-	ResetContainer bool
 	// RadixDisabled turns off the fixed-width-key sort fast path (radix
 	// run sort + columnar merge) — the -radixsort=off ablation. The zero
 	// value keeps the fast path enabled for apps that opt in via
@@ -195,9 +187,6 @@ func MapWave[K comparable, V any](app kv.App[K, V], data []byte, cont container.
 // MapWaveTimed is MapWave plus the wave's aggregate worker-busy time.
 func MapWaveTimed[K comparable, V any](app kv.App[K, V], data []byte, cont container.Container[K, V], opts Options) (int, time.Duration, error) {
 	opts = opts.withDefaults()
-	if opts.ResetContainer {
-		cont.Reset()
-	}
 	pool, release := opts.pool()
 	defer release()
 	splits := chunk.SplitBuffer(data, opts.Splits, opts.Boundary)
@@ -298,142 +287,4 @@ func MergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], o
 		return nil, 0, 0, err
 	}
 	return merged, rounds, radixRuns, nil
-}
-
-// Ingest reads the entire input stream into memory on the pool's
-// dedicated IO worker, which is marked IO-waiting while the device
-// serves data — the sequential ingest phase of Fig. 1's first 180
-// seconds. A nil pool reads inline without instrumentation.
-// Cancellation of the pool's context is observed between chunks.
-func Ingest(input chunk.Stream, p exec.Executor) ([]byte, error) {
-	c, err := IngestChunk(input, p)
-	if err != nil {
-		return nil, err
-	}
-	return c.Data, nil
-}
-
-// IngestChunk is Ingest preserving chunk metadata: the whole input
-// arrives as one chunk whose Files lists every source file once, in
-// first-seen order, so chunk-aware applications (set_data) get the
-// same attribution under the traditional runtime as under SupMR's
-// whole-input stream.
-func IngestChunk(input chunk.Stream, p exec.Executor) (*chunk.Chunk, error) {
-	read := func(ctxErr func() error) (*chunk.Chunk, error) {
-		var buf []byte
-		if total := input.TotalBytes(); total > 0 {
-			buf = make([]byte, 0, total)
-		}
-		var names []string
-		seen := make(map[string]bool)
-		for {
-			if ctxErr != nil {
-				if err := ctxErr(); err != nil {
-					return nil, err
-				}
-			}
-			ch, err := input.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("mapreduce: ingest failed: %w", err)
-			}
-			buf = append(buf, ch.Data...)
-			for _, n := range ch.Files {
-				if !seen[n] {
-					seen[n] = true
-					names = append(names, n)
-				}
-			}
-			ch.Release()
-		}
-		return &chunk.Chunk{Data: buf, Files: names}, nil
-	}
-	if p == nil {
-		return read(nil)
-	}
-	var c *chunk.Chunk
-	h := p.GoIO("ingest", metrics.StateIOWait, func() error {
-		var err error
-		c, err = read(p.Err)
-		return err
-	})
-	if err := h.Wait(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Run executes a complete traditional MapReduce job: ingest everything,
-// one map wave, reduce, merge. This is the "none" configuration of
-// Table II. All phases share one persistent pool; if opts.Pool is nil a
-// job pool is created here and torn down on return.
-func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont container.Container[K, V], opts Options) (*Result[K, V], error) {
-	opts = opts.withDefaults()
-	// The traditional runtime initializes the intermediate container when
-	// mappers start (§III-C); with its single map wave this is equivalent
-	// to starting fresh.
-	opts.ResetContainer = true
-	pool, release := opts.pool()
-	defer release()
-	opts.Pool = pool
-	timer := opts.Timer
-	if timer == nil {
-		timer = metrics.NewTimer(pool.Now)
-	}
-	opts.Timer = timer // MergePhase brackets its own sub-phases
-
-	timer.StartPhase(metrics.PhaseRead)
-	ch, err := IngestChunk(input, pool)
-	timer.EndPhase(metrics.PhaseRead)
-	if err != nil {
-		return nil, err
-	}
-	data := ch.Data
-	// The set_data() callback (core.ChunkAware, matched structurally to
-	// avoid importing core): the traditional runtime's single chunk is
-	// the whole input.
-	if ca, ok := any(app).(interface{ SetData(*chunk.Chunk) }); ok {
-		ca.SetData(ch)
-	}
-
-	timer.StartPhase(metrics.PhaseMap)
-	nSplits, mapBusy, err := MapWaveTimed(app, data, cont, opts)
-	timer.EndPhase(metrics.PhaseMap)
-	if err != nil {
-		return nil, err
-	}
-	interN := cont.Len()
-
-	timer.StartPhase(metrics.PhaseReduce)
-	runs, reduceBusy, err := ReducePhaseTimed(app, cont, opts)
-	timer.EndPhase(metrics.PhaseReduce)
-	if err != nil {
-		return nil, err
-	}
-
-	merged, rounds, radixRuns, err := MergePhase(app, runs, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result[K, V]{
-		Pairs: merged,
-		Times: timer.Finish(),
-		Stats: Stats{
-			BytesIngested: int64(len(data)),
-			MapWaves:      1,
-			Splits:        nSplits,
-			IntermediateN: interN,
-			Runs:          len(runs),
-			MergeRounds:   rounds,
-			RadixRuns:     radixRuns,
-			OutputPairs:   len(merged),
-			MapBusy:       mapBusy,
-			ReduceBusy:    reduceBusy,
-			Tasks:         pool.TaskStats(),
-		},
-	}
-	return res, nil
 }

@@ -1,20 +1,15 @@
 package mapreduce
 
 import (
-	"context"
-	"errors"
-	"strings"
 	"testing"
-	"time"
 
-	"supmr/internal/chunk"
 	"supmr/internal/container"
-	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/metrics"
-	"supmr/internal/storage"
 	"supmr/internal/workload"
 )
+
+// The job-level tests of the traditional runtime live in internal/core:
+// the baseline is core.Run over one whole-input chunk.
 
 // wcApp is a local word count app (the apps package imports this
 // package, so tests define their own).
@@ -39,68 +34,11 @@ func (w wcApp) NewContainer(shards int) container.Container[string, int64] {
 	return container.NewHash[string, int64](shards, container.StringHasher, w.Combine)
 }
 
-func memStream(t *testing.T, data []byte) chunk.Stream {
-	t.Helper()
-	f := storage.BytesFile("in", data, storage.NewNullDevice(storage.NewFakeClock()))
-	inter, err := chunk.NewInterFile(f, int64(len(data))+1, chunk.NewlineBoundary{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return chunk.NewWholeInput(inter)
-}
-
 func genText(t *testing.T, n int64) []byte {
 	t.Helper()
 	buf := make([]byte, n)
 	workload.TextGen{Seed: 21}.Fill()(0, buf)
 	return buf
-}
-
-func TestRunWordCount(t *testing.T) {
-	text := genText(t, 32<<10)
-	wc := wcApp{}
-	res, err := Run[string, int64](wc, memStream(t, text), wc.NewContainer(16), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := make(map[string]int64)
-	for _, w := range strings.Fields(string(text)) {
-		ref[w]++
-	}
-	if len(res.Pairs) != len(ref) {
-		t.Fatalf("got %d words, want %d", len(res.Pairs), len(ref))
-	}
-	for _, p := range res.Pairs {
-		if ref[p.Key] != p.Val {
-			t.Errorf("count[%q] = %d, want %d", p.Key, p.Val, ref[p.Key])
-		}
-	}
-	if !kv.IsSortedPairs(res.Pairs, wc.Less) {
-		t.Error("output not sorted")
-	}
-	if res.Stats.MapWaves != 1 || res.Stats.BytesIngested != int64(len(text)) {
-		t.Errorf("stats = %+v", res.Stats)
-	}
-}
-
-func TestRunRecordsPhaseTimes(t *testing.T) {
-	text := genText(t, 16<<10)
-	wc := wcApp{}
-	res, err := Run[string, int64](wc, memStream(t, text), wc.NewContainer(8), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Times.Total <= 0 {
-		t.Error("total time not recorded")
-	}
-	for _, p := range []metrics.Phase{metrics.PhaseMap, metrics.PhaseReduce, metrics.PhaseMerge} {
-		if res.Times.Get(p) <= 0 {
-			t.Errorf("phase %v not recorded", p)
-		}
-	}
-	if res.Times.Get(metrics.PhaseReadMap) != 0 {
-		t.Error("traditional runtime should not record a fused read+map phase")
-	}
 }
 
 func TestMapWaveSplitCount(t *testing.T) {
@@ -116,32 +54,6 @@ func TestMapWaveSplitCount(t *testing.T) {
 	}
 	if cont.Len() == 0 {
 		t.Error("container empty after map wave")
-	}
-}
-
-func TestMapWaveResetContainer(t *testing.T) {
-	text := []byte("a a a\n")
-	wc := wcApp{}
-	cont := wc.NewContainer(4)
-	if _, err := MapWave[string, int64](wc, text, cont, Options{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MapWave[string, int64](wc, text, cont, Options{Workers: 1, ResetContainer: true}); err != nil {
-		t.Fatal(err)
-	}
-	// After a reset wave, only one wave's worth of counts remain.
-	runs, err := ReducePhase[string, int64](wc, cont, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, r := range runs {
-		for _, p := range r {
-			total += p.Val
-		}
-	}
-	if total != 3 {
-		t.Errorf("counts after reset wave = %d, want 3", total)
 	}
 }
 
@@ -180,120 +92,6 @@ func TestMergePhaseRounds(t *testing.T) {
 	}
 	if len(merged) != 6 || !kv.IsSortedPairs(merged, wc.Less) {
 		t.Errorf("merged = %v", merged)
-	}
-}
-
-func TestIngestMarksIOWait(t *testing.T) {
-	clock := storage.NewFakeClock()
-	rec := metrics.NewUtilRecorder(2, clock.Now)
-	data := genText(t, 8<<10)
-	d, err := storage.NewDisk(storage.DiskConfig{Name: "d", Bandwidth: 8 << 10}, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := storage.NewFile("in", int64(len(data)), 0, func(off int64, p []byte) { copy(p, data[off:]) }, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inter, err := chunk.NewInterFile(f2, int64(len(data))+1, chunk.NewlineBoundary{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := exec.NewPool(nil, exec.Config{Workers: 1, Recorder: rec})
-	defer pool.Close()
-	got, err := Ingest(chunk.NewWholeInput(inter), pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(data) {
-		t.Fatalf("ingested %d bytes, want %d", len(got), len(data))
-	}
-	tr := rec.Build(100*time.Millisecond, clock.Now())
-	var iow float64
-	for _, s := range tr.Samples {
-		iow += s.IOWait
-	}
-	if iow <= 0 {
-		t.Error("ingest did not register IO wait")
-	}
-}
-
-// failStream errors after one chunk.
-type failStream struct{ served bool }
-
-func (f *failStream) TotalBytes() int64 { return 10 }
-func (f *failStream) Next() (*chunk.Chunk, error) {
-	if f.served {
-		return nil, errors.New("device exploded")
-	}
-	f.served = true
-	return &chunk.Chunk{Data: []byte("x y z\n")}, nil
-}
-
-func TestRunPropagatesIngestError(t *testing.T) {
-	wc := wcApp{}
-	_, err := Run[string, int64](wc, &failStream{}, wc.NewContainer(4), Options{Workers: 1})
-	if err == nil || !strings.Contains(err.Error(), "device exploded") {
-		t.Errorf("err = %v, want ingest failure", err)
-	}
-}
-
-// panicApp panics while mapping a split containing the trigger word.
-type panicApp struct{ wcApp }
-
-func (panicApp) Map(split []byte, emit kv.Emitter[string, int64]) {
-	if strings.Contains(string(split), "boom") {
-		panic("mapper exploded")
-	}
-	wcApp{}.Map(split, emit)
-}
-
-func TestRunSurvivesMapPanic(t *testing.T) {
-	// A panicking map task must become a job error naming the split, not
-	// kill the process (tentpole: panic isolation in the traditional
-	// runtime).
-	text := append(genText(t, 8<<10), []byte("boom\n")...)
-	wc := panicApp{}
-	_, err := Run[string, int64](wc, memStream(t, text), wcApp{}.NewContainer(8), Options{Workers: 2})
-	if err == nil {
-		t.Fatal("panicking map task did not fail the job")
-	}
-	var pe *exec.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *exec.PanicError", err)
-	}
-	if pe.Phase != "map" || pe.Task < 0 {
-		t.Errorf("panic error = %+v, want map phase with task index", pe)
-	}
-	if !strings.Contains(err.Error(), "mapper exploded") {
-		t.Errorf("err %q does not name the panic value", err)
-	}
-}
-
-func TestRunObservesCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	pool := exec.NewPool(ctx, exec.Config{Workers: 2})
-	defer pool.Close()
-	text := genText(t, 16<<10)
-	wc := wcApp{}
-	_, err := Run[string, int64](wc, memStream(t, text), wc.NewContainer(8), Options{Pool: pool})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunRecordsTaskStats(t *testing.T) {
-	text := genText(t, 16<<10)
-	wc := wcApp{}
-	res, err := Run[string, int64](wc, memStream(t, text), wc.NewContainer(8), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, phase := range []string{"ingest", "map", "reduce", "sort"} {
-		if res.Stats.Tasks[phase].Tasks == 0 {
-			t.Errorf("no %s tasks recorded: %+v", phase, res.Stats.Tasks)
-		}
 	}
 }
 

@@ -15,7 +15,7 @@
 //	        supmr.NewHashContainer[string, int64](64, supmr.HashString, sum), cfg)
 //
 // The heavy machinery lives in internal packages: internal/core (the
-// pipeline), internal/mapreduce (the traditional runtime),
+// pipeline, both runtimes), internal/mapreduce (the phase primitives),
 // internal/container, internal/chunk, internal/sortalgo, plus the
 // simulated substrates internal/storage, internal/netsim, internal/hdfs
 // and the paper-scale performance model internal/perfmodel.
@@ -98,7 +98,9 @@ type Runtime int
 // Runtime choices.
 const (
 	// RuntimeTraditional is the Phoenix++-style baseline: ingest the
-	// whole input, then map, reduce and pairwise-merge.
+	// whole input, then map, reduce and pairwise-merge. It runs the same
+	// pipeline as RuntimeSupMR over one whole-input chunk, so its read
+	// and map are reported as separate phases.
 	RuntimeTraditional Runtime = iota
 	// RuntimeSupMR is the paper's contribution: the ingest chunk
 	// pipeline with a persistent container and the p-way merge.
@@ -200,8 +202,9 @@ type Config struct {
 	// IOLanes segments whose device waits overlap — the striped
 	// multi-lane ingest path. On an HDFS input the segments fetch their
 	// blocks from distinct datanodes in parallel. <= 1 (the default)
-	// keeps the paper's single ingest thread. The traditional runtime's
-	// single whole-input read is not segmented; extra lanes sit idle.
+	// keeps the paper's single ingest thread. A whole-input read (the
+	// traditional runtime, or ChunkBytes 0) is not segmented: it stays
+	// one task on one IO lane and extra lanes sit idle.
 	IOLanes int
 	// PrefetchDepth is the SupMR prefetch ring depth: up to this many
 	// ingest chunks are kept in flight ahead of the map wave. <= 1 (the
@@ -436,8 +439,9 @@ func (c Config) mergeAlgo() MergeAlgo {
 	return MergePairwise
 }
 
-// mapreduceOptions converts a Config into runtime options (without
-// instrumentation — used by auxiliary drivers such as RunKMeans).
+// mapreduceOptions converts a Config into runtime options without
+// instrumentation: RunKMeans uses them as they are, runWithExecutor adds
+// its substrate's timer, recorder and pool.
 func mapreduceOptions(cfg Config) mapreduce.Options {
 	return mapreduce.Options{
 		Workers:       cfg.Workers,
@@ -535,20 +539,16 @@ type runSubstrate struct {
 	memo *MemoStore
 }
 
-// runWithExecutor is the runtime-selection body shared by solo and
-// engine-mode runs: it builds the spill store when a budget is set,
-// runs the configured runtime on the substrate's executor, and
-// assembles the substrate-independent part of the Report.
+// runWithExecutor is the body shared by solo and engine-mode runs: it
+// builds the spill store when a budget is set, runs core.Run on the
+// substrate's executor, and assembles the substrate-independent part of
+// the Report. The traditional runtime is core.Run over one whole-input
+// chunk, merged pairwise by mergeAlgo.
 func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V], cfg Config, sub runSubstrate) (*Report[K, V], error) {
-	ro := mapreduce.Options{
-		Workers:       cfg.Workers,
-		Splits:        cfg.Splits,
-		Merge:         cfg.mergeAlgo(),
-		Boundary:      cfg.boundary(),
-		RadixDisabled: cfg.radixDisabled(),
-		Timer:         sub.timer,
-		Recorder:      sub.rec,
-		Pool:          sub.pool,
+	ro := mapreduceOptions(cfg)
+	ro.Timer, ro.Recorder, ro.Pool = sub.timer, sub.rec, sub.pool
+	if _, ok := input.(*chunk.WholeInput); !ok && cfg.Runtime == RuntimeTraditional {
+		input = chunk.NewWholeInput(input)
 	}
 
 	// Memo parks every chunk's output in memory and Nodes keeps a node's
@@ -584,56 +584,48 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		}
 		defer store.Close()
 	}
-	var (
-		res *mapreduce.Result[K, V]
-		err error
-	)
-	if cfg.Runtime == RuntimeSupMR {
-		co := core.Options{
-			Options: ro,
-			Topology: shuffle.Topology{
-				Nodes:       cfg.Nodes,
-				CombinerOff: cfg.innodeCombinerOff(),
-				LinkBW:      cfg.NodeLinkBW,
-				LinkLatency: cfg.NodeLinkLatency,
-				Clock:       sub.clk,
-				Injector:    cfg.Faults,
-			},
-			ResetEachRound: cfg.ResetEachRound,
-			MemoryBudget:   sub.budget,
-			SpillStore:     store,
-			Retry:          cfg.Retry,
-			FaultCounters:  cfg.faultCounters(),
-			PrefetchDepth:  cfg.PrefetchDepth,
-			IOLanes:        cfg.IOLanes,
-			Freelist:       sub.frees,
-			MemoSpace:      cfg.MemoKeySpace,
-		}
-		if cfg.Memo {
-			memoSt, owned, err := cfg.memoStoreFor(sub)
-			if err != nil {
-				return nil, err
-			}
-			if owned {
-				defer memoSt.Close()
-			}
-			co.MemoStore = memoSt.store
-		}
-		if cfg.AdaptiveChunks {
-			initial := cfg.ChunkBytes
-			if initial <= 0 {
-				initial = tuner.Recommend(0, 0, input.TotalBytes(), 2*time.Millisecond, tuner.Limits{})
-			}
-			lim := tuner.Limits{Min: 64 << 10}
-			if total := input.TotalBytes(); total > 0 {
-				lim.Max = total / 2
-			}
-			co.Tuner = tuner.NewController(tuner.ControllerConfig{Initial: initial, Limits: lim})
-		}
-		res, err = core.Run(job, input, cont, co)
-	} else {
-		res, err = mapreduce.Run(job, input, cont, ro)
+	co := core.Options{
+		Options: ro,
+		Topology: shuffle.Topology{
+			Nodes:       cfg.Nodes,
+			CombinerOff: cfg.innodeCombinerOff(),
+			LinkBW:      cfg.NodeLinkBW,
+			LinkLatency: cfg.NodeLinkLatency,
+			Clock:       sub.clk,
+			Injector:    cfg.Faults,
+		},
+		ResetEachRound: cfg.ResetEachRound,
+		MemoryBudget:   sub.budget,
+		SpillStore:     store,
+		Retry:          cfg.Retry,
+		FaultCounters:  cfg.faultCounters(),
+		PrefetchDepth:  cfg.PrefetchDepth,
+		IOLanes:        cfg.IOLanes,
+		Freelist:       sub.frees,
+		MemoSpace:      cfg.MemoKeySpace,
 	}
+	if cfg.Memo {
+		memoSt, owned, err := cfg.memoStoreFor(sub)
+		if err != nil {
+			return nil, err
+		}
+		if owned {
+			defer memoSt.Close()
+		}
+		co.MemoStore = memoSt.store
+	}
+	if cfg.AdaptiveChunks {
+		initial := cfg.ChunkBytes
+		if initial <= 0 {
+			initial = tuner.Recommend(0, 0, input.TotalBytes(), 2*time.Millisecond, tuner.Limits{})
+		}
+		lim := tuner.Limits{Min: 64 << 10}
+		if total := input.TotalBytes(); total > 0 {
+			lim.Max = total / 2
+		}
+		co.Tuner = tuner.NewController(tuner.ControllerConfig{Initial: initial, Limits: lim})
+	}
+	res, err := core.Run(job, input, cont, co)
 	if err != nil {
 		return nil, err
 	}

@@ -56,6 +56,14 @@ echo "== race: node-container repeats =="
 go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeDrainsOncePerNode|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
 go test -race -count=2 -run 'TestNodeContainersRouteAndDrainOnce' ./internal/core/
 
+echo "== race: per-job span repeats =="
+# Every ForEach slot and GoIO task writes the submitting job's span sink
+# while a shared engine pool runs other jobs' work, so the span tests
+# repeat under the detector.
+go test -race -count=10 -run 'TestSpansPerSlotAndTask' ./internal/exec/
+go test -race -count=10 -run 'TestJobPoolSpansExcludeSiblings' ./internal/sched/
+go test -race -count=3 -run 'TestEngineTracesArePerJob|TestTraceRootedAtJobStart' .
+
 FUZZTIME=${FUZZTIME:-3s}
 echo "== fuzz ($FUZZTIME per target) =="
 # Every target that parses stored or wire bytes, or checks a merge

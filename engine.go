@@ -69,12 +69,11 @@ type EngineConfig struct {
 // admitted jobs' map waves, spill drains and merge tasks so a short job
 // is never FIFO-blocked behind a long one.
 //
-// Engine mode trades two instruments for isolation: per-phase
-// allocation metering (Report.Allocs) and utilization tracing
-// (Config.TraceContexts) are process-wide measurements that cannot be
-// attributed to one of several concurrent jobs, so both are disabled —
-// Allocs is zero and TraceContexts is ignored. Task stats and lane-byte
-// counters are per-submission (each job has a private sink), and the
+// Engine mode trades one instrument for isolation: per-phase allocation
+// metering (Report.Allocs) is a process-wide measurement that cannot be
+// attributed to one of several concurrent jobs, so Allocs is zero. Task
+// stats, lane-byte counters and the task spans a utilization trace is
+// built from are per-submission (each job has a private sink), and the
 // chunk freelist's counters are engine-global, reported by Stats.
 type Engine struct {
 	clk    storage.Clock
@@ -302,8 +301,8 @@ func runOnEngine[K comparable, V any](e *Engine, job Job[K, V], input Stream, co
 	})
 	defer jp.Close()
 
-	// No WithAllocs and no recorder: both instruments are process-wide
-	// and would bleed across concurrent jobs.
+	// No WithAllocs: allocation counters are process-wide and would
+	// bleed across concurrent jobs.
 	rep, err := runWithExecutor(job, input, cont, cfg, runSubstrate{
 		pool:   jp,
 		clk:    e.clk,
@@ -312,16 +311,10 @@ func runOnEngine[K comparable, V any](e *Engine, job Job[K, V], input Stream, co
 		frees:  e.frees,
 		memo:   e.memo,
 	})
+	var stats *Stats
 	if rep != nil {
 		rep.Notes = append(rep.Notes,
 			"engine mode: per-phase allocation metering disabled (process-wide instrument cannot be attributed to one of several concurrent jobs)")
-		if cfg.TraceContexts > 0 {
-			rep.Notes = append(rep.Notes,
-				"engine mode: utilization trace disabled (TraceContexts ignored; process-wide instrument)")
-		}
-	}
-	var stats *Stats
-	if rep != nil {
 		stats = &rep.Stats
 	}
 	e.noteDone(tenant, stats, err)

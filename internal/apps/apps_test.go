@@ -7,6 +7,7 @@ import (
 
 	"supmr/internal/chunk"
 	"supmr/internal/core"
+	"supmr/internal/exec"
 	"supmr/internal/kv"
 	"supmr/internal/mapreduce"
 	"supmr/internal/metrics"
@@ -137,7 +138,9 @@ func TestOpenMPSortSortsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OpenMPSort(chunk.NewWholeInput(inter), 4, nil, nil)
+	pool := exec.NewLocal(4)
+	defer pool.Close()
+	res, err := OpenMPSort(chunk.NewWholeInput(inter), pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +170,9 @@ func TestOpenMPMatchesMapReduceSort(t *testing.T) {
 		}
 		return chunk.NewWholeInput(inter)
 	}
-	omp, err := OpenMPSort(mk(), 2, nil, nil)
+	pool := exec.NewLocal(2)
+	defer pool.Close()
+	omp, err := OpenMPSort(mk(), pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

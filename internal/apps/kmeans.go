@@ -191,7 +191,7 @@ func RunKMeans(ctx context.Context, k *KMeans, mkStream func() (chunk.Stream, er
 	}
 	opts.Boundary = k.Boundary()
 	if opts.Pool == nil {
-		pool := exec.NewPool(ctx, exec.Config{Workers: opts.Workers, Recorder: opts.Recorder})
+		pool := exec.NewPool(ctx, exec.Config{Workers: opts.Workers})
 		defer pool.Close()
 		opts.Pool = pool
 	}

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"time"
-
 	"supmr/internal/chunk"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
@@ -26,15 +24,12 @@ type OpenMPSortResult struct {
 //
 // Phases reported: read (sequential ingest), map (sequential parse),
 // merge (parallel p-way sort, the gnu_parallel::sort analog). All run
-// on one executor pool: ingest and the single-threaded parse on the IO
-// lane, the sort on the compute workers.
-func OpenMPSort(input chunk.Stream, workers int, timer *metrics.Timer, rec *metrics.UtilRecorder) (*OpenMPSortResult, error) {
+// on pool: ingest and the single-threaded parse on an IO lane, the sort
+// on the compute workers. A nil timer times phases on the pool's clock.
+func OpenMPSort(input chunk.Stream, pool exec.Executor, timer *metrics.Timer) (*OpenMPSortResult, error) {
 	if timer == nil {
-		epoch := time.Now()
-		timer = metrics.NewTimer(func() time.Duration { return time.Since(epoch) })
+		timer = metrics.NewTimer(pool.Now)
 	}
-	pool := exec.NewPool(nil, exec.Config{Workers: workers, Recorder: rec})
-	defer pool.Close()
 
 	// Sequential ingest: one thread in IO wait.
 	timer.StartPhase(metrics.PhaseRead)

@@ -184,7 +184,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	ro := opts.Options
 	pool := ro.Pool
 	if pool == nil {
-		own := exec.NewPool(nil, exec.Config{Workers: ro.Workers, IOWorkers: opts.IOLanes, Recorder: ro.Recorder})
+		own := exec.NewPool(nil, exec.Config{Workers: ro.Workers, IOWorkers: opts.IOLanes})
 		defer own.Close()
 		pool = own
 		ro.Pool = pool

@@ -437,24 +437,39 @@ func TestTunerObservesJobClock(t *testing.T) {
 	}
 }
 
-func TestStableWorkerRegistrationAcrossRounds(t *testing.T) {
-	// A multi-round SupMR job draws every phase from one persistent pool:
-	// the utilization trace must show exactly workers+1 registered workers
-	// (compute + the dedicated ingest lane), not a fresh batch per wave.
-	rec := metrics.NewUtilRecorder(4, func() time.Duration { return 0 })
+// TestSpansPerWaveAcrossRounds: a multi-round job draws every phase from
+// its one pool, and the pool records a bounded span population — at most
+// one user span per worker per compute call and one IO-wait span per
+// ingest task — rather than one per map task.
+func TestSpansPerWaveAcrossRounds(t *testing.T) {
+	pool := exec.NewPool(nil, exec.Config{Workers: 3})
+	defer pool.Close()
 	text := genText(t, 64<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, textStream(t, text, 4<<10), wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 3, Recorder: rec}})
+		Options{Options: mapreduce.Options{Pool: pool}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.MapWaves < 10 {
 		t.Fatalf("want a multi-round job, got %d waves", res.Stats.MapWaves)
 	}
-	if got := rec.Registered(); got != 4 {
-		t.Errorf("trace registered %d workers across %d rounds, want stable 4 (3 compute + 1 IO)",
-			got, res.Stats.MapWaves)
+	var user, io int
+	for _, s := range pool.Spans() {
+		if s.User == 1 {
+			user++
+		} else if s.IOWait == 1 {
+			io++
+		}
+	}
+	// Map waves, then reduce, run-sort and the merge rounds: one
+	// ForEach each.
+	calls := res.Stats.MapWaves + 2 + res.Stats.MergeRounds
+	if maps := res.Stats.Tasks["map"].Tasks; user == 0 || user > 3*calls || user >= maps {
+		t.Errorf("%d user spans for %d compute calls and %d map tasks, want 1..%d", user, calls, maps, 3*calls)
+	}
+	if n := res.Stats.Tasks["ingest"].Tasks; io == 0 || io > n {
+		t.Errorf("%d IO-wait spans for %d ingest tasks", io, n)
 	}
 }
 

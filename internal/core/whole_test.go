@@ -77,7 +77,6 @@ func TestRunRecordsPhaseTimes(t *testing.T) {
 // it — the sequential ingest phase of Fig. 1's first 180 seconds.
 func TestIngestMarksIOWait(t *testing.T) {
 	clock := storage.NewFakeClock()
-	rec := metrics.NewUtilRecorder(2, clock.Now)
 	data := genText(t, 8<<10)
 	d, err := storage.NewDisk(storage.DiskConfig{Name: "d", Bandwidth: 8 << 10}, clock)
 	if err != nil {
@@ -91,7 +90,7 @@ func TestIngestMarksIOWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := exec.NewPool(nil, exec.Config{Workers: 1, Recorder: rec})
+	pool := exec.NewPool(nil, exec.Config{Workers: 1, Now: clock.Now})
 	defer pool.Close()
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, chunk.NewWholeInput(inter), wc.NewContainer(4),
@@ -102,7 +101,7 @@ func TestIngestMarksIOWait(t *testing.T) {
 	if res.Stats.BytesIngested != int64(len(data)) {
 		t.Fatalf("ingested %d bytes, want %d", res.Stats.BytesIngested, len(data))
 	}
-	tr := rec.Build(100*time.Millisecond, clock.Now())
+	tr := metrics.BuildTrace(pool.Spans(), 2, 100*time.Millisecond, 0, clock.Now())
 	var iow float64
 	for _, s := range tr.Samples {
 		iow += s.IOWait

@@ -16,16 +16,16 @@
 //   - panic isolation: a crashing task becomes a *PanicError naming the
 //     phase and task (split) instead of killing the process;
 //   - per-task instrumentation: task counts, queue-wait and busy
-//     durations per phase (metrics.TaskStats), plus worker busy/idle
-//     states on a metrics.UtilRecorder with worker ids that stay stable
-//     across phases — so utilization traces keep working unchanged.
+//     durations per phase (metrics.TaskStats), plus activity spans on
+//     the job clock — one per worker slot of a ForEach, one per GoIO
+//     task — from which a job's utilization trace is built
+//     (metrics.BuildTrace). Both land in the submitting job's Sink, so
+//     a shared pool's jobs each trace only their own work.
 //
-// Workers are registered with the recorder at pool creation: ids
-// 0..Workers-1 are the compute workers and ids Workers..Workers+IOWorkers-1
-// are the dedicated IO lane workers that serve GoIO tasks (the paper's
-// ingest thread, generalized to k striped lanes), so device waits never
-// compete with map tasks for a slot. With the default single lane the
-// layout is exactly the original one: the final id is the IO worker.
+// The pool runs Workers compute workers plus IOWorkers dedicated IO lane
+// workers that serve GoIO tasks (the paper's ingest thread, generalized
+// to k striped lanes), so device waits never compete with map tasks for
+// a slot.
 package exec
 
 import (
@@ -87,17 +87,20 @@ type Executor interface {
 	GoIOSized(phase string, state metrics.WorkerState, bytes int64, fn func() error) *Handle
 	// TaskStats snapshots this job's per-phase task instrumentation.
 	TaskStats() map[string]metrics.TaskStats
+	// Spans snapshots this job's activity spans on the job clock.
+	Spans() []metrics.Segment
 }
 
 // Sink accumulates one job's execution statistics: per-phase task
-// counts/durations and per-IO-lane payload bytes. A pool owns a default
-// sink for its own submissions; a multi-job engine gives every
-// submission a private sink so concurrent jobs never bleed counters
-// into each other's reports.
+// counts/durations, per-IO-lane payload bytes and activity spans. A pool
+// owns a default sink for its own submissions; a multi-job engine gives
+// every submission a private sink so concurrent jobs never bleed
+// counters into each other's reports.
 type Sink struct {
 	mu        sync.Mutex
 	stats     map[string]*metrics.TaskStats
 	laneBytes []int64
+	spans     []metrics.Segment
 }
 
 // NewSink builds a sink attributing IO bytes across lanes IO lanes.
@@ -111,7 +114,9 @@ func NewSink(lanes int) *Sink {
 	}
 }
 
-func (s *Sink) record(phase string, tasks int, queueWait, busy time.Duration) {
+// record folds one ForEach or GoIO call into the phase's stats and
+// keeps its non-empty spans.
+func (s *Sink) record(phase string, tasks int, queueWait, busy time.Duration, spans ...metrics.Segment) {
 	s.mu.Lock()
 	st := s.stats[phase]
 	if st == nil {
@@ -119,6 +124,11 @@ func (s *Sink) record(phase string, tasks int, queueWait, busy time.Duration) {
 		s.stats[phase] = st
 	}
 	st.Add(metrics.TaskStats{Tasks: tasks, QueueWait: queueWait, Busy: busy})
+	for _, sp := range spans {
+		if sp.End > sp.Start {
+			s.spans = append(s.spans, sp)
+		}
+	}
 	s.mu.Unlock()
 }
 
@@ -150,6 +160,13 @@ func (s *Sink) LaneBytes() []int64 {
 	return out
 }
 
+// Spans snapshots the activity spans.
+func (s *Sink) Spans() []metrics.Segment {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]metrics.Segment(nil), s.spans...)
+}
+
 // Config configures a pool.
 type Config struct {
 	// Workers is the number of compute workers (default: NumCPU).
@@ -160,32 +177,18 @@ type Config struct {
 	// ingest path raises it so segmented chunk reads overlap on the
 	// device.
 	IOWorkers int
-	// Recorder, when set, observes worker busy/idle transitions for
-	// utilization traces. All workers register once at pool creation.
-	Recorder *metrics.UtilRecorder
 	// Now is the job clock used for durations handed back to callers
-	// (e.g. tuner round observations). Defaults to a wall clock rooted
-	// at pool creation. Pass the storage clock so round measurements
-	// share the device timeline under simulated clocks.
+	// (e.g. tuner round observations) and for activity spans. Defaults
+	// to a wall clock rooted at pool creation. Pass the storage clock so
+	// round measurements and spans share the device timeline under
+	// simulated clocks.
 	Now func() time.Duration
 }
 
-// task is one unit of queued work.
+// task is one unit of queued work, run with the executing worker's IO
+// lane index (-1 on a compute worker).
 type task struct {
-	run func(w *worker)
-}
-
-// worker is one pool goroutine's identity.
-type worker struct {
-	pool *Pool
-	id   int // recorder worker id, -1 without a recorder
-	lane int // IO lane index, -1 for compute workers
-}
-
-func (w *worker) setState(s metrics.WorkerState) {
-	if w.pool.rec != nil {
-		w.pool.rec.SetState(w.id, s)
-	}
+	run func(lane int)
 }
 
 // Pool is the persistent per-job worker pool. Create one with NewPool,
@@ -197,7 +200,6 @@ type Pool struct {
 	abort   context.CancelCauseFunc
 	workers int
 	lanes   int
-	rec     *metrics.UtilRecorder
 	now     func() time.Duration
 
 	tasks chan task // compute lane
@@ -238,40 +240,33 @@ func NewPool(ctx context.Context, cfg Config) *Pool {
 		abort:   abort,
 		workers: w,
 		lanes:   k,
-		rec:     cfg.Recorder,
 		now:     now,
 		tasks:   make(chan task, w),
 		io:      make(chan task, k),
 		sink:    NewSink(k),
 	}
-	// Register every worker up front so trace worker ids are stable for
-	// the life of the job, whatever mix of phases runs on the pool:
-	// compute workers first, then the IO lanes.
+	// Compute workers first, then the IO lanes.
 	for i := 0; i < w+k; i++ {
-		id := -1
-		if p.rec != nil {
-			id = p.rec.Register()
-		}
 		ch, lane := p.tasks, -1
 		if i >= w {
 			ch, lane = p.io, i-w
 		}
 		p.wg.Add(1)
-		go p.loop(&worker{pool: p, id: id, lane: lane}, ch)
+		go p.loop(lane, ch)
 	}
 	return p
 }
 
 // NewLocal is a convenience pool for standalone phase primitives and
-// tests: background context, no recorder. Callers must Close it.
+// tests: background context, wall clock. Callers must Close it.
 func NewLocal(workers int) *Pool {
 	return NewPool(context.Background(), Config{Workers: workers})
 }
 
-func (p *Pool) loop(w *worker, ch chan task) {
+func (p *Pool) loop(lane int, ch chan task) {
 	defer p.wg.Done()
 	for t := range ch {
-		t.run(w)
+		t.run(lane)
 	}
 }
 
@@ -326,6 +321,9 @@ func (p *Pool) Close() {
 // TaskStats snapshots the per-phase task instrumentation.
 func (p *Pool) TaskStats() map[string]metrics.TaskStats { return p.sink.TaskStats() }
 
+// Spans snapshots the activity spans of the pool's own submissions.
+func (p *Pool) Spans() []metrics.Segment { return p.sink.Spans() }
+
 // submit enqueues t on ch, refusing after Close.
 func (p *Pool) submit(ch chan task, t task) error {
 	// The in-flight count keeps Close from closing ch between the closed
@@ -345,13 +343,13 @@ func (p *Pool) submit(ch chan task, t task) error {
 }
 
 // ForEach runs fn(i) for every i in [0, n) on the pool's compute
-// workers, marking each worker with state while it executes a task and
-// idle between tasks. It returns the aggregate busy time (the sum of
-// per-task wall-clock durations) and the first error: a task error, a
-// *PanicError if a task panicked, or the cancellation cause if the job
-// context was cancelled (dispatch stops between tasks). Tasks must not
-// themselves submit pool work; phases are sequential, tasks within a
-// phase are parallel.
+// workers, recording each worker slot's activity as one span in state,
+// from its first task's start to its last task's end. It returns the
+// aggregate busy time (the sum of per-task wall-clock durations) and the
+// first error: a task error, a *PanicError if a task panicked, or the
+// cancellation cause if the job context was cancelled (dispatch stops
+// between tasks). Tasks must not themselves submit pool work; phases are
+// sequential, tasks within a phase are parallel.
 func (p *Pool) ForEach(phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
 	return p.ForEachScoped(p.ctx, p.sink, phase, state, n, fn)
 }
@@ -366,10 +364,10 @@ func scopeErr(ctx context.Context) error {
 
 // ForEachScoped is ForEach under a job scope: dispatch stops when ctx —
 // the job's context, typically derived from the pool's — is cancelled,
-// and task statistics land in sink rather than the pool's own. This is
-// the entry point a multi-job engine uses so one pool can run phases
-// from many jobs with per-job cancellation and attribution; ForEach is
-// exactly this call scoped to the pool itself.
+// and task statistics and spans land in sink rather than the pool's
+// own. This is the entry point a multi-job engine uses so one pool can
+// run phases from many jobs with per-job cancellation and attribution;
+// ForEach is exactly this call scoped to the pool itself.
 func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
 	if ctx == nil {
 		ctx = p.ctx
@@ -415,29 +413,32 @@ func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, phase string, stat
 			setErr(err)
 		}
 	}
-	loop := func(w *worker, submitted time.Time) {
+	// Each slot writes only its own span; record keeps the non-empty ones
+	// after the wave joins, under the lock it takes anyway.
+	spans := make([]metrics.Segment, slots)
+	loop := func(span *metrics.Segment, submitted time.Time) {
 		defer wg.Done()
 		waitNS.Add(int64(time.Since(submitted)))
-		for {
-			if failed.Load() || ctx.Err() != nil {
-				return
-			}
+		from, tasks := p.now(), 0
+		for !failed.Load() && ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= n {
-				return
+				break
 			}
-			w.setState(state)
 			start := time.Now()
 			runOne(i)
 			busyNS.Add(int64(time.Since(start)))
 			ran.Add(1)
-			w.setState(metrics.StateIdle)
+			tasks++
+		}
+		if tasks > 0 {
+			*span = state.Segment(from, p.now())
 		}
 	}
 	for s := 0; s < slots; s++ {
-		submitted := time.Now()
+		submitted, span := time.Now(), &spans[s]
 		wg.Add(1)
-		if err := p.submit(p.tasks, task{run: func(w *worker) { loop(w, submitted) }}); err != nil {
+		if err := p.submit(p.tasks, task{run: func(int) { loop(span, submitted) }}); err != nil {
 			wg.Done()
 			setErr(err)
 			break
@@ -445,7 +446,7 @@ func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, phase string, stat
 	}
 	wg.Wait()
 	busy := time.Duration(busyNS.Load())
-	sink.record(phase, int(ran.Load()), time.Duration(waitNS.Load()), busy)
+	sink.record(phase, int(ran.Load()), time.Duration(waitNS.Load()), busy, spans...)
 	if firstErr == nil && int(ran.Load()) < n {
 		// Dispatch stopped early without a task error: cancellation.
 		if err := scopeErr(ctx); err != nil {
@@ -476,10 +477,10 @@ func (h *Handle) Wait() error {
 }
 
 // GoIO runs fn asynchronously on one of the pool's dedicated IO
-// workers, marking it with state (typically metrics.StateIOWait) while
-// fn runs. This is the ingest/prefetch lane: it never competes with
-// compute tasks for a worker, so the double-buffered read of the SupMR
-// pipeline always has a thread to park in the device wait. With a
+// workers, recording its run as one span in state (typically
+// metrics.StateIOWait). This is the ingest/prefetch lane: it never
+// competes with compute tasks for a worker, so the double-buffered read
+// of the SupMR pipeline always has a thread to park in the device wait. With a
 // single IO worker (the default) GoIO tasks are strictly serialized;
 // with more, tasks fan out across the lanes in submission order. The
 // returned Handle joins the task and always resolves — normal return,
@@ -497,9 +498,9 @@ func (p *Pool) GoIOSized(phase string, state metrics.WorkerState, bytes int64, f
 	return p.GoIOScoped(p.sink, phase, state, bytes, fn)
 }
 
-// GoIOScoped is GoIOSized under a job scope: the task's statistics and
-// lane-byte attribution land in sink rather than the pool's own, so a
-// multi-job engine keeps per-submission ingest counters. The task
+// GoIOScoped is GoIOSized under a job scope: the task's statistics,
+// span and lane-byte attribution land in sink rather than the pool's
+// own, so a multi-job engine keeps per-submission ingest counters. The task
 // itself still runs on the shared IO lanes in submission order.
 func (p *Pool) GoIOScoped(sink *Sink, phase string, state metrics.WorkerState, bytes int64, fn func() error) *Handle {
 	if sink == nil {
@@ -507,13 +508,12 @@ func (p *Pool) GoIOScoped(sink *Sink, phase string, state metrics.WorkerState, b
 	}
 	h := &Handle{done: make(chan error, 1)}
 	submitted := time.Now()
-	t := task{run: func(w *worker) {
+	t := task{run: func(lane int) {
 		wait := time.Since(submitted)
-		if w.lane >= 0 && bytes > 0 {
-			sink.addLaneBytes(w.lane, bytes)
+		if lane >= 0 && bytes > 0 {
+			sink.addLaneBytes(lane, bytes)
 		}
-		w.setState(state)
-		start := time.Now()
+		from, start := p.now(), time.Now()
 		err := func() (err error) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -522,8 +522,7 @@ func (p *Pool) GoIOScoped(sink *Sink, phase string, state metrics.WorkerState, b
 			}()
 			return fn()
 		}()
-		w.setState(metrics.StateIdle)
-		sink.record(phase, 1, wait, time.Since(start))
+		sink.record(phase, 1, wait, time.Since(start), state.Segment(from, p.now()))
 		h.done <- err
 	}}
 	if err := p.submit(p.io, t); err != nil {

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -275,25 +274,61 @@ func TestTaskStats(t *testing.T) {
 	}
 }
 
-func TestStableWorkerRegistration(t *testing.T) {
-	// All worker ids are allocated at pool creation — phases re-use them
-	// instead of re-registering, so the trace population stays fixed.
-	rec := metrics.NewUtilRecorder(4, func() time.Duration { return 0 })
-	p := NewPool(context.Background(), Config{Workers: 3, Recorder: rec})
+// TestSpansPerSlotAndTask: a ForEach records at most one span per worker
+// slot, in the call's state, covering the busy time of the slot's tasks;
+// a GoIO task records exactly one span in its state. Spans are on the
+// pool's clock and land in the submitting sink only.
+func TestSpansPerSlotAndTask(t *testing.T) {
+	p := NewPool(context.Background(), Config{Workers: 3})
 	defer p.Close()
-	if got := rec.Registered(); got != 4 {
-		t.Fatalf("registered %d workers, want 3 compute + 1 IO", got)
+	busy, err := p.ForEach("map", metrics.StateUser, 12, func(int) error {
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for phase := 0; phase < 5; phase++ {
-		if _, err := p.ForEach(fmt.Sprintf("phase%d", phase), metrics.StateUser, 10, func(int) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.GoIO("io", metrics.StateIOWait, func() error { return nil }).Wait(); err != nil {
-			t.Fatal(err)
-		}
+	spans := p.Spans()
+	if len(spans) == 0 || len(spans) > 3 {
+		t.Fatalf("ForEach over 12 tasks on 3 workers recorded %d spans, want 1..3", len(spans))
 	}
-	if got := rec.Registered(); got != 4 {
-		t.Errorf("worker population grew to %d across phases, want stable 4", got)
+	var total time.Duration
+	for _, s := range spans {
+		if s.User != 1 || s.Sys != 0 || s.IOWait != 0 {
+			t.Errorf("span %+v is not one user context", s)
+		}
+		total += s.End - s.Start
+	}
+	if d := total - busy; d < -busy/20 || d > busy/20 {
+		t.Errorf("user spans total %v, busy time %v: off by more than 5%%", total, busy)
+	}
+
+	before := p.Now()
+	if err := p.GoIO("ingest", metrics.StateIOWait, func() error {
+		time.Sleep(time.Millisecond)
+		return nil
+	}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	io := p.Spans()[len(spans):]
+	if len(io) != 1 || io[0].IOWait != 1 || io[0].User != 0 || io[0].Start < before || io[0].End > p.Now() {
+		t.Errorf("one GoIO recorded %+v, want one IO-wait span on the pool clock", io)
+	}
+
+	// A scoped call's spans land in its sink, not the pool's.
+	sink := NewSink(1)
+	if _, err := p.ForEachScoped(nil, sink, "map", metrics.StateUser, 3, func(int) error {
+		time.Sleep(time.Millisecond)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.GoIOScoped(sink, "ingest", metrics.StateIOWait, 0, func() error {
+		time.Sleep(time.Millisecond)
+		return nil
+	}).Wait()
+	if got, own := len(sink.Spans()), len(p.Spans()); got == 0 || got > 4 || own != len(spans)+1 {
+		t.Errorf("scoped sink holds %d spans, pool %d; want 2..4 and %d", got, own, len(spans)+1)
 	}
 }
 

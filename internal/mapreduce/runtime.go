@@ -45,15 +45,11 @@ type Options struct {
 	Boundary chunk.Boundary
 	// Timer records per-phase durations (optional).
 	Timer *metrics.Timer
-	// Recorder reconstructs CPU utilization traces (optional). Only
-	// consulted when this package creates the pool itself; an explicit
-	// Pool brings its own recorder wiring.
-	Recorder *metrics.UtilRecorder
 	// Pool is the job's execution engine. When nil, the phase primitives
-	// create a transient pool (sized by Workers, observing Recorder) for
-	// the call. The facade sets it so one executor spans the whole job,
-	// with the job context and clock attached — either a dedicated
-	// exec.Pool or a multi-job engine's per-submission handle.
+	// create a transient pool (sized by Workers) for the call. The facade
+	// sets it so one executor spans the whole job, with the job context
+	// and clock attached — either a dedicated exec.Pool or a multi-job
+	// engine's per-submission handle.
 	Pool exec.Executor
 	// RadixDisabled turns off the fixed-width-key sort fast path (radix
 	// run sort + columnar merge) — the -radixsort=off ablation. The zero
@@ -94,7 +90,7 @@ func (o Options) pool() (exec.Executor, func()) {
 	if o.Pool != nil {
 		return o.Pool, func() {}
 	}
-	p := exec.NewPool(nil, exec.Config{Workers: o.Workers, Recorder: o.Recorder})
+	p := exec.NewLocal(o.Workers)
 	return p, p.Close
 }
 

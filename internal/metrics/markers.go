@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -17,54 +16,46 @@ type Marker struct {
 	Label string
 }
 
-// MarkerLog collects markers concurrently.
-type MarkerLog struct {
-	mu      sync.Mutex
-	markers []Marker
-}
-
-// Add records a marker.
-func (l *MarkerLog) Add(at time.Duration, label string) {
-	l.mu.Lock()
-	l.markers = append(l.markers, Marker{At: at, Label: label})
-	l.mu.Unlock()
-}
-
-// Markers returns a time-sorted snapshot.
-func (l *MarkerLog) Markers() []Marker {
-	l.mu.Lock()
-	out := make([]Marker, len(l.markers))
-	copy(out, l.markers)
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// WithMarkers makes the timer log "phase start/end" markers into log.
-func (t *Timer) WithMarkers(log *MarkerLog) *Timer {
+// WithMarkers makes the timer log "phase start/end" markers, read back
+// with Markers.
+func (t *Timer) WithMarkers() *Timer {
 	t.mu.Lock()
-	t.markers = log
+	t.marking = true
 	t.mu.Unlock()
 	return t
 }
 
+// Markers returns a time-sorted snapshot of the logged markers.
+func (t *Timer) Markers() []Marker {
+	t.mu.Lock()
+	out := append([]Marker(nil), t.markers...)
+	t.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
+}
+
 // Mark logs a free-form event marker (e.g. "ingest stall") at the
-// current time into the timer's marker log; without one it is a no-op.
-// Event markers render on the same trace ruler as phase boundaries, so
-// stalls can be read off a utilization chart the way the paper reads
-// the ingest/compute gap in Fig. 1.
+// current time; without WithMarkers it is a no-op. Event markers render
+// on the same trace ruler as phase boundaries, so stalls can be read off
+// a utilization chart the way the paper reads the ingest/compute gap in
+// Fig. 1.
 func (t *Timer) Mark(label string) {
 	t.mu.Lock()
-	m := t.markers
+	t.mark(t.now(), label)
 	t.mu.Unlock()
-	if m != nil {
-		m.Add(t.now(), label)
+}
+
+// mark logs a marker when marking is on; t.mu must be held.
+func (t *Timer) mark(at time.Duration, label string) {
+	if t.marking {
+		t.markers = append(t.markers, Marker{At: at, Label: label})
 	}
 }
 
 // AnnotatedASCII renders the trace with a marker ruler underneath:
 // each phase-start marker appears as a caret column labelled in a
-// legend, so phase intervals can be read off the chart.
+// legend, so phase intervals can be read off the chart. Markers are on
+// the trace's clock; each lands in column (At - Start) / Bucket.
 func (tr *Trace) AnnotatedASCII(height int, markers []Marker) string {
 	base := tr.ASCII(height)
 	if len(markers) == 0 || len(tr.Samples) == 0 {
@@ -75,14 +66,15 @@ func (tr *Trace) AnnotatedASCII(height int, markers []Marker) string {
 	var legend []string
 	n := 0
 	for _, m := range markers {
-		col := int(m.At / tr.Bucket)
+		at := m.At - tr.Start
+		col := int(at / tr.Bucket)
 		if col < 0 || col >= cols {
 			continue
 		}
 		n++
 		tag := byte('0' + n%10)
 		ruler[col] = tag
-		legend = append(legend, fmt.Sprintf("%c=%s@%.1fs", tag, m.Label, m.At.Seconds()))
+		legend = append(legend, fmt.Sprintf("%c=%s@%.1fs", tag, m.Label, at.Seconds()))
 	}
 	var b strings.Builder
 	b.WriteString(base)

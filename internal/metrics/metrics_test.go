@@ -88,70 +88,57 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestUtilRecorderSingleWorker(t *testing.T) {
-	fn := &fakeNow{}
-	rec := NewUtilRecorder(2, fn.now)
-	id := rec.Register()
-
-	rec.SetStateAt(id, StateUser, 0)
-	rec.SetStateAt(id, StateIdle, time.Second)
-	tr := rec.Build(time.Second, 2*time.Second)
-	if len(tr.Samples) != 2 {
-		t.Fatalf("got %d samples, want 2", len(tr.Samples))
+// TestBuildTrace: segments integrate into per-bucket shares of
+// contexts*bucket, split across bucket edges, clip to [start, end) and
+// clamp to [0, 100] %.
+func TestBuildTrace(t *testing.T) {
+	sec := time.Second
+	cases := []struct {
+		name       string
+		segs       []Segment
+		contexts   int
+		start, end time.Duration
+		want       []Sample // User/Sys/IOWait per bucket (1 s buckets)
+	}{
+		// 1 busy context of 2 for the first second = 50 %.
+		{"single worker", []Segment{StateUser.Segment(0, sec)}, 2, 0, 2 * sec,
+			[]Sample{{User: 50}, {}}},
+		{"stacks states", []Segment{StateUser.Segment(0, sec), StateSys.Segment(0, sec), StateIOWait.Segment(0, sec)}, 4, 0, sec,
+			[]Sample{{User: 25, Sys: 25, IOWait: 25}}},
+		// Busy from 0.5 s to 1.5 s spans two 1 s buckets at 50 % each.
+		{"interval split across buckets", []Segment{StateUser.Segment(sec/2, 3*sec/2)}, 1, 0, 2 * sec,
+			[]Sample{{User: 50}, {User: 50}}},
+		// A segment running past the end is clipped to it.
+		{"clipped to end", []Segment{StateIOWait.Segment(0, 10*sec)}, 1, 0, 3 * sec,
+			[]Sample{{IOWait: 100}, {IOWait: 100}, {IOWait: 100}}},
+		{"empty segments", nil, 4, 0, 0, []Sample{{}}},
+		// Zero-length and inverted segments contribute nothing.
+		{"degenerate segments", []Segment{{Start: 5, End: 5, User: 3}, {Start: 10, End: 2, User: 1}}, 4, 0, 2 * sec,
+			[]Sample{{}, {}}},
+		// An overcommitted segment cannot exceed 100 %.
+		{"clamped", []Segment{{Start: 0, End: sec, User: 100}}, 4, 0, sec, []Sample{{User: 100}}},
+		// Rooted at start: work an hour into the clock lands in bucket 0,
+		// and work before start is dropped.
+		{"rooted at start", []Segment{StateUser.Segment(0, time.Hour), StateUser.Segment(time.Hour, time.Hour+sec)}, 1, time.Hour, time.Hour + 2*sec,
+			[]Sample{{User: 100}, {}}},
+		// end <= start runs to the last segment's end.
+		{"open end", []Segment{StateUser.Segment(time.Hour+sec, time.Hour+2*sec)}, 1, time.Hour, 0,
+			[]Sample{{}, {User: 100}}},
 	}
-	// 1 busy worker of 2 contexts for the first second = 50%.
-	if got := tr.Samples[0].User; got < 49.9 || got > 50.1 {
-		t.Errorf("bucket 0 user = %v%%, want 50%%", got)
-	}
-	if got := tr.Samples[1].User; got != 0 {
-		t.Errorf("bucket 1 user = %v%%, want 0", got)
-	}
-}
-
-func TestUtilRecorderStacksStates(t *testing.T) {
-	fn := &fakeNow{}
-	rec := NewUtilRecorder(4, fn.now)
-	w1, w2, w3 := rec.Register(), rec.Register(), rec.Register()
-	rec.SetStateAt(w1, StateUser, 0)
-	rec.SetStateAt(w2, StateSys, 0)
-	rec.SetStateAt(w3, StateIOWait, 0)
-	tr := rec.Build(time.Second, time.Second)
-	s := tr.Samples[0]
-	if s.User != 25 || s.Sys != 25 || s.IOWait != 25 {
-		t.Errorf("stacked sample = %+v, want 25/25/25", s)
-	}
-	if s.Total() != 75 {
-		t.Errorf("total = %v, want 75", s.Total())
-	}
-}
-
-func TestUtilRecorderIntervalSplitAcrossBuckets(t *testing.T) {
-	fn := &fakeNow{}
-	rec := NewUtilRecorder(1, fn.now)
-	id := rec.Register()
-	// Busy from 0.5s to 1.5s spans two 1s buckets at 50% each.
-	rec.SetStateAt(id, StateUser, 500*time.Millisecond)
-	rec.SetStateAt(id, StateIdle, 1500*time.Millisecond)
-	tr := rec.Build(time.Second, 2*time.Second)
-	if got := tr.Samples[0].User; got < 49.9 || got > 50.1 {
-		t.Errorf("bucket 0 = %v%%, want 50%%", got)
-	}
-	if got := tr.Samples[1].User; got < 49.9 || got > 50.1 {
-		t.Errorf("bucket 1 = %v%%, want 50%%", got)
-	}
-}
-
-func TestUtilRecorderOpenIntervalRunsToEnd(t *testing.T) {
-	fn := &fakeNow{}
-	rec := NewUtilRecorder(1, fn.now)
-	id := rec.Register()
-	rec.SetStateAt(id, StateIOWait, 0)
-	// No closing event: state persists to the end cap.
-	tr := rec.Build(time.Second, 3*time.Second)
-	for i, s := range tr.Samples {
-		if s.IOWait < 99.9 {
-			t.Errorf("bucket %d iowait = %v%%, want 100%%", i, s.IOWait)
-		}
+	near := func(a, b float64) bool { return a-b < 0.01 && b-a < 0.01 }
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := BuildTrace(c.segs, c.contexts, sec, c.start, c.end)
+			if tr.Start != c.start || len(tr.Samples) != len(c.want) {
+				t.Fatalf("start %v, %d samples; want %v, %d", tr.Start, len(tr.Samples), c.start, len(c.want))
+			}
+			for i, w := range c.want {
+				g := tr.Samples[i]
+				if g.T != time.Duration(i)*sec || !near(g.User, w.User) || !near(g.Sys, w.Sys) || !near(g.IOWait, w.IOWait) {
+					t.Errorf("bucket %d = %+v, want %+v", i, g, w)
+				}
+			}
+		})
 	}
 }
 
@@ -217,25 +204,14 @@ func TestFormatTable2(t *testing.T) {
 	}
 }
 
-func TestSortedPhases(t *testing.T) {
-	var pt PhaseTimes
-	pt.Set(PhaseMerge, time.Second)
-	pt.Set(PhaseRead, time.Second)
-	ps := SortedPhases(pt)
-	if len(ps) != 2 || ps[0] != PhaseRead || ps[1] != PhaseMerge {
-		t.Errorf("SortedPhases = %v", ps)
-	}
-}
-
 func TestTimerMarkers(t *testing.T) {
 	fn := &fakeNow{}
-	var log MarkerLog
-	tm := NewTimer(fn.now).WithMarkers(&log)
+	tm := NewTimer(fn.now).WithMarkers()
 	fn.t = time.Second
 	tm.StartPhase(PhaseRead)
 	fn.t = 3 * time.Second
 	tm.EndPhase(PhaseRead)
-	ms := log.Markers()
+	ms := tm.Markers()
 	if len(ms) != 2 {
 		t.Fatalf("got %d markers, want 2", len(ms))
 	}

@@ -1,13 +1,13 @@
 // Package metrics provides the measurement substrate for the
 // reproduction: per-phase timers matching the Phoenix++ internal timing
 // functions the paper uses for Table II, and a collectl-style CPU
-// utilization recorder that reconstructs the user/sys/IO-wait traces of
-// Figures 1, 3, 5, 6 and 7 from instrumented worker state changes.
+// utilization trace (BuildTrace) that reconstructs the user/sys/IO-wait
+// series of Figures 1, 3, 5, 6 and 7 from activity segments — a job's
+// task spans, or the performance model's synthetic ones.
 package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -103,7 +103,8 @@ type Timer struct {
 	marks   map[Phase]time.Duration
 	times   PhaseTimes
 	start   time.Duration
-	markers *MarkerLog // optional phase-boundary annotations
+	marking bool     // log phase-boundary markers (WithMarkers)
+	markers []Marker // phase-boundary and event annotations
 
 	// Allocation metering (WithAllocs): cumulative runtime counters are
 	// sampled at each phase boundary and the deltas attributed to the
@@ -118,6 +119,10 @@ func NewTimer(now func() time.Duration) *Timer {
 	t.start = now()
 	return t
 }
+
+// Start returns the clock reading the timer was created at: the job's
+// start on its clock.
+func (t *Timer) Start() time.Duration { return t.start }
 
 // WithAllocs enables per-phase allocation metering: StartPhase/EndPhase
 // additionally sample the runtime's allocation counters (without
@@ -152,9 +157,7 @@ func (t *Timer) StartPhase(p Phase) {
 	if t.allocs != nil {
 		t.allocMarks[p] = readAllocCounters()
 	}
-	if t.markers != nil {
-		t.markers.Add(at, markerLabel(p, "start"))
-	}
+	t.mark(at, markerLabel(p, "start"))
 	t.mu.Unlock()
 }
 
@@ -180,9 +183,7 @@ func (t *Timer) EndPhase(p Phase) {
 			})
 		}
 	}
-	if t.markers != nil {
-		t.markers.Add(at, markerLabel(p, "end"))
-	}
+	t.mark(at, markerLabel(p, "end"))
 	t.times.Add(p, at-start)
 }
 
@@ -244,17 +245,4 @@ func Speedup(a, b time.Duration) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-// SortedPhases lists the phases that have non-zero time in t, in
-// execution order — convenient for report generation.
-func SortedPhases(t PhaseTimes) []Phase {
-	var ps []Phase
-	for p := PhaseSetup; p < numPhases; p++ {
-		if t.Get(p) > 0 {
-			ps = append(ps, p)
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	return ps
 }

@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -45,77 +43,38 @@ type SeriesPoint struct {
 	V int64
 }
 
-// event is one worker state transition.
-type event struct {
-	at     time.Duration
-	worker int
-	state  WorkerState
+// Segment is one interval of activity on a job clock: how many worker
+// contexts are in each state between Start and End. Fractional counts
+// are allowed (the performance model charges its ingest thread 0.3
+// contexts of sys time for the kernel-side copy of incoming data); an
+// executor task span is one context in its state (WorkerState.Segment).
+type Segment struct {
+	Start, End time.Duration
+	User       float64
+	Sys        float64
+	IOWait     float64
 }
 
-// UtilRecorder collects worker state transitions during a run and
-// reconstructs a CPU-utilization time series afterwards, playing the role
-// of the collectl daemon on the testbed. Contexts is the number of
-// hardware contexts utilization is normalized to (32 on the testbed).
-type UtilRecorder struct {
-	now      func() time.Duration
-	contexts int
-
-	mu     sync.Mutex
-	events []event
-	nextID int
-}
-
-// NewUtilRecorder creates a recorder normalizing to contexts hardware
-// contexts, reading time from now.
-func NewUtilRecorder(contexts int, now func() time.Duration) *UtilRecorder {
-	if contexts <= 0 {
-		contexts = 1
+// Segment is one context in state s over [start, end); idle is no
+// activity.
+func (s WorkerState) Segment(start, end time.Duration) Segment {
+	seg := Segment{Start: start, End: end}
+	switch s {
+	case StateUser:
+		seg.User = 1
+	case StateSys:
+		seg.Sys = 1
+	case StateIOWait:
+		seg.IOWait = 1
 	}
-	return &UtilRecorder{now: now, contexts: contexts}
-}
-
-// Contexts returns the normalization width.
-func (r *UtilRecorder) Contexts() int { return r.contexts }
-
-// Register allocates a worker id. Workers begin Idle.
-func (r *UtilRecorder) Register() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.nextID
-	r.nextID++
-	return id
-}
-
-// Registered returns how many worker ids have been allocated — the
-// worker population of the trace. With the persistent executor this is
-// stable across phases (workers register once per job).
-func (r *UtilRecorder) Registered() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nextID
-}
-
-// SetState records that worker id entered state now.
-func (r *UtilRecorder) SetState(id int, s WorkerState) {
-	at := r.now()
-	r.mu.Lock()
-	r.events = append(r.events, event{at: at, worker: id, state: s})
-	r.mu.Unlock()
-}
-
-// SetStateAt records a transition with an explicit timestamp; the
-// perfmodel uses this to emit synthetic traces on its virtual clock.
-func (r *UtilRecorder) SetStateAt(id int, s WorkerState, at time.Duration) {
-	r.mu.Lock()
-	r.events = append(r.events, event{at: at, worker: id, state: s})
-	r.mu.Unlock()
+	return seg
 }
 
 // Sample is one bucket of the reconstructed utilization trace. The
 // percentages are of total machine capacity (contexts * bucket), matching
 // the y axis of the paper's figures.
 type Sample struct {
-	T      time.Duration // bucket start
+	T      time.Duration // bucket start, relative to Trace.Start
 	User   float64       // % of capacity in user state
 	Sys    float64       // % of capacity in sys state
 	IOWait float64       // % of capacity in IO wait
@@ -124,8 +83,10 @@ type Sample struct {
 // Total returns the stacked height user+sys+iowait.
 func (s Sample) Total() float64 { return s.User + s.Sys + s.IOWait }
 
-// Trace is a utilization time series.
+// Trace is a utilization time series over [Start, Start+Duration())
+// of a job clock; sample times are relative to Start.
 type Trace struct {
+	Start   time.Duration
 	Bucket  time.Duration
 	Samples []Sample
 }
@@ -159,90 +120,46 @@ func (t *Trace) MeanTotal() float64 {
 	return sum / float64(len(t.Samples))
 }
 
-// Build reconstructs the utilization trace with the given bucket width.
-// Worker time in each state is integrated per bucket and normalized to
-// contexts * bucket. end caps the trace (use the job's total duration).
-func (r *UtilRecorder) Build(bucket, end time.Duration) *Trace {
+// BuildTrace integrates segments into a collectl-style utilization
+// trace covering [start, end) of their clock — a job's trace is rooted
+// at the job's start, whatever the clock read when it began — with the
+// given bucket width, normalized to contexts and clamped to [0, 100] %.
+// end <= start extends the trace to the last segment's end.
+func BuildTrace(segs []Segment, contexts int, bucket, start, end time.Duration) *Trace {
 	if bucket <= 0 {
 		bucket = time.Second
 	}
-	r.mu.Lock()
-	evs := make([]event, len(r.events))
-	copy(evs, r.events)
-	workers := r.nextID
-	r.mu.Unlock()
-
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
-	if end <= 0 {
-		if len(evs) > 0 {
-			end = evs[len(evs)-1].at
+	if contexts <= 0 {
+		contexts = 1
+	}
+	if end <= start {
+		for _, s := range segs {
+			end = max(end, s.End)
 		}
-		if end <= 0 {
-			end = bucket
+		if end <= start {
+			end = start + bucket
 		}
 	}
-	n := int((end + bucket - 1) / bucket)
-	if n == 0 {
-		n = 1
-	}
-	type acc struct{ user, sys, iowait time.Duration }
+	n := int((end - start + bucket - 1) / bucket)
+	type acc struct{ user, sys, iowait float64 } // context-seconds
 	buckets := make([]acc, n)
-
-	// Replay per worker: intervals between consecutive transitions
-	// contribute to buckets they overlap.
-	last := make([]event, workers)
-	for i := range last {
-		last[i] = event{at: 0, worker: i, state: StateIdle}
-	}
-	addInterval := func(from, to time.Duration, st WorkerState) {
-		if st == StateIdle || to <= from {
-			return
-		}
-		if to > end {
-			to = end
-		}
-		for t := from; t < to; {
-			bi := int(t / bucket)
-			if bi >= n {
-				break
-			}
-			bEnd := time.Duration(bi+1) * bucket
-			seg := bEnd - t
-			if to-t < seg {
-				seg = to - t
-			}
-			switch st {
-			case StateUser:
-				buckets[bi].user += seg
-			case StateSys:
-				buckets[bi].sys += seg
-			case StateIOWait:
-				buckets[bi].iowait += seg
-			}
+	for _, s := range segs {
+		for t, to := max(s.Start, start), min(s.End, end); t < to; {
+			bi := int((t - start) / bucket)
+			seg := min(start+time.Duration(bi+1)*bucket, to) - t
+			sec := seg.Seconds()
+			buckets[bi].user += s.User * sec
+			buckets[bi].sys += s.Sys * sec
+			buckets[bi].iowait += s.IOWait * sec
 			t += seg
 		}
 	}
-	for _, e := range evs {
-		if e.worker < 0 || e.worker >= workers {
-			continue
-		}
-		prev := last[e.worker]
-		addInterval(prev.at, e.at, prev.state)
-		last[e.worker] = e
-	}
-	for _, prev := range last {
-		addInterval(prev.at, end, prev.state)
-	}
 
-	capacity := float64(r.contexts) * bucket.Seconds()
-	tr := &Trace{Bucket: bucket, Samples: make([]Sample, n)}
-	for i := range buckets {
-		tr.Samples[i] = Sample{
-			T:      time.Duration(i) * bucket,
-			User:   100 * buckets[i].user.Seconds() / capacity,
-			Sys:    100 * buckets[i].sys.Seconds() / capacity,
-			IOWait: 100 * buckets[i].iowait.Seconds() / capacity,
-		}
+	capacity := float64(contexts) * bucket.Seconds()
+	pct := func(v float64) float64 { return min(max(100*v/capacity, 0), 100) }
+	tr := &Trace{Start: start, Bucket: bucket, Samples: make([]Sample, n)}
+	for i, b := range buckets {
+		tr.Samples[i] = Sample{T: time.Duration(i) * bucket, User: pct(b.user), Sys: pct(b.sys), IOWait: pct(b.iowait)}
 	}
 	return tr
 }
@@ -317,11 +234,4 @@ func (t *Trace) CSV() string {
 		fmt.Fprintf(&b, "%.3f,%.2f,%.2f,%.2f\n", s.T.Seconds(), s.User, s.Sys, s.IOWait)
 	}
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

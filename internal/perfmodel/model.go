@@ -171,15 +171,15 @@ func Sort() Profile {
 type JobModel struct {
 	Label    string
 	Times    metrics.PhaseTimes
-	Segments []Segment // utilization segments for trace synthesis
-	Waves    int       // map waves (rounds)
-	Rounds   int       // merge rounds performed
+	Segments []metrics.Segment // utilization segments for trace synthesis
+	Waves    int               // map waves (rounds)
+	Rounds   int               // merge rounds performed
 }
 
 // Trace synthesizes the collectl-style utilization trace of the modeled
 // run with the given bucket width.
 func (j *JobModel) Trace(m Machine, bucket time.Duration) *metrics.Trace {
-	return BuildTrace(j.Segments, m.Contexts, bucket, j.Times.Total)
+	return metrics.BuildTrace(j.Segments, m.Contexts, bucket, 0, j.Times.Total)
 }
 
 func (p Profile) readTime(m Machine, bytes int64) time.Duration {
@@ -234,17 +234,17 @@ func Baseline(p Profile, m Machine, bytes int64) *JobModel {
 
 	read := p.readTime(m, bytes)
 	j.Times.Set(metrics.PhaseRead, read)
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + read, IOWait: 1, Sys: 0.3})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + read, IOWait: 1, Sys: 0.3})
 	t += read
 
 	mp := p.mapTime(bytes)
 	j.Times.Set(metrics.PhaseMap, mp)
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + mp, User: float64(m.Contexts)})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + mp, User: float64(m.Contexts)})
 	t += mp
 
 	red := p.ReduceBase
 	j.Times.Set(metrics.PhaseReduce, red)
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + red, User: float64(m.Contexts)})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + red, User: float64(m.Contexts)})
 	t += red
 
 	n := p.intermediate(bytes)
@@ -253,10 +253,10 @@ func Baseline(p Profile, m Machine, bytes int64) *JobModel {
 	j.Times.Set(metrics.PhaseMerge, merge)
 	j.Rounds = len(durs)
 	// Run-sorting prefix at full width, then the halving steps.
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + p.SortRunsTime, User: float64(m.Contexts)})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + p.SortRunsTime, User: float64(m.Contexts)})
 	t += p.SortRunsTime
 	for i, d := range durs {
-		j.Segments = append(j.Segments, Segment{Start: t, End: t + d, User: float64(active[i])})
+		j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + d, User: float64(active[i])})
 		t += d
 	}
 	t += p.cleanup(bytes, j)
@@ -295,7 +295,7 @@ func SupMR(p Profile, m Machine, bytes, chunkBytes int64) *JobModel {
 	start := t
 	// Round 0: serial ingest of the first chunk.
 	d0 := p.readTime(m, chunks[0])
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + d0, IOWait: 1, Sys: 0.3})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + d0, IOWait: 1, Sys: 0.3})
 	t += d0
 	// Rounds 1..n-1: ingest chunk i+1 while mapping chunk i. Overlapped
 	// ingest pays the memory-bandwidth contention penalty.
@@ -308,27 +308,27 @@ func SupMR(p Profile, m Machine, bytes, chunkBytes int64) *JobModel {
 		}
 		round += m.RoundOverhead
 		j.Segments = append(j.Segments,
-			Segment{Start: t, End: t + ing, IOWait: 1, Sys: 0.3},
-			Segment{Start: t, End: t + mp, User: float64(m.Contexts)},
+			metrics.Segment{Start: t, End: t + ing, IOWait: 1, Sys: 0.3},
+			metrics.Segment{Start: t, End: t + mp, User: float64(m.Contexts)},
 		)
 		t += round
 	}
 	// Final round: map the last chunk.
 	mp := p.mapTime(chunks[n-1])
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + mp, User: float64(m.Contexts)})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + mp, User: float64(m.Contexts)})
 	t += mp
 	j.Times.Set(metrics.PhaseReadMap, t-start)
 
 	red := p.ReduceBase + time.Duration(n)*p.ReducePerWave
 	j.Times.Set(metrics.PhaseReduce, red)
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + red, User: float64(m.Contexts)})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + red, User: float64(m.Contexts)})
 	t += red
 
 	inter := p.intermediate(bytes)
 	merge := p.SortRunsTime + pwayMergeTime(inter, p)
 	j.Times.Set(metrics.PhaseMerge, merge)
 	j.Rounds = 1
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + merge, User: float64(m.Contexts)})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + merge, User: float64(m.Contexts)})
 	t += merge
 
 	t += p.cleanup(chunkBytes, j)
@@ -344,18 +344,18 @@ func OpenMP(p Profile, m Machine, bytes int64) *JobModel {
 
 	read := p.readTime(m, bytes)
 	j.Times.Set(metrics.PhaseRead, read)
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + read, IOWait: 1, Sys: 0.3})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + read, IOWait: 1, Sys: 0.3})
 	t += read
 
 	parse := time.Duration(float64(bytes) / p.ParseRate1T * float64(time.Second))
 	j.Times.Set(metrics.PhaseMap, parse)
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + parse, User: 1})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + parse, User: 1})
 	t += parse
 
 	n := p.intermediate(bytes)
 	sortT := time.Duration(float64(n) / p.PWayRate * float64(time.Second))
 	j.Times.Set(metrics.PhaseMerge, sortT)
-	j.Segments = append(j.Segments, Segment{Start: t, End: t + sortT, User: float64(m.Contexts)})
+	j.Segments = append(j.Segments, metrics.Segment{Start: t, End: t + sortT, User: float64(m.Contexts)})
 	t += sortT
 
 	t += p.cleanup(bytes, j)

@@ -188,26 +188,6 @@ func TestTraceFig5Density(t *testing.T) {
 	}
 }
 
-func TestBuildTraceEdgeCases(t *testing.T) {
-	tr := BuildTrace(nil, 4, time.Second, 0)
-	if len(tr.Samples) != 1 {
-		t.Errorf("empty segments: %d samples", len(tr.Samples))
-	}
-	// Zero-length and inverted segments are skipped.
-	segs := []Segment{{Start: 5, End: 5, User: 3}, {Start: 10, End: 2, User: 1}}
-	tr = BuildTrace(segs, 4, time.Second, 2*time.Second)
-	for _, s := range tr.Samples {
-		if s.User != 0 {
-			t.Error("degenerate segments contributed utilization")
-		}
-	}
-	// Clamping: overcommitted segment cannot exceed 100%.
-	tr = BuildTrace([]Segment{{Start: 0, End: time.Second, User: 100}}, 4, time.Second, time.Second)
-	if tr.Samples[0].User > 100 {
-		t.Errorf("clamp failed: %v", tr.Samples[0].User)
-	}
-}
-
 func TestFormatComparison(t *testing.T) {
 	out := FormatComparison(ModelTable2())
 	for _, want := range []string{"wordcount", "sort", "(fused)", "471.75"} {
@@ -255,8 +235,8 @@ func TestModelFig5UtilizationGain(t *testing.T) {
 	sup := SupMR(p, m, int64(WordCountInputBytes), 1*GB)
 	// Restrict to the ingest-dominated prefix: use each run's read(-map)
 	// duration as the window.
-	baseTr := BuildTrace(base.Segments, m.Contexts, 2*time.Second, base.Times.Get(metrics.PhaseRead))
-	supTr := BuildTrace(sup.Segments, m.Contexts, 2*time.Second, sup.Times.Get(metrics.PhaseReadMap))
+	baseTr := metrics.BuildTrace(base.Segments, m.Contexts, 2*time.Second, 0, base.Times.Get(metrics.PhaseRead))
+	supTr := metrics.BuildTrace(sup.Segments, m.Contexts, 2*time.Second, 0, sup.Times.Get(metrics.PhaseReadMap))
 	gain := supTr.MeanTotal() / baseTr.MeanTotal()
 	// The paper reports "50-100% more CPU utilization" without pinning
 	// the interval; over the ingest window the model shows an even

@@ -30,10 +30,10 @@ type JobConfig struct {
 // serializes only on the shared IO lanes, preserving each job's
 // ingest/compute overlap while another job's wave computes.
 //
-// Cancellation, task statistics and lane-byte attribution are all
-// job-scoped: Abort cancels this submission only, and TaskStats /
-// LaneBytes report this submission's counters only — concurrent jobs
-// never bleed into each other's reports.
+// Cancellation, task statistics, spans and lane-byte attribution are
+// all job-scoped: Abort cancels this submission only, and TaskStats,
+// LaneBytes and Spans report this submission's work only — concurrent
+// jobs never bleed into each other's reports.
 type JobPool struct {
 	pool   *exec.Pool
 	s      *Scheduler
@@ -87,6 +87,10 @@ func (j *JobPool) LaneBytes() []int64 { return j.sink.LaneBytes() }
 
 // TaskStats snapshots this job's per-phase task instrumentation.
 func (j *JobPool) TaskStats() map[string]metrics.TaskStats { return j.sink.TaskStats() }
+
+// Spans snapshots this job's activity spans: its own work on the shared
+// pool, none of its peers'.
+func (j *JobPool) Spans() []metrics.Segment { return j.sink.Spans() }
 
 // Context returns the job's cancellable context.
 func (j *JobPool) Context() context.Context { return j.ctx }

@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"supmr/internal/exec"
+	"supmr/internal/metrics"
 )
 
 // step drives one job's serial operation stream against the scheduler:
@@ -337,5 +340,51 @@ func TestBudgetConcurrent(t *testing.T) {
 	}
 	if b.Remaining() != total {
 		t.Fatalf("remaining = %d after all releases, want %d", b.Remaining(), total)
+	}
+}
+
+// TestJobPoolSpansExcludeSiblings: two jobs on one shared pool each see
+// only their own activity spans — the per-job trace an engine builds.
+func TestJobPoolSpansExcludeSiblings(t *testing.T) {
+	pool := exec.NewLocal(2)
+	defer pool.Close()
+	s := New(Config{})
+	a := NewJobPool(pool, s, JobConfig{Name: "a"})
+	defer a.Close()
+	b := NewJobPool(pool, s, JobConfig{Name: "b"})
+	defer b.Close()
+	var wg sync.WaitGroup
+	for _, j := range []*JobPool{a, b} {
+		wg.Add(1)
+		go func(j *JobPool) {
+			defer wg.Done()
+			j.ForEach("map", metrics.StateUser, 4, func(int) error { time.Sleep(time.Millisecond); return nil })
+			j.GoIO("ingest", metrics.StateIOWait, func() error { time.Sleep(time.Millisecond); return nil }).Wait()
+		}(j)
+	}
+	// Only a's extra wave, never b's.
+	wg.Wait()
+	a.ForEach("reduce", metrics.StateSys, 2, func(int) error { time.Sleep(time.Millisecond); return nil })
+	count := func(j *JobPool) (user, sys, io int) {
+		for _, sp := range j.Spans() {
+			switch {
+			case sp.User == 1:
+				user++
+			case sp.Sys == 1:
+				sys++
+			case sp.IOWait == 1:
+				io++
+			}
+		}
+		return
+	}
+	if u, s, io := count(a); u == 0 || u > 2 || s == 0 || s > 2 || io != 1 {
+		t.Errorf("job a spans: %d user, %d sys, %d io; want 1..2, 1..2, 1", u, s, io)
+	}
+	if u, s, io := count(b); u == 0 || u > 2 || s != 0 || io != 1 {
+		t.Errorf("job b spans: %d user, %d sys, %d io; want 1..2, 0, 1", u, s, io)
+	}
+	if n := len(pool.Spans()); n != 0 {
+		t.Errorf("the shared pool's own sink holds %d spans of its jobs", n)
 	}
 }

@@ -14,9 +14,8 @@
 //
 // All algorithms run on the job's persistent executor (internal/exec)
 // rather than spawning their own workers: parallelism comes from the
-// pool's compute workers, utilization instrumentation from the pool's
-// recorder, and cancellation/panic isolation from the pool's task
-// dispatch.
+// pool's compute workers, utilization spans from the pool's job sink,
+// and cancellation/panic isolation from the pool's task dispatch.
 package sortalgo
 
 import (

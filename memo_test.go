@@ -335,9 +335,8 @@ func TestEngineRejectsNegativeWeight(t *testing.T) {
 }
 
 // TestEngineNotesSurfaceDisabledInstruments pins the report caveats: an
-// engine-mode run says its allocation metering is off, says the trace
-// was dropped when one was requested, and a memoized run with a memory
-// budget says the budget is ignored.
+// engine-mode run says its allocation metering is off, and a memoized
+// run with a memory budget says the budget is ignored.
 func TestEngineNotesSurfaceDisabledInstruments(t *testing.T) {
 	text := genText(t, 32<<10, 30)
 	clk := storage.NewFakeClock()
@@ -365,10 +364,6 @@ func TestEngineNotesSurfaceDisabledInstruments(t *testing.T) {
 		t.Errorf("notes %q lack %q", rep.Notes, frag)
 	}
 	wantNote("allocation metering disabled")
-	wantNote("utilization trace disabled")
-	if rep.Trace != nil {
-		t.Error("engine run produced a trace anyway")
-	}
 
 	// Solo run: no engine notes.
 	solo, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(8), Config{

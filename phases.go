@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"supmr/internal/apps"
+	"supmr/internal/exec"
 	"supmr/internal/metrics"
 	"supmr/internal/storage"
 	"supmr/internal/workload"
@@ -61,18 +62,12 @@ type OpenMPSortResult = apps.OpenMPSortResult
 // MapReduce job; it exists to reproduce the comparison that motivates
 // keeping the MapReduce model on scale-up (§II, Fig. 3).
 func OpenMPSortFile(file Input, workers int, clock Clock) (*OpenMPSortResult, error) {
-	if clock == nil {
-		clock = storage.NewRealClock()
-	}
-	stream, err := StreamFile(file, Config{Boundary: CRLFRecords})
-	if err != nil {
-		return nil, err
-	}
-	timer := metrics.NewTimer(clock.Now)
-	return apps.OpenMPSort(stream, workers, timer, nil)
+	res, _, err := OpenMPSortFileTraced(file, workers, 1, 0, clock)
+	return res, err
 }
 
-// OpenMPSortFileTraced is OpenMPSortFile with utilization recording.
+// OpenMPSortFileTraced is OpenMPSortFile with its utilization trace,
+// built from the task spans of the sort's pool.
 func OpenMPSortFileTraced(file Input, workers, contexts int, bucket time.Duration, clock Clock) (*OpenMPSortResult, *UtilTrace, error) {
 	if clock == nil {
 		clock = storage.NewRealClock()
@@ -81,16 +76,17 @@ func OpenMPSortFileTraced(file Input, workers, contexts int, bucket time.Duratio
 	if err != nil {
 		return nil, nil, err
 	}
+	pool := exec.NewPool(nil, exec.Config{Workers: workers, Now: clock.Now})
+	defer pool.Close()
 	timer := metrics.NewTimer(clock.Now)
-	rec := metrics.NewUtilRecorder(contexts, clock.Now)
-	res, err := apps.OpenMPSort(stream, workers, timer, rec)
+	res, err := apps.OpenMPSort(stream, pool, timer)
 	if err != nil {
 		return nil, nil, err
 	}
 	if bucket <= 0 {
 		bucket = 100 * time.Millisecond
 	}
-	return res, rec.Build(bucket, res.Times.Total), nil
+	return res, metrics.BuildTrace(pool.Spans(), contexts, bucket, timer.Start(), timer.Start()+res.Times.Total), nil
 }
 
 // SortCheck is a valsort-style summary of a sorted output.

@@ -149,7 +149,8 @@ type Config struct {
 	// (default: newline).
 	Boundary Boundary
 	// TraceContexts, when positive, enables CPU-utilization tracing
-	// normalized to that many hardware contexts.
+	// normalized to that many hardware contexts: the job's task spans,
+	// integrated per bucket and clamped at 100 %, solo or on an engine.
 	TraceContexts int
 	// TraceBucket is the utilization trace bucket width
 	// (default: 100ms).
@@ -220,9 +221,9 @@ type Config struct {
 	// concurrent jobs under the fair-share scheduler. Every mode —
 	// Memo, Nodes, MemoryBudget, egress — runs on an engine exactly as
 	// it does solo, byte-identical; Workers/IOLanes here are ignored
-	// (the engine's substrate wins) and TraceContexts plus
-	// Report.Allocs are disabled (process-wide instruments cannot be
-	// attributed to one of several concurrent jobs).
+	// (the engine's substrate wins) and Report.Allocs is disabled (a
+	// process-wide instrument cannot be attributed to one of several
+	// concurrent jobs). A trace covers this submission's work only.
 	Engine *Engine
 	// Tenant names the submitting tenant for the engine's per-tenant
 	// stats rollup (engine mode only; "" rolls up under "default").
@@ -334,17 +335,21 @@ type Report[K comparable, V any] struct {
 	// phase is open — but it makes the map hot path's allocation
 	// behaviour visible per run.
 	Allocs metrics.PhaseAllocs
-	Trace  *metrics.Trace
+	// Trace is the job's utilization trace (present when TraceContexts
+	// was set), built from its own task spans and rooted at its start.
+	Trace *metrics.Trace
 	// Markers are phase-boundary annotations for the trace (present when
-	// tracing was enabled); render with Trace.AnnotatedASCII.
+	// tracing was enabled), stamped on the job clock; render with
+	// Trace.AnnotatedASCII.
 	Markers []metrics.Marker
 	// SpillBytes samples cumulative bytes spilled over the job timeline,
 	// one point per run written (empty when no memory budget was set or
 	// nothing spilled).
 	SpillBytes []metrics.SeriesPoint
 	// Notes lists configuration caveats the run silently adapted to —
-	// instruments disabled in engine mode, knobs ignored in memo mode —
-	// so a report never hides that a requested measurement is absent.
+	// allocation metering disabled in engine mode, a memory budget
+	// ignored by memo or multi-node runs — so a report never hides that
+	// a requested measurement or knob is absent.
 	Notes []string
 	// Egress is the materialized output when Config.EgressLanes was set:
 	// the merged pairs rendered one "key\tvalue\n" line each, written as
@@ -441,7 +446,7 @@ func (c Config) mergeAlgo() MergeAlgo {
 
 // mapreduceOptions converts a Config into runtime options without
 // instrumentation: RunKMeans uses them as they are, runWithExecutor adds
-// its substrate's timer, recorder and pool.
+// its substrate's timer and pool.
 func mapreduceOptions(cfg Config) mapreduce.Options {
 	return mapreduce.Options{
 		Workers:       cfg.Workers,
@@ -479,13 +484,6 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 	}
 	clk := cfg.clock()
 	timer := metrics.NewTimer(clk.Now).WithAllocs()
-	var rec *metrics.UtilRecorder
-	var markers *metrics.MarkerLog
-	if cfg.TraceContexts > 0 {
-		rec = metrics.NewUtilRecorder(cfg.TraceContexts, clk.Now)
-		markers = &metrics.MarkerLog{}
-		timer.WithMarkers(markers)
-	}
 	ioWorkers := cfg.IOLanes
 	if cfg.EgressLanes > ioWorkers {
 		// Egress fans wider than ingest: size the IO pool for the wider
@@ -495,7 +493,6 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 	pool := exec.NewPool(cfg.Context, exec.Config{
 		Workers:   cfg.Workers,
 		IOWorkers: ioWorkers,
-		Recorder:  rec,
 		Now:       clk.Now,
 	})
 	defer pool.Close()
@@ -503,21 +500,12 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 		pool:   pool,
 		clk:    clk,
 		timer:  timer,
-		rec:    rec,
 		budget: cfg.MemoryBudget,
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep.Allocs = timer.Allocs()
-	if rec != nil {
-		bucket := cfg.TraceBucket
-		if bucket <= 0 {
-			bucket = 100 * time.Millisecond
-		}
-		rep.Trace = rec.Build(bucket, rep.Times.Total)
-		rep.Markers = markers.Markers()
-	}
 	return rep, nil
 }
 
@@ -528,7 +516,6 @@ type runSubstrate struct {
 	pool  exec.Executor
 	clk   storage.Clock
 	timer *metrics.Timer
-	rec   *metrics.UtilRecorder
 	// budget is the container-residency cap for this run: the config's
 	// MemoryBudget for a solo run, the engine's carved grant otherwise.
 	budget int64
@@ -542,11 +529,15 @@ type runSubstrate struct {
 // runWithExecutor is the body shared by solo and engine-mode runs: it
 // builds the spill store when a budget is set, runs core.Run on the
 // substrate's executor, and assembles the substrate-independent part of
-// the Report. The traditional runtime is core.Run over one whole-input
-// chunk, merged pairwise by mergeAlgo.
+// the Report — its trace too, from the executor's spans, which are this
+// job's alone on either substrate. The traditional runtime is core.Run
+// over one whole-input chunk, merged pairwise by mergeAlgo.
 func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V], cfg Config, sub runSubstrate) (*Report[K, V], error) {
 	ro := mapreduceOptions(cfg)
-	ro.Timer, ro.Recorder, ro.Pool = sub.timer, sub.rec, sub.pool
+	ro.Timer, ro.Pool = sub.timer, sub.pool
+	if cfg.TraceContexts > 0 {
+		sub.timer.WithMarkers()
+	}
 	if _, ok := input.(*chunk.WholeInput); !ok && cfg.Runtime == RuntimeTraditional {
 		input = chunk.NewWholeInput(input)
 	}
@@ -636,6 +627,15 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 	rep.Stats.Faults = cfg.faultCounters().Snapshot()
 	if store != nil {
 		rep.SpillBytes = store.Series()
+	}
+	if cfg.TraceContexts > 0 {
+		bucket := cfg.TraceBucket
+		if bucket <= 0 {
+			bucket = 100 * time.Millisecond
+		}
+		start := sub.timer.Start()
+		rep.Trace = metrics.BuildTrace(sub.pool.Spans(), cfg.TraceContexts, bucket, start, start+rep.Times.Total)
+		rep.Markers = sub.timer.Markers()
 	}
 	return rep, nil
 }

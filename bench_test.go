@@ -14,6 +14,7 @@ package supmr
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -432,11 +433,24 @@ func BenchmarkMapHotPath(b *testing.B) {
 
 // TestMapHotPathAllocs gates the claim: ~20 allocs a wave measured,
 // ~200k for the map-backed combiner. The bound leaves headroom for GC
-// and scheduler noise and still catches any per-key allocation.
+// and scheduler noise and still catches any per-key allocation. Bytes
+// are bounded too (~1.5 KiB a wave measured): a few large per-split
+// allocations, such as a scan batch escaping once per split, stay far
+// under the object bound but not under 64 KiB.
 func TestMapHotPathAllocs(t *testing.T) {
 	wave := mapHotPathWave(t, WordCountContainer(64))
 	if allocs := testing.AllocsPerRun(5, wave); allocs > 2000 {
 		t.Fatalf("flat combiner map wave allocates %.0f objs/op (limit 2000)", allocs)
+	}
+	const waves = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < waves; i++ {
+		wave()
+	}
+	runtime.ReadMemStats(&after)
+	if perWave := (after.TotalAlloc - before.TotalAlloc) / waves; perWave > 64<<10 {
+		t.Fatalf("flat combiner map wave allocates %d bytes/op (limit 64 KiB)", perWave)
 	}
 }
 

@@ -66,11 +66,13 @@ go test -race -count=3 -run 'TestEngineTracesArePerJob|TestTraceRootedAtJobStart
 
 FUZZTIME=${FUZZTIME:-3s}
 echo "== fuzz ($FUZZTIME per target) =="
-# Every target that parses stored or wire bytes, or checks a merge
-# against its reference: arbitrary input must end in a typed error or
-# the reference answer, never a panic. A crasher lands in the package's
-# testdata/fuzz/ — fix it and commit the file as a seed.
+# Every target that parses stored or wire bytes, or checks a merge, a
+# scan or a combiner against its reference: arbitrary input must end in
+# a typed error or the reference answer, never a panic. A crasher lands
+# in the package's testdata/fuzz/ — fix it and commit the file as a seed.
 for target in \
+    kv:FuzzScanWordsVsReference \
+    container:FuzzFlatCombiner \
     memo:FuzzCacheReplay \
     spill:FuzzRunDecode \
     spill:FuzzBlockDecode \

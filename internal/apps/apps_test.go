@@ -74,6 +74,29 @@ func TestSortMapTruncatesPartialRecord(t *testing.T) {
 	}
 }
 
+// Sort.Map cuts a split's keys from one buffer: each pair is its
+// record's key and payload fingerprint, and a 1 MiB split costs a
+// handful of allocations, not one per record.
+func TestSortMapKeysFromOneBuffer(t *testing.T) {
+	const records = 1 << 20 / workload.TeraRecordSize
+	data := make([]byte, records*workload.TeraRecordSize)
+	workload.TeraGen{Seed: 5}.Fill()(0, data)
+	got := collectEmits[string, uint64](Sort{}, data)
+	if len(got) != records {
+		t.Fatalf("emitted %d pairs, want %d", len(got), records)
+	}
+	for i, p := range got {
+		rec := data[i*workload.TeraRecordSize:]
+		if p.Key != string(rec[:workload.TeraKeySize]) || p.Val != workload.Uint64Key(rec[workload.TeraKeySize:]) {
+			t.Fatalf("pair %d = %q/%d, want record %d's key and fingerprint", i, p.Key, p.Val, i)
+		}
+	}
+	var discard kv.Emitter[string, uint64] = kv.EmitFunc[string, uint64](func(string, uint64) {})
+	if allocs := testing.AllocsPerRun(5, func() { Sort{}.Map(data, discard) }); allocs > 4 {
+		t.Errorf("Sort.Map over a 1 MiB split allocates %.0f objects, want <= 4", allocs)
+	}
+}
+
 func TestSortReduceIdentity(t *testing.T) {
 	s := Sort{}
 	if s.Reduce("k", []uint64{42}) != 42 {

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"unsafe"
+
 	"supmr/internal/chunk"
 	"supmr/internal/container"
 	"supmr/internal/kv"
@@ -19,14 +21,23 @@ var _ kv.App[string, uint64] = Sort{}
 
 // Map parses whole records and emits (key, payload-fingerprint) pairs.
 // Chunk boundary adjustment guarantees the split holds whole records.
+// The split's keys are copied into one buffer and emitted as substrings
+// of it: one allocation per split, not one per record.
 func (Sort) Map(split []byte, emit kv.Emitter[string, uint64]) {
+	const rs, ks = workload.TeraRecordSize, workload.TeraKeySize
 	// Tolerate a trailing partial record only at true end of input by
 	// truncating to whole records; boundary adjustment makes this a
 	// no-op in practice.
-	whole := split[:len(split)-len(split)%workload.TeraRecordSize]
-	_, _ = workload.ParseTeraRecords(whole, func(rec []byte) {
-		emit.Emit(workload.KeyOf(rec), workload.Uint64Key(rec[workload.TeraKeySize:]))
+	whole := split[:len(split)-len(split)%rs]
+	buf := make([]byte, 0, len(whole)/rs*ks)
+	n, _ := workload.ParseTeraRecords(whole, func(rec []byte) {
+		buf = append(buf, rec[:ks]...)
 	})
+	// buf is complete and never written again, so it can back the keys.
+	keys := unsafe.String(unsafe.SliceData(buf), len(buf))
+	for i := 0; i < int(n); i++ {
+		emit.Emit(keys[i*ks:(i+1)*ks], workload.Uint64Key(whole[i*rs+ks:]))
+	}
 }
 
 // Reduce passes the single value for a (unique) key through.

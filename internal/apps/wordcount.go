@@ -31,10 +31,15 @@ func (WordCount) Map(split []byte, emit kv.Emitter[string, int64]) {
 	})
 }
 
-// MapBytes is the zero-allocation twin of Map: tokens flow from the
-// tokenizer into the emitter as []byte views of the split, with no
-// per-word string materialization.
+// MapBytes is the zero-allocation twin of Map. A local that cuts words
+// itself (the flat container's) takes the whole split: it scans, hashes
+// and folds in one pass. Any other byte emitter gets the tokenizer's
+// []byte views of the split, with no per-word string materialization.
 func (WordCount) MapBytes(split []byte, emit kv.BytesEmitter[int64]) {
+	if we, ok := emit.(kv.WordEmitter[int64]); ok {
+		we.EmitWords(split, 1)
+		return
+	}
 	workload.Tokenize(split, func(w []byte) {
 		emit.EmitBytes(w, 1)
 	})

@@ -86,11 +86,6 @@ var stringSeed = maphash.MakeSeed()
 // StringHasher hashes string keys with runtime maphash.
 func StringHasher(s string) uint64 { return maphash.String(stringSeed, s) }
 
-// BytesHasher hashes a byte slice to the same value StringHasher gives
-// the equivalent string, so byte-keyed fast paths and string-keyed slow
-// paths agree on shard placement.
-func BytesHasher(b []byte) uint64 { return maphash.Bytes(stringSeed, b) }
-
 // Uint64Hasher mixes an integer key (splitmix64 finalizer).
 func Uint64Hasher(x uint64) uint64 {
 	x ^= x >> 30

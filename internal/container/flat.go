@@ -1,8 +1,10 @@
 package container
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -11,32 +13,23 @@ import (
 )
 
 // FlatHash is the allocation-free combining container for byte-keyed
-// workloads (word-count-like apps). It keeps the hash container's
-// global shape — keys hash to locked shards — but replaces both tiers
-// of map[string]V with structures built for the map hot path:
+// workloads (word-count-like apps). Keys hash to locked shards like the
+// Hash container, but both tiers are one open-addressing table type,
+// flatTable, and a key is hashed once: kv.KeyHash, which the word path
+// (kv.WordEmitter) gets from kv.ScanWords as each word is cut and Emit
+// and EmitBytes compute. Every entry carries it, so growth, shard
+// routing at Flush (low bits) and the shard lookup (bits 32 and up pick
+// the slot) never hash again.
 //
-//   - The worker-local combiner is an open-addressing flat table: an
-//     index of slots probing into a dense entry array (hash +
-//     key-offset/length into an append-only byte arena) with values in
-//     a parallel dense array. Emitting an existing key touches one
-//     cache line of index plus the entry; emitting a new key appends
-//     bytes to the arena — no per-key string allocation, ever.
-//   - Locals are pooled on the container and their table, arena and
-//     scratch are retained (reset, not freed) across flushes — the
-//     paper's persistent-container idea (§III-C) applied to the
-//     worker-local tier. Steady-state ingest rounds run the entire
-//     tokenize→combine→flush loop with zero combiner allocation.
-//   - Flush groups local entries by destination shard (counting sort on
-//     reused scratch) and locks each shard exactly once per flush.
-//     Global keys live in a per-shard intern table (map[string]int into
-//     a dense value array): the byte key is looked up allocation-free,
-//     and a string is materialized only the first time a key enters the
-//     global state.
+// Locals are pooled and reset, not freed, across flushes — §III-C's
+// persistent container applied to the worker-local tier — so a
+// steady-state map wave allocates nothing in the combiner. Flush locks
+// each shard once. A shard's key arena only grows and Reset swaps in
+// fresh tables, so Reduce hands out string views of it that stay valid;
+// a partition reduces in insertion order.
 //
 // FlatHash requires a combiner; value-retaining workloads stay on the
-// generic Hash container. Shard selection matches Hash with
-// StringHasher, so the two containers partition identically and the
-// -flatcombiner ablation compares like with like.
+// generic Hash container.
 type FlatHash[V any] struct {
 	shards  []flatShard[V]
 	combine kv.Combine[V]
@@ -53,10 +46,9 @@ type FlatHash[V any] struct {
 }
 
 type flatShard[V any] struct {
-	mu   sync.Mutex
-	idx  map[string]int // interned key -> index into vals
-	vals []V
-	_    [32]byte // pad to reduce false sharing between shards
+	mu    sync.Mutex
+	table flatTable[V]
+	_     [32]byte // pad to reduce false sharing between shards
 }
 
 // NewFlatHash builds a flat combining container with the given shard
@@ -82,16 +74,15 @@ func NewFlatHash[V any](shards int, combine kv.Combine[V]) *FlatHash[V] {
 	return f
 }
 
-// Reset reinitializes every shard with fresh maps and value arrays so
-// the drained memory is actually released (the spill layer relies on
-// this). Pooled locals keep their tables and arenas: they are the
-// persistent worker-local tier and are reused by the next round.
+// Reset gives every shard a fresh table, so the drained memory is
+// actually released (the spill layer relies on this) and strings Reduce
+// handed out keep their bytes. Pooled locals keep their tables: they
+// are the persistent worker-local tier and are reused by the next round.
 func (f *FlatHash[V]) Reset() {
 	for i := range f.shards {
 		s := &f.shards[i]
 		s.mu.Lock()
-		s.idx = make(map[string]int)
-		s.vals = nil
+		s.table = newFlatTable[V](flatShardSlots)
 		s.mu.Unlock()
 	}
 	f.bytes.Store(0)
@@ -107,10 +98,10 @@ func (f *FlatHash[V]) New() Container[string, V] {
 func (f *FlatHash[V]) SizeBytes() int64 { return f.bytes.Load() }
 
 // entryBytes is the per-key cost of a global shard entry beyond the key
-// bytes: the intern map entry (string header + value index) plus the
-// dense value slot.
+// bytes: the entry, two index slots (the load stays within 37.5–75 %)
+// and the value.
 func (f *FlatHash[V]) entryBytes() int64 {
-	return mapEntryOverhead + shallowSize[string]() + shallowSize[int]() + shallowSize[V]()
+	return shallowSize[flatEntry]() + 2*shallowSize[int32]() + shallowSize[V]()
 }
 
 // Partitions returns the shard count; each shard is one reduce partition.
@@ -119,11 +110,8 @@ func (f *FlatHash[V]) Partitions() int { return len(f.shards) }
 // Len counts distinct keys across shards.
 func (f *FlatHash[V]) Len() int {
 	total := 0
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		total += len(s.idx)
-		s.mu.Unlock()
+	for p := range f.shards {
+		total += f.PartitionLen(p)
 	}
 	return total
 }
@@ -134,35 +122,24 @@ func (f *FlatHash[V]) PartitionLen(p int) int {
 	s := &f.shards[p]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.idx)
+	return len(s.table.entries)
 }
 
 // NewLocal returns a worker-local flat combiner, reusing a pooled one
-// (table, arena and scratch intact) when a previous task flushed it.
+// (table and scratch intact) when a previous task flushed it.
 func (f *FlatHash[V]) NewLocal() Local[string, V] {
 	f.poolMu.Lock()
+	defer f.poolMu.Unlock()
 	if n := len(f.pool); n > 0 {
 		l := f.pool[n-1]
-		f.pool[n-1] = nil
 		f.pool = f.pool[:n-1]
-		f.poolMu.Unlock()
 		return l
 	}
-	f.poolMu.Unlock()
-	return &flatLocal[V]{
-		parent: f,
-		table:  newFlatTable(flatInitialSlots),
-		mask:   flatInitialSlots - 1,
-	}
+	return &flatLocal[V]{parent: f, table: newFlatTable[V](flatLocalSlots)}
 }
 
-func (f *FlatHash[V]) putLocal(l *flatLocal[V]) {
-	f.poolMu.Lock()
-	f.pool = append(f.pool, l)
-	f.poolMu.Unlock()
-}
-
-// Reduce applies reduce over every key in shard p.
+// Reduce applies reduce over every key in shard p, in insertion order.
+// Keys are views of the shard's append-only arena, not copies.
 func (f *FlatHash[V]) Reduce(p int, reduce func(k string, vs []V) V, out []kv.Pair[string, V]) []kv.Pair[string, V] {
 	if p < 0 || p >= len(f.shards) {
 		panic(fmt.Sprintf("container: flat partition %d out of range [0,%d)", p, len(f.shards)))
@@ -170,211 +147,233 @@ func (f *FlatHash[V]) Reduce(p int, reduce func(k string, vs []V) V, out []kv.Pa
 	s := &f.shards[p]
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t := &s.table
 	var one [1]V
-	for k, i := range s.idx {
-		one[0] = s.vals[i]
+	for ei, e := range t.entries {
+		k := unsafe.String(unsafe.SliceData(t.arena[e.koff:]), e.klen)
+		one[0] = t.vals[ei]
 		out = append(out, kv.Pair[string, V]{Key: k, Val: reduce(k, one[:])})
 	}
 	return out
 }
 
-// flatInitialSlots is the starting index size of a local table; it
-// doubles at 75% load. Must be a power of two.
-const flatInitialSlots = 512
+// Initial index sizes: a local starts big enough for a split's common
+// vocabulary, a shard small (there are many). Both double at 75 % load
+// and must be powers of two.
+const (
+	flatLocalSlots = 512
+	flatShardSlots = 64
+)
 
-// flatEntry locates one local key: its full hash (kept for rehash and
-// shard routing) and the key bytes inside the local arena. The uint32
-// offsets cap a single local's arena at 4 GiB per round — far beyond
-// any split's worth of distinct keys.
+// flatEntry locates one key: its kv.KeyHash (kept for growth, shard
+// routing and the shard lookup) and its bytes in the table's arena.
+// The uint32 offsets cap one table's arena at 4 GiB.
 type flatEntry struct {
 	hash uint64
 	koff uint32
 	klen uint32
 }
 
-// flatLocal is the per-worker open-addressing combiner. All storage is
-// retained across flushes via the parent's local pool.
-type flatLocal[V any] struct {
-	parent  *FlatHash[V]
-	table   []int32 // open-addressing index into entries; -1 = empty
+// flatTable is the open-addressing table of both tiers: an index of
+// slots probing linearly into dense entries, values parallel to the
+// entries, and key bytes in an append-only arena that always keeps at
+// least 8 spare bytes of capacity, so the 8-byte prefix load at any key
+// offset stays inside it.
+type flatTable[V any] struct {
+	index   []int32 // entry index per slot; -1 = empty
 	mask    uint64
 	entries []flatEntry
-	vals    []V     // parallel to entries
-	arena   []byte  // append-only key bytes
-	starts  []int   // flush scratch: per-shard batch offsets
-	fill    []int   // flush scratch: per-shard write cursors
-	order   []int32 // flush scratch: entry indexes grouped by shard
+	vals    []V
+	arena   []byte
 }
 
-var _ kv.BytesEmitter[int64] = (*flatLocal[int64])(nil)
-
-func newFlatTable(slots int) []int32 {
-	t := make([]int32, slots)
-	for i := range t {
-		t[i] = -1
-	}
+func newFlatTable[V any](slots int) flatTable[V] {
+	t := flatTable[V]{index: make([]int32, slots), mask: uint64(slots - 1)}
+	t.clearIndex()
 	return t
 }
 
+func (t *flatTable[V]) clearIndex() {
+	for i := range t.index {
+		t.index[i] = -1
+	}
+}
+
+// home is a hash's first slot. Shards take the low bits.
+func home(h, mask uint64) uint64 { return h >> 32 & mask }
+
+// prefix is the entry's key prefix as kv.KeyPrefix gives it, loaded
+// from the arena's spare-capacity-backed 8 bytes and masked to the key.
+func (t *flatTable[V]) prefix(e flatEntry) uint64 {
+	return binary.LittleEndian.Uint64(t.arena[e.koff:e.koff+8]) & (^uint64(0) >> (64 - 8*min(e.klen, 8)))
+}
+
+// match reports whether e holds key, whose hash is h and prefix is
+// prefix. Hash, length and prefix are compared before any remaining
+// bytes, so keys of up to 8 bytes never reach a byte compare.
+func (t *flatTable[V]) match(e flatEntry, h, prefix uint64, key []byte) bool {
+	return e.hash == h && e.klen == uint32(len(key)) && t.prefix(e) == prefix &&
+		(len(key) <= 8 || bytes.Equal(t.arena[e.koff+8:e.koff+e.klen], key[8:]))
+}
+
+// find returns key's entry index, or -1 and the empty slot where key
+// goes.
+func (t *flatTable[V]) find(h, prefix uint64, key []byte) (int32, uint64) {
+	for i := home(h, t.mask); ; i = (i + 1) & t.mask {
+		if ei := t.index[i]; ei < 0 || t.match(t.entries[ei], h, prefix, key) {
+			return ei, i
+		}
+	}
+}
+
+// insert adds a key find did not see at the empty slot it returned,
+// growing the index first at the load limit. The key is copied into the
+// arena; when that reallocates, keys handed out stay in the old array.
+func (t *flatTable[V]) insert(slot, h, prefix uint64, key []byte, val V) {
+	if (len(t.entries)+1)*4 > len(t.index)*3 {
+		t.index = make([]int32, 2*len(t.index))
+		t.mask = uint64(len(t.index) - 1)
+		t.clearIndex()
+		for ei, e := range t.entries { // key bytes never move
+			i := home(e.hash, t.mask)
+			for t.index[i] >= 0 {
+				i = (i + 1) & t.mask
+			}
+			t.index[i] = int32(ei)
+		}
+		for slot = home(h, t.mask); t.index[slot] >= 0; slot = (slot + 1) & t.mask {
+		}
+	}
+	koff := len(t.arena)
+	if cap(t.arena)-koff < len(key)+8 {
+		t.arena = slices.Grow(t.arena, len(key)+8)
+	}
+	if len(key) <= 8 { // the prefix is the key, zero-padded into the spare bytes
+		binary.LittleEndian.PutUint64(t.arena[koff:koff+8], prefix)
+		t.arena = t.arena[:koff+len(key)]
+	} else {
+		t.arena = append(t.arena, key...)
+	}
+	t.index[slot] = int32(len(t.entries))
+	t.entries = append(t.entries, flatEntry{hash: h, koff: uint32(koff), klen: uint32(len(key))})
+	t.vals = append(t.vals, val)
+}
+
+// flatLocal is the per-worker combiner: a flatTable plus scratch, all
+// retained across flushes via the parent's local pool.
+type flatLocal[V any] struct {
+	parent *FlatHash[V]
+	table  flatTable[V]
+	words  []kv.Word // EmitWords' scan batch
+	bounds []int     // flush scratch: where each shard's entries start
+	order  []int32   // flush scratch: entry indexes grouped by shard
+}
+
+var _ kv.BytesEmitter[int64] = (*flatLocal[int64])(nil)
+var _ kv.WordEmitter[int64] = (*flatLocal[int64])(nil)
+
 // Emit folds val into the local table under a string key.
-func (l *flatLocal[V]) Emit(key string, val V) { l.emit(key, val) }
+func (l *flatLocal[V]) Emit(key string, val V) {
+	l.EmitBytes(unsafe.Slice(unsafe.StringData(key), len(key)), val)
+}
 
-// EmitBytes is the hot-path entry point: key may alias the input split
-// and is copied into the arena only on first local occurrence.
+// EmitBytes folds val under key, which may alias the input split: it is
+// copied into the arena only on its first local occurrence.
 func (l *flatLocal[V]) EmitBytes(key []byte, val V) {
-	// Alias the bytes as a string for the shared probe path. The alias
-	// never outlives this call: comparisons read it and insertion copies
-	// it into the arena.
-	var s string
-	if len(key) > 0 {
-		s = unsafe.String(&key[0], len(key))
-	}
-	l.emit(s, val)
+	one := [1]kv.Word{{Hash: kv.KeyHash(key), Prefix: kv.KeyPrefix(key), Len: len(key)}}
+	l.fold(key, one[:], val)
 }
 
-func (l *flatLocal[V]) emit(key string, val V) {
-	h := maphash.String(stringSeed, key)
-	i := h & l.mask
-	for {
-		ei := l.table[i]
-		if ei < 0 {
-			break
-		}
-		e := &l.entries[ei]
-		// string(arena-slice) == key compiles to an allocation-free
-		// comparison.
-		if e.hash == h && string(l.arena[e.koff:e.koff+e.klen]) == key {
-			l.vals[ei] = l.parent.combine(l.vals[ei], val)
-			return
-		}
-		i = (i + 1) & l.mask
+// EmitWords is the word-count hot path: it cuts split with kv.ScanWords,
+// 256 words at a time into the local's retained batch, and folds val
+// once per word under the hash and prefix the scan computed.
+func (l *flatLocal[V]) EmitWords(split []byte, val V) {
+	if l.words == nil {
+		l.words = make([]kv.Word, 256)
 	}
-	// New local key. Grow first when at the load limit, then claim the
-	// (possibly relocated) empty slot.
-	if (len(l.entries)+1)*4 > len(l.table)*3 {
-		l.grow()
-		i = h & l.mask
-		for l.table[i] >= 0 {
-			i = (i + 1) & l.mask
-		}
+	for pos := 0; pos < len(split); {
+		n, next := kv.ScanWords(split, pos, l.words)
+		l.fold(split, l.words[:n], val)
+		pos = next
 	}
-	koff := uint32(len(l.arena))
-	l.arena = append(l.arena, key...)
-	l.table[i] = int32(len(l.entries))
-	l.entries = append(l.entries, flatEntry{hash: h, koff: koff, klen: uint32(len(key))})
-	l.vals = append(l.vals, val)
 }
 
-// grow doubles the index and reinserts every entry by its stored hash;
-// key bytes never move.
-func (l *flatLocal[V]) grow() {
-	nt := newFlatTable(len(l.table) * 2)
-	mask := uint64(len(nt) - 1)
-	for ei := range l.entries {
-		i := l.entries[ei].hash & mask
-		for nt[i] >= 0 {
-			i = (i + 1) & mask
+// fold folds val once per word of buf. It is find's probe written out
+// in the loop: a call per word costs more than the probe of a hot key.
+func (l *flatLocal[V]) fold(buf []byte, words []kv.Word, val V) {
+	t, combine := &l.table, l.parent.combine
+next:
+	for _, w := range words {
+		key := buf[w.Off : w.Off+w.Len]
+		i := home(w.Hash, t.mask)
+		for ei := t.index[i]; ei >= 0; ei = t.index[i] {
+			if t.match(t.entries[ei], w.Hash, w.Prefix, key) {
+				t.vals[ei] = combine(t.vals[ei], val)
+				continue next
+			}
+			i = (i + 1) & t.mask
 		}
-		nt[i] = int32(ei)
+		t.insert(i, w.Hash, w.Prefix, key, val)
 	}
-	l.table = nt
-	l.mask = mask
 }
 
-// Flush merges the local entries into the global shards, one lock per
-// shard: entries are grouped by destination shard with a counting sort
-// on reused scratch, then each shard's whole batch merges under a
-// single lock acquisition. The local is reset (storage retained) and
-// returned to the parent's pool; per the Local contract it must not be
-// used after Flush.
+// Flush merges the local entries into the global shards, each shard's
+// batch under one lock acquisition, then resets the local (storage
+// retained) and returns it to the parent's pool; per the Local contract
+// it must not be used after Flush.
 func (l *flatLocal[V]) Flush() {
-	p := l.parent
-	if len(l.entries) > 0 {
-		l.flushEntries()
-	}
-	l.recycle()
-	p.putLocal(l)
-}
-
-func (l *flatLocal[V]) flushEntries() {
-	p := l.parent
+	p, t := l.parent, &l.table
 	nsh := len(p.shards)
 	mask := uint64(nsh - 1)
-	n := len(l.entries)
-
-	// Counting sort of entry indexes by destination shard.
-	if cap(l.starts) < nsh+1 {
-		l.starts = make([]int, nsh+1)
-	}
-	starts := l.starts[:nsh+1]
-	for i := range starts {
-		starts[i] = 0
-	}
-	for i := range l.entries {
-		starts[(l.entries[i].hash&mask)+1]++
+	// Counting sort of entry indexes by shard: count, prefix-sum to each
+	// shard's end, then place backwards so bounds[s] ends at shard s's
+	// start and its entries are order[bounds[s]:bounds[s+1]].
+	bounds := append(l.bounds[:0], make([]int, nsh+1)...)
+	for _, e := range t.entries {
+		bounds[e.hash&mask]++
 	}
 	for s := 1; s <= nsh; s++ {
-		starts[s] += starts[s-1]
+		bounds[s] += bounds[s-1]
 	}
-	if cap(l.order) < n {
-		l.order = make([]int32, n)
+	order := slices.Grow(l.order[:0], len(t.entries))[:len(t.entries)]
+	for ei := len(t.entries) - 1; ei >= 0; ei-- {
+		s := t.entries[ei].hash & mask
+		bounds[s]--
+		order[bounds[s]] = int32(ei)
 	}
-	order := l.order[:n]
-	// fill starts as a copy of the batch offsets and advances as entries
-	// land; starts[s]..starts[s+1] still bounds shard s afterwards
-	// because each cursor ends exactly at the next shard's start.
-	if cap(l.fill) < nsh {
-		l.fill = make([]int, nsh)
-	}
-	fill := l.fill[:nsh]
-	copy(fill, starts[:nsh])
-	for ei := range l.entries {
-		s := l.entries[ei].hash & mask
-		order[fill[s]] = int32(ei)
-		fill[s]++
-	}
-
 	entry := p.entryBytes()
 	var added int64
-	for s := 0; s < nsh; s++ {
-		lo, hi := starts[s], starts[s+1]
-		if lo == hi {
+	for s := range nsh {
+		if bounds[s] == bounds[s+1] {
 			continue
 		}
 		sh := &p.shards[s]
 		sh.mu.Lock()
-		for _, ei := range order[lo:hi] {
-			e := &l.entries[ei]
-			kb := l.arena[e.koff : e.koff+e.klen]
-			// Allocation-free intern check: the map lookup with a
-			// converted byte slice does not materialize a string.
-			if gi, ok := sh.idx[string(kb)]; ok {
-				merged := p.combine(sh.vals[gi], l.vals[ei])
+		g := &sh.table
+		for _, ei := range order[bounds[s]:bounds[s+1]] {
+			e, v := t.entries[ei], t.vals[ei]
+			kb, prefix := t.arena[e.koff:e.koff+e.klen], t.prefix(e)
+			if gi, slot := g.find(e.hash, prefix, kb); gi >= 0 {
+				merged := p.combine(g.vals[gi], v)
 				if p.dynV != nil {
-					added += p.dynV(merged) - p.dynV(sh.vals[gi])
+					added += p.dynV(merged) - p.dynV(g.vals[gi])
 				}
-				sh.vals[gi] = merged
+				g.vals[gi] = merged
 			} else {
-				key := string(kb) // interned exactly once per global key
-				sh.idx[key] = len(sh.vals)
-				sh.vals = append(sh.vals, l.vals[ei])
-				added += entry + int64(len(key)) + dynOf(p.dynV, l.vals[ei])
+				g.insert(slot, e.hash, prefix, kb, v)
+				added += entry + int64(len(kb)) + dynOf(p.dynV, v)
 			}
 		}
 		sh.mu.Unlock()
 	}
 	p.bytes.Add(added)
-}
 
-// recycle clears the local for reuse without releasing any storage:
-// the index is re-emptied, the dense arrays and arena keep their
-// capacity, and values are zeroed so stale references cannot pin heap.
-func (l *flatLocal[V]) recycle() {
-	for i := range l.table {
-		l.table[i] = -1
-	}
-	l.entries = l.entries[:0]
-	clear(l.vals)
-	l.vals = l.vals[:0]
-	l.arena = l.arena[:0]
+	t.clearIndex()
+	t.entries = t.entries[:0]
+	clear(t.vals) // stale values must not pin heap
+	t.vals, t.arena = t.vals[:0], t.arena[:0]
+	l.bounds, l.order = bounds, order
+	p.poolMu.Lock()
+	p.pool = append(p.pool, l)
+	p.poolMu.Unlock()
 }

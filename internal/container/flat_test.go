@@ -3,9 +3,12 @@ package container
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"supmr/internal/kv"
 	"supmr/internal/workload"
 )
 
@@ -234,8 +237,9 @@ func TestFlatHashPartitionBounds(t *testing.T) {
 	f.Reduce(99, reduceSum, nil)
 }
 
-// Fuzz: tokenizer output fed through the flat bytes path must reduce
-// identically to strings fed through the map-backed container.
+// Fuzz: tokenizer output fed through the flat bytes path, and the input
+// fed whole through the flat word path, must reduce identically to
+// strings fed through the map-backed container.
 func FuzzFlatCombiner(f *testing.F) {
 	f.Add([]byte("the quick brown fox the lazy dog the end"))
 	f.Add([]byte(""))
@@ -243,6 +247,7 @@ func FuzzFlatCombiner(f *testing.F) {
 	f.Add([]byte("x\ny\tz x\x00y"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flat := NewFlatHash[int64](4, sumInt64)
+		words := NewFlatHash[int64](4, sumInt64)
 		ref := NewHash[string, int64](4, StringHasher, sumInt64)
 		fl := flat.NewLocal().(*flatLocal[int64])
 		rl := ref.NewLocal()
@@ -252,15 +257,155 @@ func FuzzFlatCombiner(f *testing.F) {
 		})
 		fl.Flush()
 		rl.Flush()
-		got := collect[string, int64](flat, reduceSum)
+		wl := words.NewLocal().(*flatLocal[int64])
+		wl.EmitWords(data, 1)
+		wl.Flush()
 		want := collect[string, int64](ref, reduceSum)
-		if len(got) != len(want) {
-			t.Fatalf("distinct keys: flat %d, map %d", len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("key %q: flat %d, map %d", k, got[k], v)
+		for path, c := range map[string]*FlatHash[int64]{"bytes": flat, "words": words} {
+			got := collect[string, int64](c, reduceSum)
+			if len(got) != len(want) || c.Len() != len(want) {
+				t.Fatalf("%s path: distinct keys: flat %d (Len %d), map %d", path, len(got), c.Len(), len(want))
+			}
+			for k, v := range want {
+				if got[k] != v {
+					t.Fatalf("%s path: key %q: flat %d, map %d", path, k, got[k], v)
+				}
 			}
 		}
 	})
+}
+
+// The entry is hash + arena offset + length: the layout every probe and
+// the memo fold's whole-vocabulary locals pay for per key.
+func TestFlatEntryIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(flatEntry{}); n != 16 {
+		t.Fatalf("flatEntry is %d bytes, want 16", n)
+	}
+}
+
+// collidingKeys returns n distinct keys whose hashes share a home slot
+// in every index of up to 1024 slots, so each probe walks a chain.
+func collidingKeys(n int) []string {
+	var keys []string
+	want := home(kv.KeyHash([]byte("c0")), 1023)
+	for i := 0; len(keys) < n; i++ {
+		k := fmt.Sprintf("c%d", i)
+		if home(kv.KeyHash([]byte(k)), 1023) == want {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// Keys the probe must tell apart although hash filters, lengths or
+// prefixes agree, each emitted 1..3 times, through one local and through
+// three locals flushed in turn (emission r of a key goes to local r), so
+// both tiers see them. Reduce must return each distinct key exactly once
+// with its total.
+func TestFlatHashEdgeKeys(t *testing.T) {
+	cases := map[string][]string{
+		"padded-prefix": {"ab", "ab\x00", "ab\x00\x00", "a", "\x00", "\x00\x00"},
+		"same-first-8": {"abcdefgh1", "abcdefgh2", "abcdefghXjklmnop", "abcdefghYjklmnop",
+			"abcdefghijklmnoX", "abcdefghijklmnoY", "abcdefgh"},
+		"odd-keys":     {"", strings.Repeat("x", 100), strings.Repeat("x", 99) + "y", "café", "caf\xc3\xa9\xff", "日本語", "\x80\x81", "\xff"},
+		"probe-chains": collidingKeys(600),
+	}
+	for name, keys := range cases {
+		want := make(map[string]int64)
+		for i, k := range keys {
+			want[k] = int64(i%3 + 1)
+		}
+		for _, locals := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/locals=%d", name, locals), func(t *testing.T) {
+				f := NewFlatHash[int64](4, sumInt64)
+				for l := 0; l < locals; l++ {
+					loc := f.NewLocal()
+					for rep := 0; rep < 3; rep++ {
+						for _, k := range keys {
+							if rep%locals == l && int64(rep) < want[k] {
+								loc.Emit(k, 1)
+							}
+						}
+					}
+					loc.Flush()
+				}
+				var pairs []kv.Pair[string, int64]
+				for p := 0; p < f.Partitions(); p++ {
+					pairs = f.Reduce(p, reduceSum, pairs)
+				}
+				if len(pairs) != len(want) || f.Len() != len(want) {
+					t.Fatalf("Reduce returned %d pairs, Len %d, want %d distinct keys", len(pairs), f.Len(), len(want))
+				}
+				for _, p := range pairs {
+					if want[p.Key] != p.Val {
+						t.Errorf("key %q = %d, want %d", p.Key, p.Val, want[p.Key])
+					}
+				}
+			})
+		}
+	}
+}
+
+// With every hash forced equal, only length, prefix and the remaining
+// bytes tell keys apart: each key must find its own entry.
+func TestFlatTableSameHash(t *testing.T) {
+	keys := []string{"", "a", "ab", "ba", "ab\x00", "ab\x00\x00", "abcdefgh", "abcdefgX", "abcdefgh\x00",
+		"abcdefgh1", "abcdefgh2", "Xbcdefgh1", "abcdefghXjklmnop", "abcdefghYjklmnop",
+		"abcdefghijklmnoX", "abcdefghijklmnoY", strings.Repeat("x", 100), strings.Repeat("x", 99) + "y"}
+	tb := newFlatTable[int64](8)
+	const h = 0x2a
+	for i, k := range keys {
+		kb := []byte(k)
+		ei, slot := tb.find(h, kv.KeyPrefix(kb), kb)
+		if ei >= 0 {
+			t.Fatalf("key %q found entry %d before insertion", k, ei)
+		}
+		tb.insert(slot, h, kv.KeyPrefix(kb), kb, int64(i))
+	}
+	for i, k := range keys {
+		kb := []byte(k)
+		ei, _ := tb.find(h, kv.KeyPrefix(kb), kb)
+		if ei < 0 || tb.vals[ei] != int64(i) || string(tb.arena[tb.entries[ei].koff:][:len(k)]) != k {
+			t.Errorf("key %q: entry %d, want the one holding %d", k, ei, i)
+		}
+	}
+}
+
+// Reduce hands out views of a shard's key arena, not copies: they must
+// keep their bytes while later flushes grow the arena and after Reset.
+func TestFlatHashReducedKeysStayValid(t *testing.T) {
+	f := NewFlatHash[int64](2, sumInt64)
+	emit := func(format string, n int) {
+		l := f.NewLocal()
+		for i := 0; i < n; i++ {
+			l.Emit(fmt.Sprintf(format, i), 1)
+		}
+		l.Flush()
+	}
+	var pairs []kv.Pair[string, int64]
+	var copies []string
+	reduce := func() {
+		for p := 0; p < f.Partitions(); p++ {
+			pairs = f.Reduce(p, reduceSum, pairs)
+		}
+		for _, p := range pairs[len(copies):] {
+			copies = append(copies, strings.Clone(p.Key))
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, p := range pairs {
+			if p.Key != copies[i] {
+				t.Fatalf("%s: reduced key %q became %q", when, copies[i], p.Key)
+			}
+		}
+	}
+	emit("word-%d", 100)
+	reduce()
+	emit("word-%d", 20_000) // regrows every shard's arena
+	check("after the arenas grew")
+	reduce()
+	f.Reset()
+	emit("other-%d", 20_000)
+	check("after Reset and refill")
 }

@@ -1,8 +1,9 @@
 package shuffle
 
 // PartitionOf maps an encoded key to one of parts partitions with
-// FNV-1a over the key bytes. The hash is deliberately NOT the
-// containers' maphash (whose seed is process-random): partition
+// FNV-1a over the key bytes. The hash is deliberately NOT one of the
+// containers' hashes (maphash, kv.KeyHash), whose seeds are
+// process-random: partition
 // ownership decides which node reduces a key, so it must be stable
 // across processes and runs for multi-node output to be reproducible.
 // Every occurrence of a key hashes to one partition, which is what

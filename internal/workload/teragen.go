@@ -89,14 +89,6 @@ func (g TeraGen) File(name string, records int64, dev storage.Device) (*storage.
 	return storage.NewFile(name, records*TeraRecordSize, 0, g.Fill(), dev)
 }
 
-// KeyOf extracts the 10-byte key of a record as a string.
-func KeyOf(record []byte) string {
-	if len(record) < TeraKeySize {
-		return string(record)
-	}
-	return string(record[:TeraKeySize])
-}
-
 // ParseTeraRecords walks a buffer of whole \r\n-terminated records,
 // invoking fn with each record (terminator included). It returns the
 // number of records seen and an error if the buffer does not consist of

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"supmr/internal/kv"
 	"supmr/internal/storage"
 )
 
@@ -160,21 +161,16 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// Tokenize splits text into words on ASCII whitespace, calling fn for
-// each word. It allocates nothing: fn receives sub-slices of buf.
+// Tokenize splits text into words on ASCII space, newline, carriage
+// return and tab (kv.ScanWords' cut), calling fn for each word. It
+// allocates nothing: fn receives sub-slices of buf.
 func Tokenize(buf []byte, fn func(word []byte)) {
-	start := -1
-	for i, c := range buf {
-		if c == ' ' || c == '\n' || c == '\r' || c == '\t' {
-			if start >= 0 {
-				fn(buf[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
+	var words [64]kv.Word
+	for pos := 0; pos < len(buf); {
+		n, next := kv.ScanWords(buf, pos, words[:])
+		for _, w := range words[:n] {
+			fn(buf[w.Off : w.Off+w.Len])
 		}
-	}
-	if start >= 0 {
-		fn(buf[start:])
+		pos = next
 	}
 }

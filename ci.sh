@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate. Every assertion is a Go test; this script only decides which
-# tests run in which mode — tier-1, the bench module, everything again
-# under the race detector, the re-runs and repeats that add coverage
+# CI gate. Every assertion is a Go test or a runnable example; this
+# script only decides which run in which mode — tier-1, the bench
+# module, the examples, everything again under the race detector, the
+# re-runs and repeats that add coverage
 # beyond that, and a time-boxed fuzz of every decoder. Nothing here
 # parses a result: a stanza passes when its `go` command exits 0.
 set -euo pipefail
@@ -25,6 +26,13 @@ echo "== bench module vet + short tests =="
 # a PR that restructures those internals must not leave the benchmark
 # uncompilable.
 (cd bench && go vet ./... && go test -short ./...)
+
+echo "== examples =="
+# The examples are the API's documentation: each must build and run to a
+# zero exit, so a change to what a Config means cannot leave one broken.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
 
 echo "== go test -race =="
 # The root suite carries the chaos, differential, ablation, memo, engine

@@ -104,7 +104,7 @@ func wordCountTable(w io.Writer, size int64, workers int) error {
 	}
 	mapRate, err := measureMapRate(func(data []byte) error {
 		_, err := supmr.RunBytes[string, int64](supmr.WordCountJob(), data,
-			supmr.WordCountContainer(64), supmr.Config{Workers: workers})
+			supmr.WordCountContainer(64), supmr.Config{Runtime: supmr.RuntimeTraditional, Workers: workers})
 		return err
 	}, gen)
 	if err != nil {
@@ -163,7 +163,7 @@ func sortTable(w io.Writer, size int64, workers int) error {
 	workload.TeraGen{Seed: 7}.Fill()(0, data)
 	m := supmr.MergePairwise
 	cal, err := supmr.RunBytes[string, uint64](supmr.SortJob(), data,
-		supmr.SortContainer(), supmr.Config{Workers: workers, Splits: 64,
+		supmr.SortContainer(), supmr.Config{Runtime: supmr.RuntimeTraditional, Workers: workers, Splits: 64,
 			Boundary: supmr.CRLFRecords, Merge: &m})
 	if err != nil {
 		return err

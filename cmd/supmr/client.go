@@ -59,7 +59,7 @@ func submitMain(args []string) {
 	spec := wire()
 	spec.Tenant, spec.Weight, spec.MemoKey = *tenant, parseCount(*weight), *memoKey
 	spec.Block, spec.Blocks = int64(parseCount0(*block)), int64(parseCount0(*blocks))
-	if err := spec.Validate(); err != nil {
+	if err := spec.Validate(true); err != nil {
 		fmt.Fprintln(os.Stderr, "supmr:", err)
 		os.Exit(2)
 	}

@@ -62,7 +62,11 @@ func main() {
 		fmt.Println()
 		return
 	}
-	fmt.Printf("app=%s runtime=%s size=%d chunk=%d bw=%d\n", res.App, res.Runtime, spec.Size, spec.ChunkBytes, spec.BW)
+	chunk := spec.ChunkBytes
+	if res.Runtime == supmr.RuntimeTraditional.String() {
+		chunk = 0 // the preset reads the input whole, as -chunk 0 does
+	}
+	fmt.Printf("app=%s runtime=%s size=%d chunk=%d bw=%d\n", res.App, res.Runtime, spec.Size, chunk, spec.BW)
 	if res.Times != "" {
 		fmt.Println(res.Times)
 	}
@@ -95,18 +99,18 @@ func specFlags(fs *flag.FlagSet, size, chunk, bw string) func() jobspec.Spec {
 		sizeStr  = fs.String("size", size, "input size in bytes (k/m/g suffixes)")
 		seed     = fs.Int64("seed", 1, "workload generation seed")
 		chunkSz  = fs.String("chunk", chunk, "SupMR ingest chunk size (0 = whole input; submitted to supmrd, 0 = 256k)")
-		budget   = fs.String("budget", "0", "intermediate-container memory budget in bytes; over-budget state spills to the simulated device (0 = unbudgeted; supmr runtime only; on supmrd this is the request and the engine may grant less)")
+		budget   = fs.String("budget", "0", "intermediate-container memory budget in bytes; over-budget state spills to the simulated device (0 = unbudgeted; refused with -memo, -nodes or -runtime traditional; on supmrd this is the request and the engine may grant less)")
 		bwStr    = fs.String("bw", bw, "simulated storage bandwidth, bytes/sec (0 = infinite)")
-		ioLanes  = fs.String("io-lanes", "1", "IO lanes for striped ingest: each chunk read splits into this many segments read in parallel (supmr runtime)")
-		prefetch = fs.String("prefetch-depth", "1", "prefetch ring depth: ingest chunks kept in flight ahead of the map wave (supmr runtime)")
+		ioLanes  = fs.String("io-lanes", "1", "IO lanes for striped ingest: each chunk read splits into this many segments read in parallel (set aside by -runtime traditional)")
+		prefetch = fs.String("prefetch-depth", "1", "prefetch ring depth: ingest chunks kept in flight ahead of the map wave (set aside by -runtime traditional)")
 		pattern  = fs.String("pattern", "", "comma-separated patterns for a string-match run (empty = the app's default)")
 		faults   = fs.String("faults", "", "deterministic fault plan, e.g. seed=42,read-err-every=100,short-read=0.05,latency=2ms,latency-prob=0.1 (keys: seed, read-err[-every], write-err[-every], short-read[-every], latency[-prob|-every], permanent[-every], max)")
 		retries  = fs.String("retries", "", "retry policy for transient faults: attempt count (\"4\") or attempts=N,base=DUR,max=DUR,budget=N")
-		nodes    = fs.Int("nodes", 0, "run on a simulated cluster of N SupMR worker nodes exchanging hash-partitioned runs over simulated links (supmr runtime; 0 = single-node scale-up pipeline; output byte-identical)")
+		nodes    = fs.Int("nodes", 0, "run on a simulated cluster of N SupMR worker nodes exchanging hash-partitioned runs over simulated links (refused by -runtime traditional; 0 = single-node scale-up pipeline; output byte-identical)")
 		egLanes  = fs.Int("egress-lanes", 0, "materialize the merged output across N concurrent extent writers after the merge (1 = serial-writer ablation, byte-identical output at any lane count; 0 = skip output materialization)")
 	)
 	memo := cliutil.OnOff(false)
-	fs.Var(&memo, "memo", "content-addressed incremental recompute: content-defined chunking plus a per-chunk map/combine memo cache — on supmrd the server's shared store, so a re-submission over mostly unchanged content replays cached map output (supmr runtime, single-file inputs); off is the ablation spelling")
+	fs.Var(&memo, "memo", "content-addressed incremental recompute: content-defined chunking plus a per-chunk map/combine memo cache — on supmrd the server's shared store, so a re-submission over mostly unchanged content replays cached map output (single-file inputs; refused by -runtime traditional); off is the ablation spelling")
 	radix := cliutil.OnOff(true)
 	fs.Var(&radix, "radixsort", "radix sort/columnar merge fast path for fixed-width-key apps; off falls back to comparison sort everywhere (ablation, byte-identical output)")
 	return func() jobspec.Spec {

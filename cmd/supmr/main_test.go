@@ -332,8 +332,9 @@ func TestBadSubmitKnobsExitUsage(t *testing.T) {
 
 // TestReportLineShapes pins the plain report's line shapes, per
 // application and per mode flag: each row's regexps must match whole
-// lines of stdout, in order. Scripts read these lines, so the report
-// keeps them whichever layer renders it.
+// lines of stdout, in order — or, for a row that exits non-zero, of
+// stderr. Scripts read these lines, so the report keeps them whichever
+// layer renders it.
 func TestReportLineShapes(t *testing.T) {
 	const (
 		times  = `total=\S+( [a-z+]+=\S+)+`
@@ -346,41 +347,57 @@ func TestReportLineShapes(t *testing.T) {
 		name  string
 		args  []string
 		lines []string
+		code  int // the exit status; non-zero rows match stderr
 	}{
-		{"wordcount", []string{"-app", "wordcount"}, []string{hdr("wordcount"), times, allocs, wcSum}},
+		{"wordcount", []string{"-app", "wordcount"}, []string{hdr("wordcount"), times, allocs, wcSum}, 0},
+		// The preset reads the input whole: chunk=0, whatever -chunk says.
 		{"wordcount-traditional", []string{"-app", "wordcount", "-runtime", "traditional"},
-			[]string{`app=wordcount runtime=traditional size=262144 chunk=32768 bw=0`, times, wcSum}},
+			[]string{`app=wordcount runtime=traditional size=262144 chunk=0 bw=0`, times, `distinct words: \d+  occurrences kept: \d+  map waves: 1`}, 0},
 		{"wordcount-whole-input", []string{"-app", "wordcount", "-chunk", "0", "-bw", "1g"},
-			[]string{`app=wordcount runtime=supmr size=262144 chunk=0 bw=1073741824`, times, `distinct words: \d+  occurrences kept: \d+  map waves: 1`}},
+			[]string{`app=wordcount runtime=supmr size=262144 chunk=0 bw=1073741824`, times, `distinct words: \d+  occurrences kept: \d+  map waves: 1`}, 0},
 		{"wordcount-budget", []string{"-app", "wordcount", "-budget", "16k"},
-			[]string{hdr("wordcount"), times, wcSum, `spill: [1-9]\d* runs, \d+ bytes written, merged in \d+ round\(s\) \(budget 16384\)`}},
+			[]string{hdr("wordcount"), times, wcSum, `spill: [1-9]\d* runs, \d+ bytes written, merged in \d+ round\(s\) \(budget 16384\)`}, 0},
+		// A budget cannot bound a memoized run: refused before any read.
 		{"wordcount-memo-budget", []string{"-app", "wordcount", "-memo", "-budget", "16k", "-memo-budget", "1m"},
-			[]string{hdr("wordcount"), times, wcSum, `memo: 0 hits, [1-9]\d* misses, 0B saved \(budget 1\.0MB\)`, `note: memo: MemoryBudget ignored .*`}},
+			[]string{`supmr: jobspec: supmr: MemoryBudget is incompatible with Memo .*`}, 2},
 		{"wordcount-files", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-files-per-chunk", "2", "-flatcombiner=off"},
-			[]string{hdr("wordcount"), times, `distinct words: \d+  occurrences kept: \d+  map waves: 2`}},
+			[]string{hdr("wordcount"), times, `distinct words: \d+  occurrences kept: \d+  map waves: 2`}, 0},
 		{"wordcount-faults", []string{"-app", "wordcount", "-faults", "seed=1,read-err-every=5", "-retries", "4"},
-			[]string{hdr("wordcount"), times, wcSum, `faults: injected=[1-9]\d* \(transient=\d+ permanent=0\) .*retried=\d+ recovered=[1-9]\d*`}},
+			[]string{hdr("wordcount"), times, wcSum, `faults: injected=[1-9]\d* \(transient=\d+ permanent=0\) .*retried=\d+ recovered=[1-9]\d*`}, 0},
 		{"sort-modes", []string{"-app", "sort", "-nodes", "2", "-io-lanes", "2", "-prefetch-depth", "2", "-egress-lanes", "2", "-egress-extent", "64k"},
 			[]string{hdr("sort"), times, `records sorted: 2621  map waves: \d+  merge rounds: \d+`,
 				`sortpath: [1-9]\d* run\(s\) radix-sorted`,
 				`shuffle: 2 node\(s\), \S+ in [1-9]\d* frame\(s\) on the wire`,
 				`ingest: \d+ prefetch hits, \S+ stalled, lane bytes 0:\S+ 1:\S+`,
-				`egress: \S+ in [1-9]\d* extent\(s\), \S+ stalled, lane bytes 0:\S+ 1:\S+`}},
-		{"histogram", []string{"-app", "histogram"}, []string{hdr("histogram"), times, `byte values seen: \d+  map waves: \d+`}},
-		{"invindex", []string{"-app", "invindex", "-files", "4", "-filesize", "16k"}, []string{hdr("invindex"), times, `indexed words: \d+  files: 4`}},
+				`egress: \S+ in [1-9]\d* extent\(s\), \S+ stalled, lane bytes 0:\S+ 1:\S+`}, 0},
+		{"histogram", []string{"-app", "histogram"}, []string{hdr("histogram"), times, `byte values seen: \d+  map waves: \d+`}, 0},
+		{"invindex", []string{"-app", "invindex", "-files", "4", "-filesize", "16k"}, []string{hdr("invindex"), times, `indexed words: \d+  files: 4`}, 0},
 		{"grep", []string{"-app", "grep", "-pattern", "ba,zu"},
-			[]string{hdr("grep"), times, allocs, `  ba +\d+ matching lines`, `  zu +\d+ matching lines`}},
-		{"linreg", []string{"-app", "linreg"}, []string{hdr("linreg"), times, `fit: y = -?\d+\.\d{4}\*x \+ -?\d+\.\d\d over 131072 points`}},
+			[]string{hdr("grep"), times, allocs, `  ba +\d+ matching lines`, `  zu +\d+ matching lines`}, 0},
+		{"linreg", []string{"-app", "linreg"}, []string{hdr("linreg"), times, `fit: y = -?\d+\.\d{4}\*x \+ -?\d+\.\d\d over 131072 points`}, 0},
 		{"kmeans", []string{"-app", "kmeans"},
 			[]string{hdr("kmeans"), `k-means: \d+ iterations, \d+ total map waves, final movement \d+\.\d{4}`,
-				`  cluster 0: \d+ points, centroid \(\d+\.\d, \d+\.\d\)`, `  cluster 3: \d+ points, centroid \(\d+\.\d, \d+\.\d\)`}},
+				`  cluster 0: \d+ points, centroid \(\d+\.\d, \d+\.\d\)`, `  cluster 3: \d+ points, centroid \(\d+\.\d, \d+\.\d\)`}, 0},
 		{"trace-energy", []string{"-app", "wordcount", "-energy", "-bucket", "1ms", "-contexts", "2"},
 			[]string{hdr("wordcount"), times, wcSum, ``, `100% \|.*\|`, ` +legend: u=user s=sys w=iowait  bucket=1ms`,
-				`energy: \S+ J over \S+ \(avg \S+ W, peak \S+ W, E\*D \S+ J\*s\)`}},
+				`energy: \S+ J over \S+ \(avg \S+ W, peak \S+ W, E\*D \S+ J\*s\)`}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out := supmrOut(t, append(slices.Clone(small), tc.args...)...)
+			cmd := exec.Command(os.Args[0], append(slices.Clone(small), tc.args...)...)
+			cmd.Env = append(os.Environ(), "SUPMR_RUN_MAIN=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); cmd.ProcessState == nil {
+				t.Fatal(err)
+			}
+			out := stdout.String()
+			if tc.code != 0 {
+				out = stderr.String()
+			}
+			if code := cmd.ProcessState.ExitCode(); code != tc.code {
+				t.Fatalf("exit status %d, want %d; stderr:\n%s", code, tc.code, stderr.String())
+			}
 			rest := strings.Split(out, "\n")
 			for _, want := range tc.lines {
 				re := regexp.MustCompile(`^` + want + `$`)
@@ -490,8 +507,9 @@ func TestAppModeMatrix(t *testing.T) {
 
 // TestNewAppsOnEverySurface: the apps jobspec did not know before the
 // table — invindex, linreg, kmeans — print one digest from `supmr
-// -digest`, jobspec.Run and `supmr submit -wait`, or are refused by
-// supmrd with their table entry's sentence (kmeans, on an engine).
+// -digest`, jobspec.Run and `supmr submit -wait`, or are refused at
+// submission with their table entry's sentence (kmeans, on an engine):
+// exit 2, and no job for `list` to show.
 func TestNewAppsOnEverySurface(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "d.sock")
 	srv, err := server.New(server.Config{Socket: sock, Engine: supmr.EngineConfig{Workers: 2, MaxJobs: 2}})
@@ -512,11 +530,14 @@ func TestNewAppsOnEverySurface(t *testing.T) {
 		cmd.Env = append(os.Environ(), "SUPMR_RUN_MAIN=1")
 		out, err := cmd.CombinedOutput()
 		if app == "kmeans" {
-			if err == nil || !strings.Contains(string(out), "state=failed") || !strings.Contains(string(out), "engine is incompatible with kmeans") {
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "engine is incompatible with kmeans") {
 				t.Fatalf("kmeans on supmrd: %v\n%s", err, out)
 			}
 		} else if got := digestTokens.FindString(string(out)); err != nil || got != direct {
 			t.Fatalf("%s: submit -wait prints %q (%v), the direct run %q:\n%s", app, got, err, direct, out)
 		}
+	}
+	if out := supmrOut(t, "list", "-socket", sock); strings.Count(out, "state=done") != 2 || strings.Contains(out, "kmeans") {
+		t.Fatalf("list after two runs and a refusal:\n%s", out)
 	}
 }

@@ -258,41 +258,6 @@ func TestInNodeCombinerHalvesWireBytes(t *testing.T) {
 	}
 }
 
-// TestMultiNodeBudgetIgnored: a budgeted multi-node run stays
-// byte-identical and surfaces the ignored budget as a note instead of
-// silently changing meaning. Residency is one container per node until
-// the exchange, and nothing bounds it: a node's container is never
-// spilled (ROADMAP item 3 is to overflow it to the spill store).
-func TestMultiNodeBudgetIgnored(t *testing.T) {
-	text := genText(t, 64<<10, 41)
-	cfg := applyIngestEnv(Config{Runtime: RuntimeSupMR, Workers: 4, ChunkBytes: 8 << 10})
-	base, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Nodes = 4
-	cfg.MemoryBudget = 32 << 10
-	rep, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := renderPairs(base.Pairs), renderPairs(rep.Pairs); a != b {
-		t.Fatal("budgeted multi-node output differs from single-node")
-	}
-	found := false
-	for _, n := range rep.Notes {
-		if strings.Contains(n, "MemoryBudget ignored") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("budgeted multi-node run did not note the ignored budget: %q", rep.Notes)
-	}
-	if rep.Stats.SpilledRuns != 0 {
-		t.Fatalf("multi-node run spilled %d runs; the spill path must be bypassed", rep.Stats.SpilledRuns)
-	}
-}
-
 // TestMultiNodeSkewedPartition: hash partitioning sends every
 // occurrence of a key to one node, so a pathologically skewed key
 // distribution — here >90% of all tokens are one word — lands almost
@@ -351,30 +316,14 @@ func TestMultiNodeSkewedPartition(t *testing.T) {
 	}
 }
 
-// TestMultiNodeRejections pins the configurations multi-node mode must
-// refuse rather than reinterpret.
+// TestMultiNodeRejections pins what multi-node mode refuses by value
+// type; the Config combinations it refuses are cells of
+// TestConfigKnobTable.
 func TestMultiNodeRejections(t *testing.T) {
 	text := genText(t, 16<<10, 43)
-	base := Config{Runtime: RuntimeSupMR, Workers: 2, ChunkBytes: 4 << 10, Nodes: 2}
-
+	base := Config{Workers: 2, ChunkBytes: 4 << 10, Nodes: 2}
 	if _, err := RunBytes[string, []string](InvertedIndexJob(), text, InvertedIndexJob().NewContainer(8), base); err == nil {
 		t.Fatal("invindex ([]string values, no wire codec) accepted on a cluster")
-	}
-
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"traditional", func(c *Config) { c.Runtime = RuntimeTraditional }},
-		{"adaptive", func(c *Config) { c.AdaptiveChunks = true }},
-		{"reset-each-round", func(c *Config) { c.ResetEachRound = true }},
-	}
-	for _, tc := range cases {
-		cfg := base
-		tc.mut(&cfg)
-		if _, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(8), cfg); err == nil {
-			t.Fatalf("%s: accepted alongside Nodes, want rejection", tc.name)
-		}
 	}
 }
 

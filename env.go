@@ -199,18 +199,18 @@ func KMeansJob(k, dim int) *apps.KMeans {
 // KMeansResult reports a K-means driver run.
 type KMeansResult = apps.KMeansResult
 
-// RunKMeans drives Lloyd's algorithm over file through the SupMR
-// pipeline, re-streaming the input each iteration (wrap the device with
-// NewCachedDevice to make iterations after the first compute-bound).
-// One persistent worker pool spans all iterations; cfg.Context
-// cancellation aborts the driver mid-run.
+// RunKMeans drives Lloyd's algorithm over file, one job per iteration
+// streamed and merged as cfg says, re-streaming the input each time (wrap
+// the device with NewCachedDevice to make iterations after the first
+// compute-bound). One persistent worker pool spans all iterations;
+// cfg.Context cancellation aborts the driver mid-run.
 func RunKMeans(km *apps.KMeans, file Input, cfg Config, maxIters int) (*KMeansResult, error) {
-	mk := func() (Stream, error) {
-		cfgIter := cfg
-		cfgIter.Runtime = RuntimeSupMR
-		cfgIter.Boundary = km.Boundary()
-		return StreamFile(file, cfgIter)
+	cfg.Boundary = km.Boundary()
+	cfg, _, err := cfg.resolve()
+	if err != nil {
+		return nil, err
 	}
+	mk := func() (Stream, error) { return StreamFile(file, cfg) }
 	return apps.RunKMeans(cfg.Context, km, mk, mapreduceOptions(cfg), maxIters)
 }
 

@@ -80,7 +80,6 @@ func main() {
 		files,
 		supmr.NewHashContainer[string, int64](8, supmr.HashString, levelCount{}.Combine),
 		supmr.Config{
-			Runtime:       supmr.RuntimeSupMR,
 			FilesPerChunk: 4, // intra-file chunking: 24 files -> 6 chunks
 			Clock:         clock,
 		},

@@ -24,7 +24,6 @@ func main() {
 		[]byte(text),                 // in-memory input
 		supmr.WordCountContainer(16), // hash container with combiner
 		supmr.Config{
-			Runtime:    supmr.RuntimeSupMR,
 			ChunkBytes: 8 << 10, // stream the input as 8 KiB ingest chunks
 		},
 	)

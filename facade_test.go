@@ -11,19 +11,6 @@ import (
 // Tests of the facade's configuration plumbing: stream construction,
 // default selection, and option interactions.
 
-func TestConfigMergeDefaults(t *testing.T) {
-	if got := (Config{Runtime: RuntimeTraditional}).mergeAlgo(); got != MergePairwise {
-		t.Errorf("traditional default merge = %v", got)
-	}
-	if got := (Config{Runtime: RuntimeSupMR}).mergeAlgo(); got != MergePWay {
-		t.Errorf("SupMR default merge = %v", got)
-	}
-	m := MergePairwise
-	if got := (Config{Runtime: RuntimeSupMR, Merge: &m}).mergeAlgo(); got != MergePairwise {
-		t.Errorf("override merge = %v", got)
-	}
-}
-
 func TestConfigBoundaryDefault(t *testing.T) {
 	if _, ok := (Config{}).boundary().(chunk.NewlineBoundary); !ok {
 		t.Error("default boundary should be newline")
@@ -34,8 +21,9 @@ func TestConfigBoundaryDefault(t *testing.T) {
 }
 
 func TestRuntimeString(t *testing.T) {
-	if RuntimeTraditional.String() != "traditional" || RuntimeSupMR.String() != "supmr" {
-		t.Error("runtime names wrong")
+	var zero Runtime
+	if RuntimeTraditional.String() != "traditional" || RuntimeSupMR.String() != "supmr" || zero != RuntimeSupMR {
+		t.Error("runtime names wrong, or the zero runtime is not the pipeline")
 	}
 }
 
@@ -51,19 +39,6 @@ func drainStream(t *testing.T, s Stream) []*Chunk {
 			t.Fatal(err)
 		}
 		out = append(out, c)
-	}
-}
-
-func TestStreamFileTraditionalIsWholeInput(t *testing.T) {
-	clock := NewClock()
-	f := MemoryFile("x", []byte("one\ntwo\nthree\n"), clock)
-	s, err := StreamFile(f, Config{Runtime: RuntimeTraditional, ChunkBytes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := drainStream(t, s)
-	if len(chunks) != 1 {
-		t.Errorf("traditional stream produced %d chunks, want 1", len(chunks))
 	}
 }
 
@@ -109,14 +84,6 @@ func TestStreamFilesVariants(t *testing.T) {
 	}
 	if got := drainStream(t, s2); len(got) != 1 {
 		t.Errorf("hybrid stream produced %d chunks, want 1", len(got))
-	}
-	// Traditional collapses either way.
-	s3, err := StreamFiles(files, Config{Runtime: RuntimeTraditional, FilesPerChunk: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drainStream(t, s3); len(got) != 1 {
-		t.Errorf("traditional multi-file stream produced %d chunks", len(got))
 	}
 	// Empty input rejected.
 	if _, err := StreamFiles(nil, Config{}); err == nil {

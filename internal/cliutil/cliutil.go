@@ -86,6 +86,15 @@ type ExitCoder interface {
 	ExitCode() int
 }
 
+// Usage marks err as a usage error — a knob, or a combination of knobs,
+// refused before any work starts — which ExitCode maps to 2.
+func Usage(err error) error { return usageError{err} }
+
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+func (usageError) ExitCode() int   { return 2 }
+
 // ExitCode maps an error to the process exit status the CLI should
 // use: 0 for nil, the error's own code when it (or anything it wraps)
 // implements ExitCoder, 1 otherwise.

@@ -132,4 +132,10 @@ func TestExitCode(t *testing.T) {
 	if got := ExitCode(fmt.Errorf("submit: %w", &exitErr{code: 3})); got != 3 {
 		t.Errorf("wrapped ExitCoder = %d, want 3", got)
 	}
+	// A usage error keeps its text and what it wraps, and exits 2.
+	inner := errors.New("refused")
+	usage := Usage(inner)
+	if got := ExitCode(fmt.Errorf("run: %w", usage)); got != 2 || usage.Error() != "refused" || !errors.Is(usage, inner) {
+		t.Errorf("usage error: exit %d, text %q, wraps inner %v", got, usage, errors.Is(usage, inner))
+	}
 }

@@ -91,8 +91,8 @@ type Tuner interface {
 
 // Options configure the SupMR pipeline. The embedded runtime options
 // carry worker counts, split counts, instrumentation and the merge
-// algorithm, whose zero value is the pairwise merge: the facade's
-// Config.mergeAlgo is what picks p-way for the SupMR runtime.
+// algorithm, whose zero value here is pairwise; the facade passes p-way
+// unless the caller or the RuntimeTraditional preset asks otherwise.
 type Options struct {
 	mapreduce.Options
 	// Topology carries the multi-node knobs. With Nodes > 0 the job runs
@@ -115,10 +115,8 @@ type Options struct {
 	// ingest rounds; a container over budget is drained into a
 	// key-sorted run written to SpillStore on the pool's IO lane while
 	// the next map round computes, and the merge phase streams the runs
-	// back in the same single p-way round. Zero disables spilling, and
-	// so do MemoStore and Nodes: a memoized run parks every chunk's
-	// output in memory and a node's container must hold everything the
-	// node mapped until the exchange, and neither is spilled.
+	// back in the same single p-way round. Zero disables spilling. Run
+	// refuses it beside MemoStore or Nodes, neither of which spills.
 	MemoryBudget int64
 	// SpillStore receives the spilled runs; required when MemoryBudget
 	// is positive.
@@ -209,6 +207,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	// The memo cache, the node exchange and the spiller are resolved up
 	// front so jobs whose key/value types cannot serialize refuse to
 	// start instead of failing at the first publish, frame or spill.
+	if opts.MemoryBudget > 0 && (opts.MemoStore != nil || opts.Nodes > 0) {
+		return nil, errors.New("core: MemoryBudget cannot bound a memoized or multi-node run (parked per-chunk output and node containers have no spill path)")
+	}
 	var cache *memo.Cache[K, V]
 	if opts.MemoStore != nil {
 		var err error
@@ -246,7 +247,6 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		when, drainPhase, drainLabel = drainEveryChunk, metrics.PhaseMemo, "memo"
 	case perChunk:
 		when, drainPhase, drainLabel = drainEveryChunk, metrics.PhaseShuffle, "shuffle"
-	case exchange != nil: // node containers are never spilled: MemoryBudget is ignored
 	case opts.MemoryBudget > 0:
 		when = drainOverBudget
 		if _, ok := any(cont).(container.Unspillable); ok {

@@ -18,6 +18,7 @@ import (
 	"supmr/internal/mapreduce"
 	"supmr/internal/memo"
 	"supmr/internal/metrics"
+	"supmr/internal/shuffle"
 	"supmr/internal/storage"
 	"supmr/internal/workload"
 )
@@ -557,6 +558,28 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 			Options{Options: mapreduce.Options{Workers: 2}, PrefetchDepth: depth})
 		if err == nil || !strings.Contains(err.Error(), "mid-stream ingest failure") {
 			t.Errorf("depth %d: err = %v, want the mid-stream failure", depth, err)
+		}
+	}
+}
+
+// TestBudgetRefusedWithMemoOrNodes: a memoized run's parked output and
+// a node's container have no spill path, so Run refuses a memory budget
+// beside them, before the first read, instead of running unbounded.
+func TestBudgetRefusedWithMemoOrNodes(t *testing.T) {
+	store, err := memo.NewStore(memo.Config{Device: storage.NewNullDevice(storage.NewFakeClock())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	wc := wcApp{}
+	for name, opts := range map[string]Options{
+		"memo":  {MemoryBudget: 1 << 10, MemoStore: store},
+		"nodes": {MemoryBudget: 1 << 10, Topology: shuffle.Topology{Nodes: 2}},
+	} {
+		s := &failStream{}
+		_, err := Run[string, int64](wc, s, wc.NewContainer(4), opts)
+		if err == nil || !strings.Contains(err.Error(), "MemoryBudget") || s.served {
+			t.Errorf("%s: err %v, input read %v; want a refusal before any read", name, err, s.served)
 		}
 	}
 }

@@ -200,7 +200,7 @@ var table = []app{
 				sum += fmt.Sprintf("  cluster %d: %s\n", i, model[i].Val)
 			}
 			return &Result{
-				Runtime: supmr.RuntimeSupMR.String(), OutputPairs: len(model), Digest: Digest(model),
+				Runtime: r.cfg.Runtime.String(), OutputPairs: len(model), Digest: Digest(model),
 				MapWaves: out.Waves, Detail: &Detail{Summary: sum},
 			}, nil, nil
 		},

@@ -36,8 +36,9 @@ type Spec struct {
 	// ChunkBytes is the SupMR ingest chunk size (default 256 KiB).
 	ChunkBytes int64 `json:"chunk,omitempty"`
 	// Budget caps the job's intermediate-container bytes; over-budget
-	// state spills (supmr runtime only; 0 = unbudgeted). On an engine,
-	// this is the request — the grant may be smaller.
+	// state spills (0 = unbudgeted; refused with memo, nodes or the
+	// traditional runtime). On an engine, this is the request — the
+	// grant may be smaller.
 	Budget int64 `json:"budget,omitempty"`
 	// BW is the simulated storage bandwidth in bytes/sec (0 = infinite).
 	BW int64 `json:"bw,omitempty"`
@@ -56,7 +57,7 @@ type Spec struct {
 	// output is memoized in the engine's shared store (or a private
 	// per-run store when running without an engine store), so a
 	// re-submission over mostly unchanged content replays cached output
-	// instead of mapping it again. Supmr runtime only.
+	// instead of mapping it again. Refused by the traditional runtime.
 	Memo bool `json:"memo,omitempty"`
 	// MemoKey namespaces the job's cache entries. Empty derives a key
 	// space from the app (and, for grep, its patterns) so distinct
@@ -69,7 +70,8 @@ type Spec struct {
 	RadixOff bool `json:"radix_off,omitempty"`
 	// Nodes, when >= 1, runs the job on a simulated cluster of that
 	// many SupMR worker nodes exchanging hash-partitioned runs over
-	// simulated links (supmr runtime; solo or on the shared engine).
+	// simulated links (solo or on the shared engine; refused by the
+	// traditional runtime).
 	// Output is byte-identical to a single-node run; 0 keeps the
 	// scale-up pipeline.
 	Nodes int `json:"nodes,omitempty"`
@@ -158,8 +160,8 @@ type Result struct {
 	// spec set EgressLanes (sha256 of the egressed bytes == Digest).
 	EgressBytes   int64 `json:"egress_bytes,omitempty"`
 	EgressExtents int   `json:"egress_extents,omitempty"`
-	// Notes surfaces configuration caveats the run adapted to (engine
-	// instruments disabled, memo ignoring the budget).
+	// Notes surfaces the measurements the run could not take (allocation
+	// metering, on an engine).
 	Notes []string `json:"notes,omitempty"`
 	// Detail is the part of a Result that never crosses the wire; nil
 	// on a result decoded from supmrd.
@@ -180,9 +182,10 @@ type Detail struct {
 }
 
 // Validate rejects malformed specs with a descriptive error and fills
-// in no defaults — normalization happens in Run.
-func (s Spec) Validate() error {
-	_, _, err := s.check(false, false, nil)
+// in no defaults — normalization happens in Run. With engine set it also
+// applies the app table's engine refusals, as supmrd does at submission.
+func (s Spec) Validate(engine bool) error {
+	_, _, err := s.check(engine, false, nil)
 	return err
 }
 
@@ -196,9 +199,7 @@ func (s Spec) check(engine, piped bool, clock supmr.Clock) (a *app, cfg supmr.Co
 	if a = lookup(s.App); a == nil {
 		return nil, cfg, fmt.Errorf("jobspec: unknown app %q (want %s)", s.App, Apps())
 	}
-	switch s.Runtime {
-	case "", "supmr", "traditional":
-	default:
+	if _, ok := runtimes[s.Runtime]; !ok {
 		return nil, cfg, fmt.Errorf("jobspec: unknown runtime %q", s.Runtime)
 	}
 	for _, f := range []struct {
@@ -228,7 +229,8 @@ func (s Spec) check(engine, piped bool, clock supmr.Clock) (a *app, cfg supmr.Co
 	if s.Blocks > 0 && !a.blocks {
 		return nil, cfg, fmt.Errorf("jobspec: blocks is only meaningful for %s, not %q", appList(func(a *app) bool { return a.blocks }), s.App)
 	}
-	// What this application refuses, by its table entry.
+	// What this application refuses, by its table entry. A refused mode,
+	// here or below, is the caller's error: cliutil.ExitCode gives 2.
 	for _, m := range []struct {
 		set  bool
 		mode mode
@@ -236,36 +238,39 @@ func (s Spec) check(engine, piped bool, clock supmr.Clock) (a *app, cfg supmr.Co
 		{s.Budget > 0, modeBudget}, {s.Memo, modeMemo}, {s.Nodes > 0, modeNodes}, {engine, modeEngine},
 	} {
 		if why, refused := a.refuses[m.mode]; m.set && refused {
-			return nil, cfg, fmt.Errorf("jobspec: %s is incompatible with %s: %s", m.mode, a.name, why)
+			return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: %s is incompatible with %s: %s", m.mode, a.name, why))
 		}
 	}
 	if s.Solo.Files > 0 && a.docs == "" {
-		return nil, cfg, fmt.Errorf("jobspec: files is incompatible with %s: it maps one generated file (multi-file inputs: %s)", a.name, appList(func(a *app) bool { return a.docs != "" }))
+		return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: files is incompatible with %s: it maps one generated file (multi-file inputs: %s)", a.name, appList(func(a *app) bool { return a.docs != "" })))
 	}
 	if piped && !a.piped {
-		return nil, cfg, fmt.Errorf("jobspec: app %q cannot consume a piped input (it maps a generated record format; pipe into %s)", a.name, appList(func(a *app) bool { return a.piped }))
+		return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: app %q cannot consume a piped input (it maps a generated record format; pipe into %s)", a.name, appList(func(a *app) bool { return a.piped })))
 	}
 	if piped && s.Memo {
-		return nil, cfg, fmt.Errorf("jobspec: memo is incompatible with a piped input (piped rounds hold no stable file identity to key the cache by)")
+		return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: memo is incompatible with a piped input (piped rounds hold no stable file identity to key the cache by)"))
 	}
-	if cfg, err = s.config(a, clock); err == nil {
-		// The mode rules (which knobs need the supmr runtime, which
-		// exclude each other) are supmr.Config's to state.
-		err = cfg.Validate()
-	}
-	if err != nil {
+	if cfg, err = s.config(a, clock); err != nil {
 		return nil, cfg, fmt.Errorf("jobspec: %w", err)
+	}
+	// The mode rules (what the traditional preset refuses, which knobs
+	// exclude each other) are supmr.Config's to state.
+	if err = cfg.Validate(); err != nil {
+		return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: %w", err))
 	}
 	return a, cfg, nil
 }
 
-var mergeAlgos = map[string]supmr.MergeAlgo{"pairwise": supmr.MergePairwise, "pway": supmr.MergePWay}
+var (
+	runtimes   = map[string]supmr.Runtime{"": supmr.RuntimeSupMR, "supmr": supmr.RuntimeSupMR, "traditional": supmr.RuntimeTraditional}
+	mergeAlgos = map[string]supmr.MergeAlgo{"pairwise": supmr.MergePairwise, "pway": supmr.MergePWay}
+)
 
 // config is the spec's knobs as a supmr.Config; RunInput attaches the
 // substrate (context, devices, engine) around it.
 func (s Spec) config(a *app, clock supmr.Clock) (cfg supmr.Config, err error) {
 	cfg = supmr.Config{
-		Runtime:           supmr.RuntimeSupMR,
+		Runtime:           runtimes[s.Runtime],
 		Clock:             clock,
 		ChunkBytes:        s.ChunkBytes,
 		MemoryBudget:      s.Budget,
@@ -285,9 +290,6 @@ func (s Spec) config(a *app, clock supmr.Clock) (cfg supmr.Config, err error) {
 		TraceBucket:       s.Solo.TraceBucket,
 		MemoBudget:        s.Solo.MemoBudget,
 		EgressExtentBytes: s.Solo.EgressExtent,
-	}
-	if s.Runtime == "traditional" {
-		cfg.Runtime = supmr.RuntimeTraditional
 	}
 	if cfg.ChunkBytes <= 0 && !s.Solo.WholeInput {
 		cfg.ChunkBytes = 256 << 10

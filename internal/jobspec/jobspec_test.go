@@ -14,6 +14,7 @@ import (
 
 	"supmr"
 	"supmr/internal/apps"
+	"supmr/internal/cliutil"
 )
 
 // fmtDigest is the digest as it was computed before the typed encoder:
@@ -117,7 +118,7 @@ func TestSpecValidate(t *testing.T) {
 		{App: "sort", Runtime: "supmr", Budget: 1 << 20, IOLanes: 4, PrefetchDepth: 3, EgressLanes: 2},
 		{App: "sort", Runtime: "traditional", RadixOff: true},
 		{App: "grep", Pattern: "a,b", Memo: true, MemoKey: "k"},
-		{App: "wordcount", Memo: true, Nodes: 3, Budget: 1 << 20}, // memo and nodes compose; the budget is noted, not refused
+		{App: "wordcount", Memo: true, Nodes: 3},
 		{App: "wordcount", Nodes: 2, InNodeCombinerOff: true},
 		{App: "histogram", Nodes: 1},
 		{App: "psum1", Block: 64},
@@ -128,7 +129,7 @@ func TestSpecValidate(t *testing.T) {
 		{App: "linreg", Memo: true, Nodes: 2},
 	}
 	for _, s := range accept {
-		if err := s.Validate(); err != nil {
+		if err := s.Validate(false); err != nil {
 			t.Errorf("%+v rejected: %v", s, err)
 		}
 	}
@@ -167,12 +168,14 @@ func TestSpecValidate(t *testing.T) {
 		{Spec{App: "psum1", Block: -1}, "negative block"},
 		{Spec{App: "psum2", Blocks: -1}, "negative blocks"},
 		// The mode rules, stated once in supmr.Config.Validate.
-		{Spec{App: "wordcount", Runtime: "traditional", Memo: true}, "Memo requires RuntimeSupMR"},
-		{Spec{App: "wordcount", Runtime: "traditional", Nodes: 2}, "Nodes requires RuntimeSupMR"},
-		{Spec{App: "sort", Runtime: "traditional", Budget: 1 << 20}, "MemoryBudget requires RuntimeSupMR"},
+		{Spec{App: "wordcount", Runtime: "traditional", Memo: true}, "Memo is incompatible with RuntimeTraditional"},
+		{Spec{App: "wordcount", Runtime: "traditional", Nodes: 2}, "Nodes is incompatible with RuntimeTraditional"},
+		{Spec{App: "sort", Runtime: "traditional", Budget: 1 << 20}, "MemoryBudget is incompatible with RuntimeTraditional"},
+		{Spec{App: "wordcount", Memo: true, Nodes: 3, Budget: 1 << 20}, "MemoryBudget is incompatible with Memo"},
+		{Spec{App: "wordcount", Nodes: 2, Budget: 1 << 20}, "MemoryBudget is incompatible with Nodes"},
 	}
 	for _, tc := range reject {
-		err := tc.spec.Validate()
+		err := tc.spec.Validate(false)
 		if err == nil {
 			t.Errorf("%+v accepted, want an error about %q", tc.spec, tc.want)
 			continue
@@ -182,6 +185,38 @@ func TestSpecValidate(t *testing.T) {
 		}
 		if _, runErr := Run(context.Background(), tc.spec, nil); runErr == nil || runErr.Error() != err.Error() {
 			t.Errorf("%+v: Run returned %v, want Validate's error before any work", tc.spec, runErr)
+		}
+		// A refused mode is a usage error; a malformed value is not.
+		if code, refusal := cliutil.ExitCode(err), strings.Contains(err.Error(), "incompatible with"); refusal != (code == 2) {
+			t.Errorf("%+v: exit status %d for %q", tc.spec, code, err)
+		}
+	}
+}
+
+// TestKMeansHonoursTheRuntime: the kmeans driver streams and merges as
+// its config says — one map wave per iteration under the traditional
+// preset, several under the pipeline — reports the runtime it ran, and
+// fits the same model either way.
+func TestKMeansHonoursTheRuntime(t *testing.T) {
+	const model = "68b913f2303807c5b05e02a7581a7008406968eedcc507e820731ceb2f449c15"
+	for _, rt := range []string{"", "traditional"} {
+		res, err := Run(context.Background(), Spec{App: "kmeans", Runtime: rt, Size: 96 << 10, ChunkBytes: 16 << 10, Seed: 7}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var iters, waves int
+		if _, err := fmt.Sscanf(res.Detail.Summary, "k-means: %d iterations, %d total map waves", &iters, &waves); err != nil {
+			t.Fatalf("summary %q: %v", res.Detail.Summary, err)
+		}
+		want := supmr.RuntimeSupMR.String()
+		if rt != "" {
+			want = rt
+		}
+		if res.Runtime != want || res.Digest != model || waves != res.MapWaves {
+			t.Errorf("runtime %q: reports %q, model %.12s, waves %d/%d", rt, res.Runtime, res.Digest, waves, res.MapWaves)
+		}
+		if whole := rt == "traditional"; whole != (waves == iters) || waves < iters {
+			t.Errorf("runtime %q: %d map waves over %d iterations", rt, waves, iters)
 		}
 	}
 }
@@ -206,6 +241,11 @@ func TestEveryAppRunsSoloAndOnAnEngine(t *testing.T) {
 			t.Errorf("%s: no summary line", a.name)
 		}
 		shared, err := Run(context.Background(), spec, eng)
+		// Validate(true) is the check supmrd makes at submission: it must
+		// refuse exactly what the engine run refuses, in the same words.
+		if verr := spec.Validate(true); (verr == nil) != (err == nil) || verr != nil && verr.Error() != err.Error() {
+			t.Errorf("%s: Validate(true) = %v, engine run %v", a.name, verr, err)
+		}
 		if why, refused := a.refuses[modeEngine]; refused {
 			if err == nil || !strings.Contains(err.Error(), "engine is incompatible with "+a.name+": "+why) {
 				t.Errorf("%s on an engine: %v, want its table entry's refusal", a.name, err)

@@ -145,6 +145,8 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		{App: "wordcount", Nodes: 2, Runtime: "traditional"},
 		{App: "wordcount", Memo: true, Runtime: "traditional"},
 		{App: "wordcount", Budget: 1 << 20, Runtime: "traditional"},
+		{App: "wordcount", Budget: 1 << 20, Memo: true},
+		{App: "wordcount", Budget: 1 << 20, Nodes: 2},
 		{App: "wordcount", InNodeCombinerOff: true}, // combiner ablation without nodes
 	}
 	for _, s := range cases {
@@ -152,8 +154,16 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 			t.Errorf("spec %+v accepted, want rejection", s)
 		}
 	}
+	// An app the engine cannot run is refused at submission, in its table
+	// entry's words, instead of becoming a job that fails.
+	if _, err := c.Submit(jobspec.Spec{App: "kmeans"}); err == nil || !strings.Contains(err.Error(), "engine is incompatible with kmeans") {
+		t.Errorf("kmeans submission: %v, want the app table's engine refusal", err)
+	}
 	if stats, err := c.Stats(); err != nil || stats.Submitted != 0 {
 		t.Errorf("rejected specs reached the engine: %+v (err %v)", stats, err)
+	}
+	if jobs, err := c.List(); err != nil || len(jobs) != 0 {
+		t.Errorf("rejected specs were given job ids: %+v (err %v)", jobs, err)
 	}
 }
 

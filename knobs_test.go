@@ -1,0 +1,306 @@
+package supmr
+
+// The knob table: every stream knob of Config, and every combination of
+// modes Validate rules on, crossed with the three ways a Config can name
+// its runtime — not at all (the zero value), RuntimeSupMR and
+// RuntimeTraditional. Each cell has one of three outcomes and no other:
+//
+//   - effective: a named counter of the report moves against the row's
+//     plain run (the same config without the knob), and the digest holds
+//     unless the knob exists to change output;
+//   - set aside: only under RuntimeTraditional, only for the preset's
+//     documented list — the digest, MapWaves, MergeRounds and nil
+//     IngestLaneBytes equal the plain traditional run's;
+//   - refused: an error before any input byte is read.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"supmr/internal/apps"
+)
+
+type cellOutcome int
+
+const (
+	effective cellOutcome = iota
+	setAside
+	refused
+)
+
+// knobRow is one knob, or combination of knobs, of the table.
+type knobRow struct {
+	name string
+	// files runs RunFiles over six small files instead of RunFile; slow
+	// runs RunFile over a slow device with a late first map wave.
+	files, slow bool
+	base        func(*Config) // the row's plain run; nil is the bare config
+	set         func(*Config) // the knob
+	// counter names what moves when the knob takes effect; moved says it did.
+	counter string
+	moved   func(plain, got *Stats) bool
+	// changesOutput marks a knob that exists to change the output.
+	changesOutput bool
+	// pipeline is the outcome with no runtime named and under
+	// RuntimeSupMR; traditional, under the preset.
+	pipeline, traditional cellOutcome
+}
+
+func chunked(n int64) func(*Config) { return func(c *Config) { c.ChunkBytes = n } }
+
+// slowFirstWave is word count whose first map wave starts 150 ms late,
+// so a prefetch ring has time to fill behind it.
+type slowFirstWave struct{ apps.WordCount }
+
+func (slowFirstWave) SetData(c *Chunk) {
+	if c.Index == 0 {
+		time.Sleep(150 * time.Millisecond)
+	}
+}
+
+// untouched fails the test when a refused run reads its input.
+type untouched struct {
+	Input
+	t *testing.T
+}
+
+func (u untouched) ReadAt(p []byte, off int64) (int, error) {
+	u.t.Errorf("refused run read %s at offset %d", u.Name(), off)
+	return u.Input.ReadAt(p, off)
+}
+
+func TestConfigKnobTable(t *testing.T) {
+	text := genText(t, 256<<10, 71)
+	slowText := genText(t, 64<<10, 72)
+	docs := make([][]byte, 6)
+	for i := range docs {
+		docs[i] = genText(t, 16<<10, int64(73+i))
+	}
+	// run executes one cell: the row's input shape under cfg, with every
+	// read failing the test when guard is set.
+	run := func(t *testing.T, r knobRow, cfg Config, guard bool) (*Report[string, int64], error) {
+		wrap := func(in Input) Input {
+			if guard {
+				return untouched{in, t}
+			}
+			return in
+		}
+		clk := NewClock()
+		cfg.Clock, cfg.Workers = clk, 2
+		switch {
+		case r.files:
+			files := make([]Input, len(docs))
+			for i, d := range docs {
+				files[i] = wrap(MemoryFile(fmt.Sprintf("doc%d", i), d, clk))
+			}
+			return RunFiles[string, int64](WordCountJob(), files, WordCountContainer(16), cfg)
+		case r.slow:
+			// 400 KiB/s: an 8 KiB chunk takes 20 ms to read.
+			dev, err := NewDisk("ring", 400<<10, 0, clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := NewByteFile("slow", slowText, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return RunFile[string, int64](slowFirstWave{}, wrap(f), WordCountContainer(16), cfg)
+		default:
+			return RunFile[string, int64](WordCountJob(), wrap(MemoryFile("text", text, clk)), WordCountContainer(16), cfg)
+		}
+	}
+	mapWavesUp := func(p, g *Stats) bool { return g.MapWaves > p.MapWaves }
+	mapWavesDown := func(p, g *Stats) bool { return g.MapWaves < p.MapWaves }
+	rows := []knobRow{
+		{name: "ChunkBytes", set: chunked(32 << 10), counter: "MapWaves", moved: mapWavesUp, traditional: setAside},
+		{name: "IOLanes", base: chunked(32 << 10), set: func(c *Config) { c.IOLanes = 4 },
+			counter: "IngestLaneBytes", moved: func(p, g *Stats) bool { return p.IngestLaneBytes == nil && len(g.IngestLaneBytes) == 4 },
+			traditional: setAside},
+		{name: "PrefetchDepth", slow: true, base: chunked(8 << 10), set: func(c *Config) { c.PrefetchDepth = 4 },
+			counter: "PrefetchHits", moved: func(p, g *Stats) bool { return g.PrefetchHits > p.PrefetchHits }, traditional: setAside},
+		{name: "AdaptiveChunks", set: func(c *Config) { c.AdaptiveChunks = true }, counter: "MapWaves", moved: mapWavesUp, traditional: setAside},
+		{name: "AdaptiveChunks+ChunkBytes", base: chunked(8 << 10), set: func(c *Config) { c.AdaptiveChunks = true },
+			counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
+		{name: "ResetEachRound", base: chunked(32 << 10), set: func(c *Config) { c.ResetEachRound = true },
+			counter: "IntermediateN", moved: func(p, g *Stats) bool { return g.IntermediateN < p.IntermediateN },
+			changesOutput: true, traditional: refused},
+		{name: "FilesPerChunk", files: true, set: func(c *Config) { c.FilesPerChunk = 3 }, counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
+		{name: "HybridChunks", files: true, set: func(c *Config) { c.HybridChunks = true }, counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
+		{name: "AdaptiveChunks-RunFiles", files: true, set: func(c *Config) { c.AdaptiveChunks = true }, pipeline: refused, traditional: setAside},
+		// Merge is honoured by the preset too: each column overrides its
+		// own default.
+		{name: "Merge", set: func(c *Config) {
+			m := MergePairwise
+			if c.Runtime == RuntimeTraditional {
+				m = MergePWay
+			}
+			c.Merge = &m
+		}, counter: "MergeRounds", moved: func(p, g *Stats) bool { return g.MergeRounds != p.MergeRounds }},
+		{name: "Memo", base: chunked(32 << 10), set: func(c *Config) { c.Memo = true },
+			counter: "MemoMisses", moved: func(p, g *Stats) bool { return p.MemoMisses == 0 && g.MemoMisses > 0 }, traditional: refused},
+		{name: "Nodes", base: chunked(32 << 10), set: func(c *Config) { c.Nodes = 2 },
+			counter: "ShuffleFrames", moved: func(p, g *Stats) bool { return p.ShuffleFrames == 0 && g.ShuffleFrames > 0 }, traditional: refused},
+		{name: "MemoryBudget", base: chunked(32 << 10), set: func(c *Config) { c.MemoryBudget = 16 << 10 },
+			counter: "SpilledRuns", moved: func(p, g *Stats) bool { return p.SpilledRuns == 0 && g.SpilledRuns > 0 }, traditional: refused},
+		{name: "MemoryBudget+Memo", set: func(c *Config) { c.ChunkBytes, c.Memo, c.MemoryBudget = 32<<10, true, 16<<10 }, pipeline: refused, traditional: refused},
+		{name: "MemoryBudget+Nodes", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.MemoryBudget = 32<<10, 2, 16<<10 }, pipeline: refused, traditional: refused},
+		{name: "Memo+AdaptiveChunks", set: func(c *Config) { c.ChunkBytes, c.Memo, c.AdaptiveChunks = 32<<10, true, true }, pipeline: refused, traditional: refused},
+		{name: "Memo+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Memo, c.ResetEachRound = 32<<10, true, true }, pipeline: refused, traditional: refused},
+		{name: "Nodes+AdaptiveChunks", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.AdaptiveChunks = 32<<10, 2, true }, pipeline: refused, traditional: refused},
+		{name: "Nodes+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.ResetEachRound = 32<<10, 2, true }, pipeline: refused, traditional: refused},
+	}
+	// The unset column leaves Runtime at its zero value, whatever that is.
+	columns := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"unset", func(*Config) {}},
+		{"supmr", func(c *Config) { c.Runtime = RuntimeSupMR }},
+		{"traditional", func(c *Config) { c.Runtime = RuntimeTraditional }},
+	}
+
+	// The two defaults every row's plain run stands on: the zero Config
+	// is the pipeline (p-way, one merge round) and the preset is the
+	// baseline (one wave, pairwise); a chunked zero Config pipelines.
+	t.Run("defaults", func(t *testing.T) {
+		plain, err := run(t, knobRow{}, Config{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trad, err := run(t, knobRow{}, Config{Runtime: RuntimeTraditional}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		piped, err := run(t, knobRow{}, Config{ChunkBytes: 16 << 10, IOLanes: 4, PrefetchDepth: 3}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := plain.Stats; s.MapWaves != 1 || s.MergeRounds != 1 {
+			t.Errorf("zero Config: %d map waves, %d merge rounds; want the p-way merge over one chunk", s.MapWaves, s.MergeRounds)
+		}
+		if s := trad.Stats; s.MapWaves != 1 || s.MergeRounds <= 1 {
+			t.Errorf("traditional: %d map waves, %d merge rounds; want the pairwise merge over one chunk", s.MapWaves, s.MergeRounds)
+		}
+		if s := piped.Stats; s.MapWaves != 16 || s.MergeRounds != 1 || len(s.IngestLaneBytes) != 4 {
+			t.Errorf("chunked zero Config: %d map waves, %d merge rounds, lane bytes %v; want 16, 1, four lanes",
+				s.MapWaves, s.MergeRounds, s.IngestLaneBytes)
+		}
+		if a, b, c := renderWC(plain.Pairs), renderWC(trad.Pairs), renderWC(piped.Pairs); a != b || a != c {
+			t.Error("the defaults disagree on the output")
+		}
+	})
+
+	for _, r := range rows {
+		for _, col := range columns {
+			t.Run(r.name+"/"+col.name, func(t *testing.T) {
+				var cfg Config
+				col.set(&cfg)
+				want := r.pipeline
+				if col.name == "traditional" {
+					want = r.traditional
+				}
+				if r.base != nil {
+					r.base(&cfg)
+				}
+				knob := cfg
+				r.set(&knob)
+				if want == refused {
+					if _, err := run(t, r, knob, true); err == nil || !strings.HasPrefix(err.Error(), "supmr: ") {
+						t.Fatalf("%v, want a refusal", err)
+					}
+					return
+				}
+				plain, err := run(t, r, cfg, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := run(t, r, knob, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, g := &plain.Stats, &got.Stats
+				sameOutput := renderWC(plain.Pairs) == renderWC(got.Pairs)
+				switch want {
+				case setAside:
+					if !sameOutput || g.MapWaves != p.MapWaves || g.MergeRounds != p.MergeRounds || g.IngestLaneBytes != nil || g.MapWaves != 1 {
+						t.Errorf("set aside, yet the run moved: output same %v, waves %d/%d, rounds %d/%d, lane bytes %v",
+							sameOutput, g.MapWaves, p.MapWaves, g.MergeRounds, p.MergeRounds, g.IngestLaneBytes)
+					}
+				case effective:
+					if !r.moved(p, g) {
+						t.Errorf("accepted but %s did not move: %+v against the plain run's %+v", r.counter, *g, *p)
+					}
+					if sameOutput == r.changesOutput {
+						t.Errorf("output changed %v, want %v", !sameOutput, r.changesOutput)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRuntimeReadOnce is a vet-style check that the RuntimeTraditional
+// preset is applied at one site: in package supmr's non-test Go, one
+// function refers to the .Runtime field — Config.resolve — and
+// everything downstream reads the settings it produces. Config is the
+// only type in the package with a Runtime field, so any .Runtime
+// selector is that field.
+func TestRuntimeReadOnce(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	sites := map[string]bool{}
+	var holders []string
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			site := "package scope of " + file
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				site = fd.Name.Name
+				if fd.Recv != nil {
+					site = types.ExprString(fd.Recv.List[0].Type) + "." + site
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if n.Sel.Name == "Runtime" {
+						sites[site] = true
+					}
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						for _, fld := range st.Fields.List {
+							for _, name := range fld.Names {
+								if name.Name == "Runtime" {
+									holders = append(holders, n.Name.Name)
+								}
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(holders) != 1 || holders[0] != "Config" {
+		t.Fatalf("types with a Runtime field: %v; the check assumes Config alone", holders)
+	}
+	if len(sites) != 1 || !sites["Config.resolve"] {
+		t.Errorf(".Runtime is read in %v; only Config.resolve may read it", sites)
+	}
+}

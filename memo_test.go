@@ -280,6 +280,8 @@ func TestMemoKeySpacesIsolateApps(t *testing.T) {
 	}
 }
 
+// TestMemoConfigValidation: what memo alone refuses. Its refusals in
+// combination with other knobs are cells of TestConfigKnobTable.
 func TestMemoConfigValidation(t *testing.T) {
 	text := genText(t, 8<<10, 28)
 	cases := []struct {
@@ -287,10 +289,7 @@ func TestMemoConfigValidation(t *testing.T) {
 		mod  func(*Config)
 		want string
 	}{
-		{"traditional", func(c *Config) { c.Runtime = RuntimeTraditional }, "requires RuntimeSupMR"},
 		{"no-chunk-bytes", func(c *Config) { c.ChunkBytes = 0 }, "ChunkBytes"},
-		{"adaptive", func(c *Config) { c.AdaptiveChunks = true }, "AdaptiveChunks"},
-		{"reset-each-round", func(c *Config) { c.ResetEachRound = true }, "ResetEachRound"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -334,9 +333,9 @@ func TestEngineRejectsNegativeWeight(t *testing.T) {
 	}
 }
 
-// TestEngineNotesSurfaceDisabledInstruments pins the report caveats: an
-// engine-mode run says its allocation metering is off, and a memoized
-// run with a memory budget says the budget is ignored.
+// TestEngineNotesSurfaceDisabledInstruments pins the report caveat: an
+// engine-mode run says its allocation metering is off, and a solo run
+// carries no notes.
 func TestEngineNotesSurfaceDisabledInstruments(t *testing.T) {
 	text := genText(t, 32<<10, 30)
 	clk := storage.NewFakeClock()
@@ -374,23 +373,6 @@ func TestEngineNotesSurfaceDisabledInstruments(t *testing.T) {
 	}
 	if len(solo.Notes) != 0 {
 		t.Errorf("solo run carries notes: %q", solo.Notes)
-	}
-
-	// Memo + MemoryBudget: the budget-ignored note.
-	mcfg := memoCfg(storage.NewFakeClock())
-	mcfg.MemoryBudget = 32 << 10
-	mrep, _ := runMemoWC(t, text, mcfg)
-	found := false
-	for _, n := range mrep.Notes {
-		if strings.Contains(n, "MemoryBudget ignored") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("memoized budgeted run lacks the budget-ignored note: %q", mrep.Notes)
-	}
-	if mrep.Stats.SpilledRuns != 0 {
-		t.Errorf("memo run spilled %d runs", mrep.Stats.SpilledRuns)
 	}
 }
 

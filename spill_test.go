@@ -157,12 +157,6 @@ func TestSpillChargesDeviceAndIOLane(t *testing.T) {
 // TestBudgetConfigValidation covers the facade-level budget rules.
 func TestBudgetConfigValidation(t *testing.T) {
 	text := genText(t, 8<<10, 1)
-	// Budget with the traditional runtime is refused.
-	if _, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(4), Config{
-		Runtime: RuntimeTraditional, MemoryBudget: 1 << 10,
-	}); err == nil {
-		t.Error("MemoryBudget with RuntimeTraditional accepted")
-	}
 	// Budget with the fixed-footprint array container is refused.
 	job := HistogramJob()
 	data := make([]byte, 8<<10)

@@ -7,15 +7,16 @@
 //
 // This package is the public facade. Applications implement Job (map,
 // reduce, key ordering), pick an intermediate container matched to their
-// key distribution, and call Run with a Config selecting the traditional
-// runtime or the SupMR pipeline:
+// key distribution, and call Run with a Config. The zero Config is the
+// SupMR pipeline, RuntimeTraditional the preset that makes it the
+// Phoenix++ baseline; every other knob takes effect or Validate refuses it:
 //
-//	cfg := supmr.Config{Runtime: supmr.RuntimeSupMR, ChunkBytes: 1 << 20}
+//	cfg := supmr.Config{ChunkBytes: 1 << 20}
 //	report, err := supmr.RunBytes[string, int64](supmr.WordCountJob(), data,
 //	        supmr.NewHashContainer[string, int64](64, supmr.HashString, sum), cfg)
 //
 // The heavy machinery lives in internal packages: internal/core (the
-// pipeline, both runtimes), internal/mapreduce (the phase primitives),
+// pipeline, the baseline included), internal/mapreduce (the phase primitives),
 // internal/container, internal/chunk, internal/sortalgo, plus the
 // simulated substrates internal/storage, internal/netsim, internal/hdfs
 // and the paper-scale performance model internal/perfmodel.
@@ -92,32 +93,37 @@ var (
 // FixedRecords marks fixed-width records of the given byte width.
 func FixedRecords(width int64) Boundary { return chunk.FixedBoundary{Width: width} }
 
-// Runtime selects which runtime executes the job.
+// Runtime selects the SupMR pipeline (the zero value) or the
+// RuntimeTraditional preset over it.
 type Runtime int
 
 // Runtime choices.
 const (
-	// RuntimeTraditional is the Phoenix++-style baseline: ingest the
-	// whole input, then map, reduce and pairwise-merge. It runs the same
-	// pipeline as RuntimeSupMR over one whole-input chunk, so its read
-	// and map are reported as separate phases.
-	RuntimeTraditional Runtime = iota
-	// RuntimeSupMR is the paper's contribution: the ingest chunk
-	// pipeline with a persistent container and the p-way merge.
-	RuntimeSupMR
+	// RuntimeSupMR, the zero value, is the paper's contribution: the
+	// ingest chunk pipeline, a persistent container and the p-way merge.
+	RuntimeSupMR Runtime = iota
+	// RuntimeTraditional is the Phoenix++ baseline of Table II as a preset
+	// over the same pipeline, the n = 1 case of §III-B's n+1 rounds: the
+	// input read whole, file by file, as one chunk (read and map reported
+	// as separate phases), merged pairwise unless Merge says otherwise. It
+	// sets aside ChunkBytes, FilesPerChunk, HybridChunks, AdaptiveChunks,
+	// IOLanes and PrefetchDepth, and Validate refuses it with Memo, Nodes,
+	// MemoryBudget or ResetEachRound, which each need more than one round.
+	RuntimeTraditional
 )
 
 // String names the runtime.
 func (r Runtime) String() string {
-	if r == RuntimeSupMR {
-		return "supmr"
+	if r == RuntimeTraditional {
+		return "traditional"
 	}
-	return "traditional"
+	return "supmr"
 }
 
-// Config controls an execution.
+// Config controls an execution. The zero value runs the SupMR pipeline
+// over the whole input as one chunk; set ChunkBytes to pipeline it.
 type Config struct {
-	// Runtime selects the baseline or the SupMR pipeline.
+	// Runtime is RuntimeSupMR (the zero value) or the traditional preset.
 	Runtime Runtime
 	// Context, when set, bounds the job: cancelling it makes the run
 	// abort promptly (ingest between chunks, phases between tasks) and
@@ -130,14 +136,14 @@ type Config struct {
 	// Splits is the number of input splits per map wave
 	// (default: 4*Workers).
 	Splits int
-	// ChunkBytes is the SupMR inter-file ingest chunk size. Zero means
-	// the whole input arrives as a single chunk.
+	// ChunkBytes is the inter-file ingest chunk size of a single-file
+	// input. Zero means the whole input arrives as a single chunk.
 	ChunkBytes int64
 	// FilesPerChunk enables intra-file chunking over multi-file inputs:
 	// that many files coalesce into each ingest chunk.
 	FilesPerChunk int
-	// Merge overrides the merge algorithm. By default the traditional
-	// runtime merges pairwise and SupMR uses the p-way merge.
+	// Merge overrides the merge algorithm. By default SupMR uses the
+	// p-way merge and the RuntimeTraditional preset merges pairwise.
 	Merge *MergeAlgo
 	// RadixSort overrides the fixed-width-key sort fast path (radix run
 	// sort plus columnar loser-tree merge). nil — the default — and
@@ -159,29 +165,29 @@ type Config struct {
 	// wall clock. Pass the storage clock so device waits and phase
 	// times share a timeline.
 	Clock storage.Clock
-	// ResetEachRound re-initializes the container at every SupMR map
-	// round — the broken traditional behaviour, exposed only for the
+	// ResetEachRound re-initializes the container at every map round —
+	// the broken traditional behaviour, exposed only for the
 	// persistent-container ablation.
 	ResetEachRound bool
 	// AdaptiveChunks enables the chunk-size feedback loop (the paper's
 	// §VIII future work): the pipeline observes each round's ingest and
 	// map durations and retunes the ingest chunk size. ChunkBytes is
-	// the starting size. Only effective with RuntimeSupMR over a
-	// resizable stream (RunFile / StreamFile inputs).
+	// the starting size; without it the static advisor picks one. It
+	// needs a resizable stream: RunFile and StreamFile build one, and
+	// RunFiles and StreamFiles refuse the knob.
 	AdaptiveChunks bool
 	// HybridChunks selects hybrid inter/intra-file chunking for
 	// multi-file inputs (RunFiles): small files coalesce up to
 	// ChunkBytes while oversized files are split at ChunkBytes.
 	HybridChunks bool
-	// MemoryBudget caps the intermediate container's resident bytes.
-	// When positive (SupMR runtime only), the pipeline checks the
-	// container size between ingest rounds and drains it to key-sorted
-	// runs on SpillDevice whenever it exceeds the budget; the merge
-	// phase streams the runs back in its single p-way round, so output
-	// is identical to an unbudgeted run. Zero means unbudgeted. Requires
-	// a container whose footprint can actually be released (hash or
-	// key-range; the array container is rejected) and codec-supported
+	// MemoryBudget caps the intermediate container's resident bytes. When
+	// positive, the pipeline drains an over-budget container to key-sorted
+	// runs on SpillDevice between ingest rounds, and the merge streams them
+	// back in its single p-way round: output is identical to an
+	// unbudgeted run. Zero means unbudgeted. Requires a releasable
+	// container (hash or key-range, not array) and codec-supported
 	// key/value types (string, []byte, int, int64, uint64, float64).
+	// Validate refuses it beside Memo and Nodes, which have no spill path.
 	MemoryBudget int64
 	// SpillDevice charges the spill runs' IO time; point it at the
 	// ingest device so spill traffic contends for the same bandwidth.
@@ -199,15 +205,14 @@ type Config struct {
 	// genuine errors fail immediately. The zero policy disables retries.
 	Retry RetryPolicy
 	// IOLanes is the number of dedicated IO workers ingest fans out
-	// across (SupMR runtime): each chunk read is split into up to
-	// IOLanes segments whose device waits overlap — the striped
-	// multi-lane ingest path. On an HDFS input the segments fetch their
-	// blocks from distinct datanodes in parallel. <= 1 (the default)
-	// keeps the paper's single ingest thread. A whole-input read (the
-	// traditional runtime, or ChunkBytes 0) is not segmented: it stays
-	// one task on one IO lane and extra lanes sit idle.
+	// across: each chunk read is split into up to IOLanes segments whose
+	// device waits overlap — the striped multi-lane ingest path. On an
+	// HDFS input the segments fetch their blocks from distinct datanodes
+	// in parallel. <= 1 (the default) keeps the paper's single ingest
+	// thread. Lanes split chunk reads, so a single-file input needs
+	// ChunkBytes: a whole-input read is one task on one IO lane.
 	IOLanes int
-	// PrefetchDepth is the SupMR prefetch ring depth: up to this many
+	// PrefetchDepth is the prefetch ring depth: up to this many
 	// ingest chunks are kept in flight ahead of the map wave. <= 1 (the
 	// default) is the paper's double buffering — exactly one chunk
 	// ahead. Deeper rings smooth over ingest jitter at the cost of that
@@ -233,24 +238,18 @@ type Config struct {
 	// job receives twice the operation service of a weight-1 job; 0
 	// selects the default, negative values are rejected).
 	Weight int
-	// Memo enables content-addressed incremental recompute (SupMR
-	// runtime, single-file inputs): ingest switches to content-defined
-	// chunking (boundaries derived from chunk content, so appends and
+	// Memo enables content-addressed incremental recompute (single-file
+	// inputs): ingest switches to content-defined chunking (appends and
 	// local edits do not shift downstream chunks), each chunk's
 	// map/combine output is memoized in a MemoStore keyed by the chunk's
 	// content hash, and a chunk whose key hits the cache skips the map
-	// wave entirely — its cached combined output is parked, still
-	// encoded. After ingest every compute worker folds its share of the
-	// parked output (hits and freshly drained misses) back into the
-	// container, and the run finishes like a memo-off run: reduce, then
-	// the parallel merge. Output is byte-identical to a memo-off run.
-	// ChunkBytes sizes the content-defined chunks (min ChunkBytes/2,
-	// target ChunkBytes, max 2*ChunkBytes). Memo is one setting of the
-	// pipeline's drain step — drain the container after every chunk —
-	// and composes with Engine and Nodes; Validate lists what it
-	// excludes. MemoryBudget is ignored (the parked output and the
-	// folded container stay in memory, with no spiller — see
-	// Report.Notes).
+	// wave — its cached output is parked, still encoded. After ingest the
+	// compute workers fold the parked output back into the container and
+	// the run finishes like a memo-off run, byte-identical to it.
+	// ChunkBytes sizes the chunks (min ChunkBytes/2, target ChunkBytes,
+	// max 2*ChunkBytes). Memo is the pipeline's drain-after-every-chunk
+	// step; it composes with Engine and Nodes, and Validate lists what it
+	// excludes, MemoryBudget among them.
 	Memo bool
 	// MemoStore is the cache a memoized run uses. Nil selects the
 	// engine's shared store (engine mode, EngineConfig.Memo) or, solo, a
@@ -267,24 +266,18 @@ type Config struct {
 	// nor an engine store is supplied (default 64 MiB). Ignored when a
 	// store is supplied — its own budget governs.
 	MemoBudget int64
-	// Nodes, when >= 1, runs the job on a simulated cluster of that
-	// many SupMR worker nodes (SupMR runtime only). It is the same
-	// ingest loop over one persistent container per node — the caller's
-	// and Nodes-1 built like it: chunk i is mapped into node
-	// i % Nodes's container, which is never drained while ingest runs;
-	// after ingest each node's container is drained once into the
-	// node's key-sorted run and the nodes exchange hash-partitioned
-	// runs as checksummed frames over simulated per-node links before
-	// the final merge (see internal/shuffle and DESIGN.md §15). Output
-	// is byte-identical to a single-node run. 1 is the degenerate
-	// one-node cluster — exercising the same code path — and 0, the
-	// default, keeps the scale-up pipeline. Requires codec-supported
-	// key/value types. Composes with Engine, Memo (a chunk's cached
-	// output folds into its node's container), IOLanes and
-	// PrefetchDepth; Validate lists what it excludes. MemoryBudget is
-	// accepted but ignored: a node's container holds everything the
-	// node mapped until the exchange and is not spilled (see
-	// Report.Notes).
+	// Nodes, when >= 1, runs the job on a simulated cluster of that many
+	// SupMR worker nodes: the same ingest loop over one persistent
+	// container per node (the caller's and Nodes-1 built like it). Chunk
+	// i is mapped into node i % Nodes's container, which is drained once
+	// after ingest into the node's key-sorted run; the nodes then exchange
+	// hash-partitioned runs as checksummed frames over simulated links
+	// before the final merge (internal/shuffle, DESIGN.md §15). Output is
+	// byte-identical to a single-node run; 1 is the degenerate one-node
+	// cluster on the same code path, 0 the scale-up pipeline. Requires
+	// codec-supported key/value types. Composes with Engine, Memo, IOLanes
+	// and PrefetchDepth; Validate lists what it excludes, MemoryBudget
+	// among them.
 	Nodes int
 	// InNodeCombiner gates the in-node combiner tier of a multi-node
 	// run: the node's persistent container, which combines every chunk
@@ -346,10 +339,9 @@ type Report[K comparable, V any] struct {
 	// one point per run written (empty when no memory budget was set or
 	// nothing spilled).
 	SpillBytes []metrics.SeriesPoint
-	// Notes lists configuration caveats the run silently adapted to —
-	// allocation metering disabled in engine mode, a memory budget
-	// ignored by memo or multi-node runs — so a report never hides that
-	// a requested measurement or knob is absent.
+	// Notes lists the measurements the run could not take (allocation
+	// metering, in engine mode). A knob is never noted: it takes effect
+	// or Validate refuses it.
 	Notes []string
 	// Egress is the materialized output when Config.EgressLanes was set:
 	// the merged pairs rendered one "key\tvalue\n" line each, written as
@@ -390,68 +382,74 @@ func (c Config) innodeCombinerOff() bool {
 }
 
 // Validate reports the first contradiction in the configuration. It is
-// the one statement of the mode rules: Run and StreamFile call it before
-// anything is read, and the CLI and jobspec call it on the Config they
-// build. Memo and Nodes both bind a chunk to what is done with its
-// output (a cache key, a node's container), which is why they share the
-// rules below; everything else composes.
+// the one statement of the mode rules: Run and StreamFile check them
+// before anything is read, and the CLI and jobspec call it on the Config
+// they build.
 func (c Config) Validate() error {
+	_, _, err := c.resolve()
+	return err
+}
+
+// resolve is Validate plus the RuntimeTraditional preset, applied here
+// and nowhere else (it is the one reader of c.Runtime): it returns the
+// settings the run uses, with Merge always set and, under the preset,
+// the chunk-shape knobs set aside, and whether the input is read whole.
+// Memo and Nodes both bind a chunk to what is done with its output (a
+// cache key, a node's container), so they share the rules below.
+func (c Config) resolve() (cfg Config, whole bool, err error) {
 	if c.EgressLanes < 0 {
-		return fmt.Errorf("supmr: EgressLanes must be positive, got %d", c.EgressLanes)
+		return c, false, fmt.Errorf("supmr: EgressLanes must be positive, got %d", c.EgressLanes)
 	}
 	if c.EgressExtentBytes < 0 {
-		return fmt.Errorf("supmr: EgressExtentBytes must be positive, got %d", c.EgressExtentBytes)
+		return c, false, fmt.Errorf("supmr: EgressExtentBytes must be positive, got %d", c.EgressExtentBytes)
+	}
+	merge, whole := MergePWay, c.Runtime == RuntimeTraditional
+	if whole {
+		for _, k := range []struct {
+			name string
+			set  bool
+		}{{"Memo", c.Memo}, {"Nodes", c.Nodes > 0}, {"MemoryBudget", c.MemoryBudget > 0}, {"ResetEachRound", c.ResetEachRound}} {
+			if k.set {
+				return c, false, fmt.Errorf("supmr: %s is incompatible with RuntimeTraditional (the preset reads the whole input as one chunk: there is nothing to memoize, shard, bound or reset per chunk)", k.name)
+			}
+		}
+		c.ChunkBytes, c.FilesPerChunk, c.HybridChunks, c.AdaptiveChunks, c.IOLanes, c.PrefetchDepth = 0, 0, false, false, 0, 0
+		merge = MergePairwise
+	}
+	if c.Merge == nil {
+		c.Merge = &merge
 	}
 	if c.Memo && c.ChunkBytes <= 0 {
-		return errors.New("supmr: Memo requires ChunkBytes > 0 (content-defined chunk sizes derive from it)")
+		return c, false, errors.New("supmr: Memo requires ChunkBytes > 0 (content-defined chunk sizes derive from it)")
 	}
-	// knob names the set mode that needs the chunk pipeline; perChunk
-	// says it keys or routes each chunk's output by the chunk.
-	knob, perChunk := "", true
+	if !c.Memo && c.Nodes <= 0 {
+		return c, whole, nil
+	}
+	knob, keeps, reset := "Nodes", "a node's container holds everything the node mapped until the exchange",
+		"resetting a node's container every round would discard the map output it holds for the exchange"
+	if c.Memo {
+		knob, keeps, reset = "Memo", "a memoized run parks every chunk's output in memory and finishes resident",
+			"the container is already drained after every chunk"
+	}
 	switch {
-	case c.Memo:
-		knob = "Memo"
-	case c.Nodes > 0:
-		knob = "Nodes"
 	case c.MemoryBudget > 0:
-		knob, perChunk = "MemoryBudget", false
-	default:
-		return nil
+		return c, false, fmt.Errorf("supmr: MemoryBudget is incompatible with %s (%s, with no spill path for a budget to bound)", knob, keeps)
+	case c.AdaptiveChunks:
+		return c, false, fmt.Errorf("supmr: %s is incompatible with AdaptiveChunks (retuned chunk sizes would make chunk boundaries, and with them cache keys and node routing, depend on timing)", knob)
+	case c.ResetEachRound:
+		return c, false, fmt.Errorf("supmr: %s is incompatible with ResetEachRound (%s)", knob, reset)
 	}
-	if c.Runtime != RuntimeSupMR {
-		return fmt.Errorf("supmr: %s requires RuntimeSupMR (the traditional runtime ingests the whole input as one chunk before mapping: there is nothing to memoize, shard or bound per chunk)", knob)
-	}
-	if perChunk && c.AdaptiveChunks {
-		return fmt.Errorf("supmr: %s is incompatible with AdaptiveChunks (retuned chunk sizes would make chunk boundaries, and with them cache keys and node routing, depend on timing)", knob)
-	}
-	if perChunk && c.ResetEachRound {
-		why := "the container is already drained after every chunk"
-		if !c.Memo {
-			why = "a node's container holds the node's map output for the exchange; resetting it every round would discard it"
-		}
-		return fmt.Errorf("supmr: %s is incompatible with ResetEachRound (%s)", knob, why)
-	}
-	return nil
+	return c, whole, nil
 }
 
-func (c Config) mergeAlgo() MergeAlgo {
-	if c.Merge != nil {
-		return *c.Merge
-	}
-	if c.Runtime == RuntimeSupMR {
-		return MergePWay
-	}
-	return MergePairwise
-}
-
-// mapreduceOptions converts a Config into runtime options without
-// instrumentation: RunKMeans uses them as they are, runWithExecutor adds
-// its substrate's timer and pool.
+// mapreduceOptions converts a resolved Config into runtime options
+// without instrumentation: RunKMeans uses them as they are,
+// runWithExecutor adds its substrate's timer and pool.
 func mapreduceOptions(cfg Config) mapreduce.Options {
 	return mapreduce.Options{
 		Workers:       cfg.Workers,
 		Splits:        cfg.Splits,
-		Merge:         cfg.mergeAlgo(),
+		Merge:         *cfg.Merge,
 		Boundary:      cfg.boundary(),
 		RadixDisabled: cfg.radixDisabled(),
 	}
@@ -476,8 +474,12 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 	if cont == nil {
 		return nil, errors.New("supmr: nil container")
 	}
-	if err := cfg.Validate(); err != nil {
+	cfg, whole, err := cfg.resolve()
+	if err != nil {
 		return nil, err
+	}
+	if _, ok := input.(*chunk.WholeInput); whole && !ok {
+		input = chunk.NewWholeInput(input)
 	}
 	if cfg.Engine != nil {
 		return runOnEngine(cfg.Engine, job, input, cont, cfg)
@@ -526,37 +528,19 @@ type runSubstrate struct {
 	memo *MemoStore
 }
 
-// runWithExecutor is the body shared by solo and engine-mode runs: it
-// builds the spill store when a budget is set, runs core.Run on the
-// substrate's executor, and assembles the substrate-independent part of
-// the Report — its trace too, from the executor's spans, which are this
-// job's alone on either substrate. The traditional runtime is core.Run
-// over one whole-input chunk, merged pairwise by mergeAlgo.
+// runWithExecutor is the body shared by solo and engine-mode runs over a
+// resolved config: it builds the spill store when a budget is granted,
+// runs core.Run on the substrate's executor, and assembles the
+// substrate-independent part of the Report — its trace too, from the
+// executor's spans, which are this job's alone on either substrate.
 func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V], cfg Config, sub runSubstrate) (*Report[K, V], error) {
 	ro := mapreduceOptions(cfg)
 	ro.Timer, ro.Pool = sub.timer, sub.pool
 	if cfg.TraceContexts > 0 {
 		sub.timer.WithMarkers()
 	}
-	if _, ok := input.(*chunk.WholeInput); !ok && cfg.Runtime == RuntimeTraditional {
-		input = chunk.NewWholeInput(input)
-	}
-
-	// Memo parks every chunk's output in memory and Nodes keeps a node's
-	// map output in the node's container until the exchange; neither
-	// uses the spill path.
-	noSpill := cfg.Memo || cfg.Nodes > 0
-	var notes []string
-	if cfg.MemoryBudget > 0 {
-		if cfg.Memo {
-			notes = append(notes, "memo: MemoryBudget ignored (per-chunk output is parked in memory, folded back into the container after ingest and finished resident, without the spill path)")
-		}
-		if cfg.Nodes > 0 {
-			notes = append(notes, "nodes: MemoryBudget ignored (each node's container holds the node's whole map output until the exchange and is never spilled)")
-		}
-	}
 	var store *spill.Store
-	if sub.budget > 0 && !noSpill {
+	if sub.budget > 0 {
 		dev := cfg.SpillDevice
 		if dev == nil {
 			dev = storage.NewNullDevice(sub.clk)
@@ -605,22 +589,20 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		}
 		co.MemoStore = memoSt.store
 	}
-	if cfg.AdaptiveChunks {
-		initial := cfg.ChunkBytes
-		if initial <= 0 {
-			initial = tuner.Recommend(0, 0, input.TotalBytes(), 2*time.Millisecond, tuner.Limits{})
-		}
+	if rs, ok := input.(chunk.Resizable); ok && cfg.AdaptiveChunks {
+		// The stream was cut at the starting size (StreamFile picked it);
+		// the feedback loop refines it from there.
 		lim := tuner.Limits{Min: 64 << 10}
 		if total := input.TotalBytes(); total > 0 {
 			lim.Max = total / 2
 		}
-		co.Tuner = tuner.NewController(tuner.ControllerConfig{Initial: initial, Limits: lim})
+		co.Tuner = tuner.NewController(tuner.ControllerConfig{Initial: rs.ChunkSize(), Limits: lim})
 	}
 	res, err := core.Run(job, input, cont, co)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report[K, V]{Pairs: res.Pairs, Times: res.Times, Stats: res.Stats, Notes: notes}
+	rep := &Report[K, V]{Pairs: res.Pairs, Times: res.Times, Stats: res.Stats}
 	if err := runEgress(cfg, sub, rep); err != nil {
 		return nil, err
 	}
@@ -750,7 +732,10 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 	if file == nil {
 		return nil, errors.New("supmr: nil input file")
 	}
-	if err := cfg.Validate(); err != nil {
+	// The preset's whole-input read needs no flag of its own here: it
+	// leaves ChunkBytes zero and AdaptiveChunks off.
+	cfg, _, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	file = cfg.wrapInput(file)
@@ -758,29 +743,23 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 		// Content-defined chunking: cut points derive from chunk content,
 		// so a re-run over appended or locally edited input re-produces
 		// the unchanged chunks' hashes and hits the memo cache. Sizes
-		// bracket ChunkBytes: expected cut ≈ min + avg-mask target.
-		min := cfg.ChunkBytes / 2
-		if min < 1 {
-			min = 1
-		}
-		cdcStream, err := chunk.NewCDCFile(file, min, min, 2*cfg.ChunkBytes, cfg.boundary())
+		// bracket ChunkBytes: expected cut ≈ lo + avg-mask target.
+		lo := max(cfg.ChunkBytes/2, 1)
+		cdcStream, err := chunk.NewCDCFile(file, lo, lo, 2*cfg.ChunkBytes, cfg.boundary())
 		if err != nil {
 			return nil, fmt.Errorf("supmr: %w", err)
 		}
 		return cdcStream, nil
 	}
 	chunkBytes := cfg.ChunkBytes
-	if chunkBytes <= 0 && cfg.AdaptiveChunks && cfg.Runtime == RuntimeSupMR {
+	if chunkBytes <= 0 && cfg.AdaptiveChunks {
 		// No explicit size: start from the static advisor's pick and let
 		// the feedback loop refine it.
 		chunkBytes = tuner.Recommend(0, 0, file.Size(), 2*time.Millisecond, tuner.Limits{})
 	}
-	wholeInput := cfg.Runtime != RuntimeSupMR || chunkBytes <= 0
+	wholeInput := chunkBytes <= 0
 	if wholeInput {
-		chunkBytes = file.Size()
-		if chunkBytes <= 0 {
-			chunkBytes = 1
-		}
+		chunkBytes = max(file.Size(), 1) // one read of the whole input
 	}
 	inter, err := chunk.NewInterFile(file, chunkBytes, cfg.boundary())
 	if err != nil {
@@ -794,16 +773,21 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 
 // StreamFiles builds the multi-file chunk stream RunFiles would use:
 // intra-file chunking by default, hybrid inter/intra-file chunking when
-// cfg.HybridChunks is set.
+// cfg.HybridChunks is set, one whole-input chunk under the
+// RuntimeTraditional preset.
 func StreamFiles(files []Input, cfg Config) (Stream, error) {
+	cfg, whole, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Memo {
 		return nil, errors.New("supmr: Memo requires a single-file input (RunFile/StreamFile): multi-file chunk composition is not content-stable across file-set changes")
 	}
+	if cfg.AdaptiveChunks {
+		return nil, errors.New("supmr: AdaptiveChunks requires a single-file input (RunFile/StreamFile): no multi-file stream can be resized between rounds")
+	}
 	files = cfg.wrapInputs(files)
-	var (
-		s   Stream
-		err error
-	)
+	var s Stream
 	if cfg.HybridChunks {
 		size := cfg.ChunkBytes
 		if size <= 0 {
@@ -820,7 +804,7 @@ func StreamFiles(files []Input, cfg Config) (Stream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("supmr: %w", err)
 	}
-	if cfg.Runtime != RuntimeSupMR {
+	if whole {
 		return chunk.NewWholeInput(s), nil
 	}
 	return s, nil

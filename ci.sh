@@ -72,6 +72,12 @@ go test -race -count=10 -run 'TestSpansPerSlotAndTask' ./internal/exec/
 go test -race -count=10 -run 'TestJobPoolSpansExcludeSiblings' ./internal/sched/
 go test -race -count=3 -run 'TestEngineTracesArePerJob|TestTraceRootedAtJobStart' .
 
+echo "== race: capped engine submissions =="
+# An iterative driver submits one job per iteration to a shared engine
+# and a capped submission runs on fewer workers than the pool has, so
+# the driver's cancel path and the width cap repeat under the detector.
+go test -race -count=3 -run 'TestKMeansOnEngine|TestJobPoolWorkersCap' . ./internal/sched/
+
 FUZZTIME=${FUZZTIME:-3s}
 echo "== fuzz ($FUZZTIME per target) =="
 # Every target that parses stored or wire bytes, or checks a merge, a

@@ -59,7 +59,7 @@ func submitMain(args []string) {
 	spec := wire()
 	spec.Tenant, spec.Weight, spec.MemoKey = *tenant, parseCount(*weight), *memoKey
 	spec.Block, spec.Blocks = int64(parseCount0(*block)), int64(parseCount0(*blocks))
-	if err := spec.Validate(true); err != nil {
+	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "supmr:", err)
 		os.Exit(2)
 	}
@@ -165,7 +165,10 @@ func printJob(v server.JobView) {
 	}
 	fmt.Println()
 	if v.Result != nil {
-		fmt.Printf("  pairs=%d digest=%s\n  %s\n", v.Result.OutputPairs, v.Result.Digest, v.Result.Times)
+		fmt.Printf("  pairs=%d digest=%s\n", v.Result.OutputPairs, v.Result.Digest)
+		if v.Result.Times != "" { // an iterative driver's result has no one job's times
+			fmt.Printf("  %s\n", v.Result.Times)
+		}
 		v.Result.WriteReport(os.Stdout, "  ")
 	}
 }

@@ -71,9 +71,6 @@ func main() {
 		fmt.Println(res.Times)
 	}
 	d := res.Detail
-	if s := d.Allocs.String(); s != "" {
-		fmt.Println("allocs:", s)
-	}
 	fmt.Print(d.Summary)
 	res.WriteReport(os.Stdout, "")
 	if d.Trace != nil {

@@ -67,14 +67,13 @@ type EngineConfig struct {
 // Config.Engine; admission control bounds how many run at once, and the
 // operation-level fair-share scheduler (internal/sched) interleaves the
 // admitted jobs' map waves, spill drains and merge tasks so a short job
-// is never FIFO-blocked behind a long one.
+// is never FIFO-blocked behind a long one. A submission's Config.Workers
+// and Config.IOLanes cap its share of the pool and the lanes.
 //
-// Engine mode trades one instrument for isolation: per-phase allocation
-// metering (Report.Allocs) is a process-wide measurement that cannot be
-// attributed to one of several concurrent jobs, so Allocs is zero. Task
-// stats, lane-byte counters and the task spans a utilization trace is
-// built from are per-submission (each job has a private sink), and the
-// chunk freelist's counters are engine-global, reported by Stats.
+// A submission's report has the shape of a solo run's: task stats,
+// lane-byte counters and the task spans a utilization trace is built
+// from are per-submission (each job has a private sink), and the chunk
+// freelist's counters are engine-global, reported by Stats.
 type Engine struct {
 	clk    storage.Clock
 	pool   *exec.Pool
@@ -273,9 +272,6 @@ func runOnEngine[K comparable, V any](e *Engine, job Job[K, V], input Stream, co
 	if err := e.err(); err != nil {
 		return nil, err
 	}
-	if cfg.Weight < 0 {
-		return nil, fmt.Errorf("supmr: negative Weight %d: the engine fair-share weight must be at least 1 (0 selects the default)", cfg.Weight)
-	}
 	tenant := cfg.Tenant
 	if tenant == "" {
 		tenant = "default"
@@ -297,12 +293,11 @@ func runOnEngine[K comparable, V any](e *Engine, job Job[K, V], input Stream, co
 	jp := sched.NewJobPool(e.pool, e.sched, sched.JobConfig{
 		Name:    name,
 		Weight:  cfg.Weight,
+		Workers: cfg.Workers,
 		Context: cfg.Context,
 	})
 	defer jp.Close()
 
-	// No WithAllocs: allocation counters are process-wide and would
-	// bleed across concurrent jobs.
 	rep, err := runWithExecutor(job, input, cont, cfg, runSubstrate{
 		pool:   jp,
 		clk:    e.clk,
@@ -313,8 +308,6 @@ func runOnEngine[K comparable, V any](e *Engine, job Job[K, V], input Stream, co
 	})
 	var stats *Stats
 	if rep != nil {
-		rep.Notes = append(rep.Notes,
-			"engine mode: per-phase allocation metering disabled (process-wide instrument cannot be attributed to one of several concurrent jobs)")
 		stats = &rep.Stats
 	}
 	e.noteDone(tenant, stats, err)

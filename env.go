@@ -1,6 +1,7 @@
 package supmr
 
 import (
+	"fmt"
 	"time"
 
 	"supmr/internal/apps"
@@ -197,21 +198,56 @@ func KMeansJob(k, dim int) *apps.KMeans {
 }
 
 // KMeansResult reports a K-means driver run.
-type KMeansResult = apps.KMeansResult
+type KMeansResult struct {
+	Iterations int
+	Moved      float64 // last max centroid movement
+	Sizes      []int64 // final cluster sizes
+	Waves      int     // total map waves across iterations
+}
 
-// RunKMeans drives Lloyd's algorithm over file, one job per iteration
-// streamed and merged as cfg says, re-streaming the input each time (wrap
-// the device with NewCachedDevice to make iterations after the first
-// compute-bound). One persistent worker pool spans all iterations;
+// RunKMeans drives Lloyd's algorithm over file until the largest
+// centroid movement falls below km.Epsilon (default 1e-3) or maxIters
+// (default 20) iterations have run. Every iteration is one ordinary
+// RunFile job under cfg — on a pool of its own solo, one submission when
+// cfg.Engine is set — that re-streams the input (wrap the device with
+// NewCachedDevice to make iterations after the first compute-bound).
 // cfg.Context cancellation aborts the driver mid-run.
 func RunKMeans(km *apps.KMeans, file Input, cfg Config, maxIters int) (*KMeansResult, error) {
+	if km.K <= 0 || km.Dim <= 0 {
+		return nil, fmt.Errorf("supmr: kmeans requires positive K and Dim (got %d, %d)", km.K, km.Dim)
+	}
 	cfg.Boundary = km.Boundary()
 	cfg, _, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	mk := func() (Stream, error) { return StreamFile(file, cfg) }
-	return apps.RunKMeans(cfg.Context, km, mk, mapreduceOptions(cfg), maxIters)
+	if len(km.Centroids) != km.K {
+		km.InitCentroids(1)
+	}
+	eps := km.Epsilon
+	if eps <= 0 {
+		eps = 1e-3
+	}
+	if maxIters <= 0 {
+		maxIters = 20
+	}
+	res := &KMeansResult{}
+	for res.Iterations < maxIters && (res.Iterations == 0 || res.Moved >= eps) {
+		rep, err := RunFile[int, apps.ClusterAccum](km, file, km.NewContainer(), cfg)
+		if err != nil {
+			return nil, fmt.Errorf("supmr: kmeans iteration %d: %w", res.Iterations, err)
+		}
+		res.Iterations++
+		res.Waves += rep.Stats.MapWaves
+		res.Moved = km.Step(rep.Pairs)
+		res.Sizes = make([]int64, km.K)
+		for _, p := range rep.Pairs {
+			if p.Key >= 0 && p.Key < km.K {
+				res.Sizes[p.Key] = p.Val.N
+			}
+		}
+	}
+	return res, nil
 }
 
 // GrepJob returns a string-match application over the given patterns

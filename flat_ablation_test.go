@@ -101,20 +101,3 @@ func TestInvertedIndexDeterministicOutput(t *testing.T) {
 		}
 	}
 }
-
-// The report's allocation metering must attribute work to the phases
-// that ran: a SupMR word count allocates in read+map and reduce.
-func TestReportAllocsPopulated(t *testing.T) {
-	text := ablationText(t, 64<<10)
-	rep, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(64),
-		Config{Runtime: RuntimeSupMR, ChunkBytes: 16 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Allocs.Get(PhaseReadMap); got.Objects <= 0 {
-		t.Errorf("read+map alloc objects = %d, want > 0", got.Objects)
-	}
-	if rep.Allocs.String() == "" {
-		t.Error("Allocs.String() empty for a real run")
-	}
-}

@@ -1,29 +1,25 @@
 package apps
 
 import (
-	"context"
-	"fmt"
 	"math"
 
 	"supmr/internal/chunk"
 	"supmr/internal/container"
-	"supmr/internal/core"
-	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 )
 
 // KMeans is the classic Phoenix iterative benchmark: cluster Dim-byte
 // points into K clusters by Lloyd's algorithm. Each iteration is one
 // complete MapReduce job — the "multiple map/reduce rounds" pattern of
-// Twister/HaLoop that §VII relates SupMR to — and the driver reuses the
-// ingest chunk pipeline every round, so a cached storage layer
-// (storage.Cache) makes iterations after the first compute-bound.
+// Twister/HaLoop that §VII relates SupMR to — and the driver
+// (supmr.RunKMeans) runs each as an ordinary job over the same file, so
+// a cached storage layer (storage.Cache) makes iterations after the
+// first compute-bound.
 //
 // Map assigns each point to its nearest centroid and emits per-cluster
 // accumulators; Reduce (and the combiner) merge accumulators; the
 // driver recomputes centroids and repeats until movement falls below
-// Epsilon or MaxIters is reached.
+// Epsilon or the driver's iteration cap is reached.
 type KMeans struct {
 	K       int // clusters
 	Dim     int // bytes (features) per point
@@ -159,70 +155,4 @@ func (k *KMeans) InitCentroids(seed uint64) {
 		}
 		k.Centroids[i] = c
 	}
-}
-
-// KMeansResult reports one driver run.
-type KMeansResult struct {
-	Iterations int
-	Moved      float64 // last max centroid movement
-	Sizes      []int64 // final cluster sizes
-	Waves      int     // total map waves across iterations
-}
-
-// RunKMeans drives Lloyd's algorithm: each iteration runs one SupMR
-// pipelined job over a fresh stream from mkStream (the same underlying
-// file — put a storage.Cache in front to make later iterations free of
-// device time, the HaLoop/Twister data-caching idea). One persistent
-// worker pool spans all iterations; ctx cancellation stops the driver
-// between (and, via the pool, within) iterations.
-func RunKMeans(ctx context.Context, k *KMeans, mkStream func() (chunk.Stream, error), opts mapreduce.Options, maxIters int) (*KMeansResult, error) {
-	if k.K <= 0 || k.Dim <= 0 {
-		return nil, fmt.Errorf("apps: kmeans requires positive K and Dim (got %d, %d)", k.K, k.Dim)
-	}
-	if len(k.Centroids) != k.K {
-		k.InitCentroids(1)
-	}
-	eps := k.Epsilon
-	if eps <= 0 {
-		eps = 1e-3
-	}
-	if maxIters <= 0 {
-		maxIters = 20
-	}
-	opts.Boundary = k.Boundary()
-	if opts.Pool == nil {
-		pool := exec.NewPool(ctx, exec.Config{Workers: opts.Workers})
-		defer pool.Close()
-		opts.Pool = pool
-	}
-	res := &KMeansResult{}
-	for iter := 0; iter < maxIters; iter++ {
-		if err := opts.Pool.Err(); err != nil {
-			return nil, err
-		}
-		stream, err := mkStream()
-		if err != nil {
-			return nil, err
-		}
-		cont := k.NewContainer()
-		out, err := core.Run[int, ClusterAccum](k, stream, cont, core.Options{Options: opts})
-		if err != nil {
-			return nil, fmt.Errorf("apps: kmeans iteration %d: %w", iter, err)
-		}
-		res.Waves += out.Stats.MapWaves
-		res.Iterations = iter + 1
-		res.Moved = k.Step(out.Pairs)
-		if iter == maxIters-1 || res.Moved < eps {
-			res.Sizes = make([]int64, k.K)
-			for _, p := range out.Pairs {
-				if p.Key >= 0 && p.Key < k.K {
-					res.Sizes[p.Key] = p.Val.N
-				}
-			}
-			if res.Moved < eps {
-				break
-			}
-		}
-	}
-	return res, nil
 }

@@ -1,35 +1,11 @@
 package apps
 
 import (
-	"context"
 	"math"
 	"testing"
 
-	"supmr/internal/chunk"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
-	"supmr/internal/storage"
 )
-
-// clusteredPoints builds 2-D byte points drawn from well-separated
-// clusters so Lloyd's algorithm has an unambiguous answer.
-func clusteredPoints(perCluster int) []byte {
-	centers := [][2]int{{30, 30}, {200, 60}, {100, 220}}
-	var buf []byte
-	state := uint64(42)
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 33
-	}
-	for i := 0; i < perCluster; i++ {
-		for _, c := range centers {
-			x := c[0] + int(next()%11) - 5
-			y := c[1] + int(next()%11) - 5
-			buf = append(buf, byte(x), byte(y))
-		}
-	}
-	return buf
-}
 
 func TestKMeansMapAssignsNearest(t *testing.T) {
 	k := &KMeans{K: 2, Dim: 2}
@@ -61,96 +37,5 @@ func TestKMeansStepMovesCentroids(t *testing.T) {
 	// Empty step moves nothing.
 	if k.Step(nil) != 0 {
 		t.Error("empty step should not move centroids")
-	}
-}
-
-func TestKMeansConvergesOnSeparatedClusters(t *testing.T) {
-	data := clusteredPoints(300) // 900 points
-	k := &KMeans{K: 3, Dim: 2, Epsilon: 0.01}
-	k.InitCentroids(7)
-
-	mk := func() (chunk.Stream, error) {
-		f := storage.BytesFile("pts", data, storage.NewNullDevice(storage.NewFakeClock()))
-		return chunk.NewInterFile(f, 256, chunk.FixedBoundary{Width: 2})
-	}
-	res, err := RunKMeans(context.Background(), k, mk, mapreduce.Options{Workers: 2}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Moved >= 0.01 && res.Iterations == 50 {
-		t.Errorf("did not converge: moved %.4f after %d iterations", res.Moved, res.Iterations)
-	}
-	var total int64
-	for _, n := range res.Sizes {
-		total += n
-	}
-	if total != 900 {
-		t.Errorf("cluster sizes sum to %d, want 900", total)
-	}
-	// Final centroids should sit near the true centers.
-	trueCenters := [][]float64{{30, 30}, {200, 60}, {100, 220}}
-	for _, tc := range trueCenters {
-		best := math.Inf(1)
-		for _, c := range k.Centroids {
-			d := math.Hypot(c[0]-tc[0], c[1]-tc[1])
-			if d < best {
-				best = d
-			}
-		}
-		if best > 8 {
-			t.Errorf("no centroid within 8 of true center %v (closest %.1f)", tc, best)
-		}
-	}
-	if res.Waves < res.Iterations {
-		t.Errorf("waves %d < iterations %d", res.Waves, res.Iterations)
-	}
-}
-
-func TestKMeansCachedIterationsAvoidDevice(t *testing.T) {
-	// With an LRU cache over a slow disk, only the first iteration pays
-	// device time — the HaLoop/Twister data-reuse idea.
-	data := clusteredPoints(200)
-	clock := storage.NewFakeClock()
-	disk, err := storage.NewDisk(storage.DiskConfig{Name: "d", Bandwidth: 1e6}, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := storage.NewCache(disk, 4096, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, err := storage.NewFile("pts", int64(len(data)), 0,
-		func(off int64, p []byte) { copy(p, data[off:]) }, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := &KMeans{K: 3, Dim: 2, Epsilon: 0.01}
-	k.InitCentroids(7)
-	mk := func() (chunk.Stream, error) {
-		return chunk.NewInterFile(file, 512, chunk.FixedBoundary{Width: 2})
-	}
-	res, err := RunKMeans(context.Background(), k, mk, mapreduce.Options{Workers: 2}, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations < 2 {
-		t.Skip("converged in one iteration; cache reuse not exercised")
-	}
-	devBytes := disk.Stats().BytesRead
-	// The device should have served roughly one pass over the input
-	// (block rounding allows a little slack), not one pass per iteration.
-	if devBytes > int64(len(data))+16*4096 {
-		t.Errorf("device served %d bytes over %d iterations; want ~%d (single pass)",
-			devBytes, res.Iterations, len(data))
-	}
-	cs := cache.CacheStats()
-	if cs.Hits == 0 {
-		t.Error("no cache hits across iterations")
-	}
-}
-
-func TestRunKMeansValidation(t *testing.T) {
-	if _, err := RunKMeans(context.Background(), &KMeans{}, nil, mapreduce.Options{}, 1); err == nil {
-		t.Error("invalid K/Dim accepted")
 	}
 }

@@ -60,6 +60,18 @@ func (l *FreeList) Stats() (gets, reuses int64) {
 	return l.gets, l.reuses
 }
 
+// Parked reports how many released chunks wait in the list. Once every
+// chunk handed out has been released it equals gets - reuses: each
+// buffer the list ever allocated is back.
+func (l *FreeList) Parked() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.free)
+}
+
 // acquire returns a pooled chunk whose backing buffer has at least
 // capHint capacity, allocating one when the list is empty.
 func (l *FreeList) acquire(capHint int64) *Chunk {

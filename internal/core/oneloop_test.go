@@ -6,18 +6,21 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestOneMapLoop is a vet-style check that Run stays the only
-// ingest→map loop: outside internal/mapreduce (which defines the map
-// wave) and internal/core (which drives it), no non-test Go in the
-// module refers to mapreduce.MapWave or MapWaveTimed, so a second loop
-// cannot grow back beside this one. Drivers that call Run once per
-// iteration are fine: apps.RunKMeans is one. bench/ is a separate
-// module with its own layer timings and is not scanned.
+// ingest→map loop and is reached one way: outside internal/mapreduce
+// (which defines the map wave) and internal/core (which drives it), no
+// non-test Go in the module refers to mapreduce.MapWave or MapWaveTimed,
+// so a second loop cannot grow back beside this one; and outside package
+// supmr (the module root), none refers to core.Run, so every job —
+// an iterative driver's rounds included — is an ordinary run of the
+// facade, solo or on an engine. bench/ is a separate module with its own
+// layer timings and is not scanned.
 func TestOneMapLoop(t *testing.T) {
 	root := filepath.Join("..", "..")
 	skip := map[string]bool{"bench": true, filepath.Join("internal", "mapreduce"): true, filepath.Join("internal", "core"): true}
@@ -42,25 +45,33 @@ func TestOneMapLoop(t *testing.T) {
 			return err
 		}
 		scanned++
-		name := "" // the file's name for the mapreduce package, if imported
+		// banned maps the file's name for each watched package to the
+		// selectors it may not use here.
+		banned := map[string][]string{}
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "supmr/internal/mapreduce" {
-				name = "mapreduce"
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
+			p, _ := strconv.Unquote(imp.Path.Value)
+			var sels []string
+			switch {
+			case p == "supmr/internal/mapreduce":
+				sels = []string{"MapWave", "MapWaveTimed"}
+			case p == "supmr/internal/core" && filepath.Dir(rel) != ".":
+				sels = []string{"Run"}
+			default:
+				continue
 			}
-		}
-		if name == "" {
-			return nil
+			name := filepath.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			banned[name] = sels
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == name && (sel.Sel.Name == "MapWave" || sel.Sel.Name == "MapWaveTimed") {
-				t.Errorf("%s: %s.%s outside internal/core: drive map waves through core.Run", fset.Position(sel.Pos()), name, sel.Sel.Name)
+			if x, ok := sel.X.(*ast.Ident); ok && slices.Contains(banned[x.Name], sel.Sel.Name) {
+				t.Errorf("%s: %s.%s: drive map waves through core.Run, and jobs through supmr.Run", fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
 			}
 			return true
 		})

@@ -87,7 +87,7 @@ func (g Graph) Validate() error {
 		byID[n.ID] = i
 	}
 	for _, n := range g.Nodes {
-		if err := n.Spec.Validate(false); err != nil {
+		if err := n.Spec.Validate(); err != nil {
 			return fmt.Errorf("dag: node %q: %w", n.ID, err)
 		}
 		if n.Spec.Nodes > 0 {

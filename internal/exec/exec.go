@@ -351,7 +351,7 @@ func (p *Pool) submit(ch chan task, t task) error {
 // between tasks). Tasks must not themselves submit pool work; phases are
 // sequential, tasks within a phase are parallel.
 func (p *Pool) ForEach(phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
-	return p.ForEachScoped(p.ctx, p.sink, phase, state, n, fn)
+	return p.ForEachScoped(p.ctx, p.sink, 0, phase, state, n, fn)
 }
 
 // scopeErr reports ctx's cancellation cause, nil while live.
@@ -365,10 +365,11 @@ func scopeErr(ctx context.Context) error {
 // ForEachScoped is ForEach under a job scope: dispatch stops when ctx —
 // the job's context, typically derived from the pool's — is cancelled,
 // and task statistics and spans land in sink rather than the pool's
-// own. This is the entry point a multi-job engine uses so one pool can
-// run phases from many jobs with per-job cancellation and attribution;
-// ForEach is exactly this call scoped to the pool itself.
-func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
+// own, and at most width worker slots run the call (<= 0: all of them).
+// This is the entry point a multi-job engine uses so one pool can run
+// phases from many jobs with per-job cancellation, attribution and
+// width; ForEach is exactly this call scoped to the pool itself.
+func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, width int, phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
 	if ctx == nil {
 		ctx = p.ctx
 	}
@@ -381,9 +382,9 @@ func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, phase string, stat
 	if n <= 0 {
 		return 0, nil
 	}
-	slots := p.workers
-	if slots > n {
-		slots = n
+	slots := min(p.workers, n)
+	if width > 0 {
+		slots = min(slots, width)
 	}
 	var (
 		next     atomic.Int64

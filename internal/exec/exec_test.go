@@ -317,7 +317,7 @@ func TestSpansPerSlotAndTask(t *testing.T) {
 
 	// A scoped call's spans land in its sink, not the pool's.
 	sink := NewSink(1)
-	if _, err := p.ForEachScoped(nil, sink, "map", metrics.StateUser, 3, func(int) error {
+	if _, err := p.ForEachScoped(nil, sink, 0, "map", metrics.StateUser, 3, func(int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	}); err != nil {

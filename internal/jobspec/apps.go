@@ -15,7 +15,6 @@ const (
 	modeBudget mode = "budget"
 	modeMemo   mode = "memo"
 	modeNodes  mode = "nodes"
-	modeEngine mode = "engine"
 )
 
 // app is one row of the application table: everything an app name
@@ -51,10 +50,7 @@ type app struct {
 // DefaultApp is what -app defaults to on every command line.
 const DefaultApp = "wordcount"
 
-const (
-	fixedFootprint = "its array container has a fixed footprint and cannot spill"
-	manyJobs       = "the iterative driver re-creates its container every iteration"
-)
+const fixedFootprint = "its array container has a fixed footprint and cannot spill"
 
 var table = []app{
 	{
@@ -179,13 +175,12 @@ var table = []app{
 	{
 		name: "kmeans", input: text("points"), // bytes as 2-D points
 		refuses: map[mode]string{
-			modeBudget: manyJobs,
+			modeBudget: "ClusterAccum values have no spill codec",
 			modeMemo:   "map output depends on the evolving centroids, not just chunk content, so cached chunks would replay stale assignments",
-			modeNodes:  manyJobs,
-			modeEngine: "the iterative driver runs its jobs on a pool of its own, outside the engine's admission and scheduling",
+			modeNodes:  "ClusterAccum values have no wire codec",
 		},
-		// An iterative driver over many jobs, so it bypasses execJob: its
-		// output is the final model, one pair per cluster.
+		// One ordinary job per iteration, so it reports the model rather
+		// than one job's pairs: one pair per cluster.
 		run: func(r *run) (*Result, *supmr.EgressOutput, error) {
 			km := supmr.KMeansJob(4, 2)
 			km.Epsilon = 0.05

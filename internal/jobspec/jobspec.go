@@ -160,9 +160,6 @@ type Result struct {
 	// spec set EgressLanes (sha256 of the egressed bytes == Digest).
 	EgressBytes   int64 `json:"egress_bytes,omitempty"`
 	EgressExtents int   `json:"egress_extents,omitempty"`
-	// Notes surfaces the measurements the run could not take (allocation
-	// metering, on an engine).
-	Notes []string `json:"notes,omitempty"`
 	// Detail is the part of a Result that never crosses the wire; nil
 	// on a result decoded from supmrd.
 	Detail *Detail `json:"-"`
@@ -170,11 +167,10 @@ type Result struct {
 
 // Detail is what the plain CLI report prints beyond Result's counters.
 type Detail struct {
-	// Spec is the spec as the pipeline ran it (zero for an app whose
-	// driver bypasses the pipeline's report).
-	Spec   Spec
-	Stats  supmr.Stats
-	Allocs supmr.PhaseAllocs
+	// Spec is the spec as the pipeline ran it (zero for kmeans, whose
+	// driver reports a model over many runs rather than one run).
+	Spec  Spec
+	Stats supmr.Stats
 	// Trace is the utilization trace when Solo.TraceContexts asked for it.
 	Trace *supmr.UtilTrace
 	// Summary is the application's own report line(s), newline-terminated.
@@ -182,17 +178,17 @@ type Detail struct {
 }
 
 // Validate rejects malformed specs with a descriptive error and fills
-// in no defaults — normalization happens in Run. With engine set it also
-// applies the app table's engine refusals, as supmrd does at submission.
-func (s Spec) Validate(engine bool) error {
-	_, _, err := s.check(engine, false, nil)
+// in no defaults — normalization happens in Run. A spec it accepts runs
+// solo and on an engine alike; supmrd checks it at submission.
+func (s Spec) Validate() error {
+	_, _, err := s.check(false, nil)
 	return err
 }
 
-// check is Validate for a run that is (or is not) on an engine and over
-// a piped input. It returns the spec's entry in the app table and the
-// spec's knobs as the supmr.Config the run will carry.
-func (s Spec) check(engine, piped bool, clock supmr.Clock) (a *app, cfg supmr.Config, err error) {
+// check is Validate for a run over a piped input (or not). It returns
+// the spec's entry in the app table and the spec's knobs as the
+// supmr.Config the run will carry.
+func (s Spec) check(piped bool, clock supmr.Clock) (a *app, cfg supmr.Config, err error) {
 	if s.App == "" {
 		return nil, cfg, fmt.Errorf("jobspec: missing app")
 	}
@@ -214,9 +210,6 @@ func (s Spec) check(engine, piped bool, clock supmr.Clock) (a *app, cfg supmr.Co
 			return nil, cfg, fmt.Errorf("jobspec: negative %s %d", f.name, f.v)
 		}
 	}
-	if s.Weight < 0 {
-		return nil, cfg, fmt.Errorf("jobspec: negative weight %d (fair-share weight must be at least 1; omit for the default)", s.Weight)
-	}
 	if s.InNodeCombinerOff && s.Nodes == 0 {
 		return nil, cfg, fmt.Errorf("jobspec: innode_combiner_off set without nodes")
 	}
@@ -235,7 +228,7 @@ func (s Spec) check(engine, piped bool, clock supmr.Clock) (a *app, cfg supmr.Co
 		set  bool
 		mode mode
 	}{
-		{s.Budget > 0, modeBudget}, {s.Memo, modeMemo}, {s.Nodes > 0, modeNodes}, {engine, modeEngine},
+		{s.Budget > 0, modeBudget}, {s.Memo, modeMemo}, {s.Nodes > 0, modeNodes},
 	} {
 		if why, refused := a.refuses[m.mode]; m.set && refused {
 			return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: %s is incompatible with %s: %s", m.mode, a.name, why))
@@ -356,7 +349,7 @@ type run struct {
 // otherwise; callers chaining jobs feed it to the next round.
 func RunInput(ctx context.Context, spec Spec, eng *supmr.Engine, input supmr.Input) (*Result, *supmr.EgressOutput, error) {
 	clock := supmr.NewClock()
-	a, cfg, err := spec.check(eng != nil, input != nil, clock)
+	a, cfg, err := spec.check(input != nil, clock)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -439,8 +432,7 @@ func execJob[K comparable, V any, J interface {
 		ShuffleFrames:  rep.Stats.ShuffleFrames,
 		EgressBytes:    rep.Stats.EgressBytes,
 		EgressExtents:  rep.Stats.EgressExtents,
-		Notes:          rep.Notes,
-		Detail:         &Detail{Spec: r.spec, Stats: rep.Stats, Allocs: rep.Allocs, Trace: rep.Trace, Summary: summary(rep)},
+		Detail:         &Detail{Spec: r.spec, Stats: rep.Stats, Trace: rep.Trace, Summary: summary(rep)},
 	}
 	if rep.Stats.Faults.Any() {
 		res.Faults = rep.Stats.Faults.String()
@@ -486,9 +478,6 @@ func (r *Result) WriteReport(w io.Writer, indent string) {
 			budget = fmt.Sprintf(" (budget %s)", cliutil.FormatBytes(b))
 		}
 		line("memo: %d hits, %d misses, %s saved%s", r.MemoHits, r.MemoMisses, cliutil.FormatBytes(r.MemoBytesSaved), budget)
-	}
-	for _, n := range r.Notes {
-		line("note: %s", n)
 	}
 	if r.Faults != "" {
 		line("faults: %s", r.Faults)

@@ -129,7 +129,7 @@ func TestSpecValidate(t *testing.T) {
 		{App: "linreg", Memo: true, Nodes: 2},
 	}
 	for _, s := range accept {
-		if err := s.Validate(false); err != nil {
+		if err := s.Validate(); err != nil {
 			t.Errorf("%+v rejected: %v", s, err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestSpecValidate(t *testing.T) {
 		{Spec{App: "wordcount", Nodes: 2, Budget: 1 << 20}, "MemoryBudget is incompatible with Nodes"},
 	}
 	for _, tc := range reject {
-		err := tc.spec.Validate(false)
+		err := tc.spec.Validate()
 		if err == nil {
 			t.Errorf("%+v accepted, want an error about %q", tc.spec, tc.want)
 			continue
@@ -186,8 +186,10 @@ func TestSpecValidate(t *testing.T) {
 		if _, runErr := Run(context.Background(), tc.spec, nil); runErr == nil || runErr.Error() != err.Error() {
 			t.Errorf("%+v: Run returned %v, want Validate's error before any work", tc.spec, runErr)
 		}
-		// A refused mode is a usage error; a malformed value is not.
-		if code, refusal := cliutil.ExitCode(err), strings.Contains(err.Error(), "incompatible with"); refusal != (code == 2) {
+		// A refused mode, and anything supmr.Config.Validate refuses, is a
+		// usage error; a malformed spec value is not.
+		usage := strings.Contains(err.Error(), "incompatible with") || strings.HasPrefix(err.Error(), "jobspec: supmr: ")
+		if code := cliutil.ExitCode(err); usage != (code == 2) {
 			t.Errorf("%+v: exit status %d for %q", tc.spec, code, err)
 		}
 	}
@@ -221,10 +223,10 @@ func TestKMeansHonoursTheRuntime(t *testing.T) {
 	}
 }
 
-// TestEveryAppRunsSoloAndOnAnEngine runs every table entry both ways:
-// the digests must agree, or the engine run must be refused by the
-// entry's own rule — no app is missing from a surface by omission. It is
-// the first jobspec coverage invindex, linreg and kmeans have.
+// TestEveryAppRunsSoloAndOnAnEngine runs every table entry both ways,
+// and the digests must agree: no app is missing from a surface by
+// omission. It is the first jobspec coverage invindex, linreg and kmeans
+// have.
 func TestEveryAppRunsSoloAndOnAnEngine(t *testing.T) {
 	eng := supmr.NewEngine(supmr.EngineConfig{Workers: 2, MaxJobs: 2})
 	defer eng.Close()
@@ -241,17 +243,6 @@ func TestEveryAppRunsSoloAndOnAnEngine(t *testing.T) {
 			t.Errorf("%s: no summary line", a.name)
 		}
 		shared, err := Run(context.Background(), spec, eng)
-		// Validate(true) is the check supmrd makes at submission: it must
-		// refuse exactly what the engine run refuses, in the same words.
-		if verr := spec.Validate(true); (verr == nil) != (err == nil) || verr != nil && verr.Error() != err.Error() {
-			t.Errorf("%s: Validate(true) = %v, engine run %v", a.name, verr, err)
-		}
-		if why, refused := a.refuses[modeEngine]; refused {
-			if err == nil || !strings.Contains(err.Error(), "engine is incompatible with "+a.name+": "+why) {
-				t.Errorf("%s on an engine: %v, want its table entry's refusal", a.name, err)
-			}
-			continue
-		}
 		if err != nil {
 			t.Fatalf("%s on an engine: %v", a.name, err)
 		}

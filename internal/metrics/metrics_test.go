@@ -247,50 +247,3 @@ func TestAnnotatedASCII(t *testing.T) {
 		t.Error("marker ruler rendered with no markers")
 	}
 }
-
-func TestTimerAllocMetering(t *testing.T) {
-	fn := &fakeNow{}
-	tm := NewTimer(fn.now).WithAllocs()
-
-	// Large objects: the runtime counts those as they are allocated,
-	// small ones only when a P's cached span is swapped out.
-	tm.StartPhase(PhaseMap)
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 64<<10))
-	}
-	tm.EndPhase(PhaseMap)
-	if len(sink) != 64 {
-		t.Fatal("allocation loop elided")
-	}
-
-	got := tm.Allocs().Get(PhaseMap)
-	if got.Objects < 64 {
-		t.Errorf("map-phase objects = %d, want >= 64", got.Objects)
-	}
-	if got.Bytes < 64*64<<10 {
-		t.Errorf("map-phase bytes = %d, want >= %d", got.Bytes, 64*64<<10)
-	}
-	if other := tm.Allocs().Get(PhaseMerge); other.Objects != 0 || other.Bytes != 0 {
-		t.Errorf("merge phase recorded %+v without running", other)
-	}
-
-	s := tm.Allocs().String()
-	if !strings.Contains(s, "map=") {
-		t.Errorf("String() = %q, want a map= entry", s)
-	}
-	if (PhaseAllocs{}).String() != "" {
-		t.Error("zero PhaseAllocs should format empty")
-	}
-}
-
-func TestTimerAllocsDisabledByDefault(t *testing.T) {
-	fn := &fakeNow{}
-	tm := NewTimer(fn.now)
-	tm.StartPhase(PhaseMap)
-	_ = make([]byte, 1<<20)
-	tm.EndPhase(PhaseMap)
-	if a := tm.Allocs(); a.String() != "" {
-		t.Errorf("metering off yet recorded %q", a.String())
-	}
-}

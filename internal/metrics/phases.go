@@ -105,12 +105,6 @@ type Timer struct {
 	start   time.Duration
 	marking bool     // log phase-boundary markers (WithMarkers)
 	markers []Marker // phase-boundary and event annotations
-
-	// Allocation metering (WithAllocs): cumulative runtime counters are
-	// sampled at each phase boundary and the deltas attributed to the
-	// enclosing phase.
-	allocs     *PhaseAllocs
-	allocMarks map[Phase]AllocStats
 }
 
 // NewTimer creates a Timer reading time from now.
@@ -124,39 +118,11 @@ func NewTimer(now func() time.Duration) *Timer {
 // start on its clock.
 func (t *Timer) Start() time.Duration { return t.start }
 
-// WithAllocs enables per-phase allocation metering: StartPhase/EndPhase
-// additionally sample the runtime's allocation counters (without
-// stopping the world) and attribute the deltas to the phase. Process-wide and approximate; see AllocStats. Returns t
-// for chaining.
-func (t *Timer) WithAllocs() *Timer {
-	t.mu.Lock()
-	if t.allocs == nil {
-		t.allocs = &PhaseAllocs{}
-		t.allocMarks = make(map[Phase]AllocStats)
-	}
-	t.mu.Unlock()
-	return t
-}
-
-// Allocs returns the per-phase allocation deltas accumulated so far
-// (zero-valued unless WithAllocs was called).
-func (t *Timer) Allocs() PhaseAllocs {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.allocs == nil {
-		return PhaseAllocs{}
-	}
-	return *t.allocs
-}
-
 // StartPhase marks the beginning of phase p.
 func (t *Timer) StartPhase(p Phase) {
 	at := t.now()
 	t.mu.Lock()
 	t.marks[p] = at
-	if t.allocs != nil {
-		t.allocMarks[p] = readAllocCounters()
-	}
 	t.mark(at, markerLabel(p, "start"))
 	t.mu.Unlock()
 }
@@ -173,16 +139,6 @@ func (t *Timer) EndPhase(p Phase) {
 	}
 	delete(t.marks, p)
 	at := t.now()
-	if t.allocs != nil {
-		if base, ok := t.allocMarks[p]; ok {
-			delete(t.allocMarks, p)
-			cur := readAllocCounters()
-			t.allocs.add(p, AllocStats{
-				Objects: cur.Objects - base.Objects,
-				Bytes:   cur.Bytes - base.Bytes,
-			})
-		}
-	}
 	t.mark(at, markerLabel(p, "end"))
 	t.times.Add(p, at-start)
 }

@@ -14,6 +14,10 @@ type JobConfig struct {
 	Name string
 	// Weight is the fair-share weight (minimum 1).
 	Weight int
+	// Workers caps the job's compute width: its operations run on at
+	// most this many of the shared pool's workers. <= 0, or more than the
+	// pool has, is the whole pool.
+	Workers int
 	// Context, when set, bounds the job: its cancellation aborts this
 	// submission without touching the substrate or its peers.
 	Context context.Context
@@ -42,6 +46,7 @@ type JobPool struct {
 	cancel context.CancelCauseFunc
 	unhook func() bool // stops the pool-context propagation
 	sink   *exec.Sink
+	width  int // compute worker slots per operation
 }
 
 // NewJobPool registers one job on the scheduler and returns its
@@ -52,6 +57,10 @@ func NewJobPool(pool *exec.Pool, s *Scheduler, cfg JobConfig) *JobPool {
 		parent = context.Background()
 	}
 	ctx, cancel := context.WithCancelCause(parent)
+	width := pool.Workers()
+	if cfg.Workers > 0 {
+		width = min(width, cfg.Workers)
+	}
 	// The substrate dying (engine Close or pool abort) must abort every
 	// submission: propagate the pool context's cause into the job's.
 	unhook := context.AfterFunc(pool.Context(), func() {
@@ -65,6 +74,7 @@ func NewJobPool(pool *exec.Pool, s *Scheduler, cfg JobConfig) *JobPool {
 		cancel: cancel,
 		unhook: unhook,
 		sink:   exec.NewSink(pool.IOLanes()),
+		width:  width,
 	}
 }
 
@@ -76,8 +86,9 @@ func (j *JobPool) Close() {
 	j.cancel(context.Canceled)
 }
 
-// Workers returns the shared pool's compute worker count.
-func (j *JobPool) Workers() int { return j.pool.Workers() }
+// Workers returns the job's compute width: the shared pool's worker
+// count, capped by JobConfig.Workers.
+func (j *JobPool) Workers() int { return j.width }
 
 // IOLanes returns the shared pool's IO lane count.
 func (j *JobPool) IOLanes() int { return j.pool.IOLanes() }
@@ -112,9 +123,9 @@ func (j *JobPool) Abort(cause error) { j.cancel(cause) }
 
 // ForEach runs one compute operation under the fair-share scheduler:
 // it acquires an operation slot (blocking while peers with less service
-// run their waves), executes fn(0..n-1) on the shared pool's compute
-// workers, and releases the slot charged with the operation's measured
-// wall-clock cost.
+// run their waves), executes fn(0..n-1) on at most Workers of the shared
+// pool's compute workers, and releases the slot charged with the
+// operation's measured wall-clock cost.
 func (j *JobPool) ForEach(phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
 	if err := j.Err(); err != nil {
 		return 0, err
@@ -126,7 +137,7 @@ func (j *JobPool) ForEach(phase string, state metrics.WorkerState, n int, fn fun
 		return 0, err
 	}
 	start := j.pool.Now()
-	busy, err := j.pool.ForEachScoped(j.ctx, j.sink, phase, state, n, fn)
+	busy, err := j.pool.ForEachScoped(j.ctx, j.sink, j.width, phase, state, n, fn)
 	j.s.Release(j.ticket, j.pool.Now()-start)
 	return busy, err
 }

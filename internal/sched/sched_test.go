@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,5 +387,43 @@ func TestJobPoolSpansExcludeSiblings(t *testing.T) {
 	}
 	if n := len(pool.Spans()); n != 0 {
 		t.Errorf("the shared pool's own sink holds %d spans of its jobs", n)
+	}
+}
+
+// TestJobPoolWorkersCap: a job capped at one worker on a four-worker
+// pool reports a width of 1 and never has two of its tasks in flight;
+// an uncapped job on the same pool runs them side by side.
+func TestJobPoolWorkersCap(t *testing.T) {
+	pool := exec.NewLocal(4)
+	defer pool.Close()
+	s := New(Config{})
+	peak := func(cap int) (width int, most int64) {
+		j := NewJobPool(pool, s, JobConfig{Name: "j", Workers: cap})
+		defer j.Close()
+		var inFlight, high atomic.Int64
+		if _, err := j.ForEach("map", metrics.StateUser, 16, func(int) error {
+			n := inFlight.Add(1)
+			for {
+				h := high.Load()
+				if n <= h || high.CompareAndSwap(h, n) {
+					break
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+			inFlight.Add(-1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return j.Workers(), high.Load()
+	}
+	if w, most := peak(1); w != 1 || most != 1 {
+		t.Errorf("cap 1: width %d, %d tasks in flight at once; want 1 and 1", w, most)
+	}
+	if w, most := peak(0); w != 4 || most < 2 {
+		t.Errorf("uncapped: width %d, %d tasks in flight at once; want 4 and more than 1", w, most)
+	}
+	if w, _ := peak(9); w != 4 {
+		t.Errorf("cap 9 on 4 workers: width %d, want the pool's 4", w)
 	}
 }

@@ -294,8 +294,8 @@ func (s *Server) submit(req Request) Response {
 		return Response{Error: "submit: missing spec"}
 	}
 	spec := *req.Spec
-	// An app the engine cannot run is refused here, before it gets an id.
-	if err := spec.Validate(true); err != nil {
+	// A spec Validate refuses is refused here, before it gets an id.
+	if err := spec.Validate(); err != nil {
 		return Response{Error: err.Error()}
 	}
 	s.mu.Lock()

@@ -148,16 +148,12 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		{App: "wordcount", Budget: 1 << 20, Memo: true},
 		{App: "wordcount", Budget: 1 << 20, Nodes: 2},
 		{App: "wordcount", InNodeCombinerOff: true}, // combiner ablation without nodes
+		{App: "wordcount", Weight: -1},
 	}
 	for _, s := range cases {
 		if _, err := c.Submit(s); err == nil {
 			t.Errorf("spec %+v accepted, want rejection", s)
 		}
-	}
-	// An app the engine cannot run is refused at submission, in its table
-	// entry's words, instead of becoming a job that fails.
-	if _, err := c.Submit(jobspec.Spec{App: "kmeans"}); err == nil || !strings.Contains(err.Error(), "engine is incompatible with kmeans") {
-		t.Errorf("kmeans submission: %v, want the app table's engine refusal", err)
 	}
 	if stats, err := c.Stats(); err != nil || stats.Submitted != 0 {
 		t.Errorf("rejected specs reached the engine: %+v (err %v)", stats, err)

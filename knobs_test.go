@@ -3,7 +3,8 @@ package supmr
 // The knob table: every stream knob of Config, and every combination of
 // modes Validate rules on, crossed with the three ways a Config can name
 // its runtime — not at all (the zero value), RuntimeSupMR and
-// RuntimeTraditional. Each cell has one of three outcomes and no other:
+// RuntimeTraditional — and with a submission to a shared Engine. Each
+// cell has one of three outcomes and no other:
 //
 //   - effective: a named counter of the report moves against the row's
 //     plain run (the same config without the knob), and the digest holds
@@ -12,6 +13,9 @@ package supmr
 //     documented list — the digest, MapWaves, MergeRounds and nil
 //     IngestLaneBytes equal the plain traditional run's;
 //   - refused: an error before any input byte is read.
+//
+// An engine submission runs the pipeline, so its cells are the pipeline
+// column's: effective or refused, never set aside.
 
 import (
 	"fmt"
@@ -48,8 +52,8 @@ type knobRow struct {
 	moved   func(plain, got *Stats) bool
 	// changesOutput marks a knob that exists to change the output.
 	changesOutput bool
-	// pipeline is the outcome with no runtime named and under
-	// RuntimeSupMR; traditional, under the preset.
+	// pipeline is the outcome with no runtime named, under RuntimeSupMR
+	// and on an engine; traditional, under the preset.
 	pipeline, traditional cellOutcome
 }
 
@@ -93,7 +97,10 @@ func TestConfigKnobTable(t *testing.T) {
 			return in
 		}
 		clk := NewClock()
-		cfg.Clock, cfg.Workers = clk, 2
+		cfg.Clock = clk
+		if cfg.Workers == 0 {
+			cfg.Workers = 2
+		}
 		switch {
 		case r.files:
 			files := make([]Input, len(docs))
@@ -116,9 +123,17 @@ func TestConfigKnobTable(t *testing.T) {
 			return RunFile[string, int64](WordCountJob(), wrap(MemoryFile("text", text, clk)), WordCountContainer(16), cfg)
 		}
 	}
+	store, err := NewMemoStore(MemoConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	eng := NewEngine(EngineConfig{Workers: 2, IOLanes: 4})
+	defer eng.Close()
 	mapWavesUp := func(p, g *Stats) bool { return g.MapWaves > p.MapWaves }
 	mapWavesDown := func(p, g *Stats) bool { return g.MapWaves < p.MapWaves }
 	rows := []knobRow{
+		{name: "Workers", set: func(c *Config) { c.Workers = 1 }, counter: "Splits", moved: func(p, g *Stats) bool { return g.Splits < p.Splits }},
 		{name: "ChunkBytes", set: chunked(32 << 10), counter: "MapWaves", moved: mapWavesUp, traditional: setAside},
 		{name: "IOLanes", base: chunked(32 << 10), set: func(c *Config) { c.IOLanes = 4 },
 			counter: "IngestLaneBytes", moved: func(p, g *Stats) bool { return p.IngestLaneBytes == nil && len(g.IngestLaneBytes) == 4 },
@@ -150,6 +165,8 @@ func TestConfigKnobTable(t *testing.T) {
 		{name: "MemoryBudget", base: chunked(32 << 10), set: func(c *Config) { c.MemoryBudget = 16 << 10 },
 			counter: "SpilledRuns", moved: func(p, g *Stats) bool { return p.SpilledRuns == 0 && g.SpilledRuns > 0 }, traditional: refused},
 		{name: "MemoryBudget+Memo", set: func(c *Config) { c.ChunkBytes, c.Memo, c.MemoryBudget = 32<<10, true, 16<<10 }, pipeline: refused, traditional: refused},
+		{name: "MemoBudget+MemoStore", set: func(c *Config) { c.ChunkBytes, c.Memo, c.MemoStore, c.MemoBudget = 32<<10, true, store, 1<<20 },
+			pipeline: refused, traditional: refused},
 		{name: "MemoryBudget+Nodes", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.MemoryBudget = 32<<10, 2, 16<<10 }, pipeline: refused, traditional: refused},
 		{name: "Memo+AdaptiveChunks", set: func(c *Config) { c.ChunkBytes, c.Memo, c.AdaptiveChunks = 32<<10, true, true }, pipeline: refused, traditional: refused},
 		{name: "Memo+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Memo, c.ResetEachRound = 32<<10, true, true }, pipeline: refused, traditional: refused},
@@ -164,6 +181,7 @@ func TestConfigKnobTable(t *testing.T) {
 		{"unset", func(*Config) {}},
 		{"supmr", func(c *Config) { c.Runtime = RuntimeSupMR }},
 		{"traditional", func(c *Config) { c.Runtime = RuntimeTraditional }},
+		{"engine", func(c *Config) { c.Engine = eng }},
 	}
 
 	// The two defaults every row's plain run stands on: the zero Config
@@ -194,6 +212,16 @@ func TestConfigKnobTable(t *testing.T) {
 		}
 		if a, b, c := renderWC(plain.Pairs), renderWC(trad.Pairs), renderWC(piped.Pairs); a != b || a != c {
 			t.Error("the defaults disagree on the output")
+		}
+	})
+
+	// The engine's shared store has its own budget, as a supplied one does.
+	t.Run("MemoBudget+engine store", func(t *testing.T) {
+		shared := NewEngine(EngineConfig{Workers: 2, Memo: store})
+		defer shared.Close()
+		_, err := run(t, knobRow{}, Config{Engine: shared, ChunkBytes: 32 << 10, Memo: true, MemoBudget: 1 << 20}, true)
+		if err == nil || !strings.HasPrefix(err.Error(), "supmr: MemoBudget") {
+			t.Fatalf("%v, want a refusal", err)
 		}
 	})
 
@@ -302,5 +330,50 @@ func TestRuntimeReadOnce(t *testing.T) {
 	}
 	if len(sites) != 1 || !sites["Config.resolve"] {
 		t.Errorf(".Runtime is read in %v; only Config.resolve may read it", sites)
+	}
+}
+
+// TestNoKnobIgnored is a vet-style check on the API's promise that a
+// knob takes effect or is refused: no doc comment of a field of Config,
+// EngineConfig or Report calls anything "ignored" or "disabled".
+func TestNoKnobIgnored(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "EngineConfig" && ts.Name.Name != "Report") {
+				return true
+			}
+			seen[ts.Name.Name] = true
+			for _, fld := range st.Fields.List {
+				doc := strings.ToLower(fld.Doc.Text() + fld.Comment.Text())
+				for _, word := range []string{"ignored", "disabled"} {
+					if strings.Contains(doc, word) {
+						t.Errorf("%s: %s.%s: its doc says %q; a knob takes effect or Validate refuses it",
+							fset.Position(fld.Pos()), ts.Name.Name, fld.Names[0].Name, word)
+					}
+				}
+			}
+			return false
+		})
+	}
+	if len(seen) != 3 {
+		t.Fatalf("found %v; the check covers Config, EngineConfig and Report", seen)
 	}
 }

@@ -333,49 +333,6 @@ func TestEngineRejectsNegativeWeight(t *testing.T) {
 	}
 }
 
-// TestEngineNotesSurfaceDisabledInstruments pins the report caveat: an
-// engine-mode run says its allocation metering is off, and a solo run
-// carries no notes.
-func TestEngineNotesSurfaceDisabledInstruments(t *testing.T) {
-	text := genText(t, 32<<10, 30)
-	clk := storage.NewFakeClock()
-	eng := NewEngine(EngineConfig{Workers: 2, Clock: clk})
-	defer eng.Close()
-
-	cfg := Config{
-		Runtime:       RuntimeSupMR,
-		ChunkBytes:    8 << 10,
-		Clock:         clk,
-		Engine:        eng,
-		TraceContexts: 4,
-	}
-	rep, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(8), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNote := func(frag string) {
-		t.Helper()
-		for _, n := range rep.Notes {
-			if strings.Contains(n, frag) {
-				return
-			}
-		}
-		t.Errorf("notes %q lack %q", rep.Notes, frag)
-	}
-	wantNote("allocation metering disabled")
-
-	// Solo run: no engine notes.
-	solo, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(8), Config{
-		Runtime: RuntimeSupMR, ChunkBytes: 8 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(solo.Notes) != 0 {
-		t.Errorf("solo run carries notes: %q", solo.Notes)
-	}
-}
-
 // TestMemoDeviceChargesTime pins that memo IO is charged on the job
 // clock: a store on a slow device makes warm lookups cost simulated
 // time (replay still beats re-mapping only because map work dominates

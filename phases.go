@@ -26,12 +26,6 @@ const (
 // PhaseTimes holds per-phase wall-clock durations.
 type PhaseTimes = metrics.PhaseTimes
 
-// PhaseAllocs holds per-phase heap-allocation deltas (see Report.Allocs).
-type PhaseAllocs = metrics.PhaseAllocs
-
-// AllocStats is one phase's allocation delta: objects and bytes.
-type AllocStats = metrics.AllocStats
-
 // UtilTrace is a collectl-style utilization time series.
 type UtilTrace = metrics.Trace
 

@@ -131,7 +131,7 @@ type Config struct {
 	// RunContext is the usual way to set it.
 	Context context.Context
 	// Workers is the number of worker goroutines per phase
-	// (default: GOMAXPROCS).
+	// (default: GOMAXPROCS; on an Engine, its whole worker count).
 	Workers int
 	// Splits is the number of input splits per map wave
 	// (default: 4*Workers).
@@ -225,10 +225,12 @@ type Config struct {
 	// grant may be smaller), and its operations interleave with
 	// concurrent jobs under the fair-share scheduler. Every mode —
 	// Memo, Nodes, MemoryBudget, egress — runs on an engine exactly as
-	// it does solo, byte-identical; Workers/IOLanes here are ignored
-	// (the engine's substrate wins) and Report.Allocs is disabled (a
-	// process-wide instrument cannot be attributed to one of several
-	// concurrent jobs). A trace covers this submission's work only.
+	// it does solo, byte-identical, with a report of the same shape.
+	// Workers and IOLanes cap this submission's share of the engine: its
+	// waves run on at most Workers of the engine's workers and its chunk
+	// reads fan over at most IOLanes of its lanes, and values above the
+	// engine's size are clamped to it. A trace covers this submission's
+	// work only.
 	Engine *Engine
 	// Tenant names the submitting tenant for the engine's per-tenant
 	// stats rollup (engine mode only; "" rolls up under "default").
@@ -236,7 +238,7 @@ type Config struct {
 	// Weight is the job's fair-share weight on the engine's operation
 	// scheduler (engine mode only; minimum and default 1 — a weight-2
 	// job receives twice the operation service of a weight-1 job; 0
-	// selects the default, negative values are rejected).
+	// selects the default, and Validate refuses negative values).
 	Weight int
 	// Memo enables content-addressed incremental recompute (single-file
 	// inputs): ingest switches to content-defined chunking (appends and
@@ -262,9 +264,10 @@ type Config struct {
 	// so distinct applications never replay each other's output ("" is a
 	// valid shared namespace).
 	MemoKeySpace string
-	// MemoBudget caps the private store built when neither MemoStore
-	// nor an engine store is supplied (default 64 MiB). Ignored when a
-	// store is supplied — its own budget governs.
+	// MemoBudget caps the private store a memoized run builds when
+	// neither MemoStore nor an engine store is supplied (default 64 MiB).
+	// A supplied store has its own budget, so Validate refuses MemoBudget
+	// beside either.
 	MemoBudget int64
 	// Nodes, when >= 1, runs the job on a simulated cluster of that many
 	// SupMR worker nodes: the same ingest loop over one persistent
@@ -322,12 +325,6 @@ type Report[K comparable, V any] struct {
 	Pairs []Pair[K, V]
 	Times metrics.PhaseTimes
 	Stats mapreduce.Stats
-	// Allocs attributes heap allocations (object count and bytes) to each
-	// phase via runtime/metrics deltas at phase boundaries. Process-wide and
-	// approximate — concurrent background allocation lands in whichever
-	// phase is open — but it makes the map hot path's allocation
-	// behaviour visible per run.
-	Allocs metrics.PhaseAllocs
 	// Trace is the job's utilization trace (present when TraceContexts
 	// was set), built from its own task spans and rooted at its start.
 	Trace *metrics.Trace
@@ -339,10 +336,6 @@ type Report[K comparable, V any] struct {
 	// one point per run written (empty when no memory budget was set or
 	// nothing spilled).
 	SpillBytes []metrics.SeriesPoint
-	// Notes lists the measurements the run could not take (allocation
-	// metering, in engine mode). A knob is never noted: it takes effect
-	// or Validate refuses it.
-	Notes []string
 	// Egress is the materialized output when Config.EgressLanes was set:
 	// the merged pairs rendered one "key\tvalue\n" line each, written as
 	// checksummed extents with a stitching manifest. It implements Input,
@@ -403,6 +396,12 @@ func (c Config) resolve() (cfg Config, whole bool, err error) {
 	if c.EgressExtentBytes < 0 {
 		return c, false, fmt.Errorf("supmr: EgressExtentBytes must be positive, got %d", c.EgressExtentBytes)
 	}
+	if c.Weight < 0 {
+		return c, false, fmt.Errorf("supmr: negative weight %d: Weight, the engine fair-share weight, must be at least 1 (0 selects the default)", c.Weight)
+	}
+	if c.MemoBudget > 0 && (c.MemoStore != nil || c.Engine != nil && c.Engine.memo != nil) {
+		return c, false, errors.New("supmr: MemoBudget is incompatible with a supplied memo store (MemoStore or the engine's shared store): the store's own budget governs")
+	}
 	merge, whole := MergePWay, c.Runtime == RuntimeTraditional
 	if whole {
 		for _, k := range []struct {
@@ -442,19 +441,6 @@ func (c Config) resolve() (cfg Config, whole bool, err error) {
 	return c, whole, nil
 }
 
-// mapreduceOptions converts a resolved Config into runtime options
-// without instrumentation: RunKMeans uses them as they are,
-// runWithExecutor adds its substrate's timer and pool.
-func mapreduceOptions(cfg Config) mapreduce.Options {
-	return mapreduce.Options{
-		Workers:       cfg.Workers,
-		Splits:        cfg.Splits,
-		Merge:         *cfg.Merge,
-		Boundary:      cfg.boundary(),
-		RadixDisabled: cfg.radixDisabled(),
-	}
-}
-
 // Run executes the job over an explicit chunk stream. Most callers use
 // RunFile, RunFiles or RunBytes, which build the stream.
 //
@@ -485,7 +471,7 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 		return runOnEngine(cfg.Engine, job, input, cont, cfg)
 	}
 	clk := cfg.clock()
-	timer := metrics.NewTimer(clk.Now).WithAllocs()
+	timer := metrics.NewTimer(clk.Now)
 	ioWorkers := cfg.IOLanes
 	if cfg.EgressLanes > ioWorkers {
 		// Egress fans wider than ingest: size the IO pool for the wider
@@ -498,17 +484,12 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 		Now:       clk.Now,
 	})
 	defer pool.Close()
-	rep, err := runWithExecutor(job, input, cont, cfg, runSubstrate{
+	return runWithExecutor(job, input, cont, cfg, runSubstrate{
 		pool:   pool,
 		clk:    clk,
 		timer:  timer,
 		budget: cfg.MemoryBudget,
 	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Allocs = timer.Allocs()
-	return rep, nil
 }
 
 // runSubstrate is the execution substrate a run is bound to: a
@@ -534,8 +515,6 @@ type runSubstrate struct {
 // substrate-independent part of the Report — its trace too, from the
 // executor's spans, which are this job's alone on either substrate.
 func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V], cfg Config, sub runSubstrate) (*Report[K, V], error) {
-	ro := mapreduceOptions(cfg)
-	ro.Timer, ro.Pool = sub.timer, sub.pool
 	if cfg.TraceContexts > 0 {
 		sub.timer.WithMarkers()
 	}
@@ -560,7 +539,14 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		defer store.Close()
 	}
 	co := core.Options{
-		Options: ro,
+		Options: mapreduce.Options{
+			Splits:        cfg.Splits,
+			Merge:         *cfg.Merge,
+			Boundary:      cfg.boundary(),
+			RadixDisabled: cfg.radixDisabled(),
+			Timer:         sub.timer,
+			Pool:          sub.pool,
+		},
 		Topology: shuffle.Topology{
 			Nodes:       cfg.Nodes,
 			CombinerOff: cfg.innodeCombinerOff(),

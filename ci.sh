@@ -48,6 +48,12 @@ echo "== race: chaos + differential with striped ingest =="
 SUPMR_IO_LANES=4 SUPMR_PREFETCH_DEPTH=3 \
     go test -race -count=1 -run 'TestChaos|TestDifferential' .
 
+echo "== race: reads in flight =="
+# The pump keeps up to PrefetchDepth chunk reads in flight on the IO
+# lanes; every way a job can end early must join them all and hand every
+# buffer back, and the read schedule must not depend on wait timing.
+go test -race -count=3 -run 'TestPrefetchRingDrainsOnMidStreamError|TestReadAheadSchedule' ./internal/core/
+
 echo "== race: out-of-core repeats =="
 # The out-of-core finish shares state across goroutines by design — the
 # grouped drain, run blocks decoded a block ahead on the IO lanes, reads
@@ -86,6 +92,7 @@ echo "== fuzz ($FUZZTIME per target) =="
 # in the package's testdata/fuzz/ — fix it and commit the file as a seed.
 for target in \
     kv:FuzzScanWordsVsReference \
+    chunk:FuzzInterFileVsReference \
     container:FuzzFlatCombiner \
     memo:FuzzCacheReplay \
     spill:FuzzRunDecode \

@@ -58,19 +58,17 @@ func (c *CDCFile) SetFetcher(f *Fetcher) { c.fetcher = f }
 func (c *CDCFile) TotalBytes() int64 { return c.file.Size() }
 
 // fetch appends up to want more bytes from the file to buf.
-func (c *CDCFile) fetch(buf []byte, want int64) ([]byte, error) {
-	if rest := c.file.Size() - c.off; want > rest {
-		want = rest
-	}
+func (c *CDCFile) fetch(buf []byte, want int) ([]byte, error) {
+	want = int(min(int64(want), c.file.Size()-c.off))
 	if want <= 0 {
 		return buf, nil
 	}
 	start := len(buf)
-	buf = growTo(buf, int(want))
+	buf = growTo(buf, want)
 	if err := c.fetcher.fetchInto(c.file, buf[start:], c.off); err != nil {
 		return nil, fmt.Errorf("chunk: cdc ingest of chunk %d failed: %w", c.index, err)
 	}
-	c.off += want
+	c.off += int64(want)
 	return buf, nil
 }
 
@@ -82,14 +80,14 @@ func (c *CDCFile) Next() (*Chunk, error) {
 	if c.off >= size && len(c.carry) == 0 {
 		return nil, io.EOF
 	}
-	max := int64(c.chunker.Max)
-	ch := c.fetcher.acquire(max + extendStep)
+	max := c.chunker.Max
+	ch := c.fetcher.acquire(int64(max) + extendStep)
 	buf := append(ch.backing[:0], c.carry...)
 	c.carry = c.carry[:0]
 
-	if int64(len(buf)) < max {
+	if len(buf) < max {
 		var err error
-		buf, err = c.fetch(buf, max-int64(len(buf)))
+		buf, err = c.fetch(buf, max-len(buf))
 		if err != nil {
 			return nil, err
 		}
@@ -102,49 +100,13 @@ func (c *CDCFile) Next() (*Chunk, error) {
 	}
 
 	// Extend the content-defined cut to the end of the record in
-	// progress, mirroring InterFile: exact for fixed-width records, a
-	// forward scan for delimiter-terminated ones. The extension reads
-	// only bytes up to the next terminator, so it too is a function of
-	// local content — boundary stability survives.
+	// progress, mirroring InterFile. The extension reads only bytes up
+	// to the next terminator, so it too is a function of local content —
+	// boundary stability survives.
 	if cut < len(buf) || c.off < size {
-		switch {
-		case c.boundary.Complete(buf[:cut]):
-			// Already on a record boundary.
-		default:
-			if need := c.boundary.Need(c.emitted + int64(cut)); need >= 0 {
-				cut += int(need)
-				for len(buf) < cut && c.off < size {
-					var err error
-					buf, err = c.fetch(buf, int64(cut-len(buf)))
-					if err != nil {
-						return nil, err
-					}
-				}
-				if cut > len(buf) {
-					cut = len(buf)
-				}
-			} else {
-				scanFrom := cut - 1
-				if scanFrom < 0 {
-					scanFrom = 0
-				}
-				for {
-					if i := c.boundary.Scan(buf[scanFrom:]); i >= 0 {
-						cut = scanFrom + i
-						break
-					}
-					if c.off >= size {
-						cut = len(buf) // unterminated tail: last chunk keeps it
-						break
-					}
-					scanFrom = len(buf) - 1
-					var err error
-					buf, err = c.fetch(buf, extendStep)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
+		var err error
+		if buf, cut, err = toBoundary(c.boundary, buf, cut, c.emitted+int64(cut), c.fetch); err != nil {
+			return nil, err
 		}
 	}
 

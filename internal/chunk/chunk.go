@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"supmr/internal/storage"
 )
@@ -30,12 +31,20 @@ type Chunk struct {
 	Sum    [32]byte
 	HasSum bool
 
-	backing []byte    // full pooled buffer backing Data
-	free    *FreeList // freelist to return to on Release; nil when unpooled
+	backing  []byte        // full pooled buffer backing Data
+	free     *FreeList     // freelist to return to on Release; nil when unpooled
+	slot     chan struct{} // a read-ahead stream's buffer budget, given back on Release
+	readAt   time.Duration // when the read the chunk started from was issued
+	readDone time.Duration // when that read's last byte arrived
 }
 
 // Size returns the chunk payload size.
 func (c *Chunk) Size() int64 { return int64(len(c.Data)) }
+
+// ReadSpan reports when the read this chunk started from was issued and
+// when its last byte arrived, on the clock InterFile.SetReadAhead gave;
+// zeros for other streams.
+func (c *Chunk) ReadSpan() (issued, done time.Duration) { return c.readAt, c.readDone }
 
 // Release returns the chunk's buffer to its stream's freelist once the
 // consumer is done with the bytes — after the map wave that ran over
@@ -44,13 +53,18 @@ func (c *Chunk) Size() int64 { return int64(len(c.Data)) }
 // Release, Data and Files must no longer be read: the buffer and the
 // chunk header are reused for a future chunk.
 func (c *Chunk) Release() {
-	if c == nil || c.free == nil {
+	if c == nil {
 		return
 	}
-	f := c.free
-	c.free = nil
-	c.Data = nil
-	f.release(c)
+	f, slot := c.free, c.slot
+	c.free, c.slot = nil, nil
+	if f != nil {
+		c.Data = nil
+		f.release(c)
+	}
+	if slot != nil {
+		<-slot // after the buffer is back, so the stream waiting on the slot reuses it
+	}
 }
 
 // Input is any byte source chunkers can ingest from: a simulated local
@@ -152,8 +166,39 @@ func (b FixedBoundary) Need(cur int64) int64 {
 }
 
 // extendStep is how many bytes the inter-file chunker reads at a time
-// while hunting for the record terminator past the nominal cut.
+// while hunting for the record terminator past the nominal cut, and the
+// headroom in front of every read-ahead buffer that receives the carry.
 const extendStep = 4096
+
+// toBoundary moves cut (at file offset at) forward to the end of the
+// record in progress: exact for fixed-width records, a forward scan —
+// one byte of overlap for multi-byte terminators — for the others.
+// more appends up to want bytes to buf, none at the end of the input.
+func toBoundary(b Boundary, buf []byte, cut int, at int64, more func([]byte, int) ([]byte, error)) ([]byte, int, error) {
+	if b.Complete(buf[:cut]) {
+		return buf, cut, nil
+	}
+	var err error
+	if need := b.Need(at); need >= 0 {
+		cut += int(need)
+		for n := len(buf); n < cut; n = len(buf) {
+			if buf, err = more(buf, cut-n); err != nil || len(buf) == n {
+				break
+			}
+		}
+		return buf, min(cut, len(buf)), err
+	}
+	for scanFrom := max(cut-1, 0); ; {
+		if i := b.Scan(buf[scanFrom:]); i >= 0 {
+			return buf, scanFrom + i, nil
+		}
+		n := len(buf)
+		if buf, err = more(buf, extendStep); err != nil || len(buf) == n {
+			return buf, len(buf), err
+		}
+		scanFrom = n - 1
+	}
+}
 
 // InterFile splits one large file into chunks of a nominal size, adjusting
 // each split point forward to the next record boundary ("it seeks to the
@@ -161,20 +206,62 @@ const extendStep = 4096
 // or value, and then continually increases the split point until reaching
 // the end of the value", §III-A1). Bytes read past a cut are carried into
 // the next chunk, so every input byte crosses the device exactly once.
+//
+// Reads run ahead of the cuts: at read-ahead depth d (SetReadAhead; 1 by
+// default) the reads for chunks up to index+d-1 are issued before chunk
+// index is cut, read k ending at s[k-d+1] + d*C + extendStep, where s[i]
+// is chunk i's first byte (i*C before chunk 0) and C the nominal size —
+// at depth 1, the nominal chunk plus the boundary-hunt margin. Each read
+// lands in the pooled buffer of the chunk it starts, behind extendStep
+// bytes of headroom that take the carry.
 type InterFile struct {
 	file      Input
 	chunkSize int64
 	boundary  Boundary
-	off       int64  // next unread file offset
+	off       int64  // end of the bytes requested so far
 	emitted   int64  // total bytes already emitted in chunks
 	carry     []byte // bytes read past the previous cut (persistent scratch)
 	index     int
 	fetcher   *Fetcher // optional multi-lane reads + buffer freelist
+
+	depth  int                  // reads kept in flight
+	slots  chan struct{}        // one per live buffer; nil: unbudgeted
+	now    func() time.Duration // stamps each read's issue and completion; nil: unstamped
+	ahead  []inflight           // issued reads, oldest first
+	issued int                  // reads sized so far, empty ones included
+	skip   int                  // bytes of ahead[0] an earlier cut already took
+}
+
+// inflight is one issued read: n bytes landing in ch's buffer after
+// extendStep bytes of headroom.
+type inflight struct {
+	ch *Chunk
+	n  int
+	r  *read
 }
 
 // SetFetcher installs the multi-lane fetcher subsequent Next calls read
 // and pool buffers through.
 func (c *InterFile) SetFetcher(f *Fetcher) { c.fetcher = f }
+
+// SetReadAhead keeps up to depth reads in flight (at least one), stamps
+// each on now for Chunk.ReadSpan, and budgets reads in flight plus
+// chunks not yet released at max(depth, 2) buffers: depth reads are in
+// flight while the mappers wait, on the buffers a serial stream uses.
+func (c *InterFile) SetReadAhead(depth int, now func() time.Duration) {
+	c.depth, c.now = max(depth, 1), now
+	c.slots = make(chan struct{}, max(depth, 2))
+}
+
+// Drain joins every read still in flight and releases its buffer; the
+// SupMR pipeline calls it once it stops reading.
+func (c *InterFile) Drain() {
+	for _, p := range c.ahead {
+		_ = p.r.join() // the job is over; only that no wait outlives it matters
+		p.ch.Release()
+	}
+	c.ahead, c.skip = nil, 0
+}
 
 // NewInterFile builds the inter-file chunker. chunkSize is the
 // user-specified nominal chunk size in bytes.
@@ -188,7 +275,7 @@ func NewInterFile(file Input, chunkSize int64, b Boundary) (*InterFile, error) {
 	if b == nil {
 		return nil, errors.New("chunk: inter-file chunker requires a boundary")
 	}
-	return &InterFile{file: file, chunkSize: chunkSize, boundary: b}, nil
+	return &InterFile{file: file, chunkSize: chunkSize, boundary: b, depth: 1}, nil
 }
 
 // TotalBytes returns the file size.
@@ -206,103 +293,130 @@ func (c *InterFile) SetChunkSize(n int64) {
 	}
 }
 
-// fetch appends up to want more bytes from the file to buf.
-func (c *InterFile) fetch(buf []byte, want int64) ([]byte, error) {
-	if rest := c.file.Size() - c.off; want > rest {
-		want = rest
+// acquire takes a buffer of at least n bytes, first waiting for a
+// buffer of the budget to come back when all are live.
+func (c *InterFile) acquire(n int64) *Chunk {
+	if c.slots != nil {
+		c.slots <- struct{}{}
 	}
-	if want <= 0 {
-		return buf, nil
-	}
-	start := len(buf)
-	buf = growTo(buf, int(want))
-	if err := c.fetcher.fetchInto(c.file, buf[start:], c.off); err != nil {
-		return nil, fmt.Errorf("chunk: ingest of chunk %d failed: %w", c.index, err)
-	}
-	c.off += want
-	return buf, nil
+	ch := c.fetcher.acquire(n)
+	ch.slot = c.slots
+	return ch
 }
 
-// Next ingests the next chunk. The device is asked for the nominal chunk
-// plus a small margin in one request; the cut lands on the first record
-// boundary at or past the nominal size and the remainder carries forward.
-func (c *InterFile) Next() (*Chunk, error) {
-	size := c.file.Size()
-	if c.off >= size && len(c.carry) == 0 {
-		return nil, io.EOF
+// readAhead issues the reads chunks index..index+depth-1 start from; a
+// read the requested bytes already cover is empty and skipped, and
+// nothing is issued past a failed issue.
+func (c *InterFile) readAhead() {
+	for ; c.issued < c.index+c.depth; c.issued++ {
+		if n := len(c.ahead); n > 0 && c.ahead[n-1].r.err != nil {
+			return
+		}
+		end := min(c.file.Size(), c.emitted+int64(c.issued-c.index+1)*c.chunkSize+extendStep)
+		if end <= c.off {
+			continue
+		}
+		n := end - c.off
+		ch := c.acquire(max(n, c.chunkSize+extendStep) + extendStep)
+		c.ahead = append(c.ahead, inflight{ch: ch, n: int(n),
+			r: c.fetcher.issue(c.file, ch.backing[extendStep:extendStep+n], c.off, c.now)})
+		c.off = end
 	}
-	ch := c.fetcher.acquire(c.chunkSize + extendStep)
-	buf := append(ch.backing[:0], c.carry...)
-	c.carry = c.carry[:0]
+}
 
-	// One read covering the nominal chunk plus the boundary-hunt margin.
-	if int64(len(buf)) < c.chunkSize+extendStep {
-		var err error
-		buf, err = c.fetch(buf, c.chunkSize+extendStep-int64(len(buf)))
-		if err != nil {
+// take starts the next chunk: the oldest read in flight, joined, with
+// the carry copied in front of its bytes — into the headroom, or over
+// bytes an earlier cut copied out already — or, with no read in flight,
+// the carry alone. The chunk comes back with a failed join's error.
+func (c *InterFile) take() (*Chunk, []byte, error) {
+	if len(c.ahead) == 0 {
+		if len(c.carry) == 0 && c.off >= c.file.Size() {
+			return nil, nil, io.EOF
+		}
+		ch := c.acquire(c.chunkSize + 2*extendStep)
+		return ch, append(ch.backing[:0], c.carry...), nil
+	}
+	p, head := c.ahead[0], extendStep+c.skip
+	c.ahead, c.skip = c.ahead[1:], 0
+	if err := p.r.join(); err != nil {
+		return p.ch, nil, err
+	}
+	ch, tail := p.ch, extendStep+p.n
+	ch.readAt, ch.readDone = p.r.at, p.r.done
+	data := ch.backing[max(head-len(c.carry), 0):tail]
+	if len(c.carry) > head { // only after a resize or a record longer than the reads in flight
+		data = append(make([]byte, len(c.carry), len(c.carry)+tail-head), ch.backing[head:tail]...)
+		ch.backing = data
+	}
+	copy(data, c.carry)
+	return ch, data, nil
+}
+
+// more appends up to want bytes to data, the chunk ch is building: the
+// head of the oldest read in flight or, with none, a read of its own
+// at the end of the bytes requested (depth 1's extension read).
+func (c *InterFile) more(ch *Chunk, data []byte, want int) ([]byte, error) {
+	n := len(data)
+	if len(c.ahead) == 0 {
+		want = int(min(int64(want), c.file.Size()-c.off))
+		if want <= 0 {
+			return data, nil
+		}
+		data = grow(ch, data, want)
+		if err := c.fetcher.fetchInto(c.file, data[n:], c.off); err != nil {
 			return nil, err
 		}
+		c.off += int64(want)
+		return data, nil
 	}
+	p := c.ahead[0]
+	if err := p.r.join(); err != nil {
+		return nil, err
+	}
+	src := p.ch.backing[extendStep+c.skip : extendStep+p.n]
+	want = min(want, len(src))
+	data = grow(ch, data, want)
+	copy(data[n:], src)
+	if c.skip += want; c.skip == p.n {
+		c.ahead, c.skip = c.ahead[1:], 0
+		p.ch.Release()
+	}
+	return data, nil
+}
 
-	cut := len(buf)
-	if int64(len(buf)) > c.chunkSize {
-		nominal := int(c.chunkSize)
-		switch {
-		case c.boundary.Complete(buf[:nominal]):
-			cut = nominal
-		default:
-			if need := c.boundary.Need(c.emitted + c.chunkSize); need >= 0 {
-				// Fixed-width records: exact extension, no scanning.
-				cut = nominal + int(need)
-				for int64(len(buf)) < int64(cut) && c.off < size {
-					var err error
-					buf, err = c.fetch(buf, int64(cut-len(buf)))
-					if err != nil {
-						return nil, err
-					}
-				}
-				if cut > len(buf) {
-					cut = len(buf)
-				}
-			} else {
-				// Delimiter-terminated records: scan forward (with one
-				// byte of overlap for multi-byte terminators), reading
-				// more as needed.
-				scanFrom := nominal - 1
-				if scanFrom < 0 {
-					scanFrom = 0
-				}
-				for {
-					if i := c.boundary.Scan(buf[scanFrom:]); i >= 0 {
-						cut = scanFrom + i
-						break
-					}
-					if c.off >= size {
-						cut = len(buf) // unterminated tail: last chunk keeps it
-						break
-					}
-					scanFrom = len(buf) - 1
-					var err error
-					buf, err = c.fetch(buf, extendStep)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
+// Next ingests the next chunk: it tops up the reads in flight, takes the
+// oldest behind the carry and cuts on the first record boundary at or
+// past the nominal size; bytes past the cut carry into the next chunk.
+func (c *InterFile) Next() (*Chunk, error) {
+	c.readAhead()
+	ch, data, err := c.take()
+	if ch == nil {
+		return nil, err
+	}
+	more := func(b []byte, want int) ([]byte, error) { return c.more(ch, b, want) }
+	nominal := int(c.chunkSize)
+	// Reach past the nominal cut: a read sized before a resize, or after
+	// a record longer than the reads in flight, may fall short of it.
+	for n := len(data); err == nil && n <= nominal; n = len(data) {
+		if data, err = more(data, nominal+extendStep-n); len(data) == n {
+			break
 		}
 	}
-
-	// Carry the over-read remainder into the next chunk. Copy it into the
-	// persistent carry scratch: the chunk's data slice shares buf's
-	// backing array and is handed to mapper threads that run concurrently
-	// with the next ingest.
-	if cut < len(buf) {
-		c.carry = append(c.carry[:0], buf[cut:]...)
+	cut := len(data)
+	if err == nil && cut > nominal {
+		data, cut, err = toBoundary(c.boundary, data, nominal, c.emitted+c.chunkSize, more)
 	}
+	if err != nil {
+		ch.Release()
+		return nil, fmt.Errorf("chunk: ingest of chunk %d failed: %w", c.index, err)
+	}
+	// Copy the remainder into the persistent carry scratch: the chunk's
+	// data shares its buffer with the bytes past the cut and is handed
+	// to mapper threads that run concurrently with the next ingest.
+	c.carry = append(c.carry[:0], data[cut:]...)
 	c.emitted += int64(cut)
-	ch.backing = buf
 	ch.Index = c.index
-	ch.Data = buf[:cut:cut]
+	ch.Data = data[:cut:cut]
 	ch.Files = append(ch.Files, c.file.Name())
 	c.index++
 	return ch, nil
@@ -431,6 +545,16 @@ func (c *WholeInput) Next() (*Chunk, error) {
 		ch.Release()
 	}
 	return &Chunk{Data: buf, Files: names}, nil
+}
+
+// grow extends data, the chunk ch is building, by n bytes, rebinding
+// ch's buffer when the bytes had to move.
+func grow(ch *Chunk, data []byte, n int) []byte {
+	g := growTo(data, n)
+	if cap(g) != cap(data) {
+		ch.backing = g
+	}
+	return g
 }
 
 // growTo extends buf by n bytes, reallocating with amortized doubling

@@ -3,6 +3,7 @@ package chunk
 import (
 	"io"
 	"sync"
+	"time"
 )
 
 // IssueReader is the two-phase read contract of the multi-lane ingest
@@ -76,7 +77,7 @@ func (l *FreeList) Parked() int {
 // capHint capacity, allocating one when the list is empty.
 func (l *FreeList) acquire(capHint int64) *Chunk {
 	if l == nil {
-		return &Chunk{}
+		return &Chunk{backing: make([]byte, 0, capHint)}
 	}
 	l.mu.Lock()
 	var c *Chunk
@@ -100,6 +101,7 @@ func (l *FreeList) acquire(capHint int64) *Chunk {
 	// emits it into the container as posting lists).
 	c.Files = nil
 	c.HasSum = false
+	c.readAt, c.readDone = 0, 0
 	c.free = l
 	return c
 }
@@ -158,7 +160,7 @@ func (f *Fetcher) Lanes() int {
 // capHint capacity, allocating one when the freelist is empty.
 func (f *Fetcher) acquire(capHint int64) *Chunk {
 	if f == nil {
-		return &Chunk{}
+		return (*FreeList)(nil).acquire(capHint)
 	}
 	return f.list.acquire(capHint)
 }
@@ -169,64 +171,93 @@ type seg struct {
 	off int64
 }
 
-// fetchInto fills buf from in starting at off. With a single lane (or
-// no dispatch, or a nil fetcher) it is exactly the serial readFull;
-// otherwise buf is split into up to Lanes segments whose waits execute
-// concurrently across the IO lanes while every issue — including
-// short-read remainders — happens here, serially, in offset order.
-//
-// Error semantics mirror readFull: a read that made progress has its
-// remainder retried regardless of the error; a read that returned zero
-// bytes fails the fetch (io.ErrUnexpectedEOF when it reported no
-// error). When several segments fail in one round the lowest-offset
-// failure wins, which is the same error the serial path would have hit
-// first — and, like the serial path, segments past a failed issue are
-// never issued.
-func (f *Fetcher) fetchInto(in Input, buf []byte, off int64) error {
-	if f == nil || f.lanes <= 1 || f.dispatch == nil || len(buf) < 2*minSegment {
-		return readFull(in, buf, off)
-	}
-	ir, _ := in.(IssueReader)
-	if ir == nil {
-		// No issue/wait split: the input cannot guarantee a deterministic
-		// operation order under concurrency, so read it serially.
-		return readFull(in, buf, off)
-	}
+// read is one issued fetch: its segments are on the device and their
+// waits on the IO lanes until join completes it.
+type read struct {
+	f        *Fetcher
+	ir       IssueReader
+	now      func() time.Duration // stamps at and done
+	flights  []flight
+	err      error         // the failed issue, or the serial read's result
+	at, done time.Duration // when the read was issued and its last wait returned
+}
 
-	work := splitSegments(buf, off, f.lanes)
-	for len(work) > 0 {
-		type flight struct {
-			s    seg
-			n    int
-			err  error
-			join func() error
+// flight is one dispatched segment wait.
+type flight struct {
+	s    seg
+	n    int
+	err  error
+	at   time.Duration // when the wait returned
+	join func() error
+}
+
+// fetchInto fills buf from in starting at off: an issue joined at once.
+func (f *Fetcher) fetchInto(in Input, buf []byte, off int64) error {
+	return f.issue(in, buf, off, nil).join()
+}
+
+// issue starts filling buf from in at off and returns at once; join
+// completes the read. buf is split into up to Lanes segments, each
+// issued here — serially, in offset order, on the calling goroutine —
+// and its wait dispatched to an IO lane. Without a dispatch, on a nil
+// fetcher, or from an input without the issue/wait split (which cannot
+// promise a deterministic operation order under concurrency) the read
+// is the serial readFull, done here. now, when set, stamps the read's
+// issue and completion times.
+func (f *Fetcher) issue(in Input, buf []byte, off int64, now func() time.Duration) *read {
+	if now == nil {
+		now = func() time.Duration { return 0 }
+	}
+	r := &read{f: f, now: now, at: now()}
+	if r.ir, _ = in.(IssueReader); f == nil || f.dispatch == nil || r.ir == nil {
+		r.err = readFull(in, buf, off)
+		r.done = now()
+		return r
+	}
+	r.round(splitSegments(buf, off, f.lanes))
+	return r
+}
+
+// round issues work serially and dispatches each wait; like the serial
+// path, segments past a failed issue are never issued.
+func (r *read) round(work []seg) {
+	// Fixed capacity: dispatched closures hold pointers into this slice,
+	// so it must never reallocate.
+	r.flights = make([]flight, 0, len(work))
+	for _, s := range work {
+		wait, err := r.ir.IssueReadAt(s.buf, s.off)
+		if err != nil {
+			r.err = err
+			return
 		}
-		// Fixed capacity: dispatched closures hold pointers into this
-		// slice, so it must never reallocate.
-		flights := make([]flight, 0, len(work))
-		var issueErr error
-		for _, s := range work {
-			wait, err := ir.IssueReadAt(s.buf, s.off)
-			if err != nil {
-				issueErr = err
-				break
-			}
-			flights = append(flights, flight{s: s})
-			fl := &flights[len(flights)-1]
-			fl.join = f.dispatch(int64(len(s.buf)), func() { fl.n, fl.err = wait() })
-		}
-		// Join every dispatched wait before touching buf or returning:
-		// segment waits write into the caller's buffer and must not
-		// outlive this call, error or not.
+		r.flights = append(r.flights, flight{s: s})
+		fl := &r.flights[len(r.flights)-1]
+		fl.join = r.f.dispatch(int64(len(s.buf)), func() { fl.n, fl.err = wait(); fl.at = r.now() })
+	}
+}
+
+// join completes the read and returns its error; it is idempotent.
+// Every dispatched wait is joined before any result is looked at —
+// waits write into the caller's buffer and must not outlive the read —
+// and short-read remainders are issued in further rounds, here. Errors
+// mirror readFull: a segment that made progress has its remainder
+// retried regardless of the error, one that returned zero bytes fails
+// the read (io.ErrUnexpectedEOF when it reported no error), and the
+// lowest-offset failure of a round wins, as on the serial path.
+func (r *read) join() error {
+	for len(r.flights) > 0 {
+		flights := r.flights
+		r.flights = nil
 		for i := range flights {
 			if jErr := flights[i].join(); jErr != nil {
 				flights[i].n, flights[i].err = 0, jErr
 			}
+			r.done = max(r.done, flights[i].at)
 		}
-		if issueErr != nil {
-			return issueErr
+		if r.err != nil {
+			return r.err
 		}
-		next := work[:0]
+		var next []seg
 		for i := range flights {
 			fl := &flights[i]
 			switch {
@@ -235,14 +266,19 @@ func (f *Fetcher) fetchInto(in Input, buf []byte, off int64) error {
 			case fl.n > 0:
 				next = append(next, seg{buf: fl.s.buf[fl.n:], off: fl.s.off + int64(fl.n)})
 			case fl.err != nil:
-				return fl.err
+				r.err = fl.err
 			default:
-				return io.ErrUnexpectedEOF
+				r.err = io.ErrUnexpectedEOF
+			}
+			if r.err != nil {
+				return r.err
 			}
 		}
-		work = next
+		if len(next) > 0 {
+			r.round(next)
+		}
 	}
-	return nil
+	return r.err
 }
 
 // splitSegments cuts [off, off+len(buf)) into at most lanes segments of

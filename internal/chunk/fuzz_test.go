@@ -51,13 +51,6 @@ func FuzzInterFileCoverage(f *testing.F) {
 	})
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // FuzzSplitBuffer checks that in-memory splitting covers the buffer
 // exactly and respects record boundaries.
 func FuzzSplitBuffer(f *testing.F) {
@@ -205,6 +198,164 @@ func FuzzCRLFBoundary(f *testing.F) {
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatal("coverage broken")
+		}
+	})
+}
+
+// refInterFile is InterFile.Next as it was before reads ran ahead — one
+// request for the nominal chunk plus the boundary-hunt margin, then
+// extension reads while hunting — kept as the reference the read-ahead
+// chunker must reproduce chunk for chunk.
+type refInterFile struct {
+	file      Input
+	chunkSize int64
+	boundary  Boundary
+	off       int64
+	emitted   int64
+	carry     []byte
+	index     int
+}
+
+func (c *refInterFile) fetch(buf []byte, want int64) ([]byte, error) {
+	if rest := c.file.Size() - c.off; want > rest {
+		want = rest
+	}
+	if want <= 0 {
+		return buf, nil
+	}
+	start := len(buf)
+	buf = growTo(buf, int(want))
+	if err := readFull(c.file, buf[start:], c.off); err != nil {
+		return nil, err
+	}
+	c.off += want
+	return buf, nil
+}
+
+func (c *refInterFile) Next() (*Chunk, error) {
+	size := c.file.Size()
+	if c.off >= size && len(c.carry) == 0 {
+		return nil, io.EOF
+	}
+	buf := append([]byte(nil), c.carry...)
+	c.carry = c.carry[:0]
+	if int64(len(buf)) < c.chunkSize+extendStep {
+		var err error
+		if buf, err = c.fetch(buf, c.chunkSize+extendStep-int64(len(buf))); err != nil {
+			return nil, err
+		}
+	}
+	cut := len(buf)
+	if int64(len(buf)) > c.chunkSize {
+		nominal := int(c.chunkSize)
+		switch {
+		case c.boundary.Complete(buf[:nominal]):
+			cut = nominal
+		default:
+			if need := c.boundary.Need(c.emitted + c.chunkSize); need >= 0 {
+				cut = nominal + int(need)
+				for int64(len(buf)) < int64(cut) && c.off < size {
+					var err error
+					if buf, err = c.fetch(buf, int64(cut-len(buf))); err != nil {
+						return nil, err
+					}
+				}
+				if cut > len(buf) {
+					cut = len(buf)
+				}
+			} else {
+				scanFrom := nominal - 1
+				if scanFrom < 0 {
+					scanFrom = 0
+				}
+				for {
+					if i := c.boundary.Scan(buf[scanFrom:]); i >= 0 {
+						cut = scanFrom + i
+						break
+					}
+					if c.off >= size {
+						cut = len(buf)
+						break
+					}
+					scanFrom = len(buf) - 1
+					var err error
+					if buf, err = c.fetch(buf, extendStep); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
+	if cut < len(buf) {
+		c.carry = append(c.carry[:0], buf[cut:]...)
+	}
+	c.emitted += int64(cut)
+	ch := &Chunk{Index: c.index, Data: buf[:cut:cut], Files: []string{c.file.Name()}}
+	c.index++
+	return ch, nil
+}
+
+// FuzzInterFileVsReference: at every lane count and read-ahead depth
+// the chunker cuts exactly the reference's chunks — same index, bytes
+// and files — and the device serves every input byte exactly once,
+// whatever the records (newline, CRLF, fixed 100-byte) and chunk size.
+func FuzzInterFileVsReference(f *testing.F) {
+	f.Add([]byte("alpha beta\ngamma\n"), int64(4), uint8(0))
+	f.Add([]byte("aaaa\r\nbb\r\ncccccc\r\n"), int64(5), uint8(1))
+	f.Add(bytes.Repeat([]byte("0123456789"), 100), int64(130), uint8(2))
+	// Many chunks, each cut leaving a carry in front of a read in flight.
+	f.Add(bytes.Repeat([]byte("lorem ipsum dolor\n"), 1500), int64(1000), uint8(0))
+	// Records longer than the boundary-hunt margin and than the reads in
+	// flight: cuts reach into later reads and past all of them.
+	f.Add(append(bytes.Repeat([]byte("x"), 3*extendStep), "\nshort\n"...), int64(7), uint8(0))
+	f.Add(append(bytes.Repeat([]byte("ab\r"), 3000), "\r\n\r\nz"...), int64(1000), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, chunkSize int64, kind uint8) {
+		if chunkSize <= 0 || chunkSize > int64(len(data))+10 {
+			chunkSize = int64(len(data)%97) + 1
+		}
+		b := []Boundary{NewlineBoundary{}, CRLFBoundary{}, FixedBoundary{Width: 100}}[int(kind)%3]
+		ref := &refInterFile{file: storage.BytesFile("f", data, storage.NewNullDevice(storage.NewFakeClock())), chunkSize: chunkSize, boundary: b}
+		var want []*Chunk
+		for {
+			c, err := ref.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, c)
+		}
+		for _, lanes := range []int{1, 2, 4} {
+			for depth := 1; depth <= 3; depth++ {
+				file := storage.BytesFile("f", data, storage.NewNullDevice(storage.NewFakeClock()))
+				s, err := NewInterFile(file, chunkSize, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetFetcher(NewFetcher(lanes, goDispatch))
+				s.SetReadAhead(depth, nil)
+				for i := 0; ; i++ {
+					c, err := s.Next()
+					if errors.Is(err, io.EOF) {
+						if i != len(want) {
+							t.Fatalf("lanes %d depth %d: %d chunks, reference %d", lanes, depth, i, len(want))
+						}
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i >= len(want) || c.Index != want[i].Index || !bytes.Equal(c.Data, want[i].Data) ||
+						len(c.Files) != 1 || c.Files[0] != want[i].Files[0] {
+						t.Fatalf("lanes %d depth %d: chunk %d differs from the reference", lanes, depth, i)
+					}
+					c.Release()
+				}
+				if got := file.Device().Stats().BytesRead; got != int64(len(data)) {
+					t.Fatalf("lanes %d depth %d: device served %d bytes of %d", lanes, depth, got, len(data))
+				}
+			}
 		}
 	})
 }

@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,11 +129,11 @@ type Options struct {
 	// FaultCounters accumulates retry outcomes for the report; nil runs
 	// uncounted.
 	FaultCounters *faults.Counters
-	// PrefetchDepth is the ingest ring depth d: the pipeline keeps up to
-	// d chunks in flight ahead of the map wave. The default (<= 1) is the
-	// paper's double buffering — one chunk ahead. Deeper rings absorb
-	// ingest jitter (a slow chunk hides behind buffered ones) at the cost
-	// of d resident chunk buffers.
+	// PrefetchDepth is the ingest depth d: the pipeline keeps up to d
+	// chunks in flight ahead of the map wave — d reads outstanding on the
+	// device on a read-ahead stream, d-1 finished chunks plus the one
+	// being read otherwise. The default (<= 1) is the paper's double
+	// buffering — one chunk ahead.
 	PrefetchDepth int
 	// IOLanes is the number of IO lanes each chunk read fans out across:
 	// the read is split into up to IOLanes segments whose device waits
@@ -163,8 +164,8 @@ type Options struct {
 type Result[K comparable, V any] = mapreduce.Result[K, V]
 
 // ingestResult is one prefetched chunk: the chunk (nil at EOF), the
-// terminal error, and the ingest duration on the job clock for the
-// tuner's feedback loop.
+// terminal error, and for the tuner's feedback loop the chunk's read
+// time on the job clock (the whole Next on a stream that reads serially).
 type ingestResult struct {
 	c   *chunk.Chunk
 	err error
@@ -300,24 +301,28 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		lanes = pool.IOLanes()
 	}
 
-	// Install the multi-lane fetcher whenever the stream supports it:
-	// even a single-lane job benefits from its chunk-buffer freelist
-	// (steady-state ingest allocates O(depth) buffers, not O(chunks)).
-	// Segment waits dispatch onto the pool's IO lanes; the issue side of
-	// every read runs on the pump goroutine below.
-	if fa, ok := input.(chunk.FetcherAware); ok {
-		var dispatch chunk.Dispatch
-		if lanes > 1 {
-			dispatch = func(bytes int64, fn func()) func() error {
-				h := pool.GoIOSized("ingest", metrics.StateIOWait, bytes, func() error { fn(); return nil })
-				return h.Wait
-			}
+	// Install the fetcher whenever the stream supports it: even a
+	// single-lane job benefits from its chunk-buffer freelist (steady-state
+	// ingest allocates O(depth) buffers, not O(chunks)). The issue side of
+	// every read runs on the pump goroutine below, in stream order; the
+	// waits run on the pool's IO lanes, attributed as IO wait. A stream
+	// that reads ahead holds its `depth` chunks as reads in flight.
+	var ahead *chunk.InterFile
+	ringCap := depth - 1
+	fa, fetched := input.(chunk.FetcherAware)
+	if fetched {
+		dispatch := func(bytes int64, fn func()) func() error {
+			return pool.GoIOSized("ingest", metrics.StateIOWait, bytes, func() error { fn(); return nil }).Wait
 		}
 		list := opts.Freelist
 		if list == nil {
 			list = chunk.NewFreeList()
 		}
 		fa.SetFetcher(chunk.NewFetcherShared(lanes, dispatch, list))
+		if ahead, _ = input.(*chunk.InterFile); ahead != nil {
+			ahead.SetReadAhead(depth, pool.Now)
+			ringCap = 0
+		}
 	} else {
 		// No fetcher, nothing to fan out: the read stays one task on an
 		// IO lane, attributed as IO wait.
@@ -326,21 +331,19 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 
 	resizable, _ := input.(chunk.Resizable)
 
-	// The prefetch ring: a pump goroutine owns every stream read — and
-	// therefore every fault decision and chunk-size resize — in strict
-	// serial order, keeping up to `depth` chunks in flight ahead of the
-	// map wave. The ring channel buffers depth-1 completed chunks; the
-	// chunk being read on the pump is the depth-th. With the default
-	// depth 1 the channel is unbuffered and the schedule is exactly the
-	// single-slot double buffering: the next read starts when the
-	// previous chunk is handed to the mappers.
+	// The prefetch pump owns every stream read — and therefore every
+	// fault decision and chunk-size resize — in strict serial order,
+	// keeping up to `depth` chunks in flight ahead of the map wave. At
+	// depth 1 that is the single-slot double buffering: the next read
+	// starts when the previous chunk is handed to the mappers.
 	//
 	// Shutdown: the pump exits after delivering a terminal result (EOF
 	// or error), a whole-input stream's one chunk, or when stop closes;
-	// it always closes the ring — which the loop reads as end of input —
-	// so the failure path can drain it to completion, releasing any
-	// chunks the mappers never consumed.
-	ring := make(chan ingestResult, depth-1)
+	// it always joins the reads still in flight and closes the ring —
+	// which the loop reads as end of input — so the failure path can
+	// drain it to completion, releasing any chunks the mappers never
+	// consumed.
+	ring := make(chan ingestResult, ringCap)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	closeStop := func() { stopOnce.Do(func() { close(stop) }) }
@@ -349,11 +352,21 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 
 	readNext := func() (res ingestResult) {
 		start := pool.Now()
-		defer func() { res.dur = pool.Now() - start }()
-		if lanes > 1 {
-			// Multi-lane: Next runs here on the pump — issuing segment
-			// reads serially — while their device waits fan out across
-			// the IO lanes through the fetcher's dispatch.
+		defer func() {
+			if res.dur = pool.Now() - start; ahead != nil && res.c != nil {
+				issued, done := res.c.ReadSpan()
+				res.dur = done - issued
+			}
+		}()
+		if fetched {
+			// Next runs here on the pump — issuing reads serially — while
+			// their device waits run on the IO lanes; a panic in it fails
+			// the job as one in a lane task does.
+			defer func() {
+				if v := recover(); v != nil {
+					res = ingestResult{err: &exec.PanicError{Phase: "ingest", Task: -1, Value: v, Stack: debug.Stack()}}
+				}
+			}()
 			if err := pool.Err(); err != nil {
 				return ingestResult{err: err}
 			}
@@ -366,12 +379,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			}
 			return ingestResult{c: c}
 		}
-		// Single lane: the whole read is one task on the dedicated IO
-		// worker, exactly the single-slot pipeline, so device waits keep
-		// their IO-wait attribution. The handle always resolves — normal
-		// return, stream panic (as a *PanicError), cancellation, or
-		// refused submission — so the pump can always join the read, and
-		// Close joins any read still parked in a device wait.
+		// No fetcher: the whole read is one task on the dedicated IO
+		// worker, so device waits keep their IO-wait attribution. The
+		// handle always resolves — normal return, stream panic (as a
+		// *PanicError), cancellation, or refused submission — so the pump
+		// can always join the read, and Close joins any read still parked
+		// in a device wait.
 		h := pool.GoIO("ingest", metrics.StateIOWait, func() error {
 			if err := pool.Err(); err != nil {
 				return err
@@ -392,6 +405,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 
 	go func() {
 		defer close(ring)
+		if ahead != nil {
+			defer ahead.Drain()
+		}
 		for {
 			select {
 			case <-stop:
@@ -588,9 +604,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			parked = append(parked, out)
 		}
 		// Join the next chunk, counting how the ring performed: a chunk
-		// already buffered is a prefetch hit; otherwise the map workers
-		// sit idle for the stall time — the per-round slice of Fig. 1's
-		// ingest/compute utilization gap.
+		// already buffered, or whose read had finished, is a prefetch hit;
+		// otherwise the map workers sit idle for the stall time — the
+		// per-round slice of Fig. 1's ingest/compute utilization gap.
 		var r ingestResult
 		select {
 		case r = <-ring:
@@ -601,6 +617,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			if d := pool.Now() - stallStart; d > 0 {
 				stats.IngestStall += d
 				timer.Mark("ingest stall")
+			}
+			if ahead != nil && r.c != nil {
+				if _, done := r.c.ReadSpan(); done <= stallStart {
+					stats.PrefetchHits++
+				}
 			}
 		}
 		cur = r.c

@@ -545,23 +545,6 @@ func TestPrefetchRingCountsHitsAndStalls(t *testing.T) {
 	}
 }
 
-func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
-	// A deep ring holds chunks the mappers never consume when ingest
-	// fails mid-stream; the failure path must drain and release them —
-	// observable as a prompt return with the wrapped stream error at
-	// every depth.
-	text := genText(t, 64<<10)
-	wc := wcApp{}
-	for _, depth := range []int{1, 2, 4, 8} {
-		s := &errStream{inner: textStream(t, text, 4<<10), failAt: 5}
-		_, err := Run[string, int64](wc, s, wc.NewContainer(8),
-			Options{Options: mapreduce.Options{Workers: 2}, PrefetchDepth: depth})
-		if err == nil || !strings.Contains(err.Error(), "mid-stream ingest failure") {
-			t.Errorf("depth %d: err = %v, want the mid-stream failure", depth, err)
-		}
-	}
-}
-
 // TestBudgetRefusedWithMemoOrNodes: a memoized run's parked output and
 // a node's container have no spill path, so Run refuses a memory budget
 // beside them, before the first read, instead of running unbounded.

@@ -212,11 +212,15 @@ type Config struct {
 	// thread. Lanes split chunk reads, so a single-file input needs
 	// ChunkBytes: a whole-input read is one task on one IO lane.
 	IOLanes int
-	// PrefetchDepth is the prefetch ring depth: up to this many
-	// ingest chunks are kept in flight ahead of the map wave. <= 1 (the
-	// default) is the paper's double buffering — exactly one chunk
-	// ahead. Deeper rings smooth over ingest jitter at the cost of that
-	// many resident chunk buffers.
+	// PrefetchDepth is the ingest depth: how many chunks are kept in
+	// flight ahead of the map wave. <= 1 (the default) is the paper's
+	// double buffering — exactly one chunk ahead. On a single-file input
+	// split at ChunkBytes they are chunk reads outstanding on the device
+	// at once, so their device times overlap: up to PrefetchDepth while
+	// the mappers wait, one fewer while they hold a chunk, on
+	// max(PrefetchDepth, 2) chunk buffers. Multi-file and content-defined
+	// streams read one chunk at a time and buffer up to PrefetchDepth-1
+	// finished chunks, on PrefetchDepth+1 buffers.
 	PrefetchDepth int
 	// Engine, when set, submits the job to a shared multi-job Engine
 	// instead of creating a dedicated worker pool: the run passes

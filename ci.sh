@@ -50,7 +50,8 @@ SUPMR_IO_LANES=4 SUPMR_PREFETCH_DEPTH=3 \
 
 echo "== race: reads in flight =="
 # The pump keeps up to PrefetchDepth chunk reads in flight on the IO
-# lanes; every way a job can end early must join them all and hand every
+# lanes, under the nominal and the content-defined cut; every way a job
+# can end early, on every stream shape, must join them all and hand every
 # buffer back, and the read schedule must not depend on wait timing.
 go test -race -count=3 -run 'TestPrefetchRingDrainsOnMidStreamError|TestReadAheadSchedule' ./internal/core/
 
@@ -93,6 +94,8 @@ echo "== fuzz ($FUZZTIME per target) =="
 for target in \
     kv:FuzzScanWordsVsReference \
     chunk:FuzzInterFileVsReference \
+    chunk:FuzzCDCVsReference \
+    chunk:FuzzFilesVsReference \
     container:FuzzFlatCombiner \
     memo:FuzzCacheReplay \
     spill:FuzzRunDecode \
@@ -101,7 +104,9 @@ for target in \
     shuffle:FuzzReadRecord \
     egress:FuzzManifestDecode \
     cdc:FuzzBoundaryStability \
-    sortalgo:FuzzBlockMergeVsReference; do
+    sortalgo:FuzzBlockMergeVsReference \
+    sortalgo:FuzzMergeTreesVsReference \
+    sortalgo:FuzzRadixVsReference; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime="$FUZZTIME" "./internal/${target%%:*}/"
 done
 

@@ -9,9 +9,9 @@ import (
 	"supmr/internal/workload"
 )
 
-func newCDC(t *testing.T, data []byte, min, avg, max int64) *CDCFile {
+func newCDC(t *testing.T, data []byte, min, avg, max int64) *InterFile {
 	t.Helper()
-	s, err := NewCDCFile(memFile(t, "f", data), min, avg, max, NewlineBoundary{})
+	s, err := NewContentDefined(memFile(t, "f", data), min, avg, max, NewlineBoundary{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCDCFileCRLFRecordsWhole(t *testing.T) {
 		b.WriteString("key0123456789value")
 		b.WriteString("\r\n")
 	}
-	s, err := NewCDCFile(memFile(t, "f", b.Bytes()), 512, 1024, 4096, CRLFBoundary{})
+	s, err := NewContentDefined(memFile(t, "f", b.Bytes()), 512, 1024, 4096, CRLFBoundary{})
 	if err != nil {
 		t.Fatal(err)
 	}

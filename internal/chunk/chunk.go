@@ -1,19 +1,25 @@
 // Package chunk implements SupMR's ingest chunk management: the
 // partitioning of the input into small, similarly-sized units that the
-// ingest chunk pipeline streams through the runtime. Both chunking
-// strategies from the paper are provided — inter-file chunking (one big
-// file split at a user-defined size with record-boundary adjustment) and
-// intra-file chunking (several small files coalesced per chunk) — plus
-// the in-memory split of an ingested chunk into per-mapper input splits.
+// ingest chunk pipeline streams through the runtime. There are two
+// chunkers. InterFile cuts one big file near a size and extends each cut
+// to a record boundary, with reads running ahead of the cuts; its cut
+// lands at the nominal size (§III-A1's inter-file chunking) or, under
+// NewContentDefined, where the content says (the memo cache's chunking).
+// Files coalesces several files per chunk, up to a file count
+// (intra-file chunking) or a byte size (hybrid chunking, which splits an
+// oversized file through InterFile). SplitBuffer cuts an ingested chunk
+// into per-mapper input splits.
 package chunk
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"supmr/internal/cdc"
 	"supmr/internal/storage"
 )
 
@@ -26,8 +32,8 @@ type Chunk struct {
 	Files []string
 
 	// Sum is the SHA-256 of Data, computed on the ingest path when the
-	// stream hashes chunks (CDC ingest for the memo cache). HasSum
-	// distinguishes a real hash from a zero value.
+	// stream hashes chunks (content-defined ingest for the memo cache).
+	// HasSum distinguishes a real hash from a zero value.
 	Sum    [32]byte
 	HasSum bool
 
@@ -207,20 +213,31 @@ func toBoundary(b Boundary, buf []byte, cut int, at int64, more func([]byte, int
 // the end of the value", §III-A1). Bytes read past a cut are carried into
 // the next chunk, so every input byte crosses the device exactly once.
 //
+// A content-defined stream (NewContentDefined) differs only in where the
+// cut lands before that extension: a gear hash (internal/cdc) picks it
+// between the policy's min and max bytes as a function of the bytes
+// themselves, and each chunk carries the SHA-256 of its payload
+// (Chunk.Sum), hashed here on the ingest path. Both steps depend only on
+// content at and before the cut, which gives the memoization layer its
+// key property: appending bytes to the input, or editing bytes within
+// one chunk, changes only the affected chunks' hashes.
+//
 // Reads run ahead of the cuts: at read-ahead depth d (SetReadAhead; 1 by
 // default) the reads for chunks up to index+d-1 are issued before chunk
 // index is cut, read k ending at s[k-d+1] + d*C + extendStep, where s[i]
-// is chunk i's first byte (i*C before chunk 0) and C the nominal size —
-// at depth 1, the nominal chunk plus the boundary-hunt margin. Each read
-// lands in the pooled buffer of the chunk it starts, behind extendStep
-// bytes of headroom that take the carry.
+// is chunk i's first byte (i*C before chunk 0) and C the nominal size,
+// or the content-defined max — at depth 1, a whole chunk plus the
+// boundary-hunt margin. Each read lands in the pooled buffer of the
+// chunk it starts: right behind the carry when that is known at issue,
+// behind the headroom the carry can reach otherwise.
 type InterFile struct {
 	file      Input
 	chunkSize int64
 	boundary  Boundary
-	off       int64  // end of the bytes requested so far
-	emitted   int64  // total bytes already emitted in chunks
-	carry     []byte // bytes read past the previous cut (persistent scratch)
+	cdc       *cdc.Chunker // content-defined cut; nil cuts at chunkSize
+	off       int64        // end of the bytes requested so far
+	emitted   int64        // total bytes already emitted in chunks
+	carry     []byte       // bytes read past the previous cut (persistent scratch)
 	index     int
 	fetcher   *Fetcher // optional multi-lane reads + buffer freelist
 
@@ -233,11 +250,11 @@ type InterFile struct {
 }
 
 // inflight is one issued read: n bytes landing in ch's buffer after
-// extendStep bytes of headroom.
+// head bytes of room for the carry.
 type inflight struct {
-	ch *Chunk
-	n  int
-	r  *read
+	ch      *Chunk
+	head, n int
+	r       *read
 }
 
 // SetFetcher installs the multi-lane fetcher subsequent Next calls read
@@ -278,6 +295,23 @@ func NewInterFile(file Input, chunkSize int64, b Boundary) (*InterFile, error) {
 	return &InterFile{file: file, chunkSize: chunkSize, boundary: b, depth: 1}, nil
 }
 
+// NewContentDefined builds the content-defined chunker: an InterFile
+// whose cuts the gear-hash policy min/avg/max (in bytes, see cdc.New)
+// places, each extended to the end of its record with b, so chunks may
+// exceed max by up to one record.
+func NewContentDefined(file Input, min, avg, max int64, b Boundary) (*InterFile, error) {
+	ck, err := cdc.New(int(min), int(avg), int(max))
+	if err != nil {
+		return nil, err
+	}
+	c, err := NewInterFile(file, max, b)
+	if err != nil {
+		return nil, err
+	}
+	c.cdc = ck
+	return c, nil
+}
+
 // TotalBytes returns the file size.
 func (c *InterFile) TotalBytes() int64 { return c.file.Size() }
 
@@ -286,7 +320,9 @@ func (c *InterFile) ChunkSize() int64 { return c.chunkSize }
 
 // SetChunkSize changes the nominal size of subsequent chunks — the hook
 // the adaptive chunk-size feedback loop (internal/tuner) drives.
-// Non-positive sizes are ignored.
+// Non-positive sizes are ignored. A content-defined stream is never
+// resized: Memo refuses AdaptiveChunks, so its cuts keep following the
+// content alone.
 func (c *InterFile) SetChunkSize(n int64) {
 	if n > 0 {
 		c.chunkSize = n
@@ -306,7 +342,12 @@ func (c *InterFile) acquire(n int64) *Chunk {
 
 // readAhead issues the reads chunks index..index+depth-1 start from; a
 // read the requested bytes already cover is empty and skipped, and
-// nothing is issued past a failed issue.
+// nothing is issued past a failed issue. The first read of an empty
+// queue is the one the current chunk takes, so it lands right behind
+// the carry. A later one is issued before the cut it follows, so it
+// leaves room for the most that cut can carry: depth*(C-min) +
+// extendStep bytes, min being the shortest cut — C itself for the
+// nominal cut, which leaves extendStep.
 func (c *InterFile) readAhead() {
 	for ; c.issued < c.index+c.depth; c.issued++ {
 		if n := len(c.ahead); n > 0 && c.ahead[n-1].r.err != nil {
@@ -316,18 +357,24 @@ func (c *InterFile) readAhead() {
 		if end <= c.off {
 			continue
 		}
-		n := end - c.off
-		ch := c.acquire(max(n, c.chunkSize+extendStep) + extendStep)
-		c.ahead = append(c.ahead, inflight{ch: ch, n: int(n),
-			r: c.fetcher.issue(c.file, ch.backing[extendStep:extendStep+n], c.off, c.now)})
+		n, head := int(end-c.off), len(c.carry)
+		if len(c.ahead) > 0 {
+			head = extendStep
+			if c.cdc != nil {
+				head += c.depth * (c.cdc.Max - c.cdc.Min)
+			}
+		}
+		ch := c.acquire(max(int64(head+n), c.chunkSize+2*extendStep))
+		c.ahead = append(c.ahead, inflight{ch: ch, head: head, n: n,
+			r: c.fetcher.issue(c.file, ch.backing[head:head+n], c.off, c.now)})
 		c.off = end
 	}
 }
 
 // take starts the next chunk: the oldest read in flight, joined, with
-// the carry copied in front of its bytes — into the headroom, or over
-// bytes an earlier cut copied out already — or, with no read in flight,
-// the carry alone. The chunk comes back with a failed join's error.
+// the carry copied in front of its bytes — into the room the read left,
+// or over bytes an earlier cut copied out already — or, with no read in
+// flight, the carry alone. The chunk comes back with a failed join's error.
 func (c *InterFile) take() (*Chunk, []byte, error) {
 	if len(c.ahead) == 0 {
 		if len(c.carry) == 0 && c.off >= c.file.Size() {
@@ -336,12 +383,13 @@ func (c *InterFile) take() (*Chunk, []byte, error) {
 		ch := c.acquire(c.chunkSize + 2*extendStep)
 		return ch, append(ch.backing[:0], c.carry...), nil
 	}
-	p, head := c.ahead[0], extendStep+c.skip
+	p := c.ahead[0]
+	head := p.head + c.skip
 	c.ahead, c.skip = c.ahead[1:], 0
 	if err := p.r.join(); err != nil {
 		return p.ch, nil, err
 	}
-	ch, tail := p.ch, extendStep+p.n
+	ch, tail := p.ch, p.head+p.n
 	ch.readAt, ch.readDone = p.r.at, p.r.done
 	data := ch.backing[max(head-len(c.carry), 0):tail]
 	if len(c.carry) > head { // only after a resize or a record longer than the reads in flight
@@ -373,7 +421,7 @@ func (c *InterFile) more(ch *Chunk, data []byte, want int) ([]byte, error) {
 	if err := p.r.join(); err != nil {
 		return nil, err
 	}
-	src := p.ch.backing[extendStep+c.skip : extendStep+p.n]
+	src := p.ch.backing[p.head+c.skip : p.head+p.n]
 	want = min(want, len(src))
 	data = grow(ch, data, want)
 	copy(data[n:], src)
@@ -384,9 +432,20 @@ func (c *InterFile) more(ch *Chunk, data []byte, want int) ([]byte, error) {
 	return data, nil
 }
 
+// cut places the cut in data — which holds more than C bytes, or the
+// whole rest of the input — before its extension to a record boundary:
+// at C, or where the content-defined policy puts it.
+func (c *InterFile) cut(data []byte) int {
+	if c.cdc != nil {
+		return c.cdc.Cut(data, true)
+	}
+	return min(len(data), int(c.chunkSize))
+}
+
 // Next ingests the next chunk: it tops up the reads in flight, takes the
-// oldest behind the carry and cuts on the first record boundary at or
-// past the nominal size; bytes past the cut carry into the next chunk.
+// oldest behind the carry, places the cut and moves it to the first
+// record boundary at or past it; bytes past the cut carry into the next
+// chunk.
 func (c *InterFile) Next() (*Chunk, error) {
 	c.readAhead()
 	ch, data, err := c.take()
@@ -394,17 +453,19 @@ func (c *InterFile) Next() (*Chunk, error) {
 		return nil, err
 	}
 	more := func(b []byte, want int) ([]byte, error) { return c.more(ch, b, want) }
-	nominal := int(c.chunkSize)
-	// Reach past the nominal cut: a read sized before a resize, or after
-	// a record longer than the reads in flight, may fall short of it.
-	for n := len(data); err == nil && n <= nominal; n = len(data) {
-		if data, err = more(data, nominal+extendStep-n); len(data) == n {
+	limit := int(c.chunkSize)
+	// Reach past C: a read sized before a resize, or after a record
+	// longer than the reads in flight, may fall short of it.
+	for n := len(data); err == nil && n <= limit; n = len(data) {
+		if data, err = more(data, limit+extendStep-n); len(data) == n {
 			break
 		}
 	}
-	cut := len(data)
-	if err == nil && cut > nominal {
-		data, cut, err = toBoundary(c.boundary, data, nominal, c.emitted+c.chunkSize, more)
+	var cut int
+	if err == nil {
+		if cut = c.cut(data); cut < len(data) {
+			data, cut, err = toBoundary(c.boundary, data, cut, c.emitted+int64(cut), more)
+		}
 	}
 	if err != nil {
 		ch.Release()
@@ -418,35 +479,55 @@ func (c *InterFile) Next() (*Chunk, error) {
 	ch.Index = c.index
 	ch.Data = data[:cut:cut]
 	ch.Files = append(ch.Files, c.file.Name())
+	if c.cdc != nil {
+		ch.Sum, ch.HasSum = sha256.Sum256(ch.Data), true
+	}
 	c.index++
 	return ch, nil
 }
 
-// IntraFile coalesces filesPerChunk small files into each chunk. If the
-// user-defined count exceeds the files left, the last chunk is smaller
-// than the rest (30 files at 4 per chunk produce 7 full chunks and one
-// chunk of 2, per §III-A1).
-type IntraFile struct {
-	files         []Input
-	filesPerChunk int
-	next          int
-	index         int
-	fetcher       *Fetcher
+// Files coalesces several files into each chunk: a chunk closes once it
+// holds perChunk files, or before the next file would take it past
+// maxBytes (a zero limit is no limit). Under a file count it is §III-A1's
+// intra-file chunking: 30 files at 4 per chunk produce 7 full chunks and
+// one chunk of 2. Under a byte size it is the hybrid inter/intra-file
+// chunking §III-A1 mentions but does not implement: small files coalesce
+// up to the size and a file larger than it is split through InterFile,
+// so chunks have similar sizes whatever the file size distribution.
+type Files struct {
+	files    []Input
+	perChunk int
+	maxBytes int64
+	boundary Boundary
+
+	next    int
+	split   *InterFile // splitter of the oversized file in progress
+	index   int
+	fetcher *Fetcher
+}
+
+// NewFiles builds the multi-file chunker; at least one of perChunk and
+// maxBytes must be positive.
+func NewFiles(files []Input, perChunk int, maxBytes int64, b Boundary) (*Files, error) {
+	if len(files) == 0 {
+		return nil, errors.New("chunk: multi-file chunker requires at least one file")
+	}
+	if perChunk < 0 || maxBytes < 0 || perChunk == 0 && maxBytes == 0 {
+		return nil, fmt.Errorf("chunk: a multi-file chunk closes at a positive file count or byte size, got %d files, %d bytes", perChunk, maxBytes)
+	}
+	if b == nil {
+		return nil, errors.New("chunk: multi-file chunker requires a boundary")
+	}
+	return &Files{files: files, perChunk: perChunk, maxBytes: maxBytes, boundary: b}, nil
 }
 
 // SetFetcher installs the multi-lane fetcher subsequent Next calls read
-// and pool buffers through.
-func (c *IntraFile) SetFetcher(f *Fetcher) { c.fetcher = f }
-
-// NewIntraFile builds the intra-file chunker.
-func NewIntraFile(files []Input, filesPerChunk int) (*IntraFile, error) {
-	if len(files) == 0 {
-		return nil, errors.New("chunk: intra-file chunker requires at least one file")
+// and pool buffers through; an active splitter inherits it.
+func (c *Files) SetFetcher(f *Fetcher) {
+	c.fetcher = f
+	if c.split != nil {
+		c.split.SetFetcher(f)
 	}
-	if filesPerChunk <= 0 {
-		return nil, fmt.Errorf("chunk: files per chunk must be positive, got %d", filesPerChunk)
-	}
-	return &IntraFile{files: files, filesPerChunk: filesPerChunk}, nil
 }
 
 // InputsFromSet adapts a storage.FileSet to the chunker input slice.
@@ -459,7 +540,7 @@ func InputsFromSet(set *storage.FileSet) []Input {
 }
 
 // TotalBytes sums the file set.
-func (c *IntraFile) TotalBytes() int64 {
+func (c *Files) TotalBytes() int64 {
 	var t int64
 	for _, f := range c.files {
 		t += f.Size()
@@ -467,29 +548,53 @@ func (c *IntraFile) TotalBytes() int64 {
 	return t
 }
 
-// Next ingests the next group of files into one chunk, growing the
-// allocation as files are appended so the whole chunk is collocated in
-// RAM.
-func (c *IntraFile) Next() (*Chunk, error) {
+// Next ingests the next chunk: the next piece of an oversized file, or
+// the next group of files, grown in place in one buffer so the whole
+// chunk is collocated in RAM.
+func (c *Files) Next() (*Chunk, error) {
+	if c.split != nil {
+		ch, err := c.split.Next()
+		if !errors.Is(err, io.EOF) {
+			if err == nil {
+				ch.Index = c.index
+				c.index++
+			}
+			return ch, err
+		}
+		c.split = nil
+	}
 	if c.next >= len(c.files) {
 		return nil, io.EOF
 	}
-	// Start from space equal to one file and grow in place, as the
-	// runtime described in §III-A1 does; the pooled buffer keeps its
-	// high-water capacity across chunks, so steady-state rounds reuse one
-	// allocation instead of re-growing per group.
 	first := c.files[c.next]
-	ch := c.fetcher.acquire(first.Size())
+	if c.maxBytes > 0 && first.Size() > c.maxBytes {
+		c.next++
+		var err error
+		if c.split, err = NewInterFile(first, c.maxBytes, c.boundary); err != nil {
+			return nil, err
+		}
+		c.split.SetFetcher(c.fetcher)
+		return c.Next()
+	}
+	// Start from space for the first file, or for a whole chunk under a
+	// byte size, and grow in place, as the runtime described in §III-A1
+	// does; the pooled buffer keeps its high-water capacity across
+	// chunks, so steady-state rounds reuse one allocation instead of
+	// re-growing per group.
+	ch := c.fetcher.acquire(max(first.Size(), c.maxBytes))
 	buf := ch.backing[:0]
-	for k := 0; k < c.filesPerChunk && c.next < len(c.files); k++ {
+	for ; c.next < len(c.files); c.next++ {
 		f := c.files[c.next]
+		if k := len(ch.Files); k > 0 && (k == c.perChunk || c.maxBytes > 0 && int64(len(buf))+f.Size() > c.maxBytes) {
+			break
+		}
 		start := len(buf)
 		buf = growTo(buf, int(f.Size()))
 		if err := c.fetcher.fetchInto(f, buf[start:], 0); err != nil {
+			ch.Release()
 			return nil, fmt.Errorf("chunk: ingest of file %q failed: %w", f.Name(), err)
 		}
 		ch.Files = append(ch.Files, f.Name())
-		c.next++
 	}
 	ch.backing = buf
 	ch.Index = c.index
@@ -642,109 +747,4 @@ type Resizable interface {
 	Stream
 	ChunkSize() int64
 	SetChunkSize(n int64)
-}
-
-// Hybrid combines inter- and intra-file chunking (the "hybrid
-// inter/intra-file chunking approach" §III-A1 mentions but does not
-// implement): small files coalesce until a chunk reaches the nominal
-// size, while files larger than the nominal size are split inter-file.
-// Chunks therefore have similar sizes regardless of the input's file
-// size distribution.
-type Hybrid struct {
-	files     []Input
-	chunkSize int64
-	boundary  Boundary
-
-	next    int
-	cur     *InterFile // active splitter for an oversized file
-	index   int
-	fetcher *Fetcher
-}
-
-// SetFetcher installs the multi-lane fetcher subsequent Next calls read
-// and pool buffers through; an active inter-file splitter inherits it.
-func (h *Hybrid) SetFetcher(f *Fetcher) {
-	h.fetcher = f
-	if h.cur != nil {
-		h.cur.SetFetcher(f)
-	}
-}
-
-// NewHybrid builds the hybrid chunker.
-func NewHybrid(files []Input, chunkSize int64, b Boundary) (*Hybrid, error) {
-	if len(files) == 0 {
-		return nil, errors.New("chunk: hybrid chunker requires at least one file")
-	}
-	if chunkSize <= 0 {
-		return nil, fmt.Errorf("chunk: chunk size must be positive, got %d", chunkSize)
-	}
-	if b == nil {
-		return nil, errors.New("chunk: hybrid chunker requires a boundary")
-	}
-	return &Hybrid{files: files, chunkSize: chunkSize, boundary: b}, nil
-}
-
-// TotalBytes sums the file set.
-func (h *Hybrid) TotalBytes() int64 {
-	var t int64
-	for _, f := range h.files {
-		t += f.Size()
-	}
-	return t
-}
-
-// Next produces the next similarly-sized chunk.
-func (h *Hybrid) Next() (*Chunk, error) {
-	// Continue splitting an oversized file if one is active.
-	if h.cur != nil {
-		c, err := h.cur.Next()
-		if err == nil {
-			c.Index = h.index
-			h.index++
-			return c, nil
-		}
-		if !errors.Is(err, io.EOF) {
-			return nil, err
-		}
-		h.cur = nil
-	}
-	if h.next >= len(h.files) {
-		return nil, io.EOF
-	}
-	f := h.files[h.next]
-	if f.Size() > h.chunkSize {
-		// Oversized file: split it inter-file.
-		h.next++
-		inter, err := NewInterFile(f, h.chunkSize, h.boundary)
-		if err != nil {
-			return nil, err
-		}
-		inter.SetFetcher(h.fetcher)
-		h.cur = inter
-		return h.Next()
-	}
-	// Coalesce small files until the nominal size is reached.
-	ch := h.fetcher.acquire(h.chunkSize)
-	buf := ch.backing[:0]
-	for h.next < len(h.files) {
-		g := h.files[h.next]
-		if g.Size() > h.chunkSize {
-			break // oversized file starts its own chunks
-		}
-		if len(ch.Files) > 0 && int64(len(buf))+g.Size() > h.chunkSize {
-			break
-		}
-		start := len(buf)
-		buf = growTo(buf, int(g.Size()))
-		if err := h.fetcher.fetchInto(g, buf[start:], 0); err != nil {
-			return nil, fmt.Errorf("chunk: hybrid ingest of %q failed: %w", g.Name(), err)
-		}
-		ch.Files = append(ch.Files, g.Name())
-		h.next++
-	}
-	ch.backing = buf
-	ch.Index = h.index
-	ch.Data = buf
-	h.index++
-	return ch, nil
 }

@@ -176,7 +176,7 @@ func TestIntraFileGrouping(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		files = append(files, memFile(t, "f", []byte(strings.Repeat("x", 10))))
 	}
-	s, err := NewIntraFile(files, 4)
+	s, err := NewFiles(files, 4, 0, NewlineBoundary{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestIntraFileGrouping(t *testing.T) {
 func TestIntraFileContent(t *testing.T) {
 	a := memFile(t, "a", []byte("AAAA"))
 	b := memFile(t, "b", []byte("BB"))
-	s, err := NewIntraFile([]Input{a, b}, 2)
+	s, err := NewFiles([]Input{a, b}, 2, 0, NewlineBoundary{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +219,10 @@ func TestIntraFileContent(t *testing.T) {
 }
 
 func TestIntraFileValidation(t *testing.T) {
-	if _, err := NewIntraFile(nil, 2); err == nil {
+	if _, err := NewFiles(nil, 2, 0, NewlineBoundary{}); err == nil {
 		t.Error("empty file list accepted")
 	}
-	if _, err := NewIntraFile([]Input{memFile(t, "f", nil)}, 0); err == nil {
+	if _, err := NewFiles([]Input{memFile(t, "f", nil)}, 0, 0, NewlineBoundary{}); err == nil {
 		t.Error("zero files-per-chunk accepted")
 	}
 }
@@ -252,7 +252,7 @@ func TestWholeInputListsEachFileOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intra, err := NewIntraFile([]Input{memFile(t, "a", text), memFile(t, "b", text), memFile(t, "c", text)}, 2)
+	intra, err := NewFiles([]Input{memFile(t, "a", text), memFile(t, "b", text), memFile(t, "c", text)}, 2, 0, NewlineBoundary{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestHybridCoalescesSmallFiles(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		files = append(files, memFile(t, "small", []byte("aaaa bbbb\n")))
 	}
-	h, err := NewHybrid(files, 25, NewlineBoundary{})
+	h, err := NewFiles(files, 0, 25, NewlineBoundary{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestHybridSplitsOversizedFiles(t *testing.T) {
 		memFile(t, "big", big),
 		memFile(t, "small2", small),
 	}
-	h, err := NewHybrid(files, 256, NewlineBoundary{})
+	h, err := NewFiles(files, 0, 256, NewlineBoundary{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestHybridSimilarSizes(t *testing.T) {
 		files = append(files, memFile(t, "s", []byte(strings.Repeat("w\n", 50)))) // 100 B
 	}
 	files = append(files, memFile(t, "big", []byte(strings.Repeat("word\n", 400)))) // 2000 B
-	h, err := NewHybrid(files, 500, NewlineBoundary{})
+	h, err := NewFiles(files, 0, 500, NewlineBoundary{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestHybridSimilarSizes(t *testing.T) {
 
 func TestHybridValidation(t *testing.T) {
 	f := memFile(t, "f", []byte("x\n"))
-	if _, err := NewHybrid(nil, 10, NewlineBoundary{}); err == nil {
+	if _, err := NewFiles(nil, 0, 10, NewlineBoundary{}); err == nil {
 		t.Error("empty file list accepted")
 	}
-	if _, err := NewHybrid([]Input{f}, 0, NewlineBoundary{}); err == nil {
+	if _, err := NewFiles([]Input{f}, 0, 0, NewlineBoundary{}); err == nil {
 		t.Error("zero chunk size accepted")
 	}
-	if _, err := NewHybrid([]Input{f}, 10, nil); err == nil {
+	if _, err := NewFiles([]Input{f}, 0, 10, nil); err == nil {
 		t.Error("nil boundary accepted")
 	}
 }

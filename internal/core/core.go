@@ -130,10 +130,11 @@ type Options struct {
 	// uncounted.
 	FaultCounters *faults.Counters
 	// PrefetchDepth is the ingest depth d: the pipeline keeps up to d
-	// chunks in flight ahead of the map wave — d reads outstanding on the
-	// device on a read-ahead stream, d-1 finished chunks plus the one
-	// being read otherwise. The default (<= 1) is the paper's double
-	// buffering — one chunk ahead.
+	// chunks in flight ahead of the map wave. A *chunk.InterFile — every
+	// single-file stream, content-defined included — keeps d reads
+	// outstanding on the device; any other stream buffers d-1 finished
+	// chunks. The default (<= 1) is the paper's double buffering — one
+	// chunk ahead.
 	PrefetchDepth int
 	// IOLanes is the number of IO lanes each chunk read fans out across:
 	// the read is split into up to IOLanes segments whose device waits

@@ -120,11 +120,69 @@ func scheduleText() []byte {
 	return b
 }
 
-// runRecorded runs word count over in with 8 KiB chunks and returns the
-// result and the read schedule the input saw.
-func runRecorded(t *testing.T, app kv.App[string, int64], in *recInput, opts Options) (*Result[string, int64], [][2]int64, error) {
+// recPart is bytes [off, off+n) of a recInput as a file of its own, so
+// a multi-file stream's reads land on one recorder.
+type recPart struct {
+	in     *recInput
+	off, n int64
+}
+
+func (p recPart) Name() string { return fmt.Sprint("rec@", p.off) }
+func (p recPart) Size() int64  { return p.n }
+func (p recPart) ReadAt(b []byte, off int64) (int, error) {
+	return p.in.ReadAt(b, p.off+off)
+}
+func (p recPart) IssueReadAt(b []byte, off int64) (func() (int, error), error) {
+	return p.in.IssueReadAt(b, p.off+off)
+}
+
+// recParts cuts in into three 5 KiB files, a 40 KiB file and 5 KiB
+// files for the rest.
+func recParts(in *recInput) []chunk.Input {
+	var parts []chunk.Input
+	for off, size := int64(0), in.Size(); off < size; {
+		n := int64(5 << 10)
+		if len(parts) == 3 {
+			n = 40 << 10
+		}
+		n = min(n, size-off)
+		parts = append(parts, recPart{in: in, off: off, n: n})
+		off += n
+	}
+	return parts
+}
+
+// recStream is a stream over a recInput, in one of the shapes the
+// pipeline ingests.
+type recStream struct {
+	name string
+	cut  func(in *recInput) (chunk.Stream, error)
+}
+
+var (
+	// interStream cuts 8 KiB chunks; cdcStream cuts content-defined
+	// chunks of 4 to 8 KiB, as a memo run does.
+	interStream = recStream{"inter", func(in *recInput) (chunk.Stream, error) {
+		return chunk.NewInterFile(in, 8<<10, chunk.NewlineBoundary{})
+	}}
+	cdcStream = recStream{"cdc", func(in *recInput) (chunk.Stream, error) {
+		return chunk.NewContentDefined(in, 4<<10, 4<<10, 8<<10, chunk.NewlineBoundary{})
+	}}
+	// filesStream reads recParts three files a chunk; hybridStream up
+	// to 16 KiB a chunk, splitting the 40 KiB file.
+	filesStream = recStream{"files", func(in *recInput) (chunk.Stream, error) {
+		return chunk.NewFiles(recParts(in), 3, 0, chunk.NewlineBoundary{})
+	}}
+	hybridStream = recStream{"hybrid", func(in *recInput) (chunk.Stream, error) {
+		return chunk.NewFiles(recParts(in), 0, 16<<10, chunk.NewlineBoundary{})
+	}}
+)
+
+// runRecorded runs word count over in cut by st and returns the result
+// and the read schedule the input saw.
+func runRecorded(t *testing.T, st recStream, app kv.App[string, int64], in *recInput, opts Options) (*Result[string, int64], [][2]int64, error) {
 	t.Helper()
-	s, err := chunk.NewInterFile(in, 8<<10, chunk.NewlineBoundary{})
+	s, err := st.cut(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +193,7 @@ func runRecorded(t *testing.T, app kv.App[string, int64], in *recInput, opts Opt
 	return res, in.schedule(), err
 }
 
-// depth1Schedule is the read schedule of runRecorded at depth 1, as the
+// depth1Schedule is the read schedule of interStream at depth 1, as the
 // pipeline issued it before reads ran ahead: each chunk's nominal bytes
 // plus the 4 KiB boundary-hunt margin past the current cut, the long
 // record's four 4 KiB extension reads, and at two lanes every read of 8
@@ -161,10 +219,11 @@ func (a parkedApp) Map(split []byte, emit kv.Emitter[string, int64]) {
 
 // TestReadAheadSchedule pins the read schedule: at depth 1 it is the
 // one the pipeline issued before reads ran ahead, and at depth 3 it does
-// not depend on how long the waits take. Every byte is read once. The
-// buffer budget is max(depth, 2): with the mappers parked on the first
-// chunk exactly budget-1 further reads are outstanding (depth of them
-// once the mappers let go), and the run allocates no more buffers.
+// not depend on how long the waits take, under the nominal cut and the
+// content-defined one alike. Every byte is read once. The buffer budget
+// is max(depth, 2): with the mappers parked on the first chunk exactly
+// budget-1 further reads are outstanding (depth of them once the
+// mappers let go), and the run allocates no more buffers.
 func TestReadAheadSchedule(t *testing.T) {
 	text := scheduleText()
 	ref := refCounts(text)
@@ -190,7 +249,7 @@ func TestReadAheadSchedule(t *testing.T) {
 		}
 	}
 	for lanes, want := range depth1Schedule {
-		res, got, err := runRecorded(t, wcApp{}, &recInput{data: text}, Options{IOLanes: lanes})
+		res, got, err := runRecorded(t, interStream, wcApp{}, &recInput{data: text}, Options{IOLanes: lanes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,52 +258,54 @@ func TestReadAheadSchedule(t *testing.T) {
 			t.Errorf("lanes %d, depth 1 schedule changed:\n got  %v\n want %v", lanes, got, want)
 		}
 	}
-	for _, lanes := range []int{1, 2} {
-		var first [][2]int64
-		for run := 0; run < 3; run++ {
-			res, got, err := runRecorded(t, wcApp{}, &recInput{data: text, delay: 300 * time.Microsecond},
-				Options{IOLanes: lanes, PrefetchDepth: 3})
-			if err != nil {
+	for _, st := range []recStream{interStream, cdcStream} {
+		for _, lanes := range []int{1, 2} {
+			var first [][2]int64
+			for run := 0; run < 3; run++ {
+				res, got, err := runRecorded(t, st, wcApp{}, &recInput{data: text, delay: 300 * time.Microsecond},
+					Options{IOLanes: lanes, PrefetchDepth: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, res, got)
+				if run == 0 {
+					first = got
+				} else if fmt.Sprint(got) != fmt.Sprint(first) {
+					t.Fatalf("%s, lanes %d, depth 3: schedule depends on wait timing:\n run 0 %v\n run %d %v", st.name, lanes, first, run, got)
+				}
+			}
+		}
+		for depth := 1; depth <= 4; depth++ {
+			in := &recInput{data: text}
+			app := parkedApp{gate: make(chan struct{})}
+			list := chunk.NewFreeList()
+			done := make(chan error, 1)
+			var res *Result[string, int64]
+			go func() {
+				var err error
+				res, _, err = runRecorded(t, st, app, in, Options{PrefetchDepth: depth, Freelist: list})
+				done <- err
+			}()
+			// Wait for the pump to settle behind the parked mappers.
+			issued, since := -1, time.Now()
+			for time.Since(since) < 100*time.Millisecond {
+				if n := len(in.schedule()); n != issued {
+					issued, since = n, time.Now()
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(app.gate)
+			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			check(t, res, got)
-			if run == 0 {
-				first = got
-			} else if fmt.Sprint(got) != fmt.Sprint(first) {
-				t.Fatalf("lanes %d, depth 3: schedule depends on wait timing:\n run 0 %v\n run %d %v", lanes, first, run, got)
+			check(t, res, in.schedule())
+			budget := max(depth, 2)
+			if issued-1 != budget-1 {
+				t.Errorf("%s, depth %d: %d reads outstanding past the chunk being mapped, want %d", st.name, depth, issued-1, budget-1)
 			}
-		}
-	}
-	for depth := 1; depth <= 4; depth++ {
-		in := &recInput{data: text}
-		app := parkedApp{gate: make(chan struct{})}
-		list := chunk.NewFreeList()
-		done := make(chan error, 1)
-		var res *Result[string, int64]
-		go func() {
-			var err error
-			res, _, err = runRecorded(t, app, in, Options{PrefetchDepth: depth, Freelist: list})
-			done <- err
-		}()
-		// Wait for the pump to settle behind the parked mappers.
-		issued, since := -1, time.Now()
-		for time.Since(since) < 100*time.Millisecond {
-			if n := len(in.schedule()); n != issued {
-				issued, since = n, time.Now()
+			if gets, reuses := list.Stats(); gets-reuses > int64(budget) {
+				t.Errorf("%s, depth %d: %d chunk buffers allocated, want at most %d", st.name, depth, gets-reuses, budget)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		close(app.gate)
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		check(t, res, in.schedule())
-		budget := max(depth, 2)
-		if issued-1 != budget-1 {
-			t.Errorf("depth %d: %d reads outstanding past the chunk being mapped, want %d", depth, issued-1, budget-1)
-		}
-		if gets, reuses := list.Stats(); gets-reuses > int64(budget) {
-			t.Errorf("depth %d: %d chunk buffers allocated, want at most %d", depth, gets-reuses, budget)
 		}
 	}
 }
@@ -253,7 +314,10 @@ func TestReadAheadSchedule(t *testing.T) {
 // failed stream, a refused issue, a failed or panicking wait, a map
 // panic, a cancellation — Run returns the error only after every read
 // it dispatched has been joined and every chunk buffer is back on the
-// freelist, at every depth, with no goroutine left behind.
+// freelist, at every depth, with no goroutine left behind. A refused
+// issue and a failed wait are checked on every stream shape: the
+// content-defined stream and both multi-file ones, an oversized file
+// being split included.
 func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 	text := genText(t, 64<<10)
 	wc := wcApp{}
@@ -267,20 +331,40 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 	}
 
 	base := runtime.NumGoroutine()
-	for _, tc := range []struct {
+	type failure struct {
 		name string
 		in   func() *recInput
 		app  func(cancel context.CancelFunc) kv.App[string, int64]
 		want string
-	}{
+	}
+	cases := []failure{
 		{"issue", func() *recInput { return &recInput{failIssue: 6} }, nil, "issue refused"},
 		{"wait", func() *recInput { return &recInput{failWait: 6} }, nil, "wait failed"},
 		{"lane-panic", func() *recInput { return &recInput{panicWait: 6} }, nil, "lane died"},
 		{"map-panic", nil, func(context.CancelFunc) kv.App[string, int64] { return panicApp{} }, "mapper exploded"},
 		{"cancel", nil, func(cancel context.CancelFunc) kv.App[string, int64] { return &cancelApp{cancel: cancel} }, "context canceled"},
-	} {
+	}
+	readFailures := cases[:2]
+	// Every stream shape fails its sixth read: the content-defined one
+	// mid-file, the file-count one in its second chunk, the byte-size one
+	// while splitting the 40 KiB file.
+	type streamCase struct {
+		id string
+		st recStream
+		failure
+	}
+	var all []streamCase
+	for _, tc := range cases {
+		all = append(all, streamCase{tc.name, interStream, tc})
+	}
+	for _, st := range []recStream{cdcStream, filesStream, hybridStream} {
+		for _, tc := range readFailures {
+			all = append(all, streamCase{st.name + "/" + tc.name, st, tc})
+		}
+	}
+	for _, tc := range all {
 		for depth := 1; depth <= 4; depth++ {
-			t.Run(fmt.Sprintf("%s/depth%d", tc.name, depth), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/depth%d", tc.id, depth), func(t *testing.T) {
 				in := &recInput{}
 				if tc.in != nil {
 					in = tc.in()
@@ -295,7 +379,7 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 					app = tc.app(cancel)
 				}
 				list := chunk.NewFreeList()
-				_, _, err := runRecorded(t, app, in, Options{Options: mapreduce.Options{Pool: pool},
+				_, _, err := runRecorded(t, tc.st, app, in, Options{Options: mapreduce.Options{Pool: pool},
 					PrefetchDepth: depth, IOLanes: 2, Freelist: list})
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("err = %v, want %q", err, tc.want)
@@ -323,7 +407,7 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 // lane count, as a panic in an IO lane task does.
 func TestIngestPanicFailsTheJob(t *testing.T) {
 	for _, lanes := range []int{1, 2} {
-		_, _, err := runRecorded(t, wcApp{}, &recInput{data: scheduleText(), panicIssue: 4},
+		_, _, err := runRecorded(t, interStream, wcApp{}, &recInput{data: scheduleText(), panicIssue: 4},
 			Options{IOLanes: lanes, PrefetchDepth: 2})
 		var pe *exec.PanicError
 		if !errors.As(err, &pe) || pe.Phase != "ingest" {

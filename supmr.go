@@ -212,15 +212,12 @@ type Config struct {
 	// thread. Lanes split chunk reads, so a single-file input needs
 	// ChunkBytes: a whole-input read is one task on one IO lane.
 	IOLanes int
-	// PrefetchDepth is the ingest depth: how many chunks are kept in
+	// PrefetchDepth is the ingest depth d: how many chunks are kept in
 	// flight ahead of the map wave. <= 1 (the default) is the paper's
-	// double buffering — exactly one chunk ahead. On a single-file input
-	// split at ChunkBytes they are chunk reads outstanding on the device
-	// at once, so their device times overlap: up to PrefetchDepth while
-	// the mappers wait, one fewer while they hold a chunk, on
-	// max(PrefetchDepth, 2) chunk buffers. Multi-file and content-defined
-	// streams read one chunk at a time and buffer up to PrefetchDepth-1
-	// finished chunks, on PrefetchDepth+1 buffers.
+	// double buffering — exactly one chunk ahead. A single-file stream,
+	// Memo's included, keeps d chunk reads outstanding on the device, on
+	// max(d, 2) chunk buffers; a multi-file stream buffers d-1 finished
+	// chunks.
 	PrefetchDepth int
 	// Engine, when set, submits the job to a shared multi-job Engine
 	// instead of creating a dedicated worker pool: the run passes
@@ -717,7 +714,10 @@ func RunBytes[K comparable, V any](job Job[K, V], data []byte, cont Container[K,
 	return RunFile(job, f, cont, cfg)
 }
 
-// StreamFile builds the chunk stream RunFile would use.
+// StreamFile builds the chunk stream RunFile would use: a
+// chunk.InterFile cut at ChunkBytes, or where the content says under
+// Memo, whose reads run PrefetchDepth ahead; one whole-input chunk when
+// ChunkBytes is zero.
 func StreamFile(file Input, cfg Config) (Stream, error) {
 	if file == nil {
 		return nil, errors.New("supmr: nil input file")
@@ -735,11 +735,11 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 		// the unchanged chunks' hashes and hits the memo cache. Sizes
 		// bracket ChunkBytes: expected cut ≈ lo + avg-mask target.
 		lo := max(cfg.ChunkBytes/2, 1)
-		cdcStream, err := chunk.NewCDCFile(file, lo, lo, 2*cfg.ChunkBytes, cfg.boundary())
+		s, err := chunk.NewContentDefined(file, lo, lo, 2*cfg.ChunkBytes, cfg.boundary())
 		if err != nil {
 			return nil, fmt.Errorf("supmr: %w", err)
 		}
-		return cdcStream, nil
+		return s, nil
 	}
 	chunkBytes := cfg.ChunkBytes
 	if chunkBytes <= 0 && cfg.AdaptiveChunks {
@@ -761,10 +761,11 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 	return inter, nil
 }
 
-// StreamFiles builds the multi-file chunk stream RunFiles would use:
-// intra-file chunking by default, hybrid inter/intra-file chunking when
-// cfg.HybridChunks is set, one whole-input chunk under the
-// RuntimeTraditional preset.
+// StreamFiles builds the multi-file chunk stream RunFiles would use: a
+// chunk.Files closing each chunk at FilesPerChunk files (intra-file
+// chunking), or at ChunkBytes under HybridChunks (hybrid inter/intra-file
+// chunking); one whole-input chunk under the RuntimeTraditional preset.
+// Its finished chunks wait in the pipeline's ring, PrefetchDepth-1 deep.
 func StreamFiles(files []Input, cfg Config) (Stream, error) {
 	cfg, whole, err := cfg.resolve()
 	if err != nil {
@@ -777,20 +778,14 @@ func StreamFiles(files []Input, cfg Config) (Stream, error) {
 		return nil, errors.New("supmr: AdaptiveChunks requires a single-file input (RunFile/StreamFile): no multi-file stream can be resized between rounds")
 	}
 	files = cfg.wrapInputs(files)
-	var s Stream
+	per, size := max(cfg.FilesPerChunk, 1), int64(0)
 	if cfg.HybridChunks {
-		size := cfg.ChunkBytes
+		per, size = 0, cfg.ChunkBytes
 		if size <= 0 {
 			size = 4 << 20
 		}
-		s, err = chunk.NewHybrid(files, size, cfg.boundary())
-	} else {
-		per := cfg.FilesPerChunk
-		if per <= 0 {
-			per = 1
-		}
-		s, err = chunk.NewIntraFile(files, per)
 	}
+	s, err := chunk.NewFiles(files, per, size, cfg.boundary())
 	if err != nil {
 		return nil, fmt.Errorf("supmr: %w", err)
 	}

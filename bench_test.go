@@ -745,6 +745,40 @@ func TestIngestLanesGate(t *testing.T) {
 	}
 }
 
+// TestLaneRequestsGate gates the request shape on the virtual clock. A
+// lane's share of a read goes out as requests of at most 128 KiB, all
+// issued before any is waited, so every member disk has a queue to
+// serve at its full bandwidth instead of one request at its stream rate.
+// FakeClock has no event queue — a sleeping lane can move time past a
+// read the pump has yet to issue — so a run only ever loses virtual
+// time to goroutine scheduling, and the gate takes the best of ten.
+// With one request per lane share, two lanes at depth 2 read 22.1 ms in
+// a typical run and never better than 20.1 ms in a hundred; with split
+// requests the best run must be at least 20 % under 22.1 ms (it reads
+// about 15 ms).
+// Four lanes at depth 3, whose shares of 128 KiB plus the carry
+// headroom split in two, may not be slower than their former 18.07 ms,
+// and the serial single-lane read, one request per read as before,
+// stays at exactly 35.16 ms.
+func TestLaneRequestsGate(t *testing.T) {
+	best := func(lanes, depth int) time.Duration {
+		b := ingestLanesRun(t, lanes, depth)
+		for i := 1; i < 10; i++ {
+			b = min(b, ingestLanesRun(t, lanes, depth))
+		}
+		return b
+	}
+	if got, bound := best(2, 2), 22100*time.Microsecond*8/10; got > bound {
+		t.Errorf("2 lanes, depth 2: best %v, want <= %v (20 %% under 22.1 ms)", got, bound)
+	}
+	if got, bound := best(4, 3), 18070*time.Microsecond; got > bound {
+		t.Errorf("4 lanes, depth 3: best %v, want <= %v", got, bound)
+	}
+	if got, want := ingestLanesRun(t, 1, 1), 35156248*time.Nanosecond; got != want {
+		t.Errorf("1 lane, depth 1: %v, want exactly %v", got, want)
+	}
+}
+
 // AblationEnergy: the §VI-C utilization/energy trade-off — small chunks
 // raise mean utilization (and power) while cutting wall-clock time.
 func BenchmarkAblationEnergy(b *testing.B) {

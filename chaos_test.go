@@ -173,6 +173,52 @@ func TestChaosDeterministicCounters(t *testing.T) {
 	}
 }
 
+// TestChaosLaneRequests runs an ingest fault plan with retries at two
+// IO lanes and 512 KiB chunks, so every lane's share of a read goes out
+// as several requests and faults, short reads and retries strike inside
+// a lane's group. The output must be the clean run's, byte for byte,
+// and the fault counters must be the same on every run: requests are
+// issued in an order the input alone decides.
+func TestChaosLaneRequests(t *testing.T) {
+	text := genText(t, 1536<<10, 13)
+	plan := FaultPlan{Seed: 21, ReadErrEvery: 4, ShortReadProb: 0.25, LatencyProb: 0.1, Latency: 50 * time.Microsecond}
+	retry := RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond}
+	run := func(plan *FaultPlan) (FaultStats, string) {
+		clk := storage.NewFakeClock()
+		cfg := Config{Runtime: RuntimeSupMR, Workers: 4, ChunkBytes: 512 << 10, IOLanes: 2, PrefetchDepth: 2, Clock: clk}
+		var inj *FaultInjector
+		if plan != nil {
+			inj = NewFaultInjector(*plan, clk)
+			cfg.Faults, cfg.Retry = inj, retry
+		}
+		rep, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), cfg)
+		if err != nil {
+			t.Fatalf("faults %v: %v", plan != nil, err)
+		}
+		var stats FaultStats
+		if inj != nil {
+			stats = inj.Counters().Snapshot()
+		}
+		return stats, renderWC(rep.Pairs)
+	}
+	_, clean := run(nil)
+	var first FaultStats
+	for i := 0; i < 3; i++ {
+		stats, out := run(&plan)
+		if out != clean {
+			t.Fatalf("run %d: faulted output differs from the clean run (%d vs %d bytes)", i, len(out), len(clean))
+		}
+		if i == 0 {
+			first = stats
+			if stats.Injected == 0 || stats.ShortReads == 0 || stats.Recovered == 0 {
+				t.Fatalf("plan did not exercise errors, short reads and retries: %s", stats.String())
+			}
+		} else if stats != first {
+			t.Fatalf("fault counters differ across identical runs:\n  first: %s\n  run %d: %s", first.String(), i, stats.String())
+		}
+	}
+}
+
 // TestChaosSpillDeterministicCounters holds the out-of-core finish to
 // the same claim at four workers: the external merge reads its runs a
 // block ahead on the IO lanes while the workers drain in groups, and

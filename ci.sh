@@ -50,10 +50,14 @@ SUPMR_IO_LANES=4 SUPMR_PREFETCH_DEPTH=3 \
 
 echo "== race: reads in flight =="
 # The pump keeps up to PrefetchDepth chunk reads in flight on the IO
-# lanes, under the nominal and the content-defined cut; every way a job
-# can end early, on every stream shape, must join them all and hand every
-# buffer back, and the read schedule must not depend on wait timing.
-go test -race -count=3 -run 'TestPrefetchRingDrainsOnMidStreamError|TestReadAheadSchedule' ./internal/core/
+# lanes, under the nominal and the content-defined cut, each lane's
+# share of a read as several requests waited by one lane task; every way
+# a job can end early, on every stream shape, must join them all and hand
+# every buffer back, and neither the read nor the request schedule may
+# depend on wait timing. Faults and retries inside a lane's requests
+# must leave the output and the fault counters unchanged.
+go test -race -count=3 -run 'TestPrefetchRingDrainsOnMidStreamError|TestReadAheadSchedule|TestLaneRequestSchedule' ./internal/core/
+go test -race -count=3 -run 'TestChaosLaneRequests' .
 
 echo "== race: out-of-core repeats =="
 # The out-of-core finish shares state across goroutines by design — the
@@ -96,6 +100,7 @@ for target in \
     chunk:FuzzInterFileVsReference \
     chunk:FuzzCDCVsReference \
     chunk:FuzzFilesVsReference \
+    chunk:FuzzLaneRequestsVsSerial \
     container:FuzzFlatCombiner \
     memo:FuzzCacheReplay \
     spill:FuzzRunDecode \

@@ -16,7 +16,7 @@ import (
 // is returned.
 //
 // The split is what keeps segmented reads deterministic: the fetcher
-// issues every segment serially from the single ingest thread, so the
+// issues every request serially from the single ingest thread, so the
 // per-site operation order any fault plan sees is a pure function of
 // the input — independent of how many IO lanes execute the waits.
 type IssueReader interface {
@@ -33,6 +33,12 @@ type Dispatch func(bytes int64, fn func()) (join func() error)
 // minSegment is the smallest read the fetcher will split off: segments
 // below this are not worth a lane round-trip.
 const minSegment = 4096
+
+// maxRequest caps one device request of a multi-lane read. A member
+// disk finishes a lone request at its single-stream rate, so a lane's
+// share goes out as several requests, all issued before any is waited,
+// and each member's queue stays full while the lane waits them in turn.
+const maxRequest = 128 << 10
 
 // FreeList is the chunk-buffer freelist: released chunks park here and
 // back future chunks, so steady-state ingest allocates O(ring depth)
@@ -117,7 +123,10 @@ func (l *FreeList) release(c *Chunk) {
 }
 
 // Fetcher gives chunkers striped multi-lane reads and a chunk-buffer
-// freelist. A nil *Fetcher (the default everywhere) degrades every
+// freelist. A multi-lane read is split into one share per lane, and
+// each share into requests of at most maxRequest bytes, issued together
+// so the device always has several to serve; with one lane a read stays
+// one request. A nil *Fetcher (the default everywhere) degrades every
 // method to the original single-stream, freshly-allocated behaviour, so
 // streams carry one unconditionally.
 //
@@ -165,30 +174,37 @@ func (f *Fetcher) acquire(capHint int64) *Chunk {
 	return f.list.acquire(capHint)
 }
 
-// seg is one outstanding portion of a segmented read.
+// seg is one portion of a read: a lane's share, or one request of it.
 type seg struct {
 	buf []byte
 	off int64
 }
 
-// read is one issued fetch: its segments are on the device and their
+// read is one issued fetch: its requests are on the device and their
 // waits on the IO lanes until join completes it.
 type read struct {
 	f        *Fetcher
 	ir       IssueReader
 	now      func() time.Duration // stamps at and done
-	flights  []flight
-	err      error         // the failed issue, or the serial read's result
+	lanes    []lane
+	err      error         // a refused issue, a failed request, or readFull's error
 	at, done time.Duration // when the read was issued and its last wait returned
 }
 
-// flight is one dispatched segment wait.
-type flight struct {
+// lane is one IO lane's requests of a round and the join of the single
+// dispatch that waits them.
+type lane struct {
+	reqs []request
+	join func() error
+}
+
+// request is one issued device request and what its wait returned.
+type request struct {
 	s    seg
+	wait func() (int, error)
 	n    int
 	err  error
 	at   time.Duration // when the wait returned
-	join func() error
 }
 
 // fetchInto fills buf from in starting at off: an issue joined at once.
@@ -197,13 +213,16 @@ func (f *Fetcher) fetchInto(in Input, buf []byte, off int64) error {
 }
 
 // issue starts filling buf from in at off and returns at once; join
-// completes the read. buf is split into up to Lanes segments, each
-// issued here — serially, in offset order, on the calling goroutine —
-// and its wait dispatched to an IO lane. Without a dispatch, on a nil
-// fetcher, or from an input without the issue/wait split (which cannot
-// promise a deterministic operation order under concurrency) the read
-// is the serial readFull, done here. now, when set, stamps the read's
-// issue and completion times.
+// completes the read. buf is split into up to Lanes shares, and with
+// more than one lane each share into requests of maxRequest bytes and
+// a shorter last one; one lane keeps one request per read. Every
+// request is issued here — serially, in offset order, on the calling
+// goroutine — and each lane's requests are then waited by one
+// dispatch. Without a dispatch, on a nil fetcher, or from an input
+// without the issue/wait split (which cannot promise a deterministic
+// operation order under concurrency) the read is the serial readFull,
+// done here. now, when set, stamps the read's issue and completion
+// times.
 func (f *Fetcher) issue(in Input, buf []byte, off int64, now func() time.Duration) *read {
 	if now == nil {
 		now = func() time.Duration { return 0 }
@@ -214,64 +233,119 @@ func (f *Fetcher) issue(in Input, buf []byte, off int64, now func() time.Duratio
 		r.done = now()
 		return r
 	}
-	r.round(splitSegments(buf, off, f.lanes))
+	shares := splitSegments(buf, off, f.lanes)
+	work := make([][]seg, len(shares))
+	for i, s := range shares {
+		if f.lanes <= 1 {
+			work[i] = shares[i : i+1]
+			continue
+		}
+		for o := 0; o < len(s.buf); o += maxRequest {
+			work[i] = append(work[i], seg{buf: s.buf[o:min(o+maxRequest, len(s.buf))], off: s.off + int64(o)})
+		}
+	}
+	r.round(work)
 	return r
 }
 
-// round issues work serially and dispatches each wait; like the serial
-// path, segments past a failed issue are never issued.
-func (r *read) round(work []seg) {
-	// Fixed capacity: dispatched closures hold pointers into this slice,
-	// so it must never reallocate.
-	r.flights = make([]flight, 0, len(work))
-	for _, s := range work {
-		wait, err := r.ir.IssueReadAt(s.buf, s.off)
-		if err != nil {
-			r.err = err
-			return
+// round issues work, one list of requests per lane, serially in offset
+// order, and then dispatches each lane's waits as one task. As on the
+// serial path nothing past a failed issue is issued; the requests
+// before it are still dispatched, so join waits them.
+func (r *read) round(work [][]seg) {
+	n := 0
+	for _, w := range work {
+		n += len(w)
+	}
+	// One array backs every lane's requests.
+	reqs := make([]request, 0, n)
+	r.lanes = make([]lane, 0, len(work))
+	for _, w := range work {
+		start, failed := len(reqs), false
+		for _, s := range w {
+			wait, err := r.ir.IssueReadAt(s.buf, s.off)
+			if err != nil {
+				r.err, failed = err, true
+				break
+			}
+			reqs = append(reqs, request{s: s, wait: wait})
 		}
-		r.flights = append(r.flights, flight{s: s})
-		fl := &r.flights[len(r.flights)-1]
-		fl.join = r.f.dispatch(int64(len(s.buf)), func() { fl.n, fl.err = wait(); fl.at = r.now() })
+		if len(reqs) > start {
+			r.lanes = append(r.lanes, lane{reqs: reqs[start:len(reqs):len(reqs)]})
+		}
+		if failed {
+			break
+		}
+	}
+	for i := range r.lanes {
+		l := &r.lanes[i]
+		var bytes int64
+		for _, q := range l.reqs {
+			bytes += int64(len(q.s.buf))
+		}
+		reqs := l.reqs
+		l.join = r.f.dispatch(bytes, func() { r.wait(reqs) })
+	}
+}
+
+// wait runs one lane's waits in offset order. A wait that panics fails
+// the lane, but only after the waits behind it have run too: every
+// issued request is waited before its read completes.
+func (r *read) wait(reqs []request) {
+	i := 0
+	defer func() {
+		for i++; i < len(reqs); i++ {
+			reqs[i].wait()
+		}
+	}()
+	for ; i < len(reqs); i++ {
+		q := &reqs[i]
+		q.n, q.err = q.wait()
+		q.at = r.now()
 	}
 }
 
 // join completes the read and returns its error; it is idempotent.
 // Every dispatched wait is joined before any result is looked at —
 // waits write into the caller's buffer and must not outlive the read —
-// and short-read remainders are issued in further rounds, here. Errors
-// mirror readFull: a segment that made progress has its remainder
-// retried regardless of the error, one that returned zero bytes fails
-// the read (io.ErrUnexpectedEOF when it reported no error), and the
-// lowest-offset failure of a round wins, as on the serial path.
+// and short-read remainders are issued in further rounds, here, each
+// lane's on that lane. Errors are readFull's: a request that made
+// progress has its remainder retried regardless of the error, one that
+// returned zero bytes fails the read (io.ErrUnexpectedEOF when it
+// reported no error), and the lowest-offset failure wins, a failed
+// issue included.
 func (r *read) join() error {
-	for len(r.flights) > 0 {
-		flights := r.flights
-		r.flights = nil
-		for i := range flights {
-			if jErr := flights[i].join(); jErr != nil {
-				flights[i].n, flights[i].err = 0, jErr
+	for len(r.lanes) > 0 {
+		lanes := r.lanes
+		r.lanes = nil
+		for _, l := range lanes {
+			jErr := l.join()
+			for i := range l.reqs {
+				if jErr != nil {
+					l.reqs[i].n, l.reqs[i].err = 0, jErr
+				}
+				r.done = max(r.done, l.reqs[i].at)
 			}
-			r.done = max(r.done, flights[i].at)
 		}
-		if r.err != nil {
-			return r.err
-		}
-		var next []seg
-		for i := range flights {
-			fl := &flights[i]
-			switch {
-			case fl.n >= len(fl.s.buf):
-				// Segment complete.
-			case fl.n > 0:
-				next = append(next, seg{buf: fl.s.buf[fl.n:], off: fl.s.off + int64(fl.n)})
-			case fl.err != nil:
-				r.err = fl.err
-			default:
-				r.err = io.ErrUnexpectedEOF
+		var next [][]seg
+		for _, l := range lanes {
+			var rest []seg
+			for _, q := range l.reqs {
+				switch {
+				case q.n >= len(q.s.buf):
+					// Request complete.
+				case q.n > 0:
+					rest = append(rest, seg{buf: q.s.buf[q.n:], off: q.s.off + int64(q.n)})
+				case q.err != nil:
+					r.err = q.err
+					return r.err
+				default:
+					r.err = io.ErrUnexpectedEOF
+					return r.err
+				}
 			}
-			if r.err != nil {
-				return r.err
+			if len(rest) > 0 {
+				next = append(next, rest)
 			}
 		}
 		if len(next) > 0 {

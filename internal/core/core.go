@@ -137,9 +137,11 @@ type Options struct {
 	// chunk ahead.
 	PrefetchDepth int
 	// IOLanes is the number of IO lanes each chunk read fans out across:
-	// the read is split into up to IOLanes segments whose device waits
-	// overlap on the pool's IO workers. <= 1 keeps the single-stream
-	// read. Values above the pool's IO worker count are clamped.
+	// the read is split into up to IOLanes shares, each sent as requests
+	// of at most 128 KiB issued together, whose device waits overlap on
+	// the pool's IO workers. <= 1 keeps the single-stream read, one
+	// request per read. Values above the pool's IO worker count are
+	// clamped.
 	IOLanes int
 	// Freelist, when set, is a shared chunk-buffer freelist the ingest
 	// fetcher recycles through — the multi-job engine passes one list so

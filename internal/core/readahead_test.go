@@ -176,7 +176,15 @@ var (
 	hybridStream = recStream{"hybrid", func(in *recInput) (chunk.Stream, error) {
 		return chunk.NewFiles(recParts(in), 0, 16<<10, chunk.NewlineBoundary{})
 	}}
+	// laneStream cuts 1 MiB chunks, so at two and four lanes every
+	// lane's share of a read is above the 128 KiB request cap.
+	laneStream = recStream{"lanes", func(in *recInput) (chunk.Stream, error) {
+		return chunk.NewInterFile(in, 1<<20, chunk.NewlineBoundary{})
+	}}
 )
+
+// maxRequest is the fetcher's cap on one request of a multi-lane read.
+const maxRequest = 128 << 10
 
 // runRecorded runs word count over in cut by st and returns the result
 // and the read schedule the input saw.
@@ -310,6 +318,78 @@ func TestReadAheadSchedule(t *testing.T) {
 	}
 }
 
+// TestLaneRequestSchedule pins the request shape of a multi-lane read:
+// with lane shares above 128 KiB each lane's share goes out as
+// ceil(share/128 KiB) requests of at most 128 KiB, all of them in
+// offset order, and the schedule does not depend on wait timing. The
+// reads themselves are the single-lane schedule, one request per read.
+func TestLaneRequestSchedule(t *testing.T) {
+	text := genText(t, 5<<19)
+	ref := refCounts(text)
+	for _, depth := range []int{1, 3} {
+		_, reads, err := runRecorded(t, laneStream, wcApp{}, &recInput{data: text}, Options{IOLanes: 1, PrefetchDepth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lanes := range []int{2, 4} {
+			var first [][2]int64
+			for run, delay := range []time.Duration{0, 100 * time.Microsecond, 400 * time.Microsecond} {
+				res, got, err := runRecorded(t, laneStream, wcApp{}, &recInput{data: text, delay: delay},
+					Options{IOLanes: lanes, PrefetchDepth: depth})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Pairs) != len(ref) {
+					t.Fatalf("%d words, want %d", len(res.Pairs), len(ref))
+				}
+				if run == 0 {
+					first = got
+					checkLaneRequests(t, lanes, reads, got)
+				} else if fmt.Sprint(got) != fmt.Sprint(first) {
+					t.Fatalf("lanes %d, depth %d: schedule depends on wait timing:\n run 0 %v\n run %d %v", lanes, depth, first, run, got)
+				}
+			}
+		}
+	}
+}
+
+// checkLaneRequests checks reqs against the reads a single lane issued:
+// contiguous requests of at most maxRequest bytes, each read's lane
+// shares cut into ceil(share/maxRequest) of them. A read gives a lane
+// no share below 4 KiB.
+func checkLaneRequests(t *testing.T, lanes int, reads, reqs [][2]int64) {
+	t.Helper()
+	const minShare = 4 << 10
+	var next int64
+	for _, r := range reqs {
+		if r[0] != next || r[1] > maxRequest {
+			t.Fatalf("lanes %d: request %v at %d: want contiguous requests of at most %d bytes", lanes, r, next, maxRequest)
+		}
+		next += r[1]
+	}
+	i, split := 0, false
+	for _, rd := range reads {
+		n := rd[1]
+		k := max(min(int64(lanes), n/minShare), 1)
+		for l := int64(0); l < k; l++ {
+			share := n*(l+1)/k - n*l/k
+			split = split || share > maxRequest
+			var got, count int64
+			for ; got < share && i < len(reqs); i++ {
+				got += reqs[i][1]
+				count++
+			}
+			if want := (share + maxRequest - 1) / maxRequest; got != share || count != want {
+				t.Fatalf("lanes %d, read %v, lane %d: %d requests for %d bytes, want %d for a %d-byte share",
+					lanes, rd, l, count, got, want, share)
+			}
+		}
+	}
+	if i != len(reqs) || !split {
+		t.Fatalf("lanes %d: %d of %d requests matched reads; a share above %d bytes: %v", lanes, i, len(reqs), maxRequest, split)
+	}
+}
+
 // TestPrefetchRingDrainsOnMidStreamError: whatever ends a job early — a
 // failed stream, a refused issue, a failed or panicking wait, a map
 // panic, a cancellation — Run returns the error only after every read
@@ -317,7 +397,9 @@ func TestReadAheadSchedule(t *testing.T) {
 // freelist, at every depth, with no goroutine left behind. A refused
 // issue and a failed wait are checked on every stream shape: the
 // content-defined stream and both multi-file ones, an oversized file
-// being split included.
+// being split included; with lane shares above 128 KiB, a refused
+// issue, a failed wait and a lane panic each strike inside a lane's
+// group of requests.
 func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 	text := genText(t, 64<<10)
 	wc := wcApp{}
@@ -349,18 +431,31 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 	// mid-file, the file-count one in its second chunk, the byte-size one
 	// while splitting the 40 KiB file.
 	type streamCase struct {
-		id string
-		st recStream
+		id   string
+		st   recStream
+		data []byte
 		failure
 	}
 	var all []streamCase
 	for _, tc := range cases {
-		all = append(all, streamCase{tc.name, interStream, tc})
+		all = append(all, streamCase{tc.name, interStream, nil, tc})
 	}
 	for _, st := range []recStream{cdcStream, filesStream, hybridStream} {
 		for _, tc := range readFailures {
-			all = append(all, streamCase{st.name + "/" + tc.name, st, tc})
+			all = append(all, streamCase{st.name + "/" + tc.name, st, nil, tc})
 		}
+	}
+	// With lane shares above 128 KiB the first read is two lanes of five
+	// requests each: an issue refused, a wait failing and a lane
+	// panicking at the third request all land inside the first lane's
+	// group.
+	big := genText(t, 3<<20)
+	for _, tc := range []failure{
+		{"issue", func() *recInput { return &recInput{failIssue: 3} }, nil, "issue refused"},
+		{"wait", func() *recInput { return &recInput{failWait: 3} }, nil, "wait failed"},
+		{"lane-panic", func() *recInput { return &recInput{panicWait: 3} }, nil, "lane died"},
+	} {
+		all = append(all, streamCase{laneStream.name + "/" + tc.name, laneStream, big, tc})
 	}
 	for _, tc := range all {
 		for depth := 1; depth <= 4; depth++ {
@@ -369,7 +464,10 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 				if tc.in != nil {
 					in = tc.in()
 				}
-				in.data, in.delay = scheduleTextBoom(), 200*time.Microsecond
+				in.data, in.delay = tc.data, 200*time.Microsecond
+				if in.data == nil {
+					in.data = scheduleTextBoom()
+				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				pool := exec.NewPool(ctx, exec.Config{Workers: 2, IOWorkers: 2})

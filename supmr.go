@@ -205,12 +205,15 @@ type Config struct {
 	// genuine errors fail immediately. The zero policy disables retries.
 	Retry RetryPolicy
 	// IOLanes is the number of dedicated IO workers ingest fans out
-	// across: each chunk read is split into up to IOLanes segments whose
-	// device waits overlap — the striped multi-lane ingest path. On an
-	// HDFS input the segments fetch their blocks from distinct datanodes
-	// in parallel. <= 1 (the default) keeps the paper's single ingest
-	// thread. Lanes split chunk reads, so a single-file input needs
-	// ChunkBytes: a whole-input read is one task on one IO lane.
+	// across: each chunk read is split into up to IOLanes shares whose
+	// device waits overlap — the striped multi-lane ingest path. A share
+	// goes out as several requests of at most 128 KiB, all issued
+	// together and waited in turn by its lane, so every member disk of a
+	// stripe keeps a queue. On an HDFS input the shares fetch their
+	// blocks from distinct datanodes in parallel. <= 1 (the default)
+	// keeps the paper's single ingest thread, one request per read.
+	// Lanes split chunk reads, so a single-file input needs ChunkBytes:
+	// a whole-input read is one task on one IO lane.
 	IOLanes int
 	// PrefetchDepth is the ingest depth d: how many chunks are kept in
 	// flight ahead of the map wave. <= 1 (the default) is the paper's

@@ -68,6 +68,14 @@ go test -race -count=10 -run 'TestMergeAhead|TestMergeJoins|TestDrainContainer|T
     ./internal/spill/ ./internal/sortalgo/
 go test -race -count=2 -run 'TestBudgetedDigestIdentical|TestChaosSpillDeterministic' .
 
+echo "== race: memo store repeats =="
+# A memo store is an index over a spill run store and shares its lock:
+# concurrent Puts, Gets, evictions and releases on one store, and one
+# store shared by concurrent engine submissions, repeat under the
+# detector.
+go test -race -count=5 -run 'TestStoreConcurrent' ./internal/memo/
+go test -race -count=5 -run 'TestMemoEngineSharedAcrossSubmissions' .
+
 echo "== race: node-container repeats =="
 # A multi-node run's node containers are flushed into by every map
 # worker and drained by worker groups — the sharing pattern the repeats
@@ -103,6 +111,7 @@ for target in \
     chunk:FuzzLaneRequestsVsSerial \
     container:FuzzFlatCombiner \
     memo:FuzzCacheReplay \
+    spill:FuzzRecordCut \
     spill:FuzzRunDecode \
     spill:FuzzBlockDecode \
     shuffle:FuzzDecodeFrame \

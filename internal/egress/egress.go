@@ -52,37 +52,6 @@ type Config struct {
 	Name string
 }
 
-func (c Config) extentBytes() int64 {
-	if c.ExtentBytes > 0 {
-		return c.ExtentBytes
-	}
-	return DefaultExtentBytes
-}
-
-func (c Config) lanes() int {
-	if c.Lanes > 1 {
-		return c.Lanes
-	}
-	return 1
-}
-
-func (c Config) clock() storage.Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	if c.Device != nil {
-		return c.Device.Clock()
-	}
-	return storage.NewRealClock()
-}
-
-func (c Config) name() string {
-	if c.Name != "" {
-		return c.Name
-	}
-	return "egress"
-}
-
 // extent is one dispatched output extent.
 type extent struct {
 	data spill.RunData // raw payload storage, read by Output after the write verifies
@@ -121,9 +90,22 @@ func NewWriter(cfg Config) (*Writer, error) {
 	if cfg.Backing == nil {
 		cfg.Backing = spill.MemBacking{}
 	}
+	if cfg.ExtentBytes == 0 {
+		cfg.ExtentBytes = DefaultExtentBytes
+	}
+	if cfg.Name == "" {
+		cfg.Name = "egress"
+	}
+	cfg.Lanes = max(cfg.Lanes, 1)
 	w := &Writer{cfg: cfg}
 	if cfg.Retry.Enabled() {
-		w.retrier = faults.NewRetrier(cfg.Retry, cfg.clock(), cfg.Counters)
+		clk := cfg.Clock
+		if clk == nil && cfg.Device != nil {
+			clk = cfg.Device.Clock()
+		} else if clk == nil {
+			clk = storage.NewRealClock()
+		}
+		w.retrier = faults.NewRetrier(cfg.Retry, clk, cfg.Counters)
 	}
 	return w, nil
 }
@@ -133,7 +115,7 @@ func NewWriter(cfg Config) (*Writer, error) {
 // been joined — but stops dispatching new extents once one has failed.
 func (w *Writer) Write(p []byte) (int, error) {
 	n := len(p)
-	size := int(w.cfg.extentBytes())
+	size := int(w.cfg.ExtentBytes)
 	for len(p) > 0 {
 		if w.cur == nil {
 			w.cur = make([]byte, 0, size)
@@ -172,7 +154,7 @@ func (w *Writer) dispatch(payload []byte) {
 	if w.cfg.Injector != nil {
 		dst = w.cfg.Injector.WrapBlockFile(fmt.Sprintf("egress%d", idx), data)
 	}
-	for len(w.pending) >= w.cfg.lanes() {
+	for len(w.pending) >= w.cfg.Lanes {
 		w.join(1)
 		if w.err != nil {
 			return
@@ -218,7 +200,7 @@ func (w *Writer) writeExtent(idx int, dst faults.BlockFile, payload []byte, off 
 			w.cfg.Device.Clock().SleepUntil(d)
 		}
 		back := make([]byte, len(payload))
-		if err := readFull(dst, back, 0); err != nil {
+		if err := spill.ReadFull(dst, back, 0); err != nil {
 			return err
 		}
 		if got := crc32.Checksum(back, castagnoli); got != crc {
@@ -264,8 +246,8 @@ func (w *Writer) Close() (*Output, error) {
 		}
 		return nil, w.err
 	}
-	m := Manifest{ExtentBytes: w.cfg.extentBytes(), Total: w.total}
-	o := &Output{name: w.cfg.name(), man: m, extents: w.extents}
+	m := Manifest{ExtentBytes: w.cfg.ExtentBytes, Total: w.total}
+	o := &Output{name: w.cfg.Name, man: m, extents: w.extents}
 	var off int64
 	for _, e := range w.extents {
 		o.man.Extents = append(o.man.Extents, Extent{Off: off, Len: e.len, CRC: e.crc})
@@ -346,7 +328,7 @@ func (o *Output) Bytes() ([]byte, error) {
 	for i, e := range o.extents {
 		start := len(buf)
 		buf = buf[:start+int(e.len)]
-		if err := readFull(e.data, buf[start:], 0); err != nil {
+		if err := spill.ReadFull(e.data, buf[start:], 0); err != nil {
 			return nil, fmt.Errorf("egress: extent %d: %w", i, err)
 		}
 		if got := crc32.Checksum(buf[start:], castagnoli); got != o.man.Extents[i].CRC {
@@ -373,23 +355,4 @@ func (o *Output) Close() error {
 	}
 	o.extents = nil
 	return first
-}
-
-// readFull fills buf from r starting at off.
-func readFull(r interface {
-	ReadAt(p []byte, off int64) (int, error)
-}, buf []byte, off int64) error {
-	for len(buf) > 0 {
-		n, err := r.ReadAt(buf, off)
-		if n > 0 {
-			buf = buf[n:]
-			off += int64(n)
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		return io.ErrUnexpectedEOF
-	}
-	return nil
 }

@@ -11,15 +11,15 @@ import (
 )
 
 // ErrMalformed marks a cache payload whose bytes passed the store's
-// digest check but do not parse as the run format, or do not hold the
-// record count the entry announced. Callers treat it like any other
+// digest check but do not parse as records, or do not hold the record
+// count the entry announced. Callers treat it like any other
 // unreadable entry: a miss and a recompute.
 var ErrMalformed = errors.New("memo: malformed entry payload")
 
 // Cache is the typed view over a Store for one job type: it derives
 // entry keys from chunk content hashes under a key space, and
-// serializes per-chunk map/combine output with the spill run codecs
-// (uvarint-framed key/value records, identical to spill run files).
+// serializes per-chunk map/combine output as a spill run: the spill
+// field codecs inside spill's record framing.
 // Jobs whose key or value types have no codec cannot memoize; NewCache
 // refuses up front.
 type Cache[K comparable, V any] struct {
@@ -29,8 +29,8 @@ type Cache[K comparable, V any] struct {
 	vc    spill.Codec[V]
 }
 
-// Entry is one fetched cache payload, still encoded: the run-format
-// bytes and the record count announced at publish. Fetch returns only
+// Entry is one fetched cache payload, still encoded: the run's bytes
+// and the record count announced at publish. Fetch returns only
 // entries that Replay accepts.
 type Entry struct {
 	Payload []byte
@@ -131,15 +131,13 @@ func (c *Cache[K, V]) Replay(e Entry, emit kv.Emitter[K, V]) error {
 	payload := e.Payload
 	var n int64
 	for pos := 0; pos < len(payload); n++ {
-		kb, next, err := frame(payload, pos)
+		// The payload is all there is: a record it cuts short is
+		// malformed too.
+		kb, vb, size, err := spill.CutRecord(payload[pos:], int64(len(payload)-pos))
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: record at %d: %w", ErrMalformed, pos, err)
 		}
-		vb, next, err := frame(payload, next)
-		if err != nil {
-			return err
-		}
-		pos = next
+		pos += size
 		val, err := c.vc.Decode(vb)
 		if err != nil {
 			return fmt.Errorf("%w: value: %v", ErrMalformed, err)
@@ -160,20 +158,6 @@ func (c *Cache[K, V]) Replay(e Entry, emit kv.Emitter[K, V]) error {
 	return nil
 }
 
-// frame decodes one uvarint-framed field of payload at pos, returning
-// the field bytes and the position after it.
-func frame(payload []byte, pos int) ([]byte, int, error) {
-	u, n := binary.Uvarint(payload[pos:])
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("%w: corrupt length prefix at %d", ErrMalformed, pos)
-	}
-	pos += n
-	if u > uint64(len(payload)-pos) {
-		return nil, 0, fmt.Errorf("%w: field length %d exceeds remaining %d bytes", ErrMalformed, u, len(payload)-pos)
-	}
-	return payload[pos : pos+int(u)], pos + int(u), nil
-}
-
 // discard is Fetch's validating sink: it accepts either emit form and
 // keeps nothing.
 type discard[K comparable, V any] struct{}
@@ -185,15 +169,11 @@ func (discard[K, V]) EmitBytes([]byte, V) {}
 // the chunk's full combined output in its stable (key-sorted) order, so
 // equal chunk content always publishes equal payload bytes.
 func (c *Cache[K, V]) Put(k Key, pairs []kv.Pair[K, V]) error {
-	var buf []byte
-	var scratch []byte
+	var buf, kb, vb []byte
 	for _, p := range pairs {
-		scratch = c.kc.Append(scratch[:0], p.Key)
-		buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-		buf = append(buf, scratch...)
-		scratch = c.vc.Append(scratch[:0], p.Val)
-		buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-		buf = append(buf, scratch...)
+		kb = c.kc.Append(kb[:0], p.Key)
+		vb = c.vc.Append(vb[:0], p.Val)
+		buf = spill.AppendRecord(buf, kb, vb)
 	}
 	return c.store.Put(k, buf, int64(len(pairs)))
 }

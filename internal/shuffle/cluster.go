@@ -213,9 +213,8 @@ func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K
 		return nil, fmt.Errorf("%w: frame for n%d->n%d arrived on n%d->n%d", ErrCorrupt, f.Src, f.Part, src, dst)
 	}
 	run := make([]kv.Pair[K, V], 0, f.Records)
-	payload := f.Payload
-	for len(payload) > 0 {
-		key, val, rest, err := ReadRecord(payload)
+	for p := f.Payload; len(p) > 0; {
+		key, val, rest, err := ReadRecord(p)
 		if err != nil {
 			return nil, err
 		}
@@ -227,8 +226,7 @@ func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K
 		if err != nil {
 			return nil, fmt.Errorf("%w: value: %v", ErrCorrupt, err)
 		}
-		run = append(run, kv.Pair[K, V]{Key: k, Val: v})
-		payload = rest
+		run, p = append(run, kv.Pair[K, V]{Key: k, Val: v}), rest
 	}
 	if len(run) != f.Records {
 		return nil, fmt.Errorf("%w: %d records, header says %d", ErrCorrupt, len(run), f.Records)

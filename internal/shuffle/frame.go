@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"supmr/internal/spill"
 )
 
 // Frame layout — one framed run partition per wire transfer:
@@ -22,8 +24,9 @@ import (
 //	uvarint          partition (destination node)
 //	uvarint          record count
 //	uvarint          payload length in bytes
-//	payload          records: uvarint keyLen, key, uvarint valLen, val
-//	                 (the spill-codec record framing)
+//	payload          records in the one record format, a spill run's:
+//	                 uvarint keyLen, key, uvarint valLen, val, written
+//	                 by spill.AppendRecord and cut by spill.CutRecord
 //	crc32c  [4]byte  Castagnoli checksum of everything before it
 //
 // The checksum plus the explicit payload length mean a torn or
@@ -70,14 +73,9 @@ func EncodeFrame(dst []byte, src, part, records int, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, sum)
 }
 
-// AppendRecord appends one key/value record in the frame's payload
-// framing (shared with the spill run format).
-func AppendRecord(payload, key, val []byte) []byte {
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	payload = binary.AppendUvarint(payload, uint64(len(val)))
-	return append(payload, val...)
-}
+// AppendRecord appends one key/value record to a frame payload, in the
+// spill run format.
+func AppendRecord(payload, key, val []byte) []byte { return spill.AppendRecord(payload, key, val) }
 
 // DecodeFrame parses and verifies exactly one frame occupying all of
 // p. Truncation (including any torn prefix of a valid frame) returns
@@ -129,20 +127,12 @@ func DecodeFrame(p []byte) (Frame, error) {
 // ReadRecord parses the next record from a frame payload, returning
 // the key, value and remaining bytes. Records inside a
 // checksum-verified frame can still be malformed only if the sender
-// was broken, so framing errors here are ErrCorrupt.
+// was broken, so framing errors here, a record the payload cuts short
+// among them, are ErrCorrupt.
 func ReadRecord(payload []byte) (key, val, rest []byte, err error) {
-	for i := 0; i < 2; i++ {
-		l, n := binary.Uvarint(payload)
-		if n <= 0 || l > uint64(len(payload)-n) {
-			return nil, nil, nil, fmt.Errorf("%w: record framing", ErrCorrupt)
-		}
-		field := payload[n : n+int(l)]
-		payload = payload[n+int(l):]
-		if i == 0 {
-			key = field
-		} else {
-			val = field
-		}
+	key, val, n, err := spill.CutRecord(payload, int64(len(payload)))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: record framing: %w", ErrCorrupt, err)
 	}
-	return key, val, payload, nil
+	return key, val, payload[n:], nil
 }

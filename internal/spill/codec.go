@@ -11,9 +11,64 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
+
+// The one record format, shared by spill runs, memo entries and
+// shuffle frame payloads: a run or payload is a flat sequence of
+//
+//	uvarint keyLen | keyLen bytes | uvarint valLen | valLen bytes
+//
+// written by AppendRecord and parsed by CutRecord, and nowhere else.
+
+// ErrShortRecord reports a buffer that ends inside a record.
+var ErrShortRecord = errors.New("spill: buffer ends inside a record")
+
+// ErrBadRecord reports a length prefix that overflows a uvarint or
+// declares more bytes than the record may span.
+var ErrBadRecord = errors.New("spill: malformed record")
+
+// AppendRecord appends one key-value record to dst.
+func AppendRecord(dst, key, val []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	dst = binary.AppendUvarint(dst, uint64(len(val)))
+	return append(dst, val...)
+}
+
+// CutRecord parses the record at the front of p into views of its key
+// and value and its length n. bound, at least len(p), is how many bytes
+// from p[0] on the record may span: len(p) when p is all there is, more
+// when p is a window onto a longer run. Lengths are checked against
+// bound first, so a corrupt prefix never forces a large buffer.
+func CutRecord(p []byte, bound int64) (key, val []byte, n int, err error) {
+	key, kn, err := cutField(p, bound)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	val, vn, err := cutField(p[kn:], bound-int64(kn))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return key, val, kn + vn, nil
+}
+
+func cutField(p []byte, bound int64) ([]byte, int, error) {
+	u, n := binary.Uvarint(p)
+	if n == 0 && len(p) < binary.MaxVarintLen64 {
+		return nil, 0, ErrShortRecord
+	}
+	// Unsigned compare: a length >= 2^63 must not wrap negative.
+	if n <= 0 || u > uint64(bound-int64(n)) {
+		return nil, 0, ErrBadRecord
+	}
+	if uint64(len(p)-n) < u {
+		return nil, 0, ErrShortRecord
+	}
+	return p[n : n+int(u)], n + int(u), nil
+}
 
 // Codec serializes one key or value type for run files. Append encodes
 // v onto dst and returns the extended slice; Decode parses exactly the

@@ -1,7 +1,6 @@
 package spill
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -10,16 +9,15 @@ import (
 	"supmr/internal/storage"
 )
 
-// Run file framing: a run is a flat sequence of records, each
-//
-//	uvarint keyLen | keyLen bytes | uvarint valLen | valLen bytes
-//
-// with no per-run header — the store's run table carries the size and
-// record count. Records are appended in key order, so a reader streams
-// the run back as a sorted source for the external merge.
+// A run has no header — the store's run table carries the size and
+// record count — only records (see AppendRecord), appended in key
+// order, so a reader streams the run back as a sorted source for the
+// external merge.
 
 // NewRun starts writing one run. The caller appends records in key
-// order and must Close the writer to publish the run.
+// order and must Close the writer to publish the run. The run's ID is
+// taken first and spent even if the backing fails, so IDs, and the
+// fault sites named after them, follow the order of attempts.
 func (s *Store) NewRun() (*RunWriter, error) {
 	s.mu.Lock()
 	id := s.nextID
@@ -30,9 +28,87 @@ func (s *Store) NewRun() (*RunWriter, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.open = append(s.open, data)
+	s.open[id] = data
 	s.mu.Unlock()
 	return &RunWriter{s: s, id: id, data: data}, nil
+}
+
+// WriteRun stores payload, records already framed by AppendRecord, as
+// one run: a single backing write (none for an empty payload), then
+// the device charge RunWriter's Close makes. A failed write spends its
+// run ID but releases its backing and allocates no device extent.
+func (s *Store) WriteRun(payload []byte, records int64) (*Run, error) {
+	w, err := s.NewRun()
+	if err != nil {
+		return nil, err
+	}
+	if len(payload) == 0 {
+		return s.publish(w.id, w.data, 0, records), nil
+	}
+	if _, err := w.data.WriteAt(payload, 0); err != nil {
+		s.release(w.id)
+		return nil, fmt.Errorf("spill: write run %d: %w", w.id, err)
+	}
+	return s.publish(w.id, w.data, int64(len(payload)), records), nil
+}
+
+// ReadRun reads a whole run back in one piece: it reserves every block
+// of the run's extent in order — the fallible step, where a fault plan
+// sees the reads — sleeps once on the latest deadline, then copies the
+// payload out of the backing.
+func (s *Store) ReadRun(r *Run) ([]byte, error) {
+	deadline, err := s.reserve(r.devOff, r.size, false)
+	if err != nil {
+		return nil, fmt.Errorf("spill: read run %d: %w", r.id, err)
+	}
+	s.dev.Clock().SleepUntil(deadline)
+	buf := make([]byte, r.size)
+	if err := ReadFull(r.data, buf, 0); err != nil {
+		return nil, fmt.Errorf("spill: read run %d: %w", r.id, err)
+	}
+	return buf, nil
+}
+
+// publish gives a fully written run its device extent, right behind
+// the last published run, charges the device write path for it — the
+// IO-wait the spill lane shows — and enters it in the store's counters.
+func (s *Store) publish(id int, data RunData, size, records int64) *Run {
+	s.mu.Lock()
+	base := s.nextOff
+	s.nextOff += size
+	s.mu.Unlock()
+	deadline, _ := s.reserve(base, size, true)
+	s.dev.Clock().SleepUntil(deadline)
+	s.mu.Lock()
+	s.stats.Runs++
+	s.stats.Bytes += size
+	s.stats.Records += records
+	s.series = append(s.series, metrics.SeriesPoint{T: s.dev.Clock().Now(), V: s.stats.Bytes})
+	s.mu.Unlock()
+	return &Run{id: id, devOff: base, size: size, records: records, data: data}
+}
+
+// reserve books the extent [base, base+size) on the device one block
+// at a time, in offset order, so device counters see the real request
+// count, and returns the latest deadline: FIFO devices make one sleep
+// on it equal to sleeping block by block. Writes go through the write
+// path, which cannot fail; a read's reservation can.
+func (s *Store) reserve(base, size int64, write bool) (time.Duration, error) {
+	deadline := s.dev.Clock().Now()
+	for off := int64(0); off < size; off += s.blockSize {
+		n := min(s.blockSize, size-off)
+		var dl time.Duration
+		if write {
+			dl = storage.ReserveWrite(s.dev, base+off, n)
+		} else {
+			var err error
+			if dl, err = storage.TryReserve(s.dev, base+off, n); err != nil {
+				return 0, err
+			}
+		}
+		deadline = max(deadline, dl)
+	}
+	return deadline, nil
 }
 
 // RunWriter streams one run into the store: records accumulate in a
@@ -54,10 +130,7 @@ func (w *RunWriter) WriteRecord(key, val []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(key)))
-	w.buf = append(w.buf, key...)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(val)))
-	w.buf = append(w.buf, val...)
+	w.buf = AppendRecord(w.buf, key, val)
 	w.records++
 	if int64(len(w.buf)) >= w.s.blockSize {
 		return w.flush(int64(len(w.buf)) / w.s.blockSize * w.s.blockSize)
@@ -82,8 +155,7 @@ func (w *RunWriter) flush(n int64) error {
 }
 
 // Close flushes the tail, charges the device write path for the run
-// (block-granular reservations, slept on the device clock — this is the
-// IO-wait the spill lane shows), and publishes the run in the store.
+// and publishes it in the store.
 func (w *RunWriter) Close() (*Run, error) {
 	if w.err != nil {
 		return nil, w.err
@@ -93,34 +165,7 @@ func (w *RunWriter) Close() (*Run, error) {
 			return nil, err
 		}
 	}
-	size := w.flushed
-	s := w.s
-	s.mu.Lock()
-	base := s.nextOff
-	s.nextOff += size
-	s.mu.Unlock()
-	// Reserve the run's extent block by block so device Write counters
-	// reflect the real request count, then sleep once on the final
-	// deadline — FIFO devices make the two equivalent in time.
-	deadline := s.dev.Clock().Now()
-	for off := int64(0); off < size; off += s.blockSize {
-		n := s.blockSize
-		if rem := size - off; n > rem {
-			n = rem
-		}
-		if d := storage.ReserveWrite(s.dev, base+off, n); d > deadline {
-			deadline = d
-		}
-	}
-	s.dev.Clock().SleepUntil(deadline)
-	run := &Run{id: w.id, devOff: base, size: size, records: w.records, data: w.data}
-	s.mu.Lock()
-	s.stats.Runs++
-	s.stats.Bytes += size
-	s.stats.Records += w.records
-	s.series = append(s.series, metrics.SeriesPoint{T: s.dev.Clock().Now(), V: s.stats.Bytes})
-	s.mu.Unlock()
-	return run, nil
+	return w.s.publish(w.id, w.data, w.flushed, w.records), nil
 }
 
 // OpenRun returns a streaming reader over a completed run. Reads are
@@ -182,7 +227,7 @@ func (r *RunReader) fill(b blockRead) error {
 		r.buf = grown
 	}
 	r.buf = r.buf[:need]
-	if err := readFull(r.run.data, r.buf[tail:], r.filled); err != nil {
+	if err := ReadFull(r.run.data, r.buf[tail:], r.filled); err != nil {
 		r.buf = r.buf[:tail]
 		return fmt.Errorf("spill: read run %d: %w", r.run.id, err)
 	}
@@ -190,11 +235,11 @@ func (r *RunReader) fill(b blockRead) error {
 	return nil
 }
 
-// readFull fills buf from data at off, looping over short reads (a
+// ReadFull fills buf from r at off, looping over short reads (a
 // degraded backing may deliver a prefix with a nil error).
-func readFull(data RunData, buf []byte, off int64) error {
+func ReadFull(r io.ReaderAt, buf []byte, off int64) error {
 	for len(buf) > 0 {
-		n, err := data.ReadAt(buf, off)
+		n, err := r.ReadAt(buf, off)
 		if n > 0 {
 			buf = buf[n:]
 			off += int64(n)
@@ -208,42 +253,20 @@ func readFull(data RunData, buf []byte, off int64) error {
 	return nil
 }
 
-// field parses one length-prefixed field from p, the buffered bytes at
-// the cursor. ok is false when p ends inside the field. A valid length
-// never exceeds what is left of the run; checking that first keeps a
-// corrupt (e.g. fuzzed) prefix from forcing a giant buffer.
-func (r *RunReader) field(p []byte) (f []byte, size int, ok bool, err error) {
-	u, n := binary.Uvarint(p)
-	if n == 0 && len(p) < binary.MaxVarintLen64 {
-		return nil, 0, false, nil
-	}
-	if n <= 0 {
-		return nil, 0, false, fmt.Errorf("spill: run %d: length prefix overflows uvarint", r.run.id)
-	}
-	// Unsigned compare: a length >= 2^63 must not wrap negative.
-	if left := (r.run.size - r.filled) + int64(len(p)-n); u > uint64(left) {
-		return nil, 0, false, fmt.Errorf("spill: run %d: field length %d exceeds remaining %d bytes", r.run.id, u, left)
-	}
-	if uint64(len(p)-n) < u {
-		return nil, 0, false, nil
-	}
-	return p[n : n+int(u)], n + int(u), true, nil
-}
-
 // buffered returns the next record if the buffer holds all of it,
-// without touching the device; ok is false when it does not.
+// without touching the device; ok is false when it does not. A record
+// may span what is buffered plus the run bytes not yet filled.
 func (r *RunReader) buffered() (key, val []byte, ok bool, err error) {
 	p := r.buf[r.pos:]
-	key, kn, ok, err := r.field(p)
-	if !ok {
-		return nil, nil, false, err
+	key, val, n, err := CutRecord(p, r.run.size-r.filled+int64(len(p)))
+	switch err {
+	case nil:
+		r.pos += n
+		return key, val, true, nil
+	case ErrShortRecord:
+		return nil, nil, false, nil
 	}
-	val, vn, ok, err := r.field(p[kn:])
-	if !ok {
-		return nil, nil, false, err
-	}
-	r.pos += kn + vn
-	return key, val, true, nil
+	return nil, nil, false, fmt.Errorf("%w in run %d", err, r.run.id)
 }
 
 // atEnd reports, once the buffer holds no whole record, how the run

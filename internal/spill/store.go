@@ -27,8 +27,8 @@ type Backing interface {
 }
 
 // RunData is the payload of a single run: random-access bytes written
-// once by a RunWriter and read back by RunReaders. Close releases the
-// storage.
+// once and read back. WriteAt keeps io.WriterAt's contract — a short
+// write returns an error. Close releases the storage.
 type RunData interface {
 	WriteAt(p []byte, off int64) (int, error)
 	ReadAt(p []byte, off int64) (int, error)
@@ -124,9 +124,9 @@ type StoreStats struct {
 	Records int64 // total records written
 }
 
-// Store is a job's spill area: an append-only collection of key-sorted
-// run files occupying one contiguous device address range per run. All
-// IO is charged to the configured Device — writes through the write
+// Store is a run store — a job's spill area, or the memo cache's
+// entries: key-sorted runs, each occupying one contiguous device address
+// range, laid out back to back and never reused. All IO is charged to the configured Device — writes through the write
 // path (storage.ReserveWrite, invalidating any cache in front), reads
 // through the normal read path — so spill traffic contends with ingest
 // for the same bandwidth, exactly the bottleneck the budget models.
@@ -138,7 +138,7 @@ type Store struct {
 	mu      sync.Mutex
 	nextOff int64 // next free device byte (runs are laid out back to back)
 	nextID  int
-	open    []RunData
+	open    map[int]RunData // backings not yet released, by run ID
 	stats   StoreStats
 	series  []metrics.SeriesPoint // cumulative Bytes over the device clock
 }
@@ -157,7 +157,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Backing == nil {
 		cfg.Backing = MemBacking{}
 	}
-	return &Store{dev: cfg.Device, blockSize: cfg.BlockSize, backing: cfg.Backing}, nil
+	return &Store{dev: cfg.Device, blockSize: cfg.BlockSize, backing: cfg.Backing, open: make(map[int]RunData)}, nil
 }
 
 // Device returns the device charged for spill IO.
@@ -180,11 +180,11 @@ func (s *Store) Series() []metrics.SeriesPoint {
 	return out
 }
 
-// Close releases every run's backing storage.
+// Close releases every run's backing storage that Release has not.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	open := s.open
-	s.open = nil
+	s.open = make(map[int]RunData)
 	s.mu.Unlock()
 	var first error
 	for _, r := range open {
@@ -193,6 +193,22 @@ func (s *Store) Close() error {
 		}
 	}
 	return first
+}
+
+// Release closes one run's backing storage ahead of the store's Close;
+// the run must not be read afterwards. Releasing a run again is a
+// no-op, so each backing is closed exactly once.
+func (s *Store) Release(r *Run) error { return s.release(r.id) }
+
+func (s *Store) release(id int) error {
+	s.mu.Lock()
+	data, ok := s.open[id]
+	delete(s.open, id)
+	s.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	return data.Close()
 }
 
 // Run describes one completed key-sorted run.

@@ -68,6 +68,14 @@ go test -race -count=10 -run 'TestMergeAhead|TestMergeJoins|TestDrainContainer|T
     ./internal/spill/ ./internal/sortalgo/
 go test -race -count=2 -run 'TestBudgetedDigestIdentical|TestChaosSpillDeterministic' .
 
+echo "== race: scatter finish repeats =="
+# The fixed-key finish writes one shared output array and two shared row
+# arenas from parallel tasks at disjoint offsets: the encode fills the
+# first arena, the scatter the output and the second, and the bucket
+# sorts reorder disjoint ranges of both. The scatter's tests and fuzz
+# seeds and the radix ablations repeat under the detector.
+go test -race -count=3 -run 'TestScatterSort|FuzzScatterSort|TestRadixAblation' ./internal/sortalgo/ .
+
 echo "== race: memo store repeats =="
 # A memo store is an index over a spill run store and shares its lock:
 # concurrent Puts, Gets, evictions and releases on one store, and one
@@ -120,7 +128,8 @@ for target in \
     cdc:FuzzBoundaryStability \
     sortalgo:FuzzBlockMergeVsReference \
     sortalgo:FuzzMergeTreesVsReference \
-    sortalgo:FuzzRadixVsReference; do
+    sortalgo:FuzzRadixVsReference \
+    sortalgo:FuzzScatterSortVsReference; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime="$FUZZTIME" "./internal/${target%%:*}/"
 done
 

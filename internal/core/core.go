@@ -697,7 +697,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 	default:
 		stats.IntermediateN = cont.Len()
-		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, ro, spiller, fixed, &stats)
+		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, ro, spiller, &stats)
 	}
 	if err != nil {
 		pool.Abort(err)
@@ -761,7 +761,7 @@ func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChu
 // every spilled run when the budget forced drains. ro carries the job's
 // pool and timer.
 func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], ro mapreduce.Options,
-	spiller *spill.Spiller[K, V], fixed *kv.FixedKeyCodec[K], stats *mapreduce.Stats) ([]kv.Pair[K, V], int, int, error) {
+	spiller *spill.Spiller[K, V], stats *mapreduce.Stats) ([]kv.Pair[K, V], int, int, error) {
 	timer := ro.Timer
 	// Join the last spill write before reducing: the merge below must
 	// see every run complete. The residue still in the container is
@@ -789,27 +789,20 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 		return mapreduce.MergePhase(app, runs, ro)
 	}
 
-	// The budgeted merge: the in-memory residue runs sort in parallel
-	// (radix fast path when the app has a fixed-key codec) and — their
-	// keys are disjoint — p-way merge into one resident run, then one
+	// The budgeted merge: the in-memory residue's runs (their keys are
+	// disjoint) finish into one resident run by MergePhase's p-way path
+	// — one scatter round when the app has a fixed-key codec — then one
 	// block-streamed loser-tree pass consumes it together with every
 	// on-disk run, which the IO lanes read and decode a block ahead of
 	// it. The round count stays 1 — spilling adds merge sources, not
 	// merge rounds, preserving the paper's single-round property (§IV).
-	// Run-sort and merge time are bracketed separately, like
-	// mapreduce.MergePhase.
-	timer.StartPhase(metrics.PhaseRunSort)
-	radixRuns, err := sortalgo.SortRunsWith(runs, app.Less, fixed, ro.Pool)
-	timer.EndPhase(metrics.PhaseRunSort)
+	ro.Merge = sortalgo.MergePWay
+	residue, _, radixRuns, err := mapreduce.MergePhase(app, runs, ro)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	timer.StartPhase(metrics.PhaseMerge)
 	defer timer.EndPhase(metrics.PhaseMerge)
-	residue, err := sortalgo.PWayMergeWith(runs, app.Less, fixed, ro.Pool)
-	if err != nil {
-		return nil, 0, 0, err
-	}
 	merged, err := spiller.Merge(residue, ro.Pool, "merge")
 	return merged, 1, radixRuns, err
 }

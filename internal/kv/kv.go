@@ -87,16 +87,20 @@ type Combiner[V any] interface {
 // for an app's keys: Put writes exactly Width bytes into dst such that
 // lexicographic (big-endian, unsigned) byte order equals the app's Less
 // order. Apps with such keys — 10-byte terasort records, integer bucket
-// ids — opt into the radix-partitioned run sort and the columnar
-// loser-tree merge; everything else stays on the comparison path.
+// ids — opt into the radix fast path: the single-round scatter finish
+// (sortalgo.ScatterSort) for their reduce runs, and the radix run sort
+// plus the columnar loser-tree merge wherever runs are still merged
+// (drains, the node exchange, the pairwise baseline's run sort);
+// everything else stays on the comparison path.
 //
 // Put returns false when the key cannot be encoded in Width bytes (for
 // example a string of unexpected length); the caller then falls back to
-// the comparison sort for that run. The encoding must be injective for
-// keys that compare unequal, and equal bytes for keys that compare
-// equal, so the radix path orders keys exactly like Less. Byte-identical
-// output between the two paths additionally requires keys to be unique
-// within each run (true for post-reduce runs: containers emit one pair
+// the comparison sort for that run (for the whole finish, when the
+// scatter meets it). The encoding must be injective for keys that
+// compare unequal, and equal bytes for keys that compare equal, so the
+// radix path orders keys exactly like Less. Byte-identical output
+// between the two paths additionally requires keys to be unique within
+// each run (true for post-reduce runs: containers emit one pair
 // per key per partition), because the radix sort is stable while
 // SortPairs is not.
 type FixedKeyCodec[K any] struct {

@@ -102,7 +102,7 @@ type Stats struct {
 	IntermediateN int // container entries after map
 	Runs          int // sorted runs entering merge
 	MergeRounds   int // pairwise rounds the merge algorithm performed
-	RadixRuns     int // runs sorted by the radix fast path (0 = all comparison); a drain counts its worker-sized groups, not its partitions
+	RadixRuns     int // runs finished by the radix fast path (0 = all comparison): reduce runs fed to the scatter finish or radix-sorted before a pairwise merge; a drain counts its worker-sized groups, not its partitions
 	OutputPairs   int
 	SpilledRuns   int           // key-sorted runs the spill layer wrote to storage
 	SpilledBytes  int64         // payload bytes the spill layer wrote to storage
@@ -247,14 +247,33 @@ func ReducePhaseTimed[K comparable, V any](app kv.App[K, V], cont container.Cont
 // MergePhase sorts each run in parallel and merges them with the
 // selected algorithm, returning the globally sorted output, the number
 // of pairwise rounds an iterative merge would perform, and how many runs
-// took the radix fast path. When opts.Timer is set, the run-sort and
-// merge halves are timed separately (PhaseRunSort vs PhaseMerge) so
-// reports can attribute the sort-path speedup.
+// took the radix fast path. Under the p-way merge an app with a
+// fixed-key codec skips both steps: sortalgo.ScatterSort finishes its
+// runs in one distribution round and every run counts as radix. When
+// opts.Timer is set, the run-sort and merge halves are timed separately
+// (PhaseRunSort vs PhaseMerge) so reports can attribute the sort-path
+// speedup.
 func MergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], opts Options) ([]kv.Pair[K, V], int, int, error) {
 	opts = opts.withDefaults()
 	pool, release := opts.pool()
 	defer release()
 	codec := fixedKey(app, opts)
+	rounds := sortalgo.Rounds(len(runs))
+	if opts.Merge == sortalgo.MergePWay {
+		rounds = 1
+		if len(runs) <= 1 {
+			rounds = 0
+		}
+		if codec != nil {
+			merged, ok, err := sortalgo.ScatterSort(runs, *codec, pool, opts.Timer)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			if ok {
+				return merged, rounds, len(runs), nil
+			}
+		}
+	}
 	if opts.Timer != nil {
 		opts.Timer.StartPhase(metrics.PhaseRunSort)
 	}
@@ -264,13 +283,6 @@ func MergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], o
 	}
 	if err != nil {
 		return nil, 0, 0, err
-	}
-	rounds := sortalgo.Rounds(len(runs))
-	if opts.Merge == sortalgo.MergePWay {
-		rounds = 1
-		if len(runs) <= 1 {
-			rounds = 0
-		}
 	}
 	if opts.Timer != nil {
 		opts.Timer.StartPhase(metrics.PhaseMerge)

@@ -2,6 +2,7 @@ package sortalgo
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"supmr/internal/exec"
@@ -106,6 +107,46 @@ func BenchmarkLoserTreeWidth(b *testing.B) {
 				out, err := PWayMerge(rs, less, ex)
 				if err != nil || len(out) != total {
 					b.Fatal("bad merge", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFixedKeyFinish compares the two ways a job finishes 64
+// unsorted terasort-shaped runs (10-byte keys) into one sorted array:
+// the single-round scatter, and the radix run sort plus columnar p-way
+// merge it replaces.
+func BenchmarkFixedKeyFinish(b *testing.B) {
+	const total, width = 1 << 18, 10
+	rng := rand.New(rand.NewSource(1))
+	base := make([][]kv.Pair[string, uint64], 64)
+	key := make([]byte, width)
+	for r := range base {
+		for i := 0; i < total/len(base); i++ {
+			rng.Read(key)
+			base[r] = append(base[r], kv.Pair[string, uint64]{Key: string(key), Val: uint64(i)})
+		}
+	}
+	codec := kv.StringFixedKey(width)
+	for _, path := range []string{"scatter", "sort+pway"} {
+		b.Run(path, func(b *testing.B) {
+			ex := exec.NewLocal(2)
+			defer ex.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rs := copyRuns(base)
+				b.StartTimer()
+				var out []kv.Pair[string, uint64]
+				var err error
+				if path == "scatter" {
+					out, _, err = ScatterSort(rs, codec, ex, nil)
+				} else if _, err = SortRunsWith(rs, strLess, &codec, ex); err == nil {
+					out, err = PWayMergeWith(rs, strLess, &codec, ex)
+				}
+				if err != nil || len(out) != total {
+					b.Fatal("bad finish", err)
 				}
 			}
 		})

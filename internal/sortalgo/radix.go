@@ -12,9 +12,12 @@ package sortalgo
 //     final permutation is applied to the fat kv.Pair structs exactly
 //     once, by cycle-walking in place.
 //
-//   - Digit positions that are constant across the whole run are skipped.
-//     Range-partitioned runs (KeyRange containers, p-way splitter ranges)
-//     share long key prefixes, so most passes vanish.
+//   - Digit positions that are constant across the whole slice are
+//     skipped. A run drained from a container or cut from a KeyRange
+//     array has no shared prefix to speak of (every digit of a terasort
+//     key varies in every sort run), but a ScatterSort bucket does: its
+//     leading digit — and, after the skew guard splits it, its next
+//     one — is constant by construction, so those passes vanish.
 //
 // The sort is stable (counting passes preserve ties in input order).
 // kv.SortPairs is not, so byte-identical -radixsort=off ablation output
@@ -81,69 +84,94 @@ func RadixSortPairs[K any, V any](ps []kv.Pair[K, V], codec kv.FixedKeyCodec[K])
 
 	keys := getScratchBytes(n * w)
 	defer putScratchBytes(keys)
-
-	// Encode every key into its row, recording which digit positions
-	// actually vary relative to the first key.
-	diff := make([]byte, w)
-	first := keys[:w]
-	if !codec.Put(first, ps[0].Key) {
-		return false
-	}
-	for i := 1; i < n; i++ {
-		row := keys[i*w : i*w+w]
-		if !codec.Put(row, ps[i].Key) {
+	for i := range ps {
+		if !codec.Put(keys[i*w:i*w+w], ps[i].Key) {
 			return false
 		}
-		for d := 0; d < w; d++ {
-			diff[d] |= row[d] ^ first[d]
-		}
 	}
+	lsdSort(ps, keys, w)
+	return true
+}
 
-	idx := getScratchIdx(2 * n)
-	defer putScratchIdx(idx)
-	a, b := idx[:n], idx[n:2*n]
+// lsdSort stably sorts ps by their encoded keys — rows[i*w:(i+1)*w] is
+// ps[i]'s — least-significant digit first. Every digit is counted up
+// front, so each distribution pass skips its own counting loop, and a
+// digit whose count shows it constant across ps costs no pass at all.
+// rows is read, never reordered.
+func lsdSort[K any, V any](ps []kv.Pair[K, V], rows []byte, w int) {
+	n := len(ps)
+	scratch := getScratchIdx(2*n + 256*w)
+	defer putScratchIdx(scratch)
+	a, b, counts := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	histogram(rows, w, counts)
 	for i := range a {
 		a[i] = uint32(i)
 	}
-
-	// LSD counting passes over the varying digits only. Each pass is
-	// stable, so the final order is (key bytes, original index).
-	var count [256]uint32
+	// Each pass is stable, so the final order is (key bytes, original
+	// index).
 	for d := w - 1; d >= 0; d-- {
-		if diff[d] == 0 {
-			continue
+		if c := (*[256]uint32)(counts[d*256:]); varies(c, n) {
+			digitPass(a, b, rows, w, d, c)
+			a, b = b, a
 		}
-		count = [256]uint32{}
-		for _, id := range a {
-			count[keys[int(id)*w+d]]++
-		}
-		pos := uint32(0)
-		for i := 0; i < 256; i++ {
-			c := count[i]
-			count[i] = pos
-			pos += c
-		}
-		for _, id := range a {
-			digit := keys[int(id)*w+d]
-			b[count[digit]] = id
-			count[digit]++
-		}
-		a, b = b, a
 	}
+	permute(ps, a)
+}
 
-	// Apply the permutation (sorted[j] = ps[a[j]]) in place by walking
-	// its cycles; the high bit marks visited entries, so no pair scratch
-	// buffer is needed.
+// histogram sets counts[d*256+v] to the number of rows whose digit d is
+// v, for every digit d < w.
+func histogram(rows []byte, w int, counts []uint32) {
+	for d := 0; d < w; d++ {
+		c := (*[256]uint32)(counts[d*256:])
+		*c = [256]uint32{}
+		for i := d; i < len(rows); i += w {
+			c[rows[i]]++
+		}
+	}
+}
+
+// varies reports whether a digit whose histogram over n rows is c takes
+// more than one value.
+func varies(c *[256]uint32, n int) bool {
+	for _, k := range c {
+		if int(k) == n {
+			return false
+		}
+	}
+	return n > 0
+}
+
+// digitPass is one stable counting pass: it distributes the row ids in
+// src into dst by digit d of their rows. count holds the digit's
+// histogram on entry; on return count[v] is the end offset in dst of the
+// ids whose digit is v.
+func digitPass(src, dst []uint32, rows []byte, w, d int, count *[256]uint32) {
+	pos := uint32(0)
+	for i, c := range count {
+		count[i] = pos
+		pos += c
+	}
+	for _, id := range src {
+		digit := rows[int(id)*w+d]
+		dst[count[digit]] = id
+		count[digit]++
+	}
+}
+
+// permute applies the permutation perm (sorted[j] = ps[perm[j]]) to ps in
+// place by walking its cycles; the high bit marks visited entries, so no
+// pair scratch buffer is needed. perm is clobbered.
+func permute[K any, V any](ps []kv.Pair[K, V], perm []uint32) {
 	const visited = 1 << 31
-	for i := 0; i < n; i++ {
-		if a[i]&visited != 0 || int(a[i]) == i {
+	for i := range ps {
+		if perm[i]&visited != 0 || int(perm[i]) == i {
 			continue
 		}
 		tmp := ps[i]
 		cur := i
 		for {
-			nxt := int(a[cur])
-			a[cur] |= visited
+			nxt := int(perm[cur])
+			perm[cur] |= visited
 			if nxt == i {
 				ps[cur] = tmp
 				break
@@ -152,5 +180,4 @@ func RadixSortPairs[K any, V any](ps []kv.Pair[K, V], codec kv.FixedKeyCodec[K])
 			cur = nxt
 		}
 	}
-	return true
 }

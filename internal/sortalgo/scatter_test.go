@@ -1,0 +1,249 @@
+package sortalgo
+
+// ScatterSort against its two references — a stable sort of the runs
+// concatenated in run order, and the SortRunsWith + PWayMergeWith path
+// it replaces — plus its declines and the skew guard's task bound.
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"supmr/internal/exec"
+	"supmr/internal/kv"
+)
+
+// scatterShapes are the key distributions the generator draws from.
+var scatterShapes = []string{"random", "dup", "equal", "prefix", "skew"}
+
+// scatterRuns builds k runs of fixed-width string keys in no particular
+// order. Run lengths straddle radixMinLen and include empty runs; values
+// number the pairs in run order, so any reordering of equal keys shows.
+//
+//   - random: keys over keyAlphabet;
+//   - dup:    a two-letter alphabet, so keys repeat within and across runs;
+//   - equal:  one key everywhere;
+//   - prefix: every key shares its first k bytes (k drawn per call);
+//   - skew:   ≥ 90 % of keys share one leading byte.
+func scatterRuns(rng *rand.Rand, k, width int, shape string) [][]kv.Pair[string, int] {
+	alpha := keyAlphabet
+	if shape == "dup" {
+		alpha = keyAlphabet[:2]
+	}
+	prefix := make([]byte, rng.Intn(width+1))
+	for i := range prefix {
+		prefix[i] = alpha[rng.Intn(len(alpha))]
+	}
+	equal := make([]byte, width)
+	for i := range equal {
+		equal[i] = alpha[rng.Intn(len(alpha))]
+	}
+	runs := make([][]kv.Pair[string, int], k)
+	val := 0
+	buf := make([]byte, width)
+	for r := range runs {
+		n := rng.Intn(3 * radixMinLen)
+		if rng.Intn(4) == 0 {
+			n = rng.Intn(4) // empty and near-empty runs
+		}
+		for i := 0; i < n; i++ {
+			for j := range buf {
+				buf[j] = alpha[rng.Intn(len(alpha))]
+			}
+			switch shape {
+			case "prefix":
+				copy(buf, prefix)
+			case "skew":
+				if rng.Intn(10) != 0 {
+					buf[0] = 'a'
+				}
+			}
+			key := string(buf)
+			if shape == "equal" {
+				key = string(equal)
+			}
+			runs[r] = append(runs[r], kv.Pair[string, int]{Key: key, Val: val})
+			val++
+		}
+	}
+	return runs
+}
+
+func copyRuns[K any, V any](runs [][]kv.Pair[K, V]) [][]kv.Pair[K, V] {
+	cp := make([][]kv.Pair[K, V], len(runs))
+	for i, r := range runs {
+		cp[i] = slices.Clone(r)
+	}
+	return cp
+}
+
+// checkScatter runs ScatterSort on runs and holds it to both references.
+// The merge reference sorts short runs with kv.SortPairs, which is not
+// stable, so it is compared pair for pair only when no short run repeats
+// a key; otherwise key for key.
+func checkScatter[K comparable, V comparable](t *testing.T, runs [][]kv.Pair[K, V], less kv.Less[K],
+	codec kv.FixedKeyCodec[K], workers int, label string) {
+	t.Helper()
+	ex := exec.NewLocal(workers)
+	defer ex.Close()
+	in := copyRuns(runs)
+	var flat []kv.Pair[K, V]
+	total := 0
+	for _, r := range runs {
+		flat = append(flat, r...)
+		total += len(r)
+	}
+
+	got, ok, err := ScatterSort(runs, codec, ex, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for i := range runs {
+		samePairs(t, runs[i], in[i], fmt.Sprintf("%s: run %d after ScatterSort", label, i))
+	}
+	if total < radixMinLen {
+		if ok {
+			t.Fatalf("%s: accepted %d pairs, under radixMinLen", label, total)
+		}
+		return
+	}
+	if !ok {
+		t.Fatalf("%s: declined %d encodable pairs", label, total)
+	}
+	samePairs(t, got, stableRef(flat, less), label+" vs stable reference")
+
+	merge := copyRuns(runs)
+	if _, err := SortRunsWith(merge, less, &codec, ex); err != nil {
+		t.Fatal(err)
+	}
+	want, err := PWayMergeWith(merge, less, &codec, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs, merge path %d", label, len(got), len(want))
+	}
+	exact := true
+	for _, r := range runs {
+		if len(r) < radixMinLen && hasDupKey(r) {
+			exact = false
+		}
+	}
+	for i := range got {
+		if got[i].Key != want[i].Key || (exact && got[i] != want[i]) {
+			t.Fatalf("%s: pair %d = %+v, merge path %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+func hasDupKey[K comparable, V any](r []kv.Pair[K, V]) bool {
+	seen := make(map[K]bool, len(r))
+	for _, p := range r {
+		if seen[p.Key] {
+			return true
+		}
+		seen[p.Key] = true
+	}
+	return false
+}
+
+// TestScatterSortSkewGuard: with 90 % of the keys on one leading byte,
+// no bucket-sort task may hold more than a p-way merge worker's share,
+// ⌈n/workers⌉ pairs. A hot bucket whose keys are all equal cannot be
+// split, and must not be a task at all: it is already in order.
+func TestScatterSortSkewGuard(t *testing.T) {
+	const workers, width = 4, 10
+	ex := exec.NewLocal(workers)
+	defer ex.Close()
+	for _, hot := range []string{"random-tail", "equal"} {
+		rng := rand.New(rand.NewSource(11))
+		runs := make([][]kv.Pair[string, int], 16)
+		n, val := 0, 0
+		buf := make([]byte, width)
+		for r := range runs {
+			for i := 0; i < 1000; i++ {
+				rng.Read(buf)
+				if rng.Intn(10) != 0 {
+					buf[0] = 0x42
+					if hot == "equal" {
+						copy(buf[1:], "hot-key!!")
+					}
+				}
+				runs[r] = append(runs[r], kv.Pair[string, int]{Key: string(buf), Val: val})
+				val++
+			}
+			n += len(runs[r])
+		}
+		limit := (n + workers - 1) / workers
+		p, ok, err := scatter(runs, kv.StringFixedKey(width), ex)
+		if !ok || err != nil {
+			t.Fatalf("%s: ok=%v err=%v", hot, ok, err)
+		}
+		largest := 0
+		for _, s := range p.tasks {
+			largest = max(largest, s.hi-s.lo)
+		}
+		putScratchBytes(p.rows)
+		if largest > limit {
+			t.Errorf("%s: largest bucket-sort task holds %d pairs, over the share %d", hot, largest, limit)
+		}
+		if hot == "random-tail" && largest < 2 {
+			t.Errorf("%s: no bucket-sort tasks; the bound is vacuous", hot)
+		}
+		checkScatter(t, runs, strLess, kv.StringFixedKey(width), workers, "skew/"+hot)
+	}
+}
+
+// FuzzScatterSortVsReference draws widths 1, 2, 8, 10 and 16 (and the
+// int codec), every key shape, run counts from none up, worker counts
+// and, for mode ≥ 128, an unencodable key, and holds ScatterSort to both
+// references — or to a clean decline with the runs untouched. The seeds
+// cover every width × shape pair, both declines and the int codec.
+func FuzzScatterSortVsReference(f *testing.F) {
+	for w := uint8(0); w < 6; w++ {
+		for shape := uint8(0); shape < uint8(len(scatterShapes)); shape++ {
+			f.Add(int64(w)*10+int64(shape), w, shape, uint8(1+3*shape), w)
+		}
+	}
+	f.Add(int64(6), uint8(3), uint8(0), uint8(5), uint8(200)) // unencodable key
+	f.Add(int64(7), uint8(2), uint8(1), uint8(0), uint8(0))   // no runs
+	f.Fuzz(func(t *testing.T, seed int64, widthRaw, shapeRaw, kRaw, mode uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		widths := []int{1, 2, 8, 10, 16, 0} // 0: the int codec
+		width := widths[int(widthRaw)%len(widths)]
+		shape := scatterShapes[int(shapeRaw)%len(scatterShapes)]
+		k := int(kRaw % 20)
+		workers := 1 + int(mode%4)
+		label := fmt.Sprintf("fuzz w=%d %s k=%d", width, shape, k)
+		if width == 0 {
+			runs := scatterRuns(rng, k, 2, shape)
+			ints := make([][]kv.Pair[int, int], len(runs))
+			for r, run := range runs {
+				for _, p := range run {
+					key := (int(p.Key[0])<<8 | int(p.Key[1])) - 1<<15
+					ints[r] = append(ints[r], kv.Pair[int, int]{Key: key, Val: p.Val})
+				}
+			}
+			checkScatter(t, ints, func(a, b int) bool { return a < b }, kv.IntFixedKey(), workers, label)
+			return
+		}
+		runs := scatterRuns(rng, k, width, shape)
+		if mode >= 128 && k > 0 {
+			// An unencodable key anywhere must decline the whole call.
+			r := rng.Intn(k)
+			runs[r] = append(runs[r], kv.Pair[string, int]{Key: string(make([]byte, width+1))})
+			ex := exec.NewLocal(workers)
+			defer ex.Close()
+			in := copyRuns(runs)
+			if _, ok, err := ScatterSort(runs, kv.StringFixedKey(width), ex, nil); ok || err != nil {
+				t.Fatalf("%s: unencodable key: ok=%v err=%v", label, ok, err)
+			}
+			for i := range runs {
+				samePairs(t, runs[i], in[i], label+": run after a declined ScatterSort")
+			}
+			return
+		}
+		checkScatter(t, runs, strLess, kv.StringFixedKey(width), workers, label)
+	})
+}

@@ -12,6 +12,12 @@
 // each processor an independent output range to fill with a loser-tree
 // k-way merge — one scan of the data, full parallelism throughout.
 //
+// For keys with a fixed-width encoding the single round takes its
+// fixed-key form, ScatterSort (scatter.go): the first varying key byte is
+// an exact splitter, so the unsorted runs scatter straight into disjoint
+// buckets of the output, each bucket is radix-sorted in cache, and
+// nothing is left to merge.
+//
 // All algorithms run on the job's persistent executor (internal/exec)
 // rather than spawning their own workers: parallelism comes from the
 // pool's compute workers, utilization spans from the pool's job sink,

@@ -230,3 +230,54 @@ func TestRadixAblationMergeAlgos(t *testing.T) {
 		}
 	}
 }
+
+// TestRadixAblationSharedPrefix: every key starts with the same two
+// bytes, so the scatter's leading digit is the third and its bucket
+// sorts skip the shared prefix. The resident finish and the budgeted
+// residue (spilled runs plus an in-memory remainder) must match the
+// -radixsort=off path byte for byte on one worker and on four.
+func TestRadixAblationSharedPrefix(t *testing.T) {
+	tera := teraData(8000, 17)
+	for off := 0; off < len(tera); off += workload.TeraRecordSize {
+		tera[off], tera[off+1] = 'Q', 'Z'
+	}
+	for _, budget := range []int64{0, 256 << 10} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("budget=%d/workers=%d", budget, workers), func(t *testing.T) {
+				run := func(radixOn bool) (string, *Report[string, uint64]) {
+					t.Helper()
+					clk := storage.NewFakeClock()
+					cfg := applyIngestEnv(Config{Runtime: RuntimeSupMR, ChunkBytes: 64 << 10,
+						Boundary: CRLFRecords, Clock: clk, Workers: workers})
+					if budget > 0 {
+						cfg.MemoryBudget, cfg.SpillDevice = budget, NewFastDevice(clk)
+					}
+					if !radixOn {
+						off := false
+						cfg.RadixSort = &off
+					}
+					rep, err := RunBytes[string, uint64](SortJob(), tera, SortContainer(), cfg)
+					if err != nil {
+						t.Fatalf("radix=%v: %v", radixOn, err)
+					}
+					return renderPairs(rep.Pairs), rep
+				}
+				on, onRep := run(true)
+				off, offRep := run(false)
+				if on != off {
+					t.Fatal("radix on and off diverge")
+				}
+				if s := onRep.Stats; s.RadixRuns == 0 || s.MergeRounds != 1 || s.OutputPairs != 8000 {
+					t.Errorf("radix on: %d radix runs, %d merge rounds, %d pairs; want > 0, 1, 8000",
+						s.RadixRuns, s.MergeRounds, s.OutputPairs)
+				}
+				if offRep.Stats.RadixRuns != 0 {
+					t.Errorf("radix off reported %d radix runs", offRep.Stats.RadixRuns)
+				}
+				if s := onRep.Stats; budget > 0 && (s.SpilledRuns == 0 || s.Runs == s.SpilledRuns) {
+					t.Errorf("budgeted run: %d runs, %d spilled; want spilled runs and an in-memory residue", s.Runs, s.SpilledRuns)
+				}
+			})
+		}
+	}
+}

@@ -645,7 +645,7 @@ func BenchmarkAblationSpill(b *testing.B) {
 // in flight per member and recovers the aggregate rate; the virtual
 // ReadMap seconds (FakeClock — device time only, map compute is free)
 // measure exactly that. TestIngestLanesGate holds Lanes4 at >= 1.5x the
-// Lanes1 throughput and bounds its allocs/op: the prefetch ring recycles
+// Lanes1 throughput and bounds its allocs/op: the prefetch pump recycles
 // chunk buffers through the freelist, so steady-state ingest allocates
 // O(depth) buffers, not O(chunks). The app is deliberately trivial —
 // one emission per map split — so allocs/op measures the ingest

@@ -228,7 +228,7 @@ func TestChaosShuffleMidJobFailures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream := &trackedStream{Stream: inner}
+			stream := track(inner)
 			job := panicAfter{Job: WordCountJob(), calls: new(atomic.Int64), limit: tc.mapLimit}
 			_, err = Run[string, int64](job, stream, WordCountContainer(8), cfg)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -42,7 +42,7 @@ echo "== go test -race =="
 go test -race -count=1 ./...
 
 echo "== race: chaos + differential with striped ingest =="
-# 4 IO lanes and a depth-3 prefetch ring must not change a single output
+# 4 IO lanes and 3 reads in flight must not change a single output
 # byte or fault counter — striping may only change when bytes arrive,
 # never which bytes.
 SUPMR_IO_LANES=4 SUPMR_PREFETCH_DEPTH=3 \
@@ -50,13 +50,15 @@ SUPMR_IO_LANES=4 SUPMR_PREFETCH_DEPTH=3 \
 
 echo "== race: reads in flight =="
 # The pump keeps up to PrefetchDepth chunk reads in flight on the IO
-# lanes, under the nominal and the content-defined cut, each lane's
-# share of a read as several requests waited by one lane task; every way
-# a job can end early, on every stream shape, must join them all and hand
-# every buffer back, and neither the read nor the request schedule may
-# depend on wait timing. Faults and retries inside a lane's requests
-# must leave the output and the fault counters unchanged.
-go test -race -count=3 -run 'TestPrefetchRingDrainsOnMidStreamError|TestReadAheadSchedule|TestLaneRequestSchedule' ./internal/core/
+# lanes, under the nominal, the content-defined, the file-boundary and
+# the whole-input cut, each lane's share of a read as several requests
+# waited by one lane task; every way a job can end early, on every
+# stream shape, must join them all and hand every buffer back, and
+# neither the read nor the request schedule may depend on wait timing.
+# A whole-input read fans out over the lanes like any other. Faults and
+# retries inside a lane's requests must leave the output and the fault
+# counters unchanged.
+go test -race -count=3 -run 'TestPrefetchRingDrainsOnMidStreamError|TestReadAheadSchedule|TestLaneRequestSchedule|TestWholeInputFansOutOverIOLanes' ./internal/core/
 go test -race -count=3 -run 'TestChaosLaneRequests' .
 
 echo "== race: out-of-core repeats =="

@@ -99,7 +99,7 @@ func specFlags(fs *flag.FlagSet, size, chunk, bw string) func() jobspec.Spec {
 		budget   = fs.String("budget", "0", "intermediate-container memory budget in bytes; over-budget state spills to the simulated device (0 = unbudgeted; refused with -memo, -nodes or -runtime traditional; on supmrd this is the request and the engine may grant less)")
 		bwStr    = fs.String("bw", bw, "simulated storage bandwidth, bytes/sec (0 = infinite)")
 		ioLanes  = fs.String("io-lanes", "1", "IO lanes for striped ingest: each chunk read splits into this many shares read in parallel, each share sent as requests of at most 128 KiB issued together (1 = one request per read; set aside by -runtime traditional)")
-		prefetch = fs.String("prefetch-depth", "1", "prefetch ring depth: ingest chunks kept in flight ahead of the map wave (set aside by -runtime traditional)")
+		prefetch = fs.String("prefetch-depth", "1", "prefetch depth: ingest chunk reads kept in flight ahead of the map wave (set aside by -runtime traditional)")
 		pattern  = fs.String("pattern", "", "comma-separated patterns for a string-match run (empty = the app's default)")
 		faults   = fs.String("faults", "", "deterministic fault plan, e.g. seed=42,read-err-every=100,short-read=0.05,latency=2ms,latency-prob=0.1 (keys: seed, read-err[-every], write-err[-every], short-read[-every], latency[-prob|-every], permanent[-every], max)")
 		retries  = fs.String("retries", "", "retry policy for transient faults: attempt count (\"4\") or attempts=N,base=DUR,max=DUR,budget=N")

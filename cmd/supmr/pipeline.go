@@ -28,7 +28,7 @@ func pipelineMain(args []string) {
 		pattern     = fs.String("pattern", "00", "comma-separated patterns for the sortgrep pipeline's grep round")
 		egLanes     = fs.Int("egress-lanes", 2, "egress extent writers per piped round (1 = serial-writer ablation; output byte-identical at any lane count)")
 		ioLanes     = fs.String("io-lanes", "1", "IO lanes for striped ingest")
-		prefetch    = fs.String("prefetch-depth", "1", "prefetch ring depth")
+		prefetch    = fs.String("prefetch-depth", "1", "prefetch depth: ingest chunk reads kept in flight")
 		faultsStr   = fs.String("faults", "", "deterministic fault plan applied to every round (see supmr -faults)")
 		retries     = fs.String("retries", "", "retry policy for transient faults (see supmr -retries)")
 		materialize = fs.Bool("materialize", false, "ablation: write each upstream output to an in-memory file and re-ingest it instead of piping extents (digests must match the piped mode)")

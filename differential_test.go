@@ -457,12 +457,18 @@ func TestMultiNodeCompositions(t *testing.T) {
 }
 
 // trackedStream counts Next calls and records every chunk the
-// pipeline's pump pulled, forwarding the fetcher so the chunks come
-// from the job's freelist.
+// pipeline's pump pulled. It is no chunk.InterFile, so the pipeline
+// reads it one chunk ahead on an IO lane; its inner stream reads through
+// a pooled fetcher of its own, so a released chunk has no Data.
 type trackedStream struct {
 	Stream
 	nexts int
 	seen  []*Chunk
+}
+
+func track(inner Stream) *trackedStream {
+	inner.(chunk.FetcherAware).SetFetcher(chunk.NewFetcher(1, nil))
+	return &trackedStream{Stream: inner}
 }
 
 func (s *trackedStream) Next() (*Chunk, error) {
@@ -474,15 +480,9 @@ func (s *trackedStream) Next() (*Chunk, error) {
 	return c, err
 }
 
-func (s *trackedStream) SetFetcher(f *chunk.Fetcher) {
-	if fa, ok := s.Stream.(chunk.FetcherAware); ok {
-		fa.SetFetcher(f)
-	}
-}
-
 // panicAfter is a word count whose map callback panics once it has been
-// called more than limit times — mid-stream, with chunks still in the
-// prefetch ring.
+// called more than limit times — mid-stream, with chunk reads still in
+// flight.
 type panicAfter struct {
 	Job[string, int64]
 	calls *atomic.Int64
@@ -497,31 +497,29 @@ func (p panicAfter) Map(split []byte, emit Emitter[string, int64]) {
 }
 
 // TestMultiNodeMapPanicReleasesChunks: a map panic mid-stream on a
-// multi-node run fails the job with every chunk buffer the stream
-// handed out — mapped, current, or still waiting in the ring — released
-// back to the freelist, and no goroutine left behind.
+// multi-node run fails the job with every chunk buffer the stream took
+// — mapped, handed over, or under a read still in flight — released
+// back to the freelist, and no goroutine left behind. The job is an
+// engine submission, whose freelist the test can see.
 func TestMultiNodeMapPanicReleasesChunks(t *testing.T) {
 	text := genText(t, 256<<10, 59)
 	baseGoroutines := runtime.NumGoroutine()
-	cfg := Config{Runtime: RuntimeSupMR, Workers: 2, Splits: 4, ChunkBytes: 8 << 10, Nodes: 3, PrefetchDepth: 4}
-	inner, err := StreamFile(MemoryFile("in", text, cfg.clock()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := &trackedStream{Stream: inner}
+	eng := NewEngine(EngineConfig{Workers: 2})
+	cfg := Config{Runtime: RuntimeSupMR, Workers: 2, Splits: 4, ChunkBytes: 8 << 10, Nodes: 3, PrefetchDepth: 4, Engine: eng}
 	job := panicAfter{Job: WordCountJob(), calls: new(atomic.Int64), limit: 3 * 4} // three waves succeed
-	_, err = Run[string, int64](job, stream, WordCountContainer(8), cfg)
+	_, err := RunFile[string, int64](job, MemoryFile("in", text, cfg.clock()), WordCountContainer(8), cfg)
 	if err == nil || !strings.Contains(err.Error(), "mapper exploded mid-stream") {
 		t.Fatalf("err = %v, want the map panic", err)
 	}
-	if len(stream.seen) < 5 {
-		t.Fatalf("only %d chunks were read before the panic; the ring was not ahead of the mappers", len(stream.seen))
+	// Four chunks mapped, and at depth 4 the reads run past them.
+	gets, reuses := eng.frees.Stats()
+	if gets < 5 {
+		t.Fatalf("only %d chunk buffers were taken before the panic; the reads were not ahead of the mappers", gets)
 	}
-	for i, c := range stream.seen {
-		if c.Data != nil {
-			t.Errorf("chunk read #%d was never released (%d bytes still held)", i, len(c.Data))
-		}
+	if parked := eng.frees.Parked(); int64(parked) != gets-reuses {
+		t.Errorf("%d chunk buffers parked, %d allocated: a buffer was never released", parked, gets-reuses)
 	}
+	eng.Close()
 	checkNoGoroutineLeak(t, baseGoroutines)
 }
 

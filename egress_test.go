@@ -167,7 +167,7 @@ func TestEgressConfigValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &trackedStream{Stream: inner}
+		s := track(inner)
 		if _, err := Run[string, int64](WordCountJob(), s, WordCountContainer(2), bad); err == nil || s.nexts != 0 {
 			t.Errorf("EgressLanes=%d EgressExtentBytes=%d: err = %v after %d stream reads, want a rejection before the first",
 				bad.EgressLanes, bad.EgressExtentBytes, err, s.nexts)

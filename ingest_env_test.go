@@ -3,7 +3,7 @@ package supmr
 // The striped-ingest CI gate reruns the chaos and differential suites
 // with the multi-lane ingest path switched on (SUPMR_IO_LANES /
 // SUPMR_PREFETCH_DEPTH): the suites' byte-identical-output and
-// determinism invariants must hold at any lane count or ring depth,
+// determinism invariants must hold at any lane count or read-ahead depth,
 // because neither may change what is read — only when.
 
 import (

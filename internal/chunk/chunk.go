@@ -1,14 +1,15 @@
 // Package chunk implements SupMR's ingest chunk management: the
 // partitioning of the input into small, similarly-sized units that the
-// ingest chunk pipeline streams through the runtime. There are two
-// chunkers. InterFile cuts one big file near a size and extends each cut
-// to a record boundary, with reads running ahead of the cuts; its cut
-// lands at the nominal size (§III-A1's inter-file chunking) or, under
-// NewContentDefined, where the content says (the memo cache's chunking).
-// Files coalesces several files per chunk, up to a file count
-// (intra-file chunking) or a byte size (hybrid chunking, which splits an
-// oversized file through InterFile). SplitBuffer cuts an ingested chunk
-// into per-mapper input splits.
+// ingest chunk pipeline streams through the runtime. There is one
+// chunker, InterFile, whose reads run ahead of its cuts; streams differ
+// only in where a cut lands. It lands near a nominal size and extends to
+// a record boundary (§III-A1's inter-file chunking), or where the content
+// says (NewContentDefined, the memo cache's chunking), or at file
+// boundaries of several files laid end to end (NewFiles: intra-file
+// chunking under a file count, hybrid chunking under a byte size), or at
+// the end of the input (NewWholeInput, the traditional runtime's one
+// chunk). SplitBuffer cuts an ingested chunk into per-mapper input
+// splits.
 package chunk
 
 import (
@@ -17,10 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"supmr/internal/cdc"
-	"supmr/internal/storage"
 )
 
 // Chunk is one ingested unit of input: the unit of the n+1-round SupMR
@@ -206,35 +207,39 @@ func toBoundary(b Boundary, buf []byte, cut int, at int64, more func([]byte, int
 	}
 }
 
-// InterFile splits one large file into chunks of a nominal size, adjusting
-// each split point forward to the next record boundary ("it seeks to the
-// user-defined chunk size, checks to see if it is in the middle of a key
-// or value, and then continually increases the split point until reaching
-// the end of the value", §III-A1). Bytes read past a cut are carried into
-// the next chunk, so every input byte crosses the device exactly once.
+// InterFile splits its input into chunks, moving a cut that falls inside
+// a record forward to the record's end ("it seeks to the user-defined
+// chunk size, checks to see if it is in the middle of a key or value,
+// and then continually increases the split point until reaching the end
+// of the value", §III-A1). Bytes read past a cut are carried into the
+// next chunk, so every input byte crosses the device exactly once.
 //
-// A content-defined stream (NewContentDefined) differs only in where the
-// cut lands before that extension: a gear hash (internal/cdc) picks it
-// between the policy's min and max bytes as a function of the bytes
-// themselves, and each chunk carries the SHA-256 of its payload
-// (Chunk.Sum), hashed here on the ingest path. Both steps depend only on
-// content at and before the cut, which gives the memoization layer its
-// key property: appending bytes to the input, or editing bytes within
-// one chunk, changes only the affected chunks' hashes.
+// The input is one file, or several laid end to end under a table that
+// names each chunk's files (NewFiles). Streams differ only in where the
+// cut lands: at C bytes, the nominal size (NewInterFile); where a gear
+// hash puts it (NewContentDefined); at file boundaries (NewFiles); or at
+// the end of the input (NewWholeInput). A cut at a file boundary is
+// final, and a record extension stops at the end of its file.
 //
 // Reads run ahead of the cuts: at read-ahead depth d (SetReadAhead; 1 by
 // default) the reads for chunks up to index+d-1 are issued before chunk
 // index is cut, read k ending at s[k-d+1] + d*C + extendStep, where s[i]
 // is chunk i's first byte (i*C before chunk 0) and C the nominal size,
-// or the content-defined max — at depth 1, a whole chunk plus the
-// boundary-hunt margin. Each read lands in the pooled buffer of the
-// chunk it starts: right behind the carry when that is known at issue,
-// behind the headroom the carry can reach otherwise.
+// the content-defined max, NewFiles' byte size or largest group, or the
+// whole input — at depth 1, a whole chunk plus the boundary-hunt margin.
+// Each read lands in the pooled buffer of the chunk it starts: right
+// behind the carry when that is known at issue, behind the headroom the
+// carry can reach otherwise.
 type InterFile struct {
 	file      Input
+	names     []string // the file table: file i's name, and
+	bounds    []int64  // where it starts and ends in file: bounds[i], bounds[i+1]
+	next      int      // the first file no cut has closed
 	chunkSize int64
 	boundary  Boundary
-	cdc       *cdc.Chunker // content-defined cut; nil cuts at chunkSize
+	cdc       *cdc.Chunker // content-defined cut
+	perChunk  int          // file-count cut: files per chunk
+	groups    bool         // the table ends the stream: empty files still make chunks
 	off       int64        // end of the bytes requested so far
 	emitted   int64        // total bytes already emitted in chunks
 	carry     []byte       // bytes read past the previous cut (persistent scratch)
@@ -292,13 +297,18 @@ func NewInterFile(file Input, chunkSize int64, b Boundary) (*InterFile, error) {
 	if b == nil {
 		return nil, errors.New("chunk: inter-file chunker requires a boundary")
 	}
-	return &InterFile{file: file, chunkSize: chunkSize, boundary: b, depth: 1}, nil
+	return &InterFile{file: file, names: []string{file.Name()}, bounds: []int64{0, file.Size()},
+		chunkSize: chunkSize, boundary: b, depth: 1}, nil
 }
 
 // NewContentDefined builds the content-defined chunker: an InterFile
 // whose cuts the gear-hash policy min/avg/max (in bytes, see cdc.New)
 // places, each extended to the end of its record with b, so chunks may
-// exceed max by up to one record.
+// exceed max by up to one record. Each chunk carries the SHA-256 of its
+// payload (Chunk.Sum), hashed on the ingest path. Both steps depend only
+// on content at and before the cut, which gives the memoization layer
+// its key property: appending bytes to the input, or editing bytes
+// within one chunk, changes only the affected chunks' hashes.
 func NewContentDefined(file Input, min, avg, max int64, b Boundary) (*InterFile, error) {
 	ck, err := cdc.New(int(min), int(avg), int(max))
 	if err != nil {
@@ -320,11 +330,12 @@ func (c *InterFile) ChunkSize() int64 { return c.chunkSize }
 
 // SetChunkSize changes the nominal size of subsequent chunks — the hook
 // the adaptive chunk-size feedback loop (internal/tuner) drives.
-// Non-positive sizes are ignored. A content-defined stream is never
-// resized: Memo refuses AdaptiveChunks, so its cuts keep following the
-// content alone.
+// Non-positive sizes are ignored, and so is any size for a file-count or
+// whole-input stream, whose C only sizes reads. A content-defined stream
+// is never resized: Memo refuses AdaptiveChunks, so its cuts keep
+// following the content alone.
 func (c *InterFile) SetChunkSize(n int64) {
-	if n > 0 {
+	if n > 0 && c.perChunk == 0 {
 		c.chunkSize = n
 	}
 }
@@ -377,9 +388,6 @@ func (c *InterFile) readAhead() {
 // flight, the carry alone. The chunk comes back with a failed join's error.
 func (c *InterFile) take() (*Chunk, []byte, error) {
 	if len(c.ahead) == 0 {
-		if len(c.carry) == 0 && c.off >= c.file.Size() {
-			return nil, nil, io.EOF
-		}
 		ch := c.acquire(c.chunkSize + 2*extendStep)
 		return ch, append(ch.backing[:0], c.carry...), nil
 	}
@@ -405,6 +413,9 @@ func (c *InterFile) take() (*Chunk, []byte, error) {
 // at the end of the bytes requested (depth 1's extension read).
 func (c *InterFile) more(ch *Chunk, data []byte, want int) ([]byte, error) {
 	n := len(data)
+	if want <= 0 {
+		return data, nil
+	}
 	if len(c.ahead) == 0 {
 		want = int(min(int64(want), c.file.Size()-c.off))
 		if want <= 0 {
@@ -433,13 +444,32 @@ func (c *InterFile) more(ch *Chunk, data []byte, want int) ([]byte, error) {
 }
 
 // cut places the cut in data — which holds more than C bytes, or the
-// whole rest of the input — before its extension to a record boundary:
-// at C, or where the content-defined policy puts it.
-func (c *InterFile) cut(data []byte) int {
-	if c.cdc != nil {
-		return c.cdc.Cut(data, true)
+// whole rest of the input — and reports how many files of the table,
+// from next on, the chunk takes, and whether the cut is final: at a file
+// boundary or the end of the input, where no record extension moves it.
+func (c *InterFile) cut(data []byte) (cut, files int, final bool) {
+	switch {
+	case c.cdc != nil:
+		cut = c.cdc.Cut(data, true)
+		return cut, 1, cut == len(data)
+	case c.perChunk > 0:
+		files = min(c.perChunk, len(c.names)-c.next)
+		return int(c.bounds[c.next+files] - c.emitted), files, true
+	case c.bounds[c.next+1]-c.emitted > c.chunkSize:
+		return int(c.chunkSize), 1, false
 	}
-	return min(len(data), int(c.chunkSize))
+	// The rest of a file being split, or whole files up to C bytes.
+	end := c.next + 1
+	for c.emitted == c.bounds[c.next] && end < len(c.names) && c.bounds[end+1]-c.emitted <= c.chunkSize {
+		end++
+	}
+	return int(c.bounds[end] - c.emitted), end - c.next, true
+}
+
+// done reports whether every chunk is out: every file of the table is
+// closed or, unless empty files still make chunks, every byte emitted.
+func (c *InterFile) done() bool {
+	return c.next == len(c.names) || !c.groups && c.emitted >= c.file.Size()
 }
 
 // Next ingests the next chunk: it tops up the reads in flight, takes the
@@ -447,11 +477,11 @@ func (c *InterFile) cut(data []byte) int {
 // record boundary at or past it; bytes past the cut carry into the next
 // chunk.
 func (c *InterFile) Next() (*Chunk, error) {
+	if c.done() {
+		return nil, io.EOF
+	}
 	c.readAhead()
 	ch, data, err := c.take()
-	if ch == nil {
-		return nil, err
-	}
 	more := func(b []byte, want int) ([]byte, error) { return c.more(ch, b, want) }
 	limit := int(c.chunkSize)
 	// Reach past C: a read sized before a resize, or after a record
@@ -461,10 +491,19 @@ func (c *InterFile) Next() (*Chunk, error) {
 			break
 		}
 	}
-	var cut int
+	var cut, files int
 	if err == nil {
-		if cut = c.cut(data); cut < len(data) {
-			data, cut, err = toBoundary(c.boundary, data, cut, c.emitted+int64(cut), more)
+		var final bool
+		if cut, files, final = c.cut(data); !final {
+			// Extend within the file the cut is in: data may already hold
+			// bytes of later files, and the record ends before them.
+			lim := int(c.bounds[c.next+1] - c.emitted)
+			var ext []byte
+			ext, cut, err = toBoundary(c.boundary, data[:min(len(data), lim)], cut, c.emitted+int64(cut)-c.bounds[c.next],
+				func(b []byte, want int) ([]byte, error) { return more(b, min(want, lim-len(b))) })
+			if len(data) <= lim {
+				data = ext
+			}
 		}
 	}
 	if err != nil {
@@ -478,7 +517,10 @@ func (c *InterFile) Next() (*Chunk, error) {
 	c.emitted += int64(cut)
 	ch.Index = c.index
 	ch.Data = data[:cut:cut]
-	ch.Files = append(ch.Files, c.file.Name())
+	ch.Files = append(ch.Files, c.names[c.next:c.next+files]...)
+	if c.emitted >= c.bounds[c.next+files] {
+		c.next += files
+	}
 	if c.cdc != nil {
 		ch.Sum, ch.HasSum = sha256.Sum256(ch.Data), true
 	}
@@ -486,142 +528,144 @@ func (c *InterFile) Next() (*Chunk, error) {
 	return ch, nil
 }
 
-// Files coalesces several files into each chunk: a chunk closes once it
-// holds perChunk files, or before the next file would take it past
-// maxBytes (a zero limit is no limit). Under a file count it is §III-A1's
-// intra-file chunking: 30 files at 4 per chunk produce 7 full chunks and
-// one chunk of 2. Under a byte size it is the hybrid inter/intra-file
-// chunking §III-A1 mentions but does not implement: small files coalesce
-// up to the size and a file larger than it is split through InterFile,
-// so chunks have similar sizes whatever the file size distribution.
-type Files struct {
-	files    []Input
-	perChunk int
-	maxBytes int64
-	boundary Boundary
-
-	next    int
-	split   *InterFile // splitter of the oversized file in progress
-	index   int
-	fetcher *Fetcher
-}
-
-// NewFiles builds the multi-file chunker; at least one of perChunk and
-// maxBytes must be positive.
-func NewFiles(files []Input, perChunk int, maxBytes int64, b Boundary) (*Files, error) {
-	if len(files) == 0 {
+// NewFiles builds the multi-file chunker: an InterFile over files laid
+// end to end whose chunk closes at every perChunk-th file boundary or,
+// with perChunk zero, at the last file boundary within maxBytes. Under a
+// file count it is §III-A1's intra-file chunking: 30 files at 4 per
+// chunk produce 7 full chunks and one chunk of 2. Under a byte size it
+// is the hybrid inter/intra-file chunking §III-A1 mentions but does not
+// implement: small files coalesce up to the size and a file larger than
+// it is cut as NewInterFile cuts, so chunks have similar sizes whatever
+// the file size distribution. A group of empty files is still a chunk.
+func NewFiles(in []Input, perChunk int, maxBytes int64, b Boundary) (*InterFile, error) {
+	if len(in) == 0 {
 		return nil, errors.New("chunk: multi-file chunker requires at least one file")
 	}
-	if perChunk < 0 || maxBytes < 0 || perChunk == 0 && maxBytes == 0 {
-		return nil, fmt.Errorf("chunk: a multi-file chunk closes at a positive file count or byte size, got %d files, %d bytes", perChunk, maxBytes)
+	if perChunk < 0 || maxBytes < 0 || (perChunk == 0) == (maxBytes == 0) {
+		return nil, fmt.Errorf("chunk: a multi-file chunk closes at a positive file count or byte size, not both, got %d files, %d bytes", perChunk, maxBytes)
 	}
-	if b == nil {
-		return nil, errors.New("chunk: multi-file chunker requires a boundary")
+	f := &files{in: in, bounds: make([]int64, len(in)+1)}
+	names := make([]string, len(in))
+	for i, g := range in {
+		f.bounds[i+1], names[i] = f.bounds[i]+g.Size(), g.Name()
 	}
-	return &Files{files: files, perChunk: perChunk, maxBytes: maxBytes, boundary: b}, nil
+	for i := 0; perChunk > 0 && i < len(in); i += perChunk {
+		// Reads are sized for the largest group.
+		maxBytes = max(maxBytes, f.bounds[min(i+perChunk, len(in))]-f.bounds[i], 1)
+	}
+	c, err := NewInterFile(f, maxBytes, b)
+	if err != nil {
+		return nil, err
+	}
+	c.names, c.bounds, c.perChunk, c.groups = names, f.bounds, perChunk, true
+	return c, nil
 }
 
-// SetFetcher installs the multi-lane fetcher subsequent Next calls read
-// and pool buffers through; an active splitter inherits it.
-func (c *Files) SetFetcher(f *Fetcher) {
-	c.fetcher = f
-	if c.split != nil {
-		c.split.SetFetcher(f)
-	}
+// files lays inputs end to end as one. A read is one request per file it
+// spans, so each file, and the fault site wrapping it, sees its own
+// operations.
+type files struct {
+	in     []Input
+	bounds []int64 // where file i starts and ends: bounds[i], bounds[i+1]
 }
 
-// InputsFromSet adapts a storage.FileSet to the chunker input slice.
-func InputsFromSet(set *storage.FileSet) []Input {
-	inputs := make([]Input, set.Len())
-	for i := range inputs {
-		inputs[i] = set.At(i)
+func (f *files) Name() string { return f.in[0].Name() }
+func (f *files) Size() int64  { return f.bounds[len(f.in)] }
+
+func (f *files) ReadAt(p []byte, off int64) (int, error) {
+	wait, err := f.IssueReadAt(p, off)
+	if err != nil {
+		return 0, err
 	}
-	return inputs
+	return wait()
 }
 
-// TotalBytes sums the file set.
-func (c *Files) TotalBytes() int64 {
-	var t int64
-	for _, f := range c.files {
-		t += f.Size()
+// IssueReadAt issues the read's part in each file, in offset order, up
+// to a refused issue; a file without the issue/wait split reads its part
+// here. The wait counts the bytes before the first part served short or
+// failed and returns that part's error, or the refused issue's, as
+// readFull would stop there; the fetcher reads the rest again.
+func (f *files) IssueReadAt(p []byte, off int64) (func() (int, error), error) {
+	var reqs []request
+	var err error
+	for i, _ := slices.BinarySearch(f.bounds[1:], off+1); len(p) > 0 && i < len(f.in) && err == nil; i++ {
+		n, at := int(min(int64(len(p)), f.bounds[i+1]-off)), off-f.bounds[i]
+		if n == 0 {
+			continue
+		}
+		q := request{s: seg{buf: p[:n], off: at}}
+		if ir, ok := f.in[i].(IssueReader); ok {
+			q.wait, err = ir.IssueReadAt(q.s.buf, at)
+		} else {
+			k, rerr := f.in[i].ReadAt(q.s.buf, at)
+			q.wait = func() (int, error) { return k, rerr }
+		}
+		if err == nil {
+			reqs = append(reqs, q)
+		}
+		p, off = p[n:], off+int64(n)
 	}
-	return t
-}
-
-// Next ingests the next chunk: the next piece of an oversized file, or
-// the next group of files, grown in place in one buffer so the whole
-// chunk is collocated in RAM.
-func (c *Files) Next() (*Chunk, error) {
-	if c.split != nil {
-		ch, err := c.split.Next()
-		if !errors.Is(err, io.EOF) {
-			if err == nil {
-				ch.Index = c.index
-				c.index++
+	if len(reqs) == 0 {
+		if err == nil {
+			err = io.EOF
+		}
+		return nil, err
+	}
+	return func() (got int, _ error) {
+		(&read{now: unstamped}).wait(reqs)
+		for _, q := range reqs {
+			if got += q.n; q.n < len(q.s.buf) {
+				return got, q.err
 			}
-			return ch, err
 		}
-		c.split = nil
-	}
-	if c.next >= len(c.files) {
-		return nil, io.EOF
-	}
-	first := c.files[c.next]
-	if c.maxBytes > 0 && first.Size() > c.maxBytes {
-		c.next++
-		var err error
-		if c.split, err = NewInterFile(first, c.maxBytes, c.boundary); err != nil {
-			return nil, err
-		}
-		c.split.SetFetcher(c.fetcher)
-		return c.Next()
-	}
-	// Start from space for the first file, or for a whole chunk under a
-	// byte size, and grow in place, as the runtime described in §III-A1
-	// does; the pooled buffer keeps its high-water capacity across
-	// chunks, so steady-state rounds reuse one allocation instead of
-	// re-growing per group.
-	ch := c.fetcher.acquire(max(first.Size(), c.maxBytes))
-	buf := ch.backing[:0]
-	for ; c.next < len(c.files); c.next++ {
-		f := c.files[c.next]
-		if k := len(ch.Files); k > 0 && (k == c.perChunk || c.maxBytes > 0 && int64(len(buf))+f.Size() > c.maxBytes) {
-			break
-		}
-		start := len(buf)
-		buf = growTo(buf, int(f.Size()))
-		if err := c.fetcher.fetchInto(f, buf[start:], 0); err != nil {
-			ch.Release()
-			return nil, fmt.Errorf("chunk: ingest of file %q failed: %w", f.Name(), err)
-		}
-		ch.Files = append(ch.Files, f.Name())
-	}
-	ch.backing = buf
-	ch.Index = c.index
-	ch.Data = buf
-	c.index++
-	return ch, nil
+		return got, err
+	}, nil
 }
 
-// WholeInput delivers the entire input as a single chunk: the traditional
-// runtime's ingest phase ("none" rows of Table II).
-type WholeInput struct {
+// NewWholeInput delivers s's entire input as a single chunk: the
+// traditional runtime's ingest phase ("none" rows of Table II). An
+// InterFile — every stream this package builds — is returned itself,
+// cut at the end of its input, so the input is one read into one pooled
+// buffer; call it before the first Next. Any other stream is wrapped in
+// one whose Next concatenates everything s produces. It is idempotent.
+func NewWholeInput(s Stream) Stream {
+	switch w := s.(type) {
+	case *InterFile:
+		// A file count taking every file, read at once.
+		w.perChunk, w.groups, w.cdc, w.chunkSize = len(w.names), false, nil, max(w.file.Size(), 1)
+	case *wholeStream:
+	default:
+		return &wholeStream{inner: s}
+	}
+	return s
+}
+
+// Whole reports whether s's first chunk is its whole input: s is a
+// NewWholeInput stream, or an InterFile whose cut closes at the end of
+// its input, its C or file count covering all of it.
+func Whole(s Stream) bool {
+	switch s := s.(type) {
+	case *wholeStream:
+		return true
+	case *InterFile:
+		return s.cdc == nil && (s.perChunk >= len(s.names) || s.perChunk == 0 && s.chunkSize >= s.file.Size())
+	}
+	return false
+}
+
+// wholeStream is NewWholeInput over a stream this package did not build.
+type wholeStream struct {
 	inner Stream
 	done  bool
 }
 
-// NewWholeInput wraps any stream, concatenating everything it produces
-// into one chunk.
-func NewWholeInput(inner Stream) *WholeInput { return &WholeInput{inner: inner} }
-
-// TotalBytes returns the wrapped stream's size.
-func (c *WholeInput) TotalBytes() int64 { return c.inner.TotalBytes() }
+func (c *wholeStream) TotalBytes() int64 { return c.inner.TotalBytes() }
 
 // Next ingests the whole input at once into one buffer presized from
 // TotalBytes. Files lists every source file once, in first-seen order,
 // however many inner chunks it spanned, so chunk-aware applications
 // (set_data) see the same attribution as under a chunked stream.
-func (c *WholeInput) Next() (*Chunk, error) {
+func (c *wholeStream) Next() (*Chunk, error) {
 	if c.done {
 		return nil, io.EOF
 	}
@@ -738,13 +782,4 @@ func SplitBuffer(buf []byte, n int, b Boundary) [][]byte {
 		splits = append(splits, buf[start:])
 	}
 	return splits
-}
-
-// Resizable is implemented by streams whose chunk granularity can be
-// changed mid-job; the SupMR pipeline uses it to apply the adaptive
-// chunk-size feedback loop.
-type Resizable interface {
-	Stream
-	ChunkSize() int64
-	SetChunkSize(n int64)
 }

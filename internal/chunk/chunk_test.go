@@ -270,6 +270,26 @@ func TestWholeInputListsEachFileOnce(t *testing.T) {
 	}
 }
 
+// TestWholeInputNamesEveryFile: a whole multi-file chunk names its files
+// from the table, one entry per input — two inputs that share a name
+// are listed twice, as a multi-file chunk lists them — and NewWholeInput
+// returns the stream it was given, however often it is applied.
+func TestWholeInputNamesEveryFile(t *testing.T) {
+	files := []Input{memFile(t, "a", []byte("one\n")), memFile(t, "a", []byte("two\n")), memFile(t, "b", []byte("three\n"))}
+	s, err := NewFiles(files, 1, 0, NewlineBoundary{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWholeInput(NewWholeInput(s))
+	if w != Stream(s) || !Whole(w) {
+		t.Fatal("NewWholeInput over an InterFile is not that stream, cut whole")
+	}
+	chunks := drain(t, w)
+	if len(chunks) != 1 || string(chunks[0].Data) != "one\ntwo\nthree\n" || strings.Join(chunks[0].Files, ",") != "a,a,b" {
+		t.Fatalf("whole chunk: %d chunks, Files %q", len(chunks), chunks[0].Files)
+	}
+}
+
 // TestWholeInputAllocatesOnceAtTotal: the whole-input buffer is sized
 // from TotalBytes up front, not regrown chunk by chunk.
 func TestWholeInputAllocatesOnceAtTotal(t *testing.T) {
@@ -345,18 +365,5 @@ func TestBoundaries(t *testing.T) {
 	}
 	if fb.Need(15) != 5 || fb.Need(20) != 0 {
 		t.Error("fixed Need wrong")
-	}
-}
-
-func TestInputsFromSet(t *testing.T) {
-	clock := storage.NewFakeClock()
-	dev := storage.NewNullDevice(clock)
-	set := storage.NewFileSet([]*storage.File{
-		storage.BytesFile("a", []byte("1"), dev),
-		storage.BytesFile("b", []byte("2"), dev),
-	})
-	inputs := InputsFromSet(set)
-	if len(inputs) != 2 || inputs[0].Name() != "a" {
-		t.Errorf("InputsFromSet = %v", inputs)
 	}
 }

@@ -41,8 +41,8 @@ const minSegment = 4096
 const maxRequest = 128 << 10
 
 // FreeList is the chunk-buffer freelist: released chunks park here and
-// back future chunks, so steady-state ingest allocates O(ring depth)
-// buffers, not O(chunks). It is safe for concurrent use and may be
+// back future chunks, so steady-state ingest allocates O(read-ahead
+// depth) buffers, not O(chunks). It is safe for concurrent use and may be
 // shared across many streams — a multi-job engine hands every job's
 // fetcher the same list, so chunk buffers recycle across jobs instead
 // of each job growing its own pool. A nil *FreeList allocates fresh
@@ -157,14 +157,6 @@ func NewFetcherShared(lanes int, dispatch Dispatch, list *FreeList) *Fetcher {
 	return &Fetcher{lanes: lanes, dispatch: dispatch, list: list}
 }
 
-// Lanes returns the fetcher's lane count (1 for a nil fetcher).
-func (f *Fetcher) Lanes() int {
-	if f == nil {
-		return 1
-	}
-	return f.lanes
-}
-
 // acquire returns a pooled chunk whose backing buffer has at least
 // capHint capacity, allocating one when the freelist is empty.
 func (f *Fetcher) acquire(capHint int64) *Chunk {
@@ -225,7 +217,7 @@ func (f *Fetcher) fetchInto(in Input, buf []byte, off int64) error {
 // times.
 func (f *Fetcher) issue(in Input, buf []byte, off int64, now func() time.Duration) *read {
 	if now == nil {
-		now = func() time.Duration { return 0 }
+		now = unstamped
 	}
 	r := &read{f: f, now: now, at: now()}
 	if r.ir, _ = in.(IssueReader); f == nil || f.dispatch == nil || r.ir == nil {
@@ -355,6 +347,9 @@ func (r *read) join() error {
 	return r.err
 }
 
+// unstamped is the clock of a read nothing times.
+func unstamped() time.Duration { return 0 }
+
 // splitSegments cuts [off, off+len(buf)) into at most lanes segments of
 // near-equal size, each at least minSegment bytes, in offset order.
 func splitSegments(buf []byte, off int64, lanes int) []seg {
@@ -379,7 +374,8 @@ func splitSegments(buf []byte, off int64, lanes int) []seg {
 }
 
 // FetcherAware is implemented by streams that can ingest through a
-// Fetcher; the SupMR pipeline installs one before the first Next.
+// Fetcher, installed before the first Next: InterFile, which the SupMR
+// pipeline gives one.
 type FetcherAware interface {
 	SetFetcher(*Fetcher)
 }

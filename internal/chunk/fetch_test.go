@@ -305,9 +305,6 @@ func TestFreelistRecyclesBackingNeverFiles(t *testing.T) {
 	(&Chunk{}).Release()
 
 	var nilF *Fetcher
-	if nilF.Lanes() != 1 {
-		t.Error("nil fetcher lanes != 1")
-	}
 	if c := nilF.acquire(64); c == nil || c.free != nil {
 		t.Error("nil fetcher acquire broken")
 	}

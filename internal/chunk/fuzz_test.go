@@ -588,10 +588,11 @@ func FuzzCDCVsReference(f *testing.F) {
 	})
 }
 
-// FuzzFilesVsReference: a count-limited Files chunks exactly as intra-file
-// chunking did, and a byte-limited one exactly as hybrid chunking did —
-// oversized files split included — at one, two and four lanes, with the
-// device serving as many bytes. sizes cuts data into files: each byte
+// FuzzFilesVsReference: a count-limited NewFiles stream chunks exactly
+// as intra-file chunking did, and a byte-limited one exactly as hybrid
+// chunking did — oversized files split included — at one, two and four
+// lanes and read-ahead depths 1 to 3, with the device serving as many
+// bytes. sizes cuts data into files: each byte
 // is one file's length, squared over four (0 to 16 KiB); the rest of
 // data is the last file.
 func FuzzFilesVsReference(f *testing.F) {
@@ -626,17 +627,20 @@ func FuzzFilesVsReference(f *testing.F) {
 			}
 			want := drainAll(t, ref)
 			for _, lanes := range []int{1, 2, 4} {
-				files, dev := split()
-				s, err := NewFiles(files, per, size, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.SetFetcher(NewFetcher(lanes, goDispatch))
-				if err := sameChunks(drainAll(t, s), want); err != nil {
-					t.Fatalf("%s-limited, lanes %d: %v", mode, lanes, err)
-				}
-				if got, ref := dev.Stats().BytesRead, refDev.Stats().BytesRead; got != ref {
-					t.Fatalf("%s-limited, lanes %d: device served %d bytes, reference %d", mode, lanes, got, ref)
+				for depth := 1; depth <= 3; depth++ {
+					files, dev := split()
+					s, err := NewFiles(files, per, size, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.SetFetcher(NewFetcher(lanes, goDispatch))
+					s.SetReadAhead(depth, nil)
+					if err := sameChunks(drainAll(t, s), want); err != nil {
+						t.Fatalf("%s-limited, lanes %d, depth %d: %v", mode, lanes, depth, err)
+					}
+					if got, ref := dev.Stats().BytesRead, refDev.Stats().BytesRead; got != ref {
+						t.Fatalf("%s-limited, lanes %d, depth %d: device served %d bytes, reference %d", mode, lanes, depth, got, ref)
+					}
 				}
 			}
 		}

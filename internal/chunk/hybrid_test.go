@@ -138,5 +138,3 @@ func TestInterFileResize(t *testing.T) {
 		t.Error("resized stream lost bytes")
 	}
 }
-
-var _ Resizable = (*InterFile)(nil)

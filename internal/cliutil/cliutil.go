@@ -38,7 +38,7 @@ func ParseSize(s string) (int64, error) {
 }
 
 // ParseCount parses a small positive integer flag value (lane counts,
-// ring depths): plain digits, at least min.
+// read-ahead depths): plain digits, at least min.
 func ParseCount(s string, min int) (int, error) {
 	v, err := strconv.Atoi(strings.TrimSpace(s))
 	if err != nil {

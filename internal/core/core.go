@@ -22,10 +22,11 @@
 // workers with panic isolation and cancellation.
 //
 // Run is the only ingest→map loop, the traditional baseline included:
-// Table II's "none" row is Run over a chunk.WholeInput stream — one
+// Table II's "none" row is Run over a chunk.NewWholeInput stream — one
 // chunk, one map wave — merged pairwise. One chunk has nothing to
-// overlap, so such a run reports its read and map as separate phases;
-// every other stream reports the fused read+map phase.
+// overlap, so a run whose first chunk is its whole input (chunk.Whole)
+// reports its read and map as separate phases; every other run reports
+// the fused read+map phase.
 //
 // Budgeted, memoized and combiner-ablated multi-node runs differ in one
 // drain step chosen before the loop — never, when over budget, or after
@@ -108,7 +109,7 @@ type Options struct {
 	// state from earlier rounds is discarded and results are wrong for
 	// multi-chunk inputs.
 	ResetEachRound bool
-	// Tuner, when set and the input stream is chunk.Resizable, drives
+	// Tuner, when set and the input stream is a *chunk.InterFile, drives
 	// the adaptive chunk-size feedback loop.
 	Tuner Tuner
 	// MemoryBudget caps the container's resident bytes (Container.
@@ -131,10 +132,9 @@ type Options struct {
 	FaultCounters *faults.Counters
 	// PrefetchDepth is the ingest depth d: the pipeline keeps up to d
 	// chunks in flight ahead of the map wave. A *chunk.InterFile — every
-	// single-file stream, content-defined included — keeps d reads
-	// outstanding on the device; any other stream buffers d-1 finished
-	// chunks. The default (<= 1) is the paper's double buffering — one
-	// chunk ahead.
+	// stream package chunk builds — keeps d reads outstanding on the
+	// device; any other stream is read one chunk ahead. The default (<= 1)
+	// is the paper's double buffering — one chunk ahead.
 	PrefetchDepth int
 	// IOLanes is the number of IO lanes each chunk read fans out across:
 	// the read is split into up to IOLanes shares, each sent as requests
@@ -166,13 +166,11 @@ type Options struct {
 // Result aliases the runtime result type.
 type Result[K comparable, V any] = mapreduce.Result[K, V]
 
-// ingestResult is one prefetched chunk: the chunk (nil at EOF), the
-// terminal error, and for the tuner's feedback loop the chunk's read
-// time on the job clock (the whole Next on a stream that reads serially).
+// ingestResult is one prefetched chunk: the chunk (nil at EOF) and the
+// terminal error.
 type ingestResult struct {
 	c   *chunk.Chunk
 	err error
-	dur time.Duration
 }
 
 // Run launches the SupMR runtime (the run_ingestMR() API call): it
@@ -273,11 +271,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		drainRadixRuns += nRad
 		return run, err
 	}
-	// The phases the loop bills to, chosen from the stream's shape: a
-	// whole-input stream is one chunk with nothing to overlap, so its
-	// first-chunk wait is the read phase and its map wave the map phase;
-	// every other stream's rounds fuse the two.
-	_, whole := input.(*chunk.WholeInput)
+	// The phases the loop bills to: a stream whose first chunk is its
+	// whole input has nothing to overlap, so its first-chunk wait is the
+	// read phase and its map wave the map phase; every other stream's
+	// rounds fuse the two.
+	whole := chunk.Whole(input)
 	readPhase, mapPhase := metrics.PhaseReadMap, metrics.PhaseReadMap
 	if whole {
 		readPhase, mapPhase = metrics.PhaseRead, metrics.PhaseMap
@@ -292,10 +290,6 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		return err
 	}
 
-	depth := opts.PrefetchDepth
-	if depth < 1 {
-		depth = 1
-	}
 	lanes := opts.IOLanes
 	if lanes < 1 {
 		lanes = 1
@@ -304,16 +298,34 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		lanes = pool.IOLanes()
 	}
 
-	// Install the fetcher whenever the stream supports it: even a
-	// single-lane job benefits from its chunk-buffer freelist (steady-state
-	// ingest allocates O(depth) buffers, not O(chunks)). The issue side of
-	// every read runs on the pump goroutine below, in stream order; the
-	// waits run on the pool's IO lanes, attributed as IO wait. A stream
-	// that reads ahead holds its `depth` chunks as reads in flight.
-	var ahead *chunk.InterFile
-	ringCap := depth - 1
-	fa, fetched := input.(chunk.FetcherAware)
-	if fetched {
+	// next reads one chunk, wrapping a stream failure.
+	next := func() (c *chunk.Chunk, err error) {
+		if err = pool.Err(); err == nil {
+			if c, err = input.Next(); err != nil && !errors.Is(err, io.EOF) {
+				err = fmt.Errorf("core: ingest failed: %w", err)
+			}
+		}
+		return c, err
+	}
+	// read is chosen once. An InterFile — every stream package chunk
+	// builds — reads through a fetcher, whose chunk-buffer freelist keeps
+	// steady-state ingest at O(d) buffers, with d = PrefetchDepth reads in
+	// flight: Next runs here on the pump, issuing every read in stream
+	// order (a panic in it fails the job as one in a lane task does), and
+	// the waits run on the pool's IO lanes, attributed as IO wait. Any
+	// other stream has nothing to fan out: its Next runs as one "ingest"
+	// task on an IO lane, whose handle always resolves — normal return,
+	// stream panic, cancellation or refused submission — so the pump can
+	// always join it.
+	inter, _ := input.(*chunk.InterFile)
+	read := func() (c *chunk.Chunk, err error) {
+		err = pool.GoIO("ingest", metrics.StateIOWait, func() (err error) {
+			c, err = next()
+			return err
+		}).Wait()
+		return c, err
+	}
+	if inter != nil {
 		dispatch := func(bytes int64, fn func()) func() error {
 			return pool.GoIOSized("ingest", metrics.StateIOWait, bytes, func() error { fn(); return nil }).Wait
 		}
@@ -321,95 +333,42 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if list == nil {
 			list = chunk.NewFreeList()
 		}
-		fa.SetFetcher(chunk.NewFetcherShared(lanes, dispatch, list))
-		if ahead, _ = input.(*chunk.InterFile); ahead != nil {
-			ahead.SetReadAhead(depth, pool.Now)
-			ringCap = 0
+		inter.SetFetcher(chunk.NewFetcherShared(lanes, dispatch, list))
+		inter.SetReadAhead(opts.PrefetchDepth, pool.Now)
+		read = func() (c *chunk.Chunk, err error) {
+			defer func() {
+				if v := recover(); v != nil {
+					err = &exec.PanicError{Phase: "ingest", Task: -1, Value: v, Stack: debug.Stack()}
+				}
+			}()
+			return next()
 		}
 	} else {
-		// No fetcher, nothing to fan out: the read stays one task on an
-		// IO lane, attributed as IO wait.
 		lanes = 1
 	}
 
-	resizable, _ := input.(chunk.Resizable)
-
 	// The prefetch pump owns every stream read — and therefore every
-	// fault decision and chunk-size resize — in strict serial order,
-	// keeping up to `depth` chunks in flight ahead of the map wave. At
-	// depth 1 that is the single-slot double buffering: the next read
-	// starts when the previous chunk is handed to the mappers.
+	// fault decision and chunk-size resize — in strict serial order, and
+	// hands each chunk over unbuffered: the next chunk is cut while the
+	// mappers work on this one, the paper's double buffering, and an
+	// InterFile's reads in flight run up to d chunks ahead.
 	//
-	// Shutdown: the pump exits after delivering a terminal result (EOF
+	// Shutdown: the pump exits after handing over a terminal result (EOF
 	// or error), a whole-input stream's one chunk, or when stop closes;
-	// it always joins the reads still in flight and closes the ring —
+	// it always joins the reads still in flight and closes the hand-off —
 	// which the loop reads as end of input — so the failure path can
-	// drain it to completion, releasing any chunks the mappers never
-	// consumed.
-	ring := make(chan ingestResult, ringCap)
+	// drain it, releasing the chunk the mappers never consumed.
+	handoff := make(chan ingestResult)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	closeStop := func() { stopOnce.Do(func() { close(stop) }) }
 	defer closeStop()
 	var pendingResize atomic.Int64
 
-	readNext := func() (res ingestResult) {
-		start := pool.Now()
-		defer func() {
-			if res.dur = pool.Now() - start; ahead != nil && res.c != nil {
-				issued, done := res.c.ReadSpan()
-				res.dur = done - issued
-			}
-		}()
-		if fetched {
-			// Next runs here on the pump — issuing reads serially — while
-			// their device waits run on the IO lanes; a panic in it fails
-			// the job as one in a lane task does.
-			defer func() {
-				if v := recover(); v != nil {
-					res = ingestResult{err: &exec.PanicError{Phase: "ingest", Task: -1, Value: v, Stack: debug.Stack()}}
-				}
-			}()
-			if err := pool.Err(); err != nil {
-				return ingestResult{err: err}
-			}
-			c, err := input.Next()
-			switch {
-			case errors.Is(err, io.EOF):
-				return ingestResult{err: io.EOF}
-			case err != nil:
-				return ingestResult{err: fmt.Errorf("core: ingest failed: %w", err)}
-			}
-			return ingestResult{c: c}
-		}
-		// No fetcher: the whole read is one task on the dedicated IO
-		// worker, so device waits keep their IO-wait attribution. The
-		// handle always resolves — normal return, stream panic (as a
-		// *PanicError), cancellation, or refused submission — so the pump
-		// can always join the read, and Close joins any read still parked
-		// in a device wait.
-		h := pool.GoIO("ingest", metrics.StateIOWait, func() error {
-			if err := pool.Err(); err != nil {
-				return err
-			}
-			c, err := input.Next()
-			switch {
-			case errors.Is(err, io.EOF):
-				return io.EOF
-			case err != nil:
-				return fmt.Errorf("core: ingest failed: %w", err)
-			}
-			res.c = c
-			return nil
-		})
-		res.err = h.Wait()
-		return res
-	}
-
 	go func() {
-		defer close(ring)
-		if ahead != nil {
-			defer ahead.Drain()
+		defer close(handoff)
+		if inter != nil {
+			defer inter.Drain()
 		}
 		for {
 			select {
@@ -420,19 +379,17 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			// Apply the tuner's latest resize before issuing the next
 			// read: a resize never tears a read already in flight, it
 			// only affects chunks not yet issued.
-			if resizable != nil {
-				if n := pendingResize.Swap(0); n > 0 {
-					resizable.SetChunkSize(n)
-				}
+			if n := pendingResize.Swap(0); n > 0 {
+				inter.SetChunkSize(n)
 			}
-			res := readNext()
+			c, err := read()
 			select {
-			case ring <- res:
-				if res.err != nil || whole {
-					return // the ring is complete
+			case handoff <- ingestResult{c, err}:
+				if err != nil || whole {
+					return // the stream is complete
 				}
 			case <-stop:
-				res.c.Release()
+				c.Release()
 				return
 			}
 		}
@@ -459,8 +416,8 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	}
 
 	// fail aborts the job: the cancellation reaches the in-flight
-	// prefetch between stream reads, the pump is stopped and the ring
-	// drained — releasing the current and every unconsumed chunk — so no
+	// prefetch between stream reads, the pump is stopped and the hand-off
+	// drained — releasing the current and any unconsumed chunk — so no
 	// ingest result is left behind when the pool shuts down, and an
 	// in-flight spill write is joined so its run writer is not abandoned.
 	var cur *chunk.Chunk
@@ -468,7 +425,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		pool.Abort(err)
 		closeStop()
 		cur.Release()
-		for r := range ring {
+		for r := range handoff {
 			r.c.Release()
 		}
 		if spiller != nil {
@@ -479,15 +436,15 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		return nil, err
 	}
 
-	// The ingest chunk pipeline (§III-B pseudo-code, generalized from
-	// one prefetch slot to a ring of `depth`):
+	// The ingest chunk pipeline (§III-B pseudo-code, with up to d chunk
+	// reads in flight):
 	//   ingest 1st chunk
 	//   for each ingest chunk:
-	//     pump keeps up to `depth` chunk reads ahead
+	//     pump keeps up to d chunk reads ahead
 	//     run mappers on previous chunk
 	//   run mappers on last chunk
 	timer.StartPhase(readPhase)
-	first := <-ring
+	first := <-handoff
 	if readPhase != mapPhase {
 		timer.EndPhase(readPhase)
 		timer.StartPhase(mapPhase)
@@ -606,22 +563,22 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			}
 			parked = append(parked, out)
 		}
-		// Join the next chunk, counting how the ring performed: a chunk
-		// already buffered, or whose read had finished, is a prefetch hit;
+		// Join the next chunk, counting how the prefetch performed: a chunk
+		// already cut, or whose read had finished, is a prefetch hit;
 		// otherwise the map workers sit idle for the stall time — the
 		// per-round slice of Fig. 1's ingest/compute utilization gap.
 		var r ingestResult
 		select {
-		case r = <-ring:
+		case r = <-handoff:
 			stats.PrefetchHits++
 		default:
 			stallStart := pool.Now()
-			r = <-ring
+			r = <-handoff
 			if d := pool.Now() - stallStart; d > 0 {
 				stats.IngestStall += d
 				timer.Mark("ingest stall")
 			}
-			if ahead != nil && r.c != nil {
+			if inter != nil && r.c != nil {
 				if _, done := r.c.ReadSpan(); done <= stallStart {
 					stats.PrefetchHits++
 				}
@@ -631,13 +588,15 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if r.err != nil && !errors.Is(r.err, io.EOF) {
 			return fail(r.err)
 		}
-		// Feedback loop: fold this round's observation into the tuner
-		// and resize subsequent chunks. Durations are read off the job
-		// clock (pool.Now), so simulated devices feed the tuner their
-		// virtual timeline, not wall time. The resize is handed to the
-		// pump, which applies it before the next read it issues.
-		if opts.Tuner != nil && resizable != nil && cur != nil {
-			if next := opts.Tuner.Next(cur.Size(), r.dur, mapDur); next > 0 {
+		// Feedback loop: fold this round's observation — the next
+		// chunk's read span and this map wave — into the tuner and
+		// resize subsequent chunks. Durations are read off the job clock
+		// (pool.Now), so simulated devices feed the tuner their virtual
+		// timeline, not wall time. The resize is handed to the pump,
+		// which applies it before the next read it issues.
+		if opts.Tuner != nil && inter != nil && cur != nil {
+			issued, done := cur.ReadSpan()
+			if next := opts.Tuner.Next(cur.Size(), done-issued, mapDur); next > 0 {
 				pendingResize.Store(next)
 			}
 		}

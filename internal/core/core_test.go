@@ -135,6 +135,11 @@ func TestPipelineSingleChunk(t *testing.T) {
 	if len(res.Pairs) != len(refCounts(text)) {
 		t.Error("single-chunk results wrong")
 	}
+	// The one chunk is the whole input: nothing to overlap.
+	if res.Times.Get(metrics.PhaseRead) <= 0 || res.Times.Get(metrics.PhaseMap) <= 0 || res.Times.Get(metrics.PhaseReadMap) != 0 {
+		t.Errorf("read %v, map %v, read+map %v: want separate read and map phases",
+			res.Times.Get(metrics.PhaseRead), res.Times.Get(metrics.PhaseMap), res.Times.Get(metrics.PhaseReadMap))
+	}
 }
 
 func TestResetEachRoundLosesEarlierChunks(t *testing.T) {
@@ -215,6 +220,51 @@ func (e *errStream) Next() (*chunk.Chunk, error) {
 		return nil, errors.New("mid-stream ingest failure")
 	}
 	return e.inner.Next()
+}
+
+// countStream counts the Next calls a stream has served.
+type countStream struct {
+	inner chunk.Stream
+	nexts atomic.Int32
+}
+
+func (s *countStream) TotalBytes() int64 { return s.inner.TotalBytes() }
+func (s *countStream) Next() (*chunk.Chunk, error) {
+	s.nexts.Add(1)
+	return s.inner.Next()
+}
+
+// TestForeignStreamReadsOneChunkAhead: a stream that is no InterFile
+// has no reads to put in flight, and the pump hands chunks over
+// unbuffered, so at any depth it is read one chunk ahead: with the
+// mappers parked on chunk 0, exactly one more chunk has been read.
+func TestForeignStreamReadsOneChunkAhead(t *testing.T) {
+	text := genText(t, 64<<10)
+	for _, depth := range []int{1, 4} {
+		s := &countStream{inner: textStream(t, text, 4<<10)}
+		app := parkedApp{gate: make(chan struct{})}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run[string, int64](app, s, wcApp{}.NewContainer(8),
+				Options{Options: mapreduce.Options{Workers: 2}, PrefetchDepth: depth})
+			done <- err
+		}()
+		// Wait for the pump to settle behind the parked mappers.
+		nexts, since := int32(-1), time.Now()
+		for time.Since(since) < 100*time.Millisecond {
+			if n := s.nexts.Load(); n != nexts {
+				nexts, since = n, time.Now()
+			}
+			time.Sleep(time.Millisecond)
+		}
+		close(app.gate)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if nexts != 2 {
+			t.Errorf("depth %d: %d chunks read with the mappers on chunk 0, want 2", depth, nexts)
+		}
+	}
 }
 
 func TestPipelinePropagatesErrors(t *testing.T) {
@@ -475,7 +525,7 @@ func TestSpansPerWaveAcrossRounds(t *testing.T) {
 }
 
 // oscTuner swings the chunk size hard every round — worst case for a
-// resize landing while the prefetch ring holds reads in flight.
+// resize landing while the pump holds reads in flight.
 type oscTuner struct{ round int }
 
 func (o *oscTuner) Next(int64, time.Duration, time.Duration) int64 {
@@ -487,7 +537,7 @@ func (o *oscTuner) Next(int64, time.Duration, time.Duration) int64 {
 }
 
 func TestTunerResizeWithPrefetchRing(t *testing.T) {
-	// An aggressive tuner combined with a deep prefetch ring and
+	// An aggressive tuner combined with deep read-ahead and
 	// multi-lane reads: SetChunkSize is applied by the pump before it
 	// issues a read, so a resize can only affect not-yet-issued chunks —
 	// never tear one mid-flight — and the job's output must match a
@@ -540,7 +590,7 @@ func TestPrefetchRingCountsHitsAndStalls(t *testing.T) {
 	}
 	if res.Stats.PrefetchHits+1 < res.Stats.MapWaves &&
 		res.Stats.PrefetchHits == 0 {
-		t.Errorf("prefetch ring reported %d hits over %d waves on an instant device",
+		t.Errorf("prefetch reported %d hits over %d waves on an instant device",
 			res.Stats.PrefetchHits, res.Stats.MapWaves)
 	}
 }

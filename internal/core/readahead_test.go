@@ -183,6 +183,17 @@ var (
 	}}
 )
 
+// wholeOf is st read as one whole-input chunk.
+func wholeOf(st recStream) recStream {
+	return recStream{"whole-" + st.name, func(in *recInput) (chunk.Stream, error) {
+		s, err := st.cut(in)
+		if err != nil {
+			return nil, err
+		}
+		return chunk.NewWholeInput(s), nil
+	}}
+}
+
 // maxRequest is the fetcher's cap on one request of a multi-lane read.
 const maxRequest = 128 << 10
 
@@ -396,10 +407,10 @@ func checkLaneRequests(t *testing.T, lanes int, reads, reqs [][2]int64) {
 // it dispatched has been joined and every chunk buffer is back on the
 // freelist, at every depth, with no goroutine left behind. A refused
 // issue and a failed wait are checked on every stream shape: the
-// content-defined stream and both multi-file ones, an oversized file
-// being split included; with lane shares above 128 KiB, a refused
-// issue, a failed wait and a lane panic each strike inside a lane's
-// group of requests.
+// content-defined stream, both multi-file ones, an oversized file being
+// split included, and the whole input of one file or of several; with
+// lane shares above 128 KiB, a refused issue, a failed wait and a lane
+// panic each strike inside a lane's group of requests.
 func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 	text := genText(t, 64<<10)
 	wc := wcApp{}
@@ -428,8 +439,9 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 	}
 	readFailures := cases[:2]
 	// Every stream shape fails its sixth read: the content-defined one
-	// mid-file, the file-count one in its second chunk, the byte-size one
-	// while splitting the 40 KiB file.
+	// mid-file, the file-count one at the head of its second read, the
+	// byte-size one while splitting the 40 KiB file, and the whole input
+	// of one 3 MiB file inside the first lane's twelve requests.
 	type streamCase struct {
 		id   string
 		st   recStream
@@ -440,16 +452,31 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 	for _, tc := range cases {
 		all = append(all, streamCase{tc.name, interStream, nil, tc})
 	}
-	for _, st := range []recStream{cdcStream, filesStream, hybridStream} {
+	big := genText(t, 3<<20)
+	for _, st := range []recStream{cdcStream, filesStream, hybridStream, wholeOf(interStream)} {
 		for _, tc := range readFailures {
-			all = append(all, streamCase{st.name + "/" + tc.name, st, nil, tc})
+			data := []byte(nil)
+			if st.name == "whole-inter" {
+				data = big
+			}
+			all = append(all, streamCase{st.name + "/" + tc.name, st, data, tc})
 		}
+	}
+	// The whole input of recParts is one read, one request a lane, each
+	// request one read a file. Its sixth read is the second file of the
+	// second lane's request, which the fetcher reads again after the
+	// bytes before it, as readFull would; its fifth, the head of that
+	// request, fails the job.
+	for _, tc := range []failure{
+		{"issue", func() *recInput { return &recInput{failIssue: 5} }, nil, "issue refused"},
+		{"wait", func() *recInput { return &recInput{failWait: 5} }, nil, "wait failed"},
+	} {
+		all = append(all, streamCase{"whole-files/" + tc.name, wholeOf(filesStream), nil, tc})
 	}
 	// With lane shares above 128 KiB the first read is two lanes of five
 	// requests each: an issue refused, a wait failing and a lane
 	// panicking at the third request all land inside the first lane's
 	// group.
-	big := genText(t, 3<<20)
 	for _, tc := range []failure{
 		{"issue", func() *recInput { return &recInput{failIssue: 3} }, nil, "issue refused"},
 		{"wait", func() *recInput { return &recInput{failWait: 3} }, nil, "wait failed"},

@@ -1,6 +1,6 @@
 package core
 
-// Whole-input cases: Run over a chunk.WholeInput stream is the
+// Whole-input cases: Run over a chunk.NewWholeInput stream is the
 // traditional baseline (Table II's "none" row), one chunk and one map
 // wave.
 
@@ -111,10 +111,10 @@ func TestIngestMarksIOWait(t *testing.T) {
 	}
 }
 
-// TestWholeInputReadsOnOneIOLane: a whole-input stream takes no fetcher,
-// so extra IO lanes have nothing to fan out; the read stays one "ingest"
-// task on an IO lane, and no per-lane bytes are reported.
-func TestWholeInputReadsOnOneIOLane(t *testing.T) {
+// TestWholeInputFansOutOverIOLanes: a whole-input stream reads through
+// the fetcher like any other InterFile, so at four IO lanes its one read
+// is split over all four, and the lanes' bytes sum to the input.
+func TestWholeInputFansOutOverIOLanes(t *testing.T) {
 	text := genText(t, 32<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, wholeStream(t, text), wc.NewContainer(8),
@@ -122,11 +122,15 @@ func TestWholeInputReadsOnOneIOLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Stats.Tasks["ingest"].Tasks; n != 1 {
-		t.Errorf("%d ingest tasks, want the one whole-input read", n)
+	if res.Stats.MapWaves != 1 {
+		t.Errorf("%d map waves, want the one whole-input chunk", res.Stats.MapWaves)
 	}
-	if res.Stats.IngestLaneBytes != nil {
-		t.Errorf("IngestLaneBytes = %v, want nil for a read that never fanned out", res.Stats.IngestLaneBytes)
+	var sum int64
+	for _, b := range res.Stats.IngestLaneBytes {
+		sum += b
+	}
+	if len(res.Stats.IngestLaneBytes) != 4 || sum != int64(len(text)) {
+		t.Errorf("IngestLaneBytes = %v, want four lanes summing to %d", res.Stats.IngestLaneBytes, len(text))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package dag chains jobspec rounds into a multi-round pipeline: each
 // node runs one job, and a node naming another as its input consumes
 // that round's egressed output directly — the extent set of the
-// upstream egress.Writer becomes the downstream prefetch ring's
+// upstream egress.Writer becomes the downstream prefetch pump's
 // chunk.Input with no intermediate file materialized. The Materialize
 // option is the ablation/differential baseline: it stitches each
 // upstream output into an in-memory file and re-ingests that instead,

@@ -9,7 +9,7 @@
 // output is byte-identical to a serial writer at any lane count.
 //
 // The completed Output implements chunk.Input, so one job's egressed
-// output can feed the next job's ingest pipeline (prefetch ring,
+// output can feed the next job's ingest pipeline (reads in flight,
 // freelist, multi-lane fetch) without a round-trip through a
 // materialized file; internal/dag chains jobs this way.
 package egress

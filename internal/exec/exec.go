@@ -470,7 +470,7 @@ type Handle struct {
 // Wait blocks until the task completes and returns its error (a
 // *PanicError if it panicked). Wait is idempotent: the first call joins
 // the task and every later call returns the same error, so a drain loop
-// over many handles (the prefetch ring's shutdown path, a cancelled
+// over many handles (the prefetch pump's shutdown path, a cancelled
 // job's cleanup) may safely re-join handles it already consumed.
 func (h *Handle) Wait() error {
 	h.once.Do(func() { h.err = <-h.done })

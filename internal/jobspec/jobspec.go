@@ -44,7 +44,7 @@ type Spec struct {
 	BW int64 `json:"bw,omitempty"`
 	// IOLanes is the striped-ingest lane count (default 1).
 	IOLanes int `json:"io_lanes,omitempty"`
-	// PrefetchDepth is the prefetch ring depth (default 1).
+	// PrefetchDepth is the number of chunk reads kept in flight (default 1).
 	PrefetchDepth int `json:"prefetch_depth,omitempty"`
 	// Pattern is the comma-separated grep pattern list (grep only).
 	Pattern string `json:"pattern,omitempty"`

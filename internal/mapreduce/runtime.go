@@ -8,8 +8,8 @@
 //
 // The package has no job loop of its own. The traditional baseline —
 // read the entire input, one map wave, reduce, pairwise merge — is
-// internal/core's Run over a single whole-input chunk (chunk.WholeInput),
-// the n = 1 case of the ingest chunk pipeline.
+// internal/core's Run over a single whole-input chunk
+// (chunk.NewWholeInput), the n = 1 case of the ingest chunk pipeline.
 //
 // Every primitive runs on an internal/exec pool — the job's persistent
 // pool when Options.Pool is set — which carries the job's cancellation
@@ -109,7 +109,7 @@ type Stats struct {
 	MapBusy       time.Duration // aggregate worker-busy time in map tasks
 	ReduceBusy    time.Duration // aggregate worker-busy time in reduce tasks
 	// PrefetchHits counts ingest rounds whose next chunk was already
-	// waiting in the prefetch ring when the map wave finished.
+	// cut, or its read done, when the map wave finished.
 	PrefetchHits int
 	// IngestStall is the total time map workers sat idle waiting for
 	// the next chunk to arrive — the per-round slice of Fig. 1's

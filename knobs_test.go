@@ -60,7 +60,7 @@ type knobRow struct {
 func chunked(n int64) func(*Config) { return func(c *Config) { c.ChunkBytes = n } }
 
 // slowFirstWave is word count whose first map wave starts 150 ms late,
-// so a prefetch ring has time to fill behind it.
+// so the reads in flight have time to run ahead of it.
 type slowFirstWave struct{ apps.WordCount }
 
 func (slowFirstWave) SetData(c *Chunk) {

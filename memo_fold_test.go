@@ -239,7 +239,7 @@ func TestMemoMapPanicWithParkedPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := &trackedStream{Stream: inner}
+	stream := track(inner)
 	job := panicAfter{Job: WordCountJob(), calls: new(atomic.Int64), limit: 0}
 	_, err = Run[string, int64](job, stream, WordCountContainer(8), cfg)
 	if err == nil || !strings.Contains(err.Error(), "mapper exploded mid-stream") {

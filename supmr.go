@@ -211,16 +211,16 @@ type Config struct {
 	// together and waited in turn by its lane, so every member disk of a
 	// stripe keeps a queue. On an HDFS input the shares fetch their
 	// blocks from distinct datanodes in parallel. <= 1 (the default)
-	// keeps the paper's single ingest thread, one request per read.
-	// Lanes split chunk reads, so a single-file input needs ChunkBytes:
-	// a whole-input read is one task on one IO lane.
+	// keeps the paper's single ingest thread, one request per read. A
+	// whole-input read (ChunkBytes 0) is split like any other; the
+	// RuntimeTraditional preset sets the knob aside and reads on one lane.
 	IOLanes int
 	// PrefetchDepth is the ingest depth d: how many chunks are kept in
 	// flight ahead of the map wave. <= 1 (the default) is the paper's
-	// double buffering — exactly one chunk ahead. A single-file stream,
-	// Memo's included, keeps d chunk reads outstanding on the device, on
-	// max(d, 2) chunk buffers; a multi-file stream buffers d-1 finished
-	// chunks.
+	// double buffering — exactly one chunk ahead. Every stream RunFile,
+	// RunFiles and RunBytes build keeps d chunk reads outstanding on the
+	// device, on max(d, 2) chunk buffers; a stream of the caller's own is
+	// read one chunk ahead.
 	PrefetchDepth int
 	// Engine, when set, submits the job to a shared multi-job Engine
 	// instead of creating a dedicated worker pool: the run passes
@@ -468,7 +468,7 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := input.(*chunk.WholeInput); whole && !ok {
+	if whole {
 		input = chunk.NewWholeInput(input)
 	}
 	if cfg.Engine != nil {
@@ -579,7 +579,7 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		}
 		co.MemoStore = memoSt.store
 	}
-	if rs, ok := input.(chunk.Resizable); ok && cfg.AdaptiveChunks {
+	if rs, ok := input.(*chunk.InterFile); ok && cfg.AdaptiveChunks {
 		// The stream was cut at the starting size (StreamFile picked it);
 		// the feedback loop refines it from there.
 		lim := tuner.Limits{Min: 64 << 10}
@@ -750,25 +750,22 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 		// the feedback loop refine it.
 		chunkBytes = tuner.Recommend(0, 0, file.Size(), 2*time.Millisecond, tuner.Limits{})
 	}
-	wholeInput := chunkBytes <= 0
-	if wholeInput {
-		chunkBytes = max(file.Size(), 1) // one read of the whole input
-	}
-	inter, err := chunk.NewInterFile(file, chunkBytes, cfg.boundary())
+	inter, err := chunk.NewInterFile(file, max(chunkBytes, 1), cfg.boundary())
 	if err != nil {
 		return nil, fmt.Errorf("supmr: %w", err)
 	}
-	if wholeInput {
-		return chunk.NewWholeInput(inter), nil
+	if chunkBytes <= 0 {
+		return chunk.NewWholeInput(inter), nil // one read of the whole input
 	}
 	return inter, nil
 }
 
 // StreamFiles builds the multi-file chunk stream RunFiles would use: a
-// chunk.Files closing each chunk at FilesPerChunk files (intra-file
-// chunking), or at ChunkBytes under HybridChunks (hybrid inter/intra-file
-// chunking); one whole-input chunk under the RuntimeTraditional preset.
-// Its finished chunks wait in the pipeline's ring, PrefetchDepth-1 deep.
+// chunk.NewFiles stream closing each chunk at FilesPerChunk files
+// (intra-file chunking), or at ChunkBytes under HybridChunks (hybrid
+// inter/intra-file chunking); one whole-input chunk under the
+// RuntimeTraditional preset. Its reads run PrefetchDepth ahead, as
+// StreamFile's do.
 func StreamFiles(files []Input, cfg Config) (Stream, error) {
 	cfg, whole, err := cfg.resolve()
 	if err != nil {

@@ -27,9 +27,10 @@ type tradPin struct {
 }
 
 type tradOut struct {
-	pin    tradPin
-	faults metrics.FaultStats
-	times  metrics.PhaseTimes
+	pin       tradPin
+	faults    metrics.FaultStats
+	times     metrics.PhaseTimes
+	laneBytes []int64
 }
 
 func tradOutOf[K comparable, V any](t *testing.T, rep *Report[K, V], err error) tradOut {
@@ -43,8 +44,9 @@ func tradOutOf[K comparable, V any](t *testing.T, rep *Report[K, V], err error) 
 	return tradOut{
 		pin: tradPin{hex.EncodeToString(h.Sum(nil)), s.BytesIngested,
 			s.MapWaves, s.Splits, s.IntermediateN, s.Runs, s.MergeRounds, s.RadixRuns, s.OutputPairs},
-		faults: s.Faults,
-		times:  rep.Times,
+		faults:    s.Faults,
+		times:     rep.Times,
+		laneBytes: s.IngestLaneBytes,
 	}
 }
 
@@ -91,8 +93,9 @@ func tradApps(t *testing.T) map[string]func(Config) tradOut {
 // accepts — solo, on a shared engine, with four IO lanes, and with
 // injected read faults absorbed by retries — each app's digest and
 // counters equal the pins, the faulted run's fault counters equal
-// theirs, and Times keeps separate read and map cells (no fused
-// read+map: one chunk has nothing to overlap).
+// theirs, Times keeps separate read and map cells (no fused read+map:
+// one chunk has nothing to overlap), and the read stays on one IO lane
+// (no per-lane bytes), four lanes configured or not.
 func TestTraditionalReportPinned(t *testing.T) {
 	want := map[string]tradPin{
 		"wordcount": {"23064ad0888a664ad71bab380924f51ba903ff2485420bc66f2f56ed050bd076", 131072, 1, 16, 3860, 16, 4, 0, 3860},
@@ -144,7 +147,29 @@ func TestTraditionalReportPinned(t *testing.T) {
 				if d := out.times.Get(metrics.PhaseReadMap); d != 0 {
 					t.Errorf("fused read+map = %v; one chunk has nothing to overlap", d)
 				}
+				if out.laneBytes != nil {
+					t.Errorf("IngestLaneBytes = %v: the preset's read fanned out over IO lanes", out.laneBytes)
+				}
 			})
 		}
+	}
+}
+
+// TestEmptyInputRunsNoMapWave: an empty input has no chunk, so no run
+// maps anything — the traditional preset's whole-input read included —
+// and every runtime reports the same empty output.
+func TestEmptyInputRunsNoMapWave(t *testing.T) {
+	var digests []string
+	for _, c := range []Config{{Runtime: RuntimeTraditional}, {Runtime: RuntimeSupMR}, {Runtime: RuntimeSupMR, ChunkBytes: 4 << 10}} {
+		rep, err := RunBytes[string, int64](WordCountJob(), nil, WordCountContainer(4), c)
+		out := tradOutOf(t, rep, err)
+		if out.pin.MapWaves != 0 || out.pin.BytesIngested != 0 {
+			t.Errorf("%v runtime, ChunkBytes %d: %d map waves over %d bytes, want none",
+				c.Runtime, c.ChunkBytes, out.pin.MapWaves, out.pin.BytesIngested)
+		}
+		digests = append(digests, out.pin.Digest)
+	}
+	if digests[0] != digests[1] || digests[1] != digests[2] {
+		t.Errorf("digests differ across runtimes: %q", digests)
 	}
 }

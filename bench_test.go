@@ -309,7 +309,7 @@ func BenchmarkAblationMerge(b *testing.B) {
 						rs[j] = append([]kv.Pair[uint64, uint64](nil), base[j]...)
 					}
 					b.StartTimer()
-					out, err := sortalgo.Merge(algo, rs, less, ex)
+					out, err := sortalgo.MergeWith(algo, rs, less, nil, ex)
 					if err != nil || len(out) != total {
 						b.Fatalf("merged %d of %d (%v)", len(out), total, err)
 					}

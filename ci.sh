@@ -65,8 +65,10 @@ echo "== race: out-of-core repeats =="
 # The out-of-core finish shares state across goroutines by design — the
 # grouped drain, run blocks decoded a block ahead on the IO lanes, reads
 # joined on failure — so its tests repeat under the detector, and the
-# budgeted differential and spill chaos determinism run with them.
-go test -race -count=10 -run 'TestMergeAhead|TestMergeJoins|TestDrainContainer|TestRunRecordCount|TestBlockMerge' \
+# budgeted differential and spill chaos determinism run with them. The
+# p-way merge's per-range trees run concurrently on pooled prefix
+# scratch, so the tree's table and the parallel merges repeat too.
+go test -race -count=10 -run 'TestMergeAhead|TestMergeJoins|TestDrainContainer|TestRunRecordCount|TestBlockMerge|TestMergeTree|TestPWayMerge|TestMergesAgree' \
     ./internal/spill/ ./internal/sortalgo/
 go test -race -count=2 -run 'TestBudgetedDigestIdentical|TestChaosSpillDeterministic' .
 

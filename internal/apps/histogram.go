@@ -45,8 +45,9 @@ func (Histogram) Combine(a, b int64) int64 { return a + b }
 // Less orders byte values numerically.
 func (Histogram) Less(a, b int) bool { return a < b }
 
-// FixedKey opts into the radix/columnar sort fast path: bucket ids are
-// ints, 8 big-endian sign-flipped bytes.
+// FixedKey opts into the fixed-key sort fast path (scatter finish,
+// radix run sort, prefix-head merge): bucket ids are ints, 8 big-endian
+// sign-flipped bytes.
 func (Histogram) FixedKey() kv.FixedKeyCodec[int] { return kv.IntFixedKey() }
 
 // Boundary: any cut point is valid for per-byte work, but use newline so

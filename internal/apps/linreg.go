@@ -68,8 +68,9 @@ func (LinearRegression) Combine(a, b float64) float64 { return a + b }
 // Less orders statistic cells by index.
 func (LinearRegression) Less(a, b int) bool { return a < b }
 
-// FixedKey opts into the radix/columnar sort fast path: coefficient ids
-// are ints, 8 big-endian sign-flipped bytes.
+// FixedKey opts into the fixed-key sort fast path (scatter finish,
+// radix run sort, prefix-head merge): coefficient ids are ints, 8
+// big-endian sign-flipped bytes.
 func (LinearRegression) FixedKey() kv.FixedKeyCodec[int] { return kv.IntFixedKey() }
 
 // Boundary: points are 2-byte records.

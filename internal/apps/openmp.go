@@ -77,10 +77,10 @@ func OpenMPSort(input chunk.Stream, pool exec.Executor, timer *metrics.Timer) (*
 		runs = append(runs, pairs[off:end])
 	}
 	less := kv.Less[string](app.Less)
-	if err := sortalgo.SortRuns(runs, less, pool); err != nil {
+	if _, err := sortalgo.SortRunsWith(runs, less, nil, pool); err != nil {
 		return nil, err
 	}
-	sorted, err := sortalgo.PWayMerge(runs, less, pool)
+	sorted, err := sortalgo.PWayMergeWith(runs, less, nil, pool)
 	timer.EndPhase(metrics.PhaseMerge)
 	if err != nil {
 		return nil, err

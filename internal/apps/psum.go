@@ -58,7 +58,8 @@ func (PrefixPart) Combine(a, b int64) int64 { return a + b }
 // Less orders block ids numerically.
 func (PrefixPart) Less(a, b int) bool { return a < b }
 
-// FixedKey opts block ids into the radix/columnar sort fast path.
+// FixedKey opts block ids into the fixed-key sort fast path (scatter
+// finish, radix run sort, prefix-head merge).
 func (PrefixPart) FixedKey() kv.FixedKeyCodec[int] { return kv.IntFixedKey() }
 
 // Boundary: records are newline-terminated (and fixed-width).
@@ -118,7 +119,8 @@ func (PrefixTotal) Combine(a, b int64) int64 { return a + b }
 // Less orders block ids numerically.
 func (PrefixTotal) Less(a, b int) bool { return a < b }
 
-// FixedKey opts block ids into the radix/columnar sort fast path.
+// FixedKey opts block ids into the fixed-key sort fast path (scatter
+// finish, radix run sort, prefix-head merge).
 func (PrefixTotal) FixedKey() kv.FixedKeyCodec[int] { return kv.IntFixedKey() }
 
 // Boundary: round-1 output lines are newline-terminated.

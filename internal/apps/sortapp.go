@@ -51,8 +51,9 @@ func (Sort) Reduce(_ string, vs []uint64) uint64 {
 // Less orders keys lexicographically (terasort order).
 func (Sort) Less(a, b string) bool { return a < b }
 
-// FixedKey opts into the radix/columnar sort fast path: terasort keys
-// are exactly TeraKeySize raw bytes, already in lexicographic order.
+// FixedKey opts into the fixed-key sort fast path (scatter finish,
+// radix run sort, prefix-head merge): terasort keys are exactly
+// TeraKeySize raw bytes, already in lexicographic order.
 func (Sort) FixedKey() kv.FixedKeyCodec[string] {
 	return kv.StringFixedKey(workload.TeraKeySize)
 }

@@ -67,7 +67,7 @@ func checkFoldContract[K comparable](t *testing.T, c Container[K, int64], key fu
 	const workers, nRuns, vocab = 4, 13, 300
 	rng := rand.New(rand.NewSource(71))
 	runs := reducedRuns(nRuns, vocab, key, less, disjoint, rng)
-	want, err := sortalgo.MergeRuns(nil, runs, less, sumVals[K], false)
+	want, err := sortalgo.MergeRuns(runs, less, sumVals[K], false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func checkFoldContract[K comparable](t *testing.T, c Container[K, int64], key fu
 		t.Fatalf("Len after Reset = %d", n)
 	}
 	held.Flush()
-	wantHeld, err := sortalgo.MergeRuns(nil, runs[:1], less, sumVals[K], false)
+	wantHeld, err := sortalgo.MergeRuns(runs[:1], less, sumVals[K], false)
 	if err != nil {
 		t.Fatal(err)
 	}

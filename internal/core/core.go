@@ -199,8 +199,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	// flag asks for the broken behaviour).
 	cont.Reset()
 
-	// The fixed-key sort fast path: resolved once so every drain, the
-	// external merge and the in-memory merge all agree on it.
+	// The fixed-key sort fast path: resolved here, and only here, so
+	// every drain, the node exchange, the external merge and the
+	// in-memory finish all agree on it.
 	var fixed *kv.FixedKeyCodec[K]
 	if !ro.RadixDisabled {
 		fixed = kv.FixedKeyOf[K, V](app)
@@ -656,7 +657,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 	default:
 		stats.IntermediateN = cont.Len()
-		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, ro, spiller, &stats)
+		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, fixed, ro, spiller, &stats)
 	}
 	if err != nil {
 		pool.Abort(err)
@@ -717,9 +718,10 @@ func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChu
 // reduceAndMerge finishes a job whose container holds the intermediate
 // set at the end of ingest — persisted there, or folded back by a
 // memoized run: reduce what is resident, then merge it — together with
-// every spilled run when the budget forced drains. ro carries the job's
-// pool and timer.
-func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], ro mapreduce.Options,
+// every spilled run when the budget forced drains. fixed is the job's
+// fixed-key codec (nil without one); ro carries the job's pool and
+// timer.
+func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], fixed *kv.FixedKeyCodec[K], ro mapreduce.Options,
 	spiller *spill.Spiller[K, V], stats *mapreduce.Stats) ([]kv.Pair[K, V], int, int, error) {
 	timer := ro.Timer
 	// Join the last spill write before reducing: the merge below must
@@ -745,7 +747,7 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	stats.Runs = len(runs) + stats.SpilledRuns
 	stats.ReduceBusy = reduceBusy
 	if stats.SpilledRuns == 0 {
-		return mapreduce.MergePhase(app, runs, ro)
+		return mapreduce.MergePhase(app, runs, fixed, ro)
 	}
 
 	// The budgeted merge: the in-memory residue's runs (their keys are
@@ -756,7 +758,7 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	// it. The round count stays 1 — spilling adds merge sources, not
 	// merge rounds, preserving the paper's single-round property (§IV).
 	ro.Merge = sortalgo.MergePWay
-	residue, _, radixRuns, err := mapreduce.MergePhase(app, runs, ro)
+	residue, _, radixRuns, err := mapreduce.MergePhase(app, runs, fixed, ro)
 	if err != nil {
 		return nil, 0, 0, err
 	}

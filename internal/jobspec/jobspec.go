@@ -64,9 +64,9 @@ type Spec struct {
 	// applications sharing the engine store never replay each other's
 	// output.
 	MemoKey string `json:"memo_key,omitempty"`
-	// RadixOff disables the fixed-width-key sort fast path (radix run
-	// sort + columnar merge) — the -radixsort=off ablation. Output is
-	// byte-identical either way.
+	// RadixOff disables the fixed-width-key sort fast path (the scatter
+	// finish, the radix run sort and the merge tree's prefix heads) — the
+	// -radixsort=off ablation. Output is byte-identical either way.
 	RadixOff bool `json:"radix_off,omitempty"`
 	// Nodes, when >= 1, runs the job on a simulated cluster of that
 	// many SupMR worker nodes exchanging hash-partitioned runs over

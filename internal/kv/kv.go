@@ -89,8 +89,8 @@ type Combiner[V any] interface {
 // order. Apps with such keys — 10-byte terasort records, integer bucket
 // ids — opt into the radix fast path: the single-round scatter finish
 // (sortalgo.ScatterSort) for their reduce runs, and the radix run sort
-// plus the columnar loser-tree merge wherever runs are still merged
-// (drains, the node exchange, the pairwise baseline's run sort);
+// plus the merge tree's prefix heads wherever runs are still merged
+// (drains, the external merge, the pairwise baseline's run sort);
 // everything else stays on the comparison path.
 //
 // Put returns false when the key cannot be encoded in Width bytes (for

@@ -51,20 +51,12 @@ type Options struct {
 	// and clock attached — either a dedicated exec.Pool or a multi-job
 	// engine's per-submission handle.
 	Pool exec.Executor
-	// RadixDisabled turns off the fixed-width-key sort fast path (radix
-	// run sort + columnar merge) — the -radixsort=off ablation. The zero
-	// value keeps the fast path enabled for apps that opt in via
-	// kv.FixedKeyApp.
+	// RadixDisabled turns off the fixed-width-key sort fast path (the
+	// scatter finish, the radix run sort and the merge tree's prefix
+	// heads) — the -radixsort=off ablation. The zero value keeps the
+	// fast path enabled for apps that opt in via kv.FixedKeyApp. Only
+	// core.Run reads it: it resolves the one codec every phase uses.
 	RadixDisabled bool
-}
-
-// fixedKey resolves the app's fixed-key codec for these options: nil
-// when the app does not opt in or the ablation disabled the fast path.
-func fixedKey[K comparable, V any](app kv.App[K, V], opts Options) *kv.FixedKeyCodec[K] {
-	if opts.RadixDisabled {
-		return nil
-	}
-	return kv.FixedKeyOf[K, V](app)
 }
 
 func (o Options) withDefaults() Options {
@@ -247,17 +239,17 @@ func ReducePhaseTimed[K comparable, V any](app kv.App[K, V], cont container.Cont
 // MergePhase sorts each run in parallel and merges them with the
 // selected algorithm, returning the globally sorted output, the number
 // of pairwise rounds an iterative merge would perform, and how many runs
-// took the radix fast path. Under the p-way merge an app with a
-// fixed-key codec skips both steps: sortalgo.ScatterSort finishes its
+// took the radix fast path. codec is the job's fixed-key codec, nil
+// when the app has none or the ablation turned it off. Under the p-way
+// merge a codec skips both steps: sortalgo.ScatterSort finishes the
 // runs in one distribution round and every run counts as radix. When
 // opts.Timer is set, the run-sort and merge halves are timed separately
 // (PhaseRunSort vs PhaseMerge) so reports can attribute the sort-path
 // speedup.
-func MergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], opts Options) ([]kv.Pair[K, V], int, int, error) {
+func MergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], codec *kv.FixedKeyCodec[K], opts Options) ([]kv.Pair[K, V], int, int, error) {
 	opts = opts.withDefaults()
 	pool, release := opts.pool()
 	defer release()
-	codec := fixedKey(app, opts)
 	rounds := sortalgo.Rounds(len(runs))
 	if opts.Merge == sortalgo.MergePWay {
 		rounds = 1

@@ -83,7 +83,7 @@ func TestMergePhaseRounds(t *testing.T) {
 		{{Key: "e", Val: 1}, {Key: "d", Val: 1}},
 		{{Key: "f", Val: 1}},
 	}
-	merged, rounds, _, err := MergePhase[string, int64](wc, runs, Options{Workers: 2, Merge: 0})
+	merged, rounds, _, err := MergePhase[string, int64](wc, runs, nil, Options{Workers: 2, Merge: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

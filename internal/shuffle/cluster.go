@@ -49,8 +49,8 @@ type Topology struct {
 //	shuffle: runs are hash-partitioned by encoded key; partition p is
 //	         owned by node p; remote slices travel as checksummed frames
 //	         over per-node fabric links, local slices bypass the wire
-//	reduce:  each node merges its received + local slices with the
-//	         re-reducing loser-tree pass
+//	reduce:  each node merges its received + local slices in one
+//	         re-reducing streaming pass over the merge tree
 //	merge:   node outputs hold disjoint keys; one p-way interleave
 //	         produces the globally sorted result
 //
@@ -122,7 +122,7 @@ func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], poo
 	timer.StartPhase(metrics.PhaseReduce)
 	stats.ReduceBusy, err = pool.ForEach("reduce", metrics.StateUser, len(recv), func(dst int) error {
 		var mErr error
-		outs[dst], mErr = sortalgo.MergeRuns(nil, recv[dst], app.Less, app.Reduce, true)
+		outs[dst], mErr = sortalgo.MergeRuns(recv[dst], app.Less, app.Reduce, true)
 		return mErr
 	})
 	timer.EndPhase(metrics.PhaseReduce)

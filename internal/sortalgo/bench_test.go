@@ -56,7 +56,7 @@ func BenchmarkMerge(b *testing.B) {
 						rs[j] = append([]kv.Pair[uint64, uint64](nil), base[j]...)
 					}
 					b.StartTimer()
-					out, err := Merge(algo, rs, less, ex)
+					out, err := MergeWith(algo, rs, less, nil, ex)
 					if err != nil || len(out) != total {
 						b.Fatal("bad merge", err)
 					}
@@ -81,42 +81,50 @@ func BenchmarkSortRuns(b *testing.B) {
 			rs[j] = append([]kv.Pair[uint64, uint64](nil), base[j]...)
 		}
 		b.StartTimer()
-		if err := SortRuns(rs, less, ex); err != nil {
+		if _, err := SortRunsWith(rs, less, nil, ex); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkLoserTreeWidth(b *testing.B) {
-	// One worker merging k columns: the loser tree's log2(k) scaling.
+	// One worker merging k columns: the merge tree's log2(k) scaling,
+	// with comparison heads and with the uint64 codec's prefix heads.
 	const total = 1 << 17
 	less := kv.Less[uint64](func(a, c uint64) bool { return a < c })
-	for _, k := range []int{4, 16, 64, 256} {
-		base := benchRuns(total, k)
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			ex := exec.NewLocal(1)
-			defer ex.Close()
-			b.SetBytes(int64(total * 16))
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				rs := make([][]kv.Pair[uint64, uint64], len(base))
-				for j := range base {
-					rs[j] = append([]kv.Pair[uint64, uint64](nil), base[j]...)
+	prefix := kv.Uint64FixedKey()
+	for _, heads := range []string{"compare", "prefix"} {
+		codec := &prefix
+		if heads == "compare" {
+			codec = nil
+		}
+		for _, k := range []int{4, 16, 64, 256} {
+			base := benchRuns(total, k)
+			b.Run(fmt.Sprintf("%s/k=%d", heads, k), func(b *testing.B) {
+				ex := exec.NewLocal(1)
+				defer ex.Close()
+				b.SetBytes(int64(total * 16))
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					rs := make([][]kv.Pair[uint64, uint64], len(base))
+					for j := range base {
+						rs[j] = append([]kv.Pair[uint64, uint64](nil), base[j]...)
+					}
+					b.StartTimer()
+					out, err := PWayMergeWith(rs, less, codec, ex)
+					if err != nil || len(out) != total {
+						b.Fatal("bad merge", err)
+					}
 				}
-				b.StartTimer()
-				out, err := PWayMerge(rs, less, ex)
-				if err != nil || len(out) != total {
-					b.Fatal("bad merge", err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
 // BenchmarkFixedKeyFinish compares the two ways a job finishes 64
 // unsorted terasort-shaped runs (10-byte keys) into one sorted array:
-// the single-round scatter, and the radix run sort plus columnar p-way
-// merge it replaces.
+// the single-round scatter, and the radix run sort plus the p-way merge
+// on prefix heads it replaces.
 func BenchmarkFixedKeyFinish(b *testing.B) {
 	const total, width = 1 << 18, 10
 	rng := rand.New(rand.NewSource(1))

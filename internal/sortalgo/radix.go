@@ -42,6 +42,7 @@ var (
 )
 
 func getScratchBytes(n int) []byte {
+	scratchHeld.Add(1)
 	if v := radixBytePool.Get(); v != nil {
 		if b := *(v.(*[]byte)); cap(b) >= n {
 			return b[:n]
@@ -51,6 +52,7 @@ func getScratchBytes(n int) []byte {
 }
 
 func putScratchBytes(b []byte) {
+	scratchHeld.Add(-1)
 	if cap(b) > 0 {
 		radixBytePool.Put(&b)
 	}

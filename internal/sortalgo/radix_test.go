@@ -1,10 +1,9 @@
 package sortalgo
 
-// Property, fuzz, and regression coverage for the vectorized sort/merge
-// path: RadixSortPairs against a stable comparison reference, the
-// columnar and padded loser trees against each other and against a
-// naive k-way reference with the (key, column) tie rule, MergeSources'
+// Property, fuzz, and regression coverage for the vectorized sort path:
+// RadixSortPairs against a stable comparison reference, MergeSources'
 // equal-key source ordering, and the PairwiseMerge allocation bound.
+// The merge tree's own table and fuzz target are in tree_test.go.
 
 import (
 	"fmt"
@@ -129,88 +128,6 @@ func TestRadixSortDeclines(t *testing.T) {
 	samePairs(t, bad, cp, "unencodable key")
 }
 
-// sortedColumns builds k sorted fixed-width runs (possibly with empty
-// and heavily overlapping columns) plus the merge reference: a stable
-// sort of the concatenation, i.e. equal keys ordered by (column, index)
-// — the tie rule every tree in this package implements.
-func sortedColumns(k, per, width int, seed int64, shape string) ([][]kv.Pair[string, int], []kv.Pair[string, int]) {
-	rng := rand.New(rand.NewSource(seed))
-	cols := make([][]kv.Pair[string, int], k)
-	var flat []kv.Pair[string, int]
-	val := 0
-	for c := range cols {
-		n := per
-		if shape == "ragged" {
-			n = rng.Intn(per + 1) // includes empty columns
-		}
-		col := fixedKeys(n, width, seed+int64(c)*77, shape)
-		sort.SliceStable(col, func(i, j int) bool { return col[i].Key < col[j].Key })
-		for i := range col {
-			col[i].Val = val
-			val++
-		}
-		cols[c] = col
-		flat = append(flat, col...)
-	}
-	return cols, stableRef(flat, strLess)
-}
-
-func TestColumnarMergeMatchesReference(t *testing.T) {
-	for _, width := range []int{3, 8, 10, 16} {
-		for _, k := range []int{2, 3, 5, 8, 13} {
-			for _, shape := range []string{"random", "dup", "ragged"} {
-				label := fmt.Sprintf("w=%d k=%d %s", width, k, shape)
-				cols, want := sortedColumns(k, 400, width, int64(width*100+k), shape)
-				got, ok := columnarMerge(cols, kv.StringFixedKey(width), nil)
-				if !ok {
-					t.Fatalf("%s: columnarMerge declined", label)
-				}
-				samePairs(t, got, want, "columnar "+label)
-				// The generic padded tree must produce the identical
-				// sequence — same tie rule, different representation.
-				tree := loserTreeMerge(cols, strLess, nil)
-				samePairs(t, tree, want, "losertree "+label)
-			}
-		}
-	}
-}
-
-func TestColumnarMergeSentinelKeys(t *testing.T) {
-	// All-0xFF keys collide with the exhaustion sentinel's prefix; the
-	// tie ranks must still separate live columns from dead ones.
-	hi := strings.Repeat("\xff", 10)
-	lo := strings.Repeat("\x00", 10)
-	cols := [][]kv.Pair[string, int]{
-		{{Key: lo, Val: 0}, {Key: hi, Val: 1}, {Key: hi, Val: 2}},
-		{{Key: hi, Val: 3}},
-		{}, // empty column next to a padding leaf
-		{{Key: lo, Val: 4}, {Key: hi, Val: 5}},
-	}
-	var flat []kv.Pair[string, int]
-	for _, c := range cols {
-		flat = append(flat, c...)
-	}
-	want := stableRef(flat, strLess)
-	got, ok := columnarMerge(cols, kv.StringFixedKey(10), nil)
-	if !ok {
-		t.Fatal("columnarMerge declined")
-	}
-	samePairs(t, got, want, "sentinel keys")
-}
-
-func TestColumnarMergeEncodeFailureFallsBack(t *testing.T) {
-	cols, _ := sortedColumns(3, 50, 8, 21, "random")
-	cols[1][17].Key = "bad" // wrong width
-	dst := make([]kv.Pair[string, int], 0, 8)
-	got, ok := columnarMerge(cols, kv.StringFixedKey(8), dst)
-	if ok {
-		t.Fatal("columnarMerge accepted an unencodable key")
-	}
-	if len(got) != 0 {
-		t.Fatalf("failed merge wrote %d pairs into dst", len(got))
-	}
-}
-
 // TestMergeSourcesEqualKeyOrder pins the streaming tree's tie rule:
 // when the same key is live in several sources, values must reach the
 // reducer in source order — the contract the re-reduce of spilled
@@ -275,54 +192,5 @@ func FuzzRadixVsReference(f *testing.F) {
 			t.Fatalf("RadixSortPairs declined w=%d n=%d", width, len(ps))
 		}
 		samePairs(t, ps, want, fmt.Sprintf("fuzz w=%d %s", width, shape))
-	})
-}
-
-// FuzzMergeTreesVsReference checks all three merge trees — columnar,
-// generic padded, and streaming sources — against the stable reference
-// on the same fuzzed columns.
-func FuzzMergeTreesVsReference(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(12), uint8(0))
-	f.Add(int64(5), uint8(9), uint8(8), uint8(1))
-	f.Add(int64(11), uint8(2), uint8(16), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, kRaw, widthRaw, shapeRaw uint8) {
-		k := int(kRaw%16) + 2
-		width := int(widthRaw%16) + 1
-		shape := []string{"random", "dup", "ragged"}[int(shapeRaw)%3]
-		cols, want := sortedColumns(k, 120, width, seed, shape)
-		label := fmt.Sprintf("fuzz k=%d w=%d %s", k, width, shape)
-
-		colCopy := make([][]kv.Pair[string, int], len(cols))
-		copy(colCopy, cols)
-		got, ok := columnarMerge(colCopy, kv.StringFixedKey(width), nil)
-		if !ok {
-			t.Fatalf("%s: columnarMerge declined", label)
-		}
-		samePairs(t, got, want, "columnar "+label)
-		samePairs(t, loserTreeMerge(cols, strLess, nil), want, "losertree "+label)
-
-		srcs := make([]Source[string, int], len(cols))
-		for i, c := range cols {
-			srcs[i] = NewSliceSource(c)
-		}
-		// Identity "reduce" keeps singletons; equal keys collapse in
-		// source order, matching the stable reference's first element.
-		streamed, err := MergeSources(srcs, strLess, func(_ string, vs []int) int { return vs[0] }, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		for _, w := range want {
-			if i > 0 && streamed[i-1].Key == w.Key {
-				continue // collapsed duplicate; first source's value won
-			}
-			if i >= len(streamed) || streamed[i] != w {
-				t.Fatalf("%s: streamed[%d] mismatch", label, i)
-			}
-			i++
-		}
-		if i != len(streamed) {
-			t.Fatalf("%s: streamed %d groups, want %d", label, len(streamed), i)
-		}
 	})
 }

@@ -12,6 +12,12 @@
 // each processor an independent output range to fill with a loser-tree
 // k-way merge — one scan of the data, full parallelism throughout.
 //
+// The package has one k-way tree, mergeTree (tree.go), under every
+// p-way worker's range and every round of the streaming merge over
+// spill runs (MergeSources). Its heads are 8-byte encoded key prefixes
+// when the app has a fixed-key codec and comparison heads otherwise;
+// both break ties by column index, so the output is the same bytes.
+//
 // For keys with a fixed-width encoding the single round takes its
 // fixed-key form, ScatterSort (scatter.go): the first varying key byte is
 // an exact splitter, so the unsorted runs scatter straight into disjoint
@@ -33,18 +39,12 @@ import (
 	"supmr/internal/metrics"
 )
 
-// SortRuns sorts each run in place, in parallel on the executor. This is
-// the high-utilization prefix both merge algorithms share ("all cores
-// sorting small lists in parallel").
-func SortRuns[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], ex exec.Executor) error {
-	_, err := SortRunsWith(runs, less, nil, ex)
-	return err
-}
-
-// SortRunsWith is SortRuns with an optional fixed-key codec: runs whose
-// keys encode at the codec's width are radix-sorted (see radix.go), the
-// rest fall back to the comparison sort. Returns how many runs took the
-// radix path. codec == nil is plain SortRuns.
+// SortRunsWith sorts each run in place, in parallel on the executor.
+// This is the high-utilization prefix both merge algorithms share ("all
+// cores sorting small lists in parallel"). With a fixed-key codec, runs
+// whose keys encode at the codec's width are radix-sorted (see
+// radix.go), the rest comparison-sorted; codec may be nil. Returns how
+// many runs took the radix path.
 func SortRunsWith[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec *kv.FixedKeyCodec[K], ex exec.Executor) (int, error) {
 	var radixRuns atomic.Int64
 	_, err := ex.ForEach("sort", metrics.StateUser, len(runs), func(i int) error {
@@ -148,20 +148,13 @@ func Rounds(n int) int {
 // samplesPerRun controls splitter quality for the p-way merge.
 const samplesPerRun = 32
 
-// PWayMerge merges sorted runs into one sorted array in a single round
-// using the executor's compute workers. Sampled splitters partition the
-// key space into one consistent range per worker; every worker
-// loser-tree-merges its column of run slices into a disjoint region of
-// the output.
-func PWayMerge[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], ex exec.Executor) ([]kv.Pair[K, V], error) {
-	return PWayMergeWith(runs, less, nil, ex)
-}
-
-// PWayMergeWith is PWayMerge with an optional fixed-key codec: when
-// present, each worker merges its column set through the columnar loser
-// tree (columnar.go) — encoded key prefixes in recycled arenas, masked
-// branch-free replay — falling back to the generic tree if any key fails
-// to encode. Output is byte-identical either way.
+// PWayMergeWith merges sorted runs into one sorted array in a single
+// round using the executor's compute workers. Sampled splitters
+// partition the key space into one consistent range per worker; every
+// worker merges its column of run slices into a disjoint region of the
+// output with one mergeTree call, whose heads are encoded key prefixes
+// when codec (which may be nil) encodes every key. Output is
+// byte-identical either way.
 func PWayMergeWith[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec *kv.FixedKeyCodec[K], ex exec.Executor) ([]kv.Pair[K, V], error) {
 	// Drop empty runs.
 	var rs [][]kv.Pair[K, V]
@@ -265,13 +258,7 @@ func PWayMergeWith[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec 
 				cols = append(cols, seg)
 			}
 		}
-		dst := out[offsets[s]:offsets[s]:offsets[s+1]]
-		if codec != nil && len(cols) >= 2 {
-			if _, ok := columnarMerge(cols, *codec, dst); ok {
-				return nil
-			}
-		}
-		loserTreeMerge(cols, less, dst)
+		mergeTree(cols, less, codec, out[offsets[s]:offsets[s]:offsets[s+1]])
 		return nil
 	})
 	if err != nil {
@@ -293,83 +280,6 @@ func lowerBound[K any, V any](r []kv.Pair[K, V], key K, less kv.Less[K]) int {
 		}
 	}
 	return lo
-}
-
-// loserTreeMerge merges the sorted lists in cols into dst (an empty slice
-// with sufficient capacity) using a tournament tree of losers, the
-// classic structure for merging N ordered runs with ~log2(N) comparisons
-// per output element (Salzberg 1989).
-//
-// The tree is padded to a power of two with sentinel leaves, so build
-// and replay are uniform bottom-up loops with no -1 sentinels or
-// first-visit branches: replay walks exactly log2(m) nodes via index
-// halving. Equal keys resolve by column index (matching mergeTwo's
-// preference for the left run and the columnar tree's tie rule), making
-// every merge path emit duplicates in the same deterministic order.
-func loserTreeMerge[K any, V any](cols [][]kv.Pair[K, V], less kv.Less[K], dst []kv.Pair[K, V]) []kv.Pair[K, V] {
-	k := len(cols)
-	switch k {
-	case 0:
-		return dst
-	case 1:
-		return append(dst, cols[0]...)
-	case 2:
-		return mergeTwo(cols[0], cols[1], less, dst)
-	}
-	m := 2
-	for m < k {
-		m <<= 1
-	}
-	// heads[c] is the next unconsumed index of cols[c]; columns past k
-	// and exhausted columns act as +infinity sentinels.
-	state := make([]int, 2*m)
-	heads, nodes := state[:m], state[m:2*m]
-	exhausted := func(c int) bool { return c >= k || heads[c] >= len(cols[c]) }
-	// beats reports whether column a's head strictly precedes column
-	// b's: by key, then by column index; sentinels always lose.
-	beats := func(a, b int) bool {
-		ea, eb := exhausted(a), exhausted(b)
-		if ea || eb {
-			return !ea || (eb && a < b)
-		}
-		ka, kb := cols[a][heads[a]].Key, cols[b][heads[b]].Key
-		if less(ka, kb) {
-			return true
-		}
-		if less(kb, ka) {
-			return false
-		}
-		return a < b
-	}
-
-	// Build bottom-up: winners bubble toward the root, each internal
-	// node keeps the loser of its match.
-	winners := make([]int, 2*m)
-	for i := 0; i < m; i++ {
-		winners[m+i] = i
-	}
-	for node := m - 1; node >= 1; node-- {
-		a, b := winners[2*node], winners[2*node+1]
-		if beats(b, a) {
-			a, b = b, a
-		}
-		winners[node] = a
-		nodes[node] = b
-	}
-	w := winners[1]
-
-	for !exhausted(w) {
-		dst = append(dst, cols[w][heads[w]])
-		heads[w]++
-		// Replay from w's leaf to the root by index halving.
-		for node := (m + w) >> 1; node > 0; node >>= 1 {
-			if l := nodes[node]; beats(l, w) {
-				nodes[node] = w
-				w = l
-			}
-		}
-	}
-	return dst
 }
 
 // MergeAlgo selects the merge-phase implementation.
@@ -395,15 +305,10 @@ func (m MergeAlgo) String() string {
 	}
 }
 
-// Merge dispatches to the selected algorithm. Runs must be sorted.
-func Merge[K any, V any](algo MergeAlgo, runs [][]kv.Pair[K, V], less kv.Less[K], ex exec.Executor) ([]kv.Pair[K, V], error) {
-	return MergeWith(algo, runs, less, nil, ex)
-}
-
-// MergeWith is Merge with an optional fixed-key codec, which routes the
-// p-way merge through the columnar loser tree. The pairwise baseline
-// stays comparison-based by design — it exists to measure the merge the
-// paper replaces.
+// MergeWith dispatches to the selected algorithm. Runs must be sorted.
+// An optional fixed-key codec gives the p-way merge's tree prefix
+// heads. The pairwise baseline stays comparison-based by design — it
+// exists to measure the merge the paper replaces.
 func MergeWith[K any, V any](algo MergeAlgo, runs [][]kv.Pair[K, V], less kv.Less[K], codec *kv.FixedKeyCodec[K], ex exec.Executor) ([]kv.Pair[K, V], error) {
 	switch algo {
 	case MergePWay:

@@ -58,9 +58,9 @@ func pway(t testing.TB, rs [][]kv.Pair[uint64, int], p int) []kv.Pair[uint64, in
 	t.Helper()
 	ex := exec.NewLocal(p)
 	defer ex.Close()
-	got, err := PWayMerge(rs, u64Less, ex)
+	got, err := PWayMergeWith(rs, u64Less, nil, ex)
 	if err != nil {
-		t.Fatalf("PWayMerge: %v", err)
+		t.Fatalf("PWayMergeWith: %v", err)
 	}
 	return got
 }
@@ -161,8 +161,11 @@ func TestPWayMergeAllEqualKeys(t *testing.T) {
 	}
 }
 
-// Property: both merges agree with each other and with a flat sort.
+// Property: both merges, the p-way one with comparison and with prefix
+// heads, agree with each other and with a flat sort, and the parallel
+// prefix merges hand every pooled arena back.
 func TestMergesAgree(t *testing.T) {
+	codec := kv.Uint64FixedKey()
 	f := func(seed int64, runsRaw, pRaw uint8) bool {
 		runs := int(runsRaw%20) + 1
 		p := int(pRaw%8) + 1
@@ -173,16 +176,18 @@ func TestMergesAgree(t *testing.T) {
 		}
 		ex := exec.NewLocal(p)
 		defer ex.Close()
+		held := scratchHeld.Load()
 		a, errA := PairwiseMerge(rs, u64Less, ex)
-		b, errB := PWayMerge(rs2, u64Less, ex)
-		if errA != nil || errB != nil {
+		b, errB := PWayMergeWith(rs2, u64Less, nil, ex)
+		c, errC := PWayMergeWith(rs2, u64Less, &codec, ex)
+		if errA != nil || errB != nil || errC != nil || scratchHeld.Load() != held {
 			return false
 		}
-		if len(a) != len(want) || len(b) != len(want) {
+		if len(a) != len(want) || len(b) != len(want) || len(c) != len(want) {
 			return false
 		}
 		for i := range want {
-			if a[i].Key != want[i] || b[i].Key != want[i] {
+			if a[i].Key != want[i] || b[i].Key != want[i] || b[i] != c[i] {
 				return false
 			}
 		}
@@ -195,19 +200,19 @@ func TestMergesAgree(t *testing.T) {
 
 func TestSortRuns(t *testing.T) {
 	rs, _ := randomRuns(t, 2000, 8, 1)
-	// Shuffle each run, then re-sort through SortRuns.
+	// Shuffle each run, then re-sort through SortRunsWith.
 	rng := rand.New(rand.NewSource(2))
 	for _, r := range rs {
 		rng.Shuffle(len(r), func(i, j int) { r[i], r[j] = r[j], r[i] })
 	}
 	ex := exec.NewLocal(4)
 	defer ex.Close()
-	if err := SortRuns(rs, u64Less, ex); err != nil {
+	if _, err := SortRunsWith(rs, u64Less, nil, ex); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range rs {
 		if !kv.IsSortedPairs(r, u64Less) {
-			t.Errorf("run %d unsorted after SortRuns", i)
+			t.Errorf("run %d unsorted after SortRunsWith", i)
 		}
 	}
 }
@@ -231,7 +236,7 @@ func TestMergeDispatchAndString(t *testing.T) {
 	rs, want := randomRuns(t, 500, 4, 3)
 	ex := exec.NewLocal(2)
 	defer ex.Close()
-	got, err := Merge(MergePWay, rs, u64Less, ex)
+	got, err := MergeWith(MergePWay, rs, u64Less, nil, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +249,11 @@ func TestExecutorInstrumentation(t *testing.T) {
 	rs, _ := randomRuns(t, 1000, 8, 4)
 	ex := exec.NewLocal(4)
 	defer ex.Close()
-	if err := SortRuns(rs, u64Less, ex); err != nil {
+	if _, err := SortRunsWith(rs, u64Less, nil, ex); err != nil {
 		t.Fatal(err)
 	}
 	if got := ex.TaskStats()["sort"].Tasks; got != 8 {
-		t.Errorf("SortRuns ran %d sort tasks, want 8 (one per run)", got)
+		t.Errorf("SortRunsWith ran %d sort tasks, want 8 (one per run)", got)
 	}
 	if _, err := PairwiseMerge(rs, u64Less, ex); err != nil {
 		t.Fatal(err)
@@ -259,21 +264,21 @@ func TestExecutorInstrumentation(t *testing.T) {
 	ex2 := exec.NewLocal(4)
 	defer ex2.Close()
 	rs2, _ := randomRuns(t, 1000, 8, 5)
-	if _, err := PWayMerge(rs2, u64Less, ex2); err != nil {
+	if _, err := PWayMergeWith(rs2, u64Less, nil, ex2); err != nil {
 		t.Fatal(err)
 	}
 	if got := ex2.TaskStats()["merge"].Tasks; got == 0 {
-		t.Error("PWayMerge recorded no merge tasks")
+		t.Error("PWayMergeWith recorded no merge tasks")
 	}
 }
 
 func TestLoserTreeMergeDirect(t *testing.T) {
-	// Exercise loserTreeMerge through PWayMerge with p=1 so a single
+	// Exercise the merge tree through PWayMerge with p=1 so a single
 	// worker merges many columns via the tree.
 	for _, k := range []int{3, 4, 5, 6, 9, 17} {
 		rs, want := randomRuns(t, 3000, k, int64(100+k))
 		got := pway(t, rs, 1)
-		checkMerged(t, got, want, fmt.Sprintf("losertree k=%d", k))
+		checkMerged(t, got, want, fmt.Sprintf("tree k=%d", k))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // This file extends the merge phase to out-of-core inputs: a Source
 // streams one sorted run — an in-memory slice or an on-disk spill run
 // decoded block by block — and MergeSources consumes any mix of them in
-// a single pass. This is the external counterpart of PWayMerge: same
+// a single pass. This is the external counterpart of PWayMergeWith: same
 // single-round structure (Conclusion 3), but run heads are pulled a
 // block at a time instead of indexed, so merging never needs all runs
 // resident. The spill layer (internal/spill) provides Sources over its
@@ -65,11 +65,10 @@ func MergeSources[K any, V any](srcs []Source[K, V], less kv.Less[K], reduce fun
 }
 
 // MergeSourcesWith is MergeSources with an optional fixed-key codec,
-// which routes the pass through the columnar loser tree, and with the
-// number of records the sources hold between them, when the caller
-// knows it (0 otherwise): out then grows by how far reduce has
-// collapsed the input so far rather than by doubling. Output is
-// byte-identical either way.
+// which gives the merge tree prefix heads, and with the number of
+// records the sources hold between them, when the caller knows it (0
+// otherwise): out then grows by how far reduce has collapsed the input
+// so far rather than by doubling. Output is byte-identical either way.
 func MergeSourcesWith[K any, V any](srcs []Source[K, V], less kv.Less[K], codec *kv.FixedKeyCodec[K], reduce func(K, []V) V, out []kv.Pair[K, V], total int) ([]kv.Pair[K, V], error) {
 	return mergeBlocks(srcs, less, codec, reduce, out, total, sourceBlock)
 }
@@ -78,8 +77,8 @@ func MergeSourcesWith[K any, V any](srcs []Source[K, V], less kv.Less[K], codec 
 // current blocks with the in-memory trees: a round takes, from every
 // block, the records at or before the bound — the least (last key,
 // source) among the blocks whose source holds more — merges those
-// segments with loserTreeMerge or columnarMerge, whose tie rule is the
-// column index, groups the result, and refills the blocks it used up.
+// segments with one mergeTree call, whose tie rule is the column index,
+// groups the result, and refills the blocks it used up.
 // Nothing a source has yet to deliver can sort before the bound, so the
 // rounds concatenate to the one merged order; each spends the bounding
 // block, so there are about as many rounds as blocks, and the merged
@@ -171,13 +170,7 @@ func mergeBlocks[K any, V any](srcs []Source[K, V], less kv.Less[K], codec *kv.F
 			if cap(round) < size {
 				round = make([]kv.Pair[K, V], 0, size)
 			}
-			ok := false
-			if codec != nil {
-				round, ok = columnarMerge(cols, *codec, round[:0])
-			}
-			if !ok {
-				round = loserTreeMerge(cols, less, round[:0])
-			}
+			round = mergeTree(cols, less, codec, round[:0])
 			merged = round
 		}
 		// Keys arrive globally sorted: a new group starts whenever the
@@ -206,13 +199,13 @@ func mergeBlocks[K any, V any](srcs []Source[K, V], less kv.Less[K], codec *kv.F
 	return out, nil
 }
 
-// MergeRuns is MergeSources over in-memory key-sorted runs: head —
-// streaming sources that come first in tie order, such as spilled runs
-// — followed by one slice source per non-empty run. presize allocates
-// the output for the runs' total length up front: exact when the runs
-// hold disjoint keys, wasteful when reduce collapses most of them.
-func MergeRuns[K any, V any](head []Source[K, V], runs [][]kv.Pair[K, V], less kv.Less[K], reduce func(K, []V) V, presize bool) ([]kv.Pair[K, V], error) {
-	srcs, total := head, 0
+// MergeRuns is MergeSources over in-memory key-sorted runs, one slice
+// source per non-empty run. presize allocates the output for the runs'
+// total length up front: exact when the runs hold disjoint keys,
+// wasteful when reduce collapses most of them.
+func MergeRuns[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], reduce func(K, []V) V, presize bool) ([]kv.Pair[K, V], error) {
+	var srcs []Source[K, V]
+	total := 0
 	for _, r := range runs {
 		if len(r) > 0 {
 			srcs = append(srcs, NewSliceSource(r))

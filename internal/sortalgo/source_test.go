@@ -96,7 +96,7 @@ func TestMergeSourcesMatchesPWayOnUniqueKeys(t *testing.T) {
 
 	ex := exec.NewLocal(4)
 	defer ex.Close()
-	inMem, err := PWayMerge(runs, intLess, ex)
+	inMem, err := PWayMergeWith(runs, intLess, nil, ex)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,8 @@ func (sp *Spiller[K, V]) SetRetry(p faults.RetryPolicy, ctr *faults.Counters) {
 }
 
 // SetFixedKey hands the spiller the app's fixed-key codec so drain
-// sorts take the radix fast path and Merge the columnar tree; nil keeps
-// the comparison paths (the -radixsort=off ablation).
+// sorts take the radix fast path and Merge's tree runs on prefix heads;
+// nil keeps the comparison paths (the -radixsort=off ablation).
 func (sp *Spiller[K, V]) SetFixedKey(c *kv.FixedKeyCodec[K]) { sp.fixed = c }
 
 // Budget returns the configured budget in bytes.
@@ -98,8 +98,8 @@ func (sp *Spiller[K, V]) Over(c container.Container[K, V]) bool {
 // partial reduce requires reduce to be associative and tolerant of
 // re-reducing its own output — the standing combiner contract. A
 // non-nil fixed-key codec routes the group sorts through the radix
-// fast path and the merge through the columnar tree; post-reduce
-// groups have unique keys, so the output is byte-identical either way.
+// fast path and gives the merge tree prefix heads; post-reduce groups
+// have unique keys, so the output is byte-identical either way.
 // The int return counts the group sorts that took the radix path (the
 // Stats.RadixRuns contribution): at most one per worker, not one per
 // partition.

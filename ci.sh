@@ -95,6 +95,13 @@ echo "== race: node-container repeats =="
 go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeDrainsOncePerNode|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
 go test -race -count=2 -run 'TestNodeContainersRouteAndDrainOnce' ./internal/core/
 
+echo "== race: link flow-set repeats =="
+# A link is one processor-sharing flow set shared by every lane and
+# sender that crosses it: joins, departures and waits on that set, the
+# fabric's two-hop transfers and the HDFS access ports repeat under the
+# detector.
+go test -race -count=5 -run 'TestLink|TestFabric|TestTopology|TestAccessPort' ./internal/netsim/ ./internal/hdfs/
+
 echo "== race: per-job span repeats =="
 # Every ForEach slot and GoIO task writes the submitting job's span sink
 # while a shared engine pool runs other jobs' work, so the span tests
@@ -112,9 +119,10 @@ go test -race -count=3 -run 'TestKMeansOnEngine|TestJobPoolWorkersCap' . ./inter
 FUZZTIME=${FUZZTIME:-3s}
 echo "== fuzz ($FUZZTIME per target) =="
 # Every target that parses stored or wire bytes, or checks a merge, a
-# scan or a combiner against its reference: arbitrary input must end in
-# a typed error or the reference answer, never a panic. A crasher lands
-# in the package's testdata/fuzz/ — fix it and commit the file as a seed.
+# scan, a combiner or a link schedule against its reference: arbitrary
+# input must end in a typed error or the reference answer, never a
+# panic. A crasher lands in the package's testdata/fuzz/ — fix it and
+# commit the file as a seed.
 for target in \
     kv:FuzzScanWordsVsReference \
     chunk:FuzzInterFileVsReference \
@@ -123,6 +131,7 @@ for target in \
     chunk:FuzzLaneRequestsVsSerial \
     container:FuzzFlatCombiner \
     memo:FuzzCacheReplay \
+    netsim:FuzzLinkVsReference \
     spill:FuzzRecordCut \
     spill:FuzzRunDecode \
     spill:FuzzBlockDecode \

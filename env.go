@@ -114,7 +114,8 @@ type HDFSConfig struct {
 	LinkBW    float64       // shared front link bandwidth, bytes/sec
 	Latency   time.Duration // link latency
 	// AccessBW, when positive, gives every datanode a dedicated access
-	// port of this bandwidth behind the shared uplink (star topology).
+	// port of this bandwidth in front of the shared link; concurrent
+	// reads from one datanode share its port.
 	AccessBW float64
 	// Faults, when set, injects the injector's fault plan into the
 	// cluster: datanode disks become fallible (sites "hdfs-dn0", ...)
@@ -127,35 +128,23 @@ type HDFSConfig struct {
 // NewHDFS builds the case study's storage: nodes datanodes behind one
 // shared link of LinkBW bytes/sec (1 Gbit ethernet = 125e6).
 func NewHDFS(cfg HDFSConfig, clock Clock) (*HDFS, error) {
+	link, err := netsim.NewLink(cfg.LinkBW, cfg.Latency, clock)
+	if err != nil {
+		return nil, err
+	}
 	hc := hdfs.Config{
 		Nodes:     cfg.Nodes,
 		BlockSize: cfg.BlockSize,
 		DiskBW:    cfg.DiskBW,
+		Link:      link,
+		AccessBW:  cfg.AccessBW,
 		Clock:     clock,
 	}
 	if inj := cfg.Faults; inj != nil {
+		hc.Link = inj.WrapDevice("hdfs-link", link)
 		hc.WrapDevice = func(site string, dev Device) Device {
 			return inj.WrapDevice("hdfs-"+site, dev)
 		}
-	}
-	if cfg.AccessBW > 0 {
-		top, err := netsim.NewStarTopology(cfg.Nodes, cfg.AccessBW, cfg.LinkBW, cfg.Latency, clock)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Faults != nil {
-			top.Uplink().SetDelayer(cfg.Faults.LinkDelayer("hdfs-link"))
-		}
-		hc.Topology = top
-	} else {
-		link, err := netsim.NewLink(cfg.LinkBW, cfg.Latency, clock)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Faults != nil {
-			link.SetDelayer(cfg.Faults.LinkDelayer("hdfs-link"))
-		}
-		hc.Link = link
 	}
 	return hdfs.NewCluster(hc)
 }

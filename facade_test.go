@@ -291,8 +291,8 @@ func TestNewHDFSWithAccessPorts(t *testing.T) {
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Link().Stats().BytesMoved != 256<<10 {
-		t.Errorf("uplink moved %d bytes", c.Link().Stats().BytesMoved)
+	if c.Link().Stats().BytesRead != 256<<10 {
+		t.Errorf("uplink moved %d bytes", c.Link().Stats().BytesRead)
 	}
 	// Invalid link bandwidth propagates.
 	if _, err := NewHDFS(HDFSConfig{Nodes: 2, BlockSize: 1024, DiskBW: 1, LinkBW: 0}, clock); err == nil {

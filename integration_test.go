@@ -87,7 +87,7 @@ func TestIntegrationHDFSWordCount(t *testing.T) {
 	if len(rep.Pairs) != len(ref.Pairs) {
 		t.Fatalf("HDFS run found %d words, reference %d", len(rep.Pairs), len(ref.Pairs))
 	}
-	if cluster.Link().Stats().BytesMoved < size {
+	if cluster.Link().Stats().BytesRead < size {
 		t.Error("ingest did not cross the shared link")
 	}
 }

@@ -1,9 +1,9 @@
 // Package faults is the deterministic fault-injection layer for the
 // simulated substrates: it wraps inputs (local files, HDFS files,
-// in-memory buffers), storage devices, spill-run backings and network
-// links so that a Plan — reproducible from a single seed — injects
-// read/write errors, short reads, torn writes and latency spikes into
-// an otherwise perfect simulation.
+// in-memory buffers), storage devices (disks and network links alike),
+// spill-run backings and shuffle wires so that a Plan — reproducible
+// from a single seed — injects read/write errors, short reads, torn
+// writes and latency spikes into an otherwise perfect simulation.
 //
 // Determinism contract: every wrapped object is a "site" named by a
 // stable string (the file name, "spill", "dn3", ...). Each site owns a
@@ -144,7 +144,7 @@ const (
 )
 
 // Injector applies one Plan. Wrap each substrate object once
-// (WrapInput, WrapDevice, WrapBlockFile, LinkDelayer) and share the
+// (WrapInput, WrapDevice, WrapBlockFile, Wire) and share the
 // injector across a job so MaxFaults and the counters are global.
 // Latency spikes sleep on the injector's clock — pass the job clock so
 // they land on the same (possibly virtual) timeline as device waits.
@@ -361,6 +361,16 @@ func (d *faultDevice) TryReserve(off, n int64) (time.Duration, error) {
 	return storage.TryReserve(d.inner, off, n)
 }
 
+// Issue forwards the two-phase booking of a device whose finish is not
+// known at booking (a network link), so wrapping keeps its timing exact.
+// A degraded wire stalls, it does not fail: one latency-only decision
+// per transfer, slept before the inner device books it.
+func (d *faultDevice) Issue(off, n int64) (wait func()) {
+	a := d.inj.decide(d.site, opRead, false)
+	d.inj.sleep(a.spike)
+	return storage.Issue(d.inner, off, n)
+}
+
 func (d *faultDevice) ReserveWrite(off, n int64) time.Duration {
 	a := d.inj.decide(d.site, opWrite, false)
 	d.inj.sleep(a.spike)
@@ -414,28 +424,8 @@ func (f *faultBlockFile) ReadAt(p []byte, off int64) (int, error) {
 
 func (f *faultBlockFile) Close() error { return f.inner.Close() }
 
-// LinkDelayer injects latency spikes into a network link; it satisfies
-// netsim's structural Delayer hook (TransferDelay) without this
-// package importing netsim. Links have no error path — a degraded wire
-// stalls, it does not fail — so only the plan's latency settings apply.
-type LinkDelayer struct {
-	inj  *Injector
-	site string
-}
-
-// LinkDelayer returns the delay hook for one link site.
-func (in *Injector) LinkDelayer(siteName string) *LinkDelayer {
-	return &LinkDelayer{inj: in, site: siteName}
-}
-
-// TransferDelay returns the extra delay to charge one transfer.
-func (d *LinkDelayer) TransferDelay(int64) time.Duration {
-	a := d.inj.decide(d.site, opRead, false)
-	return a.spike
-}
-
 // Wire is the fault seam for one directed shuffle link (one ordered
-// node pair). Unlike LinkDelayer it has an error path: a shuffle send
+// node pair). Unlike a wrapped link it has an error path: a shuffle send
 // is a framed message, and the plan's write triggers model the message
 // being torn mid-flight — a prefix of the frame reaches the receiver
 // and the sender sees the fault, mirroring WrapBlockFile's torn-write

@@ -27,12 +27,15 @@ type Config struct {
 	Nodes     int     // number of datanodes (case study: 32)
 	BlockSize int64   // HDFS block size in bytes (classic: 64 MB)
 	DiskBW    float64 // per-datanode disk bandwidth, bytes/sec
-	Link      *netsim.Link
-	Clock     storage.Clock
-	// Topology, when set, replaces the flat shared Link with a star
-	// topology (per-datanode access ports behind one uplink). Link is
-	// ignored when Topology is non-nil.
-	Topology *netsim.StarTopology
+	// Link is the shared link every fetched byte crosses (a netsim.Link,
+	// possibly wrapped by the fault layer).
+	Link storage.Device
+	// AccessBW, when positive, gives every datanode its own access port
+	// of this bandwidth in front of Link: a block crosses the port and
+	// the shared link at once, and concurrent reads from one datanode
+	// share its port.
+	AccessBW float64
+	Clock    storage.Clock
 	// WrapDevice, when set, wraps each datanode's disk before use — the
 	// fault-injection / instrumentation seam. site is the datanode name
 	// ("dn0", "dn1", ...).
@@ -48,10 +51,12 @@ type Cluster struct {
 	files map[string]*File
 }
 
-// DataNode owns a local disk serving block reads.
+// DataNode owns a local disk serving block reads and, under AccessBW,
+// the access port its blocks leave through.
 type DataNode struct {
 	id   int
 	disk storage.Device
+	port *netsim.Link // nil without AccessBW
 }
 
 // NewCluster builds the cluster.
@@ -62,12 +67,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.BlockSize <= 0 {
 		return nil, fmt.Errorf("hdfs: block size must be positive, got %d", cfg.BlockSize)
 	}
-	if cfg.Link == nil && cfg.Topology == nil {
-		return nil, fmt.Errorf("hdfs: cluster requires a link or a topology")
-	}
-	if cfg.Topology != nil && cfg.Topology.Nodes() < cfg.Nodes {
-		return nil, fmt.Errorf("hdfs: topology has %d access ports for %d datanodes",
-			cfg.Topology.Nodes(), cfg.Nodes)
+	if cfg.Link == nil {
+		return nil, fmt.Errorf("hdfs: cluster requires a link")
 	}
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("hdfs: cluster requires a clock")
@@ -82,11 +83,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		var dev storage.Device = disk
+		dn := &DataNode{id: i, disk: disk}
 		if cfg.WrapDevice != nil {
-			dev = cfg.WrapDevice(name, dev)
+			dn.disk = cfg.WrapDevice(name, disk)
 		}
-		c.nodes = append(c.nodes, &DataNode{id: i, disk: dev})
+		if cfg.AccessBW > 0 {
+			if dn.port, err = netsim.NewLink(cfg.AccessBW, 0, cfg.Clock); err != nil {
+				return nil, err
+			}
+		}
+		c.nodes = append(c.nodes, dn)
 	}
 	return c, nil
 }
@@ -97,25 +103,8 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 // BlockSize returns the configured block size.
 func (c *Cluster) BlockSize() int64 { return c.cfg.BlockSize }
 
-// Link returns the shared ingest link (the uplink when a topology is
-// configured).
-func (c *Cluster) Link() *netsim.Link {
-	if c.cfg.Topology != nil {
-		return c.cfg.Topology.Uplink()
-	}
-	return c.cfg.Link
-}
-
-// transfer moves n bytes sourced from datanode `node` across the
-// network: the star topology when configured, else the flat link.
-func (c *Cluster) transfer(node int, n int64) {
-	if c.cfg.Topology != nil {
-		// Errors are impossible here: node is validated at placement.
-		_ = c.cfg.Topology.TransferFrom(node, n)
-		return
-	}
-	c.cfg.Link.Transfer(n)
-}
+// Link returns the shared link.
+func (c *Cluster) Link() storage.Device { return c.cfg.Link }
 
 // Create registers a file of the given size whose contents come from
 // fill. Blocks are assigned to datanodes round-robin (the namenode's
@@ -213,45 +202,13 @@ func (f *File) IssueReadAt(p []byte, off int64) (func() (int, error), error) {
 	if off >= f.size {
 		return nil, io.EOF
 	}
-	n := int64(len(p))
-	if off+n > f.size {
-		n = f.size - off
-	}
-
-	bs := f.cluster.cfg.BlockSize
-	clock := f.cluster.cfg.Clock
-	// Reserve the block segments on their datanode disks. Distinct nodes
-	// queue independently, so these overlap; the latest deadline is when
-	// all block data is off the spindles.
-	var diskDeadline = clock.Now()
-	for cur := off; cur < off+n; {
-		b := cur / bs
-		inBlock := cur - b*bs
-		take := bs - inBlock
-		if rest := off + n - cur; take > rest {
-			take = rest
-		}
-		node := f.cluster.nodes[f.NodeFor(b)]
-		// The datanode reads from its local block file; model the block's
-		// bytes as a contiguous extent on that node's disk. A failed
-		// reservation (fault injection) fails the whole block fetch.
-		d, err := storage.TryReserve(node.disk, b*bs+inBlock, take)
-		if err != nil {
-			return nil, fmt.Errorf("hdfs: fetch block %d of %q from dn%d: %w", b, f.name, node.id, err)
-		}
-		if d > diskDeadline {
-			diskDeadline = d
-		}
-		cur += take
+	n := min(int64(len(p)), f.size-off)
+	wait, err := f.fetch(off, n)
+	if err != nil {
+		return nil, err
 	}
 	return func() (int, error) {
-		// Datanodes stream blocks while bytes cross the shared link, so
-		// the read completes when BOTH the slowest disk and the wire are
-		// done — not their sum. Under a star topology each segment is
-		// attributed to its source datanode's access port.
-		f.transferSegments(off, n)
-		clock.SleepUntil(diskDeadline)
-
+		wait()
 		f.fill(off, p[:n])
 		if n < int64(len(p)) {
 			return int(n), io.EOF
@@ -260,23 +217,59 @@ func (f *File) IssueReadAt(p []byte, off int64) (func() (int, error), error) {
 	}, nil
 }
 
-// transferSegments moves the byte range across the network, charging
-// each covered block's bytes to its source datanode.
-func (f *File) transferSegments(off, n int64) {
+// segments calls visit for each block segment of [off, off+n): block b,
+// the segment's file offset at (also its extent on the owning datanode's
+// disk) and its length.
+func (f *File) segments(off, n int64, visit func(b, at, take int64) error) error {
 	bs := f.cluster.cfg.BlockSize
-	if f.cluster.cfg.Topology == nil {
-		f.cluster.cfg.Link.Transfer(n)
-		return
-	}
-	for cur := off; cur < off+n; {
-		b := cur / bs
-		take := bs - (cur - b*bs)
-		if rest := off + n - cur; take > rest {
-			take = rest
+	for at := off; at < off+n; {
+		b := at / bs
+		take := min((b+1)*bs, off+n) - at
+		if err := visit(b, at, take); err != nil {
+			return err
 		}
-		f.cluster.transfer(f.NodeFor(b), take)
-		cur += take
+		at += take
 	}
+	return nil
+}
+
+// fetch reserves every block segment of [off, off+n) on its datanode's
+// disk and returns the wait that moves the bytes across the network.
+// Distinct datanodes queue independently, so their reservations overlap;
+// a failed reservation (fault injection) fails the whole fetch. The wait
+// issues each segment on its datanode's access port and the range on
+// the shared link — ports first, as the link may sleep its latency —
+// and returns when the ports, the link and the slowest disk are all
+// done: datanodes stream blocks while bytes cross the wire, so the
+// times overlap rather than add.
+func (f *File) fetch(off, n int64) (func(), error) {
+	clock := f.cluster.cfg.Clock
+	diskDeadline := clock.Now()
+	if err := f.segments(off, n, func(b, at, take int64) error {
+		dn := f.cluster.nodes[f.NodeFor(b)]
+		d, err := storage.TryReserve(dn.disk, at, take)
+		if err != nil {
+			return fmt.Errorf("hdfs: fetch block %d of %q from dn%d: %w", b, f.name, dn.id, err)
+		}
+		diskDeadline = max(diskDeadline, d)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return func() {
+		var ports []func()
+		_ = f.segments(off, n, func(b, _, take int64) error {
+			if port := f.cluster.nodes[f.NodeFor(b)].port; port != nil {
+				ports = append(ports, port.Issue(0, take))
+			}
+			return nil
+		})
+		storage.Issue(f.cluster.cfg.Link, off, n)()
+		for _, wait := range ports {
+			wait()
+		}
+		clock.SleepUntil(diskDeadline)
+	}, nil
 }
 
 // CopyToLocal models the baseline of the case study: before computing,
@@ -288,40 +281,17 @@ func (f *File) transferSegments(off, n int64) {
 func (f *File) CopyToLocal(dst storage.Device, progress func(done int64)) (*storage.File, error) {
 	const extent = 8 << 20
 	clock := f.cluster.cfg.Clock
-	var done int64
 	for off := int64(0); off < f.size; off += extent {
-		n := int64(extent)
-		if rest := f.size - off; n > rest {
-			n = rest
+		n := min(extent, f.size-off)
+		wait, err := f.fetch(off, n)
+		if err != nil {
+			return nil, err
 		}
-		// Read side: datanode disks + shared link.
-		bs := f.cluster.cfg.BlockSize
-		diskDeadline := clock.Now()
-		for cur := off; cur < off+n; {
-			b := cur / bs
-			inBlock := cur - b*bs
-			take := bs - inBlock
-			if rest := off + n - cur; take > rest {
-				take = rest
-			}
-			node := f.cluster.nodes[f.NodeFor(b)]
-			d, err := storage.TryReserve(node.disk, b*bs+inBlock, take)
-			if err != nil {
-				return nil, fmt.Errorf("hdfs: copy block %d of %q from dn%d: %w", b, f.name, node.id, err)
-			}
-			if d > diskDeadline {
-				diskDeadline = d
-			}
-			cur += take
-		}
-		// Disks stream while the wire moves bytes (see ReadAt).
-		f.transferSegments(off, n)
-		clock.SleepUntil(diskDeadline)
+		wait()
 		// Write side: local device absorbs the extent.
 		clock.SleepUntil(dst.Reserve(off, n))
-		done += n
 		if progress != nil {
-			progress(done)
+			progress(off + n)
 		}
 	}
 	return storage.NewFile(f.name+".local", f.size, 0, f.fill, dst)

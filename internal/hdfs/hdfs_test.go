@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -201,12 +202,12 @@ func TestClusterAccessors(t *testing.T) {
 
 func TestTopologyCluster(t *testing.T) {
 	clock := storage.NewRealClock()
-	top, err := netsim.NewStarTopology(4, 100<<20, 10<<20, 0, clock)
+	link, err := netsim.NewLink(10<<20, 0, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewCluster(Config{
-		Nodes: 4, BlockSize: 256 << 10, DiskBW: 1 << 30, Topology: top, Clock: clock,
+		Nodes: 4, BlockSize: 256 << 10, DiskBW: 1 << 30, Link: link, AccessBW: 100 << 20, Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,38 +222,160 @@ func TestTopologyCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	el := clock.Now() - start
-	// 1 MB through the 10 MB/s uplink = ~100ms.
+	// 1 MB through the 10 MB/s shared link = ~100ms.
 	if el < 90*time.Millisecond || el > 300*time.Millisecond {
-		t.Errorf("topology read took %v, want ~100ms", el)
+		t.Errorf("access-port read took %v, want ~100ms", el)
 	}
-	if c.Link() != top.Uplink() {
-		t.Error("Link() should return the uplink under a topology")
+	if c.Link() != link {
+		t.Error("Link() should return the shared link")
 	}
 	// Content still correct.
 	want := make([]byte, 1<<20)
 	seqFill(0, want)
 	if !bytes.Equal(buf, want) {
-		t.Error("topology read content mismatch")
+		t.Error("access-port read content mismatch")
 	}
 }
 
 func TestTopologyValidation(t *testing.T) {
 	clock := storage.NewFakeClock()
-	top, err := netsim.NewStarTopology(2, 1e6, 1e6, 0, clock)
+	// No shared link is rejected, access ports or not.
+	if _, err := NewCluster(Config{
+		Nodes: 2, BlockSize: 1024, DiskBW: 1, AccessBW: 1e6, Clock: clock,
+	}); err == nil {
+		t.Error("cluster without network accepted")
+	}
+}
+
+// TestAccessPortValidation checks the per-datanode access ports: each
+// datanode gets one port of AccessBW, and a zero-byte read crosses
+// neither its port nor the shared link.
+func TestAccessPortValidation(t *testing.T) {
+	clock := storage.NewFakeClock()
+	link, err := netsim.NewLink(1e6, 0, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More datanodes than access ports is rejected.
 	if _, err := NewCluster(Config{
-		Nodes: 4, BlockSize: 1024, DiskBW: 1, Topology: top, Clock: clock,
+		Nodes: 0, BlockSize: 1024, DiskBW: 1, Link: link, AccessBW: 1e6, Clock: clock,
 	}); err == nil {
-		t.Error("undersized topology accepted")
+		t.Error("zero datanodes with access ports accepted")
 	}
-	// Neither link nor topology is rejected.
-	if _, err := NewCluster(Config{
-		Nodes: 2, BlockSize: 1024, DiskBW: 1, Clock: clock,
-	}); err == nil {
-		t.Error("cluster without network accepted")
+	c, err := NewCluster(Config{
+		Nodes: 2, BlockSize: 1024, DiskBW: 1e6, Link: link, AccessBW: 2e6, Clock: clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dn := range c.nodes {
+		if dn.port == nil || dn.port.Bandwidth() != 2e6 {
+			t.Fatalf("dn%d has no 2e6 B/s access port", dn.id)
+		}
+	}
+	// A zero-byte read crosses nothing.
+	f, err := c.Create("f", 4096, seqFill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Now()
+	if n, err := f.ReadAt(nil, 0); n != 0 || err != nil {
+		t.Errorf("zero-byte read = %d, %v", n, err)
+	}
+	if el := clock.Now() - start; el != 0 || c.nodes[0].port.Stats().Reads != 0 || link.Stats().Reads != 0 {
+		t.Errorf("zero-byte read charged %v, port %+v, link %+v", el, c.nodes[0].port.Stats(), link.Stats())
+	}
+	if c.Nodes() != 2 || c.Link() == nil {
+		t.Error("accessors wrong")
+	}
+}
+
+// accessCluster builds a cluster whose datanodes sit behind access ports
+// of accessBW in front of one shared link of linkBW, on the wall clock.
+func accessCluster(t *testing.T, nodes int, blockSize int64, accessBW, linkBW float64) (*Cluster, storage.Clock) {
+	t.Helper()
+	clock := storage.NewRealClock()
+	link, err := netsim.NewLink(linkBW, 0, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(Config{
+		Nodes: nodes, BlockSize: blockSize, DiskBW: 1 << 30, Link: link, AccessBW: accessBW, Clock: clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, clock
+}
+
+func TestAccessPortUplinkBottleneck(t *testing.T) {
+	c, clock := accessCluster(t, 4, 1<<20, 100<<20, 10<<20)
+	f, err := c.Create("f", 4<<20, seqFill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Now()
+	if _, err := f.ReadAt(make([]byte, 1<<20), 0); err != nil {
+		t.Fatal(err)
+	}
+	el := clock.Now() - start
+	// 1 MB at the 10 MB/s shared link = ~100ms (access port is 10x faster).
+	if el < 90*time.Millisecond || el > 200*time.Millisecond {
+		t.Errorf("uplink-bound transfer took %v, want ~100ms", el)
+	}
+}
+
+func TestAccessPortBottleneck(t *testing.T) {
+	c, clock := accessCluster(t, 2, 1<<20, 5<<20, 1<<30)
+	f, err := c.Create("f", 2<<20, seqFill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Now()
+	if _, err := f.ReadAt(make([]byte, 1<<20), 1<<20); err != nil { // block 1, on dn1
+		t.Fatal(err)
+	}
+	el := clock.Now() - start
+	// 1 MB at the 5 MB/s access port = ~200ms (link is near-infinite).
+	if el < 180*time.Millisecond || el > 400*time.Millisecond {
+		t.Errorf("access-bound transfer took %v, want ~200ms", el)
+	}
+	if c.nodes[1].port.Stats().BytesRead != 1<<20 {
+		t.Error("access port not accounted")
+	}
+}
+
+func TestAccessPortSharedByConcurrentReads(t *testing.T) {
+	// Two concurrent 1 MB reads of blocks on the same datanode share its
+	// 5 MB/s port: together they move 2 MB through it, ~400ms. A port
+	// that gave each read its full rate would deliver 10 MB/s and finish
+	// both in ~200ms.
+	c, clock := accessCluster(t, 1, 1<<20, 5<<20, 1<<30)
+	f, err := c.Create("f", 2<<20, seqFill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = f.ReadAt(make([]byte, 1<<20), int64(i)<<20)
+		}()
+	}
+	wg.Wait()
+	el := clock.Now() - start
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if el < 360*time.Millisecond || el > 700*time.Millisecond {
+		t.Errorf("two concurrent 1MB reads through one 5MB/s port took %v, want ~400ms", el)
+	}
+	if got := c.nodes[0].port.Stats().BytesRead; got != 2<<20 {
+		t.Errorf("port moved %d bytes, want %d", got, 2<<20)
 	}
 }
 

@@ -5,14 +5,18 @@
 // ingest bandwidth is capped at link capacity (~125 MB/s) no matter how
 // many datanodes serve blocks in parallel.
 //
-// The link implements processor sharing: concurrent transfers split
-// capacity fairly, converging to the same aggregate as FIFO but with
-// realistic per-flow progress, which matters when the ingest pipeline
-// overlaps multiple block fetches.
+// A Link is a storage.Device with a processor-sharing discipline beside
+// the disk's FIFO queue: concurrent transfers split capacity equally,
+// converging to the same aggregate as FIFO but with realistic per-flow
+// progress. Flow finish times are computed exactly at every arrival and
+// departure, so link time is a pure function of when flows join, never
+// of when their waiters wake. Multi-hop paths compose links through
+// storage.Issue rather than charging one link from another.
 package netsim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -25,26 +29,18 @@ type Link struct {
 	latency  time.Duration
 	clock    storage.Clock
 
-	mu      sync.Mutex
-	flows   int
-	stats   LinkStats
-	delayer Delayer
+	mu    sync.Mutex
+	at    float64 // ns: the flows below have been served up to this instant
+	busy  float64 // ns the link has had at least one flow
+	flows []*flow
+	stats storage.DeviceStats
 }
 
-// Delayer injects extra per-transfer delay (degraded-wire simulation).
-// internal/faults provides an implementation structurally, so netsim
-// does not depend on it.
-type Delayer interface {
-	// TransferDelay returns the extra delay to charge a transfer of n
-	// bytes before it starts moving data.
-	TransferDelay(n int64) time.Duration
-}
-
-// LinkStats are cumulative transfer counters.
-type LinkStats struct {
-	BytesMoved int64
-	Transfers  int64
-	MaxFlows   int
+// flow is one transfer in the processor-sharing set.
+type flow struct {
+	left float64 // ns of service left at full capacity
+	end  float64 // ns: departure instant, once done
+	done bool
 }
 
 // NewLink builds a link with the given capacity (bytes/sec) and one-way
@@ -62,92 +58,123 @@ func NewLink(capacity float64, latency time.Duration, clock storage.Clock) (*Lin
 	return &Link{capacity: capacity, latency: latency, clock: clock}, nil
 }
 
-// Capacity returns the link capacity in bytes/sec.
-func (l *Link) Capacity() float64 { return l.capacity }
+// Bandwidth returns the link capacity in bytes/sec.
+func (l *Link) Bandwidth() float64 { return l.capacity }
 
 // Clock returns the link's clock.
 func (l *Link) Clock() storage.Clock { return l.clock }
 
-// Stats returns a snapshot of the counters.
-func (l *Link) Stats() LinkStats {
+// Stats returns a snapshot of the counters: a transfer counts as a read,
+// and BusyTime is the time the link has had at least one flow.
+func (l *Link) Stats() storage.DeviceStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.stats
+	l.serve(float64(l.clock.Now()))
+	s := l.stats
+	s.BusyTime = time.Duration(math.Round(l.busy))
+	return s
 }
 
-// SetDelayer installs a per-transfer delay hook. Set it during
-// topology construction, before traffic flows.
-func (l *Link) SetDelayer(d Delayer) {
-	l.mu.Lock()
-	l.delayer = d
-	l.mu.Unlock()
+// Transfer moves n bytes across the link, blocking the caller until the
+// flow's share of capacity has delivered them all.
+func (l *Link) Transfer(n int64) { l.Issue(0, n)() }
+
+// Reserve moves n bytes and returns when they are delivered. A
+// processor-sharing finish is not known when a flow joins — later
+// arrivals move it — so Reserve blocks; storage.Issue is the
+// non-blocking form.
+func (l *Link) Reserve(off, n int64) time.Duration {
+	l.Issue(off, n)()
+	return l.clock.Now()
 }
 
-// quantum is the processor-sharing integration step: within each quantum
-// a flow receives capacity/flows bandwidth.
-const quantum = 2 * time.Millisecond
+// Issue starts an n-byte transfer and returns the wait that blocks until
+// it is delivered. Latency is slept here, before the flow joins, so a
+// flow still in flight to the link does not depress the share of flows
+// that are moving bytes. A path of several links issues its latency-free
+// hops first, then the hop with latency, and waits for all of them.
+func (l *Link) Issue(_, n int64) (wait func()) {
+	f := l.issue(n)
+	return func() { l.wait(f) }
+}
 
-// Transfer moves n bytes across the link, blocking the caller for the
-// flow's fair share of capacity until all bytes are delivered. Latency is
-// charged once per transfer.
-//
-// A transfer counts as an active flow only while it is moving bytes:
-// the injected-delay and latency sleeps happen before the flow joins
-// the processor-sharing set, so a stalled transfer (degraded wire,
-// long RTT) does not depress the fair share of flows that are actually
-// streaming. Counting it earlier was an accounting drift: a spiked
-// flow halved a concurrent clean flow's bandwidth while moving nothing.
-func (l *Link) Transfer(n int64) {
+func (l *Link) issue(n int64) *flow {
 	if n <= 0 {
-		return
-	}
-	l.mu.Lock()
-	l.stats.Transfers++
-	l.stats.BytesMoved += n
-	delayer := l.delayer
-	l.mu.Unlock()
-
-	if delayer != nil {
-		if d := delayer.TransferDelay(n); d > 0 {
-			l.clock.SleepUntil(l.clock.Now() + d)
-		}
+		return &flow{done: true}
 	}
 	if l.latency > 0 {
 		l.clock.SleepUntil(l.clock.Now() + l.latency)
 	}
-
 	l.mu.Lock()
-	l.flows++
-	if l.flows > l.stats.MaxFlows {
-		l.stats.MaxFlows = l.flows
-	}
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		l.flows--
-		l.mu.Unlock()
-	}()
+	defer l.mu.Unlock()
+	l.serve(float64(l.clock.Now()))
+	f := &flow{left: float64(n) / l.capacity * float64(time.Second)}
+	l.flows = append(l.flows, f)
+	l.stats.Reads++
+	l.stats.BytesRead += n
+	return f
+}
 
-	remaining := float64(n)
-	for remaining > 0 {
+// wait sleeps to f's finish if no flow arrives after now, and again if
+// one did and moved it.
+func (l *Link) wait(f *flow) {
+	for {
 		l.mu.Lock()
-		share := l.capacity / float64(l.flows)
+		now := l.clock.Now()
+		l.serve(float64(now))
+		if f.done {
+			l.mu.Unlock()
+			return
+		}
+		// Until f leaves, every flow g is served at f's rate, so g takes
+		// min(left_g, left_f) of the link's time before f is done. f is
+		// not done at now, so it leaves after now even when rounding
+		// says otherwise.
+		finish := l.at
+		for _, g := range l.flows {
+			finish += math.Min(g.left, f.left)
+		}
 		l.mu.Unlock()
-		// Sleep one quantum (or just long enough to finish) and credit
-		// the bytes for the time that ACTUALLY elapsed: wakeups can be
-		// late when the CPUs are busy, and the wire kept moving bits in
-		// the meantime.
-		step := quantum
-		if need := time.Duration(remaining / share * float64(time.Second)); need < step {
-			step = need
+		l.clock.SleepUntil(max(time.Duration(math.Ceil(finish)), now+1))
+	}
+}
+
+// serve advances the flow set to instant t event by event: between
+// departures each of the k flows is served at capacity/k. Caller holds
+// l.mu.
+func (l *Link) serve(t float64) {
+	for len(l.flows) > 0 {
+		first := l.flows[0].left
+		for _, g := range l.flows[1:] {
+			first = math.Min(first, g.left)
 		}
-		start := l.clock.Now()
-		l.clock.SleepUntil(start + step)
-		elapsed := l.clock.Now() - start
-		if elapsed < step {
-			elapsed = step
+		k := float64(len(l.flows))
+		end := l.at + first*k
+		if end > t {
+			if t > l.at {
+				for _, g := range l.flows {
+					g.left -= (t - l.at) / k
+				}
+				l.busy += t - l.at
+				l.at = t
+			}
+			return
 		}
-		remaining -= share * elapsed.Seconds()
+		l.busy += end - l.at
+		l.at = end
+		kept := l.flows[:0]
+		for _, g := range l.flows {
+			if g.left == first {
+				g.left, g.end, g.done = 0, end, true
+				continue
+			}
+			g.left -= first
+			kept = append(kept, g)
+		}
+		l.flows = kept
+	}
+	if t > l.at {
+		l.at = t
 	}
 }
 
@@ -155,82 +182,14 @@ func (l *Link) Transfer(n int64) {
 // bytes per second.
 const GigabitEthernet = 125e6
 
-// StarTopology models the case study's network at one level more
-// detail: every datanode owns a dedicated access link into a switch,
-// and the compute node ingests through the switch's single uplink (the
-// "behind one link" of §VI-C3). The uplink is the shared bottleneck;
-// access links only matter when a single node must source data faster
-// than its own port.
-type StarTopology struct {
-	access []*Link
-	uplink *Link
-	clock  storage.Clock
-}
-
-// NewStarTopology builds the topology: nodes access links of accessBW
-// each and one shared uplink of uplinkBW (bytes/sec).
-func NewStarTopology(nodes int, accessBW, uplinkBW float64, latency time.Duration, clock storage.Clock) (*StarTopology, error) {
-	if nodes <= 0 {
-		return nil, fmt.Errorf("netsim: star topology needs at least one node, got %d", nodes)
-	}
-	uplink, err := NewLink(uplinkBW, latency, clock)
-	if err != nil {
-		return nil, err
-	}
-	t := &StarTopology{uplink: uplink, clock: clock}
-	for i := 0; i < nodes; i++ {
-		l, err := NewLink(accessBW, 0, clock)
-		if err != nil {
-			return nil, err
-		}
-		t.access = append(t.access, l)
-	}
-	return t, nil
-}
-
-// Uplink returns the shared bottleneck link.
-func (t *StarTopology) Uplink() *Link { return t.uplink }
-
-// Nodes returns the number of access links.
-func (t *StarTopology) Nodes() int { return len(t.access) }
-
-// TransferFrom moves n bytes from node's access link through the
-// uplink. Data streams through both links simultaneously, so the
-// elapsed time is governed by the slower of the two paths (the node's
-// dedicated port vs this flow's fair share of the uplink).
-func (t *StarTopology) TransferFrom(node int, n int64) error {
-	if node < 0 || node >= len(t.access) {
-		return fmt.Errorf("netsim: node %d out of range [0,%d)", node, len(t.access))
-	}
-	if n <= 0 {
-		return nil
-	}
-	start := t.clock.Now()
-	// The uplink transfer sleeps for the shared-bottleneck time.
-	t.uplink.Transfer(n)
-	// If the dedicated access port is the slower hop, stretch to it.
-	accessTime := time.Duration(float64(n) / t.access[node].capacity * float64(time.Second))
-	t.access[node].mu.Lock()
-	t.access[node].stats.BytesMoved += n
-	t.access[node].stats.Transfers++
-	t.access[node].mu.Unlock()
-	if deadline := start + accessTime; t.clock.Now() < deadline {
-		t.clock.SleepUntil(deadline)
-	}
-	return nil
-}
-
 // Fabric models the inter-node network of a multi-node SupMR cluster:
 // every node owns a duplex port — an egress link it sends shuffle
 // frames through and an ingress link it receives them on. A transfer
-// from src to dst streams through src's egress (charging latency and
-// its fair share of the port under concurrent sends) and is then
-// stretched to dst's ingress port time when the receive side is the
-// slower hop, mirroring StarTopology's two-hop accounting.
+// from src to dst is one flow on each: src's egress charges latency,
+// and the slower hop, or the one more shared, sets when it completes.
 type Fabric struct {
 	egress  []*Link
 	ingress []*Link
-	clock   storage.Clock
 }
 
 // NewFabric builds an n-node fabric whose ports all run at bw bytes/sec
@@ -240,7 +199,7 @@ func NewFabric(n int, bw float64, latency time.Duration, clock storage.Clock) (*
 	if n <= 0 {
 		return nil, fmt.Errorf("netsim: fabric needs at least one node, got %d", n)
 	}
-	f := &Fabric{clock: clock}
+	f := &Fabric{}
 	for i := 0; i < n; i++ {
 		eg, err := NewLink(bw, latency, clock)
 		if err != nil {
@@ -259,7 +218,7 @@ func NewFabric(n int, bw float64, latency time.Duration, clock storage.Clock) (*
 // Nodes returns the number of ports.
 func (f *Fabric) Nodes() int { return len(f.egress) }
 
-// Egress returns node i's send link (for stats and delayer injection).
+// Egress returns node i's send link.
 func (f *Fabric) Egress(i int) *Link { return f.egress[i] }
 
 // Ingress returns node i's receive link.
@@ -277,18 +236,8 @@ func (f *Fabric) Transfer(src, dst int, n int64) error {
 	if src == dst || n <= 0 {
 		return nil
 	}
-	start := f.clock.Now()
+	in := f.ingress[dst].Issue(0, n)
 	f.egress[src].Transfer(n)
-	// Stretch to the receive port when it is the slower hop, and record
-	// the bytes on the ingress side.
-	in := f.ingress[dst]
-	inTime := time.Duration(float64(n) / in.capacity * float64(time.Second))
-	in.mu.Lock()
-	in.stats.BytesMoved += n
-	in.stats.Transfers++
-	in.mu.Unlock()
-	if deadline := start + inTime; f.clock.Now() < deadline {
-		f.clock.SleepUntil(deadline)
-	}
+	in()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"supmr/internal/faults"
 	"supmr/internal/storage"
 )
 
@@ -34,7 +35,7 @@ func TestLinkSingleFlowRate(t *testing.T) {
 		t.Errorf("1MB over 10MB/s took %v, want ~100ms", el)
 	}
 	s := l.Stats()
-	if s.BytesMoved != 1<<20 || s.Transfers != 1 {
+	if s.BytesRead != 1<<20 || s.Reads != 1 {
 		t.Errorf("stats = %+v", s)
 	}
 }
@@ -62,9 +63,6 @@ func TestLinkFairSharing(t *testing.T) {
 	// 2 MB total over 20 MB/s = ~100ms.
 	if el < 90*time.Millisecond || el > 250*time.Millisecond {
 		t.Errorf("2x1MB concurrent over 20MB/s took %v, want ~100ms", el)
-	}
-	if got := l.Stats().MaxFlows; got != 2 {
-		t.Errorf("max concurrent flows = %d, want 2", got)
 	}
 }
 
@@ -98,7 +96,7 @@ func TestLinkZeroBytes(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Transfer(0) blocked")
 	}
-	if l.Stats().Transfers != 0 {
+	if l.Stats().Reads != 0 {
 		t.Error("zero transfer counted")
 	}
 }
@@ -109,104 +107,33 @@ func TestGigabitConstant(t *testing.T) {
 	}
 }
 
-func TestStarTopologyUplinkBottleneck(t *testing.T) {
-	clock := storage.NewRealClock()
-	top, err := NewStarTopology(4, 100<<20, 10<<20, 0, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := clock.Now()
-	if err := top.TransferFrom(0, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	el := clock.Now() - start
-	// 1 MB at the 10 MB/s uplink = ~100ms (access port is 10x faster).
-	if el < 90*time.Millisecond || el > 200*time.Millisecond {
-		t.Errorf("uplink-bound transfer took %v, want ~100ms", el)
-	}
-}
-
-func TestStarTopologyAccessBottleneck(t *testing.T) {
-	clock := storage.NewRealClock()
-	top, err := NewStarTopology(2, 5<<20, 1<<30, 0, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := clock.Now()
-	if err := top.TransferFrom(1, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	el := clock.Now() - start
-	// 1 MB at the 5 MB/s access port = ~200ms (uplink is near-infinite).
-	if el < 180*time.Millisecond || el > 400*time.Millisecond {
-		t.Errorf("access-bound transfer took %v, want ~200ms", el)
-	}
-	if top.access[1].Stats().BytesMoved != 1<<20 {
-		t.Error("access link not accounted")
-	}
-}
-
-func TestStarTopologyValidation(t *testing.T) {
-	clock := storage.NewFakeClock()
-	if _, err := NewStarTopology(0, 1, 1, 0, clock); err == nil {
-		t.Error("zero nodes accepted")
-	}
-	top, err := NewStarTopology(2, 1e6, 1e6, 0, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := top.TransferFrom(5, 10); err == nil {
-		t.Error("out-of-range node accepted")
-	}
-	if err := top.TransferFrom(0, 0); err != nil {
-		t.Error("zero bytes should be a no-op")
-	}
-	if top.Nodes() != 2 || top.Uplink() == nil {
-		t.Error("accessors wrong")
-	}
-}
-
-// countingDelayer charges a fixed extra delay per transfer.
-type countingDelayer struct {
-	mu    sync.Mutex
-	d     time.Duration
-	calls int
-}
-
-func (c *countingDelayer) TransferDelay(int64) time.Duration {
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	return c.d
-}
-
 func TestLinkDelayerStretchesTransfers(t *testing.T) {
+	// A link wrapped by the device fault layer takes latency spikes
+	// through the same seam as a disk: one decision per transfer, slept
+	// before the flow joins.
 	clock := storage.NewFakeClock()
-	mk := func(d Delayer) time.Duration {
+	mk := func(plan faults.Plan) (time.Duration, int64) {
 		l, err := NewLink(1e9, 0, clock)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d != nil {
-			l.SetDelayer(d)
-		}
+		inj := faults.New(plan, clock)
+		dev := inj.WrapDevice("link", l)
 		start := clock.Now()
-		l.Transfer(1 << 20)
-		return clock.Now() - start
+		storage.Issue(dev, 0, 1<<20)()
+		return clock.Now() - start, inj.Counters().Snapshot().LatencySpikes
 	}
-	base := mk(nil)
-	cd := &countingDelayer{d: 5 * time.Millisecond}
-	slow := mk(cd)
-	if cd.calls != 1 {
-		t.Fatalf("delayer consulted %d times, want 1", cd.calls)
+	base, _ := mk(faults.Plan{})
+	slow, spikes := mk(faults.Plan{Latency: 5 * time.Millisecond, LatencyEvery: 1})
+	if spikes != 1 {
+		t.Fatalf("delay charged %d times, want 1", spikes)
 	}
 	if got := slow - base; got < 5*time.Millisecond {
 		t.Fatalf("transfer stretched by %v, want >= 5ms", got)
 	}
-	// A zero-delay delayer must not add time.
-	cz := &countingDelayer{}
-	if same := mk(cz); same != base {
-		t.Fatalf("zero delayer changed transfer time: %v vs %v", same, base)
+	// A plan without latency must not add time.
+	if same, _ := mk(faults.Plan{LatencyEvery: 1}); same != base {
+		t.Fatalf("zero delay changed transfer time: %v vs %v", same, base)
 	}
 }
 
@@ -229,11 +156,8 @@ func TestLinkBandwidthCharge(t *testing.T) {
 	// A second transfer accumulates; stats count both.
 	l.Transfer(250_000)
 	s := l.Stats()
-	if s.BytesMoved != 750_000 || s.Transfers != 2 {
+	if s.BytesRead != 750_000 || s.Reads != 2 {
 		t.Errorf("stats = %+v, want 750000 bytes / 2 transfers", s)
-	}
-	if s.MaxFlows != 1 {
-		t.Errorf("MaxFlows = %d, want 1 for serial transfers", s.MaxFlows)
 	}
 }
 
@@ -248,14 +172,14 @@ func TestLinkStalledFlowDoesNotDepressShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The delayer stalls only the first transfer; the second (clean)
-	// flow passes through it untouched.
-	l.SetDelayer(&stalledDelayer{stall: 300 * time.Millisecond})
+	// Only the first transfer goes through the fault wrapper and stalls;
+	// the second (clean) flow uses the bare link.
+	stalled := faults.New(faults.Plan{Latency: 300 * time.Millisecond, LatencyEvery: 1}, clock).WrapDevice("link", l)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // the stalled flow: 300ms delay, then 1 MB
 		defer wg.Done()
-		l.Transfer(1 << 20)
+		storage.Issue(stalled, 0, 1<<20)()
 	}()
 	time.Sleep(20 * time.Millisecond) // let it enter the stall
 	start := clock.Now()
@@ -265,33 +189,14 @@ func TestLinkStalledFlowDoesNotDepressShare(t *testing.T) {
 	if el > 170*time.Millisecond {
 		t.Errorf("clean 1MB during a stalled flow took %v, want ~100ms (full share)", el)
 	}
-	if got := l.Stats().BytesMoved; got != 2<<20 {
+	if got := l.Stats().BytesRead; got != 2<<20 {
 		t.Errorf("bytes conserved: moved %d, want %d", got, 2<<20)
 	}
 }
 
-// stalledDelayer delays only the first transfer it sees; later
-// transfers (the clean flow) pass untouched.
-type stalledDelayer struct {
-	mu    sync.Mutex
-	stall time.Duration
-	used  bool
-}
-
-func (s *stalledDelayer) TransferDelay(int64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.used {
-		return 0
-	}
-	s.used = true
-	return s.stall
-}
-
 func TestLinkConcurrentFairnessConvergesToAggregate(t *testing.T) {
 	// Four concurrent transfers share the link; total wall time must be
-	// the aggregate serialization time, and each flow must see the other
-	// three (MaxFlows == 4) — per-link fairness, not FIFO.
+	// the aggregate serialization time.
 	clock := storage.NewRealClock()
 	l, err := NewLink(40<<20, 0, clock)
 	if err != nil {
@@ -313,10 +218,7 @@ func TestLinkConcurrentFairnessConvergesToAggregate(t *testing.T) {
 		t.Errorf("4x1MB concurrent over 40MB/s took %v, want ~100ms", el)
 	}
 	s := l.Stats()
-	if s.MaxFlows != 4 {
-		t.Errorf("MaxFlows = %d, want 4", s.MaxFlows)
-	}
-	if s.BytesMoved != 4<<20 || s.Transfers != 4 {
+	if s.BytesRead != 4<<20 || s.Reads != 4 {
 		t.Errorf("stats = %+v", s)
 	}
 }
@@ -336,13 +238,13 @@ func TestFabricTransferRate(t *testing.T) {
 	if d := el - want; d < -time.Millisecond || d > time.Millisecond {
 		t.Errorf("fabric transfer charged %v, want %v", el, want)
 	}
-	if got := f.Egress(0).Stats().BytesMoved; got != 500_000 {
+	if got := f.Egress(0).Stats().BytesRead; got != 500_000 {
 		t.Errorf("egress bytes = %d, want 500000", got)
 	}
-	if got := f.Ingress(2).Stats().BytesMoved; got != 500_000 {
+	if got := f.Ingress(2).Stats().BytesRead; got != 500_000 {
 		t.Errorf("ingress bytes = %d, want 500000", got)
 	}
-	if got := f.Ingress(1).Stats().BytesMoved; got != 0 {
+	if got := f.Ingress(1).Stats().BytesRead; got != 0 {
 		t.Errorf("uninvolved port charged %d bytes", got)
 	}
 }
@@ -360,7 +262,7 @@ func TestFabricLoopbackFree(t *testing.T) {
 	if el := clock.Now() - start; el != 0 {
 		t.Errorf("loopback charged %v, want 0", el)
 	}
-	if got := f.Egress(1).Stats().BytesMoved; got != 0 {
+	if got := f.Egress(1).Stats().BytesRead; got != 0 {
 		t.Errorf("loopback counted %d egress bytes", got)
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"time"
 )
 
-// Device models a block device that takes time to serve reads. Reserve
-// books the service time for a request and returns the virtual/real
-// completion deadline; callers then sleep on the device's clock until the
-// deadline. Splitting reservation from sleeping lets RAID0 reserve on all
-// member disks first and sleep once on the latest deadline.
+// Device models anything that takes time to serve reads: a disk, a
+// RAID-0 array, a network link. Reserve books the service time for a
+// request and returns the virtual/real completion deadline; callers then
+// sleep on the device's clock until the deadline. Splitting reservation
+// from sleeping lets RAID0 reserve on all member disks first and sleep
+// once on the latest deadline. A link learns a flow's deadline only as
+// later flows arrive, so it is booked through Issue instead.
 type Device interface {
 	// Reserve books service time for reading n bytes at byte offset off
 	// and returns the completion deadline on the device clock.
@@ -52,6 +54,24 @@ func ReserveWrite(dev Device, off, n int64) time.Duration {
 		return w.ReserveWrite(off, n)
 	}
 	return dev.Reserve(off, n)
+}
+
+// Issuer is implemented by devices whose completion time is not fixed at
+// booking, like a processor-sharing link: Issue books a read of n bytes
+// at off and returns the wait that blocks until it is served.
+type Issuer interface {
+	Issue(off, n int64) (wait func())
+}
+
+// Issue books a read on dev and returns its wait, falling back to
+// Reserve plus a sleep to the deadline for devices that know it at
+// booking.
+func Issue(dev Device, off, n int64) (wait func()) {
+	if is, ok := dev.(Issuer); ok {
+		return is.Issue(off, n)
+	}
+	deadline, clock := dev.Reserve(off, n), dev.Clock()
+	return func() { clock.SleepUntil(deadline) }
 }
 
 // DiskConfig describes a simulated disk.

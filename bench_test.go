@@ -18,9 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"supmr/internal/core"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/perfmodel"
 	"supmr/internal/sortalgo"
 	"supmr/internal/storage"
@@ -368,20 +368,18 @@ func BenchmarkExecutorSpawnVsPool(b *testing.B) {
 		b.SetBytes(size)
 		for i := 0; i < b.N; i++ {
 			cont := WordCountContainer(64)
-			opts := mapreduce.Options{Workers: 4, Splits: 8}
-			var pool *exec.Pool
-			if persistent {
-				pool = exec.NewLocal(4)
-				opts.Pool = pool
-			}
-			for _, c := range chunks {
-				if _, _, err := mapreduce.MapWaveTimed[string, int64](job, c, cont, opts); err != nil {
+			pool := exec.NewLocal(4)
+			for j, c := range chunks {
+				if j > 0 && !persistent {
+					// Spawn per wave: every wave gets, and tears down, its own pool.
+					pool.Close()
+					pool = exec.NewLocal(4)
+				}
+				if _, _, err := core.MapWave[string, int64](job, c, cont, core.Options{Splits: 8, Pool: pool}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if pool != nil {
-				pool.Close()
-			}
+			pool.Close()
 		}
 	}
 	b.Run("SpawnPerWave", func(b *testing.B) { run(b, false) })
@@ -404,9 +402,9 @@ func mapHotPathWave(tb testing.TB, cont Container[string, int64]) func() {
 	workload.TextGen{Seed: 7}.Fill()(0, text)
 	pool := exec.NewLocal(4)
 	tb.Cleanup(pool.Close)
-	opts := mapreduce.Options{Splits: 16, Pool: pool}
+	opts := core.Options{Splits: 16, Pool: pool}
 	wave := func() {
-		if _, _, err := mapreduce.MapWaveTimed[string, int64](WordCountJob(), text, cont, opts); err != nil {
+		if _, _, err := core.MapWave[string, int64](WordCountJob(), text, cont, opts); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -603,7 +601,10 @@ func BenchmarkAblationSpill(b *testing.B) {
 	text := make([]byte, size)
 	workload.TextGen{Seed: 7}.Fill()(0, text)
 	cont := WordCountContainer(64)
-	if _, err := mapreduce.MapWave[string, int64](WordCountJob(), text, cont, mapreduce.Options{Workers: 4}); err != nil {
+	pool := exec.NewLocal(4)
+	_, _, err := core.MapWave[string, int64](WordCountJob(), text, cont, core.Options{Pool: pool})
+	pool.Close()
+	if err != nil {
 		b.Fatal(err)
 	}
 	inter := cont.SizeBytes()

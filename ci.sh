@@ -61,6 +61,13 @@ echo "== race: reads in flight =="
 go test -race -count=3 -run 'TestPrefetchRingDrainsOnMidStreamError|TestReadAheadSchedule|TestLaneRequestSchedule|TestWholeInputFansOutOverIOLanes' ./internal/core/
 go test -race -count=3 -run 'TestChaosLaneRequests' .
 
+echo "== race: egress inside the finish =="
+# Egress runs inside core.Run, as the finish's last phase, on the job's
+# pool: its extent writes share the IO lanes ingest used, and it
+# subtracts the lane bytes ingest carried there, so the egress tests
+# repeat under the detector.
+go test -race -count=3 -run 'TestEgress' .
+
 echo "== race: out-of-core repeats =="
 # The out-of-core finish shares state across goroutines by design — the
 # grouped drain, run blocks decoded a block ahead on the IO lanes, reads

@@ -109,6 +109,31 @@ func TestEgressLaneAttribution(t *testing.T) {
 	if rep.Stats.EgressBusy <= 0 {
 		t.Errorf("EgressBusy = %v, want > 0", rep.Stats.EgressBusy)
 	}
+	checkEgressTasks(t, rep.Stats)
+	// The ingest lane snapshot is taken before egress writes: the same
+	// run without egress carries the same ingest bytes. Which IO worker
+	// picks up each read is scheduling, so the lanes' sums are compared.
+	plain := runEgressWC(t, data, Config{IOLanes: 2})
+	if got, want := sumLanes(rep.Stats.IngestLaneBytes), sumLanes(plain.Stats.IngestLaneBytes); got != want || want == 0 {
+		t.Errorf("IngestLaneBytes sum %d with egress, %d without (per-lane: %v vs %v)", got, want, rep.Stats.IngestLaneBytes, plain.Stats.IngestLaneBytes)
+	}
+}
+
+func sumLanes(lanes []int64) (sum int64) {
+	for _, b := range lanes {
+		sum += b
+	}
+	return sum
+}
+
+// checkEgressTasks asserts the egress counters are the job's "egress"
+// task stats, stamped once when egress finished.
+func checkEgressTasks(t *testing.T, st Stats) {
+	t.Helper()
+	et := st.Tasks["egress"]
+	if st.EgressBusy != et.Busy || st.EgressStall != et.QueueWait {
+		t.Errorf("EgressBusy/EgressStall = %v/%v, Tasks[\"egress\"] Busy/QueueWait = %v/%v", st.EgressBusy, st.EgressStall, et.Busy, et.QueueWait)
+	}
 }
 
 func TestEgressUnderChaosMatchesClean(t *testing.T) {
@@ -156,6 +181,8 @@ func TestEgressOnEngine(t *testing.T) {
 	if eng.Stats.EgressBytes != solo.Stats.EgressBytes {
 		t.Errorf("engine EgressBytes %d, solo %d", eng.Stats.EgressBytes, solo.Stats.EgressBytes)
 	}
+	checkEgressTasks(t, solo.Stats)
+	checkEgressTasks(t, eng.Stats)
 }
 
 func TestEgressConfigValidation(t *testing.T) {

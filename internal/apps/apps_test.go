@@ -9,7 +9,6 @@ import (
 	"supmr/internal/core"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/metrics"
 	"supmr/internal/storage"
 	"supmr/internal/workload"
@@ -201,7 +200,7 @@ func TestOpenMPMatchesMapReduceSort(t *testing.T) {
 	}
 	s := Sort{}
 	mr, err := core.Run[string, uint64](s, mk(), s.NewContainer(),
-		core.Options{Options: mapreduce.Options{Workers: 2, Boundary: chunk.CRLFBoundary{}}})
+		core.Options{Workers: 2, Boundary: chunk.CRLFBoundary{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +227,7 @@ func TestAppsAgainstBothContainers(t *testing.T) {
 	}
 	s := Sort{}
 	res, err := core.Run[string, uint64](s, chunk.NewWholeInput(inter), s.NewHashContainer(16),
-		core.Options{Options: mapreduce.Options{Workers: 2, Boundary: chunk.CRLFBoundary{}}})
+		core.Options{Workers: 2, Boundary: chunk.CRLFBoundary{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +249,7 @@ func TestWordCountEndToEndSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := core.Run[string, int64](wc, chunk.NewWholeInput(inter), wc.NewContainer(8),
-		core.Options{Options: mapreduce.Options{Workers: 2}})
+		core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"supmr/internal/chunk"
 	"supmr/internal/core"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/storage"
 )
 
@@ -34,7 +33,7 @@ func TestGrepEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := core.Run[string, int64](g, chunk.NewWholeInput(inter), g.NewContainer(),
-		core.Options{Options: mapreduce.Options{Workers: 2}})
+		core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestLinearRegressionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := core.Run[int, float64](lr, chunk.NewWholeInput(inter), lr.NewContainer(),
-		core.Options{Options: mapreduce.Options{Workers: 2, Boundary: lr.Boundary()}})
+		core.Options{Workers: 2, Boundary: lr.Boundary()})
 	if err != nil {
 		t.Fatal(err)
 	}

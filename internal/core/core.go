@@ -6,9 +6,9 @@
 // The shape follows Table I:
 //
 //	run_ingestMR()  -> Run            (launch the SupMR runtime)
-//	run_mappers()   -> runMappers     (wrapper over mapreduce.MapWave that
-//	                                   keeps the container persistent)
-//	run_reducers()  -> mapreduce.ReducePhase (same as the internal reduce)
+//	run_mappers()   -> runMappers     (wrapper over MapWave that keeps
+//	                                   the container persistent)
+//	run_reducers()  -> ReducePhase    (same as the internal reduce)
 //	set_data()      -> ChunkAware.SetData    (chunk pointer/length callback)
 //
 // The pipeline executes n+1 rounds for n ingest chunks: the first round
@@ -27,6 +27,9 @@
 // overlap, so a run whose first chunk is its whole input (chunk.Whole)
 // reports its read and map as separate phases; every other run reports
 // the fused read+map phase.
+//
+// Egress (Options.Egress) is the finish's last phase, so a job's times
+// and task stats are stamped once, after everything it ran.
 //
 // Budgeted, memoized and combiner-ablated multi-node runs differ in one
 // drain step chosen before the loop — never, when over budget, or after
@@ -64,10 +67,10 @@ import (
 
 	"supmr/internal/chunk"
 	"supmr/internal/container"
+	"supmr/internal/egress"
 	"supmr/internal/exec"
 	"supmr/internal/faults"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/memo"
 	"supmr/internal/metrics"
 	"supmr/internal/shuffle"
@@ -91,12 +94,32 @@ type Tuner interface {
 	Next(chunkBytes int64, ingest, mapT time.Duration) int64
 }
 
-// Options configure the SupMR pipeline. The embedded runtime options
-// carry worker counts, split counts, instrumentation and the merge
-// algorithm, whose zero value here is pairwise; the facade passes p-way
-// unless the caller or the RuntimeTraditional preset asks otherwise.
+// Options configure the SupMR pipeline and its phase primitives.
 type Options struct {
-	mapreduce.Options
+	// Workers is the number of map/reduce/merge worker threads (the
+	// paper's machine exposes 32 hardware contexts). Defaults to
+	// runtime.NumCPU(). Ignored when Pool is set — the pool's size wins.
+	Workers int
+	// Splits is the number of input splits per map wave. Defaults to
+	// 4 * Workers.
+	Splits int
+	// Merge selects the merge-phase algorithm: pairwise (the zero value,
+	// original Phoenix) or p-way (SupMR's modification, the facade's).
+	Merge sortalgo.MergeAlgo
+	// Boundary adjusts split points so no record straddles splits.
+	Boundary chunk.Boundary
+	// Timer records per-phase durations (Run creates one when nil).
+	Timer *metrics.Timer
+	// Pool is the job's executor, carrying its context and clock: a
+	// dedicated exec.Pool or an engine's per-submission handle. Run
+	// creates one when nil; MapWave and ReducePhase require it.
+	Pool exec.Executor
+	// RadixDisabled turns off the fixed-width-key sort fast path (the
+	// scatter finish, the radix run sort and the merge tree's prefix
+	// heads) — the -radixsort=off ablation. The zero value keeps the
+	// fast path enabled for apps that opt in via kv.FixedKeyApp. Run
+	// resolves from it the one codec every phase uses.
+	RadixDisabled bool
 	// Topology carries the multi-node knobs. With Nodes > 0 the job runs
 	// on a simulated cluster: chunk i is mapped into node i % Nodes's
 	// persistent container and, after ingest, the nodes exchange
@@ -161,10 +184,10 @@ type Options struct {
 	// MemoSpace namespaces memo cache keys (application identity plus
 	// any parameters that change its output for the same input bytes).
 	MemoSpace string
+	// Egress, when set, makes writing the merged pairs across the IO
+	// lanes the finish's last phase (Result.Egress); Run sets its Pool.
+	Egress *egress.Config
 }
-
-// Result aliases the runtime result type.
-type Result[K comparable, V any] = mapreduce.Result[K, V]
 
 // ingestResult is one prefetched chunk: the chunk (nil at EOF) and the
 // terminal error.
@@ -181,19 +204,15 @@ type ingestResult struct {
 // opts.Pool is nil a job pool is created here and torn down on return;
 // either way every phase, the prefetch ingest too, runs on that pool.
 func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont container.Container[K, V], opts Options) (*Result[K, V], error) {
-	ro := opts.Options
-	pool := ro.Pool
-	if pool == nil {
-		own := exec.NewPool(nil, exec.Config{Workers: ro.Workers, IOWorkers: opts.IOLanes})
+	if opts.Pool == nil {
+		own := exec.NewPool(nil, exec.Config{Workers: opts.Workers, IOWorkers: opts.IOLanes})
 		defer own.Close()
-		pool = own
-		ro.Pool = pool
+		opts.Pool = own
 	}
-	timer := ro.Timer
-	if timer == nil {
-		timer = metrics.NewTimer(pool.Now)
+	if opts.Timer == nil {
+		opts.Timer = metrics.NewTimer(opts.Pool.Now)
 	}
-	ro.Timer = timer // MergePhase brackets its own run-sort/merge sub-phases
+	pool, timer := opts.Pool, opts.Timer
 
 	// Fresh container at job start; never again (unless the ablation
 	// flag asks for the broken behaviour).
@@ -203,7 +222,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	// every drain, the node exchange, the external merge and the
 	// in-memory finish all agree on it.
 	var fixed *kv.FixedKeyCodec[K]
-	if !ro.RadixDisabled {
+	if !opts.RadixDisabled {
 		fixed = kv.FixedKeyOf[K, V](app)
 	}
 
@@ -396,7 +415,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 	}()
 
-	var stats mapreduce.Stats
+	var stats Stats
 	runMappers := func(c *chunk.Chunk, into container.Container[K, V]) (time.Duration, error) {
 		start := pool.Now()
 		if opts.ResetEachRound {
@@ -405,7 +424,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if ca, ok := any(app).(ChunkAware); ok {
 			ca.SetData(c)
 		}
-		n, busy, err := mapreduce.MapWaveTimed(app, c.Data, into, ro)
+		n, busy, err := MapWave(app, c.Data, into, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -653,11 +672,19 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			timer.EndPhase(metrics.PhaseShuffle)
 		}
 		if err == nil {
-			merged, err = exchange.Run(app, nodeRuns, pool, timer, &stats)
+			var c shuffle.Counters
+			merged, c, err = exchange.Run(app, nodeRuns, pool, timer)
+			stats.ShuffleBytes, stats.ShuffleFrames, stats.Runs, stats.ReduceBusy = c.Bytes, c.Frames, c.Runs, c.ReduceBusy
 		}
 	default:
 		stats.IntermediateN = cont.Len()
-		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, fixed, ro, spiller, &stats)
+		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, fixed, opts, spiller, &stats)
+	}
+	var out *egress.Output
+	if err == nil && opts.Egress != nil {
+		timer.StartPhase(metrics.PhaseEgress)
+		out, err = writeEgress(*opts.Egress, pool, merged, &stats)
+		timer.EndPhase(metrics.PhaseEgress)
 	}
 	if err != nil {
 		pool.Abort(err)
@@ -667,7 +694,10 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	stats.RadixRuns = radixRuns + drainRadixRuns
 	stats.OutputPairs = len(merged)
 	stats.Tasks = pool.TaskStats()
-	return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats}, nil
+	if out != nil {
+		stats.EgressBusy, stats.EgressStall = stats.Tasks["egress"].Busy, stats.Tasks["egress"].QueueWait
+	}
+	return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats, Egress: out}, nil
 }
 
 // drainWhen is the pipeline's one drain decision: when a container is
@@ -719,11 +749,11 @@ func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChu
 // set at the end of ingest — persisted there, or folded back by a
 // memoized run: reduce what is resident, then merge it — together with
 // every spilled run when the budget forced drains. fixed is the job's
-// fixed-key codec (nil without one); ro carries the job's pool and
+// fixed-key codec (nil without one); opts carries the job's pool and
 // timer.
-func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], fixed *kv.FixedKeyCodec[K], ro mapreduce.Options,
-	spiller *spill.Spiller[K, V], stats *mapreduce.Stats) ([]kv.Pair[K, V], int, int, error) {
-	timer := ro.Timer
+func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], fixed *kv.FixedKeyCodec[K], opts Options,
+	spiller *spill.Spiller[K, V], stats *Stats) ([]kv.Pair[K, V], int, int, error) {
+	timer := opts.Timer
 	// Join the last spill write before reducing: the merge below must
 	// see every run complete. The residue still in the container is
 	// never spilled — it feeds the merge from memory.
@@ -739,7 +769,7 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	}
 
 	timer.StartPhase(metrics.PhaseReduce)
-	runs, reduceBusy, err := mapreduce.ReducePhaseTimed(app, cont, ro)
+	runs, reduceBusy, err := ReducePhase(app, cont, opts)
 	timer.EndPhase(metrics.PhaseReduce)
 	if err != nil {
 		return nil, 0, 0, err
@@ -747,23 +777,23 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	stats.Runs = len(runs) + stats.SpilledRuns
 	stats.ReduceBusy = reduceBusy
 	if stats.SpilledRuns == 0 {
-		return mapreduce.MergePhase(app, runs, fixed, ro)
+		return mergePhase(app, runs, fixed, opts)
 	}
 
 	// The budgeted merge: the in-memory residue's runs (their keys are
-	// disjoint) finish into one resident run by MergePhase's p-way path
+	// disjoint) finish into one resident run by mergePhase's p-way path
 	// — one scatter round when the app has a fixed-key codec — then one
 	// block-streamed loser-tree pass consumes it together with every
 	// on-disk run, which the IO lanes read and decode a block ahead of
 	// it. The round count stays 1 — spilling adds merge sources, not
 	// merge rounds, preserving the paper's single-round property (§IV).
-	ro.Merge = sortalgo.MergePWay
-	residue, _, radixRuns, err := mapreduce.MergePhase(app, runs, fixed, ro)
+	opts.Merge = sortalgo.MergePWay
+	residue, _, radixRuns, err := mergePhase(app, runs, fixed, opts)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	timer.StartPhase(metrics.PhaseMerge)
 	defer timer.EndPhase(metrics.PhaseMerge)
-	merged, err := spiller.Merge(residue, ro.Pool, "merge")
+	merged, err := spiller.Merge(residue, opts.Pool, "merge")
 	return merged, 1, radixRuns, err
 }

@@ -15,7 +15,6 @@ import (
 	"supmr/internal/container"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/memo"
 	"supmr/internal/metrics"
 	"supmr/internal/shuffle"
@@ -75,7 +74,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 	text := genText(t, 64<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, textStream(t, text, 5<<10), wc.NewContainer(16),
-		Options{Options: mapreduce.Options{Workers: 4}})
+		Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestPipelineRecordsFusedPhase(t *testing.T) {
 	text := genText(t, 16<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, textStream(t, text, 4<<10), wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestPipelineRecordsFusedPhase(t *testing.T) {
 func TestPipelineEmptyInput(t *testing.T) {
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, textStream(t, []byte{}, 1024), wc.NewContainer(4),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestPipelineSingleChunk(t *testing.T) {
 	text := genText(t, 8<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, textStream(t, text, 1<<20), wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +145,12 @@ func TestResetEachRoundLosesEarlierChunks(t *testing.T) {
 	text := genText(t, 64<<10)
 	wc := wcApp{}
 	good, err := Run[string, int64](wc, textStream(t, text, 5<<10), wc.NewContainer(16),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad, err := Run[string, int64](wc, textStream(t, text, 5<<10), wc.NewContainer(16),
-		Options{Options: mapreduce.Options{Workers: 2}, ResetEachRound: true})
+		Options{Workers: 2, ResetEachRound: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestSetDataCallback(t *testing.T) {
 	text := genText(t, 32<<10)
 	spy := &chunkSpy{}
 	res, err := Run[string, int64](spy, textStream(t, text, 8<<10), spy.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestForeignStreamReadsOneChunkAhead(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			_, err := Run[string, int64](app, s, wcApp{}.NewContainer(8),
-				Options{Options: mapreduce.Options{Workers: 2}, PrefetchDepth: depth})
+				Options{Workers: 2, PrefetchDepth: depth})
 			done <- err
 		}()
 		// Wait for the pump to settle behind the parked mappers.
@@ -273,7 +272,7 @@ func TestPipelinePropagatesErrors(t *testing.T) {
 	for _, failAt := range []int{1, 2, 3} {
 		s := &errStream{inner: textStream(t, text, 4<<10), failAt: failAt}
 		_, err := Run[string, int64](wc, s, wc.NewContainer(8),
-			Options{Options: mapreduce.Options{Workers: 2}})
+			Options{Workers: 2})
 		if err == nil || !strings.Contains(err.Error(), "mid-stream ingest failure") {
 			t.Errorf("failAt=%d: err = %v", failAt, err)
 		}
@@ -305,7 +304,7 @@ func TestPipelineOverlapsIngestWithMap(t *testing.T) {
 	wc := wcApp{}
 	timer := metrics.NewTimer(clock.Now)
 	res, err := Run[string, int64](wc, s, wc.NewContainer(16),
-		Options{Options: mapreduce.Options{Workers: 2, Timer: timer}})
+		Options{Workers: 2, Timer: timer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +343,7 @@ func TestPipelineCancelledMidMapWave(t *testing.T) {
 	text := genText(t, 64<<10)
 	app := &cancelApp{cancel: cancel}
 	_, err := Run[string, int64](app, textStream(t, text, 4<<10), wcApp{}.NewContainer(8),
-		Options{Options: mapreduce.Options{Pool: pool}})
+		Options{Pool: pool})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -366,7 +365,7 @@ func TestPipelineSurvivesMapPanic(t *testing.T) {
 	// the prefetch.
 	text := genText(t, 32<<10)
 	_, err := Run[string, int64](panicCoreApp{}, textStream(t, text, 4<<10), wcApp{}.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err == nil {
 		t.Fatal("panicking map task did not fail the job")
 	}
@@ -413,7 +412,7 @@ func TestIngestErrorJoinsPrefetchWithoutLeaks(t *testing.T) {
 		s := &inflightStream{inner: textStream(t, text, 4<<10), failAt: 3}
 		start := time.Now()
 		_, err := Run[string, int64](wc, s, wc.NewContainer(8),
-			Options{Options: mapreduce.Options{Workers: 2}})
+			Options{Workers: 2})
 		if err == nil || !strings.Contains(err.Error(), "mid-stream ingest failure") {
 			t.Fatalf("err = %v, want mid-stream ingest failure", err)
 		}
@@ -471,7 +470,7 @@ func TestTunerObservesJobClock(t *testing.T) {
 	tun := &recTuner{}
 	wc := wcApp{}
 	if _, err := Run[string, int64](wc, s, wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Pool: pool, Timer: metrics.NewTimer(clock.Now)}, Tuner: tun}); err != nil {
+		Options{Pool: pool, Timer: metrics.NewTimer(clock.Now), Tuner: tun}); err != nil {
 		t.Fatal(err)
 	}
 	if len(tun.ingests) == 0 {
@@ -498,7 +497,7 @@ func TestSpansPerWaveAcrossRounds(t *testing.T) {
 	text := genText(t, 64<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, textStream(t, text, 4<<10), wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Pool: pool}})
+		Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +544,7 @@ func TestTunerResizeWithPrefetchRing(t *testing.T) {
 	text := genText(t, 96<<10)
 	wc := wcApp{}
 	ref, err := Run[string, int64](wc, textStream(t, text, 8<<10), wc.NewContainer(16),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +552,7 @@ func TestTunerResizeWithPrefetchRing(t *testing.T) {
 	defer pool.Close()
 	got, err := Run[string, int64](wc, textStream(t, text, 8<<10), wc.NewContainer(16),
 		Options{
-			Options:       mapreduce.Options{Pool: pool},
+			Pool:          pool,
 			Tuner:         &oscTuner{},
 			PrefetchDepth: 3,
 			IOLanes:       2,
@@ -581,7 +580,7 @@ func TestPrefetchRingCountsHitsAndStalls(t *testing.T) {
 	text := genText(t, 64<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, textStream(t, text, 8<<10), wc.NewContainer(16),
-		Options{Options: mapreduce.Options{Workers: 2}, PrefetchDepth: 3})
+		Options{Workers: 2, PrefetchDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +653,7 @@ func TestMemoMalformedEntryRecomputes(t *testing.T) {
 	run := func() *Result[string, int64] {
 		t.Helper()
 		res, err := Run[string, int64](wc, textStream(t, text, 4<<10), wc.NewContainer(8),
-			Options{Options: mapreduce.Options{Workers: 4}, MemoStore: store, MemoSpace: "wc"})
+			Options{Workers: 4, MemoStore: store, MemoSpace: "wc"})
 		if err != nil {
 			t.Fatal(err)
 		}

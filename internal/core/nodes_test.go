@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"supmr/internal/mapreduce"
 	"supmr/internal/memo"
 	"supmr/internal/shuffle"
 	"supmr/internal/storage"
@@ -77,7 +76,7 @@ func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cont := wc.NewContainer(8)
 			opts := Options{
-				Options:  mapreduce.Options{Workers: 1},
+				Workers:  1,
 				Topology: shuffle.Topology{Nodes: nodes, CombinerOff: tc.combinerOff, Clock: storage.NewFakeClock()},
 			}
 			if tc.memo {

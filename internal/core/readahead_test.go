@@ -16,7 +16,6 @@ import (
 	"supmr/internal/chunk"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 )
 
 // recInput is an in-memory input that records the (offset, length) of
@@ -417,7 +416,7 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 8} {
 		s := &errStream{inner: textStream(t, text, 4<<10), failAt: 5}
 		_, err := Run[string, int64](wc, s, wc.NewContainer(8),
-			Options{Options: mapreduce.Options{Workers: 2}, PrefetchDepth: depth})
+			Options{Workers: 2, PrefetchDepth: depth})
 		if err == nil || !strings.Contains(err.Error(), "mid-stream ingest failure") {
 			t.Errorf("depth %d: err = %v, want the mid-stream failure", depth, err)
 		}
@@ -504,7 +503,7 @@ func TestPrefetchRingDrainsOnMidStreamError(t *testing.T) {
 					app = tc.app(cancel)
 				}
 				list := chunk.NewFreeList()
-				_, _, err := runRecorded(t, tc.st, app, in, Options{Options: mapreduce.Options{Pool: pool},
+				_, _, err := runRecorded(t, tc.st, app, in, Options{Pool: pool,
 					PrefetchDepth: depth, IOLanes: 2, Freelist: list})
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("err = %v, want %q", err, tc.want)

@@ -14,7 +14,6 @@ import (
 	"supmr/internal/chunk"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/metrics"
 	"supmr/internal/storage"
 )
@@ -30,7 +29,7 @@ func TestRunWordCount(t *testing.T) {
 	text := genText(t, 32<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, wholeStream(t, text), wc.NewContainer(16),
-		Options{Options: mapreduce.Options{Workers: 4}})
+		Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestRunRecordsPhaseTimes(t *testing.T) {
 	text := genText(t, 16<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, wholeStream(t, text), wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestIngestMarksIOWait(t *testing.T) {
 	defer pool.Close()
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, chunk.NewWholeInput(inter), wc.NewContainer(4),
-		Options{Options: mapreduce.Options{Pool: pool}})
+		Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestWholeInputFansOutOverIOLanes(t *testing.T) {
 	text := genText(t, 32<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, wholeStream(t, text), wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 2}, IOLanes: 4})
+		Options{Workers: 2, IOLanes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func (f *failStream) Next() (*chunk.Chunk, error) {
 func TestRunPropagatesIngestError(t *testing.T) {
 	wc := wcApp{}
 	_, err := Run[string, int64](wc, chunk.NewWholeInput(&failStream{}), wc.NewContainer(4),
-		Options{Options: mapreduce.Options{Workers: 1}})
+		Options{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "device exploded") {
 		t.Errorf("err = %v, want ingest failure", err)
 	}
@@ -170,7 +169,7 @@ func TestRunSurvivesMapPanic(t *testing.T) {
 	// kill the process.
 	text := append(genText(t, 8<<10), []byte("boom\n")...)
 	_, err := Run[string, int64](panicApp{}, wholeStream(t, text), wcApp{}.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err == nil {
 		t.Fatal("panicking map task did not fail the job")
 	}
@@ -194,7 +193,7 @@ func TestRunObservesCancelledContext(t *testing.T) {
 	text := genText(t, 16<<10)
 	wc := wcApp{}
 	_, err := Run[string, int64](wc, wholeStream(t, text), wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Pool: pool}})
+		Options{Pool: pool})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -204,7 +203,7 @@ func TestRunRecordsTaskStats(t *testing.T) {
 	text := genText(t, 16<<10)
 	wc := wcApp{}
 	res, err := Run[string, int64](wc, wholeStream(t, text), wc.NewContainer(8),
-		Options{Options: mapreduce.Options{Workers: 2}})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"supmr/internal/exec"
 	"supmr/internal/faults"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/metrics"
 	"supmr/internal/netsim"
 	"supmr/internal/sortalgo"
@@ -102,45 +101,53 @@ func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier, fix
 	return &Exchange[K, V]{top: top, kc: kc, vc: vc, fixed: fixed, fab: fab, wires: wires, retrier: retrier}, nil
 }
 
+// Counters are what one exchange measured.
+type Counters struct {
+	Bytes      int64         // framed bytes that crossed the links, retries included
+	Frames     int           // frames delivered between nodes
+	Runs       int           // runs the destination merges consumed
+	ReduceBusy time.Duration // aggregate worker-busy time of the destination merges
+}
+
 // Run exchanges nodeRuns (nodeRuns[n]: node n's key-sorted local runs)
-// and returns the globally sorted output, bracketing the shuffle,
-// reduce and merge phases on timer and adding the wire counters, run
-// count and reduce busy time to stats.
-func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor, timer *metrics.Timer, stats *mapreduce.Stats) ([]kv.Pair[K, V], error) {
+// and returns the globally sorted output and the exchange's counters,
+// bracketing the shuffle, reduce and merge phases on timer.
+func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor, timer *metrics.Timer) ([]kv.Pair[K, V], Counters, error) {
+	var c Counters
 	timer.StartPhase(metrics.PhaseShuffle)
-	recv, err := x.transfer(nodeRuns, stats)
+	recv, err := x.transfer(nodeRuns, &c)
 	timer.EndPhase(metrics.PhaseShuffle)
 	if err != nil {
-		return nil, err
+		return nil, c, err
 	}
 
 	// The reduce tier: every destination merges what it received.
 	outs := make([][]kv.Pair[K, V], len(recv))
 	for dst := range recv {
-		stats.Runs += len(recv[dst])
+		c.Runs += len(recv[dst])
 	}
 	timer.StartPhase(metrics.PhaseReduce)
-	stats.ReduceBusy, err = pool.ForEach("reduce", metrics.StateUser, len(recv), func(dst int) error {
+	c.ReduceBusy, err = pool.ForEach("reduce", metrics.StateUser, len(recv), func(dst int) error {
 		var mErr error
 		outs[dst], mErr = sortalgo.MergeRuns(recv[dst], app.Less, app.Reduce, true)
 		return mErr
 	})
 	timer.EndPhase(metrics.PhaseReduce)
 	if err != nil {
-		return nil, err
+		return nil, c, err
 	}
 
 	// Global assembly: partitions hold disjoint keys; nothing to reduce.
 	timer.StartPhase(metrics.PhaseMerge)
 	merged, err := sortalgo.PWayMergeWith(outs, app.Less, x.fixed, pool)
 	timer.EndPhase(metrics.PhaseMerge)
-	return merged, err
+	return merged, c, err
 }
 
 // transfer is the partition + framed exchange, visiting wires
 // src → run → dst. It returns recv[dst]: the runs to merge at dst, in
 // arrival order.
-func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], stats *mapreduce.Stats) ([][][]kv.Pair[K, V], error) {
+func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], c *Counters) ([][][]kv.Pair[K, V], error) {
 	nodes := x.top.Nodes
 	recv := make([][][]kv.Pair[K, V], nodes)
 	var kbuf, vbuf []byte
@@ -175,7 +182,7 @@ func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], stats *mapreduce
 					if terr := x.fab.Transfer(src, dst, int64(n)); terr != nil {
 						return terr
 					}
-					stats.ShuffleBytes += int64(n)
+					c.Bytes += int64(n)
 					if ferr != nil {
 						// Only a prefix reached the receiver: it must
 						// reject the torn frame with a typed error,
@@ -190,7 +197,7 @@ func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], stats *mapreduce
 						return derr
 					}
 					recv[dst] = append(recv[dst], run)
-					stats.ShuffleFrames++
+					c.Frames++
 					return nil
 				}
 				if err := x.retrier.Do(send); err != nil {

@@ -1,6 +1,6 @@
 package supmr
 
-// Ablation coverage for the radix/columnar sort path: -radixsort=off
+// Ablation coverage for the fixed-key sort path: -radixsort=off
 // must be byte-identical to the default fast path for every
 // fixed-width-key app, under both runtimes, with injected faults, and
 // under a spill budget — the gate ci.sh re-runs under the race
@@ -207,7 +207,7 @@ func TestRadixAblationFaultedAndBudgeted(t *testing.T) {
 }
 
 // TestRadixAblationMergeAlgos pins both in-memory merge algorithms to
-// the same bytes with the toggle in either position (the columnar tree
+// the same bytes with the toggle in either position (the scatter finish
 // only engages under pway; pairwise keeps the comparison merge but
 // shares the radix run sort).
 func TestRadixAblationMergeAlgos(t *testing.T) {

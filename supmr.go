@@ -16,7 +16,7 @@
 //	        supmr.NewHashContainer[string, int64](64, supmr.HashString, sum), cfg)
 //
 // The heavy machinery lives in internal packages: internal/core (the
-// pipeline, the baseline included), internal/mapreduce (the phase primitives),
+// pipeline and its phase primitives, egress last, the baseline included),
 // internal/container, internal/chunk, internal/sortalgo, plus the
 // simulated substrates internal/storage, internal/netsim, internal/hdfs
 // and the paper-scale performance model internal/perfmodel.
@@ -34,7 +34,6 @@ import (
 	"supmr/internal/egress"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/mapreduce"
 	"supmr/internal/metrics"
 	"supmr/internal/shuffle"
 	"supmr/internal/sortalgo"
@@ -329,7 +328,7 @@ type Config struct {
 type Report[K comparable, V any] struct {
 	Pairs []Pair[K, V]
 	Times metrics.PhaseTimes
-	Stats mapreduce.Stats
+	Stats Stats
 	// Trace is the job's utilization trace (present when TraceContexts
 	// was set), built from its own task spans and rooted at its start.
 	Trace *metrics.Trace
@@ -355,7 +354,7 @@ type EgressOutput = egress.Output
 
 // Stats re-exports the execution statistics type found in
 // Report.Stats, including the spill counters SpilledRuns/SpilledBytes.
-type Stats = mapreduce.Stats
+type Stats = core.Stats
 
 func (c Config) clock() storage.Clock {
 	if c.Clock != nil {
@@ -544,14 +543,12 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		defer store.Close()
 	}
 	co := core.Options{
-		Options: mapreduce.Options{
-			Splits:        cfg.Splits,
-			Merge:         *cfg.Merge,
-			Boundary:      cfg.boundary(),
-			RadixDisabled: cfg.radixDisabled(),
-			Timer:         sub.timer,
-			Pool:          sub.pool,
-		},
+		Splits:        cfg.Splits,
+		Merge:         *cfg.Merge,
+		Boundary:      cfg.boundary(),
+		RadixDisabled: cfg.radixDisabled(),
+		Timer:         sub.timer,
+		Pool:          sub.pool,
 		Topology: shuffle.Topology{
 			Nodes:       cfg.Nodes,
 			CombinerOff: cfg.innodeCombinerOff(),
@@ -569,6 +566,17 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		IOLanes:        cfg.IOLanes,
 		Freelist:       sub.frees,
 		MemoSpace:      cfg.MemoKeySpace,
+	}
+	if cfg.EgressLanes > 0 {
+		co.Egress = &egress.Config{
+			Lanes:       cfg.EgressLanes,
+			ExtentBytes: cfg.EgressExtentBytes,
+			Device:      cfg.EgressDevice,
+			Injector:    cfg.Faults,
+			Retry:       cfg.Retry,
+			Clock:       sub.clk,
+			Counters:    cfg.faultCounters(),
+		}
 	}
 	if cfg.Memo {
 		memoSt, owned, err := cfg.memoStoreFor(sub)
@@ -593,10 +601,7 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report[K, V]{Pairs: res.Pairs, Times: res.Times, Stats: res.Stats}
-	if err := runEgress(cfg, sub, rep); err != nil {
-		return nil, err
-	}
+	rep := &Report[K, V]{Pairs: res.Pairs, Times: res.Times, Stats: res.Stats, Egress: res.Egress}
 	rep.Stats.Faults = cfg.faultCounters().Snapshot()
 	if store != nil {
 		rep.SpillBytes = store.Series()
@@ -611,72 +616,6 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		rep.Markers = sub.timer.Markers()
 	}
 	return rep, nil
-}
-
-// runEgress materializes rep's merged pairs across the IO lanes when
-// the config asks for it: each pair renders as one "key\tvalue\n" line
-// (exactly the digest encoding, so the materialized bytes hash to the
-// job's output digest and parse as text input for a chained job), the
-// stream cuts into fixed-size extents, and up to EgressLanes extents
-// are written concurrently with whole-extent retry of torn writes.
-// The phase lands in Times under metrics.PhaseEgress and the job total
-// is re-stamped to include it.
-func runEgress[K comparable, V any](cfg Config, sub runSubstrate, rep *Report[K, V]) error {
-	if cfg.EgressLanes == 0 {
-		return nil
-	}
-	sub.timer.StartPhase(metrics.PhaseEgress)
-	defer func() {
-		sub.timer.EndPhase(metrics.PhaseEgress)
-		// The runtime already stamped the job total before egress ran;
-		// re-finish so Times covers the egress tail too.
-		rep.Times = sub.timer.Finish()
-	}()
-	laneBase := sub.pool.LaneBytes()
-	taskBase := sub.pool.TaskStats()["egress"]
-	w, err := egress.NewWriter(egress.Config{
-		Pool:        sub.pool,
-		Lanes:       cfg.EgressLanes,
-		ExtentBytes: cfg.EgressExtentBytes,
-		Device:      cfg.EgressDevice,
-		Injector:    cfg.Faults,
-		Retry:       cfg.Retry,
-		Clock:       sub.clk,
-		Counters:    cfg.faultCounters(),
-	})
-	if err != nil {
-		return err
-	}
-	if err := kv.WriteText(w, rep.Pairs); err != nil {
-		return err
-	}
-	out, err := w.Close()
-	if err != nil {
-		return err
-	}
-	rep.Egress = out
-	rep.Stats.EgressBytes = out.Size()
-	rep.Stats.EgressExtents = out.Extents()
-	if lanes := sub.pool.LaneBytes(); len(lanes) > 1 {
-		delta := make([]int64, len(lanes))
-		for i, n := range lanes {
-			if i < len(laneBase) {
-				n -= laneBase[i]
-			}
-			delta[i] = n
-		}
-		rep.Stats.EgressLaneBytes = delta
-	}
-	ts := sub.pool.TaskStats()
-	et := ts["egress"]
-	rep.Stats.EgressBusy = et.Busy - taskBase.Busy
-	rep.Stats.EgressStall = et.QueueWait - taskBase.QueueWait
-	if rep.Stats.Tasks != nil {
-		// Refresh the per-phase task snapshot the runtime took before
-		// egress ran so the egress tasks appear in it.
-		rep.Stats.Tasks = ts
-	}
-	return nil
 }
 
 // RunContext is Run bounded by ctx: cancelling ctx aborts the job

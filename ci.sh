@@ -98,9 +98,12 @@ go test -race -count=5 -run 'TestMemoEngineSharedAcrossSubmissions' .
 echo "== race: node-container repeats =="
 # A multi-node run's node containers are flushed into by every map
 # worker and drained by worker groups — the sharing pattern the repeats
-# above exist for — so the multi-node suites repeat under the detector.
-go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeDrainsOncePerNode|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
+# above exist for — so the multi-node suites repeat under the detector,
+# with the exchange's own tests, whose Run reduces the destinations' key
+# ranges in parallel tasks.
+go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeMergesOnce|TestMultiNodeDrainsOncePerNode|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
 go test -race -count=2 -run 'TestNodeContainersRouteAndDrainOnce' ./internal/core/
+go test -race -count=2 -run 'TestExchange|FuzzExchange' ./internal/shuffle/
 
 echo "== race: link flow-set repeats =="
 # A link is one processor-sharing flow set shared by every lane and
@@ -144,6 +147,7 @@ for target in \
     spill:FuzzBlockDecode \
     shuffle:FuzzDecodeFrame \
     shuffle:FuzzReadRecord \
+    shuffle:FuzzExchangeVsMergeRuns \
     egress:FuzzManifestDecode \
     cdc:FuzzBoundaryStability \
     sortalgo:FuzzBlockMergeVsReference \

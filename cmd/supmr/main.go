@@ -103,7 +103,7 @@ func specFlags(fs *flag.FlagSet, size, chunk, bw string) func() jobspec.Spec {
 		pattern  = fs.String("pattern", "", "comma-separated patterns for a string-match run (empty = the app's default)")
 		faults   = fs.String("faults", "", "deterministic fault plan, e.g. seed=42,read-err-every=100,short-read=0.05,latency=2ms,latency-prob=0.1 (keys: seed, read-err[-every], write-err[-every], short-read[-every], latency[-prob|-every], permanent[-every], max)")
 		retries  = fs.String("retries", "", "retry policy for transient faults: attempt count (\"4\") or attempts=N,base=DUR,max=DUR,budget=N")
-		nodes    = fs.Int("nodes", 0, "run on a simulated cluster of N SupMR worker nodes exchanging hash-partitioned runs over simulated links (refused by -runtime traditional; 0 = single-node scale-up pipeline; output byte-identical)")
+		nodes    = fs.Int("nodes", 0, "run on a simulated cluster of N SupMR worker nodes exchanging key ranges of their runs, cut at sampled splitters, over simulated links (refused by -runtime traditional; 0 = single-node scale-up pipeline; output byte-identical)")
 		egLanes  = fs.Int("egress-lanes", 0, "materialize the merged output across N concurrent extent writers after the merge (1 = serial-writer ablation, byte-identical output at any lane count; 0 = skip output materialization)")
 	)
 	memo := cliutil.OnOff(false)

@@ -258,12 +258,12 @@ func TestInNodeCombinerHalvesWireBytes(t *testing.T) {
 	}
 }
 
-// TestMultiNodeSkewedPartition: hash partitioning sends every
-// occurrence of a key to one node, so a pathologically skewed key
-// distribution — here >90% of all tokens are one word — lands almost
-// the whole intermediate set on a single partition. The cluster must
-// still produce byte-identical output, with the hot key counted once
-// and the wire genuinely exercised.
+// TestMultiNodeSkewedPartition: the exchange cuts every run at the same
+// splitters, so every occurrence of a key lands on one node, and a
+// pathologically skewed key distribution — here >90% of all tokens are
+// one word — lands that word's whole count on a single node. The
+// cluster must still produce byte-identical output, with the hot key
+// counted once and the wire genuinely exercised.
 func TestMultiNodeSkewedPartition(t *testing.T) {
 	// ~95% "zzzhotkey" tokens, 5% unique cold keys.
 	var b strings.Builder

@@ -122,8 +122,8 @@ type Options struct {
 	RadixDisabled bool
 	// Topology carries the multi-node knobs. With Nodes > 0 the job runs
 	// on a simulated cluster: chunk i is mapped into node i % Nodes's
-	// persistent container and, after ingest, the nodes exchange
-	// hash-partitioned runs over simulated links (see shuffle.Exchange).
+	// persistent container and, after ingest, node n takes the n-th key
+	// range of every node's runs over simulated links (shuffle.Exchange).
 	// Requires key/value types with codecs.
 	shuffle.Topology
 	// ResetEachRound re-initializes the container at every map round,
@@ -205,7 +205,12 @@ type ingestResult struct {
 // either way every phase, the prefetch ingest too, runs on that pool.
 func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont container.Container[K, V], opts Options) (*Result[K, V], error) {
 	if opts.Pool == nil {
-		own := exec.NewPool(nil, exec.Config{Workers: opts.Workers, IOWorkers: opts.IOLanes})
+		// Egress may fan wider than ingest: size the IO lanes for both.
+		lanes := opts.IOLanes
+		if opts.Egress != nil {
+			lanes = max(lanes, opts.Egress.Lanes)
+		}
+		own := exec.NewPool(nil, exec.Config{Workers: opts.Workers, IOWorkers: lanes})
 		defer own.Close()
 		opts.Pool = own
 	}
@@ -219,8 +224,8 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	cont.Reset()
 
 	// The fixed-key sort fast path: resolved here, and only here, so
-	// every drain, the node exchange, the external merge and the
-	// in-memory finish all agree on it.
+	// every drain, the external merge and the in-memory finish all
+	// agree on it.
 	var fixed *kv.FixedKeyCodec[K]
 	if !opts.RadixDisabled {
 		fixed = kv.FixedKeyOf[K, V](app)
@@ -243,7 +248,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	var exchange *shuffle.Exchange[K, V]
 	if opts.Nodes > 0 {
 		var err error
-		exchange, err = shuffle.NewExchange[K, V](opts.Topology, faults.NewRetrier(opts.Retry, opts.Clock, opts.FaultCounters), fixed)
+		exchange, err = shuffle.NewExchange[K, V](opts.Topology, faults.NewRetrier(opts.Retry, opts.Clock, opts.FaultCounters))
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 
 	"supmr/internal/chunk"
 	"supmr/internal/container"
+	"supmr/internal/egress"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
 	"supmr/internal/memo"
@@ -683,5 +684,25 @@ func TestMemoMalformedEntryRecomputes(t *testing.T) {
 	checkRef(second)
 	if second.Stats.MemoHits != len(keys) || second.Stats.MapWaves != 0 {
 		t.Errorf("second run: hits=%d waves=%d, want %d hits and nothing mapped", second.Stats.MemoHits, second.Stats.MapWaves, len(keys))
+	}
+}
+
+// TestOwnPoolWidenedForEgress: with no Pool, Run builds one whose IO
+// lanes cover the wider of ingest and egress, so four egress lanes write
+// on four lanes even when ingest reads on one.
+func TestOwnPoolWidenedForEgress(t *testing.T) {
+	text := genText(t, 64<<10)
+	wc := wcApp{}
+	res, err := Run[string, int64](wc, textStream(t, text, 8<<10), wc.NewContainer(8),
+		Options{Workers: 2, IOLanes: 1, Egress: &egress.Config{Lanes: 4, ExtentBytes: 2 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, b := range res.Stats.EgressLaneBytes {
+		sum += b
+	}
+	if len(res.Stats.EgressLaneBytes) != 4 || sum != res.Stats.EgressBytes {
+		t.Fatalf("egress lane bytes %v over %d egressed bytes, want 4 lanes carrying them all", res.Stats.EgressLaneBytes, res.Stats.EgressBytes)
 	}
 }

@@ -74,8 +74,8 @@ type Stats struct {
 	// is the ShuffleBytes difference between a run and its
 	// -innode-combiner=off ablation.
 	ShuffleBytesSaved int64
-	// ShuffleFrames counts framed run transfers delivered between
-	// nodes (retries of torn frames resend and recount).
+	// ShuffleFrames counts frames delivered between nodes, keys-only
+	// sample frames included (a torn frame counts once, when resent whole).
 	ShuffleFrames int
 	// EgressBytes is the merged-output bytes materialized by the
 	// parallel egress phase (0 when egress was not requested).

@@ -69,9 +69,9 @@ type Spec struct {
 	// -radixsort=off ablation. Output is byte-identical either way.
 	RadixOff bool `json:"radix_off,omitempty"`
 	// Nodes, when >= 1, runs the job on a simulated cluster of that
-	// many SupMR worker nodes exchanging hash-partitioned runs over
-	// simulated links (solo or on the shared engine; refused by the
-	// traditional runtime).
+	// many SupMR worker nodes, node n merging the n-th key range of the
+	// runs cut at sampled splitters, shipped over simulated links (solo
+	// or on the shared engine; refused by the traditional runtime).
 	// Output is byte-identical to a single-node run; 0 keeps the
 	// scale-up pipeline.
 	Nodes int `json:"nodes,omitempty"`

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"supmr/internal/exec"
@@ -41,26 +42,24 @@ type Topology struct {
 	Injector *faults.Injector
 }
 
-// Exchange is the scale-out tail of the pipeline. The ingest loop hands
-// it each node's key-sorted runs — its container's one drain, or one
-// per chunk with the in-node combiner ablated; Run then executes
+// Exchange is the scale-out tail of the pipeline: the p-way merge with
+// nodes for workers. The ingest loop hands it each node's key-sorted
+// runs — its container's one drain, or one per chunk with the in-node
+// combiner ablated; Run then executes
 //
-//	shuffle: runs are hash-partitioned by encoded key; partition p is
-//	         owned by node p; remote slices travel as checksummed frames
-//	         over per-node fabric links, local slices bypass the wire
-//	reduce:  each node merges its received + local slices in one
-//	         re-reducing streaming pass over the merge tree
-//	merge:   node outputs hold disjoint keys; one p-way interleave
-//	         produces the globally sorted result
+//	shuffle: nodes holding runs swap keys-only sample frames and all
+//	         derive the same Nodes-1 splitters; each run is cut once at
+//	         them and slice n travels to node n as a checksummed frame
+//	         over the fabric, the local slice bypassing the wire
+//	reduce:  each node merges its slices in one re-reducing streaming
+//	         pass over the merge tree
 //
-// Output is byte-identical to a single-node run: hash partitioning
-// keeps each key on one node and the destination merge re-reduces under
-// the standing associative-combiner contract.
+// Node n reduces the n-th key range, so the node outputs laid end to
+// end are the sorted result, byte-identical to a single-node run.
 type Exchange[K comparable, V any] struct {
 	top     Topology
 	kc      spill.Codec[K]
 	vc      spill.Codec[V]
-	fixed   *kv.FixedKeyCodec[K]
 	fab     *netsim.Fabric
 	wires   [][]*faults.Wire
 	retrier *faults.Retrier
@@ -68,8 +67,8 @@ type Exchange[K comparable, V any] struct {
 
 // NewExchange builds the fabric and arms the wire fault seams, failing
 // up front when the key or value type has no wire codec. retrier (may
-// be nil) resends torn frames; fixed (may be nil) serves the assembly.
-func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier, fixed *kv.FixedKeyCodec[K]) (*Exchange[K, V], error) {
+// be nil) resends torn frames.
+func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier) (*Exchange[K, V], error) {
 	kc, err := spill.CodecFor[K]()
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: key: %w", err)
@@ -98,24 +97,24 @@ func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier, fix
 			}
 		}
 	}
-	return &Exchange[K, V]{top: top, kc: kc, vc: vc, fixed: fixed, fab: fab, wires: wires, retrier: retrier}, nil
+	return &Exchange[K, V]{top: top, kc: kc, vc: vc, fab: fab, wires: wires, retrier: retrier}, nil
 }
 
 // Counters are what one exchange measured.
 type Counters struct {
 	Bytes      int64         // framed bytes that crossed the links, retries included
-	Frames     int           // frames delivered between nodes
+	Frames     int           // frames delivered between nodes, sample frames included
 	Runs       int           // runs the destination merges consumed
 	ReduceBusy time.Duration // aggregate worker-busy time of the destination merges
 }
 
 // Run exchanges nodeRuns (nodeRuns[n]: node n's key-sorted local runs)
 // and returns the globally sorted output and the exchange's counters,
-// bracketing the shuffle, reduce and merge phases on timer.
+// bracketing the shuffle and reduce phases on timer.
 func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor, timer *metrics.Timer) ([]kv.Pair[K, V], Counters, error) {
 	var c Counters
 	timer.StartPhase(metrics.PhaseShuffle)
-	recv, err := x.transfer(nodeRuns, &c)
+	recv, err := x.transfer(nodeRuns, app.Less, &c)
 	timer.EndPhase(metrics.PhaseShuffle)
 	if err != nil {
 		return nil, c, err
@@ -123,9 +122,6 @@ func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], poo
 
 	// The reduce tier: every destination merges what it received.
 	outs := make([][]kv.Pair[K, V], len(recv))
-	for dst := range recv {
-		c.Runs += len(recv[dst])
-	}
 	timer.StartPhase(metrics.PhaseReduce)
 	c.ReduceBusy, err = pool.ForEach("reduce", metrics.StateUser, len(recv), func(dst int) error {
 		var mErr error
@@ -136,77 +132,99 @@ func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], poo
 	if err != nil {
 		return nil, c, err
 	}
-
-	// Global assembly: partitions hold disjoint keys; nothing to reduce.
-	timer.StartPhase(metrics.PhaseMerge)
-	merged, err := sortalgo.PWayMergeWith(outs, app.Less, x.fixed, pool)
-	timer.EndPhase(metrics.PhaseMerge)
-	return merged, c, err
+	return slices.Concat(outs...), c, nil
 }
 
-// transfer is the partition + framed exchange, visiting wires
-// src → run → dst. It returns recv[dst]: the runs to merge at dst, in
-// arrival order.
-func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], c *Counters) ([][][]kv.Pair[K, V], error) {
-	nodes := x.top.Nodes
-	recv := make([][][]kv.Pair[K, V], nodes)
-	var kbuf, vbuf []byte
-	for src, runs := range nodeRuns {
-		for _, run := range runs {
-			// Split the sorted run into per-destination sub-runs: a
-			// subsequence of a sorted run stays sorted.
-			payloads := make([][]byte, nodes)
-			counts := make([]int, nodes)
-			var local []kv.Pair[K, V]
-			for _, p := range run {
-				kbuf = x.kc.Append(kbuf[:0], p.Key)
-				dst := PartitionOf(kbuf, nodes)
-				if dst == src {
-					local = append(local, p)
-					continue
-				}
-				vbuf = x.vc.Append(vbuf[:0], p.Val)
-				payloads[dst] = AppendRecord(payloads[dst], kbuf, vbuf)
-				counts[dst]++
-			}
-			if len(local) > 0 {
-				recv[src] = append(recv[src], local)
-			}
-			for dst := 0; dst < nodes; dst++ {
-				if counts[dst] == 0 {
-					continue
-				}
-				frame := EncodeFrame(nil, src, dst, counts[dst], payloads[dst])
-				send := func() error {
-					n, ferr := x.wires[src][dst].Send(len(frame))
-					if terr := x.fab.Transfer(src, dst, int64(n)); terr != nil {
-						return terr
-					}
-					c.Bytes += int64(n)
-					if ferr != nil {
-						// Only a prefix reached the receiver: it must
-						// reject the torn frame with a typed error,
-						// never accept it, and the sender retries.
-						if _, derr := DecodeFrame(frame[:n]); derr == nil {
-							return fmt.Errorf("shuffle: torn frame to n%d accepted: %w", dst, ErrCorrupt)
-						}
-						return ferr
-					}
-					run, derr := decodeRun(frame, src, dst, x.kc, x.vc)
-					if derr != nil {
-						return derr
-					}
-					recv[dst] = append(recv[dst], run)
-					c.Frames++
-					return nil
-				}
-				if err := x.retrier.Do(send); err != nil {
-					return nil, fmt.Errorf("shuffle: n%d->n%d: %w", src, dst, err)
+// transfer is the sample exchange, then the data exchange, visiting
+// wires src → run → dst. It returns recv[dst]: the runs to merge at
+// dst, in arrival order.
+func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], less kv.Less[K], c *Counters) ([][][]kv.Pair[K, V], error) {
+	// A node's sample is its runs' sample cut to at most SamplesPerRun
+	// keys. Every node holding runs sends it to every other such node, so
+	// each holds all of them and derives the same splitters.
+	own := make([][]kv.Pair[K, []byte], len(nodeRuns))
+	var samples []K
+	for n, runs := range nodeRuns {
+		s := sortalgo.Sample(runs)
+		for _, k := range sortalgo.Splitters(s, min(len(s), sortalgo.SamplesPerRun)+1, less) {
+			own[n] = append(own[n], kv.Pair[K, []byte]{Key: k})
+			samples = append(samples, k)
+		}
+	}
+	for src := range own {
+		for dst := range own {
+			if dst != src && len(own[src]) > 0 && len(own[dst]) > 0 {
+				if _, err := ship(x, src, dst, own[src], keysOnly, c); err != nil {
+					return nil, err
 				}
 			}
 		}
 	}
+	splitters := sortalgo.Splitters(samples, x.top.Nodes, less)
+
+	recv := make([][][]kv.Pair[K, V], x.top.Nodes)
+	for src, runs := range nodeRuns {
+		for _, run := range runs {
+			cut := sortalgo.Cut(run, splitters, less)
+			for dst := range recv {
+				slice := run[cut[dst]:cut[dst+1]]
+				if len(slice) == 0 {
+					continue
+				}
+				if dst != src {
+					var err error
+					if slice, err = ship(x, src, dst, slice, x.vc, c); err != nil {
+						return nil, err
+					}
+				}
+				recv[dst] = append(recv[dst], slice)
+				c.Runs++
+			}
+		}
+	}
 	return recv, nil
+}
+
+// keysOnly encodes a sample frame's values: empty, so its records carry
+// keys alone. The []byte codec always resolves.
+var keysOnly, _ = spill.CodecFor[[]byte]()
+
+// ship frames pairs, keys by x's key codec and values by vc, sends the
+// frame from src to dst, resending torn transfers, and returns the
+// pairs as dst decoded them.
+func ship[K comparable, V, W any](x *Exchange[K, V], src, dst int, pairs []kv.Pair[K, W], vc spill.Codec[W], c *Counters) ([]kv.Pair[K, W], error) {
+	var payload, kbuf, vbuf []byte
+	for _, p := range pairs {
+		kbuf, vbuf = x.kc.Append(kbuf[:0], p.Key), vc.Append(vbuf[:0], p.Val)
+		payload = AppendRecord(payload, kbuf, vbuf)
+	}
+	frame := EncodeFrame(nil, src, dst, len(pairs), payload)
+	var got []kv.Pair[K, W]
+	err := x.retrier.Do(func() error {
+		n, ferr := x.wires[src][dst].Send(len(frame))
+		if terr := x.fab.Transfer(src, dst, int64(n)); terr != nil {
+			return terr
+		}
+		c.Bytes += int64(n)
+		if ferr != nil {
+			// Only a prefix reached the receiver: it must reject the
+			// torn frame with a typed error, never accept it, and the
+			// sender retries.
+			if _, derr := DecodeFrame(frame[:n]); derr == nil {
+				return fmt.Errorf("shuffle: torn frame to n%d accepted: %w", dst, ErrCorrupt)
+			}
+			return ferr
+		}
+		var derr error
+		if got, derr = decodeRun(frame, src, dst, x.kc, vc); derr == nil {
+			c.Frames++
+		}
+		return derr
+	})
+	if err != nil {
+		return nil, fmt.Errorf("shuffle: n%d->n%d: %w", src, dst, err)
+	}
+	return got, nil
 }
 
 // decodeRun verifies and decodes one received frame into a key-sorted

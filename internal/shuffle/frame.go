@@ -1,10 +1,10 @@
 // Package shuffle is the multi-node exchange layer: N simulated SupMR
 // worker nodes each run the scale-up pipeline over their local ingest
-// chunks, drain their containers into key-sorted runs, and exchange
-// hash-partitioned slices of those runs as framed messages over
-// netsim fabric links. Destination nodes merge remote and local runs
-// through the standing MergeSources re-reduce path, so multi-node
-// output is byte-identical to a single-node run of the same job.
+// chunks, drain their containers into key-sorted runs, cut the runs at
+// splitters sampled from them all, and send slice n of every run to node
+// n as framed messages over netsim fabric links. Node n merges its
+// slices through the standing MergeSources re-reduce path, so the nodes'
+// outputs laid end to end are byte-identical to a single-node run.
 package shuffle
 
 import (

@@ -1,14 +1,11 @@
 package shuffle
 
 // PartitionOf maps an encoded key to one of parts partitions with
-// FNV-1a over the key bytes. The hash is deliberately NOT one of the
-// containers' hashes (maphash, kv.KeyHash), whose seeds are
-// process-random: partition
-// ownership decides which node reduces a key, so it must be stable
-// across processes and runs for multi-node output to be reproducible.
-// Every occurrence of a key hashes to one partition, which is what
-// makes partitions' key sets disjoint and the final cross-node merge a
-// pure interleave.
+// FNV-1a over the key bytes. The exchange no longer hashes keys to nodes
+// — it cuts runs at sampled splitters (sortalgo.Cut) — so the program
+// never calls this: it stays exported only for bench/chain.go's viaNodes
+// stage, which therefore times a partition step the exchange no longer
+// runs.
 func PartitionOf(key []byte, parts int) int {
 	if parts <= 1 {
 		return 0

@@ -32,6 +32,7 @@ package sortalgo
 
 import (
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"supmr/internal/exec"
@@ -145,8 +146,61 @@ func Rounds(n int) int {
 	return r
 }
 
-// samplesPerRun controls splitter quality for the p-way merge.
-const samplesPerRun = 32
+// SamplesPerRun controls splitter quality: a run contributes about this
+// many keys to the sample the splitters are drawn from.
+const SamplesPerRun = 32
+
+// Sample returns every max(len(r)/SamplesPerRun, 1)-th key of each run
+// r: a sample of the runs' content alone, so any two callers sampling
+// the same runs agree.
+func Sample[K any, V any](runs [][]kv.Pair[K, V]) []K {
+	n := 0
+	for _, r := range runs {
+		n += len(r)/max(len(r)/SamplesPerRun, 1) + 1
+	}
+	samples := make([]K, 0, n)
+	for _, r := range runs {
+		for i := 0; i < len(r); i += max(len(r)/SamplesPerRun, 1) {
+			samples = append(samples, r[i].Key)
+		}
+	}
+	return samples
+}
+
+// Splitters sorts samples in place and returns the p-1 keys that cut
+// them into p equal ranges, samples[i*len(samples)/p] for i in 1..p-1,
+// or none when samples is empty.
+func Splitters[K any](samples []K, p int, less kv.Less[K]) []K {
+	slices.SortFunc(samples, func(a, b K) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
+	var splitters []K
+	for i := 1; i < p && len(samples) > 0; i++ {
+		splitters = append(splitters, samples[i*len(samples)/p])
+	}
+	return splitters
+}
+
+// Cut returns run's len(splitters)+2 cut points: 0, then for each
+// splitter the first index whose key is not less than it, then
+// len(run). Range s of every run cut at the same sorted splitters is
+// run[c[s]:c[s+1]], so a key lands in the same range of every run.
+func Cut[K any, V any](run []kv.Pair[K, V], splitters []K, less kv.Less[K]) []int {
+	c := make([]int, len(splitters)+2)
+	for s, sp := range splitters {
+		// Lower bounds at sorted splitters are monotone; the max keeps
+		// them so defensively.
+		c[s+1] = max(c[s], sort.Search(len(run), func(i int) bool { return !less(run[i].Key, sp) }))
+	}
+	c[len(splitters)+1] = len(run)
+	return c
+}
 
 // PWayMergeWith merges sorted runs into one sorted array in a single
 // round using the executor's compute workers. Sampled splitters
@@ -171,85 +225,25 @@ func PWayMergeWith[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec 
 	if len(rs) == 1 {
 		return rs[0], nil
 	}
-	p := ex.Workers()
-	if p < 1 {
-		p = 1
-	}
-	if p > total {
-		p = total
-	}
-
-	// Sample keys across runs and choose p-1 splitters. The sample count
-	// is known exactly from the run lengths, so the slice is allocated
-	// once; slices.SortFunc sorts without the interface boxing and
-	// reflection-based swaps of sort.Slice.
-	nSamples := 0
-	for _, r := range rs {
-		step := len(r) / samplesPerRun
-		if step == 0 {
-			step = 1
-		}
-		nSamples += (len(r) + step - 1) / step
-	}
-	samples := make([]K, 0, nSamples)
-	for _, r := range rs {
-		step := len(r) / samplesPerRun
-		if step == 0 {
-			step = 1
-		}
-		for i := 0; i < len(r); i += step {
-			samples = append(samples, r[i].Key)
-		}
-	}
-	slices.SortFunc(samples, func(a, b K) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		}
-		return 0
-	})
-	splitters := make([]K, 0, p-1)
-	for i := 1; i < p; i++ {
-		splitters = append(splitters, samples[i*len(samples)/p])
-	}
-
-	// cut[r][s] = index in run r of the first key >= splitters[s]
-	// (lower bound, applied uniformly, so ranges are consistent).
+	p := min(max(ex.Workers(), 1), total)
+	splitters := Splitters(Sample(rs), p, less)
 	cuts := make([][]int, len(rs))
 	for ri, r := range rs {
-		c := make([]int, len(splitters)+2)
-		c[0] = 0
-		for si, sp := range splitters {
-			c[si+1] = lowerBound(r, sp, less)
-		}
-		c[len(splitters)+1] = len(r)
-		// Lower bounds are monotone because splitters are sorted; enforce
-		// monotonicity defensively for duplicate-heavy samples.
-		for i := 1; i < len(c); i++ {
-			if c[i] < c[i-1] {
-				c[i] = c[i-1]
-			}
-		}
-		cuts[ri] = c
+		cuts[ri] = Cut(r, splitters, less)
 	}
 
 	// Output offsets per range.
-	rangeLen := make([]int, p)
-	for s := 0; s < p; s++ {
-		for ri := range rs {
-			rangeLen[s] += cuts[ri][s+1] - cuts[ri][s]
-		}
-	}
 	offsets := make([]int, p+1)
 	for s := 0; s < p; s++ {
-		offsets[s+1] = offsets[s] + rangeLen[s]
+		offsets[s+1] = offsets[s]
+		for ri := range rs {
+			offsets[s+1] += cuts[ri][s+1] - cuts[ri][s]
+		}
 	}
 
 	out := make([]kv.Pair[K, V], total)
 	_, err := ex.ForEach("merge", metrics.StateUser, p, func(s int) error {
-		if rangeLen[s] == 0 {
+		if offsets[s] == offsets[s+1] {
 			return nil
 		}
 		var cols [][]kv.Pair[K, V]
@@ -265,21 +259,6 @@ func PWayMergeWith[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec 
 		return nil, err
 	}
 	return out, nil
-}
-
-// lowerBound returns the index of the first element of r whose key is not
-// less than key.
-func lowerBound[K any, V any](r []kv.Pair[K, V], key K, less kv.Less[K]) int {
-	lo, hi := 0, len(r)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if less(r[mid].Key, key) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // MergeAlgo selects the merge-phase implementation.

@@ -3,6 +3,7 @@ package sortalgo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -317,5 +318,120 @@ func TestPWayMergeDuplicateHeavySplitters(t *testing.T) {
 		}
 		got := pway(t, cp, p)
 		checkMerged(t, got, all, fmt.Sprintf("dup-heavy p=%d", p))
+	}
+}
+
+// inlineCuts is PWayMergeWith's splitter choice and cut as it was
+// written inline before Sample, Splitters and Cut were factored out:
+// the reference the factored code must reproduce exactly.
+func inlineCuts(rs [][]kv.Pair[uint64, int], p int) [][]int {
+	nSamples := 0
+	for _, r := range rs {
+		step := len(r) / 32
+		if step == 0 {
+			step = 1
+		}
+		nSamples += (len(r) + step - 1) / step
+	}
+	samples := make([]uint64, 0, nSamples)
+	for _, r := range rs {
+		step := len(r) / 32
+		if step == 0 {
+			step = 1
+		}
+		for i := 0; i < len(r); i += step {
+			samples = append(samples, r[i].Key)
+		}
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	splitters := make([]uint64, 0, p-1)
+	for i := 1; i < p; i++ {
+		splitters = append(splitters, samples[i*len(samples)/p])
+	}
+	cuts := make([][]int, len(rs))
+	for ri, r := range rs {
+		c := make([]int, len(splitters)+2)
+		for si, sp := range splitters {
+			c[si+1] = sort.Search(len(r), func(i int) bool { return r[i].Key >= sp })
+		}
+		c[len(splitters)+1] = len(r)
+		for i := 1; i < len(c); i++ {
+			if c[i] < c[i-1] {
+				c[i] = c[i-1]
+			}
+		}
+		cuts[ri] = c
+	}
+	return cuts
+}
+
+// TestPWayCutsMatchInlineReference: the p-way round's cut —
+// Splitters(Sample(runs), p) and each run's Cut at them, as
+// PWayMergeWith composes them — puts every run's cut points exactly
+// where the pre-factoring inline code put them, on short and long runs,
+// duplicate-heavy keys and more workers than samples.
+func TestPWayCutsMatchInlineReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rs := make([][]kv.Pair[uint64, int], 1+rng.Intn(9))
+		for r := range rs {
+			run := make([]kv.Pair[uint64, int], 1+rng.Intn(3000))
+			universe := 1 + rng.Intn(5000)
+			for i := range run {
+				run[i].Key = uint64(rng.Intn(universe))
+			}
+			kv.SortPairs(run, u64Less)
+			rs[r] = run
+		}
+		for _, p := range []int{1, 2, 3, 7, 16, 200} {
+			splitters := Splitters(Sample(rs), p, u64Less)
+			got := make([][]int, len(rs))
+			for ri, r := range rs {
+				got[ri] = Cut(r, splitters, u64Less)
+			}
+			want := inlineCuts(rs, p)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d p=%d: cuts %v, inline reference %v", seed, p, got, want)
+			}
+		}
+	}
+}
+
+// TestCutMatchesLinearScan: Cut's range s of a run is exactly the pairs
+// a linear scan assigns to s — those with s splitters at or below the
+// key — whatever the splitters, duplicates included.
+func TestCutMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		run := make([]kv.Pair[uint64, int], rng.Intn(200))
+		for i := range run {
+			run[i].Key = uint64(rng.Intn(50))
+		}
+		kv.SortPairs(run, u64Less)
+		splitters := make([]uint64, rng.Intn(8))
+		for i := range splitters {
+			splitters[i] = uint64(rng.Intn(60))
+		}
+		slices.Sort(splitters)
+		c := Cut(run, splitters, u64Less)
+		if len(c) != len(splitters)+2 || c[0] != 0 || c[len(c)-1] != len(run) {
+			t.Fatalf("trial %d: cut points %v over %d pairs and %d splitters", trial, c, len(run), len(splitters))
+		}
+		for s := 0; s+1 < len(c); s++ {
+			if c[s] > c[s+1] {
+				t.Fatalf("trial %d: cut points %v not monotone", trial, c)
+			}
+			for i := c[s]; i < c[s+1]; i++ {
+				owner := 0
+				for _, sp := range splitters {
+					if sp <= run[i].Key {
+						owner++
+					}
+				}
+				if owner != s {
+					t.Fatalf("trial %d: key %d in range %d, a scan of %v puts it in %d", trial, run[i].Key, s, splitters, owner)
+				}
+			}
+		}
 	}
 }

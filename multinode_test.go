@@ -7,23 +7,38 @@ package supmr
 // single-node pipeline.
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"testing"
 
+	"supmr/internal/shuffle"
+	"supmr/internal/spill"
 	"supmr/internal/storage"
 )
+
+// nodeInputs are the two multi-node workloads' fixed-seed inputs, and
+// wcChunks / sortChunks their chunking: 32 chunks each, the sort's of 64
+// records.
+func nodeInputs(t *testing.T) (text, tera []byte) {
+	return genText(t, 256<<10, 61), teraData(2048, 67)
+}
+
+func wcChunks(c Config) Config { c.ChunkBytes = 8 << 10; return c }
+
+func sortChunks(c Config) Config { c.ChunkBytes, c.Boundary = 6400, CRLFRecords; return c }
 
 // nodeApps are the two multi-node workloads of the pins below, each a
 // closure over fixed-seed input so the table tests need no type
 // parameters.
 func nodeApps(t *testing.T) map[string]func(Config) (Stats, string) {
 	t.Helper()
-	text, tera := genText(t, 256<<10, 61), teraData(2048, 67)
+	text, tera := nodeInputs(t)
 	return map[string]func(Config) (Stats, string){
 		"wordcount": func(c Config) (Stats, string) {
 			t.Helper()
-			c.ChunkBytes = 8 << 10 // 32 chunks
-			rep, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), c)
+			rep, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), wcChunks(c))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,8 +46,7 @@ func nodeApps(t *testing.T) map[string]func(Config) (Stats, string) {
 		},
 		"sort": func(c Config) (Stats, string) {
 			t.Helper()
-			c.ChunkBytes, c.Boundary = 6400, CRLFRecords // 32 chunks of 64 records
-			rep, err := RunBytes[string, uint64](SortJob(), tera, SortContainer(), c)
+			rep, err := RunBytes[string, uint64](SortJob(), tera, SortContainer(), sortChunks(c))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,25 +55,175 @@ func nodeApps(t *testing.T) map[string]func(Config) (Stats, string) {
 	}
 }
 
+// wire is what a multi-node run put on the wire.
+type wire struct {
+	bytes  int64
+	frames int
+}
+
+// wireReference recomputes a multi-node run's wire from its input alone,
+// without the exchange: it reads the chunks the run reads, runs each
+// chunk single-node, groups the chunk runs by node (reduced per node
+// with the in-node combiner, as drained without), then picks the sample
+// keys and the splitters and routes every pair by a linear scan of them,
+// and totals the frames that carry sample keys and off-node pairs.
+func wireReference[V any](t *testing.T, job Job[string, V], mkCont func() Container[string, V], data []byte, cfg Config, nodes int, combiner bool) wire {
+	t.Helper()
+	stream, err := StreamFile(MemoryFile("in", data, storage.NewFakeClock()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeRuns := make([][][]Pair[string, V], nodes)
+	for i := 0; ; i++ {
+		c, err := stream.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		one := cfg
+		one.ChunkBytes = 0
+		rep, err := RunBytes(job, c.Data, mkCont(), one)
+		c.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodeRuns[i%nodes] = append(nodeRuns[i%nodes], rep.Pairs)
+	}
+	byKey := func(a, b string) int {
+		switch {
+		case job.Less(a, b):
+			return -1
+		case job.Less(b, a):
+			return 1
+		}
+		return 0
+	}
+	var holders []int
+	for n, runs := range nodeRuns {
+		if combiner && len(runs) > 1 {
+			groups := make(map[string][]V)
+			for _, run := range runs {
+				for _, p := range run {
+					groups[p.Key] = append(groups[p.Key], p.Val)
+				}
+			}
+			var run []Pair[string, V]
+			for k, vs := range groups {
+				if len(vs) > 1 {
+					vs[0] = job.Reduce(k, vs)
+				}
+				run = append(run, Pair[string, V]{Key: k, Val: vs[0]})
+			}
+			slices.SortFunc(run, func(a, b Pair[string, V]) int { return byKey(a.Key, b.Key) })
+			nodeRuns[n] = [][]Pair[string, V]{run}
+		}
+		if len(runs) > 0 {
+			holders = append(holders, n)
+		}
+	}
+
+	// pick returns the parts-1 keys at i*len/parts of keys sorted.
+	pick := func(keys []string, parts int) []string {
+		keys = slices.SortedFunc(slices.Values(keys), byKey)
+		var out []string
+		for i := 1; i < parts; i++ {
+			out = append(out, keys[i*len(keys)/parts])
+		}
+		return out
+	}
+	vc, err := spill.CodecFor[V]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w wire
+	send := func(src, dst int, keys []string, vals []V) {
+		var payload []byte
+		for i, k := range keys {
+			var val []byte
+			if vals != nil {
+				val = vc.Append(nil, vals[i])
+			}
+			payload = shuffle.AppendRecord(payload, []byte(k), val)
+		}
+		w.bytes += int64(len(shuffle.EncodeFrame(nil, src, dst, len(keys), payload)))
+		w.frames++
+	}
+	// A holder's sample: every max(len/32, 1)-th key of each of its runs,
+	// cut to at most 32 keys; every holder sends every other its own.
+	own := make([][]string, nodes)
+	var all []string
+	for _, n := range holders {
+		var sample []string
+		for _, run := range nodeRuns[n] {
+			for i := 0; i < len(run); i += max(len(run)/32, 1) {
+				sample = append(sample, run[i].Key)
+			}
+		}
+		own[n] = pick(sample, min(len(sample), 32)+1)
+		all = append(all, own[n]...)
+	}
+	for _, src := range holders {
+		for _, dst := range holders {
+			if dst != src {
+				send(src, dst, own[src], nil)
+			}
+		}
+	}
+	// A pair belongs to the node numbered by how many splitters sort at
+	// or below its key; each run ships one frame per other node it owns
+	// pairs on.
+	splitters := pick(all, nodes)
+	for src, runs := range nodeRuns {
+		for _, run := range runs {
+			keys, vals := make([][]string, nodes), make([][]V, nodes)
+			for _, p := range run {
+				dst := 0
+				for _, sp := range splitters {
+					if !job.Less(p.Key, sp) {
+						dst++
+					}
+				}
+				keys[dst], vals[dst] = append(keys[dst], p.Key), append(vals[dst], p.Val)
+			}
+			for dst := range keys {
+				if dst != src && len(keys[dst]) > 0 {
+					send(src, dst, keys[dst], vals[dst])
+				}
+			}
+		}
+	}
+	return w
+}
+
 // TestMultiNodeWirePinned: the wire is identical by construction
 // whichever way a node's map output is combined — the same keys with
-// the same reduced values leave each node in the same order — so the
-// byte and frame counts are pinned to what the per-chunk-drain pipeline
-// (PR 22) produced on these inputs.
+// the same reduced values leave each node in the same order — and is
+// pinned twice: to an independent reference that recomputes samples,
+// splitters and routing from the input, and to the values that
+// reference gave, so neither side can move alone. The in-node combiner
+// always puts fewer bytes in fewer frames on the wire than its ablation.
 func TestMultiNodeWirePinned(t *testing.T) {
-	type wire struct {
-		bytes  int64
-		frames int
-	}
 	want := map[string]wire{
-		"wordcount/nodes2/on":  {60340, 2},
-		"wordcount/nodes2/off": {116892, 32},
-		"wordcount/nodes4/on":  {107034, 12},
-		"wordcount/nodes4/off": {173653, 96},
-		"sort/nodes2/on":       {20306, 2},
-		"sort/nodes2/off":      {20664, 32},
-		"sort/nodes4/on":       {30249, 12},
-		"sort/nodes4/off":      {31252, 96},
+		"wordcount/nodes2/on":  {57882, 4},
+		"wordcount/nodes2/off": {114224, 34},
+		"wordcount/nodes4/on":  {108846, 24},
+		"wordcount/nodes4/off": {175998, 108},
+		"sort/nodes2/on":       {21618, 4},
+		"sort/nodes2/off":      {22016, 34},
+		"sort/nodes4/on":       {35083, 24},
+		"sort/nodes4/off":      {36184, 108},
+	}
+	text, tera := nodeInputs(t)
+	refs := map[string]func(nodes int, combiner bool) wire{
+		"wordcount": func(nodes int, combiner bool) wire {
+			return wireReference(t, WordCountJob(), func() Container[string, int64] { return WordCountContainer(16) },
+				text, wcChunks(Config{Runtime: RuntimeSupMR, Workers: 4}), nodes, combiner)
+		},
+		"sort": func(nodes int, combiner bool) wire {
+			return wireReference(t, SortJob(), SortContainer, tera, sortChunks(Config{Runtime: RuntimeSupMR, Workers: 4}), nodes, combiner)
+		},
 	}
 	for app, run := range nodeApps(t) {
 		_, single := run(Config{Runtime: RuntimeSupMR, Workers: 4})
@@ -70,10 +234,45 @@ func TestMultiNodeWirePinned(t *testing.T) {
 				if out != single {
 					t.Errorf("%s: output differs from the single-node run", name)
 				}
-				if got := (wire{st.ShuffleBytes, st.ShuffleFrames}); got != want[name] {
-					t.Errorf("%s: %d bytes in %d frames on the wire, pinned %d in %d", name, got.bytes, got.frames, want[name].bytes, want[name].frames)
+				got := wire{st.ShuffleBytes, st.ShuffleFrames}
+				if ref := refs[app](nodes, combiner); got != ref || got != want[name] {
+					t.Errorf("%s: %d bytes in %d frames on the wire; the reference computes %d in %d, pinned %d in %d",
+						name, got.bytes, got.frames, ref.bytes, ref.frames, want[name].bytes, want[name].frames)
 				}
 			}
+			on, off := want[fmt.Sprintf("%s/nodes%d/on", app, nodes)], want[fmt.Sprintf("%s/nodes%d/off", app, nodes)]
+			if on.bytes >= off.bytes || on.frames >= off.frames {
+				t.Errorf("%s/nodes%d: combiner on pinned %v, off %v; on must send less", app, nodes, on, off)
+			}
+		}
+	}
+}
+
+// TestMultiNodeMergesOnce: the exchange is the cluster's one merge
+// round — each node reduces its own key range and the ranges lie end to
+// end — so a multi-node run records no merge task and no merge-phase
+// time, with the in-node combiner on or off.
+func TestMultiNodeMergesOnce(t *testing.T) {
+	text, tera := nodeInputs(t)
+	check := func(app string, c Config, st Stats, times PhaseTimes, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := st.Tasks["merge"].Tasks; n != 0 {
+			t.Errorf("%s nodes=%d combiner=%v: %d merge tasks after the exchange", app, c.Nodes, *c.InNodeCombiner, n)
+		}
+		if d := times.Get(PhaseMerge); d != 0 {
+			t.Errorf("%s nodes=%d combiner=%v: %v in the merge phase", app, c.Nodes, *c.InNodeCombiner, d)
+		}
+	}
+	for _, nodes := range []int{2, 4} {
+		for _, combiner := range []bool{true, false} {
+			c := Config{Runtime: RuntimeSupMR, Workers: 4, Nodes: nodes, InNodeCombiner: &combiner}
+			wc, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), wcChunks(c))
+			check("wordcount", c, wc.Stats, wc.Times, err)
+			st, err := RunBytes[string, uint64](SortJob(), tera, SortContainer(), sortChunks(c))
+			check("sort", c, st.Stats, st.Times, err)
 		}
 	}
 }
@@ -124,8 +323,9 @@ func TestMultiNodeEdges(t *testing.T) {
 	off := false
 
 	for _, comb := range []*bool{nil, &off} {
-		// Three chunks on eight nodes: five nodes never see a chunk, and
-		// at most 3 sources x 7 destinations can frame anything.
+		// Three chunks on eight nodes: five nodes never see a chunk, at
+		// most 3 sources x 7 destinations can frame data, and each source
+		// sends the other two one sample frame.
 		rep := run(text, Config{Nodes: 8, InNodeCombiner: comb})
 		if rep.Stats.MapWaves != 3 {
 			t.Fatalf("%d map waves; the edge needs fewer chunks than nodes", rep.Stats.MapWaves)
@@ -133,8 +333,8 @@ func TestMultiNodeEdges(t *testing.T) {
 		if got := renderPairs(rep.Pairs); got != want {
 			t.Errorf("combiner=%v: 8 nodes over 3 chunks differ from single-node", comb == nil)
 		}
-		if f := rep.Stats.ShuffleFrames; f == 0 || f > 3*7 {
-			t.Errorf("combiner=%v: %d frames from 3 non-empty nodes, want 1..21", comb == nil, f)
+		if f := rep.Stats.ShuffleFrames; f == 0 || f > 3*7+3*2 {
+			t.Errorf("combiner=%v: %d frames from 3 non-empty nodes, want 1..27", comb == nil, f)
 		}
 
 		one := run(text, Config{Nodes: 1, InNodeCombiner: comb})

@@ -277,9 +277,9 @@ type Config struct {
 	// SupMR worker nodes: the same ingest loop over one persistent
 	// container per node (the caller's and Nodes-1 built like it). Chunk
 	// i is mapped into node i % Nodes's container, which is drained once
-	// after ingest into the node's key-sorted run; the nodes then exchange
-	// hash-partitioned runs as checksummed frames over simulated links
-	// before the final merge (internal/shuffle, DESIGN.md §15). Output is
+	// after ingest into the node's key-sorted run; the runs are cut at
+	// sampled splitters and node n merges the n-th key range, shipped over
+	// simulated links (internal/shuffle, DESIGN.md §15). Output is
 	// byte-identical to a single-node run; 1 is the degenerate one-node
 	// cluster on the same code path, 0 the scale-up pipeline. Requires
 	// codec-supported key/value types. Composes with Engine, Memo, IOLanes
@@ -476,15 +476,11 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 	}
 	clk := cfg.clock()
 	timer := metrics.NewTimer(clk.Now)
-	ioWorkers := cfg.IOLanes
-	if cfg.EgressLanes > ioWorkers {
-		// Egress fans wider than ingest: size the IO pool for the wider
-		// of the two so egress extents actually overlap.
-		ioWorkers = cfg.EgressLanes
-	}
+	// Egress may fan wider than ingest: size the IO pool for the wider
+	// of the two so egress extents actually overlap.
 	pool := exec.NewPool(cfg.Context, exec.Config{
 		Workers:   cfg.Workers,
-		IOWorkers: ioWorkers,
+		IOWorkers: max(cfg.IOLanes, cfg.EgressLanes),
 		Now:       clk.Now,
 	})
 	defer pool.Close()

@@ -63,9 +63,9 @@ go test -race -count=3 -run 'TestChaosLaneRequests' .
 
 echo "== race: egress inside the finish =="
 # Egress runs inside core.Run, as the finish's last phase, on the job's
-# pool: its extent writes share the IO lanes ingest used, and it
-# subtracts the lane bytes ingest carried there, so the egress tests
-# repeat under the detector.
+# pool: its extent writes share the IO lanes ingest used, and its lane
+# bytes are read from the job's record by their "egress" label, so the
+# egress tests repeat under the detector.
 go test -race -count=3 -run 'TestEgress' .
 
 echo "== race: out-of-core repeats =="
@@ -113,12 +113,20 @@ echo "== race: link flow-set repeats =="
 go test -race -count=5 -run 'TestLink|TestFabric|TestTopology|TestAccessPort' ./internal/netsim/ ./internal/hdfs/
 
 echo "== race: per-job span repeats =="
-# Every ForEach slot and GoIO task writes the submitting job's span sink
-# while a shared engine pool runs other jobs' work, so the span tests
-# repeat under the detector.
-go test -race -count=10 -run 'TestSpansPerSlotAndTask' ./internal/exec/
+# Every ForEach slot and GoIO task, phase boundary and event is logged
+# in the submitting job's record while a shared engine pool runs other
+# jobs' work, and each run reads its own window of that record, so the
+# span, window and marker tests repeat under the detector.
+go test -race -count=10 -run 'TestSpansPerSlotAndTask|TestRecordWindow|TestRecordMarkers' ./internal/exec/
 go test -race -count=10 -run 'TestJobPoolSpansExcludeSiblings' ./internal/sched/
-go test -race -count=3 -run 'TestEngineTracesArePerJob|TestTraceRootedAtJobStart' .
+go test -race -count=3 -run 'TestRunReadsItsOwnWindow' ./internal/core/
+go test -race -count=3 -run 'TestEngineTracesArePerJob|TestTraceRootedAtJobStart|TestEnginePhasesPerJob|TestPhaseMarkerOrderPinned|TestIntegrationTraceMarkers' .
+
+echo "== race: server shutdown =="
+# Close shuts every connection's read side while handlers may be idle,
+# mid-request or blocked in a wait, and an oversized request is answered
+# before its connection closes; both repeat under the detector.
+go test -race -count=3 -run 'TestClose|TestOversized' ./internal/server/
 
 echo "== race: capped engine submissions =="
 # An iterative driver submits one job per iteration to a shared engine

@@ -8,7 +8,6 @@ import (
 
 	"supmr/internal/chunk"
 	"supmr/internal/exec"
-	"supmr/internal/metrics"
 	"supmr/internal/sched"
 	"supmr/internal/storage"
 )
@@ -70,10 +69,11 @@ type EngineConfig struct {
 // is never FIFO-blocked behind a long one. A submission's Config.Workers
 // and Config.IOLanes cap its share of the pool and the lanes.
 //
-// A submission's report has the shape of a solo run's: task stats,
-// lane-byte counters and the task spans a utilization trace is built
-// from are per-submission (each job has a private sink), and the chunk
-// freelist's counters are engine-global, reported by Stats.
+// A submission's report has the shape of a solo run's: phase times,
+// markers, task stats, lane-byte counters and the task spans a
+// utilization trace is built from are per-submission (each job has a
+// private exec.Record), and the chunk freelist's counters are
+// engine-global, reported by Stats.
 type Engine struct {
 	clk    storage.Clock
 	pool   *exec.Pool
@@ -301,7 +301,6 @@ func runOnEngine[K comparable, V any](e *Engine, job Job[K, V], input Stream, co
 	rep, err := runWithExecutor(job, input, cont, cfg, runSubstrate{
 		pool:   jp,
 		clk:    e.clk,
-		timer:  metrics.NewTimer(e.clk.Now),
 		budget: grant,
 		frees:  e.frees,
 		memo:   e.memo,

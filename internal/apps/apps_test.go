@@ -162,7 +162,7 @@ func TestOpenMPSortSortsEverything(t *testing.T) {
 	}
 	pool := exec.NewLocal(4)
 	defer pool.Close()
-	res, err := OpenMPSort(chunk.NewWholeInput(inter), pool, nil)
+	res, err := OpenMPSort(chunk.NewWholeInput(inter), pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestOpenMPMatchesMapReduceSort(t *testing.T) {
 	}
 	pool := exec.NewLocal(2)
 	defer pool.Close()
-	omp, err := OpenMPSort(mk(), pool, nil)
+	omp, err := OpenMPSort(mk(), pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,14 +25,14 @@ type OpenMPSortResult struct {
 // Phases reported: read (sequential ingest), map (sequential parse),
 // merge (parallel p-way sort, the gnu_parallel::sort analog). All run
 // on pool: ingest and the single-threaded parse on an IO lane, the sort
-// on the compute workers. A nil timer times phases on the pool's clock.
-func OpenMPSort(input chunk.Stream, pool exec.Executor, timer *metrics.Timer) (*OpenMPSortResult, error) {
-	if timer == nil {
-		timer = metrics.NewTimer(pool.Now)
-	}
+// on the compute workers. Phases are bracketed on the pool's record and
+// Times read from this call's window of it.
+func OpenMPSort(input chunk.Stream, pool exec.Executor) (*OpenMPSortResult, error) {
+	rec := pool.Record()
+	from := rec.Mark()
 
 	// Sequential ingest: one thread in IO wait.
-	timer.StartPhase(metrics.PhaseRead)
+	rec.StartPhase(metrics.PhaseRead)
 	var data []byte
 	err := pool.GoIO("ingest", metrics.StateIOWait, func() error {
 		c, err := chunk.NewWholeInput(input).Next()
@@ -41,14 +41,14 @@ func OpenMPSort(input chunk.Stream, pool exec.Executor, timer *metrics.Timer) (*
 		}
 		return err
 	}).Wait()
-	timer.EndPhase(metrics.PhaseRead)
+	rec.EndPhase(metrics.PhaseRead)
 	if err != nil {
 		return nil, err
 	}
 
 	// Sequential parse: one thread in user state, building the key
 	// pointer array the sort will run over.
-	timer.StartPhase(metrics.PhaseMap)
+	rec.StartPhase(metrics.PhaseMap)
 	var pairs []kv.Pair[string, uint64]
 	app := Sort{}
 	err = pool.GoIO("parse", metrics.StateUser, func() error {
@@ -57,7 +57,7 @@ func OpenMPSort(input chunk.Stream, pool exec.Executor, timer *metrics.Timer) (*
 		}))
 		return nil
 	}).Wait()
-	timer.EndPhase(metrics.PhaseMap)
+	rec.EndPhase(metrics.PhaseMap)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func OpenMPSort(input chunk.Stream, pool exec.Executor, timer *metrics.Timer) (*
 	// Parallel sort: partition into one run per worker, sort runs in
 	// parallel, single-round p-way merge — the structure of
 	// gnu_parallel::sort.
-	timer.StartPhase(metrics.PhaseMerge)
+	rec.StartPhase(metrics.PhaseMerge)
 	p := pool.Workers()
 	runs := make([][]kv.Pair[string, uint64], 0, p)
 	per := (len(pairs) + p - 1) / p
@@ -81,10 +81,10 @@ func OpenMPSort(input chunk.Stream, pool exec.Executor, timer *metrics.Timer) (*
 		return nil, err
 	}
 	sorted, err := sortalgo.PWayMergeWith(runs, less, nil, pool)
-	timer.EndPhase(metrics.PhaseMerge)
+	rec.EndPhase(metrics.PhaseMerge)
 	if err != nil {
 		return nil, err
 	}
 
-	return &OpenMPSortResult{Pairs: sorted, Times: timer.Finish()}, nil
+	return &OpenMPSortResult{Pairs: sorted, Times: rec.Times(from)}, nil
 }

@@ -108,11 +108,12 @@ type Options struct {
 	Merge sortalgo.MergeAlgo
 	// Boundary adjusts split points so no record straddles splits.
 	Boundary chunk.Boundary
-	// Timer records per-phase durations (Run creates one when nil).
-	Timer *metrics.Timer
-	// Pool is the job's executor, carrying its context and clock: a
-	// dedicated exec.Pool or an engine's per-submission handle. Run
-	// creates one when nil; MapWave and ReducePhase require it.
+	// Pool is the job's executor, carrying its context, its clock and
+	// its record: a dedicated exec.Pool or an engine's per-submission
+	// handle. Run creates one when nil; MapWave and ReducePhase require
+	// it. Phases are bracketed on the executor's Record, and Run reads
+	// its Result's times and task stats from the entries it logged
+	// there, so runs sharing a pool each report only their own work.
 	Pool exec.Executor
 	// RadixDisabled turns off the fixed-width-key sort fast path (the
 	// scatter finish, the radix run sort and the merge tree's prefix
@@ -214,10 +215,8 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		defer own.Close()
 		opts.Pool = own
 	}
-	if opts.Timer == nil {
-		opts.Timer = metrics.NewTimer(opts.Pool.Now)
-	}
-	pool, timer := opts.Pool, opts.Timer
+	pool, rec := opts.Pool, opts.Pool.Record()
+	from := rec.Mark() // this run's window of the record
 
 	// Fresh container at job start; never again (unless the ablation
 	// flag asks for the broken behaviour).
@@ -307,11 +306,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	}
 	// inPhase runs fn under phase p, suspending the map phase around it.
 	inPhase := func(p metrics.Phase, fn func() error) error {
-		timer.EndPhase(mapPhase)
-		timer.StartPhase(p)
+		rec.EndPhase(mapPhase)
+		rec.StartPhase(p)
 		err := fn()
-		timer.EndPhase(p)
-		timer.StartPhase(mapPhase)
+		rec.EndPhase(p)
+		rec.StartPhase(mapPhase)
 		return err
 	}
 
@@ -429,12 +428,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if ca, ok := any(app).(ChunkAware); ok {
 			ca.SetData(c)
 		}
-		n, busy, err := MapWave(app, c.Data, into, opts)
+		n, _, err := MapWave(app, c.Data, into, opts)
 		if err != nil {
 			return 0, err
 		}
 		stats.Splits += n
-		stats.MapBusy += busy
 		stats.MapWaves++
 		stats.BytesIngested += c.Size()
 		return pool.Now() - start, nil
@@ -456,8 +454,8 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if spiller != nil {
 			spiller.Join() // the job error wins; the write ran or was refused
 		}
-		timer.EndPhase(readPhase)
-		timer.EndPhase(mapPhase)
+		rec.EndPhase(readPhase)
+		rec.EndPhase(mapPhase)
 		return nil, err
 	}
 
@@ -468,11 +466,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	//     pump keeps up to d chunk reads ahead
 	//     run mappers on previous chunk
 	//   run mappers on last chunk
-	timer.StartPhase(readPhase)
+	rec.StartPhase(readPhase)
 	first := <-handoff
 	if readPhase != mapPhase {
-		timer.EndPhase(readPhase)
-		timer.StartPhase(mapPhase)
+		rec.EndPhase(readPhase)
+		rec.StartPhase(mapPhase)
 	}
 	if first.err != nil && !errors.Is(first.err, io.EOF) {
 		return fail(first.err)
@@ -601,7 +599,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			r = <-handoff
 			if d := pool.Now() - stallStart; d > 0 {
 				stats.IngestStall += d
-				timer.Mark("ingest stall")
+				rec.Event("ingest stall")
 			}
 			if inter != nil && r.c != nil {
 				if _, done := r.c.ReadSpan(); done <= stallStart {
@@ -626,9 +624,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			}
 		}
 	}
-	timer.EndPhase(mapPhase)
+	rec.EndPhase(mapPhase)
 	if lanes > 1 {
-		stats.IngestLaneBytes = pool.LaneBytes()
+		stats.IngestLaneBytes = rec.LaneBytes(from, "ingest")
 	}
 
 	// The finish path. Runs that drained along the way were partially
@@ -644,11 +642,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	if cache != nil && !perChunk {
 		// Every miss drained its container, so all are empty: fold each
 		// container's chunks back in and finish like an unmemoized run.
-		timer.StartPhase(metrics.PhaseMemo)
+		rec.StartPhase(metrics.PhaseMemo)
 		for n := 0; n < len(conts) && err == nil; n++ {
 			err = foldParked(cache, parked, n, len(conts), conts[n], pool)
 		}
-		timer.EndPhase(metrics.PhaseMemo)
+		rec.EndPhase(metrics.PhaseMemo)
 		parked = nil
 	}
 	switch {
@@ -668,18 +666,18 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			give(i%opts.Nodes, p.run)
 		}
 		if !perChunk {
-			timer.StartPhase(metrics.PhaseShuffle)
+			rec.StartPhase(metrics.PhaseShuffle)
 			for n := 0; n < len(conts) && err == nil; n++ {
 				var run []kv.Pair[K, V]
 				run, err = drain(conts[n], "shuffle")
 				give(n, run)
 			}
-			timer.EndPhase(metrics.PhaseShuffle)
+			rec.EndPhase(metrics.PhaseShuffle)
 		}
 		if err == nil {
 			var c shuffle.Counters
-			merged, c, err = exchange.Run(app, nodeRuns, pool, timer)
-			stats.ShuffleBytes, stats.ShuffleFrames, stats.Runs, stats.ReduceBusy = c.Bytes, c.Frames, c.Runs, c.ReduceBusy
+			merged, c, err = exchange.Run(app, nodeRuns, pool)
+			stats.ShuffleBytes, stats.ShuffleFrames, stats.Runs = c.Bytes, c.Frames, c.Runs
 		}
 	default:
 		stats.IntermediateN = cont.Len()
@@ -687,9 +685,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	}
 	var out *egress.Output
 	if err == nil && opts.Egress != nil {
-		timer.StartPhase(metrics.PhaseEgress)
-		out, err = writeEgress(*opts.Egress, pool, merged, &stats)
-		timer.EndPhase(metrics.PhaseEgress)
+		rec.StartPhase(metrics.PhaseEgress)
+		out, err = writeEgress(*opts.Egress, pool, merged)
+		rec.EndPhase(metrics.PhaseEgress)
 	}
 	if err != nil {
 		pool.Abort(err)
@@ -698,11 +696,16 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	stats.MergeRounds = rounds
 	stats.RadixRuns = radixRuns + drainRadixRuns
 	stats.OutputPairs = len(merged)
-	stats.Tasks = pool.TaskStats()
+	stats.Tasks = rec.TaskStats(from)
+	stats.MapBusy, stats.ReduceBusy = stats.Tasks["map"].Busy, stats.Tasks["reduce"].Busy
 	if out != nil {
+		stats.EgressBytes, stats.EgressExtents = out.Size(), out.Extents()
 		stats.EgressBusy, stats.EgressStall = stats.Tasks["egress"].Busy, stats.Tasks["egress"].QueueWait
+		if lanes := rec.LaneBytes(from, "egress"); len(lanes) > 1 {
+			stats.EgressLaneBytes = lanes
+		}
 	}
-	return &Result[K, V]{Pairs: merged, Times: timer.Finish(), Stats: stats, Egress: out}, nil
+	return &Result[K, V]{Pairs: merged, Times: rec.Times(from), Stats: stats, Egress: out}, nil
 }
 
 // drainWhen is the pipeline's one drain decision: when a container is
@@ -754,18 +757,17 @@ func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChu
 // set at the end of ingest — persisted there, or folded back by a
 // memoized run: reduce what is resident, then merge it — together with
 // every spilled run when the budget forced drains. fixed is the job's
-// fixed-key codec (nil without one); opts carries the job's pool and
-// timer.
+// fixed-key codec (nil without one); opts carries the job's pool.
 func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], fixed *kv.FixedKeyCodec[K], opts Options,
 	spiller *spill.Spiller[K, V], stats *Stats) ([]kv.Pair[K, V], int, int, error) {
-	timer := opts.Timer
+	rec := opts.Pool.Record()
 	// Join the last spill write before reducing: the merge below must
 	// see every run complete. The residue still in the container is
 	// never spilled — it feeds the merge from memory.
 	if spiller != nil {
-		timer.StartPhase(metrics.PhaseSpill)
+		rec.StartPhase(metrics.PhaseSpill)
 		err := spiller.Join()
-		timer.EndPhase(metrics.PhaseSpill)
+		rec.EndPhase(metrics.PhaseSpill)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -773,14 +775,13 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 		stats.SpilledBytes = spiller.BytesSpilled()
 	}
 
-	timer.StartPhase(metrics.PhaseReduce)
-	runs, reduceBusy, err := ReducePhase(app, cont, opts)
-	timer.EndPhase(metrics.PhaseReduce)
+	rec.StartPhase(metrics.PhaseReduce)
+	runs, _, err := ReducePhase(app, cont, opts)
+	rec.EndPhase(metrics.PhaseReduce)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	stats.Runs = len(runs) + stats.SpilledRuns
-	stats.ReduceBusy = reduceBusy
 	if stats.SpilledRuns == 0 {
 		return mergePhase(app, runs, fixed, opts)
 	}
@@ -797,8 +798,8 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	timer.StartPhase(metrics.PhaseMerge)
-	defer timer.EndPhase(metrics.PhaseMerge)
+	rec.StartPhase(metrics.PhaseMerge)
+	defer rec.EndPhase(metrics.PhaseMerge)
 	merged, err := spiller.Merge(residue, opts.Pool, "merge")
 	return merged, 1, radixRuns, err
 }

@@ -303,9 +303,8 @@ func TestPipelineOverlapsIngestWithMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := wcApp{}
-	timer := metrics.NewTimer(clock.Now)
 	res, err := Run[string, int64](wc, s, wc.NewContainer(16),
-		Options{Workers: 2, Timer: timer})
+		Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +470,7 @@ func TestTunerObservesJobClock(t *testing.T) {
 	tun := &recTuner{}
 	wc := wcApp{}
 	if _, err := Run[string, int64](wc, s, wc.NewContainer(8),
-		Options{Pool: pool, Timer: metrics.NewTimer(clock.Now), Tuner: tun}); err != nil {
+		Options{Pool: pool, Tuner: tun}); err != nil {
 		t.Fatal(err)
 	}
 	if len(tun.ingests) == 0 {
@@ -506,7 +505,7 @@ func TestSpansPerWaveAcrossRounds(t *testing.T) {
 		t.Fatalf("want a multi-round job, got %d waves", res.Stats.MapWaves)
 	}
 	var user, io int
-	for _, s := range pool.Spans() {
+	for _, s := range pool.Record().Spans(exec.Mark{}) {
 		if s.User == 1 {
 			user++
 		} else if s.IOWait == 1 {

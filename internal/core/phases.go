@@ -41,8 +41,8 @@ type Stats struct {
 	OutputPairs   int
 	SpilledRuns   int           // key-sorted runs the spill layer wrote to storage
 	SpilledBytes  int64         // payload bytes the spill layer wrote to storage
-	MapBusy       time.Duration // aggregate worker-busy time in map tasks
-	ReduceBusy    time.Duration // aggregate worker-busy time in reduce tasks
+	MapBusy       time.Duration // aggregate worker-busy time in map tasks: Tasks["map"].Busy
+	ReduceBusy    time.Duration // aggregate worker-busy time in reduce tasks: Tasks["reduce"].Busy
 	// PrefetchHits counts ingest rounds whose next chunk was already
 	// cut, or its read done, when the map wave finished.
 	PrefetchHits int
@@ -173,11 +173,11 @@ func ReducePhase[K comparable, V any](app kv.App[K, V], cont container.Container
 // when the app has none or the ablation turned it off. Under the p-way
 // merge a codec skips both steps: sortalgo.ScatterSort finishes the
 // runs in one distribution round and every run counts as radix. The
-// run-sort and merge halves are timed separately on opts.Timer
-// (PhaseRunSort vs PhaseMerge) so reports can attribute the sort-path
-// speedup.
+// run-sort and merge halves are bracketed separately on the pool's
+// record (PhaseRunSort vs PhaseMerge) so reports can attribute the
+// sort-path speedup.
 func mergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], codec *kv.FixedKeyCodec[K], opts Options) ([]kv.Pair[K, V], int, int, error) {
-	pool, timer := opts.Pool, opts.Timer
+	pool, rec := opts.Pool, opts.Pool.Record()
 	rounds := sortalgo.Rounds(len(runs))
 	if opts.Merge == sortalgo.MergePWay {
 		rounds = 1
@@ -185,7 +185,7 @@ func mergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], c
 			rounds = 0
 		}
 		if codec != nil {
-			merged, ok, err := sortalgo.ScatterSort(runs, *codec, pool, timer)
+			merged, ok, err := sortalgo.ScatterSort(runs, *codec, pool)
 			if err != nil {
 				return nil, 0, 0, err
 			}
@@ -194,15 +194,15 @@ func mergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], c
 			}
 		}
 	}
-	timer.StartPhase(metrics.PhaseRunSort)
+	rec.StartPhase(metrics.PhaseRunSort)
 	radixRuns, err := sortalgo.SortRunsWith(runs, app.Less, codec, pool)
-	timer.EndPhase(metrics.PhaseRunSort)
+	rec.EndPhase(metrics.PhaseRunSort)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	timer.StartPhase(metrics.PhaseMerge)
+	rec.StartPhase(metrics.PhaseMerge)
 	merged, err := sortalgo.MergeWith(opts.Merge, runs, app.Less, codec, pool)
-	timer.EndPhase(metrics.PhaseMerge)
+	rec.EndPhase(metrics.PhaseMerge)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -212,11 +212,10 @@ func mergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], c
 // writeEgress, the finish's last phase, writes the merged pairs as one
 // "key\tvalue\n" line each (the digest encoding, so the bytes hash to
 // the job's output digest and parse as a chained job's text input) in
-// fixed-size extents, up to cfg.Lanes at once, on the pool's IO lanes.
-// EgressLaneBytes subtracts what the lanes carried before.
-func writeEgress[K comparable, V any](cfg egress.Config, pool exec.Executor, pairs []kv.Pair[K, V], stats *Stats) (*egress.Output, error) {
+// fixed-size extents, up to cfg.Lanes at once, on the pool's IO lanes,
+// as tasks labelled "egress".
+func writeEgress[K comparable, V any](cfg egress.Config, pool exec.Executor, pairs []kv.Pair[K, V]) (*egress.Output, error) {
 	cfg.Pool = pool
-	base := pool.LaneBytes()
 	w, err := egress.NewWriter(cfg)
 	if err != nil {
 		return nil, err
@@ -224,17 +223,5 @@ func writeEgress[K comparable, V any](cfg egress.Config, pool exec.Executor, pai
 	if err := kv.WriteText(w, pairs); err != nil {
 		return nil, err
 	}
-	out, err := w.Close()
-	if err != nil {
-		return nil, err
-	}
-	stats.EgressBytes = out.Size()
-	stats.EgressExtents = out.Extents()
-	if lanes := pool.LaneBytes(); len(lanes) > 1 {
-		for i := range lanes {
-			lanes[i] -= base[i]
-		}
-		stats.EgressLaneBytes = lanes
-	}
-	return out, nil
+	return w.Close()
 }

@@ -5,7 +5,6 @@ import (
 
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/metrics"
 	"supmr/internal/sortalgo"
 )
 
@@ -57,7 +56,7 @@ func TestMergePhaseRounds(t *testing.T) {
 	}
 	pool := exec.NewLocal(2)
 	defer pool.Close()
-	opts := Options{Pool: pool, Timer: metrics.NewTimer(pool.Now), Merge: sortalgo.MergePairwise}
+	opts := Options{Pool: pool, Merge: sortalgo.MergePairwise}
 	merged, rounds, _, err := mergePhase[string, int64](wc, runs, nil, opts)
 	if err != nil {
 		t.Fatal(err)

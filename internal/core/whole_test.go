@@ -100,7 +100,7 @@ func TestIngestMarksIOWait(t *testing.T) {
 	if res.Stats.BytesIngested != int64(len(data)) {
 		t.Fatalf("ingested %d bytes, want %d", res.Stats.BytesIngested, len(data))
 	}
-	tr := metrics.BuildTrace(pool.Spans(), 2, 100*time.Millisecond, 0, clock.Now())
+	tr := metrics.BuildTrace(pool.Record().Spans(exec.Mark{}), 2, 100*time.Millisecond, 0, clock.Now())
 	var iow float64
 	for _, s := range tr.Samples {
 		iow += s.IOWait

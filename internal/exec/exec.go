@@ -19,8 +19,9 @@
 //     durations per phase (metrics.TaskStats), plus activity spans on
 //     the job clock — one per worker slot of a ForEach, one per GoIO
 //     task — from which a job's utilization trace is built
-//     (metrics.BuildTrace). Both land in the submitting job's Sink, so
-//     a shared pool's jobs each trace only their own work.
+//     (metrics.BuildTrace). Both land in the submitting job's Record,
+//     beside its phase boundaries, so a shared pool's jobs each report
+//     only their own work.
 //
 // The pool runs Workers compute workers plus IOWorkers dedicated IO lane
 // workers that serve GoIO tasks (the paper's ingest thread, generalized
@@ -62,15 +63,12 @@ func (e *PanicError) Error() string {
 // *Pool implements it directly — the single-job configuration, where the
 // pool belongs to the job. A multi-job engine hands each submission its
 // own Executor (internal/sched.JobPool) that shares one pool across jobs
-// while keeping cancellation, task statistics and lane-byte attribution
-// per job.
+// while keeping cancellation and the job's Record per job.
 type Executor interface {
 	// Workers returns the compute worker count (phase parallelism).
 	Workers() int
 	// IOLanes returns the dedicated IO worker count.
 	IOLanes() int
-	// LaneBytes snapshots this job's payload bytes per IO lane.
-	LaneBytes() []int64
 	// Context returns the job's cancellable context.
 	Context() context.Context
 	// Now reads the job clock.
@@ -85,86 +83,9 @@ type Executor interface {
 	GoIO(phase string, state metrics.WorkerState, fn func() error) *Handle
 	// GoIOSized is GoIO with payload-byte lane attribution.
 	GoIOSized(phase string, state metrics.WorkerState, bytes int64, fn func() error) *Handle
-	// TaskStats snapshots this job's per-phase task instrumentation.
-	TaskStats() map[string]metrics.TaskStats
-	// Spans snapshots this job's activity spans on the job clock.
-	Spans() []metrics.Segment
-}
-
-// Sink accumulates one job's execution statistics: per-phase task
-// counts/durations, per-IO-lane payload bytes and activity spans. A pool
-// owns a default sink for its own submissions; a multi-job engine gives
-// every submission a private sink so concurrent jobs never bleed
-// counters into each other's reports.
-type Sink struct {
-	mu        sync.Mutex
-	stats     map[string]*metrics.TaskStats
-	laneBytes []int64
-	spans     []metrics.Segment
-}
-
-// NewSink builds a sink attributing IO bytes across lanes IO lanes.
-func NewSink(lanes int) *Sink {
-	if lanes < 1 {
-		lanes = 1
-	}
-	return &Sink{
-		stats:     make(map[string]*metrics.TaskStats),
-		laneBytes: make([]int64, lanes),
-	}
-}
-
-// record folds one ForEach or GoIO call into the phase's stats and
-// keeps its non-empty spans.
-func (s *Sink) record(phase string, tasks int, queueWait, busy time.Duration, spans ...metrics.Segment) {
-	s.mu.Lock()
-	st := s.stats[phase]
-	if st == nil {
-		st = &metrics.TaskStats{}
-		s.stats[phase] = st
-	}
-	st.Add(metrics.TaskStats{Tasks: tasks, QueueWait: queueWait, Busy: busy})
-	for _, sp := range spans {
-		if sp.End > sp.Start {
-			s.spans = append(s.spans, sp)
-		}
-	}
-	s.mu.Unlock()
-}
-
-func (s *Sink) addLaneBytes(lane int, n int64) {
-	s.mu.Lock()
-	if lane >= 0 && lane < len(s.laneBytes) {
-		s.laneBytes[lane] += n
-	}
-	s.mu.Unlock()
-}
-
-// TaskStats snapshots the per-phase task instrumentation.
-func (s *Sink) TaskStats() map[string]metrics.TaskStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]metrics.TaskStats, len(s.stats))
-	for k, v := range s.stats {
-		out[k] = *v
-	}
-	return out
-}
-
-// LaneBytes snapshots the per-lane payload bytes.
-func (s *Sink) LaneBytes() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, len(s.laneBytes))
-	copy(out, s.laneBytes)
-	return out
-}
-
-// Spans snapshots the activity spans.
-func (s *Sink) Spans() []metrics.Segment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]metrics.Segment(nil), s.spans...)
+	// Record is the job's one record: its task calls, spans and lane
+	// bytes, phase boundaries and events, on the job clock.
+	Record() *Record
 }
 
 // Config configures a pool.
@@ -206,7 +127,7 @@ type Pool struct {
 	io    chan task // dedicated IO lanes (ingest/prefetch)
 	wg    sync.WaitGroup
 
-	sink *Sink // the pool's own stats sink (single-job configuration)
+	rec *Record // the pool's own record (single-job configuration)
 
 	mu       sync.Mutex
 	closed   bool
@@ -243,7 +164,7 @@ func NewPool(ctx context.Context, cfg Config) *Pool {
 		now:     now,
 		tasks:   make(chan task, w),
 		io:      make(chan task, k),
-		sink:    NewSink(k),
+		rec:     NewRecord(k, now),
 	}
 	// Compute workers first, then the IO lanes.
 	for i := 0; i < w+k; i++ {
@@ -276,9 +197,8 @@ func (p *Pool) Workers() int { return p.workers }
 // IOLanes returns the dedicated IO worker count.
 func (p *Pool) IOLanes() int { return p.lanes }
 
-// LaneBytes snapshots the payload bytes attributed to each IO lane by
-// GoIOSized tasks, indexed by lane.
-func (p *Pool) LaneBytes() []int64 { return p.sink.LaneBytes() }
+// Record returns the record of the pool's own submissions.
+func (p *Pool) Record() *Record { return p.rec }
 
 // Context returns the pool's cancellable job context.
 func (p *Pool) Context() context.Context { return p.ctx }
@@ -318,12 +238,6 @@ func (p *Pool) Close() {
 	p.abort(context.Canceled) // release the derived context
 }
 
-// TaskStats snapshots the per-phase task instrumentation.
-func (p *Pool) TaskStats() map[string]metrics.TaskStats { return p.sink.TaskStats() }
-
-// Spans snapshots the activity spans of the pool's own submissions.
-func (p *Pool) Spans() []metrics.Segment { return p.sink.Spans() }
-
 // submit enqueues t on ch, refusing after Close.
 func (p *Pool) submit(ch chan task, t task) error {
 	// The in-flight count keeps Close from closing ch between the closed
@@ -351,7 +265,7 @@ func (p *Pool) submit(ch chan task, t task) error {
 // between tasks). Tasks must not themselves submit pool work; phases are
 // sequential, tasks within a phase are parallel.
 func (p *Pool) ForEach(phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
-	return p.ForEachScoped(p.ctx, p.sink, 0, phase, state, n, fn)
+	return p.ForEachScoped(p.ctx, p.rec, 0, phase, state, n, fn)
 }
 
 // scopeErr reports ctx's cancellation cause, nil while live.
@@ -364,17 +278,14 @@ func scopeErr(ctx context.Context) error {
 
 // ForEachScoped is ForEach under a job scope: dispatch stops when ctx —
 // the job's context, typically derived from the pool's — is cancelled,
-// and task statistics and spans land in sink rather than the pool's
-// own, and at most width worker slots run the call (<= 0: all of them).
+// the call is logged in rec rather than the pool's own record, and at
+// most width worker slots run it (<= 0: all of them).
 // This is the entry point a multi-job engine uses so one pool can run
 // phases from many jobs with per-job cancellation, attribution and
 // width; ForEach is exactly this call scoped to the pool itself.
-func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, width int, phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
+func (p *Pool) ForEachScoped(ctx context.Context, rec *Record, width int, phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
 	if ctx == nil {
 		ctx = p.ctx
-	}
-	if sink == nil {
-		sink = p.sink
 	}
 	if err := scopeErr(ctx); err != nil {
 		return 0, err
@@ -414,8 +325,8 @@ func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, width int, phase s
 			setErr(err)
 		}
 	}
-	// Each slot writes only its own span; record keeps the non-empty ones
-	// after the wave joins, under the lock it takes anyway.
+	// Each slot writes only its own span; the record keeps the non-empty
+	// ones after the wave joins.
 	spans := make([]metrics.Segment, slots)
 	loop := func(span *metrics.Segment, submitted time.Time) {
 		defer wg.Done()
@@ -447,7 +358,7 @@ func (p *Pool) ForEachScoped(ctx context.Context, sink *Sink, width int, phase s
 	}
 	wg.Wait()
 	busy := time.Duration(busyNS.Load())
-	sink.record(phase, int(ran.Load()), time.Duration(waitNS.Load()), busy, spans...)
+	rec.task(phase, metrics.TaskStats{Tasks: int(ran.Load()), QueueWait: time.Duration(waitNS.Load()), Busy: busy}, -1, 0, spans)
 	if firstErr == nil && int(ran.Load()) < n {
 		// Dispatch stopped early without a task error: cancellation.
 		if err := scopeErr(ctx); err != nil {
@@ -493,27 +404,21 @@ func (p *Pool) GoIO(phase string, state metrics.WorkerState, fn func() error) *H
 }
 
 // GoIOSized is GoIO with a payload size: bytes are attributed to
-// whichever IO lane executes the task, feeding the per-lane ingest
-// throughput counters (LaneBytes).
+// whichever IO lane executes the task, feeding the per-lane throughput
+// counters (Record.LaneBytes).
 func (p *Pool) GoIOSized(phase string, state metrics.WorkerState, bytes int64, fn func() error) *Handle {
-	return p.GoIOScoped(p.sink, phase, state, bytes, fn)
+	return p.GoIOScoped(p.rec, phase, state, bytes, fn)
 }
 
-// GoIOScoped is GoIOSized under a job scope: the task's statistics,
-// span and lane-byte attribution land in sink rather than the pool's
-// own, so a multi-job engine keeps per-submission ingest counters. The task
-// itself still runs on the shared IO lanes in submission order.
-func (p *Pool) GoIOScoped(sink *Sink, phase string, state metrics.WorkerState, bytes int64, fn func() error) *Handle {
-	if sink == nil {
-		sink = p.sink
-	}
+// GoIOScoped is GoIOSized under a job scope: the task is logged, with
+// its span and lane bytes, in rec rather than the pool's own record, so
+// a multi-job engine keeps per-submission counters. The task itself
+// still runs on the shared IO lanes in submission order.
+func (p *Pool) GoIOScoped(rec *Record, phase string, state metrics.WorkerState, bytes int64, fn func() error) *Handle {
 	h := &Handle{done: make(chan error, 1)}
 	submitted := time.Now()
 	t := task{run: func(lane int) {
 		wait := time.Since(submitted)
-		if lane >= 0 && bytes > 0 {
-			sink.addLaneBytes(lane, bytes)
-		}
 		from, start := p.now(), time.Now()
 		err := func() (err error) {
 			defer func() {
@@ -523,7 +428,8 @@ func (p *Pool) GoIOScoped(sink *Sink, phase string, state metrics.WorkerState, b
 			}()
 			return fn()
 		}()
-		sink.record(phase, 1, wait, time.Since(start), state.Segment(from, p.now()))
+		rec.task(phase, metrics.TaskStats{Tasks: 1, QueueWait: wait, Busy: time.Since(start)}, lane, bytes,
+			[]metrics.Segment{state.Segment(from, p.now())})
 		h.done <- err
 	}}
 	if err := p.submit(p.io, t); err != nil {

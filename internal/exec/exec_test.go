@@ -257,27 +257,20 @@ func TestTaskStats(t *testing.T) {
 	if err := p.GoIO("ingest", metrics.StateIOWait, func() error { return nil }).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	stats := p.TaskStats()
+	stats := p.Record().TaskStats(Mark{})
 	m := stats["map"]
 	if m.Tasks != 20 || m.Busy <= 0 {
 		t.Errorf("map stats = %+v", m)
 	}
-	if m.AvgBusy() <= 0 {
-		t.Error("AvgBusy not positive")
-	}
 	if stats["ingest"].Tasks != 1 {
 		t.Errorf("ingest stats = %+v", stats["ingest"])
-	}
-	out := metrics.FormatTaskStats(stats)
-	if !strings.Contains(out, "map") || !strings.Contains(out, "ingest") {
-		t.Errorf("formatted stats missing phases:\n%s", out)
 	}
 }
 
 // TestSpansPerSlotAndTask: a ForEach records at most one span per worker
 // slot, in the call's state, covering the busy time of the slot's tasks;
 // a GoIO task records exactly one span in its state. Spans are on the
-// pool's clock and land in the submitting sink only.
+// pool's clock and land in the submitting record only.
 func TestSpansPerSlotAndTask(t *testing.T) {
 	p := NewPool(context.Background(), Config{Workers: 3})
 	defer p.Close()
@@ -288,7 +281,7 @@ func TestSpansPerSlotAndTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := p.Spans()
+	spans := p.Record().Spans(Mark{})
 	if len(spans) == 0 || len(spans) > 3 {
 		t.Fatalf("ForEach over 12 tasks on 3 workers recorded %d spans, want 1..3", len(spans))
 	}
@@ -310,25 +303,25 @@ func TestSpansPerSlotAndTask(t *testing.T) {
 	}).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	io := p.Spans()[len(spans):]
+	io := p.Record().Spans(Mark{})[len(spans):]
 	if len(io) != 1 || io[0].IOWait != 1 || io[0].User != 0 || io[0].Start < before || io[0].End > p.Now() {
 		t.Errorf("one GoIO recorded %+v, want one IO-wait span on the pool clock", io)
 	}
 
-	// A scoped call's spans land in its sink, not the pool's.
-	sink := NewSink(1)
-	if _, err := p.ForEachScoped(nil, sink, 0, "map", metrics.StateUser, 3, func(int) error {
+	// A scoped call's spans land in its record, not the pool's.
+	rec := NewRecord(1, p.Now)
+	if _, err := p.ForEachScoped(nil, rec, 0, "map", metrics.StateUser, 3, func(int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p.GoIOScoped(sink, "ingest", metrics.StateIOWait, 0, func() error {
+	p.GoIOScoped(rec, "ingest", metrics.StateIOWait, 0, func() error {
 		time.Sleep(time.Millisecond)
 		return nil
 	}).Wait()
-	if got, own := len(sink.Spans()), len(p.Spans()); got == 0 || got > 4 || own != len(spans)+1 {
-		t.Errorf("scoped sink holds %d spans, pool %d; want 2..4 and %d", got, own, len(spans)+1)
+	if got, own := len(rec.Spans(Mark{})), len(p.Record().Spans(Mark{})); got == 0 || got > 4 || own != len(spans)+1 {
+		t.Errorf("scoped record holds %d spans, pool %d; want 2..4 and %d", got, own, len(spans)+1)
 	}
 }
 
@@ -400,7 +393,7 @@ func TestLaneBytesAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lb := p.LaneBytes()
+	lb := p.Record().LaneBytes(Mark{}, "seg")
 	if len(lb) != 2 {
 		t.Fatalf("LaneBytes tracks %d lanes, want 2", len(lb))
 	}

@@ -6,49 +6,6 @@ import (
 	"time"
 )
 
-// fakeNow builds a controllable now() function.
-type fakeNow struct{ t time.Duration }
-
-func (f *fakeNow) now() time.Duration { return f.t }
-
-func TestTimerPhases(t *testing.T) {
-	fn := &fakeNow{}
-	tm := NewTimer(fn.now)
-
-	fn.t = 1 * time.Second
-	tm.StartPhase(PhaseRead)
-	fn.t = 3 * time.Second
-	tm.EndPhase(PhaseRead)
-
-	// Accumulation across repeated start/end (SupMR rounds).
-	tm.StartPhase(PhaseReadMap)
-	fn.t = 4 * time.Second
-	tm.EndPhase(PhaseReadMap)
-	tm.StartPhase(PhaseReadMap)
-	fn.t = 6 * time.Second
-	tm.EndPhase(PhaseReadMap)
-
-	times := tm.Finish()
-	if got := times.Get(PhaseRead); got != 2*time.Second {
-		t.Errorf("read = %v, want 2s", got)
-	}
-	if got := times.Get(PhaseReadMap); got != 3*time.Second {
-		t.Errorf("read+map = %v, want 3s", got)
-	}
-	if times.Total != 6*time.Second {
-		t.Errorf("total = %v, want 6s", times.Total)
-	}
-}
-
-func TestTimerEndWithoutStart(t *testing.T) {
-	fn := &fakeNow{}
-	tm := NewTimer(fn.now)
-	tm.EndPhase(PhaseMap) // must not panic or record anything
-	if got := tm.Finish().Get(PhaseMap); got != 0 {
-		t.Errorf("unmatched EndPhase recorded %v", got)
-	}
-}
-
 func TestPhaseString(t *testing.T) {
 	names := map[Phase]string{
 		PhaseSetup:   "setup",
@@ -201,25 +158,6 @@ func TestFormatTable2(t *testing.T) {
 	})
 	if !strings.Contains(out, "none") || !strings.Contains(out, "(fused)") {
 		t.Errorf("table format wrong:\n%s", out)
-	}
-}
-
-func TestTimerMarkers(t *testing.T) {
-	fn := &fakeNow{}
-	tm := NewTimer(fn.now).WithMarkers()
-	fn.t = time.Second
-	tm.StartPhase(PhaseRead)
-	fn.t = 3 * time.Second
-	tm.EndPhase(PhaseRead)
-	ms := tm.Markers()
-	if len(ms) != 2 {
-		t.Fatalf("got %d markers, want 2", len(ms))
-	}
-	if ms[0].Label != "read:start" || ms[0].At != time.Second {
-		t.Errorf("marker 0 = %+v", ms[0])
-	}
-	if ms[1].Label != "read:end" || ms[1].At != 3*time.Second {
-		t.Errorf("marker 1 = %+v", ms[1])
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package metrics provides the measurement substrate for the
-// reproduction: per-phase timers matching the Phoenix++ internal timing
-// functions the paper uses for Table II, and a collectl-style CPU
+// Package metrics provides the measurement vocabulary of the
+// reproduction: the per-phase times of Table II (PhaseTimes, recorded by
+// a job's internal/exec.Record the way Phoenix++'s internal timing
+// functions record them for the paper), and a collectl-style CPU
 // utilization trace (BuildTrace) that reconstructs the user/sys/IO-wait
 // series of Figures 1, 3, 5, 6 and 7 from activity segments — a job's
 // task spans, or the performance model's synthetic ones.
@@ -9,7 +10,6 @@ package metrics
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -93,62 +93,6 @@ func (t PhaseTimes) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Timer measures phases against a monotonic now() function so both real
-// and simulated runs share one code path.
-type Timer struct {
-	now     func() time.Duration
-	mu      sync.Mutex
-	marks   map[Phase]time.Duration
-	times   PhaseTimes
-	start   time.Duration
-	marking bool     // log phase-boundary markers (WithMarkers)
-	markers []Marker // phase-boundary and event annotations
-}
-
-// NewTimer creates a Timer reading time from now.
-func NewTimer(now func() time.Duration) *Timer {
-	t := &Timer{now: now, marks: make(map[Phase]time.Duration)}
-	t.start = now()
-	return t
-}
-
-// Start returns the clock reading the timer was created at: the job's
-// start on its clock.
-func (t *Timer) Start() time.Duration { return t.start }
-
-// StartPhase marks the beginning of phase p.
-func (t *Timer) StartPhase(p Phase) {
-	at := t.now()
-	t.mu.Lock()
-	t.marks[p] = at
-	t.mark(at, markerLabel(p, "start"))
-	t.mu.Unlock()
-}
-
-// EndPhase accumulates the elapsed time since the matching StartPhase.
-// Phases may start and end repeatedly (SupMR's pipelined rounds); the
-// durations add up.
-func (t *Timer) EndPhase(p Phase) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	start, ok := t.marks[p]
-	if !ok {
-		return
-	}
-	delete(t.marks, p)
-	at := t.now()
-	t.mark(at, markerLabel(p, "end"))
-	t.times.Add(p, at-start)
-}
-
-// Finish stamps the job total and returns the accumulated times.
-func (t *Timer) Finish() PhaseTimes {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.times.Total = t.now() - t.start
-	return t.times
 }
 
 // Table2Row holds one labelled row of a Table II style report.

@@ -1,17 +1,13 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"time"
-)
+import "time"
 
 // TaskStats aggregates executor task instrumentation for one phase
 // label: how many tasks ran, how long they sat queued before a worker
-// picked them up, and how long workers were busy executing them. The
-// execution engine (internal/exec) records one TaskStats per phase so
-// scheduling overhead is observable alongside the utilization traces.
+// picked them up, and how long workers were busy executing them. A
+// job's internal/exec.Record folds its task calls into one TaskStats per
+// label so scheduling overhead is observable alongside the utilization
+// traces.
 type TaskStats struct {
 	Tasks     int
 	QueueWait time.Duration
@@ -23,40 +19,4 @@ func (s *TaskStats) Add(o TaskStats) {
 	s.Tasks += o.Tasks
 	s.QueueWait += o.QueueWait
 	s.Busy += o.Busy
-}
-
-// AvgBusy returns the mean per-task execution time.
-func (s TaskStats) AvgBusy() time.Duration {
-	if s.Tasks == 0 {
-		return 0
-	}
-	return s.Busy / time.Duration(s.Tasks)
-}
-
-// AvgQueueWait returns the mean per-task queue wait.
-func (s TaskStats) AvgQueueWait() time.Duration {
-	if s.Tasks == 0 {
-		return 0
-	}
-	return s.QueueWait / time.Duration(s.Tasks)
-}
-
-// FormatTaskStats renders a per-phase task table (deterministic order).
-func FormatTaskStats(stats map[string]TaskStats) string {
-	if len(stats) == 0 {
-		return ""
-	}
-	phases := make([]string, 0, len(stats))
-	for p := range stats {
-		phases = append(phases, p)
-	}
-	sort.Strings(phases)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %8s %12s %12s\n", "phase", "tasks", "busy", "queue-wait")
-	for _, p := range phases {
-		s := stats[p]
-		fmt.Fprintf(&b, "%-8s %8d %12v %12v\n", p, s.Tasks,
-			s.Busy.Round(time.Microsecond), s.QueueWait.Round(time.Microsecond))
-	}
-	return b.String()
 }

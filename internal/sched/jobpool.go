@@ -34,10 +34,10 @@ type JobConfig struct {
 // serializes only on the shared IO lanes, preserving each job's
 // ingest/compute overlap while another job's wave computes.
 //
-// Cancellation, task statistics, spans and lane-byte attribution are
-// all job-scoped: Abort cancels this submission only, and TaskStats,
-// LaneBytes and Spans report this submission's work only — concurrent
-// jobs never bleed into each other's reports.
+// Cancellation and the job's record are job-scoped: Abort cancels this
+// submission only, and its Record holds this submission's task calls,
+// spans, lane bytes and phase boundaries only — concurrent jobs never
+// bleed into each other's reports.
 type JobPool struct {
 	pool   *exec.Pool
 	s      *Scheduler
@@ -45,7 +45,7 @@ type JobPool struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	unhook func() bool // stops the pool-context propagation
-	sink   *exec.Sink
+	rec    *exec.Record
 	width  int // compute worker slots per operation
 }
 
@@ -73,14 +73,13 @@ func NewJobPool(pool *exec.Pool, s *Scheduler, cfg JobConfig) *JobPool {
 		ctx:    ctx,
 		cancel: cancel,
 		unhook: unhook,
-		sink:   exec.NewSink(pool.IOLanes()),
+		rec:    exec.NewRecord(pool.IOLanes(), pool.Now),
 		width:  width,
 	}
 }
 
 // Close releases the job's scheduler presence and context plumbing.
-// Idempotent; call after the run completes (the sink snapshots remain
-// readable).
+// Idempotent; call after the run completes (the record stays readable).
 func (j *JobPool) Close() {
 	j.unhook()
 	j.cancel(context.Canceled)
@@ -93,15 +92,9 @@ func (j *JobPool) Workers() int { return j.width }
 // IOLanes returns the shared pool's IO lane count.
 func (j *JobPool) IOLanes() int { return j.pool.IOLanes() }
 
-// LaneBytes snapshots this job's payload bytes per IO lane.
-func (j *JobPool) LaneBytes() []int64 { return j.sink.LaneBytes() }
-
-// TaskStats snapshots this job's per-phase task instrumentation.
-func (j *JobPool) TaskStats() map[string]metrics.TaskStats { return j.sink.TaskStats() }
-
-// Spans snapshots this job's activity spans: its own work on the shared
-// pool, none of its peers'.
-func (j *JobPool) Spans() []metrics.Segment { return j.sink.Spans() }
+// Record is this job's record: its own work on the shared pool, none of
+// its peers'.
+func (j *JobPool) Record() *exec.Record { return j.rec }
 
 // Context returns the job's cancellable context.
 func (j *JobPool) Context() context.Context { return j.ctx }
@@ -137,7 +130,7 @@ func (j *JobPool) ForEach(phase string, state metrics.WorkerState, n int, fn fun
 		return 0, err
 	}
 	start := j.pool.Now()
-	busy, err := j.pool.ForEachScoped(j.ctx, j.sink, j.width, phase, state, n, fn)
+	busy, err := j.pool.ForEachScoped(j.ctx, j.rec, j.width, phase, state, n, fn)
 	j.s.Release(j.ticket, j.pool.Now()-start)
 	return busy, err
 }
@@ -146,13 +139,13 @@ func (j *JobPool) ForEach(phase string, state metrics.WorkerState, n int, fn fun
 // work is what compute waves hide behind, so gating it would serialize
 // exactly the overlap the pipeline exists for.
 func (j *JobPool) GoIO(phase string, state metrics.WorkerState, fn func() error) *Handle {
-	return j.pool.GoIOScoped(j.sink, phase, state, 0, fn)
+	return j.pool.GoIOScoped(j.rec, phase, state, 0, fn)
 }
 
 // GoIOSized is GoIO with payload-byte attribution to this job's lane
 // counters.
 func (j *JobPool) GoIOSized(phase string, state metrics.WorkerState, bytes int64, fn func() error) *Handle {
-	return j.pool.GoIOScoped(j.sink, phase, state, bytes, fn)
+	return j.pool.GoIOScoped(j.rec, phase, state, bytes, fn)
 }
 
 // Handle aliases the exec join handle.

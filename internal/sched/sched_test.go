@@ -367,7 +367,7 @@ func TestJobPoolSpansExcludeSiblings(t *testing.T) {
 	wg.Wait()
 	a.ForEach("reduce", metrics.StateSys, 2, func(int) error { time.Sleep(time.Millisecond); return nil })
 	count := func(j *JobPool) (user, sys, io int) {
-		for _, sp := range j.Spans() {
+		for _, sp := range j.Record().Spans(exec.Mark{}) {
 			switch {
 			case sp.User == 1:
 				user++
@@ -385,8 +385,8 @@ func TestJobPoolSpansExcludeSiblings(t *testing.T) {
 	if u, s, io := count(b); u == 0 || u > 2 || s != 0 || io != 1 {
 		t.Errorf("job b spans: %d user, %d sys, %d io; want 1..2, 0, 1", u, s, io)
 	}
-	if n := len(pool.Spans()); n != 0 {
-		t.Errorf("the shared pool's own sink holds %d spans of its jobs", n)
+	if n := len(pool.Record().Spans(exec.Mark{})); n != 0 {
+		t.Errorf("the shared pool's own record holds %d spans of its jobs", n)
 	}
 }
 

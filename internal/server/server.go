@@ -218,8 +218,10 @@ func (s *Server) Serve() error {
 }
 
 // Close shuts the server down: stop accepting, cancel every running
-// job, wait for runs and connection handlers, close the engine.
-// Idempotent.
+// job, shut every connection's read side (an idle handler ends at once,
+// one mid-request still answers: a blocked wait returns on the
+// cancellation), wait for runs and connection handlers, close the
+// engine. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -235,11 +237,18 @@ func (s *Server) Close() {
 	s.eng.Close()
 }
 
+// maxRequestLine caps one request line; a longer one is answered with
+// an error and the connection closed.
+const maxRequestLine = 1 << 20
+
 // handle serves one connection: a sequence of JSON request lines.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
+	// Shutdown ends the read loop at a request boundary: an idle Scan
+	// sees EOF, while a request in flight still writes its response.
+	defer context.AfterFunc(s.ctx, func() { conn.(*net.UnixConn).CloseRead() })()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxRequestLine)
 	enc := json.NewEncoder(conn)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -256,6 +265,11 @@ func (s *Server) handle(conn net.Conn) {
 		if err := enc.Encode(&resp); err != nil {
 			return
 		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// The connection closes either way; a failed write only loses the
+		// explanation.
+		_ = enc.Encode(&Response{Error: fmt.Sprintf("bad request: line exceeds the %d-byte limit", maxRequestLine)})
 	}
 }
 

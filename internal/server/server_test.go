@@ -286,3 +286,108 @@ func TestServerWireCode(t *testing.T) {
 		t.Fatalf("wire response = %+v, want code %q", resp, CodeDAGUnsupported)
 	}
 }
+
+// TestCloseDrainsConnectedClients: Close returns promptly with clients
+// still connected — one idle between requests, one blocked in wait on
+// a running job — and the waiting client is answered or disconnected
+// rather than left hanging.
+func TestCloseDrainsConnectedClients(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "supmrd.sock")
+	srv, err := New(Config{Socket: sock, Engine: supmr.EngineConfig{Workers: 2}})
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve() }()
+	idle, err := Dial(sock)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer idle.Close()
+	waiter, err := Dial(sock)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer waiter.Close()
+	// One round trip each, so both handlers are up and reading.
+	if _, err := idle.List(); err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	// A slow job: simulated bandwidth stretches ingest to seconds.
+	id, err := waiter.Submit(jobspec.Spec{App: "wordcount", Size: 8 << 20, ChunkBytes: 64 << 10, BW: 1 << 20})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	type waited struct {
+		v   *JobView
+		err error
+	}
+	done := make(chan waited, 1)
+	go func() {
+		v, err := waiter.Wait(id)
+		done <- waited{v, err}
+	}()
+	// Give the wait request time to reach the server. The assertions
+	// below hold whichever lands first, the wait or the shutdown.
+	time.Sleep(50 * time.Millisecond)
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return within 2s with clients connected")
+	}
+	if err := <-serveErr; err != nil {
+		t.Errorf("Serve returned %v", err)
+	}
+	select {
+	case w := <-done:
+		if w.err == nil && w.v == nil {
+			t.Error("wait answered without a job view")
+		}
+		if w.err != nil && !strings.Contains(w.err.Error(), "client:") {
+			t.Errorf("wait failed with %v, want a response or a closed connection", w.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the waiting client was neither answered nor disconnected")
+	}
+	if _, err := idle.List(); err == nil {
+		t.Error("the idle client's connection survived Close")
+	}
+}
+
+// TestOversizedRequestAnswered: a request line over the limit gets one
+// error response naming the limit before the server closes the
+// connection.
+func TestOversizedRequestAnswered(t *testing.T) {
+	_, sock := startServer(t, supmr.EngineConfig{Workers: 1})
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	line := `{"op":"list","spec":{"app":"` + strings.Repeat("x", 2<<20) + `"}}` + "\n"
+	// The server stops reading at the limit, so this write fails once
+	// it hangs up; the response is read beside it.
+	go conn.Write([]byte(line))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	got, err := r.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("no response to an oversized request: %v", err)
+	}
+	var resp Response
+	if err := json.Unmarshal(got, &resp); err != nil {
+		t.Fatalf("decode %q: %v", got, err)
+	}
+	if resp.OK || !strings.Contains(resp.Error, "1048576") {
+		t.Fatalf("response = %+v, want an error naming the 1048576-byte limit", resp)
+	}
+	if _, err := r.ReadBytes('\n'); err == nil {
+		t.Error("connection still open after the oversized request")
+	}
+}

@@ -102,33 +102,33 @@ func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier) (*E
 
 // Counters are what one exchange measured.
 type Counters struct {
-	Bytes      int64         // framed bytes that crossed the links, retries included
-	Frames     int           // frames delivered between nodes, sample frames included
-	Runs       int           // runs the destination merges consumed
-	ReduceBusy time.Duration // aggregate worker-busy time of the destination merges
+	Bytes  int64 // framed bytes that crossed the links, retries included
+	Frames int   // frames delivered between nodes, sample frames included
+	Runs   int   // runs the destination merges consumed
 }
 
 // Run exchanges nodeRuns (nodeRuns[n]: node n's key-sorted local runs)
 // and returns the globally sorted output and the exchange's counters,
-// bracketing the shuffle and reduce phases on timer.
-func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor, timer *metrics.Timer) ([]kv.Pair[K, V], Counters, error) {
+// bracketing the shuffle and reduce phases on pool's record.
+func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor) ([]kv.Pair[K, V], Counters, error) {
 	var c Counters
-	timer.StartPhase(metrics.PhaseShuffle)
+	rec := pool.Record()
+	rec.StartPhase(metrics.PhaseShuffle)
 	recv, err := x.transfer(nodeRuns, app.Less, &c)
-	timer.EndPhase(metrics.PhaseShuffle)
+	rec.EndPhase(metrics.PhaseShuffle)
 	if err != nil {
 		return nil, c, err
 	}
 
 	// The reduce tier: every destination merges what it received.
 	outs := make([][]kv.Pair[K, V], len(recv))
-	timer.StartPhase(metrics.PhaseReduce)
-	c.ReduceBusy, err = pool.ForEach("reduce", metrics.StateUser, len(recv), func(dst int) error {
+	rec.StartPhase(metrics.PhaseReduce)
+	_, err = pool.ForEach("reduce", metrics.StateUser, len(recv), func(dst int) error {
 		var mErr error
 		outs[dst], mErr = sortalgo.MergeRuns(recv[dst], app.Less, app.Reduce, true)
 		return mErr
 	})
-	timer.EndPhase(metrics.PhaseReduce)
+	rec.EndPhase(metrics.PhaseReduce)
 	if err != nil {
 		return nil, c, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/metrics"
 	"supmr/internal/sortalgo"
 	"supmr/internal/storage"
 )
@@ -167,7 +166,7 @@ func FuzzExchangeVsMergeRuns(f *testing.F) {
 		}
 		pool := exec.NewLocal(2)
 		defer pool.Close()
-		got, _, err := x.Run(countApp{}, nodeRuns, pool, metrics.NewTimer(pool.Now))
+		got, _, err := x.Run(countApp{}, nodeRuns, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,7 +149,7 @@ func BenchmarkFixedKeyFinish(b *testing.B) {
 				var out []kv.Pair[string, uint64]
 				var err error
 				if path == "scatter" {
-					out, _, err = ScatterSort(rs, codec, ex, nil)
+					out, _, err = ScatterSort(rs, codec, ex)
 				} else if _, err = SortRunsWith(rs, strLess, &codec, ex); err == nil {
 					out, err = PWayMergeWith(rs, strLess, &codec, ex)
 				}

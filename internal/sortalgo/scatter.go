@@ -39,25 +39,19 @@ import (
 // It returns ok=false, with every run untouched, when any key fails to
 // encode or the runs hold fewer than radixMinLen pairs in total; the
 // caller then takes the SortRunsWith + PWayMergeWith path. The runs are
-// only read, never reordered. With timer set, encode, count and scatter
+// only read, never reordered. On ex's record, encode, count and scatter
 // bill to PhaseMerge and the bucket sorts to PhaseRunSort.
-func ScatterSort[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K], ex exec.Executor,
-	timer *metrics.Timer) (out []kv.Pair[K, V], ok bool, err error) {
-	if timer != nil {
-		timer.StartPhase(metrics.PhaseMerge)
-	}
+func ScatterSort[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K], ex exec.Executor) (out []kv.Pair[K, V], ok bool, err error) {
+	rec := ex.Record()
+	rec.StartPhase(metrics.PhaseMerge)
 	p, ok, err := scatter(runs, codec, ex)
-	if timer != nil {
-		timer.EndPhase(metrics.PhaseMerge)
-	}
+	rec.EndPhase(metrics.PhaseMerge)
 	if !ok || err != nil {
 		return nil, ok, err
 	}
 	defer putScratchBytes(p.rows)
-	if timer != nil {
-		timer.StartPhase(metrics.PhaseRunSort)
-		defer timer.EndPhase(metrics.PhaseRunSort)
-	}
+	rec.StartPhase(metrics.PhaseRunSort)
+	defer rec.EndPhase(metrics.PhaseRunSort)
 	_, err = ex.ForEach("sort", metrics.StateUser, len(p.tasks), func(t int) error {
 		s := p.tasks[t]
 		lsdSort(p.out[s.lo:s.hi], p.rows[s.lo*p.w:s.hi*p.w], p.w)

@@ -95,7 +95,7 @@ func checkScatter[K comparable, V comparable](t *testing.T, runs [][]kv.Pair[K, 
 		total += len(r)
 	}
 
-	got, ok, err := ScatterSort(runs, codec, ex, nil)
+	got, ok, err := ScatterSort(runs, codec, ex)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -236,7 +236,7 @@ func FuzzScatterSortVsReference(f *testing.F) {
 			ex := exec.NewLocal(workers)
 			defer ex.Close()
 			in := copyRuns(runs)
-			if _, ok, err := ScatterSort(runs, kv.StringFixedKey(width), ex, nil); ok || err != nil {
+			if _, ok, err := ScatterSort(runs, kv.StringFixedKey(width), ex); ok || err != nil {
 				t.Fatalf("%s: unencodable key: ok=%v err=%v", label, ok, err)
 			}
 			for i := range runs {

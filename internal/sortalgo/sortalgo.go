@@ -26,7 +26,7 @@
 //
 // All algorithms run on the job's persistent executor (internal/exec)
 // rather than spawning their own workers: parallelism comes from the
-// pool's compute workers, utilization spans from the pool's job sink,
+// pool's compute workers, utilization spans from the job's record,
 // and cancellation/panic isolation from the pool's task dispatch.
 package sortalgo
 

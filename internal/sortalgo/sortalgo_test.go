@@ -253,13 +253,13 @@ func TestExecutorInstrumentation(t *testing.T) {
 	if _, err := SortRunsWith(rs, u64Less, nil, ex); err != nil {
 		t.Fatal(err)
 	}
-	if got := ex.TaskStats()["sort"].Tasks; got != 8 {
+	if got := ex.Record().TaskStats(exec.Mark{})["sort"].Tasks; got != 8 {
 		t.Errorf("SortRunsWith ran %d sort tasks, want 8 (one per run)", got)
 	}
 	if _, err := PairwiseMerge(rs, u64Less, ex); err != nil {
 		t.Fatal(err)
 	}
-	if got := ex.TaskStats()["merge"].Tasks; got == 0 {
+	if got := ex.Record().TaskStats(exec.Mark{})["merge"].Tasks; got == 0 {
 		t.Error("PairwiseMerge recorded no merge tasks")
 	}
 	ex2 := exec.NewLocal(4)
@@ -268,7 +268,7 @@ func TestExecutorInstrumentation(t *testing.T) {
 	if _, err := PWayMergeWith(rs2, u64Less, nil, ex2); err != nil {
 		t.Fatal(err)
 	}
-	if got := ex2.TaskStats()["merge"].Tasks; got == 0 {
+	if got := ex2.Record().TaskStats(exec.Mark{})["merge"].Tasks; got == 0 {
 		t.Error("PWayMergeWith recorded no merge tasks")
 	}
 }

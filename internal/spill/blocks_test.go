@@ -325,7 +325,7 @@ func TestMergeAheadMatchesInline(t *testing.T) {
 			t.Fatalf("pass %d issued its reads in a different order than pass 0", i)
 		}
 	}
-	if tasks := pool.TaskStats()["merge"]; tasks.Tasks <= 4 {
+	if tasks := pool.Record().TaskStats(exec.Mark{})["merge"]; tasks.Tasks <= 4 {
 		t.Errorf("merge label saw %d tasks over 4 passes: the reads did not run on the lanes", tasks.Tasks)
 	}
 }
@@ -399,7 +399,7 @@ func checkDrain[K comparable, V any](t *testing.T, name string, build func() con
 				if codec == nil && radixed != 0 {
 					t.Errorf("%d radix-sorted groups without a codec", radixed)
 				}
-				stats := pool.TaskStats()
+				stats := pool.Record().TaskStats(exec.Mark{})
 				if stats["merge"].Tasks != 0 || stats["drain"].Tasks == 0 {
 					t.Errorf("drain tasks billed to %v, want all under the caller's label", stats)
 				}

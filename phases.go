@@ -72,15 +72,15 @@ func OpenMPSortFileTraced(file Input, workers, contexts int, bucket time.Duratio
 	}
 	pool := exec.NewPool(nil, exec.Config{Workers: workers, Now: clock.Now})
 	defer pool.Close()
-	timer := metrics.NewTimer(clock.Now)
-	res, err := apps.OpenMPSort(stream, pool, timer)
+	from := pool.Record().Mark()
+	res, err := apps.OpenMPSort(stream, pool)
 	if err != nil {
 		return nil, nil, err
 	}
 	if bucket <= 0 {
 		bucket = 100 * time.Millisecond
 	}
-	return res, metrics.BuildTrace(pool.Spans(), contexts, bucket, timer.Start(), timer.Start()+res.Times.Total), nil
+	return res, metrics.BuildTrace(pool.Record().Spans(from), contexts, bucket, from.At, from.At+res.Times.Total), nil
 }
 
 // SortCheck is a valsort-style summary of a sorted output.

@@ -330,10 +330,12 @@ type Report[K comparable, V any] struct {
 	Times metrics.PhaseTimes
 	Stats Stats
 	// Trace is the job's utilization trace (present when TraceContexts
-	// was set), built from its own task spans and rooted at its start.
+	// was set), built from the task spans in its window of the job's
+	// record and rooted at its start.
 	Trace *metrics.Trace
-	// Markers are phase-boundary annotations for the trace (present when
-	// tracing was enabled), stamped on the job clock; render with
+	// Markers are the phase boundaries ("<phase>:start"/"<phase>:end")
+	// and events ("ingest stall") of the same window, in time order on
+	// the job clock (present when tracing was enabled); render with
 	// Trace.AnnotatedASCII.
 	Markers []metrics.Marker
 	// SpillBytes samples cumulative bytes spilled over the job timeline,
@@ -475,7 +477,6 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 		return runOnEngine(cfg.Engine, job, input, cont, cfg)
 	}
 	clk := cfg.clock()
-	timer := metrics.NewTimer(clk.Now)
 	// Egress may fan wider than ingest: size the IO pool for the wider
 	// of the two so egress extents actually overlap.
 	pool := exec.NewPool(cfg.Context, exec.Config{
@@ -487,7 +488,6 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 	return runWithExecutor(job, input, cont, cfg, runSubstrate{
 		pool:   pool,
 		clk:    clk,
-		timer:  timer,
 		budget: cfg.MemoryBudget,
 	})
 }
@@ -496,9 +496,8 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 // dedicated pool for a solo run, a JobPool handle plus shared freelist
 // and budget grant in engine mode.
 type runSubstrate struct {
-	pool  exec.Executor
-	clk   storage.Clock
-	timer *metrics.Timer
+	pool exec.Executor
+	clk  storage.Clock
 	// budget is the container-residency cap for this run: the config's
 	// MemoryBudget for a solo run, the engine's carved grant otherwise.
 	budget int64
@@ -512,12 +511,10 @@ type runSubstrate struct {
 // runWithExecutor is the body shared by solo and engine-mode runs over a
 // resolved config: it builds the spill store when a budget is granted,
 // runs core.Run on the substrate's executor, and assembles the
-// substrate-independent part of the Report — its trace too, from the
-// executor's spans, which are this job's alone on either substrate.
+// substrate-independent part of the Report — its trace and markers
+// too, from this run's window of the executor's record, which holds
+// this job's work alone on either substrate.
 func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V], cfg Config, sub runSubstrate) (*Report[K, V], error) {
-	if cfg.TraceContexts > 0 {
-		sub.timer.WithMarkers()
-	}
 	var store *spill.Store
 	if sub.budget > 0 {
 		dev := cfg.SpillDevice
@@ -543,7 +540,6 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		Merge:         *cfg.Merge,
 		Boundary:      cfg.boundary(),
 		RadixDisabled: cfg.radixDisabled(),
-		Timer:         sub.timer,
 		Pool:          sub.pool,
 		Topology: shuffle.Topology{
 			Nodes:       cfg.Nodes,
@@ -593,6 +589,8 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		}
 		co.Tuner = tuner.NewController(tuner.ControllerConfig{Initial: rs.ChunkSize(), Limits: lim})
 	}
+	rec := sub.pool.Record()
+	from := rec.Mark()
 	res, err := core.Run(job, input, cont, co)
 	if err != nil {
 		return nil, err
@@ -607,9 +605,8 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		if bucket <= 0 {
 			bucket = 100 * time.Millisecond
 		}
-		start := sub.timer.Start()
-		rep.Trace = metrics.BuildTrace(sub.pool.Spans(), cfg.TraceContexts, bucket, start, start+rep.Times.Total)
-		rep.Markers = sub.timer.Markers()
+		rep.Trace = metrics.BuildTrace(rec.Spans(from), cfg.TraceContexts, bucket, from.At, from.At+rep.Times.Total)
+		rep.Markers = rec.Markers(from)
 	}
 	return rep, nil
 }

@@ -97,11 +97,11 @@ go test -race -count=5 -run 'TestMemoEngineSharedAcrossSubmissions' .
 
 echo "== race: node-container repeats =="
 # A multi-node run's node containers are flushed into by every map
-# worker and drained by worker groups — the sharing pattern the repeats
-# above exist for — so the multi-node suites repeat under the detector,
-# with the exchange's own tests, whose Run reduces the destinations' key
-# ranges in parallel tasks.
-go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeMergesOnce|TestMultiNodeDrainsOncePerNode|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
+# worker, reduced by partition tasks and, at each destination, refilled
+# by the fold's worker tasks — the sharing pattern the repeats above
+# exist for — so the multi-node suites repeat under the detector, with
+# the exchange's own tests.
+go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeSortsOnce|TestMultiNodeDrainsOncePerNode|TestMultiNodeWireOrderFree|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
 go test -race -count=2 -run 'TestNodeContainersRouteAndDrainOnce' ./internal/core/
 go test -race -count=2 -run 'TestExchange|FuzzExchange' ./internal/shuffle/
 
@@ -125,8 +125,9 @@ go test -race -count=3 -run 'TestEngineTracesArePerJob|TestTraceRootedAtJobStart
 echo "== race: server shutdown =="
 # Close shuts every connection's read side while handlers may be idle,
 # mid-request or blocked in a wait, and an oversized request is answered
-# before its connection closes; both repeat under the detector.
-go test -race -count=3 -run 'TestClose|TestOversized' ./internal/server/
+# before its connection closes, an answer the client reads after its
+# write fails; all repeat under the detector.
+go test -race -count=3 -run 'TestClose|TestOversized|TestClientSeesOversizedLimit' ./internal/server/
 
 echo "== race: capped engine submissions =="
 # An iterative driver submits one job per iteration to a shared engine
@@ -155,7 +156,7 @@ for target in \
     spill:FuzzBlockDecode \
     shuffle:FuzzDecodeFrame \
     shuffle:FuzzReadRecord \
-    shuffle:FuzzExchangeVsMergeRuns \
+    shuffle:FuzzExchangeRoutes \
     egress:FuzzManifestDecode \
     cdc:FuzzBoundaryStability \
     sortalgo:FuzzBlockMergeVsReference \

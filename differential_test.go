@@ -258,8 +258,8 @@ func TestInNodeCombinerHalvesWireBytes(t *testing.T) {
 	}
 }
 
-// TestMultiNodeSkewedPartition: the exchange cuts every run at the same
-// splitters, so every occurrence of a key lands on one node, and a
+// TestMultiNodeSkewedPartition: the exchange routes every entry by the
+// same splitters, so every occurrence of a key lands on one node, and a
 // pathologically skewed key distribution — here >90% of all tokens are
 // one word — lands that word's whole count on a single node. The
 // cluster must still produce byte-identical output, with the hot key

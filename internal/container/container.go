@@ -34,11 +34,13 @@ type Local[K comparable, V any] interface {
 // phase; Partitions/Reduce run after the map phase completes.
 //
 // Re-emitting already-reduced, key-overlapping runs through any number
-// of concurrent Locals and then reducing and sorting equals
-// sortalgo.MergeRuns' re-reduce of the same runs, given the associative,
-// order-insensitive reduce every drain already requires (and, for the
-// key-range container, its unique-key contract). The memoized pipeline
-// folds parked per-chunk output back in on the strength of this.
+// of concurrent Locals and then reducing and sorting equals the
+// re-reducing streaming merge of the same runs (sortalgo.MergeSources),
+// given the associative, order-insensitive reduce every drain already
+// requires (and, for the key-range container, its unique-key contract).
+// The memoized pipeline folds parked per-chunk output back in, and each
+// node of a multi-node run folds the entries it received, on the
+// strength of this.
 type Container[K comparable, V any] interface {
 	// NewLocal returns an emitter for one map worker or map task.
 	NewLocal() Local[K, V]

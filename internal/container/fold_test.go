@@ -67,10 +67,7 @@ func checkFoldContract[K comparable](t *testing.T, c Container[K, int64], key fu
 	const workers, nRuns, vocab = 4, 13, 300
 	rng := rand.New(rand.NewSource(71))
 	runs := reducedRuns(nRuns, vocab, key, less, disjoint, rng)
-	want, err := sortalgo.MergeRuns(runs, less, sumVals[K], false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mergeRuns(t, runs, less)
 
 	// Sentence one: re-emitting reduced runs through concurrent Locals,
 	// then Reduce + sort, equals the re-reducing merge of the same runs.
@@ -105,11 +102,22 @@ func checkFoldContract[K comparable](t *testing.T, c Container[K, int64], key fu
 		t.Fatalf("Len after Reset = %d", n)
 	}
 	held.Flush()
-	wantHeld, err := sortalgo.MergeRuns(runs[:1], less, sumVals[K], false)
+	samePairs(t, "Local flushed after Reset", reduceSorted(c, less), mergeRuns(t, runs[:1], less))
+}
+
+// mergeRuns is the re-reducing streaming merge of runs, one slice
+// source each.
+func mergeRuns[K comparable](t *testing.T, runs [][]kv.Pair[K, int64], less kv.Less[K]) []kv.Pair[K, int64] {
+	t.Helper()
+	var srcs []sortalgo.Source[K, int64]
+	for _, r := range runs {
+		srcs = append(srcs, sortalgo.NewSliceSource(r))
+	}
+	out, err := sortalgo.MergeSources(srcs, less, sumVals[K], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePairs(t, "Local flushed after Reset", reduceSorted(c, less), wantHeld)
+	return out
 }
 
 func TestFoldContract(t *testing.T) {

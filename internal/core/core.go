@@ -43,9 +43,9 @@
 // A multi-node run keeps one container per node (the caller's plus
 // Nodes-1 from Container.New) as the in-node combiner tier: chunk i is
 // mapped into node i % Nodes's, a memoized run folds that node's parked
-// output into it, and it is drained once, into the node's one run for
-// shuffle.Exchange. The combiner ablation keeps the every-chunk drain
-// on the caller's container and exchanges the per-chunk runs.
+// output into it, and it is reduced once, unsorted, for shuffle.Exchange
+// (or drained every chunk, with the combiner ablated). It then takes
+// what its node received and finishes like one node's.
 //
 // Persistence (§III-C) applies at two tiers: the intermediate
 // containers accumulate across rounds (runMappers never resets them),
@@ -61,6 +61,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,9 +124,9 @@ type Options struct {
 	RadixDisabled bool
 	// Topology carries the multi-node knobs. With Nodes > 0 the job runs
 	// on a simulated cluster: chunk i is mapped into node i % Nodes's
-	// persistent container and, after ingest, node n takes the n-th key
-	// range of every node's runs over simulated links (shuffle.Exchange).
-	// Requires key/value types with codecs.
+	// persistent container and, after ingest, node n finishes the n-th
+	// key range of every node's entries (shuffle.Exchange). Requires
+	// key/value types with codecs.
 	shuffle.Topology
 	// ResetEachRound re-initializes the container at every map round,
 	// the traditional behaviour SupMR had to remove (§III-C). It exists
@@ -252,14 +253,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			return nil, err
 		}
 	}
-	// conts[n] is node n's persistent container. Single-node runs, and
-	// multi-node runs that exchange every chunk's run as drained
-	// (perChunk, the combiner ablation), map every chunk into the caller's.
+	// conts[n] is node n's persistent container.
 	conts := []container.Container[K, V]{cont}
-	perChunk := exchange != nil && opts.CombinerOff
-	for exchange != nil && !perChunk && len(conts) < opts.Nodes {
+	for exchange != nil && len(conts) < opts.Nodes {
 		conts = append(conts, cont.New())
 	}
+	perChunk := exchange != nil && opts.CombinerOff
 
 	// The drain step, chosen once: when a container is emptied into a
 	// key-sorted run, and under which phase and task label. Memo and
@@ -289,10 +288,10 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		spiller.SetRetry(opts.Retry, opts.FaultCounters)
 		spiller.SetFixedKey(fixed)
 	}
-	drainRadixRuns := 0 // radix-sorted drain groups, folded into Stats.RadixRuns
-	drain := func(c container.Container[K, V], label string) ([]kv.Pair[K, V], error) {
-		run, nRad, err := spill.DrainContainer(c, app.Less, app.Reduce, fixed, pool, label)
-		drainRadixRuns += nRad
+	var stats Stats
+	drain := func(c container.Container[K, V]) ([]kv.Pair[K, V], error) {
+		run, nRad, err := spill.DrainContainer(c, app.Less, app.Reduce, fixed, pool, drainLabel)
+		stats.RadixRuns += nRad
 		return run, err
 	}
 	// The phases the loop bills to: a stream whose first chunk is its
@@ -419,7 +418,6 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 	}()
 
-	var stats Stats
 	runMappers := func(c *chunk.Chunk, into container.Container[K, V]) (time.Duration, error) {
 		start := pool.Now()
 		if opts.ResetEachRound {
@@ -494,7 +492,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				if err := spiller.Join(); err != nil { // at most one spill write in flight
 					return err
 				}
-				run, err := drain(cont, drainLabel)
+				run, err := drain(cont)
 				if len(run) > 0 {
 					spiller.SpillAsync(run, pool)
 				}
@@ -571,7 +569,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				// and a failed publish only skips the cache entry, never
 				// the job.
 				err := inPhase(drainPhase, func() (err error) {
-					if out.run, err = drain(target, drainLabel); err != nil || cache == nil {
+					if out.run, err = drain(target); err != nil || cache == nil {
 						return err
 					}
 					stats.MemoMisses++
@@ -634,17 +632,15 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	// across drains — the associativity contract all drains rely on —
 	// and the output is byte-identical whichever drain step ran.
 	var (
-		merged    []kv.Pair[K, V]
-		rounds    = 1
-		radixRuns int
-		err       error
+		merged []kv.Pair[K, V]
+		err    error
 	)
 	if cache != nil && !perChunk {
 		// Every miss drained its container, so all are empty: fold each
 		// container's chunks back in and finish like an unmemoized run.
 		rec.StartPhase(metrics.PhaseMemo)
 		for n := 0; n < len(conts) && err == nil; n++ {
-			err = foldParked(cache, parked, n, len(conts), conts[n], pool)
+			err = fold(cache, parked, n, len(conts), conts[n], pool, "memo")
 		}
 		rec.EndPhase(metrics.PhaseMemo)
 		parked = nil
@@ -652,36 +648,10 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	switch {
 	case err != nil: // the fold failed
 	case exchange != nil:
-		// Each node hands the exchange its container's one drain or,
-		// with the combiner ablated, its round-robin share of the parked
-		// per-chunk runs; an empty run is not handed in.
-		nodeRuns := make([][][]kv.Pair[K, V], opts.Nodes)
-		give := func(n int, run []kv.Pair[K, V]) {
-			stats.IntermediateN += len(run)
-			if len(run) > 0 {
-				nodeRuns[n] = append(nodeRuns[n], run)
-			}
-		}
-		for i, p := range parked {
-			give(i%opts.Nodes, p.run)
-		}
-		if !perChunk {
-			rec.StartPhase(metrics.PhaseShuffle)
-			for n := 0; n < len(conts) && err == nil; n++ {
-				var run []kv.Pair[K, V]
-				run, err = drain(conts[n], "shuffle")
-				give(n, run)
-			}
-			rec.EndPhase(metrics.PhaseShuffle)
-		}
-		if err == nil {
-			var c shuffle.Counters
-			merged, c, err = exchange.Run(app, nodeRuns, pool)
-			stats.ShuffleBytes, stats.ShuffleFrames, stats.Runs = c.Bytes, c.Frames, c.Runs
-		}
+		merged, err = finishNodes(app, conts, parked, exchange, fixed, opts, &stats)
 	default:
 		stats.IntermediateN = cont.Len()
-		merged, rounds, radixRuns, err = reduceAndMerge(app, cont, fixed, opts, spiller, &stats)
+		merged, err = reduceAndMerge(app, cont, fixed, opts, spiller, &stats)
 	}
 	var out *egress.Output
 	if err == nil && opts.Egress != nil {
@@ -693,8 +663,6 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		pool.Abort(err)
 		return nil, err
 	}
-	stats.MergeRounds = rounds
-	stats.RadixRuns = radixRuns + drainRadixRuns
 	stats.OutputPairs = len(merged)
 	stats.Tasks = rec.TaskStats(from)
 	stats.MapBusy, stats.ReduceBusy = stats.Tasks["map"].Busy, stats.Tasks["reduce"].Busy
@@ -726,31 +694,87 @@ type parkedChunk[K comparable, V any] struct {
 	entry memo.Entry
 }
 
-// foldParked re-emits the parked output of a memoized run's chunks
-// first, first+stride, ... (all of them, or one node's round-robin
-// share) into the empty container cont, one task and one container Local
-// per compute worker, each taking every Workers-th of those chunks.
-// Cache entries decode straight into the Local (see memo.Cache.Replay);
-// drained runs are emitted pair by pair. The parked values were reduced
-// per chunk, so this relies on the container contract that re-emitting
-// reduced runs and reducing again equals reducing once.
-func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, V], first, stride int,
-	cont container.Container[K, V], pool exec.Executor) error {
+// fold re-emits the parked output of chunks first, first+stride, ...
+// (all of them, one node's round-robin share, or a destination's
+// received pieces) into the empty container cont, one task labelled
+// label per compute worker, each taking every Workers-th of those items
+// through a container Local per item. Cache entries decode straight into
+// the Local (see memo.Cache.Replay); runs are emitted pair by pair. The
+// parked values were reduced already, so this relies on the container
+// contract that re-emitting reduced runs and reducing again equals
+// reducing once.
+func fold[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, V], first, stride int,
+	cont container.Container[K, V], pool exec.Executor, label string) error {
 	workers := pool.Workers()
-	_, err := pool.ForEach("memo", metrics.StateUser, workers, func(w int) error {
-		local := cont.NewLocal()
+	_, err := pool.ForEach(label, metrics.StateUser, workers, func(w int) error {
 		for i := first + w*stride; i < len(parked); i += workers * stride {
-			if err := cache.Replay(parked[i].entry, local); err != nil {
-				return err
+			local := cont.NewLocal()
+			if cache != nil {
+				if err := cache.Replay(parked[i].entry, local); err != nil {
+					return err
+				}
 			}
 			for _, p := range parked[i].run {
 				local.Emit(p.Key, p.Val)
 			}
+			local.Flush()
 		}
-		local.Flush()
 		return nil
 	})
 	return err
+}
+
+// foldPiece caps the pairs a destination folds through one Local: small
+// pieces keep the Locals, which keep their storage, small.
+const foldPiece = 1024
+
+// finishNodes is a multi-node run's finish. Each node's reduced entries
+// (or parked per-chunk runs) go to the nodes owning their key ranges;
+// each destination folds them into its emptied container and finishes
+// like a single node, one after another on the whole pool. The outputs,
+// key-disjoint and ascending, are laid end to end.
+func finishNodes[K comparable, V any](app kv.App[K, V], conts []container.Container[K, V], parked []parkedChunk[K, V],
+	exchange *shuffle.Exchange[K, V], fixed *kv.FixedKeyCodec[K], opts Options, stats *Stats) ([]kv.Pair[K, V], error) {
+	pool, rec := opts.Pool, opts.Pool.Record()
+	nodeBlocks := make([][][]kv.Pair[K, V], len(conts))
+	for i, p := range parked {
+		nodeBlocks[i%len(conts)] = append(nodeBlocks[i%len(conts)], p.run)
+		stats.IntermediateN += len(p.run)
+	}
+	if !opts.CombinerOff {
+		rec.StartPhase(metrics.PhaseShuffle)
+		for n, c := range conts {
+			stats.IntermediateN += c.Len()
+			runs, _, err := ReducePhase(app, c, opts)
+			if err != nil {
+				rec.EndPhase(metrics.PhaseShuffle)
+				return nil, err
+			}
+			nodeBlocks[n] = append(nodeBlocks[n], runs...)
+		}
+		rec.EndPhase(metrics.PhaseShuffle)
+	}
+
+	rec.StartPhase(metrics.PhaseShuffle)
+	recv, err := exchange.Run(nodeBlocks, app.Less)
+	stats.ShuffleBytes, stats.ShuffleFrames = exchange.Bytes, exchange.Frames
+	for dst := 0; dst < len(conts) && err == nil; dst++ {
+		var pieces []parkedChunk[K, V]
+		for _, b := range recv[dst] {
+			for piece := range slices.Chunk(b, foldPiece) {
+				pieces = append(pieces, parkedChunk[K, V]{run: piece})
+			}
+		}
+		recv[dst] = nil
+		conts[dst].Reset()
+		err = fold(nil, pieces, 0, 1, conts[dst], pool, "shuffle")
+	}
+	rec.EndPhase(metrics.PhaseShuffle)
+	outs := make([][]kv.Pair[K, V], len(conts))
+	for dst := 0; dst < len(conts) && err == nil; dst++ {
+		outs[dst], err = reduceAndMerge(app, conts[dst], fixed, opts, nil, stats)
+	}
+	return slices.Concat(outs...), err
 }
 
 // reduceAndMerge finishes a job whose container holds the intermediate
@@ -759,7 +783,7 @@ func foldParked[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChu
 // every spilled run when the budget forced drains. fixed is the job's
 // fixed-key codec (nil without one); opts carries the job's pool.
 func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], fixed *kv.FixedKeyCodec[K], opts Options,
-	spiller *spill.Spiller[K, V], stats *Stats) ([]kv.Pair[K, V], int, int, error) {
+	spiller *spill.Spiller[K, V], stats *Stats) ([]kv.Pair[K, V], error) {
 	rec := opts.Pool.Record()
 	// Join the last spill write before reducing: the merge below must
 	// see every run complete. The residue still in the container is
@@ -769,7 +793,7 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 		err := spiller.Join()
 		rec.EndPhase(metrics.PhaseSpill)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
 		stats.SpilledRuns = spiller.RunCount()
 		stats.SpilledBytes = spiller.BytesSpilled()
@@ -779,11 +803,11 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	runs, _, err := ReducePhase(app, cont, opts)
 	rec.EndPhase(metrics.PhaseReduce)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
-	stats.Runs = len(runs) + stats.SpilledRuns
+	stats.Runs += len(runs) + stats.SpilledRuns
 	if stats.SpilledRuns == 0 {
-		return mergePhase(app, runs, fixed, opts)
+		return mergePhase(app, runs, fixed, opts, stats)
 	}
 
 	// The budgeted merge: the in-memory residue's runs (their keys are
@@ -794,12 +818,12 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	// it. The round count stays 1 — spilling adds merge sources, not
 	// merge rounds, preserving the paper's single-round property (§IV).
 	opts.Merge = sortalgo.MergePWay
-	residue, _, radixRuns, err := mergePhase(app, runs, fixed, opts)
+	residue, err := mergePhase(app, runs, fixed, opts, stats)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
+	stats.MergeRounds = 1
 	rec.StartPhase(metrics.PhaseMerge)
 	defer rec.EndPhase(metrics.PhaseMerge)
-	merged, err := spiller.Merge(residue, opts.Pool, "merge")
-	return merged, 1, radixRuns, err
+	return spiller.Merge(residue, opts.Pool, "merge")
 }

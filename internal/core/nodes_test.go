@@ -3,9 +3,16 @@ package core
 import (
 	"errors"
 	"io"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"supmr/internal/exec"
+	"supmr/internal/kv"
 	"supmr/internal/memo"
+	"supmr/internal/metrics"
 	"supmr/internal/shuffle"
 	"supmr/internal/storage"
 	"supmr/internal/workload"
@@ -14,10 +21,13 @@ import (
 // TestNodeContainersRouteAndDrainOnce: with Nodes set, chunk i is
 // combined in node i % Nodes's container and nowhere else — plain, on a
 // cold memo store (misses drained and folded back) and on a warm one
-// (hits folded from their encoded entries) alike — so the runs handed to
-// the exchange hold exactly each node's distinct words, every container
-// is drained once, and the caller's container is one of them. With the
-// combiner ablated the per-chunk runs are handed in instead.
+// (hits folded from their encoded entries) alike — so the entries handed
+// to the exchange are exactly each node's distinct words: every
+// container is reduced once before the exchange and never drained. With
+// the combiner ablated the per-chunk drains are handed in instead. Each
+// destination then folds what it received into its own container, the
+// caller's being destination 0's, and finishes it like a single node:
+// no task sorts or merges until every destination has folded.
 func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 	const nodes, chunkSize = 3, 4 << 10
 	text := genText(t, 64<<10)
@@ -64,19 +74,22 @@ func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 		memo        bool
 		combinerOff bool
 		wantN       int // Stats.IntermediateN: pairs handed to the exchange
-		wantDrains  int // "shuffle" tasks: one per drain with one worker
+		wantDrains  int // per-chunk drains, each one "shuffle" task with one worker
 		wantHits    int
 	}{
-		{name: "plain", wantN: perNodeN, wantDrains: nodes},
-		{name: "memo-cold", memo: true, wantN: perNodeN, wantDrains: nodes},
-		{name: "memo-warm", memo: true, wantN: perNodeN, wantDrains: nodes, wantHits: chunks},
+		{name: "plain", wantN: perNodeN},
+		{name: "memo-cold", memo: true, wantN: perNodeN},
+		{name: "memo-warm", memo: true, wantN: perNodeN, wantHits: chunks},
 		{name: "combiner-off", combinerOff: true, wantN: perChunkN, wantDrains: chunks},
 		{name: "combiner-off-memo-warm", memo: true, combinerOff: true, wantN: perChunkN, wantHits: chunks},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cont := wc.NewContainer(8)
+			const parts = 8
+			cont := wc.NewContainer(parts)
+			pool := &labelLog{Pool: exec.NewLocal(1)}
+			defer pool.Close()
 			opts := Options{
-				Workers:  1,
+				Pool:     pool,
 				Topology: shuffle.Topology{Nodes: nodes, CombinerOff: tc.combinerOff, Clock: storage.NewFakeClock()},
 			}
 			if tc.memo {
@@ -98,15 +111,67 @@ func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 			if st.IntermediateN != tc.wantN {
 				t.Errorf("IntermediateN = %d, want %d", st.IntermediateN, tc.wantN)
 			}
-			if got := st.Tasks["shuffle"].Tasks; got != tc.wantDrains {
-				t.Errorf("%d shuffle tasks, want %d drains", got, tc.wantDrains)
+			// One fold task per destination besides the drains; a node's
+			// container is reduced before the exchange unless ablated, and
+			// every destination's is reduced by its finish.
+			if got, want := st.Tasks["shuffle"].Tasks, tc.wantDrains+nodes; got != want {
+				t.Errorf("%d shuffle tasks, want %d drains and %d folds", got, tc.wantDrains, nodes)
+			}
+			wantReduces := 2 * nodes * parts
+			if tc.combinerOff {
+				wantReduces = nodes * parts
+			}
+			if got := st.Tasks["reduce"].Tasks; got != wantReduces {
+				t.Errorf("%d reduce tasks, want %d", got, wantReduces)
 			}
 			if st.MemoHits != tc.wantHits {
 				t.Errorf("%d memo hits, want %d", st.MemoHits, tc.wantHits)
 			}
-			if cont.Len() != 0 {
-				t.Errorf("the caller's container still holds %d entries after the exchange; it is node 0's and must have been drained", cont.Len())
+			lastFold, firstSort := -1, len(pool.labels)
+			for i, l := range pool.labels {
+				switch l {
+				case "shuffle":
+					lastFold = i
+				case "sort", "merge":
+					firstSort = min(firstSort, i)
+				}
+			}
+			if firstSort == len(pool.labels) {
+				t.Errorf("no destination sorted or merged: %v", pool.labels)
+			}
+			if firstSort < lastFold {
+				t.Errorf("a %q task ran before the last destination folded: %v", pool.labels[firstSort], pool.labels)
+			}
+			// The caller's container is destination 0's: it holds the
+			// lowest key range, the output's first cont.Len() keys.
+			n := cont.Len()
+			if n == 0 || n >= len(res.Pairs) {
+				t.Fatalf("the caller's container holds %d of %d keys; it is destination 0's", n, len(res.Pairs))
+			}
+			for p := 0; p < cont.Partitions(); p++ {
+				for _, e := range cont.Reduce(p, wc.Reduce, nil) {
+					if i, ok := slices.BinarySearchFunc(res.Pairs[:n], e.Key, func(p kv.Pair[string, int64], k string) int {
+						return strings.Compare(p.Key, k)
+					}); !ok || res.Pairs[i] != e {
+						t.Fatalf("the caller's container holds %v, not among destination 0's %d output pairs", e, n)
+					}
+				}
 			}
 		})
 	}
+}
+
+// labelLog is an executor that logs the label of every ForEach call in
+// call order.
+type labelLog struct {
+	*exec.Pool
+	mu     sync.Mutex
+	labels []string
+}
+
+func (l *labelLog) ForEach(label string, state metrics.WorkerState, n int, fn func(int) error) (time.Duration, error) {
+	l.mu.Lock()
+	l.labels = append(l.labels, label)
+	l.mu.Unlock()
+	return l.Pool.ForEach(label, state, n, fn)
 }

@@ -167,16 +167,16 @@ func ReducePhase[K comparable, V any](app kv.App[K, V], cont container.Container
 }
 
 // mergePhase sorts each run in parallel and merges them with the
-// selected algorithm, returning the globally sorted output, the number
-// of pairwise rounds an iterative merge would perform, and how many runs
-// took the radix fast path. codec is the job's fixed-key codec, nil
-// when the app has none or the ablation turned it off. Under the p-way
-// merge a codec skips both steps: sortalgo.ScatterSort finishes the
-// runs in one distribution round and every run counts as radix. The
-// run-sort and merge halves are bracketed separately on the pool's
-// record (PhaseRunSort vs PhaseMerge) so reports can attribute the
-// sort-path speedup.
-func mergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], codec *kv.FixedKeyCodec[K], opts Options) ([]kv.Pair[K, V], int, int, error) {
+// selected algorithm, returning the globally sorted output. It adds to
+// stats how many runs took the radix fast path and raises MergeRounds
+// to the pairwise rounds an iterative merge would perform. codec is the
+// job's fixed-key codec, nil when the app has none or the ablation
+// turned it off. Under the p-way merge a codec skips both steps:
+// sortalgo.ScatterSort finishes the runs in one distribution round and
+// every run counts as radix. The run-sort and merge halves are
+// bracketed separately on the pool's record (PhaseRunSort vs
+// PhaseMerge) so reports can attribute the sort-path speedup.
+func mergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], codec *kv.FixedKeyCodec[K], opts Options, stats *Stats) ([]kv.Pair[K, V], error) {
 	pool, rec := opts.Pool, opts.Pool.Record()
 	rounds := sortalgo.Rounds(len(runs))
 	if opts.Merge == sortalgo.MergePWay {
@@ -184,29 +184,28 @@ func mergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], c
 		if len(runs) <= 1 {
 			rounds = 0
 		}
-		if codec != nil {
-			merged, ok, err := sortalgo.ScatterSort(runs, *codec, pool)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			if ok {
-				return merged, rounds, len(runs), nil
-			}
+	}
+	stats.MergeRounds = max(stats.MergeRounds, rounds)
+	if opts.Merge == sortalgo.MergePWay && codec != nil {
+		merged, ok, err := sortalgo.ScatterSort(runs, *codec, pool)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			stats.RadixRuns += len(runs)
+			return merged, nil
 		}
 	}
 	rec.StartPhase(metrics.PhaseRunSort)
 	radixRuns, err := sortalgo.SortRunsWith(runs, app.Less, codec, pool)
 	rec.EndPhase(metrics.PhaseRunSort)
+	stats.RadixRuns += radixRuns
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	rec.StartPhase(metrics.PhaseMerge)
-	merged, err := sortalgo.MergeWith(opts.Merge, runs, app.Less, codec, pool)
-	rec.EndPhase(metrics.PhaseMerge)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return merged, rounds, radixRuns, nil
+	defer rec.EndPhase(metrics.PhaseMerge)
+	return sortalgo.MergeWith(opts.Merge, runs, app.Less, codec, pool)
 }
 
 // writeEgress, the finish's last phase, writes the merged pairs as one

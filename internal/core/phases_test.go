@@ -57,12 +57,13 @@ func TestMergePhaseRounds(t *testing.T) {
 	pool := exec.NewLocal(2)
 	defer pool.Close()
 	opts := Options{Pool: pool, Merge: sortalgo.MergePairwise}
-	merged, rounds, _, err := mergePhase[string, int64](wc, runs, nil, opts)
+	var st Stats
+	merged, err := mergePhase[string, int64](wc, runs, nil, opts, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds != 2 {
-		t.Errorf("pairwise rounds = %d, want 2 for 4 runs", rounds)
+	if st.MergeRounds != 2 {
+		t.Errorf("pairwise rounds = %d, want 2 for 4 runs", st.MergeRounds)
 	}
 	if len(merged) != 6 || !kv.IsSortedPairs(merged, wc.Less) {
 		t.Errorf("merged = %v", merged)

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -42,9 +43,21 @@ func (c *Client) roundTrip(req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.conn.Write(append(payload, '\n')); err != nil {
-		return nil, fmt.Errorf("client: send: %w", err)
+	if _, werr := c.conn.Write(append(payload, '\n')); werr != nil {
+		// A server that refuses a request outright (a line over its size
+		// limit) answers and hangs up before reading the rest, so the
+		// write fails; the answer it sent says why.
+		var pe *ProtocolError
+		if _, err := c.receive(); errors.As(err, &pe) {
+			return nil, pe
+		}
+		return nil, fmt.Errorf("client: send: %w", werr)
 	}
+	return c.receive()
+}
+
+// receive decodes one response line, a rejection as a *ProtocolError.
+func (c *Client) receive() (*Response, error) {
 	line, err := c.r.ReadBytes('\n')
 	if err != nil {
 		return nil, fmt.Errorf("client: receive: %w", err)

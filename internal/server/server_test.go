@@ -391,3 +391,23 @@ func TestOversizedRequestAnswered(t *testing.T) {
 		t.Error("connection still open after the oversized request")
 	}
 }
+
+// TestClientSeesOversizedLimit: a request over the line limit fails the
+// client's write once the server hangs up, and the client still returns
+// the server's answer, naming the limit, not the broken pipe.
+func TestClientSeesOversizedLimit(t *testing.T) {
+	_, sock := startServer(t, supmr.EngineConfig{Workers: 1})
+	c, err := Dial(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Submit(jobspec.Spec{App: strings.Repeat("x", 2<<20)})
+	var pe *ProtocolError
+	if !errors.As(err, &pe) {
+		t.Fatalf("oversized submit: got %v, want *ProtocolError", err)
+	}
+	if !strings.Contains(pe.Message, "1048576-byte limit") {
+		t.Fatalf("oversized submit: %q does not name the 1048576-byte limit", pe.Message)
+	}
+}

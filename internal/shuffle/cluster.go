@@ -3,12 +3,11 @@ package shuffle
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
-	"supmr/internal/exec"
 	"supmr/internal/faults"
 	"supmr/internal/kv"
-	"supmr/internal/metrics"
 	"supmr/internal/netsim"
 	"supmr/internal/sortalgo"
 	"supmr/internal/spill"
@@ -24,10 +23,10 @@ type Topology struct {
 	// differential tests).
 	Nodes int
 	// CombinerOff disables the in-node combiner tier (the node's
-	// persistent container, drained once into the node's one run): the
-	// container is drained after every chunk and each per-chunk run is
-	// transmitted as drained. The destination merge re-reduces either
-	// way, so output bytes are identical — only wire traffic changes.
+	// persistent container, reduced once after ingest): the container is
+	// drained after every chunk and each per-chunk run is framed on its
+	// own. Destinations re-reduce what they receive either way, so output
+	// bytes are identical — only wire traffic changes.
 	CombinerOff bool
 	// LinkBW is each node port's bandwidth in bytes/sec
 	// (0 = netsim.GigabitEthernet); LinkLatency is the per-transfer
@@ -42,21 +41,23 @@ type Topology struct {
 	Injector *faults.Injector
 }
 
-// Exchange is the scale-out tail of the pipeline: the p-way merge with
-// nodes for workers. The ingest loop hands it each node's key-sorted
-// runs — its container's one drain, or one per chunk with the in-node
-// combiner ablated; Run then executes
+// Exchange is sample sort's one routing round (Goodrich, Sitchinava
+// and Zhang) with nodes for workers. The ingest loop hands it each
+// node's reduced entries in any order — its container's reduce output,
+// or one run per chunk with the in-node combiner ablated; Run then
 //
-//	shuffle: nodes holding runs swap keys-only sample frames and all
-//	         derive the same Nodes-1 splitters; each run is cut once at
-//	         them and slice n travels to node n as a checksummed frame
-//	         over the fabric, the local slice bypassing the wire
-//	reduce:  each node merges its slices in one re-reducing streaming
-//	         pass over the merge tree
+//	samples: nodes holding entries swap keys-only sample frames and all
+//	         derive the same Nodes-1 splitters
+//	routes:  each entry goes to node n, n the number of splitters at or
+//	         below its key, as checksummed frames over the fabric, the
+//	         local share bypassing the wire
 //
-// Node n reduces the n-th key range, so the node outputs laid end to
-// end are the sorted result, byte-identical to a single-node run.
+// Node n receives the n-th key range: once each node finishes what it
+// received, the node outputs laid end to end are the sorted result,
+// byte-identical to a single-node run.
 type Exchange[K comparable, V any] struct {
+	Bytes   int64 // framed bytes that crossed the links, retries included
+	Frames  int   // frames delivered between nodes, sample frames included
 	top     Topology
 	kc      spill.Codec[K]
 	vc      spill.Codec[V]
@@ -100,85 +101,84 @@ func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier) (*E
 	return &Exchange[K, V]{top: top, kc: kc, vc: vc, fab: fab, wires: wires, retrier: retrier}, nil
 }
 
-// Counters are what one exchange measured.
-type Counters struct {
-	Bytes  int64 // framed bytes that crossed the links, retries included
-	Frames int   // frames delivered between nodes, sample frames included
-	Runs   int   // runs the destination merges consumed
-}
-
-// Run exchanges nodeRuns (nodeRuns[n]: node n's key-sorted local runs)
-// and returns the globally sorted output and the exchange's counters,
-// bracketing the shuffle and reduce phases on pool's record.
-func (x *Exchange[K, V]) Run(app kv.App[K, V], nodeRuns [][][]kv.Pair[K, V], pool exec.Executor) ([]kv.Pair[K, V], Counters, error) {
-	var c Counters
-	rec := pool.Record()
-	rec.StartPhase(metrics.PhaseShuffle)
-	recv, err := x.transfer(nodeRuns, app.Less, &c)
-	rec.EndPhase(metrics.PhaseShuffle)
-	if err != nil {
-		return nil, c, err
-	}
-
-	// The reduce tier: every destination merges what it received.
-	outs := make([][]kv.Pair[K, V], len(recv))
-	rec.StartPhase(metrics.PhaseReduce)
-	_, err = pool.ForEach("reduce", metrics.StateUser, len(recv), func(dst int) error {
-		var mErr error
-		outs[dst], mErr = sortalgo.MergeRuns(recv[dst], app.Less, app.Reduce, true)
-		return mErr
-	})
-	rec.EndPhase(metrics.PhaseReduce)
-	if err != nil {
-		return nil, c, err
-	}
-	return slices.Concat(outs...), c, nil
-}
-
-// transfer is the sample exchange, then the data exchange, visiting
-// wires src → run → dst. It returns recv[dst]: the runs to merge at
-// dst, in arrival order.
-func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], less kv.Less[K], c *Counters) ([][][]kv.Pair[K, V], error) {
-	// A node's sample is its runs' sample cut to at most SamplesPerRun
-	// keys. Every node holding runs sends it to every other such node, so
-	// each holds all of them and derives the same splitters.
-	own := make([][]kv.Pair[K, []byte], len(nodeRuns))
-	var samples []K
-	for n, runs := range nodeRuns {
-		s := sortalgo.Sample(runs)
-		for _, k := range sortalgo.Splitters(s, min(len(s), sortalgo.SamplesPerRun)+1, less) {
-			own[n] = append(own[n], kv.Pair[K, []byte]{Key: k})
-			samples = append(samples, k)
+// Run exchanges nodeBlocks (nodeBlocks[n]: node n's entries, in blocks
+// in any order) and returns recv[dst], the blocks node dst received. A
+// node's blocks travel to each other node as one frame, or with
+// CombinerOff one frame per block. What a node keeps is moved to the
+// front of its blocks in place and handed back uncopied. Samples are
+// drawn by content alone, so the wire does not depend on the order a
+// container iterates in.
+func (x *Exchange[K, V]) Run(nodeBlocks [][][]kv.Pair[K, V], less kv.Less[K]) ([][][]kv.Pair[K, V], error) {
+	// A node's sample is the keys whose encoding hashes to 0 modulo
+	// stride, with stride sized for about SamplesPerRun of its entries,
+	// cut to at most SamplesPerRun keys. Every node with a sample sends it
+	// to every other such node, so each holds all of them and derives the
+	// same splitters.
+	var kbuf, vbuf, payload []byte
+	own := make([][]K, len(nodeBlocks))
+	for n, blocks := range nodeBlocks {
+		entries := 0
+		for _, b := range blocks {
+			entries += len(b)
 		}
+		stride := max(entries/sortalgo.SamplesPerRun, 1)
+		var s []K
+		for _, b := range blocks {
+			for _, p := range b {
+				if kbuf = x.kc.Append(kbuf[:0], p.Key); PartitionOf(kbuf, stride) == 0 {
+					s = append(s, p.Key)
+				}
+			}
+		}
+		own[n] = sortalgo.Splitters(s, min(len(s), sortalgo.SamplesPerRun)+1, less)
 	}
 	for src := range own {
+		payload = payload[:0]
+		for _, k := range own[src] {
+			kbuf = x.kc.Append(kbuf[:0], k)
+			payload = AppendRecord(payload, kbuf, nil)
+		}
 		for dst := range own {
 			if dst != src && len(own[src]) > 0 && len(own[dst]) > 0 {
-				if _, err := ship(x, src, dst, own[src], keysOnly, c); err != nil {
+				if _, err := ship(x, src, dst, len(own[src]), payload, keysOnly); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	splitters := sortalgo.Splitters(samples, x.top.Nodes, less)
+	splitters := sortalgo.Splitters(slices.Concat(own...), x.top.Nodes, less)
 
 	recv := make([][][]kv.Pair[K, V], x.top.Nodes)
-	for src, runs := range nodeRuns {
-		for _, run := range runs {
-			cut := sortalgo.Cut(run, splitters, less)
-			for dst := range recv {
-				slice := run[cut[dst]:cut[dst+1]]
-				if len(slice) == 0 {
+	payloads := make([][]byte, x.top.Nodes)
+	records := make([]int, x.top.Nodes)
+	for src, blocks := range nodeBlocks {
+		for i, b := range blocks {
+			local := 0 // the local share moves to the block's front
+			for j, p := range b {
+				dst := sort.Search(len(splitters), func(k int) bool { return less(p.Key, splitters[k]) })
+				if dst == src {
+					b[local], b[j] = b[j], b[local]
+					local++
 					continue
 				}
-				if dst != src {
-					var err error
-					if slice, err = ship(x, src, dst, slice, x.vc, c); err != nil {
-						return nil, err
-					}
+				kbuf, vbuf = x.kc.Append(kbuf[:0], p.Key), x.vc.Append(vbuf[:0], p.Val)
+				payloads[dst] = AppendRecord(payloads[dst], kbuf, vbuf)
+				records[dst]++
+			}
+			recv[src] = append(recv[src], b[:local])
+			if !x.top.CombinerOff && i < len(blocks)-1 {
+				continue // the node's next block joins the same frames
+			}
+			for dst, n := range records {
+				if n == 0 {
+					continue
 				}
-				recv[dst] = append(recv[dst], slice)
-				c.Runs++
+				got, err := ship(x, src, dst, n, payloads[dst], x.vc)
+				if err != nil {
+					return nil, err
+				}
+				recv[dst] = append(recv[dst], got)
+				payloads[dst], records[dst] = payloads[dst][:0], 0
 			}
 		}
 	}
@@ -189,23 +189,18 @@ func (x *Exchange[K, V]) transfer(nodeRuns [][][]kv.Pair[K, V], less kv.Less[K],
 // keys alone. The []byte codec always resolves.
 var keysOnly, _ = spill.CodecFor[[]byte]()
 
-// ship frames pairs, keys by x's key codec and values by vc, sends the
-// frame from src to dst, resending torn transfers, and returns the
-// pairs as dst decoded them.
-func ship[K comparable, V, W any](x *Exchange[K, V], src, dst int, pairs []kv.Pair[K, W], vc spill.Codec[W], c *Counters) ([]kv.Pair[K, W], error) {
-	var payload, kbuf, vbuf []byte
-	for _, p := range pairs {
-		kbuf, vbuf = x.kc.Append(kbuf[:0], p.Key), vc.Append(vbuf[:0], p.Val)
-		payload = AppendRecord(payload, kbuf, vbuf)
-	}
-	frame := EncodeFrame(nil, src, dst, len(pairs), payload)
+// ship frames payload — records records, keys in x's key codec and
+// values in vc — sends the frame from src to dst, resending torn
+// transfers, and returns the pairs as dst decoded them.
+func ship[K comparable, V, W any](x *Exchange[K, V], src, dst, records int, payload []byte, vc spill.Codec[W]) ([]kv.Pair[K, W], error) {
+	frame := EncodeFrame(nil, src, dst, records, payload)
 	var got []kv.Pair[K, W]
 	err := x.retrier.Do(func() error {
 		n, ferr := x.wires[src][dst].Send(len(frame))
 		if terr := x.fab.Transfer(src, dst, int64(n)); terr != nil {
 			return terr
 		}
-		c.Bytes += int64(n)
+		x.Bytes += int64(n)
 		if ferr != nil {
 			// Only a prefix reached the receiver: it must reject the
 			// torn frame with a typed error, never accept it, and the
@@ -217,7 +212,7 @@ func ship[K comparable, V, W any](x *Exchange[K, V], src, dst int, pairs []kv.Pa
 		}
 		var derr error
 		if got, derr = decodeRun(frame, src, dst, x.kc, vc); derr == nil {
-			c.Frames++
+			x.Frames++
 		}
 		return derr
 	})
@@ -227,8 +222,9 @@ func ship[K comparable, V, W any](x *Exchange[K, V], src, dst int, pairs []kv.Pa
 	return got, nil
 }
 
-// decodeRun verifies and decodes one received frame into a key-sorted
-// run. Header fields must match the link the frame arrived on.
+// decodeRun verifies and decodes one received frame into its pairs, in
+// the order they were framed. Header fields must match the link the
+// frame arrived on.
 func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K], vc spill.Codec[V]) ([]kv.Pair[K, V], error) {
 	f, err := DecodeFrame(frame)
 	if err != nil {

@@ -2,12 +2,9 @@ package shuffle
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
-	"supmr/internal/exec"
 	"supmr/internal/kv"
-	"supmr/internal/sortalgo"
 	"supmr/internal/storage"
 )
 
@@ -39,26 +36,43 @@ func sortedRun(keys []string) []kv.Pair[string, int64] {
 	return run
 }
 
-// destinations runs the exchange's transfer over nodeRuns on a fresh
-// fault-free cluster and merges each destination's slices, returning
-// every node's output.
-func destinations(t testing.TB, nodeRuns [][][]kv.Pair[string, int64]) [][]kv.Pair[string, int64] {
+// destinations runs the exchange over nodeBlocks on a fresh fault-free
+// cluster and reduces each destination's blocks to its key-sorted
+// distinct keys, returning every node's output.
+func destinations(t testing.TB, nodeBlocks [][][]kv.Pair[string, int64]) [][]kv.Pair[string, int64] {
 	t.Helper()
-	x, err := NewExchange[string, int64](Topology{Nodes: len(nodeRuns), Clock: storage.NewFakeClock()}, nil)
+	x, err := NewExchange[string, int64](Topology{Nodes: len(nodeBlocks), Clock: storage.NewFakeClock()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, err := x.transfer(nodeRuns, countApp{}.Less, new(Counters))
+	recv, err := x.Run(nodeBlocks, countApp{}.Less)
 	if err != nil {
 		t.Fatal(err)
 	}
 	outs := make([][]kv.Pair[string, int64], len(recv))
-	for dst := range recv {
-		if outs[dst], err = sortalgo.MergeRuns(recv[dst], countApp{}.Less, countApp{}.Reduce, true); err != nil {
-			t.Fatal(err)
+	for dst, blocks := range recv {
+		var all []kv.Pair[string, int64]
+		for _, b := range blocks {
+			all = append(all, b...)
 		}
+		outs[dst] = reduced(all)
 	}
 	return outs
+}
+
+// reduced sums the values of each key in pairs and returns one pair per
+// distinct key, key-sorted.
+func reduced(pairs []kv.Pair[string, int64]) []kv.Pair[string, int64] {
+	sums := make(map[string]int64)
+	for _, p := range pairs {
+		sums[p.Key] += p.Val
+	}
+	out := make([]kv.Pair[string, int64], 0, len(sums))
+	for k, v := range sums {
+		out = append(out, kv.Pair[string, int64]{Key: k, Val: v})
+	}
+	kv.SortPairs(out, countApp{}.Less)
+	return out
 }
 
 // checkKeyRanged fails unless the destination outputs are each strictly
@@ -99,7 +113,7 @@ func TestExchangeBalancesSkewedKeys(t *testing.T) {
 		}
 	}
 	// Every key occurs on one to four nodes, as a word does across the
-	// nodes' chunks; each node hands in its container's one drain.
+	// nodes' chunks; each node hands in its container's distinct keys.
 	keys := make([][]string, nodes)
 	for k := range distinct {
 		first := rng.Intn(nodes)
@@ -109,11 +123,11 @@ func TestExchangeBalancesSkewedKeys(t *testing.T) {
 			}
 		}
 	}
-	nodeRuns := make([][][]kv.Pair[string, int64], nodes)
+	nodeBlocks := make([][][]kv.Pair[string, int64], nodes)
 	for node := range keys {
-		nodeRuns[node] = [][]kv.Pair[string, int64]{sortedRun(keys[node])}
+		nodeBlocks[node] = [][]kv.Pair[string, int64]{sortedRun(keys[node])}
 	}
-	outs := destinations(t, nodeRuns)
+	outs := destinations(t, nodeBlocks)
 	checkKeyRanged(t, outs)
 	total, limit := 0, 2*((n+nodes-1)/nodes)
 	for dst, out := range outs {
@@ -127,51 +141,75 @@ func TestExchangeBalancesSkewedKeys(t *testing.T) {
 	}
 }
 
-// FuzzExchangeVsMergeRuns: random sorted runs on one to five nodes, any
-// of which may hold none, exchange to exactly sortalgo.MergeRuns over
-// all of them, through destination outputs that are key-ranged.
-func FuzzExchangeVsMergeRuns(f *testing.F) {
-	f.Add(uint8(3), []byte("the quick brown fox\xffjumps over the lazy dog\xff\xffthe end"))
+// FuzzExchangeRoutes: unsorted blocks on one to five nodes, any of
+// which may hold none, each pair valued by its own index, framed per
+// node or (CombinerOff) per block. Every input pair arrives at exactly
+// one destination with its key and value intact, and every key at
+// destination d sorts before every key at d+1, so keys shared across
+// nodes meet at one destination.
+func FuzzExchangeRoutes(f *testing.F) {
+	f.Add(uint8(3), []byte("the quick brown fox\xffjumps over\xffthe lazy dog\xff\xffthe end"))
 	f.Add(uint8(0), []byte("abc"))
 	f.Add(uint8(4), []byte{})
-	f.Add(uint8(1), []byte("\xff\xffzz\xffaa\xff"))
+	f.Add(uint8(6), []byte("\xff\xffzz\xff\xffaa\xff"))
 	f.Fuzz(func(t *testing.T, shape uint8, data []byte) {
-		nodes := 1 + int(shape%5)
-		// A 0xff byte ends a run; run i belongs to node i % nodes. Other
-		// bytes are keys from a small alphabet, so runs share keys.
-		nodeRuns := make([][][]kv.Pair[string, int64], nodes)
-		var all [][]kv.Pair[string, int64]
-		var keys []string
-		for i, runs := 0, 0; i <= len(data); i++ {
+		nodes, perBlock := 1+int(shape%5), shape&8 != 0
+		// A 0xff byte ends a block; block i belongs to node i % nodes.
+		// Other bytes are keys from a small alphabet, in input order, so
+		// blocks and nodes share keys.
+		nodeBlocks := make([][][]kv.Pair[string, int64], nodes)
+		var sent, block []kv.Pair[string, int64]
+		for i, blocks := 0, 0; i <= len(data); i++ {
 			if i < len(data) && data[i] != 0xff {
-				keys = append(keys, string([]byte{'a' + data[i]%16, 'a' + data[i]/16}))
+				p := kv.Pair[string, int64]{Key: string([]byte{'a' + data[i]%16, 'a' + data[i]/16}), Val: int64(len(sent))}
+				block, sent = append(block, p), append(sent, p)
 				continue
 			}
-			if run := sortedRun(keys); len(run) > 0 {
-				nodeRuns[runs%nodes] = append(nodeRuns[runs%nodes], run)
-				all = append(all, run)
-			}
-			keys, runs = nil, runs+1
-		}
-		want, err := sortalgo.MergeRuns(all, countApp{}.Less, countApp{}.Reduce, true)
-		if err != nil {
-			t.Fatal(err)
+			nodeBlocks[blocks%nodes] = append(nodeBlocks[blocks%nodes], block)
+			block, blocks = nil, blocks+1
 		}
 
-		outs := destinations(t, nodeRuns)
-		checkKeyRanged(t, outs)
-		x, err := NewExchange[string, int64](Topology{Nodes: nodes, Clock: storage.NewFakeClock()}, nil)
+		x, err := NewExchange[string, int64](Topology{Nodes: nodes, CombinerOff: perBlock, Clock: storage.NewFakeClock()}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := exec.NewLocal(2)
-		defer pool.Close()
-		got, _, err := x.Run(countApp{}, nodeRuns, pool)
+		recv, err := x.Run(nodeBlocks, countApp{}.Less)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, want) || !slices.Equal(got, slices.Concat(outs...)) {
-			t.Fatalf("%d nodes: exchange output\n%v\nMergeRuns over all runs\n%v", nodes, got, want)
+		if len(recv) != nodes {
+			t.Fatalf("%d destinations, want %d", len(recv), nodes)
+		}
+		arrived := make([]int, len(sent))
+		var prevMax *string
+		for dst, blocks := range recv {
+			var lo, hi *string
+			for _, b := range blocks {
+				for i, p := range b {
+					if p.Val < 0 || int(p.Val) >= len(sent) || sent[p.Val] != p {
+						t.Fatalf("node %d received %v, which was never sent", dst, p)
+					}
+					arrived[p.Val]++
+					if lo == nil || p.Key < *lo {
+						lo = &b[i].Key
+					}
+					if hi == nil || p.Key > *hi {
+						hi = &b[i].Key
+					}
+				}
+			}
+			if lo == nil {
+				continue
+			}
+			if prevMax != nil && *prevMax >= *lo {
+				t.Fatalf("node %d holds %q, not above %q held by an earlier node", dst, *lo, *prevMax)
+			}
+			prevMax = hi
+		}
+		for i, n := range arrived {
+			if n != 1 {
+				t.Fatalf("pair %v arrived %d times", sent[i], n)
+			}
 		}
 	})
 }

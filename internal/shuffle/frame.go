@@ -1,9 +1,9 @@
 // Package shuffle is the multi-node exchange layer: N simulated SupMR
-// worker nodes each run the scale-up pipeline over their local ingest
-// chunks, drain their containers into key-sorted runs, cut the runs at
-// splitters sampled from them all, and send slice n of every run to node
-// n as framed messages over netsim fabric links. Node n merges its
-// slices through the standing MergeSources re-reduce path, so the nodes'
+// worker nodes each run the scale-up pipeline's map side over their
+// local ingest chunks and reduce their containers; every entry then
+// goes, unsorted, to the node owning its key range under splitters
+// sampled from them all, as framed messages over netsim fabric links.
+// Node n finishes what it received like a single node, so the nodes'
 // outputs laid end to end are byte-identical to a single-node run.
 package shuffle
 

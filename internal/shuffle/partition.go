@@ -1,11 +1,11 @@
 package shuffle
 
 // PartitionOf maps an encoded key to one of parts partitions with
-// FNV-1a over the key bytes. The exchange no longer hashes keys to nodes
-// — it cuts runs at sampled splitters (sortalgo.Cut) — so the program
-// never calls this: it stays exported only for bench/chain.go's viaNodes
-// stage, which therefore times a partition step the exchange no longer
-// runs.
+// FNV-1a over the key bytes, whose fixed constants make the answer the
+// same in every process. The exchange samples with it — a key is in a
+// node's sample when it maps to partition 0 — so the sample, unlike a
+// container's iteration order, is a function of the keys alone. Keys go
+// to nodes by sampled splitters, not by this hash.
 func PartitionOf(key []byte, parts int) int {
 	if parts <= 1 {
 		return 0

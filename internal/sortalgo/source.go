@@ -198,23 +198,3 @@ func mergeBlocks[K any, V any](srcs []Source[K, V], less kv.Less[K], codec *kv.F
 	}
 	return out, nil
 }
-
-// MergeRuns is MergeSources over in-memory key-sorted runs, one slice
-// source per non-empty run. presize allocates the output for the runs'
-// total length up front: exact when the runs hold disjoint keys,
-// wasteful when reduce collapses most of them.
-func MergeRuns[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], reduce func(K, []V) V, presize bool) ([]kv.Pair[K, V], error) {
-	var srcs []Source[K, V]
-	total := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			srcs = append(srcs, NewSliceSource(r))
-			total += len(r)
-		}
-	}
-	var out []kv.Pair[K, V]
-	if presize {
-		out = make([]kv.Pair[K, V], 0, total)
-	}
-	return MergeSources(srcs, less, reduce, out)
-}

@@ -46,7 +46,9 @@ func TestPhaseMarkerOrderPinned(t *testing.T) {
 	const (
 		wcFinish   = " reduce:start reduce:end runsort:start runsort:end merge:start merge:end"
 		sortFinish = " reduce:start reduce:end merge:start merge:end runsort:start runsort:end"
-		nodes      = "read+map:start read+map:end shuffle:start shuffle:end shuffle:start shuffle:end reduce:start reduce:end"
+		// Each node's reduce, the exchange, then each destination's
+		// finish, a single node's.
+		nodes = "read+map:start read+map:end shuffle:start shuffle:end shuffle:start shuffle:end"
 	)
 	want := map[string]string{
 		"wordcount/whole":  "read:start read:end map:start map:end" + wcFinish,
@@ -56,8 +58,8 @@ func TestPhaseMarkerOrderPinned(t *testing.T) {
 		// Six and four chunks, each a lookup and a publish; then the fold.
 		"wordcount/memo":  "read+map:start" + in("memo", 12) + " read+map:end memo:start memo:end" + wcFinish,
 		"sort/memo":       "read+map:start" + in("memo", 8) + " read+map:end memo:start memo:end" + sortFinish,
-		"wordcount/nodes": nodes,
-		"sort/nodes":      nodes,
+		"wordcount/nodes": nodes + wcFinish + wcFinish,
+		"sort/nodes":      nodes + sortFinish + sortFinish,
 		// Drains between rounds, the join of the last run's write, and a
 		// finish that merges the residue, then streams every run.
 		"wordcount/budget": "read+map:start" + in("spill", 3) + " read+map:end spill:start spill:end" + wcFinish + " merge:start merge:end",

@@ -9,8 +9,10 @@ package supmr
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 
 	"supmr/internal/shuffle"
@@ -65,8 +67,9 @@ type wire struct {
 // without the exchange: it reads the chunks the run reads, runs each
 // chunk single-node, groups the chunk runs by node (reduced per node
 // with the in-node combiner, as drained without), then picks the sample
-// keys and the splitters and routes every pair by a linear scan of them,
-// and totals the frames that carry sample keys and off-node pairs.
+// keys by their hash (hash/fnv, not the exchange's own FNV) and the
+// splitters, routes every pair by a linear scan of them, and totals the
+// frames that carry sample keys and off-node pairs.
 func wireReference[V any](t *testing.T, job Job[string, V], mkCont func() Container[string, V], data []byte, cfg Config, nodes int, combiner bool) wire {
 	t.Helper()
 	stream, err := StreamFile(MemoryFile("in", data, storage.NewFakeClock()), cfg)
@@ -150,15 +153,25 @@ func wireReference[V any](t *testing.T, job Job[string, V], mkCont func() Contai
 		w.bytes += int64(len(shuffle.EncodeFrame(nil, src, dst, len(keys), payload)))
 		w.frames++
 	}
-	// A holder's sample: every max(len/32, 1)-th key of each of its runs,
-	// cut to at most 32 keys; every holder sends every other its own.
+	// A holder's sample: the keys of its entries whose FNV-1a hash is 0
+	// modulo max(entries/32, 1), cut to at most 32 keys; every holder
+	// with a sample sends it to every other such holder.
 	own := make([][]string, nodes)
 	var all []string
 	for _, n := range holders {
+		entries := 0
+		for _, run := range nodeRuns[n] {
+			entries += len(run)
+		}
+		stride := uint64(max(entries/32, 1))
 		var sample []string
 		for _, run := range nodeRuns[n] {
-			for i := 0; i < len(run); i += max(len(run)/32, 1) {
-				sample = append(sample, run[i].Key)
+			for _, p := range run {
+				h := fnv.New64a()
+				h.Write([]byte(p.Key))
+				if h.Sum64()%stride == 0 {
+					sample = append(sample, p.Key)
+				}
 			}
 		}
 		own[n] = pick(sample, min(len(sample), 32)+1)
@@ -166,7 +179,7 @@ func wireReference[V any](t *testing.T, job Job[string, V], mkCont func() Contai
 	}
 	for _, src := range holders {
 		for _, dst := range holders {
-			if dst != src {
+			if dst != src && len(own[src]) > 0 && len(own[dst]) > 0 {
 				send(src, dst, own[src], nil)
 			}
 		}
@@ -199,21 +212,20 @@ func wireReference[V any](t *testing.T, job Job[string, V], mkCont func() Contai
 
 // TestMultiNodeWirePinned: the wire is identical by construction
 // whichever way a node's map output is combined — the same keys with
-// the same reduced values leave each node in the same order — and is
-// pinned twice: to an independent reference that recomputes samples,
+// the same reduced values leave each node — and is pinned twice: to an independent reference that recomputes samples,
 // splitters and routing from the input, and to the values that
 // reference gave, so neither side can move alone. The in-node combiner
 // always puts fewer bytes in fewer frames on the wire than its ablation.
 func TestMultiNodeWirePinned(t *testing.T) {
 	want := map[string]wire{
-		"wordcount/nodes2/on":  {57882, 4},
-		"wordcount/nodes2/off": {114224, 34},
-		"wordcount/nodes4/on":  {108846, 24},
-		"wordcount/nodes4/off": {175998, 108},
-		"sort/nodes2/on":       {21618, 4},
-		"sort/nodes2/off":      {22016, 34},
-		"sort/nodes4/on":       {35083, 24},
-		"sort/nodes4/off":      {36184, 108},
+		"wordcount/nodes2/on":  {58146, 4},
+		"wordcount/nodes2/off": {114572, 34},
+		"wordcount/nodes4/on":  {108806, 24},
+		"wordcount/nodes4/off": {175584, 108},
+		"sort/nodes2/on":       {21770, 4},
+		"sort/nodes2/off":      {22128, 34},
+		"sort/nodes4/on":       {34850, 24},
+		"sort/nodes4/off":      {35852, 108},
 	}
 	text, tera := nodeInputs(t)
 	refs := map[string]func(nodes int, combiner bool) wire{
@@ -248,58 +260,110 @@ func TestMultiNodeWirePinned(t *testing.T) {
 	}
 }
 
-// TestMultiNodeMergesOnce: the exchange is the cluster's one merge
-// round — each node reduces its own key range and the ranges lie end to
-// end — so a multi-node run records no merge task and no merge-phase
-// time, with the in-node combiner on or off.
-func TestMultiNodeMergesOnce(t *testing.T) {
+// TestMultiNodeSortsOnce: nodes route their entries unsorted, so no
+// run-sort or merge phase opens before the exchange ends; then each
+// destination finishes once, like a single node — one reduce phase per
+// destination — and each finish is one merge round. With the in-node
+// combiner on or off.
+func TestMultiNodeSortsOnce(t *testing.T) {
 	text, tera := nodeInputs(t)
-	check := func(app string, c Config, st Stats, times PhaseTimes, err error) {
+	check := func(app string, c Config, st Stats, markers []TraceMarker, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := st.Tasks["merge"].Tasks; n != 0 {
-			t.Errorf("%s nodes=%d combiner=%v: %d merge tasks after the exchange", app, c.Nodes, *c.InNodeCombiner, n)
+		name := fmt.Sprintf("%s nodes=%d combiner=%v", app, c.Nodes, *c.InNodeCombiner)
+		if st.MergeRounds != 1 {
+			t.Errorf("%s: %d merge rounds, want 1", name, st.MergeRounds)
 		}
-		if d := times.Get(PhaseMerge); d != 0 {
-			t.Errorf("%s nodes=%d combiner=%v: %v in the merge phase", app, c.Nodes, *c.InNodeCombiner, d)
+		labels := strings.Fields(phaseMarkerLabels(markers))
+		end := -1 // the exchange's end: the last shuffle phase's
+		for i, l := range labels {
+			if l == "shuffle:end" {
+				end = i
+			}
+		}
+		if end < 0 {
+			t.Fatalf("%s: no shuffle phase in %v", name, labels)
+		}
+		for _, l := range labels[:end] {
+			if strings.HasPrefix(l, "runsort:") || strings.HasPrefix(l, "merge:") || strings.HasPrefix(l, "reduce:") {
+				t.Errorf("%s: %s before the exchange ended: %v", name, l, labels)
+				break
+			}
+		}
+		if n := strings.Count(strings.Join(labels[end:], " "), "reduce:start"); n != c.Nodes {
+			t.Errorf("%s: %d finishes after the exchange, want one per node: %v", name, n, labels[end:])
 		}
 	}
 	for _, nodes := range []int{2, 4} {
 		for _, combiner := range []bool{true, false} {
-			c := Config{Runtime: RuntimeSupMR, Workers: 4, Nodes: nodes, InNodeCombiner: &combiner}
+			c := Config{Runtime: RuntimeSupMR, Workers: 4, TraceContexts: 4, Nodes: nodes, InNodeCombiner: &combiner}
 			wc, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(16), wcChunks(c))
-			check("wordcount", c, wc.Stats, wc.Times, err)
+			check("wordcount", c, wc.Stats, wc.Markers, err)
 			st, err := RunBytes[string, uint64](SortJob(), tera, SortContainer(), sortChunks(c))
-			check("sort", c, st.Stats, st.Times, err)
+			check("sort", c, st.Stats, st.Markers, err)
 		}
 	}
 }
 
 // TestMultiNodeDrainsOncePerNode: with the in-node combiner on, a node's
-// container persists across its map waves and is drained exactly once,
-// after ingest; the ablation still drains after every chunk. One compute
-// worker makes a drain exactly one "shuffle" task (one partition group,
-// nothing to merge), and a fixed-key sort counts one radix-sorted group
-// per drain.
+// container persists across its map waves and is never drained: it is
+// reduced once after ingest and its entries go out unsorted. The
+// ablation still drains after every chunk. One compute worker makes a
+// drain, and each destination's fold, exactly one "shuffle" task; the
+// ablation's containers are empty at the exchange, so only the
+// destinations' finishes reduce them, half the reduce tasks; and a
+// fixed-key sort counts one radix-sorted group per drain.
 func TestMultiNodeDrainsOncePerNode(t *testing.T) {
 	const chunks, nodes = 32, 4
 	for app, run := range nodeApps(t) {
-		for _, combiner := range []bool{true, false} {
-			st, _ := run(Config{Runtime: RuntimeSupMR, Workers: 1, Nodes: nodes, InNodeCombiner: &combiner})
-			if st.MapWaves != chunks {
-				t.Fatalf("%s: %d map waves, the counter test assumes %d chunks", app, st.MapWaves, chunks)
+		var st [2]Stats
+		for i, combiner := range []bool{true, false} {
+			st[i], _ = run(Config{Runtime: RuntimeSupMR, Workers: 1, Nodes: nodes, InNodeCombiner: &combiner})
+			if st[i].MapWaves != chunks {
+				t.Fatalf("%s: %d map waves, the counter test assumes %d chunks", app, st[i].MapWaves, chunks)
 			}
-			wantDrains := nodes
-			if !combiner {
-				wantDrains = chunks
+		}
+		on, off := st[0], st[1]
+		if got := on.Tasks["shuffle"].Tasks; got != nodes {
+			t.Errorf("%s combiner=true: %d shuffle tasks, want %d folds and no drain", app, got, nodes)
+		}
+		if got := off.Tasks["shuffle"].Tasks; got != chunks+nodes {
+			t.Errorf("%s combiner=false: %d shuffle tasks, want %d drains and %d folds", app, got, chunks, nodes)
+		}
+		if r, ro := on.Tasks["reduce"].Tasks, off.Tasks["reduce"].Tasks; ro == 0 || r != 2*ro {
+			t.Errorf("%s: %d reduce tasks with the combiner, %d without; want each node reduced once besides its finish", app, r, ro)
+		}
+		if app == "sort" && off.RadixRuns-on.RadixRuns != chunks {
+			t.Errorf("sort: %d radix-sorted runs without the combiner, %d with; want one more per drain (%d)", off.RadixRuns, on.RadixRuns, chunks)
+		}
+	}
+}
+
+// TestMultiNodeWireOrderFree: samples and routing are functions of the
+// keys alone, never of the order a container iterates its entries in
+// (flat and hash containers order them by per-process hash seeds), so
+// word count puts the same bytes in the same frames on the wire, with
+// the same output, over containers of any kind and shard count.
+func TestMultiNodeWireOrderFree(t *testing.T) {
+	text, _ := nodeInputs(t)
+	for _, nodes := range []int{2, 4} {
+		var first string
+		for name, cont := range map[string]func() Container[string, int64]{
+			"flat4":  func() Container[string, int64] { return WordCountContainer(4) },
+			"flat16": func() Container[string, int64] { return WordCountContainer(16) },
+			"map16":  func() Container[string, int64] { return WordCountMapContainer(16) },
+		} {
+			rep, err := RunBytes[string, int64](WordCountJob(), text, cont(), wcChunks(Config{Runtime: RuntimeSupMR, Workers: 4, Nodes: nodes}))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := st.Tasks["shuffle"].Tasks; got != wantDrains {
-				t.Errorf("%s combiner=%v: %d shuffle tasks, want %d container drains", app, combiner, got, wantDrains)
-			}
-			if app == "sort" && st.RadixRuns != wantDrains {
-				t.Errorf("sort combiner=%v: %d radix-sorted drain groups, want %d", combiner, st.RadixRuns, wantDrains)
+			got := fmt.Sprintf("%d bytes in %d frames, digest %x", rep.Stats.ShuffleBytes, rep.Stats.ShuffleFrames, pairDigest(rep.Pairs))
+			if first == "" {
+				first = got
+			} else if got != first {
+				t.Errorf("nodes=%d %s: %s; another container gave %s", nodes, name, got, first)
 			}
 		}
 	}

@@ -276,12 +276,13 @@ type Config struct {
 	// Nodes, when >= 1, runs the job on a simulated cluster of that many
 	// SupMR worker nodes: the same ingest loop over one persistent
 	// container per node (the caller's and Nodes-1 built like it). Chunk
-	// i is mapped into node i % Nodes's container, which is drained once
-	// after ingest into the node's key-sorted run; the runs are cut at
-	// sampled splitters and node n merges the n-th key range, shipped over
-	// simulated links (internal/shuffle, DESIGN.md §15). Output is
-	// byte-identical to a single-node run; 1 is the degenerate one-node
-	// cluster on the same code path, 0 the scale-up pipeline. Requires
+	// i is mapped into node i % Nodes's container, which is reduced once
+	// after ingest; every entry, unsorted, goes over simulated links to
+	// the node owning its key range under sampled splitters, and node n
+	// finishes the n-th key range like a single node (internal/shuffle,
+	// DESIGN.md §15). Output is byte-identical to a single-node run; 1 is
+	// the degenerate one-node cluster on the same code path, 0 the
+	// scale-up pipeline. Requires
 	// codec-supported key/value types. Composes with Engine, Memo, IOLanes
 	// and PrefetchDepth; Validate lists what it excludes, MemoryBudget
 	// among them.
@@ -292,8 +293,8 @@ type Config struct {
 	// nil — the default — and &true enable it; &false is the
 	// -innode-combiner=off ablation, draining the container after every
 	// chunk and transmitting every per-chunk run as-is. Output is
-	// byte-identical either way (destination merges re-reduce); only
-	// Stats.ShuffleBytes and ShuffleFrames change.
+	// byte-identical either way (each destination re-reduces what it
+	// receives); only Stats.ShuffleBytes and ShuffleFrames change.
 	InNodeCombiner *bool
 	// NodeLinkBW is each node port's bandwidth in bytes/sec for a
 	// multi-node run (default GigabitLinkBW); NodeLinkLatency is the

@@ -375,7 +375,7 @@ func BenchmarkExecutorSpawnVsPool(b *testing.B) {
 					pool.Close()
 					pool = exec.NewLocal(4)
 				}
-				if _, _, err := core.MapWave[string, int64](job, c, cont, core.Options{Splits: 8, Pool: pool}); err != nil {
+				if _, err := core.MapWave[string, int64](job, c, cont, core.Options{Splits: 8, Pool: pool}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -404,7 +404,7 @@ func mapHotPathWave(tb testing.TB, cont Container[string, int64]) func() {
 	tb.Cleanup(pool.Close)
 	opts := core.Options{Splits: 16, Pool: pool}
 	wave := func() {
-		if _, _, err := core.MapWave[string, int64](WordCountJob(), text, cont, opts); err != nil {
+		if _, err := core.MapWave[string, int64](WordCountJob(), text, cont, opts); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -602,7 +602,7 @@ func BenchmarkAblationSpill(b *testing.B) {
 	workload.TextGen{Seed: 7}.Fill()(0, text)
 	cont := WordCountContainer(64)
 	pool := exec.NewLocal(4)
-	_, _, err := core.MapWave[string, int64](WordCountJob(), text, cont, core.Options{Pool: pool})
+	_, err := core.MapWave[string, int64](WordCountJob(), text, cont, core.Options{Pool: pool})
 	pool.Close()
 	if err != nil {
 		b.Fatal(err)

@@ -100,16 +100,22 @@ echo "== race: node-container repeats =="
 # worker, reduced by partition tasks and, at each destination, refilled
 # by the fold's worker tasks — the sharing pattern the repeats above
 # exist for — so the multi-node suites repeat under the detector, with
-# the exchange's own tests.
+# the exchange's own tests. The exchange samples, frames and decodes in
+# pool tasks while its wire decisions stay on the caller: the shuffle
+# chaos sweep, which runs every faulted configuration twice and compares
+# the fault counters, repeats too, and the exchange's tests
+# (TestExchangeDecisionOrder logs every send through an unlocked
+# recorder) run on pools of one, two and four workers.
 go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeSortsOnce|TestMultiNodeDrainsOncePerNode|TestMultiNodeWireOrderFree|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
+go test -race -count=2 -run 'TestChaosShuffle' .
 go test -race -count=2 -run 'TestNodeContainersRouteAndDrainOnce' ./internal/core/
-go test -race -count=2 -run 'TestExchange|FuzzExchange' ./internal/shuffle/
+go test -race -count=2 -run 'TestExchangeDecisionOrder|TestExchangeFramesInPlace|TestExchange|FuzzExchange' ./internal/shuffle/
 
 echo "== race: link flow-set repeats =="
 # A link is one processor-sharing flow set shared by every lane and
 # sender that crosses it: joins, departures and waits on that set, the
-# fabric's two-hop transfers and the HDFS access ports repeat under the
-# detector.
+# fabric's rounds (every flow joins its two ports at one instant) and
+# the HDFS access ports repeat under the detector.
 go test -race -count=5 -run 'TestLink|TestFabric|TestTopology|TestAccessPort' ./internal/netsim/ ./internal/hdfs/
 
 echo "== race: per-job span repeats =="

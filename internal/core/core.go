@@ -426,7 +426,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if ca, ok := any(app).(ChunkAware); ok {
 			ca.SetData(c)
 		}
-		n, _, err := MapWave(app, c.Data, into, opts)
+		n, err := MapWave(app, c.Data, into, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -745,7 +745,7 @@ func finishNodes[K comparable, V any](app kv.App[K, V], conts []container.Contai
 		rec.StartPhase(metrics.PhaseShuffle)
 		for n, c := range conts {
 			stats.IntermediateN += c.Len()
-			runs, _, err := ReducePhase(app, c, opts)
+			runs, err := ReducePhase(app, c, opts)
 			if err != nil {
 				rec.EndPhase(metrics.PhaseShuffle)
 				return nil, err
@@ -756,7 +756,7 @@ func finishNodes[K comparable, V any](app kv.App[K, V], conts []container.Contai
 	}
 
 	rec.StartPhase(metrics.PhaseShuffle)
-	recv, err := exchange.Run(nodeBlocks, app.Less)
+	recv, err := exchange.Run(nodeBlocks, app.Less, pool)
 	stats.ShuffleBytes, stats.ShuffleFrames = exchange.Bytes, exchange.Frames
 	for dst := 0; dst < len(conts) && err == nil; dst++ {
 		var pieces []parkedChunk[K, V]
@@ -800,7 +800,7 @@ func reduceAndMerge[K comparable, V any](app kv.App[K, V], cont container.Contai
 	}
 
 	rec.StartPhase(metrics.PhaseReduce)
-	runs, _, err := ReducePhase(app, cont, opts)
+	runs, err := ReducePhase(app, cont, opts)
 	rec.EndPhase(metrics.PhaseReduce)
 	if err != nil {
 		return nil, err

@@ -111,16 +111,16 @@ type Result[K comparable, V any] struct {
 // MapWave runs one wave of mappers over data (§II): the chunk is cut
 // into boundary-adjusted input splits and opts.Pool's compute workers
 // emit into the container through per-task locals. It returns the split
-// count and the wave's aggregate worker-busy time. This is the body the
-// SupMR run_mappers() wrapper invokes once per ingest chunk.
-func MapWave[K comparable, V any](app kv.App[K, V], data []byte, cont container.Container[K, V], opts Options) (int, time.Duration, error) {
+// count. This is the body the SupMR run_mappers() wrapper invokes once
+// per ingest chunk.
+func MapWave[K comparable, V any](app kv.App[K, V], data []byte, cont container.Container[K, V], opts Options) (int, error) {
 	opts = opts.withDefaults()
 	splits := chunk.SplitBuffer(data, opts.Splits, opts.Boundary)
 	// Bytes fast path: when the app can map straight from []byte keys and
 	// the container's local can accept them, skip the per-key string
 	// materialization entirely (the local interns keys into its arena).
 	ba, baOK := any(app).(kv.BytesApp[V])
-	busy, err := opts.Pool.ForEach("map", metrics.StateUser, len(splits), func(i int) error {
+	_, err := opts.Pool.ForEach("map", metrics.StateUser, len(splits), func(i int) error {
 		local := cont.NewLocal()
 		if baOK {
 			if be, ok := any(local).(kv.BytesEmitter[V]); ok {
@@ -133,18 +133,18 @@ func MapWave[K comparable, V any](app kv.App[K, V], data []byte, cont container.
 		local.Flush()
 		return nil
 	})
-	return len(splits), busy, err
+	return len(splits), err
 }
 
 // ReducePhase runs reducers over every container partition on
-// opts.Pool, returning one unsorted run per non-empty partition and the
-// aggregate worker-busy time. This is the body the SupMR run_reducers()
-// wrapper invokes once at the end of the job.
-func ReducePhase[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], opts Options) ([][]kv.Pair[K, V], time.Duration, error) {
+// opts.Pool, returning one unsorted run per non-empty partition. This
+// is the body the SupMR run_reducers() wrapper invokes once at the end
+// of the job.
+func ReducePhase[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], opts Options) ([][]kv.Pair[K, V], error) {
 	parts := cont.Partitions()
 	runs := make([][]kv.Pair[K, V], parts)
 	sizer, _ := any(cont).(container.PartitionSizer)
-	busy, err := opts.Pool.ForEach("reduce", metrics.StateUser, parts, func(p int) error {
+	_, err := opts.Pool.ForEach("reduce", metrics.StateUser, parts, func(p int) error {
 		var out []kv.Pair[K, V]
 		if sizer != nil {
 			if n := sizer.PartitionLen(p); n > 0 {
@@ -155,7 +155,7 @@ func ReducePhase[K comparable, V any](app kv.App[K, V], cont container.Container
 		return nil
 	})
 	if err != nil {
-		return nil, busy, err
+		return nil, err
 	}
 	out := runs[:0]
 	for _, r := range runs {
@@ -163,7 +163,7 @@ func ReducePhase[K comparable, V any](app kv.App[K, V], cont container.Container
 			out = append(out, r)
 		}
 	}
-	return out, busy, nil
+	return out, nil
 }
 
 // mergePhase sorts each run in parallel and merges them with the

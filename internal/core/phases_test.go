@@ -14,7 +14,7 @@ func TestMapWaveSplitCount(t *testing.T) {
 	cont := wc.NewContainer(8)
 	pool := exec.NewLocal(2)
 	defer pool.Close()
-	n, _, err := MapWave[string, int64](wc, text, cont, Options{Pool: pool, Splits: 8})
+	n, err := MapWave[string, int64](wc, text, cont, Options{Pool: pool, Splits: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestReducePhaseDropsEmptyPartitions(t *testing.T) {
 	l.Flush()
 	pool := exec.NewLocal(2)
 	defer pool.Close()
-	runs, _, err := ReducePhase[string, int64](wc, cont, Options{Pool: pool})
+	runs, err := ReducePhase[string, int64](wc, cont, Options{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

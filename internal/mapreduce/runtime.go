@@ -11,14 +11,12 @@ import (
 // Options is core.Options; Pool is required.
 type Options = core.Options
 
-// MapWave is core.MapWave without the busy time.
+// MapWave is core.MapWave.
 func MapWave[K comparable, V any](app kv.App[K, V], data []byte, cont container.Container[K, V], opts Options) (int, error) {
-	n, _, err := core.MapWave(app, data, cont, opts)
-	return n, err
+	return core.MapWave(app, data, cont, opts)
 }
 
-// ReducePhase is core.ReducePhase without the busy time.
+// ReducePhase is core.ReducePhase.
 func ReducePhase[K comparable, V any](app kv.App[K, V], cont container.Container[K, V], opts Options) ([][]kv.Pair[K, V], error) {
-	runs, _, err := core.ReducePhase(app, cont, opts)
-	return runs, err
+	return core.ReducePhase(app, cont, opts)
 }

@@ -105,9 +105,14 @@ func (l *Link) issue(n int64) *flow {
 	if l.latency > 0 {
 		l.clock.SleepUntil(l.clock.Now() + l.latency)
 	}
+	return l.join(n, l.clock.Now())
+}
+
+// join adds an n-byte flow (n > 0) to the set at instant at.
+func (l *Link) join(n int64, at time.Duration) *flow {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.serve(float64(l.clock.Now()))
+	l.serve(float64(at))
 	f := &flow{left: float64(n) / l.capacity * float64(time.Second)}
 	l.flows = append(l.flows, f)
 	l.stats.Reads++
@@ -184,24 +189,36 @@ const GigabitEthernet = 125e6
 
 // Fabric models the inter-node network of a multi-node SupMR cluster:
 // every node owns a duplex port — an egress link it sends shuffle
-// frames through and an ingress link it receives them on. A transfer
-// from src to dst is one flow on each: src's egress charges latency,
-// and the slower hop, or the one more shared, sets when it completes.
+// frames through and an ingress link it receives them on. Transfers
+// move in rounds: a round pays the port latency once, then every
+// transfer joins src's egress and dst's ingress at one instant, so a
+// round lasts latency + the busiest link's bytes / bandwidth.
 type Fabric struct {
 	egress  []*Link
 	ingress []*Link
+	latency time.Duration
+	clock   storage.Clock
+}
+
+// Flow is one transfer of a fabric round: Bytes from node Src to node
+// Dst.
+type Flow struct {
+	Src, Dst int
+	Bytes    int64
 }
 
 // NewFabric builds an n-node fabric whose ports all run at bw bytes/sec
-// with the given one-way latency (charged once per transfer, on the
-// egress hop).
+// with the given one-way latency (charged once per round).
 func NewFabric(n int, bw float64, latency time.Duration, clock storage.Clock) (*Fabric, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("netsim: fabric needs at least one node, got %d", n)
 	}
-	f := &Fabric{}
+	if latency < 0 {
+		return nil, fmt.Errorf("netsim: fabric latency must be non-negative, got %v", latency)
+	}
+	f := &Fabric{latency: latency, clock: clock}
 	for i := 0; i < n; i++ {
-		eg, err := NewLink(bw, latency, clock)
+		eg, err := NewLink(bw, 0, clock)
 		if err != nil {
 			return nil, err
 		}
@@ -224,20 +241,48 @@ func (f *Fabric) Egress(i int) *Link { return f.egress[i] }
 // Ingress returns node i's receive link.
 func (f *Fabric) Ingress(i int) *Link { return f.ingress[i] }
 
-// Transfer moves n bytes from src to dst. Loopback (src == dst) is
-// free: local-partition data never crosses the wire.
+// Transfer moves n bytes from src to dst: a round of one flow. Loopback
+// (src == dst) is free: local-partition data never crosses the wire.
 func (f *Fabric) Transfer(src, dst int, n int64) error {
-	if src < 0 || src >= len(f.egress) {
-		return fmt.Errorf("netsim: fabric src %d out of range [0,%d)", src, len(f.egress))
+	return f.Round([]Flow{{Src: src, Dst: dst, Bytes: n}})
+}
+
+// Round moves every flow at once and returns when all are delivered.
+// It checks every endpoint before any time passes, sleeps the port
+// latency once if any flow crosses a link, then joins each crossing
+// flow to src's egress and dst's ingress at one instant; loopback and
+// empty flows are free. Flows meeting on a port share it.
+func (f *Fabric) Round(flows []Flow) error {
+	crosses := false
+	for _, t := range flows {
+		if t.Src < 0 || t.Src >= len(f.egress) {
+			return fmt.Errorf("netsim: fabric src %d out of range [0,%d)", t.Src, len(f.egress))
+		}
+		if t.Dst < 0 || t.Dst >= len(f.ingress) {
+			return fmt.Errorf("netsim: fabric dst %d out of range [0,%d)", t.Dst, len(f.ingress))
+		}
+		crosses = crosses || (t.Src != t.Dst && t.Bytes > 0)
 	}
-	if dst < 0 || dst >= len(f.ingress) {
-		return fmt.Errorf("netsim: fabric dst %d out of range [0,%d)", dst, len(f.ingress))
-	}
-	if src == dst || n <= 0 {
+	if !crosses {
 		return nil
 	}
-	in := f.ingress[dst].Issue(0, n)
-	f.egress[src].Transfer(n)
-	in()
+	if f.latency > 0 {
+		f.clock.SleepUntil(f.clock.Now() + f.latency)
+	}
+	type joined struct {
+		l *Link
+		f *flow
+	}
+	at, waits := f.clock.Now(), make([]joined, 0, 2*len(flows))
+	for _, t := range flows {
+		if t.Src != t.Dst && t.Bytes > 0 {
+			waits = append(waits,
+				joined{f.egress[t.Src], f.egress[t.Src].join(t.Bytes, at)},
+				joined{f.ingress[t.Dst], f.ingress[t.Dst].join(t.Bytes, at)})
+		}
+	}
+	for _, w := range waits {
+		w.l.wait(w.f)
+	}
 	return nil
 }

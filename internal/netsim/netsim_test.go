@@ -292,3 +292,96 @@ func TestFabricValidation(t *testing.T) {
 		t.Errorf("Nodes() = %d, want 2", f.Nodes())
 	}
 }
+
+func TestFabricRound(t *testing.T) {
+	// 2^20 B/s ports and loads in units of 2^14 bytes: every link's load
+	// drains in a whole number of 1/64 s, so the closed form is exact.
+	const bw, unit, latency = 1 << 20, 1 << 14, 7 * time.Millisecond
+	clock := storage.NewFakeClock()
+	f, err := NewFabric(4, bw, latency, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An uneven all-to-all: node s sends (s+1)*(d+2) units to each other
+	// node d, plus a loopback and an empty flow that must cost nothing.
+	var flows []Flow
+	var egress, ingress [4]int64
+	for s := range 4 {
+		for d := range 4 {
+			if d == s {
+				continue
+			}
+			n := int64((s+1)*(d+2)) * unit
+			flows = append(flows, Flow{Src: s, Dst: d, Bytes: n})
+			egress[s] += n
+			ingress[d] += n
+		}
+	}
+	flows = append(flows, Flow{Src: 2, Dst: 2, Bytes: 1 << 30}, Flow{Src: 0, Dst: 1})
+	busiest := int64(0)
+	for i := range 4 {
+		busiest = max(busiest, egress[i], ingress[i])
+	}
+	start := clock.Now()
+	if err := f.Round(flows); err != nil {
+		t.Fatal(err)
+	}
+	want := latency + time.Duration(busiest/unit)*time.Second/64
+	if el := clock.Now() - start; el != want {
+		t.Errorf("round took %v, want latency + busiest link %d B / %d B/s = %v", el, busiest, bw, want)
+	}
+	for i := range 4 {
+		if got := f.Egress(i).Stats().BytesRead; got != egress[i] {
+			t.Errorf("egress %d moved %d bytes, want %d", i, got, egress[i])
+		}
+		if got := f.Ingress(i).Stats().BytesRead; got != ingress[i] {
+			t.Errorf("ingress %d moved %d bytes, want %d", i, got, ingress[i])
+		}
+	}
+
+	// The ingress flow joins after the latency, with the egress flow:
+	// while the latency is slept, dst's ingress carries nothing.
+	var one *Fabric
+	inFlight := -1
+	spy := &sleepSpy{FakeClock: clock, before: func() {
+		if inFlight < 0 {
+			in := one.Ingress(1)
+			in.mu.Lock()
+			inFlight = len(in.flows)
+			in.mu.Unlock()
+		}
+	}}
+	if one, err = NewFabric(2, bw, latency, spy); err != nil {
+		t.Fatal(err)
+	}
+	start = clock.Now()
+	if err := one.Round([]Flow{{Src: 0, Dst: 1, Bytes: 4 * unit}}); err != nil {
+		t.Fatal(err)
+	}
+	if el, want := clock.Now()-start, latency+time.Second/16; el != want {
+		t.Errorf("one-flow round took %v, want %v", el, want)
+	}
+	if inFlight != 0 {
+		t.Errorf("%d flow(s) on the ingress during the latency, want 0", inFlight)
+	}
+
+	// A bad endpoint anywhere fails the round before any time passes.
+	start = clock.Now()
+	if err := f.Round([]Flow{{Src: 0, Dst: 1, Bytes: unit}, {Src: 0, Dst: 4, Bytes: unit}}); err == nil {
+		t.Error("out-of-range dst accepted")
+	}
+	if el := clock.Now() - start; el != 0 || f.Egress(0).Stats().BytesRead != egress[0] {
+		t.Errorf("a rejected round charged %v and moved bytes", el)
+	}
+}
+
+// sleepSpy is a FakeClock that calls before ahead of every sleep.
+type sleepSpy struct {
+	*storage.FakeClock
+	before func()
+}
+
+func (c *sleepSpy) SleepUntil(t time.Duration) {
+	c.before()
+	c.FakeClock.SleepUntil(t)
+}

@@ -2,12 +2,14 @@ package shuffle
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"time"
 
+	"supmr/internal/exec"
 	"supmr/internal/faults"
 	"supmr/internal/kv"
+	"supmr/internal/metrics"
 	"supmr/internal/netsim"
 	"supmr/internal/sortalgo"
 	"supmr/internal/spill"
@@ -29,8 +31,9 @@ type Topology struct {
 	// bytes are identical — only wire traffic changes.
 	CombinerOff bool
 	// LinkBW is each node port's bandwidth in bytes/sec
-	// (0 = netsim.GigabitEthernet); LinkLatency is the per-transfer
-	// one-way latency.
+	// (0 = netsim.GigabitEthernet); LinkLatency is the one-way latency,
+	// charged once per fabric round: the exchange's sample frames cross
+	// in one round and its data frames in another.
 	LinkBW      float64
 	LinkLatency time.Duration
 	// Clock schedules fabric transfers and retry backoff.
@@ -52,6 +55,15 @@ type Topology struct {
 //	         below its key, as checksummed frames over the fabric, the
 //	         local share bypassing the wire
 //
+// Both steps are parallel rounds on the job's pool: each node samples,
+// and later routes and frames its entries, in a task of its own; all
+// frames of a step cross the fabric together, so a step costs its
+// busiest port's bytes rather than every node's; and each frame is
+// decoded in a task of its own. Only the wire's fault decisions run on
+// the caller, one frame after another in (src, block, dst) order, so
+// the bytes, frames, fault counters and errors do not depend on how
+// the tasks are scheduled.
+//
 // Node n receives the n-th key range: once each node finishes what it
 // received, the node outputs laid end to end are the sorted result,
 // byte-identical to a single-node run.
@@ -62,9 +74,18 @@ type Exchange[K comparable, V any] struct {
 	kc      spill.Codec[K]
 	vc      spill.Codec[V]
 	fab     *netsim.Fabric
-	wires   [][]*faults.Wire
+	wires   [][]wire
 	retrier *faults.Retrier
 }
+
+// wire is the send seam of one directed node pair: a *faults.Wire,
+// whose nil value passes every send through, or a test's recorder.
+type wire interface {
+	Send(n int) (int, error)
+}
+
+// taskLabel labels the exchange's pool tasks.
+const taskLabel = "exchange"
 
 // NewExchange builds the fabric and arms the wire fault seams, failing
 // up front when the key or value type has no wire codec. retrier (may
@@ -86,140 +107,247 @@ func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier) (*E
 	if err != nil {
 		return nil, err
 	}
-	wires := make([][]*faults.Wire, top.Nodes)
+	wires := make([][]wire, top.Nodes)
 	for src := range wires {
-		wires[src] = make([]*faults.Wire, top.Nodes)
-		if top.Injector == nil {
-			continue
-		}
+		wires[src] = make([]wire, top.Nodes)
 		for dst := range wires[src] {
-			if dst != src {
-				wires[src][dst] = top.Injector.Wire(fmt.Sprintf("shuffle-n%d-n%d", src, dst))
+			var w *faults.Wire
+			if top.Injector != nil && dst != src {
+				w = top.Injector.Wire(fmt.Sprintf("shuffle-n%d-n%d", src, dst))
 			}
+			wires[src][dst] = w
 		}
 	}
 	return &Exchange[K, V]{top: top, kc: kc, vc: vc, fab: fab, wires: wires, retrier: retrier}, nil
 }
 
 // Run exchanges nodeBlocks (nodeBlocks[n]: node n's entries, in blocks
-// in any order) and returns recv[dst], the blocks node dst received. A
-// node's blocks travel to each other node as one frame, or with
-// CombinerOff one frame per block. What a node keeps is moved to the
-// front of its blocks in place and handed back uncopied. Samples are
-// drawn by content alone, so the wire does not depend on the order a
-// container iterates in.
-func (x *Exchange[K, V]) Run(nodeBlocks [][][]kv.Pair[K, V], less kv.Less[K]) ([][][]kv.Pair[K, V], error) {
-	// A node's sample is the keys whose encoding hashes to 0 modulo
-	// stride, with stride sized for about SamplesPerRun of its entries,
-	// cut to at most SamplesPerRun keys. Every node with a sample sends it
-	// to every other such node, so each holds all of them and derives the
-	// same splitters.
-	var kbuf, vbuf, payload []byte
+// in any order) on pool and returns recv[dst], the blocks node dst
+// received. A node's blocks travel to each other node as one frame, or
+// with CombinerOff one frame per block. What a node keeps is moved to
+// the front of its blocks in place and handed back uncopied. Samples
+// are drawn by content alone, so the wire does not depend on the order
+// a container iterates in.
+func (x *Exchange[K, V]) Run(nodeBlocks [][][]kv.Pair[K, V], less kv.Less[K], pool exec.Executor) ([][][]kv.Pair[K, V], error) {
+	// Every node with a sample sends it to every other such node, so
+	// each holds all of them and derives the same splitters.
 	own := make([][]K, len(nodeBlocks))
-	for n, blocks := range nodeBlocks {
-		entries := 0
-		for _, b := range blocks {
-			entries += len(b)
-		}
-		stride := max(entries/sortalgo.SamplesPerRun, 1)
-		var s []K
-		for _, b := range blocks {
-			for _, p := range b {
-				if kbuf = x.kc.Append(kbuf[:0], p.Key); PartitionOf(kbuf, stride) == 0 {
-					s = append(s, p.Key)
-				}
-			}
-		}
-		own[n] = sortalgo.Splitters(s, min(len(s), sortalgo.SamplesPerRun)+1, less)
+	payloads := make([][]byte, len(nodeBlocks))
+	if _, err := pool.ForEach(taskLabel, metrics.StateUser, len(nodeBlocks), func(n int) error {
+		own[n], payloads[n] = x.sample(nodeBlocks[n], less)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	var samples []delivery[K, []byte]
 	for src := range own {
-		payload = payload[:0]
-		for _, k := range own[src] {
-			kbuf = x.kc.Append(kbuf[:0], k)
-			payload = AppendRecord(payload, kbuf, nil)
-		}
 		for dst := range own {
 			if dst != src && len(own[src]) > 0 && len(own[dst]) > 0 {
-				if _, err := ship(x, src, dst, len(own[src]), payload, keysOnly); err != nil {
-					return nil, err
-				}
+				samples = append(samples, delivery[K, []byte]{src: src, dst: dst,
+					frame: EncodeFrame(nil, src, dst, len(own[src]), payloads[src])})
 			}
 		}
+	}
+	if err := cross(x, samples, keysOnly, pool); err != nil {
+		return nil, err
 	}
 	splitters := sortalgo.Splitters(slices.Concat(own...), x.top.Nodes, less)
 
+	routed := make([][]delivery[K, V], len(nodeBlocks))
+	if _, err := pool.ForEach(taskLabel, metrics.StateUser, len(nodeBlocks), func(src int) error {
+		routed[src] = x.route(src, nodeBlocks[src], splitters, less)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	ds := slices.Concat(routed...)
+	if err := cross(x, ds, x.vc, pool); err != nil {
+		return nil, err
+	}
 	recv := make([][][]kv.Pair[K, V], x.top.Nodes)
-	payloads := make([][]byte, x.top.Nodes)
-	records := make([]int, x.top.Nodes)
-	for src, blocks := range nodeBlocks {
-		for i, b := range blocks {
-			local := 0 // the local share moves to the block's front
+	for _, d := range ds {
+		recv[d.dst] = append(recv[d.dst], d.pairs)
+	}
+	return recv, nil
+}
+
+// delivery is what one destination gets from one source: a local share
+// handed over in place (frame nil), or a frame to cross the fabric,
+// whose pairs are what the destination decoded.
+type delivery[K comparable, V any] struct {
+	src, dst int
+	frame    []byte
+	pairs    []kv.Pair[K, V]
+}
+
+// sample draws a node's sample by content alone: the keys whose
+// encoding hashes to 0 modulo stride, stride sized for about
+// SamplesPerRun of the node's entries, cut to at most SamplesPerRun
+// keys. It returns them with the payload of their keys-only frame.
+func (x *Exchange[K, V]) sample(blocks [][]kv.Pair[K, V], less kv.Less[K]) ([]K, []byte) {
+	entries := 0
+	for _, b := range blocks {
+		entries += len(b)
+	}
+	stride := max(entries/sortalgo.SamplesPerRun, 1)
+	var s []K
+	var kbuf, payload []byte
+	for _, b := range blocks {
+		for _, p := range b {
+			if kbuf = x.kc.Append(kbuf[:0], p.Key); PartitionOf(kbuf, stride) == 0 {
+				s = append(s, p.Key)
+			}
+		}
+	}
+	s = sortalgo.Splitters(s, min(len(s), sortalgo.SamplesPerRun)+1, less)
+	for _, k := range s {
+		kbuf = x.kc.Append(kbuf[:0], k)
+		payload = AppendRecord(payload, kbuf, nil)
+	}
+	return s, payload
+}
+
+// route sends each entry of node src's blocks to the node whose key
+// range holds it. The entries bound for other nodes are framed, one
+// frame per destination for all blocks or, with CombinerOff, per
+// block: a size pass counts each frame's records and bytes, so the
+// encode pass writes each frame once into a buffer of its exact length
+// while it moves the local share to each block's front. It returns
+// each block's local share and, after a frame group's last block, the
+// group's frames in destination order.
+func (x *Exchange[K, V]) route(src int, blocks [][]kv.Pair[K, V], splitters []K, less kv.Less[K]) []delivery[K, V] {
+	per := len(blocks)
+	if x.top.CombinerOff {
+		per = 1
+	}
+	var out []delivery[K, V]
+	var kbuf, vbuf []byte
+	// owners caches each entry's destination for the encode pass; on a
+	// cluster of 255 nodes or more it saturates and the pass searches
+	// again.
+	var owners []uint8
+	records, sizes := make([]int, x.top.Nodes), make([]int, x.top.Nodes)
+	for first := 0; first < len(blocks); first += per {
+		group := blocks[first:min(first+per, len(blocks))]
+		clear(records)
+		clear(sizes)
+		entries := 0
+		for _, b := range group {
+			entries += len(b)
+		}
+		owners = slices.Grow(owners[:0], entries)
+		for _, b := range group {
+			for _, p := range b {
+				dst := owner(p.Key, splitters, less)
+				owners = append(owners, uint8(min(dst, math.MaxUint8)))
+				if dst != src {
+					kbuf, vbuf = x.kc.Append(kbuf[:0], p.Key), x.vc.Append(vbuf[:0], p.Val)
+					records[dst]++
+					sizes[dst] += recordLen(len(kbuf), len(vbuf))
+				}
+			}
+		}
+		frames := make([][]byte, x.top.Nodes)
+		for dst, n := range records {
+			if n > 0 {
+				frames[dst] = appendFrameHeader(make([]byte, 0, frameLen(src, dst, n, sizes[dst])), src, dst, n, sizes[dst])
+			}
+		}
+		next := 0
+		for _, b := range group {
+			local := 0
 			for j, p := range b {
-				dst := sort.Search(len(splitters), func(k int) bool { return less(p.Key, splitters[k]) })
+				dst := int(owners[next])
+				next++
+				if dst == math.MaxUint8 {
+					dst = owner(p.Key, splitters, less)
+				}
 				if dst == src {
 					b[local], b[j] = b[j], b[local]
 					local++
 					continue
 				}
 				kbuf, vbuf = x.kc.Append(kbuf[:0], p.Key), x.vc.Append(vbuf[:0], p.Val)
-				payloads[dst] = AppendRecord(payloads[dst], kbuf, vbuf)
-				records[dst]++
+				frames[dst] = AppendRecord(frames[dst], kbuf, vbuf)
 			}
-			recv[src] = append(recv[src], b[:local])
-			if !x.top.CombinerOff && i < len(blocks)-1 {
-				continue // the node's next block joins the same frames
-			}
-			for dst, n := range records {
-				if n == 0 {
-					continue
-				}
-				got, err := ship(x, src, dst, n, payloads[dst], x.vc)
-				if err != nil {
-					return nil, err
-				}
-				recv[dst] = append(recv[dst], got)
-				payloads[dst], records[dst] = payloads[dst][:0], 0
+			out = append(out, delivery[K, V]{src: src, dst: src, pairs: b[:local]})
+		}
+		for dst, f := range frames {
+			if f != nil {
+				out = append(out, delivery[K, V]{src: src, dst: dst, frame: sealFrame(f, 0)})
 			}
 		}
 	}
-	return recv, nil
+	return out
+}
+
+// owner is the node whose key range holds k: the number of splitters
+// at or below it.
+func owner[K any](k K, splitters []K, less kv.Less[K]) int {
+	lo, hi := 0, len(splitters)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); less(k, splitters[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // keysOnly encodes a sample frame's values: empty, so its records carry
 // keys alone. The []byte codec always resolves.
 var keysOnly, _ = spill.CodecFor[[]byte]()
 
-// ship frames payload — records records, keys in x's key codec and
-// values in vc — sends the frame from src to dst, resending torn
-// transfers, and returns the pairs as dst decoded them.
-func ship[K comparable, V, W any](x *Exchange[K, V], src, dst, records int, payload []byte, vc spill.Codec[W]) ([]kv.Pair[K, W], error) {
-	frame := EncodeFrame(nil, src, dst, records, payload)
-	var got []kv.Pair[K, W]
-	err := x.retrier.Do(func() error {
-		n, ferr := x.wires[src][dst].Send(len(frame))
-		if terr := x.fab.Transfer(src, dst, int64(n)); terr != nil {
-			return terr
+// cross moves one round of deliveries: every frame among ds crosses
+// the fabric and is decoded into its pairs at its destination, values
+// in vc; local shares stay as they are. Each frame's wire decisions run
+// here on the caller, in the order of ds — the send through its fault
+// seam, the check that a torn prefix is rejected, the retrier's
+// resends of the whole frame — as the exchange's only reads of the
+// fault plan. Then every send, torn prefixes included, crosses the
+// fabric as one round, and pool tasks decode the frames.
+func cross[K comparable, V, W any](x *Exchange[K, V], ds []delivery[K, W], vc spill.Codec[W], pool exec.Executor) error {
+	var flows []netsim.Flow
+	var framed []int
+	for i, d := range ds {
+		if d.frame == nil {
+			continue
 		}
-		x.Bytes += int64(n)
-		if ferr != nil {
-			// Only a prefix reached the receiver: it must reject the
-			// torn frame with a typed error, never accept it, and the
-			// sender retries.
-			if _, derr := DecodeFrame(frame[:n]); derr == nil {
-				return fmt.Errorf("shuffle: torn frame to n%d accepted: %w", dst, ErrCorrupt)
+		err := x.retrier.Do(func() error {
+			n, ferr := x.wires[d.src][d.dst].Send(len(d.frame))
+			flows = append(flows, netsim.Flow{Src: d.src, Dst: d.dst, Bytes: int64(n)})
+			x.Bytes += int64(n)
+			if ferr != nil {
+				// Only a prefix reaches the receiver: it must reject the
+				// torn frame with a typed error, never accept it, and the
+				// sender retries.
+				if _, derr := DecodeFrame(d.frame[:n]); derr == nil {
+					return fmt.Errorf("shuffle: torn frame to n%d accepted: %w", d.dst, ErrCorrupt)
+				}
 			}
 			return ferr
+		})
+		if err != nil {
+			return fmt.Errorf("shuffle: n%d->n%d: %w", d.src, d.dst, err)
 		}
-		var derr error
-		if got, derr = decodeRun(frame, src, dst, x.kc, vc); derr == nil {
-			x.Frames++
-		}
-		return derr
-	})
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: n%d->n%d: %w", src, dst, err)
+		framed = append(framed, i)
 	}
-	return got, nil
+	if err := x.fab.Round(flows); err != nil {
+		return err
+	}
+	if _, err := pool.ForEach(taskLabel, metrics.StateUser, len(framed), func(i int) error {
+		d := &ds[framed[i]]
+		var err error
+		if d.pairs, err = decodeRun(d.frame, d.src, d.dst, x.kc, vc); err != nil {
+			return fmt.Errorf("shuffle: n%d->n%d: %w", d.src, d.dst, err)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	x.Frames += len(framed)
+	return nil
 }
 
 // decodeRun verifies and decodes one received frame into its pairs, in

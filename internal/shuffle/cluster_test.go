@@ -1,10 +1,17 @@
 package shuffle
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
+	"supmr/internal/exec"
 	"supmr/internal/kv"
+	"supmr/internal/sortalgo"
 	"supmr/internal/storage"
 )
 
@@ -45,7 +52,9 @@ func destinations(t testing.TB, nodeBlocks [][][]kv.Pair[string, int64]) [][]kv.
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv, err := x.Run(nodeBlocks, countApp{}.Less)
+	pool := exec.NewLocal(2)
+	defer pool.Close()
+	recv, err := x.Run(nodeBlocks, countApp{}.Less, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +182,9 @@ func FuzzExchangeRoutes(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recv, err := x.Run(nodeBlocks, countApp{}.Less)
+		pool := exec.NewLocal(2)
+		defer pool.Close()
+		recv, err := x.Run(nodeBlocks, countApp{}.Less, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,4 +223,238 @@ func FuzzExchangeRoutes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// send is one wire decision: a frame of n bytes from src to dst.
+type send struct{ src, dst, n int }
+
+// recorder is a wire that logs every send and passes it through. The
+// log is not locked: a send from a pool task would race with the
+// caller's, which the race detector reports.
+type recorder struct {
+	log      *[]send
+	src, dst int
+}
+
+func (r recorder) Send(n int) (int, error) {
+	*r.log = append(*r.log, send{r.src, r.dst, n})
+	return n, nil
+}
+
+// exchangeInput builds unsorted blocks for nodes nodes: three blocks each
+// of keys drawn from a small alphabet, so nodes and blocks share keys,
+// with node n's n-th block empty, and the last node holding one empty
+// block.
+func exchangeInput(nodes int) [][][]kv.Pair[string, int64] {
+	rng := rand.New(rand.NewSource(29))
+	in := make([][][]kv.Pair[string, int64], nodes)
+	for n := 0; n < nodes-1; n++ {
+		for b := 0; b < 3; b++ {
+			block := []kv.Pair[string, int64]{}
+			for i := 0; i < 50+rng.Intn(300) && b != n; i++ {
+				key := string([]byte{byte('a' + rng.Intn(26)), byte('a' + rng.Intn(26))})
+				block = append(block, kv.Pair[string, int64]{Key: key, Val: rng.Int63n(1 << 40)})
+			}
+			in[n] = append(in[n], block)
+		}
+	}
+	in[nodes-1] = [][]kv.Pair[string, int64]{{}}
+	return in
+}
+
+// cloneBlocks copies nodeBlocks: the exchange reorders blocks in place.
+func cloneBlocks(nodeBlocks [][][]kv.Pair[string, int64]) [][][]kv.Pair[string, int64] {
+	out := make([][][]kv.Pair[string, int64], len(nodeBlocks))
+	for n, blocks := range nodeBlocks {
+		for _, b := range blocks {
+			out[n] = append(out[n], slices.Clone(b))
+		}
+	}
+	return out
+}
+
+// routeReference is what route hands back, computed the plain way: an
+// entry goes to the node counting the splitters at or below its key; per
+// frame group (all blocks, or each block with perBlock) come each block's
+// local share in order, then one frame per other node holding entries,
+// in node order, built by AppendRecord and EncodeFrame.
+func routeReference(src, nodes int, blocks [][]kv.Pair[string, int64], splitters []string, perBlock bool) []delivery[string, int64] {
+	per := len(blocks)
+	if perBlock {
+		per = 1
+	}
+	var out []delivery[string, int64]
+	for first := 0; first < len(blocks); first += per {
+		payloads, records := make([][]byte, nodes), make([]int, nodes)
+		for _, b := range blocks[first:min(first+per, len(blocks))] {
+			var local []kv.Pair[string, int64]
+			for _, p := range b {
+				dst := 0
+				for _, s := range splitters {
+					if s <= p.Key {
+						dst++
+					}
+				}
+				if dst == src {
+					local = append(local, p)
+					continue
+				}
+				payloads[dst] = AppendRecord(payloads[dst], []byte(p.Key), binary.LittleEndian.AppendUint64(nil, uint64(p.Val)))
+				records[dst]++
+			}
+			out = append(out, delivery[string, int64]{src: src, dst: src, pairs: local})
+		}
+		for dst, n := range records {
+			if n > 0 {
+				out = append(out, delivery[string, int64]{src: src, dst: dst, frame: EncodeFrame(nil, src, dst, n, payloads[dst])})
+			}
+		}
+	}
+	return out
+}
+
+// wantSends is the exchange's send log computed from its input: the
+// sample frames in (src, dst) order, then the data frames in
+// (src, block, dst) order.
+func wantSends(x *Exchange[string, int64], nodeBlocks [][][]kv.Pair[string, int64]) (samples, data []send) {
+	own := make([][]string, len(nodeBlocks))
+	payloads := make([][]byte, len(nodeBlocks))
+	for n, blocks := range nodeBlocks {
+		own[n], payloads[n] = x.sample(blocks, countApp{}.Less)
+	}
+	for src := range own {
+		for dst := range own {
+			if dst != src && len(own[src]) > 0 && len(own[dst]) > 0 {
+				samples = append(samples, send{src, dst, len(EncodeFrame(nil, src, dst, len(own[src]), payloads[src]))})
+			}
+		}
+	}
+	splitters := sortalgo.Splitters(slices.Concat(own...), len(nodeBlocks), countApp{}.Less)
+	for src, blocks := range nodeBlocks {
+		for _, d := range routeReference(src, len(nodeBlocks), blocks, splitters, x.top.CombinerOff) {
+			if d.frame != nil {
+				data = append(data, send{src, d.dst, len(d.frame)})
+			}
+		}
+	}
+	return samples, data
+}
+
+// roundTime is a fabric round's closed form at 2^30 B/s ports: latency,
+// then the busiest egress or ingress link's bytes.
+func roundTime(sends []send, nodes int, latency time.Duration) time.Duration {
+	egress, ingress := make([]int, nodes), make([]int, nodes)
+	for _, s := range sends {
+		egress[s.src] += s.n
+		ingress[s.dst] += s.n
+	}
+	busiest := max(slices.Max(egress), slices.Max(ingress))
+	return latency + time.Duration(math.Ceil(float64(busiest)/(1<<30)*float64(time.Second)))
+}
+
+// TestExchangeDecisionOrder: the wire decisions run on the caller in one
+// order whatever the pool — every sample frame in (src, dst) order, then
+// every data frame in (src, block, dst) order, each frame as long as
+// EncodeFrame makes it — with the in-node combiner on or off. The two
+// rounds cost exactly their closed forms on the virtual clock.
+func TestExchangeDecisionOrder(t *testing.T) {
+	const nodes, latency = 4, 3 * time.Millisecond
+	in := exchangeInput(nodes)
+	for _, perBlock := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("combinerOff=%v/workers=%d", perBlock, workers)
+			clock := storage.NewFakeClock()
+			x, err := NewExchange[string, int64](Topology{Nodes: nodes, CombinerOff: perBlock, LinkBW: 1 << 30, LinkLatency: latency, Clock: clock}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log []send
+			for src := range x.wires {
+				for dst := range x.wires[src] {
+					x.wires[src][dst] = recorder{&log, src, dst}
+				}
+			}
+			samples, data := wantSends(x, in)
+			if len(samples) != 6 || len(data) == 0 {
+				t.Fatalf("%s: %d sample and %d data frames; the input must give three nodes samples and ship data", name, len(samples), len(data))
+			}
+			pool := exec.NewLocal(workers)
+			start := clock.Now()
+			_, err = x.Run(cloneBlocks(in), countApp{}.Less, pool)
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := slices.Concat(samples, data); !slices.Equal(log, want) {
+				t.Errorf("%s: sends %v, want %v", name, log, want)
+			}
+			wantBytes := 0
+			for _, s := range log {
+				wantBytes += s.n
+			}
+			if x.Bytes != int64(wantBytes) || x.Frames != len(log) {
+				t.Errorf("%s: counted %d bytes in %d frames, sent %d in %d", name, x.Bytes, x.Frames, wantBytes, len(log))
+			}
+			want := roundTime(samples, nodes, latency) + roundTime(data, nodes, latency)
+			if el := clock.Now() - start; el != want {
+				t.Errorf("%s: the exchange took %v on the fabric, the two rounds' closed forms %v", name, el, want)
+			}
+		}
+	}
+}
+
+// TestExchangeFramesInPlace: route writes each frame in place, byte for
+// byte what EncodeFrame makes of the same records and into a buffer of
+// exactly its length, and hands back each block's local share in order —
+// on clusters of 255 nodes or more too, where a destination no longer
+// fits the byte route caches it in.
+func TestExchangeFramesInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	wide := make([]string, 299) // 300 nodes; keys k000.. route to all of them
+	for i := range wide {
+		wide[i] = fmt.Sprintf("k%03d", i+1)
+	}
+	var wideBlocks [][]kv.Pair[string, int64]
+	for b := 0; b < 3; b++ {
+		var block []kv.Pair[string, int64]
+		for i := 0; i < 2000; i++ {
+			block = append(block, kv.Pair[string, int64]{Key: fmt.Sprintf("k%03d%c", rng.Intn(301), 'a'+rng.Intn(3)), Val: int64(i)})
+		}
+		wideBlocks = append(wideBlocks, block)
+	}
+	for _, tc := range []struct {
+		nodes     int
+		splitters []string
+		in        [][][]kv.Pair[string, int64]
+		srcs      []int
+	}{
+		{4, []string{"g", "mm", "t"}, exchangeInput(4), []int{0, 1, 2, 3}},
+		{300, wide, [][][]kv.Pair[string, int64]{wideBlocks}, []int{0, 200, 255, 299}},
+	} {
+		for _, perBlock := range []bool{false, true} {
+			x, err := NewExchange[string, int64](Topology{Nodes: tc.nodes, CombinerOff: perBlock, Clock: storage.NewFakeClock()}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range tc.srcs {
+				blocks := tc.in[min(src, len(tc.in)-1)]
+				name := fmt.Sprintf("nodes=%d/combinerOff=%v/n%d", tc.nodes, perBlock, src)
+				got := x.route(src, cloneBlocks([][][]kv.Pair[string, int64]{blocks})[0], tc.splitters, countApp{}.Less)
+				want := routeReference(src, tc.nodes, blocks, tc.splitters, perBlock)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d deliveries, want %d", name, len(got), len(want))
+				}
+				for i, d := range got {
+					w := want[i]
+					if d.src != w.src || d.dst != w.dst || !slices.Equal(d.pairs, w.pairs) || !slices.Equal(d.frame, w.frame) {
+						t.Errorf("%s: delivery %d: n%d->n%d %d pairs %d frame bytes, want n%d->n%d %d pairs %d frame bytes",
+							name, i, d.src, d.dst, len(d.pairs), len(d.frame), w.src, w.dst, len(w.pairs), len(w.frame))
+					}
+					if cap(d.frame) != len(d.frame) {
+						t.Errorf("%s: n%d->n%d: frame of %d bytes in a %d-byte buffer", name, src, d.dst, len(d.frame), cap(d.frame))
+					}
+				}
+			}
+		}
+	}
 }

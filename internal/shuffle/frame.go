@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"supmr/internal/spill"
 )
@@ -63,19 +64,42 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // buffer.
 func EncodeFrame(dst []byte, src, part, records int, payload []byte) []byte {
 	start := len(dst)
+	dst = appendFrameHeader(dst, src, part, records, len(payload))
+	return sealFrame(append(dst, payload...), start)
+}
+
+// frameLen is the encoded length of a frame whose payload is
+// payloadLen bytes.
+func frameLen(src, part, records, payloadLen int) int {
+	return 3 + uvarintLen(src) + uvarintLen(part) + uvarintLen(records) + uvarintLen(payloadLen) + payloadLen + 4
+}
+
+// appendFrameHeader appends a frame's header: everything before its
+// payload.
+func appendFrameHeader(dst []byte, src, part, records, payloadLen int) []byte {
 	dst = append(dst, frameMagic0, frameMagic1, frameVersion)
 	dst = binary.AppendUvarint(dst, uint64(src))
 	dst = binary.AppendUvarint(dst, uint64(part))
 	dst = binary.AppendUvarint(dst, uint64(records))
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	sum := crc32.Checksum(dst[start:], crcTable)
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	return binary.AppendUvarint(dst, uint64(payloadLen))
+}
+
+// sealFrame appends the checksum of the frame that starts at dst[start]
+// and runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
 // AppendRecord appends one key/value record to a frame payload, in the
 // spill run format.
 func AppendRecord(payload, key, val []byte) []byte { return spill.AppendRecord(payload, key, val) }
+
+// recordLen is the length AppendRecord gives a record with a key of
+// key bytes and a value of val bytes.
+func recordLen(key, val int) int { return uvarintLen(key) + key + uvarintLen(val) + val }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // DecodeFrame parses and verifies exactly one frame occupying all of
 // p. Truncation (including any torn prefix of a valid frame) returns

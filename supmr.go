@@ -298,7 +298,9 @@ type Config struct {
 	InNodeCombiner *bool
 	// NodeLinkBW is each node port's bandwidth in bytes/sec for a
 	// multi-node run (default GigabitLinkBW); NodeLinkLatency is the
-	// per-transfer one-way latency (default 0). Shuffle transfer time
+	// one-way latency (default 0), paid once per fabric round: the
+	// exchange's sample frames cross in one round and its data frames in
+	// another, every frame of a round at once. Shuffle transfer time
 	// lands on the job clock like any other simulated IO.
 	NodeLinkBW      float64
 	NodeLinkLatency time.Duration

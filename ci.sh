@@ -27,6 +27,12 @@ echo "== bench module vet + short tests =="
 # uncompilable.
 (cd bench && go vet ./... && go test -short ./...)
 
+echo "== flat combiner micro-benchmarks, one iteration =="
+# BenchmarkFlatFold and BenchmarkFlatFlush are where a change to the flat
+# table's probe or flush is measured first; one iteration each keeps
+# them compiling and running.
+go test -run '^$' -bench Flat -benchtime 1x ./internal/container
+
 echo "== examples =="
 # The examples are the API's documentation: each must build and run to a
 # zero exit, so a change to what a Config means cannot leave one broken.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"supmr/internal/kv"
+	"supmr/internal/workload"
 )
 
 // Micro-benchmarks of insert throughput per container — the §V-B
@@ -101,5 +102,76 @@ func BenchmarkHashReduce(b *testing.B) {
 		if len(out) != 10_000 {
 			b.Fatal("bad reduce")
 		}
+	}
+}
+
+// flatVocabs are the two key sets of the FlatHash benchmarks: Zipf text
+// words of up to 8 bytes for the most part, and long keys that share
+// their first 8 bytes and their length, so a probe reaches the arena on
+// every candidate entry.
+func flatVocabs(distinct int) []flatVocab {
+	words, docs := make([]string, distinct), make([]string, distinct)
+	for i := range distinct {
+		words[i] = workload.Word(i)
+		docs[i] = fmt.Sprintf("document-%06d", i)
+	}
+	return []flatVocab{{"words", words}, {"shared-prefix", docs}}
+}
+
+type flatVocab struct {
+	name string
+	keys []string
+}
+
+// BenchmarkFlatFold folds a hit-dominated stream into a warm local
+// through the word path: 256 KiB of text drawn from 4096 keys, Zipf
+// text for "words" and every key in turn for "shared-prefix".
+func BenchmarkFlatFold(b *testing.B) {
+	for _, v := range flatVocabs(4096) {
+		b.Run("vocab="+v.name, func(b *testing.B) {
+			text := make([]byte, 256<<10)
+			if v.name == "words" {
+				workload.TextGen{Seed: 1, Vocab: len(v.keys)}.Fill()(0, text)
+			} else {
+				for at, i := 0, 0; at < len(text); i++ {
+					at += copy(text[at:], v.keys[i%len(v.keys)]+" ")
+				}
+			}
+			l := NewFlatHash[int64](64, sumInt64).NewLocal().(*flatLocal[int64])
+			l.EmitWords(text, 1)
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				l.EmitWords(text, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkFlatFlush flushes a local holding 16 384 distinct keys into
+// shards that already hold them: the steady state of a map wave's
+// flush. Only Flush is timed.
+func BenchmarkFlatFlush(b *testing.B) {
+	for _, v := range flatVocabs(16384) {
+		b.Run("vocab="+v.name, func(b *testing.B) {
+			f := NewFlatHash[int64](64, sumInt64)
+			fill := func() Local[string, int64] {
+				l := f.NewLocal()
+				for _, k := range v.keys {
+					l.Emit(k, 1)
+				}
+				return l
+			}
+			fill().Flush()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				l := fill()
+				b.StartTimer()
+				l.Flush()
+			}
+		})
 	}
 }

@@ -15,11 +15,16 @@ import (
 // FlatHash is the allocation-free combining container for byte-keyed
 // workloads (word-count-like apps). Keys hash to locked shards like the
 // Hash container, but both tiers are one open-addressing table type,
-// flatTable, and a key is hashed once: kv.KeyHash, which the word path
+// flatTable, under one hash, kv.KeyHash, which the word path
 // (kv.WordEmitter) gets from kv.ScanWords as each word is cut and Emit
-// and EmitBytes compute. Every entry carries it, so growth, shard
-// routing at Flush (low bits) and the shard lookup (bits 32 and up pick
-// the slot) never hash again.
+// and EmitBytes compute. An entry keeps the key's 8-byte prefix, not its
+// hash, so a probe decides a hit on a key of up to 8 bytes from the
+// entry alone. The hash is recomputed once per entry where it is still
+// needed: when a table grows, and at Flush, where it routes the entry to
+// its shard (low bits) and starts the shard lookup (bits 32 and up pick
+// the slot). A short key's hash comes from its prefix and length
+// (kv.ShortKeyHash), so only keys longer than 8 bytes are hashed again
+// from their bytes.
 //
 // Locals are pooled and reset, not freed, across flushes — §III-C's
 // persistent container applied to the worker-local tier — so a
@@ -165,20 +170,19 @@ const (
 	flatShardSlots = 64
 )
 
-// flatEntry locates one key: its kv.KeyHash (kept for growth, shard
-// routing and the shard lookup) and its bytes in the table's arena.
-// The uint32 offsets cap one table's arena at 4 GiB.
+// flatEntry is one key: its kv.KeyPrefix, which is the whole key
+// zero-padded when the key has at most 8 bytes, and where its bytes lie
+// in the table's arena. The uint32 offsets cap one table's arena at
+// 4 GiB.
 type flatEntry struct {
-	hash uint64
-	koff uint32
-	klen uint32
+	prefix uint64
+	koff   uint32
+	klen   uint32
 }
 
 // flatTable is the open-addressing table of both tiers: an index of
 // slots probing linearly into dense entries, values parallel to the
-// entries, and key bytes in an append-only arena that always keeps at
-// least 8 spare bytes of capacity, so the 8-byte prefix load at any key
-// offset stays inside it.
+// entries, and key bytes in an append-only arena.
 type flatTable[V any] struct {
 	index   []int32 // entry index per slot; -1 = empty
 	mask    uint64
@@ -202,40 +206,54 @@ func (t *flatTable[V]) clearIndex() {
 // home is a hash's first slot. Shards take the low bits.
 func home(h, mask uint64) uint64 { return h >> 32 & mask }
 
-// prefix is the entry's key prefix as kv.KeyPrefix gives it, loaded
-// from the arena's spare-capacity-backed 8 bytes and masked to the key.
-func (t *flatTable[V]) prefix(e flatEntry) uint64 {
-	return binary.LittleEndian.Uint64(t.arena[e.koff:e.koff+8]) & (^uint64(0) >> (64 - 8*min(e.klen, 8)))
+// hash is the kv.KeyHash of e's key: from the entry alone for a key of
+// up to 8 bytes, from the arena otherwise.
+func (t *flatTable[V]) hash(e flatEntry) uint64 {
+	if e.klen <= 8 {
+		return kv.ShortKeyHash(e.prefix, int(e.klen))
+	}
+	return kv.KeyHash(t.arena[e.koff : e.koff+e.klen])
 }
 
-// match reports whether e holds key, whose hash is h and prefix is
-// prefix. Hash, length and prefix are compared before any remaining
-// bytes, so keys of up to 8 bytes never reach a byte compare.
-func (t *flatTable[V]) match(e flatEntry, h, prefix uint64, key []byte) bool {
-	return e.hash == h && e.klen == uint32(len(key)) && t.prefix(e) == prefix &&
-		(len(key) <= 8 || bytes.Equal(t.arena[e.koff+8:e.koff+e.klen], key[8:]))
+// match reports whether e holds key, whose prefix is prefix. Prefix and
+// length are compared from the entry, so a key of up to 8 bytes is
+// decided without reading the arena. A key of up to 16 bytes is then
+// decided by its last 8, one load that overlaps the prefix; a longer
+// one compares its bytes after the first 8.
+func (t *flatTable[V]) match(e flatEntry, prefix uint64, key []byte) bool {
+	if e.prefix != prefix || e.klen != uint32(len(key)) {
+		return false
+	}
+	switch n := len(key); {
+	case n <= 8:
+		return true
+	case n <= 16:
+		return binary.LittleEndian.Uint64(t.arena[e.koff+e.klen-8:]) == binary.LittleEndian.Uint64(key[n-8:])
+	}
+	return bytes.Equal(t.arena[e.koff+8:e.koff+e.klen], key[8:])
 }
 
 // find returns key's entry index, or -1 and the empty slot where key
-// goes.
+// goes; h is the key's hash.
 func (t *flatTable[V]) find(h, prefix uint64, key []byte) (int32, uint64) {
 	for i := home(h, t.mask); ; i = (i + 1) & t.mask {
-		if ei := t.index[i]; ei < 0 || t.match(t.entries[ei], h, prefix, key) {
+		if ei := t.index[i]; ei < 0 || t.match(t.entries[ei], prefix, key) {
 			return ei, i
 		}
 	}
 }
 
 // insert adds a key find did not see at the empty slot it returned,
-// growing the index first at the load limit. The key is copied into the
-// arena; when that reallocates, keys handed out stay in the old array.
+// growing the index first at the load limit, where every entry's hash
+// is recomputed to re-home it. The key is copied into the arena; when
+// that reallocates, keys handed out stay in the old array.
 func (t *flatTable[V]) insert(slot, h, prefix uint64, key []byte, val V) {
 	if (len(t.entries)+1)*4 > len(t.index)*3 {
 		t.index = make([]int32, 2*len(t.index))
 		t.mask = uint64(len(t.index) - 1)
 		t.clearIndex()
 		for ei, e := range t.entries { // key bytes never move
-			i := home(e.hash, t.mask)
+			i := home(t.hash(e), t.mask)
 			for t.index[i] >= 0 {
 				i = (i + 1) & t.mask
 			}
@@ -245,17 +263,13 @@ func (t *flatTable[V]) insert(slot, h, prefix uint64, key []byte, val V) {
 		}
 	}
 	koff := len(t.arena)
-	if cap(t.arena)-koff < len(key)+8 {
-		t.arena = slices.Grow(t.arena, len(key)+8)
-	}
-	if len(key) <= 8 { // the prefix is the key, zero-padded into the spare bytes
-		binary.LittleEndian.PutUint64(t.arena[koff:koff+8], prefix)
-		t.arena = t.arena[:koff+len(key)]
+	if len(key) <= 8 { // one 8-byte store: the prefix is the key, zero-padded
+		t.arena = binary.LittleEndian.AppendUint64(t.arena, prefix)[:koff+len(key)]
 	} else {
 		t.arena = append(t.arena, key...)
 	}
 	t.index[slot] = int32(len(t.entries))
-	t.entries = append(t.entries, flatEntry{hash: h, koff: uint32(koff), klen: uint32(len(key))})
+	t.entries = append(t.entries, flatEntry{prefix: prefix, koff: uint32(koff), klen: uint32(len(key))})
 	t.vals = append(t.vals, val)
 }
 
@@ -265,6 +279,7 @@ type flatLocal[V any] struct {
 	parent *FlatHash[V]
 	table  flatTable[V]
 	words  []kv.Word // EmitWords' scan batch
+	hashes []uint64  // flush scratch: each entry's recomputed hash
 	bounds []int     // flush scratch: where each shard's entries start
 	order  []int32   // flush scratch: entry indexes grouped by shard
 }
@@ -307,7 +322,7 @@ next:
 		key := buf[w.Off : w.Off+w.Len]
 		i := home(w.Hash, t.mask)
 		for ei := t.index[i]; ei >= 0; ei = t.index[i] {
-			if t.match(t.entries[ei], w.Hash, w.Prefix, key) {
+			if t.match(t.entries[ei], w.Prefix, key) {
 				t.vals[ei] = combine(t.vals[ei], val)
 				continue next
 			}
@@ -325,19 +340,22 @@ func (l *flatLocal[V]) Flush() {
 	p, t := l.parent, &l.table
 	nsh := len(p.shards)
 	mask := uint64(nsh - 1)
-	// Counting sort of entry indexes by shard: count, prefix-sum to each
-	// shard's end, then place backwards so bounds[s] ends at shard s's
-	// start and its entries are order[bounds[s]:bounds[s+1]].
+	// Each entry's hash, recomputed once, routes it and starts its shard
+	// lookup. Counting sort of entry indexes by shard: count, prefix-sum
+	// to each shard's end, then place backwards so bounds[s] ends at
+	// shard s's start and its entries are order[bounds[s]:bounds[s+1]].
+	hashes := slices.Grow(l.hashes[:0], len(t.entries))[:len(t.entries)]
 	bounds := append(l.bounds[:0], make([]int, nsh+1)...)
-	for _, e := range t.entries {
-		bounds[e.hash&mask]++
+	for ei, e := range t.entries {
+		hashes[ei] = t.hash(e)
+		bounds[hashes[ei]&mask]++
 	}
 	for s := 1; s <= nsh; s++ {
 		bounds[s] += bounds[s-1]
 	}
 	order := slices.Grow(l.order[:0], len(t.entries))[:len(t.entries)]
 	for ei := len(t.entries) - 1; ei >= 0; ei-- {
-		s := t.entries[ei].hash & mask
+		s := hashes[ei] & mask
 		bounds[s]--
 		order[bounds[s]] = int32(ei)
 	}
@@ -351,16 +369,16 @@ func (l *flatLocal[V]) Flush() {
 		sh.mu.Lock()
 		g := &sh.table
 		for _, ei := range order[bounds[s]:bounds[s+1]] {
-			e, v := t.entries[ei], t.vals[ei]
-			kb, prefix := t.arena[e.koff:e.koff+e.klen], t.prefix(e)
-			if gi, slot := g.find(e.hash, prefix, kb); gi >= 0 {
+			e, v, h := t.entries[ei], t.vals[ei], hashes[ei]
+			kb := t.arena[e.koff : e.koff+e.klen]
+			if gi, slot := g.find(h, e.prefix, kb); gi >= 0 {
 				merged := p.combine(g.vals[gi], v)
 				if p.dynV != nil {
 					added += p.dynV(merged) - p.dynV(g.vals[gi])
 				}
 				g.vals[gi] = merged
 			} else {
-				g.insert(slot, e.hash, prefix, kb, v)
+				g.insert(slot, h, e.prefix, kb, v)
 				added += entry + int64(len(kb)) + dynOf(p.dynV, v)
 			}
 		}
@@ -372,7 +390,7 @@ func (l *flatLocal[V]) Flush() {
 	t.entries = t.entries[:0]
 	clear(t.vals) // stale values must not pin heap
 	t.vals, t.arena = t.vals[:0], t.arena[:0]
-	l.bounds, l.order = bounds, order
+	l.hashes, l.bounds, l.order = hashes, bounds, order
 	p.poolMu.Lock()
 	p.pool = append(p.pool, l)
 	p.poolMu.Unlock()

@@ -3,6 +3,7 @@ package container
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -238,28 +239,39 @@ func TestFlatHashPartitionBounds(t *testing.T) {
 }
 
 // Fuzz: tokenizer output fed through the flat bytes path, and the input
-// fed whole through the flat word path, must reduce identically to
-// strings fed through the map-backed container.
+// fed through the flat word path, must reduce identically to strings fed
+// through the map-backed container. The input is split in two halves
+// that two locals fold and flush in turn into 2-shard containers, so the
+// second flush must find keys the first left behind, after shard growth
+// re-homed them by recomputed hashes.
 func FuzzFlatCombiner(f *testing.F) {
 	f.Add([]byte("the quick brown fox the lazy dog the end"))
 	f.Add([]byte(""))
 	f.Add([]byte("a a a a a a a a"))
 	f.Add([]byte("x\ny\tz x\x00y"))
+	f.Add([]byte("ab ab\x00 abcdefgh abcdefgh\x00 abcdefgh1 abcdefgh2 ab\x00\x00 abcdefgh1 ab"))
+	var vocab []byte
+	for i := range 1200 { // grows each local and the shards
+		vocab = fmt.Appendf(vocab, "w%d document-%06d ", i%600, i%300)
+	}
+	f.Add(vocab)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		flat := NewFlatHash[int64](4, sumInt64)
-		words := NewFlatHash[int64](4, sumInt64)
-		ref := NewHash[string, int64](4, StringHasher, sumInt64)
-		fl := flat.NewLocal().(*flatLocal[int64])
-		rl := ref.NewLocal()
-		workload.Tokenize(data, func(w []byte) {
-			fl.EmitBytes(w, 1)
-			rl.Emit(string(w), 1)
-		})
-		fl.Flush()
-		rl.Flush()
-		wl := words.NewLocal().(*flatLocal[int64])
-		wl.EmitWords(data, 1)
-		wl.Flush()
+		flat := NewFlatHash[int64](2, sumInt64)
+		words := NewFlatHash[int64](2, sumInt64)
+		ref := NewHash[string, int64](2, StringHasher, sumInt64)
+		for _, half := range [][]byte{data[:len(data)/2], data[len(data)/2:]} {
+			fl := flat.NewLocal().(*flatLocal[int64])
+			rl := ref.NewLocal()
+			workload.Tokenize(half, func(w []byte) {
+				fl.EmitBytes(w, 1)
+				rl.Emit(string(w), 1)
+			})
+			fl.Flush()
+			rl.Flush()
+			wl := words.NewLocal().(*flatLocal[int64])
+			wl.EmitWords(half, 1)
+			wl.Flush()
+		}
 		want := collect[string, int64](ref, reduceSum)
 		for path, c := range map[string]*FlatHash[int64]{"bytes": flat, "words": words} {
 			got := collect[string, int64](c, reduceSum)
@@ -275,8 +287,9 @@ func FuzzFlatCombiner(f *testing.F) {
 	})
 }
 
-// The entry is hash + arena offset + length: the layout every probe and
-// the memo fold's whole-vocabulary locals pay for per key.
+// The entry is prefix + arena offset + length: the layout every probe
+// and the memo fold's whole-vocabulary locals pay for per key. A hit on
+// a key of up to 8 bytes reads nothing else.
 func TestFlatEntryIs16Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(flatEntry{}); n != 16 {
 		t.Fatalf("flatEntry is %d bytes, want 16", n)
@@ -347,12 +360,14 @@ func TestFlatHashEdgeKeys(t *testing.T) {
 }
 
 // With every hash forced equal, only length, prefix and the remaining
-// bytes tell keys apart: each key must find its own entry.
+// bytes tell keys apart: each key must find its own entry. The table has
+// 32 slots, which its 18 keys never grow: growth re-homes entries by
+// their real hashes, which the forged one does not match.
 func TestFlatTableSameHash(t *testing.T) {
 	keys := []string{"", "a", "ab", "ba", "ab\x00", "ab\x00\x00", "abcdefgh", "abcdefgX", "abcdefgh\x00",
 		"abcdefgh1", "abcdefgh2", "Xbcdefgh1", "abcdefghXjklmnop", "abcdefghYjklmnop",
 		"abcdefghijklmnoX", "abcdefghijklmnoY", strings.Repeat("x", 100), strings.Repeat("x", 99) + "y"}
-	tb := newFlatTable[int64](8)
+	tb := newFlatTable[int64](32)
 	const h = 0x2a
 	for i, k := range keys {
 		kb := []byte(k)
@@ -367,6 +382,44 @@ func TestFlatTableSameHash(t *testing.T) {
 		ei, _ := tb.find(h, kv.KeyPrefix(kb), kb)
 		if ei < 0 || tb.vals[ei] != int64(i) || string(tb.arena[tb.entries[ei].koff:][:len(k)]) != k {
 			t.Errorf("key %q: entry %d, want the one holding %d", k, ei, i)
+		}
+	}
+}
+
+// Growth re-homes entries by hashes recomputed from the entry (keys of
+// up to 8 bytes) or the arena (longer ones). Growing from 8 slots past
+// keys of every length from 0 to 20, each recomputed hash must equal
+// kv.KeyHash of the key, and each key must still be found.
+func TestFlatTableGrowthRecomputesHash(t *testing.T) {
+	tb := newFlatTable[int64](8)
+	var keys []string
+	for n := 0; n <= 20; n++ {
+		for _, c := range []byte{'a', 0x00, 0xff} {
+			keys = append(keys, strings.Repeat("k", n/2)+strings.Repeat(string(c), n-n/2))
+		}
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	for i, k := range keys {
+		kb := []byte(k)
+		h, prefix := kv.KeyHash(kb), kv.KeyPrefix(kb)
+		ei, slot := tb.find(h, prefix, kb)
+		if ei >= 0 {
+			t.Fatalf("key %q found entry %d before insertion", k, ei)
+		}
+		tb.insert(slot, h, prefix, kb, int64(i))
+	}
+	if len(tb.index) <= 8 {
+		t.Fatalf("index has %d slots after %d keys: the table never grew", len(tb.index), len(keys))
+	}
+	for i, k := range keys {
+		kb := []byte(k)
+		ei, _ := tb.find(kv.KeyHash(kb), kv.KeyPrefix(kb), kb)
+		if ei < 0 || tb.vals[ei] != int64(i) {
+			t.Fatalf("key %q: entry %d, want the one holding %d", k, ei, i)
+		}
+		if got, want := tb.hash(tb.entries[ei]), kv.KeyHash(kb); got != want {
+			t.Errorf("key %q: recomputed hash %#x, KeyHash %#x", k, got, want)
 		}
 	}
 }

@@ -49,13 +49,20 @@ func mix(a, b uint64) uint64 {
 func KeyHash(b []byte) uint64 {
 	n := len(b)
 	if n <= 8 {
-		return mix(hashSeed^KeyPrefix(b), hashLen^uint64(n))
+		return ShortKeyHash(KeyPrefix(b), n)
 	}
 	if n <= 16 { // keyHashLong unrolled: one fold, then the last n-8 bytes
 		h := mix(hashSeed^binary.LittleEndian.Uint64(b), hashStep)
 		return mix(h^binary.LittleEndian.Uint64(b[n-8:])>>(128-8*n), hashLen^uint64(n))
 	}
 	return keyHashLong(b)
+}
+
+// ShortKeyHash is KeyHash of a key of n ≤ 8 bytes from its KeyPrefix
+// alone: the flat container recomputes a short key's hash from the
+// prefix and length its entry keeps, without reading the key's bytes.
+func ShortKeyHash(prefix uint64, n int) uint64 {
+	return mix(hashSeed^prefix, hashLen^uint64(n))
 }
 
 func keyHashLong(b []byte) uint64 {
@@ -141,7 +148,7 @@ func ScanWords(buf []byte, pos int, out []Word) (n, next int) {
 			k := bits.TrailingZeros64(f) >> 3
 			if isDelim[byte(x>>(8*k&63))] {
 				t := x & lowBytes(f)
-				out[n] = Word{Hash: mix(hashSeed^t, hashLen^uint64(k)), Prefix: t, Off: pos, Len: k}
+				out[n] = Word{Hash: ShortKeyHash(t, k), Prefix: t, Off: pos, Len: k}
 				n++
 				pos += k + 1
 				continue

@@ -135,6 +135,24 @@ func TestKeyHashSeparatesLengthAndBytes(t *testing.T) {
 	}
 }
 
+// ShortKeyHash is KeyHash's short form: from a key's prefix and length
+// it must give KeyHash of the key at every length from 0 to 8, over
+// bytes that include 0x00 and ones at or above 0x80.
+func TestShortKeyHashIsKeyHash(t *testing.T) {
+	alphabet := []byte{0x00, 0x01, 'a', 'z', 0x7f, 0x80, 0xc3, 0xff}
+	for n := 0; n <= 8; n++ {
+		for i := range 64 {
+			key := make([]byte, n)
+			for j := range key {
+				key[j] = alphabet[(i*7+j*(i+3))%len(alphabet)]
+			}
+			if got, want := kv.ShortKeyHash(kv.KeyPrefix(key), n), kv.KeyHash(key); got != want {
+				t.Fatalf("key %q: ShortKeyHash %#x, KeyHash %#x", key, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkKeyHash compares the flat container's hash with maphash on
 // the short keys the memo fold replays.
 func BenchmarkKeyHash(b *testing.B) {

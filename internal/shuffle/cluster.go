@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"time"
 
 	"supmr/internal/exec"
@@ -352,7 +353,9 @@ func cross[K comparable, V, W any](x *Exchange[K, V], ds []delivery[K, W], vc sp
 
 // decodeRun verifies and decodes one received frame into its pairs, in
 // the order they were framed. Header fields must match the link the
-// frame arrived on.
+// frame arrived on. String keys are cut out of one string holding all
+// the frame's key bytes, sized by a first pass over the records, not
+// allocated one by one.
 func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K], vc spill.Codec[V]) ([]kv.Pair[K, V], error) {
 	f, err := DecodeFrame(frame)
 	if err != nil {
@@ -361,14 +364,32 @@ func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K
 	if f.Src != src || f.Part != dst {
 		return nil, fmt.Errorf("%w: frame for n%d->n%d arrived on n%d->n%d", ErrCorrupt, f.Src, f.Part, src, dst)
 	}
+	var keys strings.Builder
+	if kc.Str != nil {
+		n := 0
+		for p := f.Payload; len(p) > 0; {
+			key, _, rest, err := ReadRecord(p)
+			if err != nil {
+				return nil, err
+			}
+			n, p = n+len(key), rest
+		}
+		keys.Grow(n)
+	}
 	run := make([]kv.Pair[K, V], 0, f.Records)
 	for p := f.Payload; len(p) > 0; {
 		key, val, rest, err := ReadRecord(p)
 		if err != nil {
 			return nil, err
 		}
-		k, err := kc.Decode(key)
-		if err != nil {
+		var k K
+		if kc.Str != nil {
+			// The builder holds every key's bytes without regrowing, so
+			// each view of it stays valid.
+			at := keys.Len()
+			keys.Write(key)
+			k = kc.Str(keys.String()[at:])
+		} else if k, err = kc.Decode(key); err != nil {
 			return nil, fmt.Errorf("%w: key: %v", ErrCorrupt, err)
 		}
 		v, err := vc.Decode(val)

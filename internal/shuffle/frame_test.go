@@ -117,6 +117,33 @@ func TestDecodeRunRejectsMisroutedFrame(t *testing.T) {
 	}
 }
 
+// String keys are cut out of one copy of the frame's key bytes: each
+// comes back whole and in order, empty keys included, and none aliases
+// the frame, which the sender may reuse.
+func TestDecodeRunKeysOwnTheirBytes(t *testing.T) {
+	kc, _ := spill.CodecFor[string]()
+	vc, _ := spill.CodecFor[int64]()
+	keys := []string{"alpha", "", "beta", "a-much-longer-key-than-the-rest", "", "z"}
+	var payload []byte
+	for i, k := range keys {
+		payload = AppendRecord(payload, []byte(k), vc.Append(nil, int64(i)))
+	}
+	frame := EncodeFrame(nil, 0, 1, len(keys), payload)
+	run, err := decodeRun(frame, 0, 1, kc, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(frame)
+	if len(run) != len(keys) {
+		t.Fatalf("decoded %d pairs, want %d", len(run), len(keys))
+	}
+	for i, p := range run {
+		if p.Key != keys[i] || p.Val != int64(i) {
+			t.Errorf("pair %d = (%q, %d), want (%q, %d)", i, p.Key, p.Val, keys[i], i)
+		}
+	}
+}
+
 func TestDecodeRunRecordCountMismatch(t *testing.T) {
 	kc, _ := spill.CodecFor[string]()
 	vc, _ := spill.CodecFor[int64]()

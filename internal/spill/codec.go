@@ -77,10 +77,11 @@ func cutField(p []byte, bound int64) ([]byte, int, error) {
 type Codec[T any] struct {
 	Append func(dst []byte, v T) []byte
 	Decode func(p []byte) (T, error)
-	// str is the identity on strings when T is string, nil otherwise:
-	// the block decoder uses it to cut string fields out of one arena
-	// string per block instead of allocating each.
-	str func(string) T
+	// Str is the identity on strings when T is string, nil otherwise:
+	// the block decoder and the shuffle's frame decoder use it to cut
+	// string fields out of one arena string per block or frame instead
+	// of allocating each.
+	Str func(string) T
 }
 
 // CodecFor resolves the codec for T from its dynamic type. The
@@ -118,7 +119,7 @@ func CodecFor[T any]() (Codec[T], error) {
 		return Codec[T]{}, fmt.Errorf("spill: no codec for type %T; the memory budget supports string, []byte, int, int64, uint64 and float64 keys/values", zero)
 	}
 	c := Codec[T]{Append: app.(func([]byte, T) []byte), Decode: dec.(func([]byte) (T, error))}
-	c.str, _ = str.(func(string) T)
+	c.Str, _ = str.(func(string) T)
 	return c, nil
 }
 

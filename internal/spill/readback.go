@@ -185,13 +185,13 @@ func (s *runSource[K, V]) records(dst []kv.Pair[K, V]) ([]kv.Pair[K, V], error) 
 			break
 		}
 		var p kv.Pair[K, V]
-		if s.kc.str != nil {
+		if s.kc.Str != nil {
 			s.arena = append(s.arena, key...)
 			s.ends = append(s.ends, len(s.arena))
 		} else if p.Key, err = s.kc.Decode(key); err != nil {
 			return dst, fmt.Errorf("spill: run %d: key: %w", s.r.run.id, err)
 		}
-		if s.vc.str != nil {
+		if s.vc.Str != nil {
 			s.arena = append(s.arena, val...)
 			s.ends = append(s.ends, len(s.arena))
 		} else if p.Val, err = s.vc.Decode(val); err != nil {
@@ -203,11 +203,11 @@ func (s *runSource[K, V]) records(dst []kv.Pair[K, V]) ([]kv.Pair[K, V], error) 
 	if len(s.ends) > 0 {
 		arena, at, e := string(s.arena), 0, 0
 		for i := range dst {
-			if s.kc.str != nil {
-				dst[i].Key, at, e = s.kc.str(arena[at:s.ends[e]]), s.ends[e], e+1
+			if s.kc.Str != nil {
+				dst[i].Key, at, e = s.kc.Str(arena[at:s.ends[e]]), s.ends[e], e+1
 			}
-			if s.vc.str != nil {
-				dst[i].Val, at, e = s.vc.str(arena[at:s.ends[e]]), s.ends[e], e+1
+			if s.vc.Str != nil {
+				dst[i].Val, at, e = s.vc.Str(arena[at:s.ends[e]]), s.ends[e], e+1
 			}
 		}
 	}

@@ -104,10 +104,12 @@ go test -race -count=5 -run 'TestMemoEngineSharedAcrossSubmissions' .
 echo "== race: node-container repeats =="
 # A multi-node run's node containers are flushed into by every map
 # worker, reduced by partition tasks and, at each destination, refilled
-# by the fold's worker tasks — the sharing pattern the repeats above
-# exist for — so the multi-node suites repeat under the detector, with
-# the exchange's own tests. The exchange samples, frames and decodes in
-# pool tasks while its wire decisions stay on the caller: the shuffle
+# by the exchange's tasks, one per delivery, each replaying its frame or
+# its node's own share through Locals of its own — the sharing pattern
+# the repeats above exist for — so the multi-node suites repeat under
+# the detector, with the exchange's own tests. The exchange samples,
+# frames and replays in pool tasks while its wire decisions stay on the
+# caller: the shuffle
 # chaos sweep, which runs every faulted configuration twice and compares
 # the fault counters, repeats too, and the exchange's tests
 # (TestExchangeDecisionOrder logs every send through an unlocked
@@ -115,7 +117,7 @@ echo "== race: node-container repeats =="
 go test -race -count=2 -run 'TestDifferentialMultiNode|TestMultiNodeCompositions|TestInNodeCombiner|TestMultiNodeWirePinned|TestMultiNodeSortsOnce|TestMultiNodeDrainsOncePerNode|TestMultiNodeWireOrderFree|TestMultiNodeEdges|TestMultiNodeMemoColdWarmAppend|TestChaosShuffleMidJobFailures' .
 go test -race -count=2 -run 'TestChaosShuffle' .
 go test -race -count=2 -run 'TestNodeContainersRouteAndDrainOnce' ./internal/core/
-go test -race -count=2 -run 'TestExchangeDecisionOrder|TestExchangeFramesInPlace|TestExchange|FuzzExchange' ./internal/shuffle/
+go test -race -count=2 -run 'TestExchangeDecisionOrder|TestExchangeFramesInPlace|TestExchange|FuzzExchange|TestReceiveRejectsMisroutedFrame|TestReceivedKeysOwnTheirBytes|TestReceiveRecordCountMismatch' ./internal/shuffle/
 
 echo "== race: link flow-set repeats =="
 # A link is one processor-sharing flow set shared by every lane and
@@ -153,7 +155,8 @@ echo "== fuzz ($FUZZTIME per target) =="
 # scan, a combiner or a link schedule against its reference: arbitrary
 # input must end in a typed error or the reference answer, never a
 # panic. A crasher lands in the package's testdata/fuzz/ — fix it and
-# commit the file as a seed.
+# commit the file as a seed. memo:FuzzCacheReplay fuzzes spill.Replay,
+# the one record replay, so it covers the shuffle's receive path too.
 for target in \
     kv:FuzzScanWordsVsReference \
     chunk:FuzzInterFileVsReference \

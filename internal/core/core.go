@@ -640,7 +640,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		// container's chunks back in and finish like an unmemoized run.
 		rec.StartPhase(metrics.PhaseMemo)
 		for n := 0; n < len(conts) && err == nil; n++ {
-			err = fold(cache, parked, n, len(conts), conts[n], pool, "memo")
+			err = fold(cache, parked, n, len(conts), conts[n], pool)
 		}
 		rec.EndPhase(metrics.PhaseMemo)
 		parked = nil
@@ -695,18 +695,17 @@ type parkedChunk[K comparable, V any] struct {
 }
 
 // fold re-emits the parked output of chunks first, first+stride, ...
-// (all of them, one node's round-robin share, or a destination's
-// received pieces) into the empty container cont, one task labelled
-// label per compute worker, each taking every Workers-th of those items
-// through a container Local per item. Cache entries decode straight into
-// the Local (see memo.Cache.Replay); runs are emitted pair by pair. The
-// parked values were reduced already, so this relies on the container
-// contract that re-emitting reduced runs and reducing again equals
-// reducing once.
+// (all of them, or one node's round-robin share) into the empty
+// container cont, one "memo" task per compute worker, each taking every
+// Workers-th of those items through a container Local per item. Cache
+// entries decode straight into the Local (see memo.Cache.Replay); runs
+// are emitted pair by pair. The parked values were reduced already, so
+// this relies on the container contract that re-emitting reduced runs
+// and reducing again equals reducing once.
 func fold[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, V], first, stride int,
-	cont container.Container[K, V], pool exec.Executor, label string) error {
+	cont container.Container[K, V], pool exec.Executor) error {
 	workers := pool.Workers()
-	_, err := pool.ForEach(label, metrics.StateUser, workers, func(w int) error {
+	_, err := pool.ForEach("memo", metrics.StateUser, workers, func(w int) error {
 		for i := first + w*stride; i < len(parked); i += workers * stride {
 			local := cont.NewLocal()
 			if cache != nil {
@@ -724,15 +723,12 @@ func fold[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, 
 	return err
 }
 
-// foldPiece caps the pairs a destination folds through one Local: small
-// pieces keep the Locals, which keep their storage, small.
-const foldPiece = 1024
-
 // finishNodes is a multi-node run's finish. Each node's reduced entries
-// (or parked per-chunk runs) go to the nodes owning their key ranges;
-// each destination folds them into its emptied container and finishes
-// like a single node, one after another on the whole pool. The outputs,
-// key-disjoint and ascending, are laid end to end.
+// (or parked per-chunk runs) go to the nodes owning their key ranges:
+// the containers are emptied, and the exchange replays what each
+// destination receives straight into its container. Each destination
+// then finishes like a single node, one after another on the whole
+// pool. The outputs, key-disjoint and ascending, are laid end to end.
 func finishNodes[K comparable, V any](app kv.App[K, V], conts []container.Container[K, V], parked []parkedChunk[K, V],
 	exchange *shuffle.Exchange[K, V], fixed *kv.FixedKeyCodec[K], opts Options, stats *Stats) ([]kv.Pair[K, V], error) {
 	pool, rec := opts.Pool, opts.Pool.Record()
@@ -756,19 +752,11 @@ func finishNodes[K comparable, V any](app kv.App[K, V], conts []container.Contai
 	}
 
 	rec.StartPhase(metrics.PhaseShuffle)
-	recv, err := exchange.Run(nodeBlocks, app.Less, pool)
-	stats.ShuffleBytes, stats.ShuffleFrames = exchange.Bytes, exchange.Frames
-	for dst := 0; dst < len(conts) && err == nil; dst++ {
-		var pieces []parkedChunk[K, V]
-		for _, b := range recv[dst] {
-			for piece := range slices.Chunk(b, foldPiece) {
-				pieces = append(pieces, parkedChunk[K, V]{run: piece})
-			}
-		}
-		recv[dst] = nil
-		conts[dst].Reset()
-		err = fold(nil, pieces, 0, 1, conts[dst], pool, "shuffle")
+	for _, c := range conts {
+		c.Reset()
 	}
+	err := exchange.Run(nodeBlocks, app.Less, pool, conts)
+	stats.ShuffleBytes, stats.ShuffleFrames = exchange.Bytes, exchange.Frames
 	rec.EndPhase(metrics.PhaseShuffle)
 	outs := make([][]kv.Pair[K, V], len(conts))
 	for dst := 0; dst < len(conts) && err == nil; dst++ {

@@ -24,10 +24,11 @@ import (
 // (hits folded from their encoded entries) alike — so the entries handed
 // to the exchange are exactly each node's distinct words: every
 // container is reduced once before the exchange and never drained. With
-// the combiner ablated the per-chunk drains are handed in instead. Each
-// destination then folds what it received into its own container, the
-// caller's being destination 0's, and finishes it like a single node:
-// no task sorts or merges until every destination has folded.
+// the combiner ablated the per-chunk drains are handed in instead. The
+// exchange's tasks fold what each destination receives into its own
+// container, the caller's being destination 0's, and each destination
+// finishes like a single node: no task sorts or merges before the last
+// exchange task.
 func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 	const nodes, chunkSize = 3, 4 << 10
 	text := genText(t, 64<<10)
@@ -74,7 +75,7 @@ func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 		memo        bool
 		combinerOff bool
 		wantN       int // Stats.IntermediateN: pairs handed to the exchange
-		wantDrains  int // per-chunk drains, each one "shuffle" task with one worker
+		wantDrains  int // per-chunk drains, each one "shuffle" task with one worker, and the only ones
 		wantHits    int
 	}{
 		{name: "plain", wantN: perNodeN},
@@ -111,11 +112,12 @@ func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 			if st.IntermediateN != tc.wantN {
 				t.Errorf("IntermediateN = %d, want %d", st.IntermediateN, tc.wantN)
 			}
-			// One fold task per destination besides the drains; a node's
+			// The drains are the only "shuffle" tasks: destinations fold
+			// what they receive inside the exchange's tasks. A node's
 			// container is reduced before the exchange unless ablated, and
 			// every destination's is reduced by its finish.
-			if got, want := st.Tasks["shuffle"].Tasks, tc.wantDrains+nodes; got != want {
-				t.Errorf("%d shuffle tasks, want %d drains and %d folds", got, tc.wantDrains, nodes)
+			if got := st.Tasks["shuffle"].Tasks; got != tc.wantDrains {
+				t.Errorf("%d shuffle tasks, want %d drains", got, tc.wantDrains)
 			}
 			wantReduces := 2 * nodes * parts
 			if tc.combinerOff {
@@ -130,7 +132,7 @@ func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 			lastFold, firstSort := -1, len(pool.labels)
 			for i, l := range pool.labels {
 				switch l {
-				case "shuffle":
+				case "exchange":
 					lastFold = i
 				case "sort", "merge":
 					firstSort = min(firstSort, i)
@@ -140,7 +142,7 @@ func TestNodeContainersRouteAndDrainOnce(t *testing.T) {
 				t.Errorf("no destination sorted or merged: %v", pool.labels)
 			}
 			if firstSort < lastFold {
-				t.Errorf("a %q task ran before the last destination folded: %v", pool.labels[firstSort], pool.labels)
+				t.Errorf("a %q task ran before the last exchange task: %v", pool.labels[firstSort], pool.labels)
 			}
 			// The caller's container is destination 0's: it holds the
 			// lowest key range, the output's first cont.Len() keys.

@@ -210,9 +210,6 @@ func (s Spec) check(piped bool, clock supmr.Clock) (a *app, cfg supmr.Config, er
 			return nil, cfg, fmt.Errorf("jobspec: negative %s %d", f.name, f.v)
 		}
 	}
-	if s.InNodeCombinerOff && s.Nodes == 0 {
-		return nil, cfg, fmt.Errorf("jobspec: innode_combiner_off set without nodes")
-	}
 	if s.MemoKey != "" && !s.Memo {
 		return nil, cfg, fmt.Errorf("jobspec: memo_key set without memo")
 	}

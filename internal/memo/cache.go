@@ -79,7 +79,7 @@ func (c *Cache[K, V]) Key(sum [32]byte) Key {
 // returns ok=false with the error for accounting — the store evicts it
 // and the caller recomputes either way.
 func (c *Cache[K, V]) Fetch(k Key) (Entry, bool, error) {
-	return c.fetch(k, func(e Entry) error { return c.Replay(e, discard[K, V]{}) })
+	return c.fetch(k, func(e Entry) error { return c.Replay(e, spill.Discard[K, V]{}) })
 }
 
 // Get fetches and decodes the cached pairs for k, with Fetch's hit and
@@ -113,57 +113,23 @@ func (c *Cache[K, V]) fetch(k Key, check func(Entry) error) (Entry, bool, error)
 	return Entry{Payload: payload, Records: records}, true, nil
 }
 
-// Replay is the one record decoder: it streams e's records into emit in
-// payload (key-sorted) order. When emit also implements
-// kv.BytesEmitter[V] and K is string, keys are handed over as slices of
-// the payload — valid only during the call, never materialized — so a
-// combining container's Local folds a replay without allocating a key
-// string or a pair slice. Any framing or codec failure, or a record
-// count other than e.Records, returns an error wrapping ErrMalformed;
-// records decoded before the failure have already been emitted.
+// Replay streams e's records into emit in payload (key-sorted) order,
+// through spill.Replay: with the kv.BytesEmitter fast path for string
+// keys, a combining container's Local folds a replay without allocating
+// a key string or a pair slice. Any framing or codec failure, or a
+// payload holding other than e.Records records, returns an error
+// wrapping ErrMalformed; records decoded before the failure have already
+// been emitted.
 func (c *Cache[K, V]) Replay(e Entry, emit kv.Emitter[K, V]) error {
-	// String keys can reach a byte-keyed sink without being decoded.
-	var be kv.BytesEmitter[V]
-	var zero K
-	if _, ok := any(zero).(string); ok {
-		be, _ = emit.(kv.BytesEmitter[V])
+	n, rest, err := spill.Replay(e.Payload, int(e.Records), c.kc, c.vc, emit)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
-	payload := e.Payload
-	var n int64
-	for pos := 0; pos < len(payload); n++ {
-		// The payload is all there is: a record it cuts short is
-		// malformed too.
-		kb, vb, size, err := spill.CutRecord(payload[pos:], int64(len(payload)-pos))
-		if err != nil {
-			return fmt.Errorf("%w: record at %d: %w", ErrMalformed, pos, err)
-		}
-		pos += size
-		val, err := c.vc.Decode(vb)
-		if err != nil {
-			return fmt.Errorf("%w: value: %v", ErrMalformed, err)
-		}
-		if be != nil {
-			be.EmitBytes(kb, val)
-			continue
-		}
-		key, err := c.kc.Decode(kb)
-		if err != nil {
-			return fmt.Errorf("%w: key: %v", ErrMalformed, err)
-		}
-		emit.Emit(key, val)
-	}
-	if n != e.Records {
-		return fmt.Errorf("%w: %d records, entry announced %d", ErrMalformed, n, e.Records)
+	if int64(n) != e.Records || len(rest) > 0 {
+		return fmt.Errorf("%w: the payload does not hold the %d records the entry announced", ErrMalformed, e.Records)
 	}
 	return nil
 }
-
-// discard is Fetch's validating sink: it accepts either emit form and
-// keeps nothing.
-type discard[K comparable, V any] struct{}
-
-func (discard[K, V]) Emit(K, V)           {}
-func (discard[K, V]) EmitBytes([]byte, V) {}
 
 // Put serializes pairs and publishes them under k. The pairs should be
 // the chunk's full combined output in its stable (key-sorted) order, so

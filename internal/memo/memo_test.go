@@ -423,8 +423,9 @@ func TestCacheFetchReplay(t *testing.T) {
 	}
 }
 
-// FuzzCacheReplay drives the one record decoder with arbitrary bytes
-// and an arbitrary announced count: it never panics, and either returns
+// FuzzCacheReplay drives the one record decoder, spill.Replay, which
+// the shuffle's receive path runs too, with arbitrary bytes and an
+// arbitrary announced count: it never panics, and either returns
 // an ErrMalformed error or emits exactly the announced records from no
 // more bytes than the payload holds. A payload built from the fuzzed
 // fields round-trips through Put and Replay, and every strict prefix of
@@ -477,7 +478,7 @@ func FuzzCacheReplay(f *testing.F) {
 			t.Fatalf("round trip = %+v, %v; want %+v", back.pairs, err, pairs)
 		}
 		for cut := 0; cut < len(e.Payload); cut++ {
-			err := c.Replay(Entry{Payload: e.Payload[:cut], Records: e.Records}, discard[string, int64]{})
+			err := c.Replay(Entry{Payload: e.Payload[:cut], Records: e.Records}, spill.Discard[string, int64]{})
 			if !errors.Is(err, ErrMalformed) {
 				t.Fatalf("payload truncated to %d of %d bytes replayed: err=%v", cut, len(e.Payload), err)
 			}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"time"
 
+	"supmr/internal/container"
 	"supmr/internal/exec"
 	"supmr/internal/faults"
 	"supmr/internal/kv"
@@ -59,8 +59,10 @@ type Topology struct {
 // Both steps are parallel rounds on the job's pool: each node samples,
 // and later routes and frames its entries, in a task of its own; all
 // frames of a step cross the fabric together, so a step costs its
-// busiest port's bytes rather than every node's; and each frame is
-// decoded in a task of its own. Only the wire's fault decisions run on
+// busiest port's bytes rather than every node's; and each delivery —
+// a frame, checked and replayed, or a node's own share — is folded
+// into its destination's container in a task of its own, through
+// Locals of at most 1024 records. Only the wire's fault decisions run on
 // the caller, one frame after another in (src, block, dst) order, so
 // the bytes, frames, fault counters and errors do not depend on how
 // the tasks are scheduled.
@@ -123,13 +125,13 @@ func NewExchange[K comparable, V any](top Topology, retrier *faults.Retrier) (*E
 }
 
 // Run exchanges nodeBlocks (nodeBlocks[n]: node n's entries, in blocks
-// in any order) on pool and returns recv[dst], the blocks node dst
-// received. A node's blocks travel to each other node as one frame, or
-// with CombinerOff one frame per block. What a node keeps is moved to
-// the front of its blocks in place and handed back uncopied. Samples
-// are drawn by content alone, so the wire does not depend on the order
-// a container iterates in.
-func (x *Exchange[K, V]) Run(nodeBlocks [][][]kv.Pair[K, V], less kv.Less[K], pool exec.Executor) ([][][]kv.Pair[K, V], error) {
+// in any order) on pool, folding what node dst receives into into[dst].
+// A node's blocks travel to each other node as one frame, or with
+// CombinerOff one frame per block. What a node keeps is moved to the
+// front of its blocks in place and emitted into its own container.
+// Samples are drawn by content alone, so the wire does not depend on
+// the order a container iterates in.
+func (x *Exchange[K, V]) Run(nodeBlocks [][][]kv.Pair[K, V], less kv.Less[K], pool exec.Executor, into []container.Container[K, V]) error {
 	// Every node with a sample sends it to every other such node, so
 	// each holds all of them and derives the same splitters.
 	own := make([][]K, len(nodeBlocks))
@@ -138,7 +140,7 @@ func (x *Exchange[K, V]) Run(nodeBlocks [][][]kv.Pair[K, V], less kv.Less[K], po
 		own[n], payloads[n] = x.sample(nodeBlocks[n], less)
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	var samples []delivery[K, []byte]
 	for src := range own {
@@ -149,8 +151,10 @@ func (x *Exchange[K, V]) Run(nodeBlocks [][][]kv.Pair[K, V], less kv.Less[K], po
 			}
 		}
 	}
-	if err := cross(x, samples, keysOnly, pool); err != nil {
-		return nil, err
+	// A sample frame is checked by replaying it into a sink that keeps
+	// nothing: its keys are the sender's own.
+	if err := cross(x, samples, keysOnly, pool, func(int) container.Local[K, []byte] { return spill.Discard[K, []byte]{} }); err != nil {
+		return err
 	}
 	splitters := sortalgo.Splitters(slices.Concat(own...), x.top.Nodes, less)
 
@@ -159,22 +163,13 @@ func (x *Exchange[K, V]) Run(nodeBlocks [][][]kv.Pair[K, V], less kv.Less[K], po
 		routed[src] = x.route(src, nodeBlocks[src], splitters, less)
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	ds := slices.Concat(routed...)
-	if err := cross(x, ds, x.vc, pool); err != nil {
-		return nil, err
-	}
-	recv := make([][][]kv.Pair[K, V], x.top.Nodes)
-	for _, d := range ds {
-		recv[d.dst] = append(recv[d.dst], d.pairs)
-	}
-	return recv, nil
+	return cross(x, slices.Concat(routed...), x.vc, pool, func(dst int) container.Local[K, V] { return into[dst].NewLocal() })
 }
 
 // delivery is what one destination gets from one source: a local share
-// handed over in place (frame nil), or a frame to cross the fabric,
-// whose pairs are what the destination decoded.
+// handed over in place (frame nil), or a frame to cross the fabric.
 type delivery[K comparable, V any] struct {
 	src, dst int
 	frame    []byte
@@ -301,17 +296,19 @@ func owner[K any](k K, splitters []K, less kv.Less[K]) int {
 var keysOnly, _ = spill.CodecFor[[]byte]()
 
 // cross moves one round of deliveries: every frame among ds crosses
-// the fabric and is decoded into its pairs at its destination, values
-// in vc; local shares stay as they are. Each frame's wire decisions run
-// here on the caller, in the order of ds — the send through its fault
-// seam, the check that a torn prefix is rejected, the retrier's
-// resends of the whole frame — as the exchange's only reads of the
-// fault plan. Then every send, torn prefixes included, crosses the
-// fabric as one round, and pool tasks decode the frames.
-func cross[K comparable, V, W any](x *Exchange[K, V], ds []delivery[K, W], vc spill.Codec[W], pool exec.Executor) error {
+// the fabric, values in vc, and every delivery is replayed at its
+// destination into Locals from sink, in pieces of at most piece
+// records. Each frame's wire decisions run here on the caller, in the
+// order of ds — the send through its fault seam, the check that a torn
+// prefix is rejected, the retrier's resends of the whole frame — as the
+// exchange's only reads of the fault plan. Then every send, torn
+// prefixes included, crosses the fabric as one round, and each delivery
+// is replayed in a pool task of its own.
+func cross[K comparable, V, W any](x *Exchange[K, V], ds []delivery[K, W], vc spill.Codec[W], pool exec.Executor,
+	sink func(dst int) container.Local[K, W]) error {
 	var flows []netsim.Flow
-	var framed []int
-	for i, d := range ds {
+	frames := 0
+	for _, d := range ds {
 		if d.frame == nil {
 			continue
 		}
@@ -332,74 +329,62 @@ func cross[K comparable, V, W any](x *Exchange[K, V], ds []delivery[K, W], vc sp
 		if err != nil {
 			return fmt.Errorf("shuffle: n%d->n%d: %w", d.src, d.dst, err)
 		}
-		framed = append(framed, i)
+		frames++
 	}
 	if err := x.fab.Round(flows); err != nil {
 		return err
 	}
-	if _, err := pool.ForEach(taskLabel, metrics.StateUser, len(framed), func(i int) error {
-		d := &ds[framed[i]]
-		var err error
-		if d.pairs, err = decodeRun(d.frame, d.src, d.dst, x.kc, vc); err != nil {
+	if _, err := pool.ForEach(taskLabel, metrics.StateUser, len(ds), func(i int) error {
+		d := ds[i]
+		if d.frame == nil {
+			for p := range slices.Chunk(d.pairs, piece) {
+				l := sink(d.dst)
+				for _, e := range p {
+					l.Emit(e.Key, e.Val)
+				}
+				l.Flush()
+			}
+			return nil
+		}
+		if err := receive(d, x.kc, vc, sink); err != nil {
 			return fmt.Errorf("shuffle: n%d->n%d: %w", d.src, d.dst, err)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
-	x.Frames += len(framed)
+	x.Frames += frames
 	return nil
 }
 
-// decodeRun verifies and decodes one received frame into its pairs, in
-// the order they were framed. Header fields must match the link the
-// frame arrived on. String keys are cut out of one string holding all
-// the frame's key bytes, sized by a first pass over the records, not
-// allocated one by one.
-func decodeRun[K comparable, V any](frame []byte, src, dst int, kc spill.Codec[K], vc spill.Codec[V]) ([]kv.Pair[K, V], error) {
-	f, err := DecodeFrame(frame)
+// piece caps the records replayed through one Local: small pieces keep
+// the Locals, which keep their storage, small.
+const piece = 1024
+
+// receive checks a frame that crossed d's link — its checksum, that its
+// header names that link, and its record count — and replays its
+// records in order into Locals from sink, at most piece to a Local.
+func receive[K comparable, V any](d delivery[K, V], kc spill.Codec[K], vc spill.Codec[V], sink func(dst int) container.Local[K, V]) error {
+	f, err := DecodeFrame(d.frame)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if f.Src != src || f.Part != dst {
-		return nil, fmt.Errorf("%w: frame for n%d->n%d arrived on n%d->n%d", ErrCorrupt, f.Src, f.Part, src, dst)
+	if f.Src != d.src || f.Part != d.dst {
+		return fmt.Errorf("%w: frame for n%d->n%d arrived on n%d->n%d", ErrCorrupt, f.Src, f.Part, d.src, d.dst)
 	}
-	var keys strings.Builder
-	if kc.Str != nil {
-		n := 0
-		for p := f.Payload; len(p) > 0; {
-			key, _, rest, err := ReadRecord(p)
-			if err != nil {
-				return nil, err
-			}
-			n, p = n+len(key), rest
-		}
-		keys.Grow(n)
-	}
-	run := make([]kv.Pair[K, V], 0, f.Records)
-	for p := f.Payload; len(p) > 0; {
-		key, val, rest, err := ReadRecord(p)
+	p, left := f.Payload, f.Records
+	for len(p) > 0 && left > 0 {
+		l := sink(d.dst)
+		var n int
+		n, p, err = spill.Replay(p, min(left, piece), kc, vc, l)
+		l.Flush()
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("%w: %w", ErrCorrupt, err)
 		}
-		var k K
-		if kc.Str != nil {
-			// The builder holds every key's bytes without regrowing, so
-			// each view of it stays valid.
-			at := keys.Len()
-			keys.Write(key)
-			k = kc.Str(keys.String()[at:])
-		} else if k, err = kc.Decode(key); err != nil {
-			return nil, fmt.Errorf("%w: key: %v", ErrCorrupt, err)
-		}
-		v, err := vc.Decode(val)
-		if err != nil {
-			return nil, fmt.Errorf("%w: value: %v", ErrCorrupt, err)
-		}
-		run, p = append(run, kv.Pair[K, V]{Key: k, Val: v}), rest
+		left -= n
 	}
-	if len(run) != f.Records {
-		return nil, fmt.Errorf("%w: %d records, header says %d", ErrCorrupt, len(run), f.Records)
+	if left != 0 || len(p) > 0 {
+		return fmt.Errorf("%w: the payload does not hold the %d records its header says", ErrCorrupt, f.Records)
 	}
-	return run, nil
+	return nil
 }

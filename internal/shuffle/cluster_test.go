@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"supmr/internal/container"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
 	"supmr/internal/sortalgo"
@@ -44,8 +45,8 @@ func sortedRun(keys []string) []kv.Pair[string, int64] {
 }
 
 // destinations runs the exchange over nodeBlocks on a fresh fault-free
-// cluster and reduces each destination's blocks to its key-sorted
-// distinct keys, returning every node's output.
+// cluster and reduces what each destination's container received to its
+// key-sorted distinct keys, returning every node's output.
 func destinations(t testing.TB, nodeBlocks [][][]kv.Pair[string, int64]) [][]kv.Pair[string, int64] {
 	t.Helper()
 	x, err := NewExchange[string, int64](Topology{Nodes: len(nodeBlocks), Clock: storage.NewFakeClock()}, nil)
@@ -54,17 +55,30 @@ func destinations(t testing.TB, nodeBlocks [][][]kv.Pair[string, int64]) [][]kv.
 	}
 	pool := exec.NewLocal(2)
 	defer pool.Close()
-	recv, err := x.Run(nodeBlocks, countApp{}.Less, pool)
-	if err != nil {
+	_, conts := listSink(len(nodeBlocks))
+	if err := x.Run(nodeBlocks, countApp{}.Less, pool, conts); err != nil {
 		t.Fatal(err)
 	}
-	outs := make([][]kv.Pair[string, int64], len(recv))
-	for dst, blocks := range recv {
-		var all []kv.Pair[string, int64]
-		for _, b := range blocks {
-			all = append(all, b...)
+	outs := received(conts)
+	for dst := range outs {
+		outs[dst] = reduced(outs[dst])
+	}
+	return outs
+}
+
+// received lists every pair folded into each of the non-combining
+// containers conts, in no particular order.
+func received(conts []container.Container[string, int64]) [][]kv.Pair[string, int64] {
+	outs := make([][]kv.Pair[string, int64], len(conts))
+	for dst, c := range conts {
+		for p := 0; p < c.Partitions(); p++ {
+			c.Reduce(p, func(k string, vs []int64) int64 {
+				for _, v := range vs {
+					outs[dst] = append(outs[dst], kv.Pair[string, int64]{Key: k, Val: v})
+				}
+				return 0
+			}, nil)
 		}
-		outs[dst] = reduced(all)
 	}
 	return outs
 }
@@ -184,29 +198,24 @@ func FuzzExchangeRoutes(f *testing.F) {
 		}
 		pool := exec.NewLocal(2)
 		defer pool.Close()
-		recv, err := x.Run(nodeBlocks, countApp{}.Less, pool)
-		if err != nil {
+		_, conts := listSink(nodes)
+		if err := x.Run(nodeBlocks, countApp{}.Less, pool, conts); err != nil {
 			t.Fatal(err)
-		}
-		if len(recv) != nodes {
-			t.Fatalf("%d destinations, want %d", len(recv), nodes)
 		}
 		arrived := make([]int, len(sent))
 		var prevMax *string
-		for dst, blocks := range recv {
+		for dst, got := range received(conts) {
 			var lo, hi *string
-			for _, b := range blocks {
-				for i, p := range b {
-					if p.Val < 0 || int(p.Val) >= len(sent) || sent[p.Val] != p {
-						t.Fatalf("node %d received %v, which was never sent", dst, p)
-					}
-					arrived[p.Val]++
-					if lo == nil || p.Key < *lo {
-						lo = &b[i].Key
-					}
-					if hi == nil || p.Key > *hi {
-						hi = &b[i].Key
-					}
+			for i, p := range got {
+				if p.Val < 0 || int(p.Val) >= len(sent) || sent[p.Val] != p {
+					t.Fatalf("node %d received %v, which was never sent", dst, p)
+				}
+				arrived[p.Val]++
+				if lo == nil || p.Key < *lo {
+					lo = &got[i].Key
+				}
+				if hi == nil || p.Key > *hi {
+					hi = &got[i].Key
 				}
 			}
 			if lo == nil {
@@ -380,7 +389,8 @@ func TestExchangeDecisionOrder(t *testing.T) {
 			}
 			pool := exec.NewLocal(workers)
 			start := clock.Now()
-			_, err = x.Run(cloneBlocks(in), countApp{}.Less, pool)
+			_, conts := listSink(nodes)
+			err = x.Run(cloneBlocks(in), countApp{}.Less, pool, conts)
 			pool.Close()
 			if err != nil {
 				t.Fatal(err)

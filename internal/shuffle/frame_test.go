@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
+	"supmr/internal/container"
+	"supmr/internal/exec"
+	"supmr/internal/kv"
 	"supmr/internal/spill"
+	"supmr/internal/storage"
 )
 
 // buildFrame encodes records of random sizes and returns the frame plus
@@ -101,57 +106,95 @@ func TestFrameTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
-func TestDecodeRunRejectsMisroutedFrame(t *testing.T) {
+// listSink returns a sink whose Locals fold into conts[dst], and conts:
+// non-combining containers, one per destination of nodes.
+func listSink(nodes int) (func(int) container.Local[string, int64], []container.Container[string, int64]) {
+	conts := make([]container.Container[string, int64], nodes)
+	for i := range conts {
+		conts[i] = container.NewHash[string, int64](4, container.StringHasher, nil)
+	}
+	return func(dst int) container.Local[string, int64] { return conts[dst].NewLocal() }, conts
+}
+
+func TestReceiveRejectsMisroutedFrame(t *testing.T) {
 	kc, _ := spill.CodecFor[string]()
 	vc, _ := spill.CodecFor[int64]()
 	payload := AppendRecord(nil, []byte("k"), vc.Append(nil, 7))
 	frame := EncodeFrame(nil, 1, 2, 1, payload)
-	if _, err := decodeRun(frame, 1, 2, kc, vc); err != nil {
+	sink, conts := listSink(3)
+	if err := receive(delivery[string, int64]{src: 1, dst: 2, frame: frame}, kc, vc, sink); err != nil {
 		t.Fatalf("matching link rejected: %v", err)
 	}
-	if _, err := decodeRun(frame, 0, 2, kc, vc); !errors.Is(err, ErrCorrupt) {
+	if got := received(conts)[2]; len(got) != 1 || got[0] != (kv.Pair[string, int64]{Key: "k", Val: 7}) {
+		t.Fatalf("destination holds %v, want the one record", got)
+	}
+	if err := receive(delivery[string, int64]{src: 0, dst: 2, frame: frame}, kc, vc, sink); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong src link: %v, want ErrCorrupt", err)
 	}
-	if _, err := decodeRun(frame, 1, 0, kc, vc); !errors.Is(err, ErrCorrupt) {
+	if err := receive(delivery[string, int64]{src: 1, dst: 0, frame: frame}, kc, vc, sink); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong dst link: %v, want ErrCorrupt", err)
 	}
 }
 
-// String keys are cut out of one copy of the frame's key bytes: each
-// comes back whole and in order, empty keys included, and none aliases
-// the frame, which the sender may reuse.
-func TestDecodeRunKeysOwnTheirBytes(t *testing.T) {
-	kc, _ := spill.CodecFor[string]()
-	vc, _ := spill.CodecFor[int64]()
+// A frame crosses into the destination's containers — a combining flat
+// one, whose Locals take keys as views of the payload, and a map-backed
+// one, which takes decoded strings — in pieces over several Locals.
+// Once every frame buffer is cleared, which the sender may do, the
+// containers still hold every key whole, empty keys included: no Local
+// keeps a view of the payload.
+func TestReceivedKeysOwnTheirBytes(t *testing.T) {
 	keys := []string{"alpha", "", "beta", "a-much-longer-key-than-the-rest", "", "z"}
-	var payload []byte
-	for i, k := range keys {
-		payload = AppendRecord(payload, []byte(k), vc.Append(nil, int64(i)))
+	for i := 0; len(keys) < 2*piece+100; i++ {
+		keys = append(keys, fmt.Sprintf("word-%05d", i))
 	}
-	frame := EncodeFrame(nil, 0, 1, len(keys), payload)
-	run, err := decodeRun(frame, 0, 1, kc, vc)
+	x, err := NewExchange[string, int64](Topology{Nodes: 2, Clock: storage.NewFakeClock()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clear(frame)
-	if len(run) != len(keys) {
-		t.Fatalf("decoded %d pairs, want %d", len(run), len(keys))
+	vc, _ := spill.CodecFor[int64]()
+	var payload []byte
+	want := make(map[string]int64)
+	for i, k := range keys {
+		payload = AppendRecord(payload, []byte(k), vc.Append(nil, int64(i)))
+		want[k] += int64(i)
 	}
-	for i, p := range run {
-		if p.Key != keys[i] || p.Val != int64(i) {
-			t.Errorf("pair %d = (%q, %d), want (%q, %d)", i, p.Key, p.Val, keys[i], i)
+	sum := func(a, b int64) int64 { return a + b }
+	for _, cont := range []container.Container[string, int64]{
+		container.NewFlatHash[int64](4, sum),
+		container.NewHash[string, int64](4, container.StringHasher, sum),
+	} {
+		frame := EncodeFrame(nil, 0, 1, len(keys), payload)
+		pool := exec.NewLocal(2)
+		err := cross(x, []delivery[string, int64]{{src: 0, dst: 1, frame: frame}}, x.vc, pool,
+			func(int) container.Local[string, int64] { return cont.NewLocal() })
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(frame)
+		got := make(map[string]int64)
+		for p := 0; p < cont.Partitions(); p++ {
+			for _, e := range cont.Reduce(p, func(_ string, vs []int64) int64 { return vs[0] }, nil) {
+				got[e.Key] = e.Val
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%T holds %d keys after the frame was cleared, want these %d whole", cont, len(got), len(want))
 		}
 	}
 }
 
-func TestDecodeRunRecordCountMismatch(t *testing.T) {
+func TestReceiveRecordCountMismatch(t *testing.T) {
 	kc, _ := spill.CodecFor[string]()
 	vc, _ := spill.CodecFor[int64]()
 	payload := AppendRecord(nil, []byte("a"), vc.Append(nil, 1))
 	payload = AppendRecord(payload, []byte("b"), vc.Append(nil, 2))
-	frame := EncodeFrame(nil, 0, 1, 3, payload) // header lies: 3 records
-	if _, err := decodeRun(frame, 0, 1, kc, vc); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("record-count lie: %v, want ErrCorrupt", err)
+	sink, _ := listSink(2)
+	for _, records := range []int{3, 1, 0} { // the header lies
+		frame := EncodeFrame(nil, 0, 1, records, payload)
+		if err := receive(delivery[string, int64]{src: 0, dst: 1, frame: frame}, kc, vc, sink); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("record-count lie (%d for 2): %v, want ErrCorrupt", records, err)
+		}
 	}
 }
 

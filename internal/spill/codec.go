@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"supmr/internal/kv"
 )
 
 // The one record format, shared by spill runs, memo entries and
@@ -21,7 +23,8 @@ import (
 //
 //	uvarint keyLen | keyLen bytes | uvarint valLen | valLen bytes
 //
-// written by AppendRecord and parsed by CutRecord, and nowhere else.
+// written by AppendRecord and parsed by CutRecord, and nowhere else;
+// Replay emits a payload's records into an emitter.
 
 // ErrShortRecord reports a buffer that ends inside a record.
 var ErrShortRecord = errors.New("spill: buffer ends inside a record")
@@ -55,6 +58,56 @@ func CutRecord(p []byte, bound int64) (key, val []byte, n int, err error) {
 	return key, val, kn + vn, nil
 }
 
+// Replay emits the records at the front of payload into emit, in
+// order, keys decoded by kc and values by vc, until it has emitted limit
+// records or the payload ends; it returns how many it emitted and the
+// bytes after them. It is the one decoder of a record payload into an
+// emitter: memo entries and shuffle frames are both replayed by it. When
+// K is string and emit also implements kv.BytesEmitter[V], keys are
+// handed over as views of the payload — valid only during the call —
+// so a combining container's Local folds a replay without allocating a
+// key string. A record the payload cuts short, or a field its codec
+// refuses, is an error; the records before it have been emitted.
+func Replay[K, V any](payload []byte, limit int, kc Codec[K], vc Codec[V], emit kv.Emitter[K, V]) (int, []byte, error) {
+	var be kv.BytesEmitter[V]
+	var zero K
+	if _, ok := any(zero).(string); ok {
+		be, _ = emit.(kv.BytesEmitter[V])
+	}
+	n := 0
+	for ; n < limit && len(payload) > 0; n++ {
+		kb, vb, size, err := CutRecord(payload, int64(len(payload)))
+		if err != nil {
+			return n, payload, fmt.Errorf("record %d: %w", n, err)
+		}
+		val, err := vc.Decode(vb)
+		if err != nil {
+			return n, payload, fmt.Errorf("record %d: value: %w", n, err)
+		}
+		if be != nil {
+			be.EmitBytes(kb, val)
+		} else {
+			key, err := kc.Decode(kb)
+			if err != nil {
+				return n, payload, fmt.Errorf("record %d: key: %w", n, err)
+			}
+			emit.Emit(key, val)
+		}
+		payload = payload[size:]
+	}
+	return n, payload, nil
+}
+
+// Discard is a replay's checking sink: it takes keys in either form and
+// keeps nothing, so replaying into it only verifies the records. Its
+// Flush does nothing, so it also serves where a container Local is
+// expected.
+type Discard[K, V any] struct{}
+
+func (Discard[K, V]) Emit(K, V)           {}
+func (Discard[K, V]) EmitBytes([]byte, V) {}
+func (Discard[K, V]) Flush()              {}
+
 func cutField(p []byte, bound int64) ([]byte, int, error) {
 	u, n := binary.Uvarint(p)
 	if n == 0 && len(p) < binary.MaxVarintLen64 {
@@ -78,9 +131,8 @@ type Codec[T any] struct {
 	Append func(dst []byte, v T) []byte
 	Decode func(p []byte) (T, error)
 	// Str is the identity on strings when T is string, nil otherwise:
-	// the block decoder and the shuffle's frame decoder use it to cut
-	// string fields out of one arena string per block or frame instead
-	// of allocating each.
+	// the block decoder uses it to cut string fields out of one arena
+	// string per block instead of allocating each.
 	Str func(string) T
 }
 

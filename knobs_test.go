@@ -172,6 +172,9 @@ func TestConfigKnobTable(t *testing.T) {
 		{name: "Memo+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Memo, c.ResetEachRound = 32<<10, true, true }, pipeline: refused, traditional: refused},
 		{name: "Nodes+AdaptiveChunks", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.AdaptiveChunks = 32<<10, 2, true }, pipeline: refused, traditional: refused},
 		{name: "Nodes+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.ResetEachRound = 32<<10, 2, true }, pipeline: refused, traditional: refused},
+		// A knob of a mode that is not on.
+		{name: "InNodeCombiner-without-Nodes", set: func(c *Config) { off := false; c.ChunkBytes, c.InNodeCombiner = 32<<10, &off },
+			pipeline: refused, traditional: refused},
 	}
 	// The unset column leaves Runtime at its zero value, whatever that is.
 	columns := []struct {

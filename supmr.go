@@ -278,7 +278,8 @@ type Config struct {
 	// container per node (the caller's and Nodes-1 built like it). Chunk
 	// i is mapped into node i % Nodes's container, which is reduced once
 	// after ingest; every entry, unsorted, goes over simulated links to
-	// the node owning its key range under sampled splitters, and node n
+	// the node owning its key range under sampled splitters, where it is
+	// replayed straight into that node's emptied container, and node n
 	// finishes the n-th key range like a single node (internal/shuffle,
 	// DESIGN.md §15). Output is byte-identical to a single-node run; 1 is
 	// the degenerate one-node cluster on the same code path, 0 the
@@ -295,6 +296,7 @@ type Config struct {
 	// chunk and transmitting every per-chunk run as-is. Output is
 	// byte-identical either way (each destination re-reduces what it
 	// receives); only Stats.ShuffleBytes and ShuffleFrames change.
+	// Validate refuses &false without Nodes.
 	InNodeCombiner *bool
 	// NodeLinkBW is each node port's bandwidth in bytes/sec for a
 	// multi-node run (default GigabitLinkBW); NodeLinkLatency is the
@@ -407,6 +409,9 @@ func (c Config) resolve() (cfg Config, whole bool, err error) {
 	}
 	if c.Weight < 0 {
 		return c, false, fmt.Errorf("supmr: negative weight %d: Weight, the engine fair-share weight, must be at least 1 (0 selects the default)", c.Weight)
+	}
+	if c.innodeCombinerOff() && c.Nodes <= 0 {
+		return c, false, errors.New("supmr: InNodeCombiner is off without nodes (Nodes is 0): the in-node combiner is a tier of a multi-node run")
 	}
 	if c.MemoBudget > 0 && (c.MemoStore != nil || c.Engine != nil && c.Engine.memo != nil) {
 		return c, false, errors.New("supmr: MemoBudget is incompatible with a supplied memo store (MemoStore or the engine's shared store): the store's own budget governs")

@@ -140,8 +140,9 @@ echo "== race: server shutdown =="
 # Close shuts every connection's read side while handlers may be idle,
 # mid-request or blocked in a wait, and an oversized request is answered
 # before its connection closes, an answer the client reads after its
-# write fails; all repeat under the detector.
-go test -race -count=3 -run 'TestClose|TestOversized|TestClientSeesOversizedLimit' ./internal/server/
+# write fails; a submitted pipeline graph runs its rounds on the shared
+# engine from a job goroutine; all repeat under the detector.
+go test -race -count=3 -run 'TestClose|TestOversized|TestClientSeesOversizedLimit|TestServerTypedRejections' ./internal/server/
 
 echo "== race: capped engine submissions =="
 # An iterative driver submits one job per iteration to a shared engine
@@ -156,7 +157,9 @@ echo "== fuzz ($FUZZTIME per target) =="
 # input must end in a typed error or the reference answer, never a
 # panic. A crasher lands in the package's testdata/fuzz/ — fix it and
 # commit the file as a seed. memo:FuzzCacheReplay fuzzes spill.Replay,
-# the one record replay, so it covers the shuffle's receive path too.
+# the one record replay, so it covers the shuffle's receive path too;
+# jobspec:FuzzSpecValidate validates the specs and graphs a supmrd
+# submission decodes.
 for target in \
     kv:FuzzScanWordsVsReference \
     chunk:FuzzInterFileVsReference \
@@ -173,6 +176,7 @@ for target in \
     shuffle:FuzzReadRecord \
     shuffle:FuzzExchangeRoutes \
     egress:FuzzManifestDecode \
+    jobspec:FuzzSpecValidate \
     cdc:FuzzBoundaryStability \
     sortalgo:FuzzBlockMergeVsReference \
     sortalgo:FuzzMergeTreesVsReference \

@@ -95,7 +95,7 @@ func run(size int64, nodes int, linkBW float64, chunkSz int64, trace bool) error
 	copyTime := clock.Now() - copyStart
 	repBase, err := supmr.RunFile[string, int64](supmr.WordCountJob(), local,
 		supmr.WordCountContainer(64), supmr.Config{Runtime: supmr.RuntimeTraditional, Clock: clock,
-			TraceContexts: traceCtx(trace), TraceBucket: 100 * time.Millisecond})
+			TraceContexts: traceCtx(trace)}) // 100ms trace buckets, the default
 	if err != nil {
 		return err
 	}
@@ -111,7 +111,7 @@ func run(size int64, nodes int, linkBW float64, chunkSz int64, trace bool) error
 	repSup, err := supmr.RunFile[string, int64](supmr.WordCountJob(), hf2,
 		supmr.WordCountContainer(64), supmr.Config{Runtime: supmr.RuntimeSupMR,
 			ChunkBytes: chunkSz, Clock: clock2,
-			TraceContexts: traceCtx(trace), TraceBucket: 100 * time.Millisecond})
+			TraceContexts: traceCtx(trace)}) // 100ms trace buckets, the default
 	if err != nil {
 		return err
 	}

@@ -33,10 +33,8 @@ func dial(socket string) *server.Client {
 	return c
 }
 
-// fatal prints the error and exits with its typed status: protocol
-// rejections carry distinct codes (3 = multi-node unsupported, 4 = DAG
-// unsupported) so scripts can tell "run it locally instead" apart from
-// a plain failure.
+// fatal prints the error and exits with its status: 2 for a refused
+// configuration, 1 for any other failure.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "supmr:", err)
 	os.Exit(cliutil.ExitCode(err))

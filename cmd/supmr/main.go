@@ -96,18 +96,18 @@ func specFlags(fs *flag.FlagSet, size, chunk, bw string) func() jobspec.Spec {
 		sizeStr  = fs.String("size", size, "input size in bytes (k/m/g suffixes)")
 		seed     = fs.Int64("seed", 1, "workload generation seed")
 		chunkSz  = fs.String("chunk", chunk, "SupMR ingest chunk size (0 = whole input; submitted to supmrd, 0 = 256k)")
-		budget   = fs.String("budget", "0", "intermediate-container memory budget in bytes; over-budget state spills to the simulated device (0 = unbudgeted; refused with -memo, -nodes or -runtime traditional; on supmrd this is the request and the engine may grant less)")
+		budget   = fs.String("budget", "0", "intermediate-container memory budget in bytes; over-budget state spills to the simulated device (0 = unbudgeted; on supmrd this is the request and the engine may grant less)")
 		bwStr    = fs.String("bw", bw, "simulated storage bandwidth, bytes/sec (0 = infinite)")
 		ioLanes  = fs.String("io-lanes", "1", "IO lanes for striped ingest: each chunk read splits into this many shares read in parallel, each share sent as requests of at most 128 KiB issued together (1 = one request per read; set aside by -runtime traditional)")
 		prefetch = fs.String("prefetch-depth", "1", "prefetch depth: ingest chunk reads kept in flight ahead of the map wave (set aside by -runtime traditional)")
 		pattern  = fs.String("pattern", "", "comma-separated patterns for a string-match run (empty = the app's default)")
 		faults   = fs.String("faults", "", "deterministic fault plan, e.g. seed=42,read-err-every=100,short-read=0.05,latency=2ms,latency-prob=0.1 (keys: seed, read-err[-every], write-err[-every], short-read[-every], latency[-prob|-every], permanent[-every], max)")
 		retries  = fs.String("retries", "", "retry policy for transient faults: attempt count (\"4\") or attempts=N,base=DUR,max=DUR,budget=N")
-		nodes    = fs.Int("nodes", 0, "run on a simulated cluster of N SupMR worker nodes exchanging key ranges of their runs, cut at sampled splitters, over simulated links (refused by -runtime traditional; 0 = single-node scale-up pipeline; output byte-identical)")
+		nodes    = fs.Int("nodes", 0, "run on a simulated cluster of N SupMR worker nodes exchanging key ranges of their runs, cut at sampled splitters, over simulated links (0 = single-node scale-up pipeline; output byte-identical)")
 		egLanes  = fs.Int("egress-lanes", 0, "materialize the merged output across N concurrent extent writers after the merge (1 = serial-writer ablation, byte-identical output at any lane count; 0 = skip output materialization)")
 	)
 	memo := cliutil.OnOff(false)
-	fs.Var(&memo, "memo", "content-addressed incremental recompute: content-defined chunking plus a per-chunk map/combine memo cache — on supmrd the server's shared store, so a re-submission over mostly unchanged content replays cached map output (single-file inputs; refused by -runtime traditional); off is the ablation spelling")
+	fs.Var(&memo, "memo", "content-addressed incremental recompute: content-defined chunking plus a per-chunk map/combine memo cache — on supmrd the server's shared store, so a re-submission over mostly unchanged content replays cached map output; off is the ablation spelling")
 	radix := cliutil.OnOff(true)
 	fs.Var(&radix, "radixsort", "fixed-width-key sort fast path (scatter finish, radix run sort, prefix-head merge); off falls back to comparison sort everywhere (ablation, byte-identical output)")
 	return func() jobspec.Spec {
@@ -134,7 +134,7 @@ func parseFlags(args []string) (spec jobspec.Spec, digest, energy bool) {
 		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		merge     = fs.String("merge", "", "merge algorithm override: pairwise | pway")
 		files     = fs.Int("files", 0, "use N small files with intra-file chunking instead of one big file")
-		filesPer  = fs.Int("files-per-chunk", 4, "files per intra-file chunk")
+		filesPer  = fs.Int("files-per-chunk", 0, "files per intra-file chunk of a -files input (0 = 4)")
 		fileSize  = fs.String("filesize", "1m", "per-file size for -files")
 		trace     = fs.Bool("trace", false, "print utilization trace")
 		adaptive  = fs.Bool("adaptive", false, "enable the adaptive chunk-size feedback loop")
@@ -143,8 +143,8 @@ func parseFlags(args []string) (spec jobspec.Spec, digest, energy bool) {
 		contexts  = fs.Int("contexts", 4, "hardware contexts to normalize the trace to")
 		bucketStr = fs.String("bucket", "100ms", "trace bucket width")
 		digestF   = fs.Bool("digest", false, "print the output digest instead of the full report, for diffing against a server-mode run; the job is the same one either way")
-		memoBudg  = fs.String("memo-budget", "64m", "memo-store byte budget; least-recently-used entries evict beyond it")
-		egExtent  = fs.String("egress-extent", "256k", "egress extent size for -egress-lanes")
+		memoBudg  = fs.String("memo-budget", "0", "memo-store byte budget of a -memo run; least-recently-used entries evict beyond it (0 = 64m)")
+		egExtent  = fs.String("egress-extent", "0", "egress extent size for -egress-lanes (0 = 256k)")
 	)
 	flatComb := cliutil.OnOff(true)
 	fs.Var(&flatComb, "flatcombiner", "use the flat (arena-interned, open-addressing) combining container where the app combines on string keys; off selects the map-backed combiner (ablation)")

@@ -358,7 +358,22 @@ func TestReportLineShapes(t *testing.T) {
 			[]string{hdr("wordcount"), times, wcSum, `spill: [1-9]\d* runs, \d+ bytes written, merged in \d+ round\(s\) \(budget 16384\)`}, 0},
 		// A budget cannot bound a memoized run: refused before any read.
 		{"wordcount-memo-budget", []string{"-app", "wordcount", "-memo", "-budget", "16k", "-memo-budget", "1m"},
-			[]string{`supmr: jobspec: supmr: MemoryBudget is incompatible with Memo .*`}, 2},
+			[]string{`supmr: jobspec: MemoryBudget is incompatible with Memo: .*`}, 2},
+		// A knob of a mode that is off, or of another input shape, is
+		// refused before any read too: jobspec refuses the first, and the
+		// stream builder, which knows the shape, the second.
+		{"wordcount-memo-budget-without-memo", []string{"-app", "wordcount", "-memo-budget", "1m"},
+			[]string{`supmr: jobspec: MemoBudget is incompatible with Memo off: .*`}, 2},
+		{"wordcount-egress-extent-without-lanes", []string{"-app", "wordcount", "-egress-extent", "64k"},
+			[]string{`supmr: jobspec: EgressExtentBytes is incompatible with EgressLanes 0: .*`}, 2},
+		{"wordcount-files-per-chunk-one-file", []string{"-app", "wordcount", "-files-per-chunk", "2"},
+			[]string{`supmr: FilesPerChunk is incompatible with a single-file input: .*`}, 2},
+		{"wordcount-hybrid-one-file", []string{"-app", "wordcount", "-hybrid"},
+			[]string{`supmr: HybridChunks is incompatible with a single-file input: .*`}, 2},
+		{"wordcount-files-memo", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-memo"},
+			[]string{`supmr: Memo is incompatible with a multi-file input: .*`}, 2},
+		{"wordcount-files-adaptive", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-adaptive"},
+			[]string{`supmr: AdaptiveChunks is incompatible with a multi-file input: .*`}, 2},
 		{"wordcount-files", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-files-per-chunk", "2", "-flatcombiner=off"},
 			[]string{hdr("wordcount"), times, `distinct words: \d+  occurrences kept: \d+  map waves: 2`}, 0},
 		{"wordcount-faults", []string{"-app", "wordcount", "-faults", "seed=1,read-err-every=5", "-retries", "4"},

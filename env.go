@@ -206,7 +206,7 @@ func RunKMeans(km *apps.KMeans, file Input, cfg Config, maxIters int) (*KMeansRe
 		return nil, fmt.Errorf("supmr: kmeans requires positive K and Dim (got %d, %d)", km.K, km.Dim)
 	}
 	cfg.Boundary = km.Boundary()
-	cfg, _, err := cfg.resolve()
+	cfg, _, err := cfg.resolve(oneFile)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"supmr"
 )
 
 // ParseSize parses a byte count with optional binary suffix: "64",
@@ -79,32 +81,16 @@ func FormatSeconds(d time.Duration) string {
 	return fmt.Sprintf("%.2fs", d.Seconds())
 }
 
-// ExitCoder is implemented by errors that carry a specific process
-// exit status (e.g. the server client's typed protocol rejections).
-type ExitCoder interface {
-	error
-	ExitCode() int
-}
-
-// Usage marks err as a usage error — a knob, or a combination of knobs,
-// refused before any work starts — which ExitCode maps to 2.
-func Usage(err error) error { return usageError{err} }
-
-type usageError struct{ error }
-
-func (e usageError) Unwrap() error { return e.error }
-func (usageError) ExitCode() int   { return 2 }
-
 // ExitCode maps an error to the process exit status the CLI should
-// use: 0 for nil, the error's own code when it (or anything it wraps)
-// implements ExitCoder, 1 otherwise.
+// use: 0 for nil, 2 for a refused configuration (a *supmr.ConfigError,
+// however wrapped), 1 otherwise.
 func ExitCode(err error) int {
-	if err == nil {
+	var ce *supmr.ConfigError
+	switch {
+	case err == nil:
 		return 0
-	}
-	var ec ExitCoder
-	if errors.As(err, &ec) {
-		return ec.ExitCode()
+	case errors.As(err, &ce):
+		return 2
 	}
 	return 1
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"supmr"
 )
 
 func TestParseSize(t *testing.T) {
@@ -113,11 +115,6 @@ func TestKnobErrorsAreDescriptive(t *testing.T) {
 	}
 }
 
-type exitErr struct{ code int }
-
-func (e *exitErr) Error() string { return "exit" }
-func (e *exitErr) ExitCode() int { return e.code }
-
 func TestExitCode(t *testing.T) {
 	if got := ExitCode(nil); got != 0 {
 		t.Errorf("ExitCode(nil) = %d", got)
@@ -125,17 +122,11 @@ func TestExitCode(t *testing.T) {
 	if got := ExitCode(errors.New("plain")); got != 1 {
 		t.Errorf("plain error = %d, want 1", got)
 	}
-	if got := ExitCode(&exitErr{code: 4}); got != 4 {
-		t.Errorf("ExitCoder = %d, want 4", got)
-	}
-	// Codes survive wrapping.
-	if got := ExitCode(fmt.Errorf("submit: %w", &exitErr{code: 3})); got != 3 {
-		t.Errorf("wrapped ExitCoder = %d, want 3", got)
-	}
-	// A usage error keeps its text and what it wraps, and exits 2.
-	inner := errors.New("refused")
-	usage := Usage(inner)
-	if got := ExitCode(fmt.Errorf("run: %w", usage)); got != 2 || usage.Error() != "refused" || !errors.Is(usage, inner) {
-		t.Errorf("usage error: exit %d, text %q, wraps inner %v", got, usage, errors.Is(usage, inner))
+	// A refused configuration exits 2, however deeply it is wrapped.
+	refused := &supmr.ConfigError{Knob: "Memo", With: "RuntimeTraditional", Reason: "one round"}
+	for _, err := range []error{refused, fmt.Errorf("jobspec: %w", refused), fmt.Errorf("run: %w", fmt.Errorf("jobspec: %w", refused))} {
+		if got := ExitCode(err); got != 2 {
+			t.Errorf("%v: exit %d, want 2", err, got)
+		}
 	}
 }

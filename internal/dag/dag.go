@@ -70,8 +70,8 @@ type Options struct {
 }
 
 // Validate rejects malformed graphs: duplicate or empty IDs, edges to
-// unknown nodes, cycles, consumers that cannot parse piped text, and
-// per-node spec problems.
+// unknown nodes, cycles, and per-node spec problems, a consumer's
+// refusals of a piped input among them.
 func (g Graph) Validate() error {
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("dag: empty graph")
@@ -87,7 +87,11 @@ func (g Graph) Validate() error {
 		byID[n.ID] = i
 	}
 	for _, n := range g.Nodes {
-		if err := n.Spec.Validate(); err != nil {
+		validate := n.Spec.Validate
+		if n.Input != "" {
+			validate = n.Spec.ValidatePiped
+		}
+		if err := validate(); err != nil {
 			return fmt.Errorf("dag: node %q: %w", n.ID, err)
 		}
 		if n.Spec.Nodes > 0 {
@@ -101,12 +105,6 @@ func (g Graph) Validate() error {
 		}
 		if _, ok := byID[n.Input]; !ok {
 			return fmt.Errorf("dag: node %q pipes from unknown node %q", n.ID, n.Input)
-		}
-		if !jobspec.CanConsumePiped(n.Spec.App) {
-			return fmt.Errorf("dag: node %q: app %q cannot consume a piped input", n.ID, n.Spec.App)
-		}
-		if n.Spec.Memo {
-			return fmt.Errorf("dag: node %q: memo is incompatible with a piped input", n.ID)
 		}
 	}
 	if _, err := g.order(); err != nil {

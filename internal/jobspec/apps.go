@@ -8,15 +8,6 @@ import (
 	"supmr/internal/workload"
 )
 
-// mode names a way of running a job that an application may refuse.
-type mode string
-
-const (
-	modeBudget mode = "budget"
-	modeMemo   mode = "memo"
-	modeNodes  mode = "nodes"
-)
-
 // app is one row of the application table: everything an app name
 // means. Spec.check, the memo key space, CanConsumePiped, the -app help
 // strings and the run itself read it, so a new application — or a new
@@ -40,8 +31,9 @@ type app struct {
 	// keySpace derives the memo key space when more than the app's name
 	// and a chunk's content shapes the chunk's map output.
 	keySpace func(Spec) string
-	// refuses gives the reason for each mode the app cannot run in.
-	refuses map[mode]string
+	// refuses gives the reason for each mode the app cannot run in, by
+	// its Spec knob: budget, memo or nodes.
+	refuses map[string]string
 	// run executes the typed job in the container §V-B prescribes for
 	// its key distribution.
 	run func(r *run) (*Result, *supmr.EgressOutput, error)
@@ -80,7 +72,7 @@ var table = []app{
 	},
 	{
 		name: "histogram", input: text("histinput"), piped: true,
-		refuses: map[mode]string{modeBudget: fixedFootprint},
+		refuses: map[string]string{"budget": fixedFootprint},
 		run: func(r *run) (*Result, *supmr.EgressOutput, error) {
 			job := supmr.HistogramJob()
 			return execJob(r, job, job.NewContainer(8), func(rep *supmr.Report[int, int64]) string {
@@ -145,10 +137,10 @@ var table = []app{
 	},
 	{
 		name: "invindex", docs: "doc",
-		refuses: map[mode]string{
-			modeBudget: "[]string values have no spill codec",
-			modeMemo:   "[]string values have no cache codec",
-			modeNodes:  "[]string values have no wire codec",
+		refuses: map[string]string{
+			"budget": "[]string values have no spill codec",
+			"memo":   "[]string values have no cache codec",
+			"nodes":  "[]string values have no wire codec",
 		},
 		run: func(r *run) (*Result, *supmr.EgressOutput, error) {
 			r.cfg.FilesPerChunk = 1 // per-file attribution
@@ -160,7 +152,7 @@ var table = []app{
 	},
 	{
 		name: "linreg", input: text("points"), // any bytes are points
-		refuses: map[mode]string{modeBudget: fixedFootprint},
+		refuses: map[string]string{"budget": fixedFootprint},
 		run: func(r *run) (*Result, *supmr.EgressOutput, error) {
 			job := supmr.LinearRegressionJob()
 			return execJob(r, job, job.NewContainer(), func(rep *supmr.Report[int, float64]) string {
@@ -174,10 +166,10 @@ var table = []app{
 	},
 	{
 		name: "kmeans", input: text("points"), // bytes as 2-D points
-		refuses: map[mode]string{
-			modeBudget: "ClusterAccum values have no spill codec",
-			modeMemo:   "map output depends on the evolving centroids, not just chunk content, so cached chunks would replay stale assignments",
-			modeNodes:  "ClusterAccum values have no wire codec",
+		refuses: map[string]string{
+			"budget": "ClusterAccum values have no spill codec",
+			"memo":   "map output depends on the evolving centroids, not just chunk content, so cached chunks would replay stale assignments",
+			"nodes":  "ClusterAccum values have no wire codec",
 		},
 		// One ordinary job per iteration, so it reports the model rather
 		// than one job's pairs: one pair per cluster.

@@ -36,9 +36,8 @@ type Spec struct {
 	// ChunkBytes is the SupMR ingest chunk size (default 256 KiB).
 	ChunkBytes int64 `json:"chunk,omitempty"`
 	// Budget caps the job's intermediate-container bytes; over-budget
-	// state spills (0 = unbudgeted; refused with memo, nodes or the
-	// traditional runtime). On an engine, this is the request — the
-	// grant may be smaller.
+	// state spills (0 = unbudgeted). On an engine, this is the request —
+	// the grant may be smaller.
 	Budget int64 `json:"budget,omitempty"`
 	// BW is the simulated storage bandwidth in bytes/sec (0 = infinite).
 	BW int64 `json:"bw,omitempty"`
@@ -57,7 +56,7 @@ type Spec struct {
 	// output is memoized in the engine's shared store (or a private
 	// per-run store when running without an engine store), so a
 	// re-submission over mostly unchanged content replays cached output
-	// instead of mapping it again. Refused by the traditional runtime.
+	// instead of mapping it again.
 	Memo bool `json:"memo,omitempty"`
 	// MemoKey namespaces the job's cache entries. Empty derives a key
 	// space from the app (and, for grep, its patterns) so distinct
@@ -71,14 +70,12 @@ type Spec struct {
 	// Nodes, when >= 1, runs the job on a simulated cluster of that
 	// many SupMR worker nodes, node n merging the n-th key range of the
 	// runs cut at sampled splitters, shipped over simulated links (solo
-	// or on the shared engine; refused by the traditional runtime).
-	// Output is byte-identical to a single-node run; 0 keeps the
-	// scale-up pipeline.
+	// or on the shared engine). Output is byte-identical to a single-node
+	// run; 0 keeps the scale-up pipeline.
 	Nodes int `json:"nodes,omitempty"`
 	// InNodeCombinerOff disables the in-node combiner tier of a
-	// multi-node run — the -innode-combiner=off ablation. Requires
-	// Nodes >= 1. Output is byte-identical either way; only wire
-	// traffic changes.
+	// multi-node run — the -innode-combiner=off ablation. Output is
+	// byte-identical either way; only wire traffic changes.
 	InNodeCombinerOff bool `json:"innode_combiner_off,omitempty"`
 	// Faults is a cliutil fault-plan string (e.g. "seed=7,read-err-every=5").
 	Faults string `json:"faults,omitempty"`
@@ -106,8 +103,8 @@ type Solo struct {
 	Workers int    // worker goroutines (0 = GOMAXPROCS)
 	Merge   string // merge algorithm override: "" | "pairwise" | "pway"
 	// Files, when positive, replaces the one generated file with that
-	// many files of FileSize bytes each, FilesPerChunk of them to an
-	// ingest chunk (Hybrid: hybrid inter/intra-file chunking instead).
+	// many files of FileSize bytes each, FilesPerChunk (0 = 4) of them to
+	// an ingest chunk (Hybrid: hybrid inter/intra-file chunking instead).
 	Files, FilesPerChunk int
 	FileSize             int64
 	Hybrid               bool
@@ -185,9 +182,18 @@ func (s Spec) Validate() error {
 	return err
 }
 
+// ValidatePiped is Validate for a round that consumes an upstream
+// round's piped output, as internal/dag runs one.
+func (s Spec) ValidatePiped() error {
+	_, _, err := s.check(true, nil)
+	return err
+}
+
 // check is Validate for a run over a piped input (or not). It returns
 // the spec's entry in the app table and the spec's knobs as the
-// supmr.Config the run will carry.
+// supmr.Config the run will carry. A refusal is a *supmr.ConfigError:
+// one of the Spec's own below, or one of the mode rules, which are
+// supmr.Config's to state.
 func (s Spec) check(piped bool, clock supmr.Clock) (a *app, cfg supmr.Config, err error) {
 	if s.App == "" {
 		return nil, cfg, fmt.Errorf("jobspec: missing app")
@@ -198,55 +204,36 @@ func (s Spec) check(piped bool, clock supmr.Clock) (a *app, cfg supmr.Config, er
 	if _, ok := runtimes[s.Runtime]; !ok {
 		return nil, cfg, fmt.Errorf("jobspec: unknown runtime %q", s.Runtime)
 	}
-	for _, f := range []struct {
-		name string
-		v    int64
+	const below0 = "a value below 0"
+	for _, r := range []struct {
+		clash           bool
+		knob, with, why string
 	}{
-		{"size", s.Size}, {"chunk size", s.ChunkBytes}, {"budget", s.Budget}, {"bandwidth", s.BW},
-		{"io_lanes", int64(s.IOLanes)}, {"prefetch_depth", int64(s.PrefetchDepth)}, {"egress_lanes", int64(s.EgressLanes)},
-		{"node count", int64(s.Nodes)}, {"block", s.Block}, {"blocks", s.Blocks},
+		{s.Size < 0, "size", below0, "0 selects the default"},
+		{s.BW < 0, "bw", below0, "0 is an infinitely fast device"},
+		{s.Block < 0, "block", below0, "0 selects the default"},
+		{s.Blocks < 0, "blocks", below0, "0 derives the count"},
+		{s.MemoKey != "" && !s.Memo, "memo_key", "memo off", "it names the key space of a memoized run's cache entries"},
+		{s.Block > 0 && !a.block, "block", a.name, "only " + appList(func(a *app) bool { return a.block }) + " read it"},
+		{s.Blocks > 0 && !a.blocks, "blocks", a.name, "only " + appList(func(a *app) bool { return a.blocks }) + " read it"},
+		{s.Budget > 0 && a.refuses["budget"] != "", "budget", a.name, a.refuses["budget"]},
+		{s.Memo && a.refuses["memo"] != "", "memo", a.name, a.refuses["memo"]},
+		{s.Nodes > 0 && a.refuses["nodes"] != "", "nodes", a.name, a.refuses["nodes"]},
+		{s.Solo.Files > 0 && a.docs == "", "files", a.name,
+			"it maps one generated file (multi-file inputs: " + appList(func(a *app) bool { return a.docs != "" }) + ")"},
+		{piped && !a.piped, a.name, "a piped input",
+			"it maps a generated record format and cannot consume a piped input (pipe into " + appList(func(a *app) bool { return a.piped }) + ")"},
+		{piped && s.Memo, "memo", "a piped input", "piped rounds hold no stable file identity to key the cache by"},
 	} {
-		if f.v < 0 {
-			return nil, cfg, fmt.Errorf("jobspec: negative %s %d", f.name, f.v)
+		if r.clash {
+			return nil, cfg, fmt.Errorf("jobspec: %w", &supmr.ConfigError{Knob: r.knob, With: r.with, Reason: r.why})
 		}
 	}
-	if s.MemoKey != "" && !s.Memo {
-		return nil, cfg, fmt.Errorf("jobspec: memo_key set without memo")
+	if cfg, err = s.config(a, clock); err == nil {
+		err = cfg.Validate()
 	}
-	if s.Block > 0 && !a.block {
-		return nil, cfg, fmt.Errorf("jobspec: block is only meaningful for %s, not %q", appList(func(a *app) bool { return a.block }), s.App)
-	}
-	if s.Blocks > 0 && !a.blocks {
-		return nil, cfg, fmt.Errorf("jobspec: blocks is only meaningful for %s, not %q", appList(func(a *app) bool { return a.blocks }), s.App)
-	}
-	// What this application refuses, by its table entry. A refused mode,
-	// here or below, is the caller's error: cliutil.ExitCode gives 2.
-	for _, m := range []struct {
-		set  bool
-		mode mode
-	}{
-		{s.Budget > 0, modeBudget}, {s.Memo, modeMemo}, {s.Nodes > 0, modeNodes},
-	} {
-		if why, refused := a.refuses[m.mode]; m.set && refused {
-			return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: %s is incompatible with %s: %s", m.mode, a.name, why))
-		}
-	}
-	if s.Solo.Files > 0 && a.docs == "" {
-		return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: files is incompatible with %s: it maps one generated file (multi-file inputs: %s)", a.name, appList(func(a *app) bool { return a.docs != "" })))
-	}
-	if piped && !a.piped {
-		return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: app %q cannot consume a piped input (it maps a generated record format; pipe into %s)", a.name, appList(func(a *app) bool { return a.piped })))
-	}
-	if piped && s.Memo {
-		return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: memo is incompatible with a piped input (piped rounds hold no stable file identity to key the cache by)"))
-	}
-	if cfg, err = s.config(a, clock); err != nil {
+	if err != nil {
 		return nil, cfg, fmt.Errorf("jobspec: %w", err)
-	}
-	// The mode rules (what the traditional preset refuses, which knobs
-	// exclude each other) are supmr.Config's to state.
-	if err = cfg.Validate(); err != nil {
-		return nil, cfg, cliutil.Usage(fmt.Errorf("jobspec: %w", err))
 	}
 	return a, cfg, nil
 }
@@ -281,7 +268,7 @@ func (s Spec) config(a *app, clock supmr.Clock) (cfg supmr.Config, err error) {
 		MemoBudget:        s.Solo.MemoBudget,
 		EgressExtentBytes: s.Solo.EgressExtent,
 	}
-	if cfg.ChunkBytes <= 0 && !s.Solo.WholeInput {
+	if cfg.ChunkBytes == 0 && !s.Solo.WholeInput {
 		cfg.ChunkBytes = 256 << 10
 	}
 	if s.Memo && s.MemoKey == "" {
@@ -380,6 +367,9 @@ func RunInput(ctx context.Context, spec Spec, eng *supmr.Engine, input supmr.Inp
 	switch {
 	case input != nil:
 	case files > 0:
+		if r.cfg.FilesPerChunk == 0 {
+			r.cfg.FilesPerChunk = 4
+		}
 		r.files, err = supmr.TextFiles(a.docs, files, fileSize, spec.Seed, r.dev)
 	default:
 		r.file, err = a.input(r)

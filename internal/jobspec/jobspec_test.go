@@ -2,6 +2,7 @@ package jobspec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"supmr"
 	"supmr/internal/apps"
@@ -133,63 +135,86 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("%+v rejected: %v", s, err)
 		}
 	}
-	reject := []struct {
+	// A malformed name or value string is a plain error: exit status 1.
+	malformed := []struct {
 		spec Spec
 		want string // a fragment of the error
 	}{
 		{Spec{}, "missing app"},
 		{Spec{App: "mapreduce-bitcoin-miner"}, "unknown app"},
-		// kmeans is a table entry like any other: it runs solo (accepted
-		// above) and hits the rules its entry states.
-		{Spec{App: "kmeans", Budget: 1 << 20}, "budget is incompatible with kmeans"},
-		{Spec{App: "kmeans", Memo: true}, "memo is incompatible with kmeans"},
-		{Spec{App: "kmeans", Nodes: 2}, "nodes is incompatible with kmeans"},
-		{Spec{App: "invindex", Nodes: 2}, "no wire codec"},
-		{Spec{App: "linreg", Budget: 1 << 20}, "cannot spill"},
-		{Spec{App: "sort", Solo: Solo{Files: 4, FileSize: 1 << 10}}, "files is incompatible with sort"},
 		{Spec{App: "sort", Solo: Solo{Merge: "bogo"}}, "unknown merge algorithm"},
 		{Spec{App: "sort", Runtime: "spark"}, "unknown runtime"},
-		{Spec{App: "sort", Size: -1}, "negative size"},
-		{Spec{App: "sort", ChunkBytes: -1}, "negative chunk"},
-		{Spec{App: "sort", Budget: -1}, "negative budget"},
-		{Spec{App: "sort", BW: -1}, "negative bandwidth"},
-		{Spec{App: "sort", IOLanes: -1}, "io_lanes"},
-		{Spec{App: "sort", PrefetchDepth: -1}, "prefetch_depth"},
-		{Spec{App: "sort", Weight: -1}, "negative weight"},
-		{Spec{App: "sort", Nodes: -1}, "negative node count"},
-		{Spec{App: "sort", EgressLanes: -1}, "egress_lanes"},
-		{Spec{App: "sort", InNodeCombinerOff: true}, "without nodes"},
-		{Spec{App: "sort", MemoKey: "k"}, "without memo"},
-		{Spec{App: "histogram", Budget: 1 << 20}, "cannot spill"},
 		{Spec{App: "sort", Faults: "read-err-every=x"}, "jobspec:"},
 		{Spec{App: "sort", Retries: "attempts=-2"}, "jobspec:"},
-		{Spec{App: "sort", Block: 8}, "block is only meaningful"},
-		{Spec{App: "psum1", Blocks: 8}, "blocks is only meaningful"},
-		{Spec{App: "psum1", Block: -1}, "negative block"},
-		{Spec{App: "psum2", Blocks: -1}, "negative blocks"},
-		// The mode rules, stated once in supmr.Config.Validate.
-		{Spec{App: "wordcount", Runtime: "traditional", Memo: true}, "Memo is incompatible with RuntimeTraditional"},
-		{Spec{App: "wordcount", Runtime: "traditional", Nodes: 2}, "Nodes is incompatible with RuntimeTraditional"},
-		{Spec{App: "sort", Runtime: "traditional", Budget: 1 << 20}, "MemoryBudget is incompatible with RuntimeTraditional"},
-		{Spec{App: "wordcount", Memo: true, Nodes: 3, Budget: 1 << 20}, "MemoryBudget is incompatible with Memo"},
-		{Spec{App: "wordcount", Nodes: 2, Budget: 1 << 20}, "MemoryBudget is incompatible with Nodes"},
 	}
-	for _, tc := range reject {
+	// A refusal, the Spec's own or a mode rule of supmr.Config, is a
+	// *supmr.ConfigError naming both sides: exit status 2.
+	const below0 = "a value below 0"
+	refused := []struct {
+		spec       Spec
+		knob, with string
+	}{
+		// kmeans is a table entry like any other: it runs solo (accepted
+		// above) and hits the rules its entry states.
+		{Spec{App: "kmeans", Budget: 1 << 20}, "budget", "kmeans"},
+		{Spec{App: "kmeans", Memo: true}, "memo", "kmeans"},
+		{Spec{App: "kmeans", Nodes: 2}, "nodes", "kmeans"},
+		{Spec{App: "invindex", Nodes: 2}, "nodes", "invindex"},
+		{Spec{App: "linreg", Budget: 1 << 20}, "budget", "linreg"},
+		{Spec{App: "histogram", Budget: 1 << 20}, "budget", "histogram"},
+		{Spec{App: "sort", Solo: Solo{Files: 4, FileSize: 1 << 10}}, "files", "sort"},
+		{Spec{App: "sort", Block: 8}, "block", "sort"},
+		{Spec{App: "psum1", Blocks: 8}, "blocks", "psum1"},
+		{Spec{App: "sort", MemoKey: "k"}, "memo_key", "memo off"},
+		{Spec{App: "sort", Size: -1}, "size", below0},
+		{Spec{App: "sort", BW: -1}, "bw", below0},
+		{Spec{App: "psum1", Block: -1}, "block", below0},
+		{Spec{App: "psum2", Blocks: -1}, "blocks", below0},
+		// The mode rules, stated once in supmr.Config.Validate.
+		{Spec{App: "sort", ChunkBytes: -1}, "ChunkBytes", below0},
+		{Spec{App: "sort", Budget: -1}, "MemoryBudget", below0},
+		{Spec{App: "sort", IOLanes: -1}, "IOLanes", below0},
+		{Spec{App: "sort", PrefetchDepth: -1}, "PrefetchDepth", below0},
+		{Spec{App: "sort", Weight: -1}, "Weight", below0},
+		{Spec{App: "sort", Nodes: -1}, "Nodes", below0},
+		{Spec{App: "sort", EgressLanes: -1}, "EgressLanes", below0},
+		{Spec{App: "sort", InNodeCombinerOff: true}, "InNodeCombiner", "Nodes 0"},
+		{Spec{App: "wordcount", Runtime: "traditional", Memo: true}, "Memo", "RuntimeTraditional"},
+		{Spec{App: "wordcount", Runtime: "traditional", Nodes: 2}, "Nodes", "RuntimeTraditional"},
+		{Spec{App: "sort", Runtime: "traditional", Budget: 1 << 20}, "MemoryBudget", "RuntimeTraditional"},
+		{Spec{App: "wordcount", Memo: true, Nodes: 3, Budget: 1 << 20}, "MemoryBudget", "Memo"},
+		{Spec{App: "wordcount", Nodes: 2, Budget: 1 << 20}, "MemoryBudget", "Nodes"},
+		// A knob of a mode that is off.
+		{Spec{App: "wordcount", Solo: Solo{MemoBudget: 1 << 20}}, "MemoBudget", "Memo off"},
+		{Spec{App: "wordcount", Solo: Solo{EgressExtent: 64 << 10}}, "EgressExtentBytes", "EgressLanes 0"},
+		{Spec{App: "wordcount", Solo: Solo{TraceBucket: time.Millisecond}}, "TraceBucket", "TraceContexts 0"},
+	}
+	for _, tc := range malformed {
 		err := tc.spec.Validate()
-		if err == nil {
-			t.Errorf("%+v accepted, want an error about %q", tc.spec, tc.want)
+		var ce *supmr.ConfigError
+		if err == nil || !strings.HasPrefix(err.Error(), "jobspec: ") || !strings.Contains(err.Error(), tc.want) || errors.As(err, &ce) {
+			t.Errorf("%+v: error %v, want an untyped jobspec error about %q", tc.spec, err, tc.want)
 			continue
-		}
-		if !strings.HasPrefix(err.Error(), "jobspec: ") || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%+v: error %q, want a jobspec error about %q", tc.spec, err, tc.want)
 		}
 		if _, runErr := Run(context.Background(), tc.spec, nil); runErr == nil || runErr.Error() != err.Error() {
 			t.Errorf("%+v: Run returned %v, want Validate's error before any work", tc.spec, runErr)
 		}
-		// A refused mode, and anything supmr.Config.Validate refuses, is a
-		// usage error; a malformed spec value is not.
-		usage := strings.Contains(err.Error(), "incompatible with") || strings.HasPrefix(err.Error(), "jobspec: supmr: ")
-		if code := cliutil.ExitCode(err); usage != (code == 2) {
+		if code := cliutil.ExitCode(err); code != 1 {
+			t.Errorf("%+v: exit status %d for %q", tc.spec, code, err)
+		}
+	}
+	for _, tc := range refused {
+		err := tc.spec.Validate()
+		var ce *supmr.ConfigError
+		if !errors.As(err, &ce) || ce.Knob != tc.knob || ce.With != tc.with || !strings.HasPrefix(err.Error(), "jobspec: ") ||
+			!strings.Contains(err.Error(), tc.knob) || !strings.Contains(err.Error(), tc.with) {
+			t.Errorf("%+v: error %v, want a *supmr.ConfigError refusing %s with %s", tc.spec, err, tc.knob, tc.with)
+			continue
+		}
+		if _, runErr := Run(context.Background(), tc.spec, nil); runErr == nil || runErr.Error() != err.Error() {
+			t.Errorf("%+v: Run returned %v, want Validate's error before any work", tc.spec, runErr)
+		}
+		if code := cliutil.ExitCode(err); code != 2 {
 			t.Errorf("%+v: exit status %d for %q", tc.spec, code, err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"supmr"
+	"supmr/internal/dag"
 	"supmr/internal/jobspec"
 )
 
@@ -67,19 +68,15 @@ func (c *Client) receive() (*Response, error) {
 		return nil, fmt.Errorf("client: bad response: %w", err)
 	}
 	if !resp.OK {
-		// Typed so callers can branch on the rejection class (and the
-		// CLI can exit with its distinct status) via errors.As.
-		return nil, &ProtocolError{Code: resp.Code, Message: resp.Error}
+		return nil, &ProtocolError{Message: resp.Error}
 	}
 	return &resp, nil
 }
 
-// SubmitGraph asks the server to run a pipeline graph. Every current
-// server rejects this with CodeDAGUnsupported — the method exists so
-// the rejection is exercised over the real protocol and scripted
-// clients get the typed error rather than a parse failure.
-func (c *Client) SubmitGraph(graph json.RawMessage) (int64, error) {
-	resp, err := c.roundTrip(Request{Op: "submit", Graph: graph})
+// SubmitGraph enqueues a pipeline graph as one job and returns its
+// server-assigned id; the job's result is the final round's.
+func (c *Client) SubmitGraph(g dag.Graph) (int64, error) {
+	resp, err := c.roundTrip(Request{Op: "submit", Graph: &g})
 	if err != nil {
 		return 0, err
 	}

@@ -5,7 +5,8 @@
 // Response per line — so the client side stays a thin wrapper around a
 // net.Conn (see Client) and the wire format is inspectable with nc.
 //
-// Operations: submit (enqueue a jobspec.Spec, returns a job id),
+// Operations: submit (enqueue a jobspec.Spec or an internal/dag
+// pipeline graph, returns a job id),
 // status (one job's state), wait (block until a job finishes), cancel
 // (abort a running or queued job), list (all jobs), stats (engine
 // snapshot: admission occupancy, budget, freelist recycling, per-tenant
@@ -21,10 +22,12 @@ import (
 	"net"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"supmr"
+	"supmr/internal/dag"
 	"supmr/internal/jobspec"
 )
 
@@ -34,60 +37,33 @@ type Request struct {
 	Op string `json:"op"`
 	// Spec is the job description (submit only).
 	Spec *jobspec.Spec `json:"spec,omitempty"`
-	// Graph is a multi-round pipeline (internal/dag). The server does
-	// not run pipelines — rounds chain through in-process egress
-	// outputs, which cannot cross the socket — so a submit carrying one
-	// is rejected with CodeDAGUnsupported; run it client-side with
-	// `supmr pipeline`.
-	Graph json.RawMessage `json:"graph,omitempty"`
+	// Graph, instead of Spec, is a multi-round pipeline (internal/dag):
+	// the server runs it round by round on its engine, each round piping
+	// its egressed output into the next in-process, and the job's result
+	// is the final round's.
+	Graph *dag.Graph `json:"graph,omitempty"`
 	// ID addresses a job (status, wait, cancel).
 	ID int64 `json:"id,omitempty"`
 }
 
 // Response is one protocol message from server to client.
 type Response struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	// Code classifies a rejection so scripted clients can branch on it
-	// (and the CLI can exit with a distinct status) without parsing the
-	// message text. Empty on success and on unclassified errors.
-	Code  string             `json:"code,omitempty"`
+	OK    bool               `json:"ok"`
+	Error string             `json:"error,omitempty"`
 	ID    int64              `json:"id,omitempty"`
 	Job   *JobView           `json:"job,omitempty"`
 	Jobs  []JobView          `json:"jobs,omitempty"`
 	Stats *supmr.EngineStats `json:"stats,omitempty"`
 }
 
-// CodeDAGUnsupported is the rejection code a Response.Code carries for a
-// submit with a pipeline graph: chained rounds pipe in-process egress
-// outputs, which cannot cross the socket boundary.
-const CodeDAGUnsupported = "dag_unsupported"
-
 // ProtocolError is a server rejection surfaced by the Client: the
-// response's code and message, with the exit status the CLI maps it
-// to.
+// response's message.
 type ProtocolError struct {
-	Code    string
 	Message string
 }
 
 // Error renders the rejection.
-func (e *ProtocolError) Error() string {
-	if e.Code == "" {
-		return "server error: " + e.Message
-	}
-	return fmt.Sprintf("server error (%s): %s", e.Code, e.Message)
-}
-
-// ExitCode maps the rejection to a distinct process exit status
-// (cliutil.ExitCode consumes this via the ExitCoder interface): 4 for
-// pipeline rejections, 1 otherwise.
-func (e *ProtocolError) ExitCode() int {
-	if e.Code == CodeDAGUnsupported {
-		return 4
-	}
-	return 1
-}
+func (e *ProtocolError) Error() string { return "server error: " + e.Message }
 
 // Job states.
 const (
@@ -112,10 +88,10 @@ var errCancelled = errors.New("cancelled by client")
 
 // job is the server-side record of one submission.
 type job struct {
-	id     int64
-	spec   jobspec.Spec
-	cancel context.CancelCauseFunc
-	done   chan struct{} // closed when the run returns
+	id          int64
+	app, tenant string
+	cancel      context.CancelCauseFunc
+	done        chan struct{} // closed when the run returns
 
 	mu        sync.Mutex
 	state     string
@@ -129,8 +105,8 @@ func (j *job) view() JobView {
 	defer j.mu.Unlock()
 	return JobView{
 		ID:     j.id,
-		App:    j.spec.App,
-		Tenant: j.spec.Tenant,
+		App:    j.app,
+		Tenant: j.tenant,
 		State:  j.state,
 		Error:  j.err,
 		Result: j.result,
@@ -293,24 +269,38 @@ func (s *Server) dispatch(req Request) Response {
 	}
 }
 
-// submit validates the spec, registers the job and starts its run.
+// submit validates the spec or graph, registers the job and starts its
+// run. What Validate refuses is refused here, before it gets an id.
 func (s *Server) submit(req Request) Response {
-	if len(req.Graph) > 0 {
-		// Rejected at submission rather than as a failed job: pipeline
-		// rounds chain in-process egress outputs, which cannot cross the
-		// socket; run the graph client-side with `supmr pipeline`.
-		return Response{
-			Code:  CodeDAGUnsupported,
-			Error: "submit: pipelines run client-side (supmr pipeline); chained rounds pipe in-process egress outputs the socket cannot carry",
+	j := &job{done: make(chan struct{}), state: StateRunning}
+	var run func(ctx context.Context) (*jobspec.Result, error)
+	switch {
+	case req.Graph != nil:
+		g := *req.Graph
+		if err := g.Validate(); err != nil {
+			return Response{Error: err.Error()}
 		}
-	}
-	if req.Spec == nil {
+		apps := make([]string, len(g.Nodes))
+		for i, n := range g.Nodes {
+			apps[i] = n.Spec.App
+		}
+		j.app = strings.Join(apps, "+")
+		run = func(ctx context.Context) (*jobspec.Result, error) {
+			res, err := dag.Run(ctx, g, dag.Options{Engine: s.eng})
+			if err != nil {
+				return nil, err
+			}
+			return res.Final().Res, nil
+		}
+	case req.Spec != nil:
+		spec := *req.Spec
+		if err := spec.Validate(); err != nil {
+			return Response{Error: err.Error()}
+		}
+		j.app, j.tenant = spec.App, spec.Tenant
+		run = func(ctx context.Context) (*jobspec.Result, error) { return jobspec.Run(ctx, spec, s.eng) }
+	default:
 		return Response{Error: "submit: missing spec"}
-	}
-	spec := *req.Spec
-	// A spec Validate refuses is refused here, before it gets an id.
-	if err := spec.Validate(); err != nil {
-		return Response{Error: err.Error()}
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -320,7 +310,7 @@ func (s *Server) submit(req Request) Response {
 	s.nextID++
 	id := s.nextID
 	jctx, cancel := context.WithCancelCause(s.ctx)
-	j := &job{id: id, spec: spec, cancel: cancel, done: make(chan struct{}), state: StateRunning}
+	j.id, j.cancel = id, cancel
 	s.jobs[id] = j
 	s.runs.Add(1)
 	s.mu.Unlock()
@@ -328,7 +318,7 @@ func (s *Server) submit(req Request) Response {
 	go func() {
 		defer s.runs.Done()
 		defer cancel(nil)
-		res, err := jobspec.Run(jctx, spec, s.eng)
+		res, err := run(jctx)
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		defer close(j.done)

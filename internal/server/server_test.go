@@ -14,6 +14,7 @@ import (
 
 	"supmr"
 	"supmr/internal/cliutil"
+	"supmr/internal/dag"
 	"supmr/internal/jobspec"
 )
 
@@ -230,60 +231,51 @@ func TestServerStaleSocketReclaim(t *testing.T) {
 	srv2.Close()
 }
 
-// TestServerTypedRejections exercises the protocol rejection codes
-// end-to-end: the wire response carries the code, the client surfaces
-// a *ProtocolError, and the error maps to the CLI's distinct exit
-// statuses through cliutil.ExitCode.
+// TestServerTypedRejections: a pipeline graph is an ordinary
+// submission. It runs round by round on the server's engine and ends
+// done with the final round's result, the digest `supmr pipeline -kind
+// prefixsum` prints for that round. A malformed graph, like a malformed
+// spec, is refused before it gets an id, as a *ProtocolError with exit
+// status 1.
 func TestServerTypedRejections(t *testing.T) {
 	c, _ := startServer(t, supmr.EngineConfig{Workers: 2})
 
-	_, err := c.SubmitGraph(json.RawMessage(`{"nodes":[{"id":"a","spec":{"app":"wordcount"}}]}`))
-	var pe *ProtocolError
-	if !errors.As(err, &pe) {
-		t.Fatalf("graph submit: got %v, want *ProtocolError", err)
+	// The graph `supmr pipeline -kind prefixsum -size 256k` builds.
+	base := jobspec.Spec{Size: 256 << 10, Seed: 1, ChunkBytes: 256 << 10, EgressLanes: 2}
+	part, total := base, base
+	part.App, part.Block = "psum1", 256
+	total.App, total.EgressLanes = "psum2", 0
+	g := dag.Graph{Nodes: []dag.Node{{ID: "part", Spec: part}, {ID: "total", Spec: total, Input: "part"}}}
+	local, err := dag.Run(context.Background(), g, dag.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pe.Code != CodeDAGUnsupported || pe.ExitCode() != 4 {
-		t.Fatalf("graph rejection = code %q exit %d, want %q/4", pe.Code, pe.ExitCode(), CodeDAGUnsupported)
+	id, err := c.SubmitGraph(g)
+	if err != nil {
+		t.Fatalf("graph submit: %v", err)
 	}
-	if cliutil.ExitCode(err) != 4 {
-		t.Fatalf("cliutil.ExitCode = %d, want 4", cliutil.ExitCode(err))
+	v, err := c.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := local.Final().Res; v.State != StateDone || v.Result == nil || v.Result.Digest != want.Digest || v.Result.App != want.App {
+		t.Fatalf("graph job %+v (result %+v), want done with %s's digest %.12s", v, v.Result, want.App, want.Digest)
 	}
 
-	// Unclassified rejections stay generic: typed error, default exit 1.
+	for _, bad := range []dag.Graph{{}, {Nodes: []dag.Node{{ID: "a", Spec: jobspec.Spec{App: "nope"}}}}} {
+		_, err = c.SubmitGraph(bad)
+		var pe *ProtocolError
+		if !errors.As(err, &pe) || cliutil.ExitCode(err) != 1 {
+			t.Fatalf("bad graph %+v: got %v, want a *ProtocolError with exit status 1", bad, err)
+		}
+	}
 	_, err = c.Submit(jobspec.Spec{App: "nope"})
-	pe = nil
-	if !errors.As(err, &pe) {
-		t.Fatalf("bad-spec submit: got %v, want *ProtocolError", err)
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || cliutil.ExitCode(err) != 1 {
+		t.Fatalf("bad-spec submit: got %v, want a *ProtocolError with exit status 1", err)
 	}
-	if pe.Code != "" || pe.ExitCode() != 1 || cliutil.ExitCode(err) != 1 {
-		t.Fatalf("bad-spec rejection = code %q exit %d, want empty/1", pe.Code, pe.ExitCode())
-	}
-
-}
-
-// TestServerWireCode checks the code rides the raw NDJSON wire, not
-// just the client abstraction.
-func TestServerWireCode(t *testing.T) {
-	_, sock := startServer(t, supmr.EngineConfig{Workers: 2})
-	conn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	req := `{"op":"submit","graph":{"nodes":[{"id":"a","spec":{"app":"wordcount"}}]}}` + "\n"
-	if _, err := conn.Write([]byte(req)); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatalf("receive: %v", err)
-	}
-	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatalf("decode %q: %v", line, err)
-	}
-	if resp.OK || resp.Code != CodeDAGUnsupported {
-		t.Fatalf("wire response = %+v, want code %q", resp, CodeDAGUnsupported)
+	if st, err := c.Stats(); err != nil || st.Submitted != 2 {
+		t.Fatalf("engine saw %+v (err %v), want the graph's two rounds alone", st, err)
 	}
 }
 

@@ -12,18 +12,21 @@ package supmr
 //   - set aside: only under RuntimeTraditional, only for the preset's
 //     documented list — the digest, MapWaves, MergeRounds and nil
 //     IngestLaneBytes equal the plain traditional run's;
-//   - refused: an error before any input byte is read.
+//   - refused: a *ConfigError naming the row's two sides, before any
+//     input byte is read.
 //
 // An engine submission runs the pipeline, so its cells are the pipeline
 // column's: effective or refused, never set aside.
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +58,9 @@ type knobRow struct {
 	// pipeline is the outcome with no runtime named, under RuntimeSupMR
 	// and on an engine; traditional, under the preset.
 	pipeline, traditional cellOutcome
+	// refusal is the ConfigError's Knob and With where the pipeline
+	// refuses; tradRefusal where the preset does, if it says otherwise.
+	refusal, tradRefusal [2]string
 }
 
 func chunked(n int64) func(*Config) { return func(c *Config) { c.ChunkBytes = n } }
@@ -130,6 +136,7 @@ func TestConfigKnobTable(t *testing.T) {
 	defer store.Close()
 	eng := NewEngine(EngineConfig{Workers: 2, IOLanes: 4})
 	defer eng.Close()
+	const rt = "RuntimeTraditional"
 	mapWavesUp := func(p, g *Stats) bool { return g.MapWaves > p.MapWaves }
 	mapWavesDown := func(p, g *Stats) bool { return g.MapWaves < p.MapWaves }
 	rows := []knobRow{
@@ -145,10 +152,15 @@ func TestConfigKnobTable(t *testing.T) {
 			counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
 		{name: "ResetEachRound", base: chunked(32 << 10), set: func(c *Config) { c.ResetEachRound = true },
 			counter: "IntermediateN", moved: func(p, g *Stats) bool { return g.IntermediateN < p.IntermediateN },
-			changesOutput: true, traditional: refused},
+			changesOutput: true, traditional: refused, tradRefusal: [2]string{"ResetEachRound", rt}},
 		{name: "FilesPerChunk", files: true, set: func(c *Config) { c.FilesPerChunk = 3 }, counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
 		{name: "HybridChunks", files: true, set: func(c *Config) { c.HybridChunks = true }, counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
-		{name: "AdaptiveChunks-RunFiles", files: true, set: func(c *Config) { c.AdaptiveChunks = true }, pipeline: refused, traditional: setAside},
+		{name: "AdaptiveChunks-RunFiles", files: true, set: func(c *Config) { c.AdaptiveChunks = true }, pipeline: refused, traditional: setAside,
+			refusal: [2]string{"AdaptiveChunks", "a multi-file input"}},
+		{name: "FilesPerChunk-RunFile", set: func(c *Config) { c.FilesPerChunk = 3 }, pipeline: refused, traditional: setAside,
+			refusal: [2]string{"FilesPerChunk", "a single-file input"}},
+		{name: "HybridChunks-RunFile", set: func(c *Config) { c.HybridChunks = true }, pipeline: refused, traditional: setAside,
+			refusal: [2]string{"HybridChunks", "a single-file input"}},
 		// Merge is honoured by the preset too: each column overrides its
 		// own default.
 		{name: "Merge", set: func(c *Config) {
@@ -159,22 +171,62 @@ func TestConfigKnobTable(t *testing.T) {
 			c.Merge = &m
 		}, counter: "MergeRounds", moved: func(p, g *Stats) bool { return g.MergeRounds != p.MergeRounds }},
 		{name: "Memo", base: chunked(32 << 10), set: func(c *Config) { c.Memo = true },
-			counter: "MemoMisses", moved: func(p, g *Stats) bool { return p.MemoMisses == 0 && g.MemoMisses > 0 }, traditional: refused},
+			counter: "MemoMisses", moved: func(p, g *Stats) bool { return p.MemoMisses == 0 && g.MemoMisses > 0 },
+			traditional: refused, tradRefusal: [2]string{"Memo", rt}},
+		{name: "Memo-RunFiles", files: true, set: func(c *Config) { c.ChunkBytes, c.Memo = 32<<10, true }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"Memo", "a multi-file input"}, tradRefusal: [2]string{"Memo", rt}},
 		{name: "Nodes", base: chunked(32 << 10), set: func(c *Config) { c.Nodes = 2 },
-			counter: "ShuffleFrames", moved: func(p, g *Stats) bool { return p.ShuffleFrames == 0 && g.ShuffleFrames > 0 }, traditional: refused},
+			counter: "ShuffleFrames", moved: func(p, g *Stats) bool { return p.ShuffleFrames == 0 && g.ShuffleFrames > 0 },
+			traditional: refused, tradRefusal: [2]string{"Nodes", rt}},
 		{name: "MemoryBudget", base: chunked(32 << 10), set: func(c *Config) { c.MemoryBudget = 16 << 10 },
-			counter: "SpilledRuns", moved: func(p, g *Stats) bool { return p.SpilledRuns == 0 && g.SpilledRuns > 0 }, traditional: refused},
-		{name: "MemoryBudget+Memo", set: func(c *Config) { c.ChunkBytes, c.Memo, c.MemoryBudget = 32<<10, true, 16<<10 }, pipeline: refused, traditional: refused},
+			counter: "SpilledRuns", moved: func(p, g *Stats) bool { return p.SpilledRuns == 0 && g.SpilledRuns > 0 },
+			traditional: refused, tradRefusal: [2]string{"MemoryBudget", rt}},
+		{name: "MemoryBudget+Memo", set: func(c *Config) { c.ChunkBytes, c.Memo, c.MemoryBudget = 32<<10, true, 16<<10 }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"MemoryBudget", "Memo"}, tradRefusal: [2]string{"Memo", rt}},
 		{name: "MemoBudget+MemoStore", set: func(c *Config) { c.ChunkBytes, c.Memo, c.MemoStore, c.MemoBudget = 32<<10, true, store, 1<<20 },
-			pipeline: refused, traditional: refused},
-		{name: "MemoryBudget+Nodes", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.MemoryBudget = 32<<10, 2, 16<<10 }, pipeline: refused, traditional: refused},
-		{name: "Memo+AdaptiveChunks", set: func(c *Config) { c.ChunkBytes, c.Memo, c.AdaptiveChunks = 32<<10, true, true }, pipeline: refused, traditional: refused},
-		{name: "Memo+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Memo, c.ResetEachRound = 32<<10, true, true }, pipeline: refused, traditional: refused},
-		{name: "Nodes+AdaptiveChunks", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.AdaptiveChunks = 32<<10, 2, true }, pipeline: refused, traditional: refused},
-		{name: "Nodes+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.ResetEachRound = 32<<10, 2, true }, pipeline: refused, traditional: refused},
+			pipeline: refused, traditional: refused, refusal: [2]string{"MemoBudget", "a supplied MemoStore"}, tradRefusal: [2]string{"Memo", rt}},
+		{name: "MemoryBudget+Nodes", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.MemoryBudget = 32<<10, 2, 16<<10 }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"MemoryBudget", "Nodes"}, tradRefusal: [2]string{"Nodes", rt}},
+		{name: "Memo+AdaptiveChunks", set: func(c *Config) { c.ChunkBytes, c.Memo, c.AdaptiveChunks = 32<<10, true, true }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"Memo", "AdaptiveChunks"}, tradRefusal: [2]string{"Memo", rt}},
+		{name: "Memo+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Memo, c.ResetEachRound = 32<<10, true, true }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"Memo", "ResetEachRound"}, tradRefusal: [2]string{"Memo", rt}},
+		// A key's node is chosen by key range, so retuned chunk boundaries
+		// move wire counts but never the output: the digest holds, with one
+		// lane and with four.
+		{name: "Nodes+AdaptiveChunks", base: func(c *Config) { c.ChunkBytes, c.Nodes = 8<<10, 2 }, set: func(c *Config) { c.AdaptiveChunks = true },
+			counter: "MapWaves", moved: mapWavesDown, traditional: refused, tradRefusal: [2]string{"Nodes", rt}},
+		{name: "Nodes+AdaptiveChunks+IOLanes", base: func(c *Config) { c.ChunkBytes, c.Nodes, c.IOLanes = 8<<10, 2, 4 }, set: func(c *Config) { c.AdaptiveChunks = true },
+			counter: "MapWaves", moved: mapWavesDown, traditional: refused, tradRefusal: [2]string{"Nodes", rt}},
+		{name: "Nodes+ResetEachRound", set: func(c *Config) { c.ChunkBytes, c.Nodes, c.ResetEachRound = 32<<10, 2, true }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"Nodes", "ResetEachRound"}, tradRefusal: [2]string{"Nodes", rt}},
 		// A knob of a mode that is not on.
 		{name: "InNodeCombiner-without-Nodes", set: func(c *Config) { off := false; c.ChunkBytes, c.InNodeCombiner = 32<<10, &off },
-			pipeline: refused, traditional: refused},
+			pipeline: refused, traditional: refused, refusal: [2]string{"InNodeCombiner", "Nodes 0"}},
+		{name: "NodeLinkBW-without-Nodes", set: func(c *Config) { c.NodeLinkBW = 1e6 }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"NodeLinkBW", "Nodes 0"}},
+		{name: "NodeLinkLatency-without-Nodes", set: func(c *Config) { c.NodeLinkLatency = time.Millisecond }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"NodeLinkLatency", "Nodes 0"}},
+		{name: "MemoBudget-without-Memo", set: func(c *Config) { c.MemoBudget = 1 << 20 }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"MemoBudget", "Memo off"}},
+		{name: "EgressExtentBytes-without-EgressLanes", set: func(c *Config) { c.EgressExtentBytes = 8 << 10 }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"EgressExtentBytes", "EgressLanes 0"}},
+		{name: "TraceBucket-without-TraceContexts", set: func(c *Config) { c.TraceBucket = time.Millisecond }, pipeline: refused, traditional: refused,
+			refusal: [2]string{"TraceBucket", "TraceContexts 0"}},
+	}
+	// A value below zero is refused whatever the runtime.
+	for _, n := range []struct {
+		knob string
+		set  func(*Config)
+	}{
+		{"Workers", func(c *Config) { c.Workers = -1 }}, {"Splits", func(c *Config) { c.Splits = -1 }},
+		{"ChunkBytes", func(c *Config) { c.ChunkBytes = -1 }}, {"MemoryBudget", func(c *Config) { c.MemoryBudget = -1 }},
+		{"IOLanes", func(c *Config) { c.IOLanes = -1 }}, {"PrefetchDepth", func(c *Config) { c.PrefetchDepth = -1 }},
+		{"Weight", func(c *Config) { c.Weight = -1 }}, {"Nodes", func(c *Config) { c.Nodes = -1 }},
+		{"EgressLanes", func(c *Config) { c.EgressLanes = -1 }}, {"EgressExtentBytes", func(c *Config) { c.EgressLanes, c.EgressExtentBytes = 1, -1 }},
+	} {
+		rows = append(rows, knobRow{name: n.knob + "-negative", set: n.set, pipeline: refused, traditional: refused,
+			refusal: [2]string{n.knob, "a value below 0"}})
 	}
 	// The unset column leaves Runtime at its zero value, whatever that is.
 	columns := []struct {
@@ -223,8 +275,9 @@ func TestConfigKnobTable(t *testing.T) {
 		shared := NewEngine(EngineConfig{Workers: 2, Memo: store})
 		defer shared.Close()
 		_, err := run(t, knobRow{}, Config{Engine: shared, ChunkBytes: 32 << 10, Memo: true, MemoBudget: 1 << 20}, true)
-		if err == nil || !strings.HasPrefix(err.Error(), "supmr: MemoBudget") {
-			t.Fatalf("%v, want a refusal", err)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Knob != "MemoBudget" || ce.With != "a supplied MemoStore" {
+			t.Fatalf("%v, want MemoBudget refused beside the engine's store", err)
 		}
 	})
 
@@ -243,8 +296,15 @@ func TestConfigKnobTable(t *testing.T) {
 				knob := cfg
 				r.set(&knob)
 				if want == refused {
-					if _, err := run(t, r, knob, true); err == nil || !strings.HasPrefix(err.Error(), "supmr: ") {
-						t.Fatalf("%v, want a refusal", err)
+					side := r.refusal
+					if col.name == "traditional" && r.tradRefusal[0] != "" {
+						side = r.tradRefusal
+					}
+					_, err := run(t, r, knob, true)
+					var ce *ConfigError
+					if !errors.As(err, &ce) || ce.Knob != side[0] || ce.With != side[1] || ce.Reason == "" ||
+						!strings.Contains(err.Error(), side[0]) || !strings.Contains(err.Error(), side[1]) {
+						t.Fatalf("%v, want a *ConfigError refusing %s with %s", err, side[0], side[1])
 					}
 					return
 				}
@@ -274,6 +334,48 @@ func TestConfigKnobTable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEveryKnobRuled: every Config field is named by a row of
+// modeRules, as the knob or in what it clashes with, or is listed here
+// as free, with the reason it needs no rule.
+func TestEveryKnobRuled(t *testing.T) {
+	free := map[string]string{
+		"Context":      "substrate: cancellation, honoured in every mode",
+		"Clock":        "substrate: the job clock",
+		"Boundary":     "substrate: the input's record format",
+		"SpillDevice":  "a device: accepted without MemoryBudget until the benchmark's traditional variant clears it",
+		"EgressDevice": "a device: charged only by the egress writes it meets",
+		"Faults":       "substrate: the fault plan covers whichever sites the run has",
+		"Retry":        "substrate: the retry policy of whichever sites the run has",
+		"Engine":       "substrate: every mode runs on an engine as it does solo",
+		"Merge":        "honoured in every mode, the preset included",
+		"RadixSort":    "an ablation of the sort fast path, honoured in every mode",
+		"Tenant":       "accepted without Engine until the benchmark's solo variant clears it",
+		"MemoKeySpace": "accepted without Memo until the benchmark's memo-off and traditional variants clear it",
+	}
+	named := map[string]bool{}
+	for _, r := range modeRules {
+		named[r.knob] = true
+		for _, w := range strings.Fields(r.with) {
+			named[w] = true
+		}
+	}
+	named["Runtime"] = named["RuntimeTraditional"] // the preset is a value of Runtime
+	fields := reflect.TypeOf(Config{})
+	for i := 0; i < fields.NumField(); i++ {
+		f := fields.Field(i).Name
+		switch why, ok := free[f]; {
+		case named[f] && ok:
+			t.Errorf("Config.%s is named by a rule and listed as free (%s)", f, why)
+		case !named[f] && !ok:
+			t.Errorf("Config.%s is named by no rule of modeRules and not listed as free", f)
+		}
+		delete(free, f)
+	}
+	for f := range free {
+		t.Errorf("free lists %s, which is no Config field", f)
 	}
 }
 

@@ -8,6 +8,7 @@ package supmr
 // time spent differ.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -310,8 +311,9 @@ func TestMemoConfigValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = RunFiles[string, int64](WordCountJob(), files, WordCountContainer(8), cfg)
-		if err == nil || !strings.Contains(err.Error(), "single-file") {
-			t.Fatalf("want a single-file error, got %v", err)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Knob != "Memo" || ce.With != "a multi-file input" {
+			t.Fatalf("want Memo refused with a multi-file input, got %v", err)
 		}
 	})
 }

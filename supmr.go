@@ -106,7 +106,7 @@ const (
 	// input read whole, file by file, as one chunk (read and map reported
 	// as separate phases), merged pairwise unless Merge says otherwise. It
 	// sets aside ChunkBytes, FilesPerChunk, HybridChunks, AdaptiveChunks,
-	// IOLanes and PrefetchDepth, and Validate refuses it with Memo, Nodes,
+	// IOLanes and PrefetchDepth, and the mode rules refuse it with Memo, Nodes,
 	// MemoryBudget or ResetEachRound, which each need more than one round.
 	RuntimeTraditional
 )
@@ -120,7 +120,9 @@ func (r Runtime) String() string {
 }
 
 // Config controls an execution. The zero value runs the SupMR pipeline
-// over the whole input as one chunk; set ChunkBytes to pipeline it.
+// over the whole input as one chunk; set ChunkBytes to pipeline it. A
+// knob takes effect or the run refuses it, before reading, with a
+// *ConfigError: modeRules (rules.go) states every refusal once.
 type Config struct {
 	// Runtime is RuntimeSupMR (the zero value) or the traditional preset.
 	Runtime Runtime
@@ -173,8 +175,7 @@ type Config struct {
 	// §VIII future work): the pipeline observes each round's ingest and
 	// map durations and retunes the ingest chunk size. ChunkBytes is
 	// the starting size; without it the static advisor picks one. It
-	// needs a resizable stream: RunFile and StreamFile build one, and
-	// RunFiles and StreamFiles refuse the knob.
+	// needs a resizable stream, which RunFile and StreamFile build.
 	AdaptiveChunks bool
 	// HybridChunks selects hybrid inter/intra-file chunking for
 	// multi-file inputs (RunFiles): small files coalesce up to
@@ -187,7 +188,6 @@ type Config struct {
 	// unbudgeted run. Zero means unbudgeted. Requires a releasable
 	// container (hash or key-range, not array) and codec-supported
 	// key/value types (string, []byte, int, int64, uint64, float64).
-	// Validate refuses it beside Memo and Nodes, which have no spill path.
 	MemoryBudget int64
 	// SpillDevice charges the spill runs' IO time; point it at the
 	// ingest device so spill traffic contends for the same bandwidth.
@@ -242,7 +242,7 @@ type Config struct {
 	// Weight is the job's fair-share weight on the engine's operation
 	// scheduler (engine mode only; minimum and default 1 — a weight-2
 	// job receives twice the operation service of a weight-1 job; 0
-	// selects the default, and Validate refuses negative values).
+	// selects the default).
 	Weight int
 	// Memo enables content-addressed incremental recompute (single-file
 	// inputs): ingest switches to content-defined chunking (appends and
@@ -253,9 +253,7 @@ type Config struct {
 	// compute workers fold the parked output back into the container and
 	// the run finishes like a memo-off run, byte-identical to it.
 	// ChunkBytes sizes the chunks (min ChunkBytes/2, target ChunkBytes,
-	// max 2*ChunkBytes). Memo is the pipeline's drain-after-every-chunk
-	// step; it composes with Engine and Nodes, and Validate lists what it
-	// excludes, MemoryBudget among them.
+	// max 2*ChunkBytes). It composes with Engine and Nodes.
 	Memo bool
 	// MemoStore is the cache a memoized run uses. Nil selects the
 	// engine's shared store (engine mode, EngineConfig.Memo) or, solo, a
@@ -270,8 +268,6 @@ type Config struct {
 	MemoKeySpace string
 	// MemoBudget caps the private store a memoized run builds when
 	// neither MemoStore nor an engine store is supplied (default 64 MiB).
-	// A supplied store has its own budget, so Validate refuses MemoBudget
-	// beside either.
 	MemoBudget int64
 	// Nodes, when >= 1, runs the job on a simulated cluster of that many
 	// SupMR worker nodes: the same ingest loop over one persistent
@@ -283,10 +279,9 @@ type Config struct {
 	// finishes the n-th key range like a single node (internal/shuffle,
 	// DESIGN.md §15). Output is byte-identical to a single-node run; 1 is
 	// the degenerate one-node cluster on the same code path, 0 the
-	// scale-up pipeline. Requires
-	// codec-supported key/value types. Composes with Engine, Memo, IOLanes
-	// and PrefetchDepth; Validate lists what it excludes, MemoryBudget
-	// among them.
+	// scale-up pipeline. Requires codec-supported key/value types.
+	// Composes with Engine, Memo, IOLanes, PrefetchDepth and
+	// AdaptiveChunks.
 	Nodes int
 	// InNodeCombiner gates the in-node combiner tier of a multi-node
 	// run: the node's persistent container, which combines every chunk
@@ -296,7 +291,6 @@ type Config struct {
 	// chunk and transmitting every per-chunk run as-is. Output is
 	// byte-identical either way (each destination re-reduces what it
 	// receives); only Stats.ShuffleBytes and ShuffleFrames change.
-	// Validate refuses &false without Nodes.
 	InNodeCombiner *bool
 	// NodeLinkBW is each node port's bandwidth in bytes/sec for a
 	// multi-node run (default GigabitLinkBW); NodeLinkLatency is the
@@ -377,84 +371,6 @@ func (c Config) boundary() Boundary {
 	return NewlineRecords
 }
 
-func (c Config) radixDisabled() bool {
-	return c.RadixSort != nil && !*c.RadixSort
-}
-
-func (c Config) innodeCombinerOff() bool {
-	return c.InNodeCombiner != nil && !*c.InNodeCombiner
-}
-
-// Validate reports the first contradiction in the configuration. It is
-// the one statement of the mode rules: Run and StreamFile check them
-// before anything is read, and the CLI and jobspec call it on the Config
-// they build.
-func (c Config) Validate() error {
-	_, _, err := c.resolve()
-	return err
-}
-
-// resolve is Validate plus the RuntimeTraditional preset, applied here
-// and nowhere else (it is the one reader of c.Runtime): it returns the
-// settings the run uses, with Merge always set and, under the preset,
-// the chunk-shape knobs set aside, and whether the input is read whole.
-// Memo and Nodes both bind a chunk to what is done with its output (a
-// cache key, a node's container), so they share the rules below.
-func (c Config) resolve() (cfg Config, whole bool, err error) {
-	if c.EgressLanes < 0 {
-		return c, false, fmt.Errorf("supmr: EgressLanes must be positive, got %d", c.EgressLanes)
-	}
-	if c.EgressExtentBytes < 0 {
-		return c, false, fmt.Errorf("supmr: EgressExtentBytes must be positive, got %d", c.EgressExtentBytes)
-	}
-	if c.Weight < 0 {
-		return c, false, fmt.Errorf("supmr: negative weight %d: Weight, the engine fair-share weight, must be at least 1 (0 selects the default)", c.Weight)
-	}
-	if c.innodeCombinerOff() && c.Nodes <= 0 {
-		return c, false, errors.New("supmr: InNodeCombiner is off without nodes (Nodes is 0): the in-node combiner is a tier of a multi-node run")
-	}
-	if c.MemoBudget > 0 && (c.MemoStore != nil || c.Engine != nil && c.Engine.memo != nil) {
-		return c, false, errors.New("supmr: MemoBudget is incompatible with a supplied memo store (MemoStore or the engine's shared store): the store's own budget governs")
-	}
-	merge, whole := MergePWay, c.Runtime == RuntimeTraditional
-	if whole {
-		for _, k := range []struct {
-			name string
-			set  bool
-		}{{"Memo", c.Memo}, {"Nodes", c.Nodes > 0}, {"MemoryBudget", c.MemoryBudget > 0}, {"ResetEachRound", c.ResetEachRound}} {
-			if k.set {
-				return c, false, fmt.Errorf("supmr: %s is incompatible with RuntimeTraditional (the preset reads the whole input as one chunk: there is nothing to memoize, shard, bound or reset per chunk)", k.name)
-			}
-		}
-		c.ChunkBytes, c.FilesPerChunk, c.HybridChunks, c.AdaptiveChunks, c.IOLanes, c.PrefetchDepth = 0, 0, false, false, 0, 0
-		merge = MergePairwise
-	}
-	if c.Merge == nil {
-		c.Merge = &merge
-	}
-	if c.Memo && c.ChunkBytes <= 0 {
-		return c, false, errors.New("supmr: Memo requires ChunkBytes > 0 (content-defined chunk sizes derive from it)")
-	}
-	if !c.Memo && c.Nodes <= 0 {
-		return c, whole, nil
-	}
-	knob, keeps, reset := "Nodes", "a node's container holds everything the node mapped until the exchange",
-		"resetting a node's container every round would discard the map output it holds for the exchange"
-	if c.Memo {
-		knob, keeps, reset = "Memo", "a memoized run parks every chunk's output in memory and finishes resident",
-			"the container is already drained after every chunk"
-	}
-	switch {
-	case c.MemoryBudget > 0:
-		return c, false, fmt.Errorf("supmr: MemoryBudget is incompatible with %s (%s, with no spill path for a budget to bound)", knob, keeps)
-	case c.AdaptiveChunks:
-		return c, false, fmt.Errorf("supmr: %s is incompatible with AdaptiveChunks (retuned chunk sizes would make chunk boundaries, and with them cache keys and node routing, depend on timing)", knob)
-	case c.ResetEachRound:
-		return c, false, fmt.Errorf("supmr: %s is incompatible with ResetEachRound (%s)", knob, reset)
-	}
-	return c, whole, nil
-}
-
 // Run executes the job over an explicit chunk stream. Most callers use
 // RunFile, RunFiles or RunBytes, which build the stream.
 //
@@ -474,7 +390,7 @@ func Run[K comparable, V any](job Job[K, V], input Stream, cont Container[K, V],
 	if cont == nil {
 		return nil, errors.New("supmr: nil container")
 	}
-	cfg, whole, err := cfg.resolve()
+	cfg, whole, err := cfg.resolve(anyInput)
 	if err != nil {
 		return nil, err
 	}
@@ -547,11 +463,11 @@ func runWithExecutor[K comparable, V any](job Job[K, V], input Stream, cont Cont
 		Splits:        cfg.Splits,
 		Merge:         *cfg.Merge,
 		Boundary:      cfg.boundary(),
-		RadixDisabled: cfg.radixDisabled(),
+		RadixDisabled: cfg.RadixSort != nil && !*cfg.RadixSort,
 		Pool:          sub.pool,
 		Topology: shuffle.Topology{
 			Nodes:       cfg.Nodes,
-			CombinerOff: cfg.innodeCombinerOff(),
+			CombinerOff: cfg.InNodeCombiner != nil && !*cfg.InNodeCombiner,
 			LinkBW:      cfg.NodeLinkBW,
 			LinkLatency: cfg.NodeLinkLatency,
 			Clock:       sub.clk,
@@ -668,7 +584,7 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 	}
 	// The preset's whole-input read needs no flag of its own here: it
 	// leaves ChunkBytes zero and AdaptiveChunks off.
-	cfg, _, err := cfg.resolve()
+	cfg, _, err := cfg.resolve(oneFile)
 	if err != nil {
 		return nil, err
 	}
@@ -708,15 +624,9 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 // RuntimeTraditional preset. Its reads run PrefetchDepth ahead, as
 // StreamFile's do.
 func StreamFiles(files []Input, cfg Config) (Stream, error) {
-	cfg, whole, err := cfg.resolve()
+	cfg, whole, err := cfg.resolve(manyFiles)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Memo {
-		return nil, errors.New("supmr: Memo requires a single-file input (RunFile/StreamFile): multi-file chunk composition is not content-stable across file-set changes")
-	}
-	if cfg.AdaptiveChunks {
-		return nil, errors.New("supmr: AdaptiveChunks requires a single-file input (RunFile/StreamFile): no multi-file stream can be resized between rounds")
 	}
 	files = cfg.wrapInputs(files)
 	per, size := max(cfg.FilesPerChunk, 1), int64(0)

@@ -554,7 +554,8 @@ func BenchmarkAblationAdaptiveChunks(b *testing.B) {
 }
 
 // AblationHybridChunking: intra-file vs hybrid chunking over a skewed
-// file-size distribution (many small files plus one large one).
+// file-size distribution (many small files plus one large one): the
+// file-count cut at 4 files per chunk against the byte cut at 128 KiB.
 func BenchmarkAblationHybridChunking(b *testing.B) {
 	mkFiles := func(clock Clock) []Input {
 		dev := NewFastDevice(clock)
@@ -568,19 +569,16 @@ func BenchmarkAblationHybridChunking(b *testing.B) {
 		}
 		return append(files, big)
 	}
-	for _, mode := range []string{"IntraFile", "Hybrid"} {
-		b.Run(mode, func(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		cut  Config
+	}{{"IntraFile", Config{FilesPerChunk: 4}}, {"Hybrid", Config{ChunkBytes: 128 << 10}}} {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				clock := NewClock()
-				rep, err := RunFiles[string, int64](WordCountJob(), mkFiles(clock),
-					WordCountContainer(64), Config{
-						Runtime:       RuntimeSupMR,
-						FilesPerChunk: 4,
-						HybridChunks:  mode == "Hybrid",
-						ChunkBytes:    128 << 10,
-						Clock:         clock,
-					})
+				cfg := mode.cut
+				cfg.Clock = NewClock()
+				rep, err := RunFiles[string, int64](WordCountJob(), mkFiles(cfg.Clock), WordCountContainer(64), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

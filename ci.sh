@@ -175,7 +175,6 @@ for target in \
     shuffle:FuzzDecodeFrame \
     shuffle:FuzzReadRecord \
     shuffle:FuzzExchangeRoutes \
-    egress:FuzzManifestDecode \
     jobspec:FuzzSpecValidate \
     cdc:FuzzBoundaryStability \
     sortalgo:FuzzBlockMergeVsReference \

@@ -55,6 +55,7 @@ func submitMain(args []string) {
 	)
 	fs.Parse(args)
 	spec := wire()
+	unsetChunkDefault(fs, &spec)
 	spec.Tenant, spec.Weight, spec.MemoKey = *tenant, parseCount(*weight), *memoKey
 	spec.Block, spec.Blocks = int64(parseCount0(*block)), int64(parseCount0(*blocks))
 	if err := spec.Validate(); err != nil {

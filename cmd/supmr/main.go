@@ -95,7 +95,7 @@ func specFlags(fs *flag.FlagSet, size, chunk, bw string) func() jobspec.Spec {
 		rt       = fs.String("runtime", "supmr", "runtime: traditional | supmr")
 		sizeStr  = fs.String("size", size, "input size in bytes (k/m/g suffixes)")
 		seed     = fs.Int64("seed", 1, "workload generation seed")
-		chunkSz  = fs.String("chunk", chunk, "SupMR ingest chunk size (0 = whole input; submitted to supmrd, 0 = 256k)")
+		chunkSz  = fs.String("chunk", chunk, "SupMR ingest chunk size of a single-file input, and the byte cut of a -hybrid -files input; refused on any other multi-file input (0 = whole input; submitted to supmrd, 0 = 256k)")
 		budget   = fs.String("budget", "0", "intermediate-container memory budget in bytes; over-budget state spills to the simulated device (0 = unbudgeted; on supmrd this is the request and the engine may grant less)")
 		bwStr    = fs.String("bw", bw, "simulated storage bandwidth, bytes/sec (0 = infinite)")
 		ioLanes  = fs.String("io-lanes", "1", "IO lanes for striped ingest: each chunk read splits into this many shares read in parallel, each share sent as requests of at most 128 KiB issued together (1 = one request per read; set aside by -runtime traditional)")
@@ -123,6 +123,17 @@ func specFlags(fs *flag.FlagSet, size, chunk, bw string) func() jobspec.Spec {
 	}
 }
 
+// unsetChunkDefault drops -chunk's default from a multi-file input
+// without -hybrid, which is cut by file count: the default is a single
+// file's cut, and jobspec refuses a -chunk given there.
+func unsetChunkDefault(fs *flag.FlagSet, spec *jobspec.Spec) {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == "chunk" })
+	if !set && !spec.Solo.Hybrid && spec.MultiFile() {
+		spec.ChunkBytes = 0
+	}
+}
+
 // parseFlags turns the command line into the job spec it describes —
 // the knobs a job server could not carry ride in spec.Solo — and the
 // two print choices: the digest line instead of the report, and the
@@ -133,12 +144,12 @@ func parseFlags(args []string) (spec jobspec.Spec, digest, energy bool) {
 	var (
 		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		merge     = fs.String("merge", "", "merge algorithm override: pairwise | pway")
-		files     = fs.Int("files", 0, "use N small files with intra-file chunking instead of one big file")
-		filesPer  = fs.Int("files-per-chunk", 0, "files per intra-file chunk of a -files input (0 = 4)")
+		files     = fs.Int("files", 0, "use N small files, cut by file count (-files-per-chunk) or by bytes (-hybrid), instead of one big file")
+		filesPer  = fs.Int("files-per-chunk", 0, "the file-count cut of a -files input: files per intra-file chunk (0 = 4; refused beside -hybrid)")
 		fileSize  = fs.String("filesize", "1m", "per-file size for -files")
 		trace     = fs.Bool("trace", false, "print utilization trace")
-		adaptive  = fs.Bool("adaptive", false, "enable the adaptive chunk-size feedback loop")
-		hybrid    = fs.Bool("hybrid", false, "use hybrid inter/intra-file chunking for -files inputs")
+		adaptive  = fs.Bool("adaptive", false, "enable the adaptive chunk-size feedback loop: it resizes a single file's byte cut (refused on a multi-file input)")
+		hybrid    = fs.Bool("hybrid", false, "cut a -files input by bytes: files coalesce up to -chunk and larger files split at it (hybrid inter/intra-file chunking)")
 		energyF   = fs.Bool("energy", false, "estimate energy from the utilization trace (implies -trace)")
 		contexts  = fs.Int("contexts", 4, "hardware contexts to normalize the trace to")
 		bucketStr = fs.String("bucket", "100ms", "trace bucket width")
@@ -159,6 +170,7 @@ func parseFlags(args []string) (spec jobspec.Spec, digest, energy bool) {
 		Hybrid: *hybrid, Adaptive: *adaptive, WholeInput: spec.ChunkBytes == 0, MapCombiner: !bool(flatComb),
 		MemoBudget: parseSize(*memoBudg), EgressExtent: parseSize(*egExtent),
 	}
+	unsetChunkDefault(fs, &spec)
 	if *trace || *energyF {
 		spec.Solo.TraceContexts, spec.Solo.TraceBucket = *contexts, parseDur(*bucketStr)
 	}

@@ -216,6 +216,27 @@ func TestCLIFlagPlumbing(t *testing.T) {
 		{"pipeline/prefixsum", []string{"pipeline", "-kind", "prefixsum", "-size", "256k"}, pipe, "rounds=2"},
 		{"pipeline/sortgrep", []string{"pipeline", "-kind", "sortgrep", "-size", "256k"}, pipe, "rounds=2"},
 	}
+	// The cuts of multi-file inputs, pinned: invindex reads one file per
+	// chunk, -files four files per chunk, and -hybrid cuts at -chunk.
+	const (
+		invindexDigest = "digest=52be115a97e75f153c2e67c7723104a8eece25c26bdbaf4d36aeda2e8004bfd1"
+		filesDigest    = "digest=77bb80b378d5560491fae6cefa3221d747e8521fce0ada3fe978993472ceb735"
+	)
+	invindex := []string{"-app", "invindex", "-size", "256k"}
+	t.Run("cut/pinned", func(t *testing.T) {
+		for _, pin := range []struct {
+			args   []string
+			digest string
+		}{
+			{invindex, invindexDigest},
+			{[]string{"-files", "8", "-filesize", "64k"}, filesDigest},
+			{[]string{"-files", "8", "-filesize", "64k", "-hybrid"}, filesDigest},
+		} {
+			if got := digestTokens.FindString(supmrOut(t, append([]string{"-digest", "-bw", "0"}, pin.args...)...)); got != pin.digest {
+				t.Errorf("%v prints %s, want %s", pin.args, got, pin.digest)
+			}
+		}
+	})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []string
@@ -266,8 +287,11 @@ func TestCLIFlagPlumbing(t *testing.T) {
 				t.Fatalf("submit %v: digest %q (direct run %q) or no match for %q:\n%s", v.args, got, want, v.must, out)
 			}
 		}
-		if out := supmrOut(t, "stats", "-socket", sock); !strings.Contains(out, "4 completed, 0 failed") {
-			t.Fatalf("stats after four submissions:\n%s", out)
+		if got := digestTokens.FindString(supmrOut(t, append([]string{"submit", "-socket", sock, "-wait"}, invindex...)...)); got != invindexDigest {
+			t.Fatalf("submit %v: digest %q, want %q", invindex, got, invindexDigest)
+		}
+		if out := supmrOut(t, "stats", "-socket", sock); !strings.Contains(out, "5 completed, 0 failed") {
+			t.Fatalf("stats after five submissions:\n%s", out)
 		}
 	})
 }
@@ -340,8 +364,11 @@ func TestReportLineShapes(t *testing.T) {
 		times = `total=\S+( [a-z+]+=\S+)+`
 		wcSum = `distinct words: \d+  occurrences kept: \d+  map waves: \d+`
 	)
-	small := []string{"-size", "256k", "-chunk", "32k", "-bw", "0"}
+	// -chunk is a single file's cut: the multi-file rows leave it unset,
+	// and their header prints chunk=0.
+	small := []string{"-size", "256k", "-bw", "0"}
 	hdr := func(app string) string { return `app=` + app + ` runtime=supmr size=262144 chunk=32768 bw=0` }
+	filesHdr := func(app string) string { return `app=` + app + ` runtime=supmr size=262144 chunk=0 bw=0` }
 	cases := []struct {
 		name  string
 		args  []string
@@ -369,13 +396,31 @@ func TestReportLineShapes(t *testing.T) {
 		{"wordcount-files-per-chunk-one-file", []string{"-app", "wordcount", "-files-per-chunk", "2"},
 			[]string{`supmr: FilesPerChunk is incompatible with a single-file input: .*`}, 2},
 		{"wordcount-hybrid-one-file", []string{"-app", "wordcount", "-hybrid"},
-			[]string{`supmr: HybridChunks is incompatible with a single-file input: .*`}, 2},
+			[]string{`supmr: jobspec: hybrid is incompatible with a single-file input: .*`}, 2},
 		{"wordcount-files-memo", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-memo"},
+			[]string{`supmr: Memo is incompatible with a multi-file input: .*`}, 2},
+		{"wordcount-files-hybrid-memo", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-hybrid", "-memo"},
 			[]string{`supmr: Memo is incompatible with a multi-file input: .*`}, 2},
 		{"wordcount-files-adaptive", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-adaptive"},
 			[]string{`supmr: AdaptiveChunks is incompatible with a multi-file input: .*`}, 2},
+		{"wordcount-files-hybrid-adaptive", []string{"-app", "wordcount", "-files", "8", "-filesize", "1000", "-hybrid", "-adaptive"},
+			[]string{`supmr: AdaptiveChunks is incompatible with a multi-file input: .*`}, 2},
 		{"wordcount-files", []string{"-app", "wordcount", "-files", "4", "-filesize", "16k", "-files-per-chunk", "2", "-flatcombiner=off"},
-			[]string{hdr("wordcount"), times, `distinct words: \d+  occurrences kept: \d+  map waves: 2`}, 0},
+			[]string{filesHdr("wordcount"), times, `distinct words: \d+  occurrences kept: \d+  map waves: 2`}, 0},
+		// A multi-file input takes one cut: -chunk only as -hybrid's byte
+		// cut, and invindex one file per chunk.
+		{"wordcount-files-chunk", []string{"-files", "8", "-chunk", "64k"},
+			[]string{`supmr: jobspec: chunk is incompatible with a multi-file input: .*`}, 2},
+		{"invindex-chunk", []string{"-app", "invindex", "-chunk", "64k"},
+			[]string{`supmr: jobspec: chunk is incompatible with a multi-file input: .*`}, 2},
+		{"wordcount-files-hybrid-whole", []string{"-files", "8", "-hybrid", "-chunk", "0"},
+			[]string{`supmr: jobspec: chunk is incompatible with a multi-file input: .*`}, 2},
+		{"wordcount-files-hybrid-files-per-chunk", []string{"-files", "8", "-hybrid", "-files-per-chunk", "2"},
+			[]string{`supmr: FilesPerChunk is incompatible with ChunkBytes: .*`}, 2},
+		{"invindex-hybrid", []string{"-app", "invindex", "-hybrid"},
+			[]string{`supmr: jobspec: hybrid is incompatible with invindex: .*`}, 2},
+		{"invindex-files-per-chunk", []string{"-app", "invindex", "-files-per-chunk", "4"},
+			[]string{`supmr: jobspec: files_per_chunk is incompatible with invindex: .*`}, 2},
 		{"wordcount-faults", []string{"-app", "wordcount", "-faults", "seed=1,read-err-every=5", "-retries", "4"},
 			[]string{hdr("wordcount"), times, wcSum, `faults: injected=[1-9]\d* \(transient=\d+ permanent=0\) .*retried=\d+ recovered=[1-9]\d*`}, 0},
 		{"sort-modes", []string{"-app", "sort", "-nodes", "2", "-io-lanes", "2", "-prefetch-depth", "2", "-egress-lanes", "2", "-egress-extent", "64k"},
@@ -385,7 +430,7 @@ func TestReportLineShapes(t *testing.T) {
 				`ingest: \d+ prefetch hits, \S+ stalled, lane bytes 0:\S+ 1:\S+`,
 				`egress: \S+ in [1-9]\d* extent\(s\), \S+ stalled, lane bytes 0:\S+ 1:\S+`}, 0},
 		{"histogram", []string{"-app", "histogram"}, []string{hdr("histogram"), times, `byte values seen: \d+  map waves: \d+`}, 0},
-		{"invindex", []string{"-app", "invindex", "-files", "4", "-filesize", "16k"}, []string{hdr("invindex"), times, `indexed words: \d+  files: 4`}, 0},
+		{"invindex", []string{"-app", "invindex", "-files", "4", "-filesize", "16k"}, []string{filesHdr("invindex"), times, `indexed words: \d+  files: 4`}, 0},
 		{"grep", []string{"-app", "grep", "-pattern", "ba,zu"},
 			[]string{hdr("grep"), times, `  ba +\d+ matching lines`, `  zu +\d+ matching lines`}, 0},
 		{"linreg", []string{"-app", "linreg"}, []string{hdr("linreg"), times, `fit: y = -?\d+\.\d{4}\*x \+ -?\d+\.\d\d over 131072 points`}, 0},
@@ -398,7 +443,11 @@ func TestReportLineShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], append(slices.Clone(small), tc.args...)...)
+			args := slices.Clone(small)
+			if !slices.Contains(tc.args, "-files") && !slices.Contains(tc.args, "invindex") {
+				args = append(args, "-chunk", "32k")
+			}
+			cmd := exec.Command(os.Args[0], append(args, tc.args...)...)
 			cmd.Env = append(os.Environ(), "SUPMR_RUN_MAIN=1")
 			var stdout, stderr bytes.Buffer
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -477,8 +526,12 @@ func TestAppModeMatrix(t *testing.T) {
 		plain := ""
 		for _, c := range cells {
 			t.Run(app+"/"+c.name, func(t *testing.T) {
-				cli, _, _ := parseFlags(append([]string{"-app", app, "-size", "96k", "-chunk", "16k", "-bw", "0", "-seed", "7", "-pattern", "ba,zu"}, c.flags...))
 				built := jobspec.Spec{App: app, Size: 96 << 10, ChunkBytes: 16 << 10, Seed: 7, Pattern: "ba,zu"}
+				chunk := []string{"-chunk", "16k"}
+				if built.MultiFile() { // cut by file count: a byte cut needs -hybrid
+					built.ChunkBytes, chunk = 0, nil
+				}
+				cli, _, _ := parseFlags(append(append([]string{"-app", app, "-size", "96k", "-bw", "0", "-seed", "7", "-pattern", "ba,zu"}, chunk...), c.flags...))
 				if c.set != nil {
 					c.set(&built)
 				}
@@ -533,9 +586,13 @@ func TestNewAppsOnEverySurface(t *testing.T) {
 	go func() { srv.Serve(); close(served) }()
 	defer func() { srv.Close(); <-served }()
 	for _, app := range []string{"invindex", "linreg", "kmeans"} {
-		knobs := []string{"-app", app, "-size", "96k", "-chunk", "16k", "-seed", "7"}
+		spec := jobspec.Spec{App: app, Size: 96 << 10, ChunkBytes: 16 << 10, Seed: 7}
+		knobs := []string{"-app", app, "-size", "96k", "-seed", "7", "-chunk", "16k"}
+		if spec.MultiFile() { // invindex is cut by file count: a byte cut needs -hybrid
+			spec.ChunkBytes, knobs = 0, knobs[:6]
+		}
 		direct := digestTokens.FindString(supmrOut(t, append([]string{"-digest", "-bw", "0"}, knobs...)...))
-		res, err := jobspec.Run(context.Background(), jobspec.Spec{App: app, Size: 96 << 10, ChunkBytes: 16 << 10, Seed: 7}, nil)
+		res, err := jobspec.Run(context.Background(), spec, nil)
 		if err != nil || direct != "digest="+res.Digest {
 			t.Fatalf("%s: supmr -digest prints %q, jobspec.Run %v %v", app, direct, res, err)
 		}

@@ -77,8 +77,8 @@ func TestStreamFilesVariants(t *testing.T) {
 	if got := drainStream(t, s); len(got) != 3 {
 		t.Errorf("intra-file stream produced %d chunks, want 3", len(got))
 	}
-	// Hybrid with default size coalesces all small files into one chunk.
-	s2, err := StreamFiles(files, Config{Runtime: RuntimeSupMR, HybridChunks: true})
+	// The byte cut coalesces all small files into one chunk.
+	s2, err := StreamFiles(files, Config{Runtime: RuntimeSupMR, ChunkBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

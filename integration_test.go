@@ -141,10 +141,9 @@ func TestIntegrationHybridChunks(t *testing.T) {
 	files = append(files, big)
 
 	rep, err := RunFiles[string, int64](WordCountJob(), files, WordCountContainer(32), Config{
-		Runtime:      RuntimeSupMR,
-		HybridChunks: true,
-		ChunkBytes:   256 << 10,
-		Clock:        clock,
+		Runtime:    RuntimeSupMR,
+		ChunkBytes: 256 << 10, // the hybrid byte cut
+		Clock:      clock,
 	})
 	if err != nil {
 		t.Fatal(err)

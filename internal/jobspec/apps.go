@@ -32,7 +32,7 @@ type app struct {
 	// and a chunk's content shapes the chunk's map output.
 	keySpace func(Spec) string
 	// refuses gives the reason for each mode the app cannot run in, by
-	// its Spec knob: budget, memo or nodes.
+	// its Spec knob: budget, memo, nodes, hybrid or files_per_chunk (above 1).
 	refuses map[string]string
 	// run executes the typed job in the container §V-B prescribes for
 	// its key distribution.
@@ -138,12 +138,13 @@ var table = []app{
 	{
 		name: "invindex", docs: "doc",
 		refuses: map[string]string{
-			"budget": "[]string values have no spill codec",
-			"memo":   "[]string values have no cache codec",
-			"nodes":  "[]string values have no wire codec",
+			"budget":          "[]string values have no spill codec",
+			"memo":            "[]string values have no cache codec",
+			"nodes":           "[]string values have no wire codec",
+			"hybrid":          "it credits each word to every file of its chunk, and a byte cut puts several files in one",
+			"files_per_chunk": "it credits each word to every file of its chunk, so a chunk holds one file",
 		},
 		run: func(r *run) (*Result, *supmr.EgressOutput, error) {
-			r.cfg.FilesPerChunk = 1 // per-file attribution
 			job := supmr.InvertedIndexJob()
 			return execJob(r, job, job.NewContainer(32), func(rep *supmr.Report[string, []string]) string {
 				return fmt.Sprintf("indexed words: %d  files: %d\n", len(rep.Pairs), len(r.files))

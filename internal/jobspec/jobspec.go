@@ -33,7 +33,7 @@ type Spec struct {
 	Size int64 `json:"size,omitempty"`
 	// Seed seeds workload generation (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// ChunkBytes is the SupMR ingest chunk size (default 256 KiB).
+	// ChunkBytes is a single file's ingest chunk size, or Solo.Hybrid's byte cut (default 256 KiB).
 	ChunkBytes int64 `json:"chunk,omitempty"`
 	// Budget caps the job's intermediate-container bytes; over-budget
 	// state spills (0 = unbudgeted). On an engine, this is the request —
@@ -103,8 +103,8 @@ type Solo struct {
 	Workers int    // worker goroutines (0 = GOMAXPROCS)
 	Merge   string // merge algorithm override: "" | "pairwise" | "pway"
 	// Files, when positive, replaces the one generated file with that
-	// many files of FileSize bytes each, FilesPerChunk (0 = 4) of them to
-	// an ingest chunk (Hybrid: hybrid inter/intra-file chunking instead).
+	// many files of FileSize bytes each, cut every FilesPerChunk files (0 =
+	// 4, or 1 where the app refuses more) or under Hybrid at ChunkBytes.
 	Files, FilesPerChunk int
 	FileSize             int64
 	Hybrid               bool
@@ -189,6 +189,12 @@ func (s Spec) ValidatePiped() error {
 	return err
 }
 
+// MultiFile reports whether the spec reads many files: Solo.Files, or an app's 16 documents.
+func (s Spec) MultiFile() bool {
+	a := lookup(s.App)
+	return s.Solo.Files > 0 || a != nil && a.input == nil
+}
+
 // check is Validate for a run over a piped input (or not). It returns
 // the spec's entry in the app table and the spec's knobs as the
 // supmr.Config the run will carry. A refusal is a *supmr.ConfigError:
@@ -205,6 +211,7 @@ func (s Spec) check(piped bool, clock supmr.Clock) (a *app, cfg supmr.Config, er
 		return nil, cfg, fmt.Errorf("jobspec: unknown runtime %q", s.Runtime)
 	}
 	const below0 = "a value below 0"
+	multi := !piped && s.MultiFile()
 	for _, r := range []struct {
 		clash           bool
 		knob, with, why string
@@ -224,12 +231,16 @@ func (s Spec) check(piped bool, clock supmr.Clock) (a *app, cfg supmr.Config, er
 		{piped && !a.piped, a.name, "a piped input",
 			"it maps a generated record format and cannot consume a piped input (pipe into " + appList(func(a *app) bool { return a.piped }) + ")"},
 		{piped && s.Memo, "memo", "a piped input", "piped rounds hold no stable file identity to key the cache by"},
+		{s.Solo.Hybrid && !multi, "hybrid", "a single-file input", "it makes chunk the byte cut of a multi-file input; a single file is cut at chunk without it"},
+		{multi && (s.Solo.WholeInput || s.ChunkBytes != 0 && !s.Solo.Hybrid), "chunk", "a multi-file input", "it is cut by file count, or under hybrid at chunk bytes above 0"},
+		{s.Solo.Hybrid && a.refuses["hybrid"] != "", "hybrid", a.name, a.refuses["hybrid"]},
+		{s.Solo.FilesPerChunk > 1 && a.refuses["files_per_chunk"] != "", "files_per_chunk", a.name, a.refuses["files_per_chunk"]},
 	} {
 		if r.clash {
 			return nil, cfg, fmt.Errorf("jobspec: %w", &supmr.ConfigError{Knob: r.knob, With: r.with, Reason: r.why})
 		}
 	}
-	if cfg, err = s.config(a, clock); err == nil {
+	if cfg, err = s.config(a, multi, clock); err == nil {
 		err = cfg.Validate()
 	}
 	if err != nil {
@@ -245,7 +256,7 @@ var (
 
 // config is the spec's knobs as a supmr.Config; RunInput attaches the
 // substrate (context, devices, engine) around it.
-func (s Spec) config(a *app, clock supmr.Clock) (cfg supmr.Config, err error) {
+func (s Spec) config(a *app, multi bool, clock supmr.Clock) (cfg supmr.Config, err error) {
 	cfg = supmr.Config{
 		Runtime:           runtimes[s.Runtime],
 		Clock:             clock,
@@ -261,14 +272,15 @@ func (s Spec) config(a *app, clock supmr.Clock) (cfg supmr.Config, err error) {
 		EgressLanes:       s.EgressLanes,
 		Workers:           s.Solo.Workers,
 		FilesPerChunk:     s.Solo.FilesPerChunk,
-		HybridChunks:      s.Solo.Hybrid,
 		AdaptiveChunks:    s.Solo.Adaptive,
 		TraceContexts:     s.Solo.TraceContexts,
 		TraceBucket:       s.Solo.TraceBucket,
 		MemoBudget:        s.Solo.MemoBudget,
 		EgressExtentBytes: s.Solo.EgressExtent,
 	}
-	if cfg.ChunkBytes == 0 && !s.Solo.WholeInput {
+	if byCount := multi && !s.Solo.Hybrid; byCount && cfg.FilesPerChunk == 0 && a.refuses["files_per_chunk"] == "" {
+		cfg.FilesPerChunk = 4
+	} else if !byCount && cfg.ChunkBytes == 0 && !s.Solo.WholeInput {
 		cfg.ChunkBytes = 256 << 10
 	}
 	if s.Memo && s.MemoKey == "" {
@@ -360,17 +372,12 @@ func RunInput(ctx context.Context, spec Spec, eng *supmr.Engine, input supmr.Inp
 	if spec.Budget > 0 {
 		r.cfg.SpillDevice = r.dev
 	}
-	files, fileSize := spec.Solo.Files, spec.Solo.FileSize
-	if files <= 0 && a.input == nil {
-		files, fileSize = 16, spec.Size/16
-	}
 	switch {
 	case input != nil:
-	case files > 0:
-		if r.cfg.FilesPerChunk == 0 {
-			r.cfg.FilesPerChunk = 4
-		}
-		r.files, err = supmr.TextFiles(a.docs, files, fileSize, spec.Seed, r.dev)
+	case spec.Solo.Files > 0:
+		r.files, err = supmr.TextFiles(a.docs, spec.Solo.Files, spec.Solo.FileSize, spec.Seed, r.dev)
+	case a.input == nil: // no single-file form: Size over 16 documents
+		r.files, err = supmr.TextFiles(a.docs, 16, spec.Size/16, spec.Seed, r.dev)
 	default:
 		r.file, err = a.input(r)
 	}

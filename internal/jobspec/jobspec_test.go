@@ -128,6 +128,8 @@ func TestSpecValidate(t *testing.T) {
 		{App: "wordcount", Faults: "seed=7,read-err-every=5", Retries: "4", Tenant: "t", Weight: 3},
 		{App: "kmeans"},
 		{App: "invindex", Solo: Solo{Files: 4, FileSize: 1 << 10}},
+		{App: "invindex", Solo: Solo{Files: 4, FileSize: 1 << 10, FilesPerChunk: 1}},
+		{App: "wordcount", ChunkBytes: 4 << 10, Solo: Solo{Files: 4, FileSize: 1 << 10, Hybrid: true}},
 		{App: "linreg", Memo: true, Nodes: 2},
 	}
 	for _, s := range accept {
@@ -170,6 +172,16 @@ func TestSpecValidate(t *testing.T) {
 		{Spec{App: "sort", BW: -1}, "bw", below0},
 		{Spec{App: "psum1", Block: -1}, "block", below0},
 		{Spec{App: "psum2", Blocks: -1}, "blocks", below0},
+		// One cut per input: chunk is the byte cut of a multi-file input
+		// only under hybrid, and invindex reads one file per chunk.
+		{Spec{App: "wordcount", Solo: Solo{Hybrid: true}}, "hybrid", "a single-file input"},
+		{Spec{App: "wordcount", Solo: Solo{Files: 4, Hybrid: true, WholeInput: true}}, "chunk", "a multi-file input"},
+		{Spec{App: "invindex", Solo: Solo{Hybrid: true}}, "hybrid", "invindex"},
+		{Spec{App: "invindex", Solo: Solo{FilesPerChunk: 2}}, "files_per_chunk", "invindex"},
+		{Spec{App: "invindex", ChunkBytes: 64 << 10}, "chunk", "a multi-file input"},
+		{Spec{App: "wordcount", ChunkBytes: 64 << 10, Solo: Solo{Files: 4}}, "chunk", "a multi-file input"},
+		{Spec{App: "wordcount", Solo: Solo{Files: 4, WholeInput: true}}, "chunk", "a multi-file input"},
+		{Spec{App: "wordcount", Solo: Solo{Files: 4, FilesPerChunk: -1}}, "FilesPerChunk", below0},
 		// The mode rules, stated once in supmr.Config.Validate.
 		{Spec{App: "sort", ChunkBytes: -1}, "ChunkBytes", below0},
 		{Spec{App: "sort", Budget: -1}, "MemoryBudget", below0},
@@ -257,6 +269,9 @@ func TestEveryAppRunsSoloAndOnAnEngine(t *testing.T) {
 	defer eng.Close()
 	for _, a := range table {
 		spec := Spec{App: a.name, Size: 96 << 10, ChunkBytes: 16 << 10, Seed: 7}
+		if spec.MultiFile() {
+			spec.ChunkBytes = 0 // cut by file count: a byte cut needs Solo.Hybrid
+		}
 		solo, err := Run(context.Background(), spec, nil)
 		if err != nil {
 			t.Fatalf("%s solo: %v", a.name, err)

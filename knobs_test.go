@@ -154,13 +154,19 @@ func TestConfigKnobTable(t *testing.T) {
 			counter: "IntermediateN", moved: func(p, g *Stats) bool { return g.IntermediateN < p.IntermediateN },
 			changesOutput: true, traditional: refused, tradRefusal: [2]string{"ResetEachRound", rt}},
 		{name: "FilesPerChunk", files: true, set: func(c *Config) { c.FilesPerChunk = 3 }, counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
-		{name: "HybridChunks", files: true, set: func(c *Config) { c.HybridChunks = true }, counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
+		// ChunkBytes is the hybrid byte cut of a multi-file input: the 16 KiB
+		// files coalesce two to a chunk.
+		{name: "ChunkBytes-RunFiles", files: true, set: chunked(32 << 10), counter: "MapWaves", moved: mapWavesDown, traditional: setAside},
+		{name: "FilesPerChunk+ChunkBytes", files: true, set: func(c *Config) { c.FilesPerChunk, c.ChunkBytes = 3, 32<<10 }, pipeline: refused, traditional: setAside,
+			refusal: [2]string{"FilesPerChunk", "ChunkBytes"}},
+		// Files lie end to end, so a resized byte cut could fuse a record
+		// across a file boundary by timing: refused with a cut or without.
+		{name: "AdaptiveChunks+ChunkBytes-RunFiles", files: true, base: chunked(8 << 10), set: func(c *Config) { c.AdaptiveChunks = true }, pipeline: refused, traditional: setAside,
+			refusal: [2]string{"AdaptiveChunks", "a multi-file input"}},
 		{name: "AdaptiveChunks-RunFiles", files: true, set: func(c *Config) { c.AdaptiveChunks = true }, pipeline: refused, traditional: setAside,
 			refusal: [2]string{"AdaptiveChunks", "a multi-file input"}},
 		{name: "FilesPerChunk-RunFile", set: func(c *Config) { c.FilesPerChunk = 3 }, pipeline: refused, traditional: setAside,
 			refusal: [2]string{"FilesPerChunk", "a single-file input"}},
-		{name: "HybridChunks-RunFile", set: func(c *Config) { c.HybridChunks = true }, pipeline: refused, traditional: setAside,
-			refusal: [2]string{"HybridChunks", "a single-file input"}},
 		// Merge is honoured by the preset too: each column overrides its
 		// own default.
 		{name: "Merge", set: func(c *Config) {
@@ -220,7 +226,8 @@ func TestConfigKnobTable(t *testing.T) {
 		set  func(*Config)
 	}{
 		{"Workers", func(c *Config) { c.Workers = -1 }}, {"Splits", func(c *Config) { c.Splits = -1 }},
-		{"ChunkBytes", func(c *Config) { c.ChunkBytes = -1 }}, {"MemoryBudget", func(c *Config) { c.MemoryBudget = -1 }},
+		{"ChunkBytes", func(c *Config) { c.ChunkBytes = -1 }}, {"FilesPerChunk", func(c *Config) { c.FilesPerChunk = -1 }},
+		{"MemoryBudget", func(c *Config) { c.MemoryBudget = -1 }},
 		{"IOLanes", func(c *Config) { c.IOLanes = -1 }}, {"PrefetchDepth", func(c *Config) { c.PrefetchDepth = -1 }},
 		{"Weight", func(c *Config) { c.Weight = -1 }}, {"Nodes", func(c *Config) { c.Nodes = -1 }},
 		{"EgressLanes", func(c *Config) { c.EgressLanes = -1 }}, {"EgressExtentBytes", func(c *Config) { c.EgressLanes, c.EgressExtentBytes = 1, -1 }},

@@ -48,6 +48,7 @@ var modeRules = []modeRule{
 	{"Workers", below0, byDef, func(s *settings) bool { return s.Workers < 0 }},
 	{"Splits", below0, byDef, func(s *settings) bool { return s.Splits < 0 }},
 	{"ChunkBytes", below0, "0 reads the input as one chunk", func(s *settings) bool { return s.ChunkBytes < 0 }},
+	{"FilesPerChunk", below0, "0 reads one file per chunk", func(s *settings) bool { return s.FilesPerChunk < 0 }},
 	{"MemoryBudget", below0, "0 is unbudgeted", func(s *settings) bool { return s.MemoryBudget < 0 }},
 	{"IOLanes", below0, byDef, func(s *settings) bool { return s.IOLanes < 0 }},
 	{"PrefetchDepth", below0, byDef, func(s *settings) bool { return s.PrefetchDepth < 0 }},
@@ -75,7 +76,6 @@ var modeRules = []modeRule{
 	{"MemoBudget", "a supplied MemoStore", "the store's own budget governs (MemoStore or the engine's shared store)", func(s *settings) bool {
 		return s.MemoBudget != 0 && (s.MemoStore != nil || s.Engine != nil && s.Engine.memo != nil)
 	}},
-	{"Memo", "ChunkBytes 0", "content-defined chunk sizes derive from ChunkBytes", func(s *settings) bool { return s.Memo && s.ChunkBytes == 0 }},
 	{"MemoryBudget", "Memo", "a memoized run parks every chunk's output in memory and finishes resident, with no spill path for a budget to bound", func(s *settings) bool { return s.Memo && s.MemoryBudget > 0 }},
 	{"Memo", "AdaptiveChunks", "retuned chunk sizes would make chunk boundaries, and with them cache keys, depend on timing", func(s *settings) bool { return s.Memo && s.AdaptiveChunks }},
 	{"Memo", "ResetEachRound", "the container is already drained after every chunk", func(s *settings) bool { return s.Memo && s.ResetEachRound }},
@@ -85,9 +85,12 @@ var modeRules = []modeRule{
 	// The input's shape, known to the stream builders. The preset sets the
 	// chunk-shape knobs aside instead.
 	{"Memo", "a multi-file input", "multi-file chunk composition is not content-stable across file-set changes", func(s *settings) bool { return s.Memo && s.shape == manyFiles }},
-	{"AdaptiveChunks", "a multi-file input", "no multi-file stream can be resized between rounds", func(s *settings) bool { return !s.whole && s.AdaptiveChunks && s.shape == manyFiles }},
-	{"FilesPerChunk", "a single-file input", "it groups the files of a multi-file input", func(s *settings) bool { return !s.whole && s.FilesPerChunk != 0 && s.shape == oneFile }},
-	{"HybridChunks", "a single-file input", "it cuts the files of a multi-file input", func(s *settings) bool { return !s.whole && s.HybridChunks && s.shape == oneFile }},
+	{"Memo", "ChunkBytes 0", "a single file's content-defined chunk sizes derive from ChunkBytes", func(s *settings) bool { return s.Memo && s.ChunkBytes == 0 && s.shape == oneFile }},
+	{"FilesPerChunk", "ChunkBytes", "a multi-file input is cut by file count or by bytes, not both", func(s *settings) bool {
+		return !s.whole && s.shape == manyFiles && s.FilesPerChunk != 0 && s.ChunkBytes != 0
+	}},
+	{"AdaptiveChunks", "a multi-file input", "files lie end to end, so a file whose last record lacks a newline fuses with the next file's first when both share a chunk, and a cut resized by timing would let that change the output", func(s *settings) bool { return !s.whole && s.shape == manyFiles && s.AdaptiveChunks }},
+	{"FilesPerChunk", "a single-file input", "it groups the files of a multi-file input", func(s *settings) bool { return !s.whole && s.shape == oneFile && s.FilesPerChunk != 0 }},
 }
 
 // Validate reports the first mode rule the configuration breaks. The
@@ -110,7 +113,7 @@ func (c Config) resolve(shape inputShape) (Config, bool, error) {
 	}
 	merge := MergePWay
 	if s.whole {
-		c.ChunkBytes, c.FilesPerChunk, c.HybridChunks, c.AdaptiveChunks, c.IOLanes, c.PrefetchDepth = 0, 0, false, false, 0, 0
+		c.ChunkBytes, c.FilesPerChunk, c.AdaptiveChunks, c.IOLanes, c.PrefetchDepth = 0, 0, false, 0, 0
 		merge = MergePairwise
 	}
 	if c.Merge == nil {

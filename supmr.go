@@ -105,7 +105,7 @@ const (
 	// over the same pipeline, the n = 1 case of §III-B's n+1 rounds: the
 	// input read whole, file by file, as one chunk (read and map reported
 	// as separate phases), merged pairwise unless Merge says otherwise. It
-	// sets aside ChunkBytes, FilesPerChunk, HybridChunks, AdaptiveChunks,
+	// sets aside the cut (ChunkBytes, FilesPerChunk, AdaptiveChunks),
 	// IOLanes and PrefetchDepth, and the mode rules refuse it with Memo, Nodes,
 	// MemoryBudget or ResetEachRound, which each need more than one round.
 	RuntimeTraditional
@@ -137,11 +137,12 @@ type Config struct {
 	// Splits is the number of input splits per map wave
 	// (default: 4*Workers).
 	Splits int
-	// ChunkBytes is the inter-file ingest chunk size of a single-file
-	// input. Zero means the whole input arrives as a single chunk.
+	// ChunkBytes is the byte cut: a single file's ingest chunk size (zero
+	// reads it as one chunk), or a multi-file input's hybrid cut, which
+	// coalesces small files up to it and splits larger ones at it.
 	ChunkBytes int64
-	// FilesPerChunk enables intra-file chunking over multi-file inputs:
-	// that many files coalesce into each ingest chunk.
+	// FilesPerChunk is the other cut of a multi-file input, by file count
+	// (intra-file chunking); with neither set, each file is a chunk.
 	FilesPerChunk int
 	// Merge overrides the merge algorithm. By default SupMR uses the
 	// p-way merge and the RuntimeTraditional preset merges pairwise.
@@ -173,14 +174,10 @@ type Config struct {
 	ResetEachRound bool
 	// AdaptiveChunks enables the chunk-size feedback loop (the paper's
 	// §VIII future work): the pipeline observes each round's ingest and
-	// map durations and retunes the ingest chunk size. ChunkBytes is
-	// the starting size; without it the static advisor picks one. It
-	// needs a resizable stream, which RunFile and StreamFile build.
+	// map durations and retunes the byte cut. ChunkBytes is the starting
+	// size; without it the static advisor picks one. It needs a single-file
+	// input: on a multi-file input the mode rules refuse it.
 	AdaptiveChunks bool
-	// HybridChunks selects hybrid inter/intra-file chunking for
-	// multi-file inputs (RunFiles): small files coalesce up to
-	// ChunkBytes while oversized files are split at ChunkBytes.
-	HybridChunks bool
 	// MemoryBudget caps the intermediate container's resident bytes. When
 	// positive, the pipeline drains an over-budget container to key-sorted
 	// runs on SpillDevice between ingest rounds, and the merge streams them
@@ -555,8 +552,7 @@ func RunFile[K comparable, V any](job Job[K, V], file Input, cont Container[K, V
 	return Run(job, stream, cont, cfg)
 }
 
-// RunFiles executes the job over a set of files using intra-file
-// chunking (FilesPerChunk files per ingest chunk; default 1).
+// RunFiles executes the job over a set of files, cut as StreamFiles says.
 func RunFiles[K comparable, V any](job Job[K, V], files []Input, cont Container[K, V], cfg Config) (*Report[K, V], error) {
 	stream, err := StreamFiles(files, cfg)
 	if err != nil {
@@ -618,25 +614,20 @@ func StreamFile(file Input, cfg Config) (Stream, error) {
 }
 
 // StreamFiles builds the multi-file chunk stream RunFiles would use: a
-// chunk.NewFiles stream closing each chunk at FilesPerChunk files
-// (intra-file chunking), or at ChunkBytes under HybridChunks (hybrid
-// inter/intra-file chunking); one whole-input chunk under the
-// RuntimeTraditional preset. Its reads run PrefetchDepth ahead, as
-// StreamFile's do.
+// chunk.NewFiles stream cut at ChunkBytes (hybrid inter/intra-file
+// chunking) or every FilesPerChunk files (intra-file chunking; one with
+// neither set), or one whole-input chunk under the RuntimeTraditional
+// preset. Its reads run PrefetchDepth ahead, as StreamFile's do.
 func StreamFiles(files []Input, cfg Config) (Stream, error) {
 	cfg, whole, err := cfg.resolve(manyFiles)
 	if err != nil {
 		return nil, err
 	}
 	files = cfg.wrapInputs(files)
-	per, size := max(cfg.FilesPerChunk, 1), int64(0)
-	if cfg.HybridChunks {
-		per, size = 0, cfg.ChunkBytes
-		if size <= 0 {
-			size = 4 << 20
-		}
+	if cfg.ChunkBytes == 0 { // the mode rules refuse both cuts at once
+		cfg.FilesPerChunk = max(cfg.FilesPerChunk, 1)
 	}
-	s, err := chunk.NewFiles(files, per, size, cfg.boundary())
+	s, err := chunk.NewFiles(files, cfg.FilesPerChunk, cfg.ChunkBytes, cfg.boundary())
 	if err != nil {
 		return nil, fmt.Errorf("supmr: %w", err)
 	}

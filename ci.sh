@@ -90,8 +90,9 @@ echo "== race: scatter finish repeats =="
 # arenas from parallel tasks at disjoint offsets: the encode fills the
 # first arena, the scatter the output and the second, and the bucket
 # sorts reorder disjoint ranges of both. The scatter's tests and fuzz
-# seeds and the radix ablations repeat under the detector.
-go test -race -count=3 -run 'TestScatterSort|FuzzScatterSort|TestRadixAblation' ./internal/sortalgo/ .
+# seeds, the prefix codec's tie guard and the radix ablations repeat
+# under the detector.
+go test -race -count=3 -run 'TestScatterSort|FuzzScatterSort|TestPrefixTieGuard|TestRadixAblation' ./internal/sortalgo/ .
 
 echo "== race: memo store repeats =="
 # A memo store is an index over a spill run store and shares its lock:

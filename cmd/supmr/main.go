@@ -109,7 +109,7 @@ func specFlags(fs *flag.FlagSet, size, chunk, bw string) func() jobspec.Spec {
 	memo := cliutil.OnOff(false)
 	fs.Var(&memo, "memo", "content-addressed incremental recompute: content-defined chunking plus a per-chunk map/combine memo cache — on supmrd the server's shared store, so a re-submission over mostly unchanged content replays cached map output; off is the ablation spelling")
 	radix := cliutil.OnOff(true)
-	fs.Var(&radix, "radixsort", "fixed-width-key sort fast path (scatter finish, radix run sort, prefix-head merge); off falls back to comparison sort everywhere (ablation, byte-identical output)")
+	fs.Var(&radix, "radixsort", "fixed-key sort fast path for apps with a fixed-width key codec or, like wordcount, an 8-byte string order prefix whose ties fall to comparison (scatter finish, radix run sort, prefix-head merge); off falls back to comparison sort everywhere (ablation, byte-identical output)")
 	return func() jobspec.Spec {
 		return jobspec.Spec{
 			App: *app, Runtime: *rt, Size: parseSize(*sizeStr), Seed: *seed,

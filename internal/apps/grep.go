@@ -83,6 +83,11 @@ func (Grep) Combine(a, b int64) int64 { return a + b }
 // Less orders patterns lexicographically.
 func (Grep) Less(a, b string) bool { return a < b }
 
+// FixedKey opts into the fixed-key sort fast path (scatter finish,
+// radix run sort, prefix-head merge) through the strings' 8-byte order
+// prefix; Less orders the keys that share one.
+func (Grep) FixedKey() kv.FixedKeyCodec[string] { return kv.StringPrefixKey() }
+
 // Boundary returns the newline record boundary.
 func (Grep) Boundary() chunk.Boundary { return chunk.NewlineBoundary{} }
 

@@ -66,6 +66,11 @@ func (ix *InvertedIndex) Reduce(_ string, vs [][]string) []string {
 // Less orders words lexicographically.
 func (ix *InvertedIndex) Less(a, b string) bool { return a < b }
 
+// FixedKey opts into the fixed-key sort fast path (scatter finish,
+// radix run sort, prefix-head merge) through the strings' 8-byte order
+// prefix; Less orders the keys that share one.
+func (ix *InvertedIndex) FixedKey() kv.FixedKeyCodec[string] { return kv.StringPrefixKey() }
+
 // Boundary returns newline for text input.
 func (ix *InvertedIndex) Boundary() chunk.Boundary { return chunk.NewlineBoundary{} }
 

@@ -61,6 +61,11 @@ func (WordCount) Combine(a, b int64) int64 { return a + b }
 // Less orders words lexicographically.
 func (WordCount) Less(a, b string) bool { return a < b }
 
+// FixedKey opts into the fixed-key sort fast path (scatter finish,
+// radix run sort, prefix-head merge) through the strings' 8-byte order
+// prefix; Less orders the keys that share one.
+func (WordCount) FixedKey() kv.FixedKeyCodec[string] { return kv.StringPrefixKey() }
+
 // Boundary returns the record boundary for text input: newline.
 func (WordCount) Boundary() chunk.Boundary { return chunk.NewlineBoundary{} }
 

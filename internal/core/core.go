@@ -116,9 +116,9 @@ type Options struct {
 	// its Result's times and task stats from the entries it logged
 	// there, so runs sharing a pool each report only their own work.
 	Pool exec.Executor
-	// RadixDisabled turns off the fixed-width-key sort fast path (the
-	// scatter finish, the radix run sort and the merge tree's prefix
-	// heads) — the -radixsort=off ablation. The zero value keeps the
+	// RadixDisabled turns off the fixed-key sort fast path (the scatter
+	// finish, the radix run sort and the merge tree's prefix heads) — the
+	// -radixsort=off ablation. The zero value keeps the
 	// fast path enabled for apps that opt in via kv.FixedKeyApp. Run
 	// resolves from it the one codec every phase uses.
 	RadixDisabled bool

@@ -37,7 +37,7 @@ type Stats struct {
 	IntermediateN int // container entries after map
 	Runs          int // sorted runs entering merge
 	MergeRounds   int // pairwise rounds the merge algorithm performed
-	RadixRuns     int // runs finished by the radix fast path (0 = all comparison): reduce runs fed to the scatter finish or radix-sorted before a pairwise merge; a drain counts its worker-sized groups, not its partitions
+	RadixRuns     int // runs finished by the radix fast path, on an exact fixed-width key or a string order prefix with comparison tie-breaks (0 = all comparison): reduce runs fed to the scatter finish or radix-sorted before a pairwise merge; a drain counts its worker-sized groups, not its partitions
 	OutputPairs   int
 	SpilledRuns   int           // key-sorted runs the spill layer wrote to storage
 	SpilledBytes  int64         // payload bytes the spill layer wrote to storage
@@ -187,7 +187,7 @@ func mergePhase[K comparable, V any](app kv.App[K, V], runs [][]kv.Pair[K, V], c
 	}
 	stats.MergeRounds = max(stats.MergeRounds, rounds)
 	if opts.Merge == sortalgo.MergePWay && codec != nil {
-		merged, ok, err := sortalgo.ScatterSort(runs, *codec, pool)
+		merged, ok, err := sortalgo.ScatterSort(runs, app.Less, *codec, pool)
 		if err != nil {
 			return nil, err
 		}

@@ -63,8 +63,10 @@ type Spec struct {
 	// applications sharing the engine store never replay each other's
 	// output.
 	MemoKey string `json:"memo_key,omitempty"`
-	// RadixOff disables the fixed-width-key sort fast path (the scatter
-	// finish, the radix run sort and the merge tree's prefix heads) — the
+	// RadixOff disables the fixed-key sort fast path (the scatter
+	// finish, the radix run sort and the merge tree's prefix heads), taken
+	// by apps with a fixed-width key codec and by the string apps through
+	// their keys' 8-byte order prefix, whose ties less breaks — the
 	// -radixsort=off ablation. Output is byte-identical either way.
 	RadixOff bool `json:"radix_off,omitempty"`
 	// Nodes, when >= 1, runs the job on a simulated cluster of that
@@ -134,7 +136,8 @@ type Result struct {
 	Times    string `json:"times"`
 	MapWaves int    `json:"map_waves"`
 	// RadixRuns counts the runs sorted by the radix fast path (0 when
-	// the app has no fixed-width key codec or the ablation disabled it).
+	// the app has no fixed-key codec, exact or a string prefix, or the
+	// ablation disabled it).
 	RadixRuns    int    `json:"radix_runs,omitempty"`
 	SpilledRuns  int    `json:"spilled_runs,omitempty"`
 	SpilledBytes int64  `json:"spilled_bytes,omitempty"`

@@ -85,34 +85,44 @@ type Combiner[V any] interface {
 
 // FixedKeyCodec describes a fixed-width, order-preserving byte encoding
 // for an app's keys: Put writes exactly Width bytes into dst such that
-// lexicographic (big-endian, unsigned) byte order equals the app's Less
-// order. Apps with such keys — 10-byte terasort records, integer bucket
-// ids — opt into the radix fast path: the single-round scatter finish
-// (sortalgo.ScatterSort) for their reduce runs, and the radix run sort
-// plus the merge tree's prefix heads wherever runs are still merged
-// (drains, the external merge, the pairwise baseline's run sort);
-// everything else stays on the comparison path.
+// lexicographic (big-endian, unsigned) byte order agrees with the app's
+// Less order. Apps with such keys — 10-byte terasort records, integer
+// bucket ids, and through an 8-byte order prefix the string keys of
+// word count, the inverted index and grep — opt into the radix fast
+// path: the single-round scatter finish (sortalgo.ScatterSort) for
+// their reduce runs, and the radix run sort plus the merge tree's
+// prefix heads wherever runs are still merged (drains, the external
+// merge, the pairwise baseline's run sort); everything else stays on
+// the comparison path.
+//
+// An exact codec (Prefix false) is injective for keys that compare
+// unequal and gives equal bytes for keys that compare equal, so the
+// radix path orders keys by their bytes alone. A prefix codec (Prefix
+// true) only promises order: a < b under Less implies bytes(a) <=
+// bytes(b), so two unequal keys may share their bytes, and every
+// consumer orders such a tie by Less.
 //
 // Put returns false when the key cannot be encoded in Width bytes (for
 // example a string of unexpected length); the caller then falls back to
 // the comparison sort for that run (for the whole finish, when the
-// scatter meets it). The encoding must be injective for keys that
-// compare unequal, and equal bytes for keys that compare equal, so the
-// radix path orders keys exactly like Less. Byte-identical output
-// between the two paths additionally requires keys to be unique within
-// each run (true for post-reduce runs: containers emit one pair
-// per key per partition), because the radix sort is stable while
+// scatter meets it). Byte-identical output between the two paths
+// additionally requires keys to be unique within each run (true for
+// post-reduce runs: containers emit one pair per key per partition),
+// because the radix sort, its tie sorts included, is stable while
 // SortPairs is not.
 type FixedKeyCodec[K any] struct {
 	// Width is the encoded key size in bytes; must be > 0.
 	Width int
+	// Prefix marks an order prefix rather than an exact encoding:
+	// unequal keys may encode alike, and Less breaks their tie.
+	Prefix bool
 	// Put encodes k into dst[:Width]. len(dst) >= Width is the
 	// caller's responsibility.
 	Put func(dst []byte, k K) bool
 }
 
 // FixedKeyApp is the opt-in trait: apps whose keys have a fixed-width
-// order-preserving encoding return the codec here.
+// order-preserving encoding, exact or a prefix, return the codec here.
 type FixedKeyApp[K any] interface {
 	FixedKey() FixedKeyCodec[K]
 }
@@ -147,6 +157,23 @@ func StringFixedKey(width int) FixedKeyCodec[string] {
 	}
 }
 
+// StringPrefixKey is the order prefix of strings in byte order: up to
+// their first 8 bytes, zero-padded on the right. It never declines;
+// keys that agree on those bytes (or differ only by trailing NULs past
+// a shorter key's end) are left to Less. 8 is the width of the merge
+// tree's integer heads, so a prefix head is one compare.
+func StringPrefixKey() FixedKeyCodec[string] {
+	return FixedKeyCodec[string]{
+		Width:  8,
+		Prefix: true,
+		Put: func(dst []byte, k string) bool {
+			n := copy(dst[:8], k)
+			clear(dst[n:8])
+			return true
+		},
+	}
+}
+
 // IntFixedKey encodes ints as 8 big-endian bytes with the sign bit
 // flipped, so unsigned byte order equals signed integer order.
 func IntFixedKey() FixedKeyCodec[int] {
@@ -162,24 +189,6 @@ func IntFixedKey() FixedKeyCodec[int] {
 			dst[5] = byte(u >> 16)
 			dst[6] = byte(u >> 8)
 			dst[7] = byte(u)
-			return true
-		},
-	}
-}
-
-// Uint64FixedKey encodes uint64 keys as 8 big-endian bytes.
-func Uint64FixedKey() FixedKeyCodec[uint64] {
-	return FixedKeyCodec[uint64]{
-		Width: 8,
-		Put: func(dst []byte, k uint64) bool {
-			dst[0] = byte(k >> 56)
-			dst[1] = byte(k >> 48)
-			dst[2] = byte(k >> 40)
-			dst[3] = byte(k >> 32)
-			dst[4] = byte(k >> 24)
-			dst[5] = byte(k >> 16)
-			dst[6] = byte(k >> 8)
-			dst[7] = byte(k)
 			return true
 		},
 	}

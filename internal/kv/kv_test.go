@@ -130,3 +130,35 @@ func TestEmitFunc(t *testing.T) {
 		t.Errorf("EmitFunc passed (%q, %d), want (x, 7)", gotK, gotV)
 	}
 }
+
+// TestStringPrefixKeyOrders: the prefix codec never declines, overwrites
+// every byte a longer key left in dst, and orders keys consistently with
+// byte order — a < b implies bytes(a) <= bytes(b) — while keys that share
+// their first 8 bytes, or differ only by trailing NULs, encode alike.
+func TestStringPrefixKeyOrders(t *testing.T) {
+	codec := StringPrefixKey()
+	if codec.Width != 8 || !codec.Prefix {
+		t.Fatalf("codec is {Width: %d, Prefix: %v}, want {8, true}", codec.Width, codec.Prefix)
+	}
+	keys := []string{"", "\x00", "a", "a\x00", "ab", "abcdefgh", "abcdefgh\x00", "abcdefghi",
+		"abcdefghz", "abcdefgi", "b", "\xff\xff\xff\xff\xff\xff\xff\xff\xff", "zz"}
+	enc := func(k string) string {
+		dst := []byte("\xff\xff\xff\xff\xff\xff\xff\xff") // stale bytes from a longer key
+		if !codec.Put(dst, k) {
+			t.Fatalf("Put(%q) declined", k)
+		}
+		return string(dst)
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			if a < b && enc(a) > enc(b) {
+				t.Errorf("%q < %q but encodes %x > %x", a, b, enc(a), enc(b))
+			}
+		}
+	}
+	for _, tie := range [][2]string{{"", "\x00"}, {"a", "a\x00"}, {"abcdefgh", "abcdefghi"}, {"abcdefghi", "abcdefghz"}} {
+		if enc(tie[0]) != enc(tie[1]) {
+			t.Errorf("%q and %q encode %x and %x, want one prefix", tie[0], tie[1], enc(tie[0]), enc(tie[1]))
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"supmr/internal/exec"
 	"supmr/internal/kv"
+	"supmr/internal/workload"
 )
 
 // Micro-benchmarks of the two merge algorithms across run counts — the
@@ -92,7 +93,7 @@ func BenchmarkLoserTreeWidth(b *testing.B) {
 	// with comparison heads and with the uint64 codec's prefix heads.
 	const total = 1 << 17
 	less := kv.Less[uint64](func(a, c uint64) bool { return a < c })
-	prefix := kv.Uint64FixedKey()
+	prefix := uint64FixedKey()
 	for _, heads := range []string{"compare", "prefix"} {
 		codec := &prefix
 		if heads == "compare" {
@@ -121,42 +122,86 @@ func BenchmarkLoserTreeWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkFixedKeyFinish compares the two ways a job finishes 64
-// unsorted terasort-shaped runs (10-byte keys) into one sorted array:
-// the single-round scatter, and the radix run sort plus the p-way merge
-// on prefix heads it replaces.
+// BenchmarkFixedKeyFinish compares the two ways a job finishes unsorted
+// runs into one sorted array: the single-round scatter, and the path it
+// replaces. Three key shapes, each in 64 runs on two workers:
+//
+//   - tera: 2¹⁸ terasort-shaped 10-byte keys; the scatter against the
+//     radix run sort plus the p-way merge on prefix heads;
+//   - words: 50 000 distinct word-count keys of 4–6 bytes
+//     (workload.Word), and
+//   - stems: 50 000 distinct 12–20-byte keys, each one of 64 8-byte
+//     stems plus a tail, so most keys tie on their prefix;
+//
+// the two string shapes under the string prefix codec, against the
+// comparison path (SortRunsWith and PWayMergeWith with no codec).
 func BenchmarkFixedKeyFinish(b *testing.B) {
-	const total, width = 1 << 18, 10
+	const runs = 64
 	rng := rand.New(rand.NewSource(1))
-	base := make([][]kv.Pair[string, uint64], 64)
-	key := make([]byte, width)
-	for r := range base {
-		for i := 0; i < total/len(base); i++ {
-			rng.Read(key)
-			base[r] = append(base[r], kv.Pair[string, uint64]{Key: string(key), Val: uint64(i)})
+	// spread deals keys to the runs at random, as hash partitions do.
+	spread := func(keys []string) [][]kv.Pair[string, uint64] {
+		base := make([][]kv.Pair[string, uint64], runs)
+		for i, k := range keys {
+			r := rng.Intn(runs)
+			base[r] = append(base[r], kv.Pair[string, uint64]{Key: k, Val: uint64(i)})
+		}
+		return base
+	}
+	tera := make([]string, 1<<18)
+	key := make([]byte, 10)
+	for i := range tera {
+		rng.Read(key)
+		tera[i] = string(key)
+	}
+	words := make([]string, 50000)
+	for i := range words {
+		words[i] = workload.Word(i)
+	}
+	stems := make([]string, 0, 50000)
+	for seen := map[string]bool{}; len(stems) < cap(stems); {
+		k := []byte(fmt.Sprintf("stem%04d", rng.Intn(64)))
+		for n := 4 + rng.Intn(9); n > 0; n-- {
+			k = append(k, 'a'+byte(rng.Intn(26)))
+		}
+		if !seen[string(k)] {
+			seen[string(k)] = true
+			stems = append(stems, string(k))
 		}
 	}
-	codec := kv.StringFixedKey(width)
-	for _, path := range []string{"scatter", "sort+pway"} {
-		b.Run(path, func(b *testing.B) {
-			ex := exec.NewLocal(2)
-			defer ex.Close()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				rs := copyRuns(base)
-				b.StartTimer()
-				var out []kv.Pair[string, uint64]
-				var err error
-				if path == "scatter" {
-					out, _, err = ScatterSort(rs, codec, ex)
-				} else if _, err = SortRunsWith(rs, strLess, &codec, ex); err == nil {
-					out, err = PWayMergeWith(rs, strLess, &codec, ex)
+	teraCodec, prefix := kv.StringFixedKey(10), kv.StringPrefixKey()
+	for _, c := range []struct {
+		name  string
+		n     int
+		base  [][]kv.Pair[string, uint64]
+		codec kv.FixedKeyCodec[string]
+		other string                    // the path the scatter replaces
+		merge *kv.FixedKeyCodec[string] // its codec
+	}{
+		{"tera", len(tera), spread(tera), teraCodec, "sort+pway", &teraCodec},
+		{"words", len(words), spread(words), prefix, "compare", nil},
+		{"stems", len(stems), spread(stems), prefix, "compare", nil},
+	} {
+		for _, path := range []string{"scatter", c.other} {
+			b.Run(c.name+"/"+path, func(b *testing.B) {
+				ex := exec.NewLocal(2)
+				defer ex.Close()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					rs := copyRuns(c.base)
+					b.StartTimer()
+					var out []kv.Pair[string, uint64]
+					var err error
+					if path == "scatter" {
+						out, _, err = ScatterSort(rs, strLess, c.codec, ex)
+					} else if _, err = SortRunsWith(rs, strLess, c.merge, ex); err == nil {
+						out, err = PWayMergeWith(rs, strLess, c.merge, ex)
+					}
+					if err != nil || len(out) != c.n {
+						b.Fatal("bad finish", err)
+					}
 				}
-				if err != nil || len(out) != total {
-					b.Fatal("bad finish", err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

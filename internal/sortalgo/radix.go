@@ -2,8 +2,9 @@ package sortalgo
 
 // LSD radix partitioning for fixed-width keys: the vectorized run-sort
 // fast path. Apps with a kv.FixedKeyCodec (terasort's 10-byte records,
-// integer bucket ids) have their runs sorted by counting passes over
-// digit bytes instead of comparison sorting — O(w·n) sequential array
+// integer bucket ids, the 8-byte order prefix of string keys) have
+// their runs sorted by counting passes over digit bytes instead of
+// comparison sorting — O(w·n) sequential array
 // traffic with no branches on key values, versus O(n log n) unpredictable
 // comparisons. Two details matter for the hot path:
 //
@@ -20,11 +21,17 @@ package sortalgo
 //     one — is constant by construction, so those passes vanish.
 //
 // The sort is stable (counting passes preserve ties in input order).
-// kv.SortPairs is not, so byte-identical -radixsort=off ablation output
-// relies on keys being unique within each run — true for post-reduce
-// runs, where containers emit one pair per key per partition.
+// Under a prefix codec each maximal stretch of equal rows is then
+// sorted by less, stably, so unequal keys that share a prefix come out
+// in key order and equal keys in input order. kv.SortPairs is not
+// stable, so byte-identical -radixsort=off ablation output relies on
+// keys being unique within each run — true for post-reduce runs, where
+// containers emit one pair per key per partition.
 
 import (
+	"cmp"
+	"encoding/binary"
+	"slices"
 	"sync"
 
 	"supmr/internal/kv"
@@ -74,10 +81,11 @@ func putScratchIdx(b []uint32) {
 }
 
 // RadixSortPairs sorts ps in place by the codec's fixed-width key
-// encoding, least-significant digit first. It returns false — leaving ps
+// encoding, least-significant digit first; under a prefix codec, less
+// orders the keys whose encodings tie. It returns false — leaving ps
 // untouched — when the run is too small to benefit or any key fails to
 // encode; the caller falls back to kv.SortPairs.
-func RadixSortPairs[K any, V any](ps []kv.Pair[K, V], codec kv.FixedKeyCodec[K]) bool {
+func RadixSortPairs[K any, V any](ps []kv.Pair[K, V], less kv.Less[K], codec kv.FixedKeyCodec[K]) bool {
 	n := len(ps)
 	w := codec.Width
 	if n < radixMinLen || w <= 0 || n >= 1<<31 {
@@ -91,16 +99,26 @@ func RadixSortPairs[K any, V any](ps []kv.Pair[K, V], codec kv.FixedKeyCodec[K])
 			return false
 		}
 	}
-	lsdSort(ps, keys, w)
+	lsdSort(ps, keys, w, tieLess(codec, less))
 	return true
+}
+
+// tieLess is the order lsdSort gives rows that tie: less under a prefix
+// codec, none (nil) under an exact one, whose equal rows are equal keys.
+func tieLess[K any](codec kv.FixedKeyCodec[K], less kv.Less[K]) kv.Less[K] {
+	if codec.Prefix {
+		return less
+	}
+	return nil
 }
 
 // lsdSort stably sorts ps by their encoded keys — rows[i*w:(i+1)*w] is
 // ps[i]'s — least-significant digit first. Every digit is counted up
 // front, so each distribution pass skips its own counting loop, and a
 // digit whose count shows it constant across ps costs no pass at all.
-// rows is read, never reordered.
-func lsdSort[K any, V any](ps []kv.Pair[K, V], rows []byte, w int) {
+// With ties non-nil, each maximal stretch of equal rows is then sorted
+// stably by ties. rows is read, never reordered.
+func lsdSort[K any, V any](ps []kv.Pair[K, V], rows []byte, w int, ties kv.Less[K]) {
 	n := len(ps)
 	scratch := getScratchIdx(2*n + 256*w)
 	defer putScratchIdx(scratch)
@@ -117,7 +135,42 @@ func lsdSort[K any, V any](ps []kv.Pair[K, V], rows []byte, w int) {
 			a, b = b, a
 		}
 	}
+	if ties != nil {
+		sortTies(ps, a, rows, w, ties)
+	}
 	permute(ps, a)
+}
+
+// sortTies sorts by less, before the permutation is applied, each
+// maximal stretch of a whose rows are equal. Equal keys are ordered by
+// row id, which is input order, so the sort is stable.
+func sortTies[K any, V any](ps []kv.Pair[K, V], a []uint32, rows []byte, w int, less kv.Less[K]) {
+	same := func(x, y uint32) bool {
+		rx, ry := rows[int(x)*w:int(x)*w+w], rows[int(y)*w:int(y)*w+w]
+		if w == 8 {
+			return binary.LittleEndian.Uint64(rx) == binary.LittleEndian.Uint64(ry)
+		}
+		return string(rx) == string(ry)
+	}
+	byKey := func(x, y uint32) int {
+		switch {
+		case less(ps[x].Key, ps[y].Key):
+			return -1
+		case less(ps[y].Key, ps[x].Key):
+			return 1
+		}
+		return cmp.Compare(x, y)
+	}
+	for lo := 0; lo < len(a); {
+		hi := lo + 1
+		for hi < len(a) && same(a[lo], a[hi]) {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(a[lo:hi], byKey)
+		}
+		lo = hi
+	}
 }
 
 // histogram sets counts[d*256+v] to the number of rows whose digit d is

@@ -8,6 +8,7 @@ package sortalgo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -47,6 +48,45 @@ func fixedKeys(n, width int, seed int64, shape string) []kv.Pair[string, int] {
 	return ps
 }
 
+// tieAlphabet is small and holds NUL, so the 8-byte order prefixes of
+// tieKeys collide — and a key can tie with itself plus trailing NULs.
+var tieAlphabet = []byte{0x00, 'a', 'b'}
+
+// tieKeys builds n string keys of 0–24 bytes for the prefix codec:
+// each starts with up to 8 bytes of one of one to four stems drawn per
+// call, so most keys share their prefix with many others and only their
+// tails, or their lengths, tell them apart. Values number the keys.
+func tieKeys(rng *rand.Rand, n int) []kv.Pair[string, int] {
+	stems := make([][8]byte, 1+rng.Intn(4))
+	for s := range stems {
+		for i := range stems[s] {
+			stems[s][i] = tieAlphabet[rng.Intn(len(tieAlphabet))]
+		}
+	}
+	ps := make([]kv.Pair[string, int], n)
+	for i := range ps {
+		key := make([]byte, rng.Intn(25))
+		stem := stems[rng.Intn(len(stems))]
+		for j := range key {
+			if j < len(stem) {
+				key[j] = stem[j]
+			} else {
+				key[j] = tieAlphabet[rng.Intn(len(tieAlphabet))]
+			}
+		}
+		ps[i] = kv.Pair[string, int]{Key: string(key), Val: i}
+	}
+	return ps
+}
+
+// tieRef is the prefix path's reference: the runs concatenated in run
+// order, stably sorted by strings.Compare on the keys.
+func tieRef[V any](runs ...[]kv.Pair[string, V]) []kv.Pair[string, V] {
+	ref := slices.Concat(runs...)
+	slices.SortStableFunc(ref, func(a, b kv.Pair[string, V]) int { return strings.Compare(a.Key, b.Key) })
+	return ref
+}
+
 // stableRef is the ground truth the radix sort must reproduce exactly:
 // stable comparison sort by key, preserving input order within ties.
 func stableRef[K any, V any](ps []kv.Pair[K, V], less kv.Less[K]) []kv.Pair[K, V] {
@@ -74,7 +114,7 @@ func TestRadixSortMatchesStableReference(t *testing.T) {
 				label := fmt.Sprintf("w=%d %s n=%d", width, shape, n)
 				ps := fixedKeys(n, width, int64(width*1000+n), shape)
 				want := stableRef(ps, strLess)
-				if !RadixSortPairs(ps, kv.StringFixedKey(width)) {
+				if !RadixSortPairs(ps, strLess, kv.StringFixedKey(width)) {
 					t.Fatalf("%s: RadixSortPairs declined", label)
 				}
 				samePairs(t, ps, want, label)
@@ -91,7 +131,7 @@ func TestRadixSortIntKeys(t *testing.T) {
 	}
 	intLess := kv.Less[int](func(a, b int) bool { return a < b })
 	want := stableRef(ps, intLess)
-	if !RadixSortPairs(ps, kv.IntFixedKey()) {
+	if !RadixSortPairs(ps, intLess, kv.IntFixedKey()) {
 		t.Fatal("RadixSortPairs declined int keys")
 	}
 	samePairs(t, ps, want, "int keys")
@@ -101,7 +141,7 @@ func TestRadixSortIntKeys(t *testing.T) {
 		us[i] = kv.Pair[uint64, int]{Key: rng.Uint64(), Val: i}
 	}
 	uwant := stableRef(us, u64Less)
-	if !RadixSortPairs(us, kv.Uint64FixedKey()) {
+	if !RadixSortPairs(us, u64Less, uint64FixedKey()) {
 		t.Fatal("RadixSortPairs declined uint64 keys")
 	}
 	samePairs(t, us, uwant, "uint64 keys")
@@ -112,7 +152,7 @@ func TestRadixSortDeclines(t *testing.T) {
 	// without touching the slice.
 	small := fixedKeys(radixMinLen-1, 8, 3, "random")
 	cp := append([]kv.Pair[string, int](nil), small...)
-	if RadixSortPairs(small, kv.StringFixedKey(8)) {
+	if RadixSortPairs(small, strLess, kv.StringFixedKey(8)) {
 		t.Error("RadixSortPairs accepted a below-cutover slice")
 	}
 	samePairs(t, small, cp, "below cutover")
@@ -122,7 +162,7 @@ func TestRadixSortDeclines(t *testing.T) {
 	bad := fixedKeys(200, 8, 4, "random")
 	bad[137].Key = "short"
 	cp = append([]kv.Pair[string, int](nil), bad...)
-	if RadixSortPairs(bad, kv.StringFixedKey(8)) {
+	if RadixSortPairs(bad, strLess, kv.StringFixedKey(8)) {
 		t.Error("RadixSortPairs accepted an unencodable key")
 	}
 	samePairs(t, bad, cp, "unencodable key")
@@ -177,18 +217,31 @@ func TestPairwiseMergeAllocs(t *testing.T) {
 }
 
 // FuzzRadixVsReference drives random widths, shapes, and duplicate
-// densities through the radix sort against the stable reference.
+// densities through the radix sort against the stable reference. Shape
+// "tie" sorts tieKeys under the string prefix codec instead, where most
+// keys share their 8-byte prefix and less orders them.
 func FuzzRadixVsReference(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(0))
 	f.Add(int64(99), uint8(8), uint8(1))
 	f.Add(int64(7), uint8(1), uint8(2))
 	f.Add(int64(123), uint8(24), uint8(3))
+	f.Add(int64(5), uint8(0), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, widthRaw, shapeRaw uint8) {
 		width := int(widthRaw%24) + 1
-		shape := []string{"random", "dup", "sorted", "reverse"}[int(shapeRaw)%4]
-		ps := fixedKeys(radixMinLen+int(uint(seed)%500), width, seed, shape)
+		shape := []string{"random", "dup", "sorted", "reverse", "tie"}[int(shapeRaw)%5]
+		n := radixMinLen + int(uint(seed)%500)
+		if shape == "tie" {
+			ps := tieKeys(rand.New(rand.NewSource(seed)), n)
+			want := tieRef(ps)
+			if !RadixSortPairs(ps, strLess, kv.StringPrefixKey()) {
+				t.Fatalf("RadixSortPairs declined %d prefix keys", n)
+			}
+			samePairs(t, ps, want, "fuzz tie")
+			return
+		}
+		ps := fixedKeys(n, width, seed, shape)
 		want := stableRef(ps, strLess)
-		if !RadixSortPairs(ps, kv.StringFixedKey(width)) {
+		if !RadixSortPairs(ps, strLess, kv.StringFixedKey(width)) {
 			t.Fatalf("RadixSortPairs declined w=%d n=%d", width, len(ps))
 		}
 		samePairs(t, ps, want, fmt.Sprintf("fuzz w=%d %s", width, shape))

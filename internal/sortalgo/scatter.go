@@ -2,7 +2,8 @@ package sortalgo
 
 // ScatterSort: the fixed-key form of the single merge round. For a
 // fixed-width key the leading digit that varies is an exact splitter —
-// no sampling — and sorting each digit's bucket leaves nothing to merge
+// no sampling, and under an order prefix still a consistent one — and
+// sorting each digit's bucket leaves nothing to merge
 // (Goodrich, Sitchinava and Zhang: one distribution round, then
 // independent local sorts). The reduce runs therefore skip both the
 // per-run sort and the loser tree:
@@ -13,12 +14,17 @@ package sortalgo
 //  3. scatter every run's pairs, and their rows, to disjoint offsets in
 //     the output — bucket-major, then run order, then position;
 //  4. LSD-sort each bucket in place over its own varying digits, one
-//     executor task per bucket, in cache.
+//     executor task per bucket, in cache; under a prefix codec, sort
+//     each stretch of equal prefixes by less.
 //
 // A bucket larger than a p-way merge worker's share (⌈n/workers⌉) is
 // split again on its next varying digit before step 4, so one hot
-// leading byte cannot serialize the round; only a bucket whose keys are
-// all equal stays whole, and it needs no sort at all.
+// leading byte cannot serialize the round. Only a bucket whose rows are
+// all equal cannot be split: under an exact codec its keys are equal
+// and it needs no sort at all, but under a prefix codec its keys still
+// need sorting by less, so the finish declines — the comparison path
+// splits such keys by sampled splitters — rather than sort it in one
+// task (the tie guard).
 
 import (
 	"slices"
@@ -36,15 +42,19 @@ import (
 // SortRunsWith followed by PWayMergeWith produces whenever keys are
 // unique within each run.
 //
+// Under a prefix codec less orders the keys whose encodings tie; an
+// exact codec never consults it.
+//
 // It returns ok=false, with every run untouched, when any key fails to
-// encode or the runs hold fewer than radixMinLen pairs in total; the
+// encode, the runs hold fewer than radixMinLen pairs in total, or a
+// prefix codec gives more than ⌈n/workers⌉ keys one encoding; the
 // caller then takes the SortRunsWith + PWayMergeWith path. The runs are
 // only read, never reordered. On ex's record, encode, count and scatter
 // bill to PhaseMerge and the bucket sorts to PhaseRunSort.
-func ScatterSort[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K], ex exec.Executor) (out []kv.Pair[K, V], ok bool, err error) {
+func ScatterSort[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec kv.FixedKeyCodec[K], ex exec.Executor) (out []kv.Pair[K, V], ok bool, err error) {
 	rec := ex.Record()
 	rec.StartPhase(metrics.PhaseMerge)
-	p, ok, err := scatter(runs, codec, ex)
+	p, ok, err := scatter(runs, less, codec, ex)
 	rec.EndPhase(metrics.PhaseMerge)
 	if !ok || err != nil {
 		return nil, ok, err
@@ -54,7 +64,7 @@ func ScatterSort[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K]
 	defer rec.EndPhase(metrics.PhaseRunSort)
 	_, err = ex.ForEach("sort", metrics.StateUser, len(p.tasks), func(t int) error {
 		s := p.tasks[t]
-		lsdSort(p.out[s.lo:s.hi], p.rows[s.lo*p.w:s.hi*p.w], p.w)
+		lsdSort(p.out[s.lo:s.hi], p.rows[s.lo*p.w:s.hi*p.w], p.w, p.ties)
 		return nil
 	})
 	if err != nil {
@@ -71,12 +81,14 @@ type bucketPlan[K any, V any] struct {
 	out   []kv.Pair[K, V]
 	rows  []byte // rows[i*w:(i+1)*w] encodes out[i].Key; a pooled arena
 	w     int
-	tasks []span // buckets of 2 to ⌈n/workers⌉ pairs
+	ties  kv.Less[K] // orders equal rows under a prefix codec; nil under an exact one
+	tasks []span     // buckets of 2 to ⌈n/workers⌉ pairs
 }
 
-// scatter runs steps 1–3 and the skew guard. ok=false means a decline:
-// nothing was written to the runs and nothing is left to release.
-func scatter[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K], ex exec.Executor) (*bucketPlan[K, V], bool, error) {
+// scatter runs steps 1–3 and the skew and tie guards. ok=false means a
+// decline: nothing was written to the runs and nothing is left to
+// release.
+func scatter[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec kv.FixedKeyCodec[K], ex exec.Executor) (*bucketPlan[K, V], bool, error) {
 	w := codec.Width
 	offs := make([]int, len(runs)+1)
 	first := -1
@@ -93,8 +105,8 @@ func scatter[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K], ex
 
 	// 1. Encode. Every run notes the first digit at which any of its
 	// keys differs from one reference key; the least of these is d0, the
-	// first digit that varies. With none, every key is equal and digit 0
-	// puts them all in one bucket that needs no sort.
+	// first digit that varies. With none, every row is equal and digit 0
+	// puts them all in one bucket, which the guards below take up.
 	ref := make([]byte, w)
 	if !codec.Put(ref, runs[first][0].Key) {
 		return nil, false, nil
@@ -154,7 +166,7 @@ func scatter[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K], ex
 		}
 		ends[v] = int(pos)
 	}
-	p := &bucketPlan[K, V]{out: make([]kv.Pair[K, V], n), rows: getScratchBytes(n * w), w: w}
+	p := &bucketPlan[K, V]{out: make([]kv.Pair[K, V], n), rows: getScratchBytes(n * w), w: w, ties: tieLess(codec, less)}
 	if _, err := ex.ForEach("merge", metrics.StateUser, len(runs), func(r int) error {
 		cur := counts[r]
 		src := rows[offs[r]*w : offs[r+1]*w]
@@ -177,7 +189,7 @@ func scatter[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K], ex
 		buckets = append(buckets, span{lo, hi})
 		lo = hi
 	}
-	if err := p.plan(buckets, ex); err != nil {
+	if ok, err := p.plan(buckets, ex); !ok || err != nil {
 		putScratchBytes(p.rows)
 		return nil, false, err
 	}
@@ -186,10 +198,12 @@ func scatter[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K], ex
 
 // plan is the skew guard: it files buckets of at most ⌈n/workers⌉ pairs
 // as sort tasks and splits larger ones on their next varying digit,
-// round by round, until none is left over the share. A bucket whose
-// keys are all equal is dropped rather than split: it is already in
-// order. Singletons and empty buckets are dropped too.
-func (p *bucketPlan[K, V]) plan(buckets []span, ex exec.Executor) error {
+// round by round, until none is left over the share. A larger bucket
+// whose rows are all equal cannot be split. Under an exact codec it is
+// dropped, being already in order; under a prefix codec it returns
+// false, the tie guard's decline. Singletons and empty buckets are
+// dropped too.
+func (p *bucketPlan[K, V]) plan(buckets []span, ex exec.Executor) (bool, error) {
 	workers := ex.Workers()
 	if workers < 1 {
 		workers = 1
@@ -211,19 +225,22 @@ func (p *bucketPlan[K, V]) plan(buckets []span, ex exec.Executor) error {
 			split[i] = p.split(big[i])
 			return nil
 		}); err != nil {
-			return err
+			return false, err
 		}
 		buckets = buckets[:0]
 		for _, ss := range split {
+			if ss == nil && p.ties != nil {
+				return false, nil
+			}
 			buckets = append(buckets, ss...)
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // split stably partitions the bucket s on its first varying digit,
 // moving pairs and rows together, and returns the sub-buckets; nil when
-// every key in s is equal.
+// every row in s is equal.
 func (p *bucketPlan[K, V]) split(s span) []span {
 	w, m := p.w, s.hi-s.lo
 	rows := p.rows[s.lo*w : s.hi*w]

@@ -81,7 +81,9 @@ func copyRuns[K any, V any](runs [][]kv.Pair[K, V]) [][]kv.Pair[K, V] {
 // checkScatter runs ScatterSort on runs and holds it to both references.
 // The merge reference sorts short runs with kv.SortPairs, which is not
 // stable, so it is compared pair for pair only when no short run repeats
-// a key; otherwise key for key.
+// a key; otherwise key for key. Under a prefix codec the call must
+// decline, with the runs untouched, exactly when the tie guard applies:
+// more than ⌈n/workers⌉ keys share one encoding.
 func checkScatter[K comparable, V comparable](t *testing.T, runs [][]kv.Pair[K, V], less kv.Less[K],
 	codec kv.FixedKeyCodec[K], workers int, label string) {
 	t.Helper()
@@ -95,7 +97,7 @@ func checkScatter[K comparable, V comparable](t *testing.T, runs [][]kv.Pair[K, 
 		total += len(r)
 	}
 
-	got, ok, err := ScatterSort(runs, codec, ex)
+	got, ok, err := ScatterSort(runs, less, codec, ex)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -105,6 +107,12 @@ func checkScatter[K comparable, V comparable](t *testing.T, runs [][]kv.Pair[K, 
 	if total < radixMinLen {
 		if ok {
 			t.Fatalf("%s: accepted %d pairs, under radixMinLen", label, total)
+		}
+		return
+	}
+	if tied := largestTie(runs, codec); codec.Prefix && tied > (total+workers-1)/workers {
+		if ok {
+			t.Fatalf("%s: accepted %d of %d keys on one prefix with %d workers", label, tied, total, workers)
 		}
 		return
 	}
@@ -135,6 +143,21 @@ func checkScatter[K comparable, V comparable](t *testing.T, runs [][]kv.Pair[K, 
 			t.Fatalf("%s: pair %d = %+v, merge path %+v", label, i, got[i], want[i])
 		}
 	}
+}
+
+// largestTie is the most keys of runs that share one encoding.
+func largestTie[K any, V any](runs [][]kv.Pair[K, V], codec kv.FixedKeyCodec[K]) int {
+	count := make(map[string]int)
+	most := 0
+	row := make([]byte, codec.Width)
+	for _, r := range runs {
+		for _, p := range r {
+			codec.Put(row, p.Key)
+			count[string(row)]++
+			most = max(most, count[string(row)])
+		}
+	}
+	return most
 }
 
 func hasDupKey[K comparable, V any](r []kv.Pair[K, V]) bool {
@@ -176,7 +199,7 @@ func TestScatterSortSkewGuard(t *testing.T) {
 			n += len(runs[r])
 		}
 		limit := (n + workers - 1) / workers
-		p, ok, err := scatter(runs, kv.StringFixedKey(width), ex)
+		p, ok, err := scatter(runs, strLess, kv.StringFixedKey(width), ex)
 		if !ok || err != nil {
 			t.Fatalf("%s: ok=%v err=%v", hot, ok, err)
 		}
@@ -195,13 +218,74 @@ func TestScatterSortSkewGuard(t *testing.T) {
 	}
 }
 
+// TestPrefixTieGuard: under the string prefix codec a bucket whose keys
+// all share one 8-byte prefix cannot be split on a digit. When it holds
+// more than a p-way merge worker's share, ⌈n/workers⌉ pairs, the scatter
+// must decline — the comparison path splits such keys by sampled
+// splitters — rather than sort it in one task; under the share it is
+// one bucket-sort task, and no task exceeds the share.
+func TestPrefixTieGuard(t *testing.T) {
+	const workers = 4
+	// shared gives every key one prefix; hot gives half of them one; spread
+	// gives 64 prefixes to 16 keys each.
+	for _, shape := range []string{"shared", "hot", "spread"} {
+		rng := rand.New(rand.NewSource(3))
+		runs := make([][]kv.Pair[string, int], 16)
+		n, val := 0, 0
+		for r := range runs {
+			for i := 0; i < 64; i++ {
+				stem := fmt.Sprintf("stem%04d", rng.Intn(64))
+				if shape == "shared" || (shape == "hot" && rng.Intn(2) == 0) {
+					stem = "http://w"
+				}
+				tail := make([]byte, 1+rng.Intn(12))
+				for j := range tail {
+					tail[j] = 'a' + byte(rng.Intn(26))
+				}
+				runs[r] = append(runs[r], kv.Pair[string, int]{Key: stem + string(tail), Val: val})
+				val++
+			}
+			n += len(runs[r])
+		}
+		limit := (n + workers - 1) / workers
+		ex := exec.NewLocal(workers)
+		p, ok, err := scatter(runs, strLess, kv.StringPrefixKey(), ex)
+		ex.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shape != "spread" {
+			if ok {
+				putScratchBytes(p.rows)
+				t.Errorf("%s: the scatter accepted a tie over the share %d", shape, limit)
+			}
+		} else {
+			if !ok {
+				t.Fatalf("%s: declined ties of at most %d keys", shape, largestTie(runs, kv.StringPrefixKey()))
+			}
+			largest := 0
+			for _, s := range p.tasks {
+				largest = max(largest, s.hi-s.lo)
+			}
+			putScratchBytes(p.rows)
+			if largest > limit || largest < 2 {
+				t.Errorf("%s: largest bucket-sort task holds %d pairs; want 2 to the share %d", shape, largest, limit)
+			}
+		}
+		checkScatter(t, runs, strLess, kv.StringPrefixKey(), workers, "tie/"+shape)
+		// On one worker the share is every pair: one task sorts them all.
+		checkScatter(t, runs, strLess, kv.StringPrefixKey(), 1, "tie/"+shape+"/one worker")
+	}
+}
+
 // FuzzScatterSortVsReference draws widths 1, 2, 8, 10 and 16 (and the
-// int codec), every key shape, run counts from none up, worker counts
-// and, for mode ≥ 128, an unencodable key, and holds ScatterSort to both
-// references — or to a clean decline with the runs untouched. The seeds
-// cover every width × shape pair, both declines and the int codec.
+// int codec, and the string prefix codec over tieKeys runs), every key
+// shape, run counts from none up, worker counts and, for mode ≥ 128, an
+// unencodable key, and holds ScatterSort to both references — or to a
+// clean decline with the runs untouched. The seeds cover every width ×
+// shape pair, both declines, the int codec and the prefix codec.
 func FuzzScatterSortVsReference(f *testing.F) {
-	for w := uint8(0); w < 6; w++ {
+	for w := uint8(0); w < 7; w++ {
 		for shape := uint8(0); shape < uint8(len(scatterShapes)); shape++ {
 			f.Add(int64(w)*10+int64(shape), w, shape, uint8(1+3*shape), w)
 		}
@@ -210,12 +294,26 @@ func FuzzScatterSortVsReference(f *testing.F) {
 	f.Add(int64(7), uint8(2), uint8(1), uint8(0), uint8(0))   // no runs
 	f.Fuzz(func(t *testing.T, seed int64, widthRaw, shapeRaw, kRaw, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		widths := []int{1, 2, 8, 10, 16, 0} // 0: the int codec
+		widths := []int{1, 2, 8, 10, 16, 0, -1} // 0: the int codec; -1: the prefix codec
 		width := widths[int(widthRaw)%len(widths)]
 		shape := scatterShapes[int(shapeRaw)%len(scatterShapes)]
 		k := int(kRaw % 20)
 		workers := 1 + int(mode%4)
 		label := fmt.Sprintf("fuzz w=%d %s k=%d", width, shape, k)
+		if width < 0 {
+			// The shape does not apply: tieKeys draws prefix collisions.
+			runs := make([][]kv.Pair[string, int], k)
+			val := 0
+			for r := range runs {
+				runs[r] = tieKeys(rng, rng.Intn(3*radixMinLen))
+				for i := range runs[r] {
+					runs[r][i].Val = val
+					val++
+				}
+			}
+			checkScatter(t, runs, strLess, kv.StringPrefixKey(), workers, fmt.Sprintf("fuzz prefix k=%d", k))
+			return
+		}
 		if width == 0 {
 			runs := scatterRuns(rng, k, 2, shape)
 			ints := make([][]kv.Pair[int, int], len(runs))
@@ -236,7 +334,7 @@ func FuzzScatterSortVsReference(f *testing.F) {
 			ex := exec.NewLocal(workers)
 			defer ex.Close()
 			in := copyRuns(runs)
-			if _, ok, err := ScatterSort(runs, kv.StringFixedKey(width), ex); ok || err != nil {
+			if _, ok, err := ScatterSort(runs, strLess, kv.StringFixedKey(width), ex); ok || err != nil {
 				t.Fatalf("%s: unencodable key: ok=%v err=%v", label, ok, err)
 			}
 			for i := range runs {

@@ -18,11 +18,17 @@
 // when the app has a fixed-key codec and comparison heads otherwise;
 // both break ties by column index, so the output is the same bytes.
 //
-// For keys with a fixed-width encoding the single round takes its
-// fixed-key form, ScatterSort (scatter.go): the first varying key byte is
-// an exact splitter, so the unsorted runs scatter straight into disjoint
-// buckets of the output, each bucket is radix-sorted in cache, and
-// nothing is left to merge.
+// For keys with a fixed-key codec the single round takes its fixed-key
+// form, ScatterSort (scatter.go): the first varying key byte is an exact
+// splitter, so the unsorted runs scatter straight into disjoint buckets
+// of the output, each bucket is radix-sorted in cache, and nothing is
+// left to merge. A codec is exact (terasort's 10-byte keys, int ids) or
+// an order prefix (kv.StringPrefixKey: the first 8 bytes of word
+// count's strings). Under a prefix, keys whose encodings are equal are
+// ordered by less wherever the codec orders keys — after the radix
+// passes, in the tree's equal heads — and a tie larger than a worker's
+// share declines the scatter for the comparison path, whose sampled
+// splitters can cut it.
 //
 // All algorithms run on the job's persistent executor (internal/exec)
 // rather than spawning their own workers: parallelism comes from the
@@ -44,12 +50,13 @@ import (
 // This is the high-utilization prefix both merge algorithms share ("all
 // cores sorting small lists in parallel"). With a fixed-key codec, runs
 // whose keys encode at the codec's width are radix-sorted (see
-// radix.go), the rest comparison-sorted; codec may be nil. Returns how
-// many runs took the radix path.
+// radix.go; under a prefix codec less orders the ties), the rest
+// comparison-sorted; codec may be nil. Returns how many runs took the
+// radix path.
 func SortRunsWith[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec *kv.FixedKeyCodec[K], ex exec.Executor) (int, error) {
 	var radixRuns atomic.Int64
 	_, err := ex.ForEach("sort", metrics.StateUser, len(runs), func(i int) error {
-		if codec != nil && RadixSortPairs(runs[i], *codec) {
+		if codec != nil && RadixSortPairs(runs[i], less, *codec) {
 			radixRuns.Add(1)
 			return nil
 		}

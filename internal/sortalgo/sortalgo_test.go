@@ -1,6 +1,7 @@
 package sortalgo
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -13,6 +14,18 @@ import (
 )
 
 var u64Less = kv.Less[uint64](func(a, b uint64) bool { return a < b })
+
+// uint64FixedKey encodes uint64 keys as 8 big-endian bytes: the exact
+// codec of the tests' and benchmarks' integer keys.
+func uint64FixedKey() kv.FixedKeyCodec[uint64] {
+	return kv.FixedKeyCodec[uint64]{
+		Width: 8,
+		Put: func(dst []byte, k uint64) bool {
+			binary.BigEndian.PutUint64(dst, k)
+			return true
+		},
+	}
+}
 
 // randomRuns builds `runs` sorted runs totalling `total` pairs, plus the
 // reference sorted key slice.
@@ -166,7 +179,7 @@ func TestPWayMergeAllEqualKeys(t *testing.T) {
 // heads, agree with each other and with a flat sort, and the parallel
 // prefix merges hand every pooled arena back.
 func TestMergesAgree(t *testing.T) {
-	codec := kv.Uint64FixedKey()
+	codec := uint64FixedKey()
 	f := func(seed int64, runsRaw, pRaw uint8) bool {
 		runs := int(runsRaw%20) + 1
 		p := int(pRaw%8) + 1

@@ -9,8 +9,10 @@ package sortalgo
 //     8 encoded key bytes as a big-endian uint64, read from a prefix
 //     arena the columns are encoded into once, so the common comparison
 //     is one integer compare instead of a stride over fat kv.Pair
-//     structs; the remaining Width-8 bytes (terasort: 2) sit in a tail
-//     arena, consulted only when prefixes collide;
+//     structs; under an exact codec the remaining Width-8 bytes
+//     (terasort: 2) sit in a tail arena, consulted only when prefixes
+//     collide, and under a prefix codec (word count's strings) less
+//     orders the keys whose prefixes collide;
 //   - otherwise every live head is 0 and each comparison of two live
 //     heads goes to less.
 //
@@ -95,7 +97,9 @@ func mergeTree[K any, V any](cols [][]kv.Pair[K, V], less kv.Less[K], codec *kv.
 		tw    int
 	)
 	if codec != nil {
-		tw = max(codec.Width-8, 0)
+		if !codec.Prefix {
+			tw = max(codec.Width-8, 0)
+		}
 		pre = getScratchU64(bases[k])
 		defer putScratchU64(pre)
 		if tw > 0 {
@@ -104,7 +108,7 @@ func mergeTree[K any, V any](cols [][]kv.Pair[K, V], less kv.Less[K], codec *kv.
 		}
 		// Put writes buf[:Width] only, so a narrower key leaves the
 		// prefix zero-padded on the right: byte order is integer order.
-		buf := make([]byte, 8+tw)
+		buf := make([]byte, max(codec.Width, 8))
 	encode:
 		for c, col := range cols {
 			for i, p := range col {
@@ -142,13 +146,20 @@ func mergeTree[K any, V any](cols [][]kv.Pair[K, V], less kv.Less[K], codec *kv.
 	}
 	// before breaks a tie of two heads equal to h: when both columns are
 	// live — certain unless h is MaxUint64 — by less or by the tail
-	// bytes, then by rank. The tail compare is a call through a func
-	// value so that before stays cheap enough to inline in the replay.
+	// compare, then by rank. The tail compare is a call through a func
+	// value so that before stays cheap enough to inline in the replay:
+	// the tail bytes under an exact codec, less under a prefix codec.
 	var tail func(a, b int) int
-	if tw > 0 {
+	switch {
+	case tw > 0:
 		tail = func(a, b int) int {
 			ia, ib := (bases[a]+heads[a])*tw, (bases[b]+heads[b])*tw
 			return bytes.Compare(tails[ia:ia+tw], tails[ib:ib+tw])
+		}
+	case codec != nil && codec.Prefix:
+		tail = func(a, b int) int {
+			ka, kb := cols[a][heads[a]].Key, cols[b][heads[b]].Key
+			return b2i(less(kb, ka)) - b2i(less(ka, kb))
 		}
 	}
 	before := func(a, b int, h uint64) bool {

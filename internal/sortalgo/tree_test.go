@@ -11,13 +11,15 @@ import (
 	"strings"
 	"testing"
 
+	"supmr/internal/exec"
 	"supmr/internal/kv"
 )
 
 // sortedColumns builds k sorted fixed-width runs (possibly with empty
 // and heavily overlapping columns) plus the merge reference: a stable
 // sort of the concatenation, i.e. equal keys ordered by (column, index)
-// — the tie rule of the tree and of mergeTwo.
+// — the tie rule of the tree and of mergeTwo. Shape "tie" fills the
+// columns with tieKeys, for the prefix codec, and ignores width.
 func sortedColumns(k, per, width int, seed int64, shape string) ([][]kv.Pair[string, int], []kv.Pair[string, int]) {
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([][]kv.Pair[string, int], k)
@@ -28,7 +30,12 @@ func sortedColumns(k, per, width int, seed int64, shape string) ([][]kv.Pair[str
 		if shape == "ragged" {
 			n = rng.Intn(per + 1) // includes empty columns
 		}
-		col := fixedKeys(n, width, seed+int64(c)*77, shape)
+		var col []kv.Pair[string, int]
+		if shape == "tie" {
+			col = tieKeys(rng, n)
+		} else {
+			col = fixedKeys(n, width, seed+int64(c)*77, shape)
+		}
 		sort.SliceStable(col, func(i, j int) bool { return col[i].Key < col[j].Key })
 		for i := range col {
 			col[i].Val = val
@@ -36,6 +43,9 @@ func sortedColumns(k, per, width int, seed int64, shape string) ([][]kv.Pair[str
 		}
 		cols[c] = col
 		flat = append(flat, col...)
+	}
+	if shape == "tie" {
+		return cols, tieRef(flat)
 	}
 	return cols, stableRef(flat, strLess)
 }
@@ -121,6 +131,31 @@ func TestColumnarMergeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMergeTreePrefixTies: under the string prefix codec most heads
+// tie on their 8-byte prefix, and less must order them ahead of the
+// column rank — in the tree alone and in the p-way merge around it.
+func TestMergeTreePrefixTies(t *testing.T) {
+	codec := kv.StringPrefixKey()
+	for _, k := range []int{2, 3, 5, 8, 13} {
+		for _, workers := range []int{1, 3} {
+			label := fmt.Sprintf("k=%d workers=%d", k, workers)
+			cols, want := sortedColumns(k, 200, 0, int64(k), "tie")
+			held := scratchHeld.Load()
+			samePairs(t, mergeTree(cols, strLess, &codec, nil), want, "tree "+label)
+			ex := exec.NewLocal(workers)
+			got, err := PWayMergeWith(cols, strLess, &codec, ex)
+			ex.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePairs(t, got, want, "p-way "+label)
+			if n := scratchHeld.Load() - held; n != 0 {
+				t.Fatalf("%s: %d pooled arenas not handed back", label, n)
+			}
+		}
+	}
+}
+
 // TestColumnarMergeEncodeFailureFallsBack gives the tree a key of the
 // wrong width: the merge must turn to comparison heads, append the
 // whole stable merge after what dst already holds, and hand back every
@@ -165,19 +200,26 @@ func TestMergeTreeSentinelKeys(t *testing.T) {
 
 // FuzzMergeTreesVsReference checks the tree with a codec, without one,
 // and through the streaming merge against the stable reference on the
-// same fuzzed columns.
+// same fuzzed columns. Shape "tie" takes the string prefix codec, on
+// the tree and the streaming merge alike, over tieKeys columns.
 func FuzzMergeTreesVsReference(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(12), uint8(0))
 	f.Add(int64(5), uint8(9), uint8(8), uint8(1))
 	f.Add(int64(11), uint8(2), uint8(16), uint8(2))
+	f.Add(int64(13), uint8(6), uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, kRaw, widthRaw, shapeRaw uint8) {
 		k := int(kRaw%16) + 2
 		width := int(widthRaw%16) + 1
-		shape := []string{"random", "dup", "ragged"}[int(shapeRaw)%3]
+		shape := []string{"random", "dup", "ragged", "tie"}[int(shapeRaw)%4]
 		cols, want := sortedColumns(k, 120, width, seed, shape)
 		label := fmt.Sprintf("fuzz k=%d w=%d %s", k, width, shape)
 
 		codec := kv.StringFixedKey(width)
+		var streamCodec *kv.FixedKeyCodec[string]
+		if shape == "tie" {
+			codec = kv.StringPrefixKey()
+			streamCodec = &codec
+		}
 		samePairs(t, mergeTree(cols, strLess, &codec, nil), want, "prefix "+label)
 		samePairs(t, mergeTree(cols, strLess, nil, nil), want, "compare "+label)
 
@@ -187,7 +229,7 @@ func FuzzMergeTreesVsReference(f *testing.F) {
 		}
 		// Identity "reduce" keeps singletons; equal keys collapse in
 		// source order, matching the stable reference's first element.
-		streamed, err := MergeSources(srcs, strLess, func(_ string, vs []int) int { return vs[0] }, nil)
+		streamed, err := MergeSourcesWith(srcs, strLess, streamCodec, func(_ string, vs []int) int { return vs[0] }, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func DrainContainer[K comparable, V any](c container.Container[K, V], less kv.Le
 		for p := lo; p < hi; p++ {
 			r = c.Reduce(p, reduce, r)
 		}
-		if fixed != nil && sortalgo.RadixSortPairs(r, *fixed) {
+		if fixed != nil && sortalgo.RadixSortPairs(r, less, *fixed) {
 			radixed.Add(1)
 		} else {
 			kv.SortPairs(r, less)

@@ -44,28 +44,29 @@ func TestPhaseMarkerOrderPinned(t *testing.T) {
 		return strings.Repeat(" read+map:end "+p+":start "+p+":end read+map:start", n)
 	}
 	const (
-		wcFinish   = " reduce:start reduce:end runsort:start runsort:end merge:start merge:end"
-		sortFinish = " reduce:start reduce:end merge:start merge:end runsort:start runsort:end"
+		// Both apps take the scatter finish: its encode, count and
+		// scatter bill to merge, then its bucket sorts to runsort.
+		finish = " reduce:start reduce:end merge:start merge:end runsort:start runsort:end"
 		// Each node's reduce, the exchange, then each destination's
 		// finish, a single node's.
 		nodes = "read+map:start read+map:end shuffle:start shuffle:end shuffle:start shuffle:end"
 	)
 	want := map[string]string{
-		"wordcount/whole":  "read:start read:end map:start map:end" + wcFinish,
-		"sort/whole":       "read:start read:end map:start map:end" + sortFinish,
-		"wordcount/chunks": "read+map:start read+map:end" + wcFinish,
-		"sort/chunks":      "read+map:start read+map:end" + sortFinish,
+		"wordcount/whole":  "read:start read:end map:start map:end" + finish,
+		"sort/whole":       "read:start read:end map:start map:end" + finish,
+		"wordcount/chunks": "read+map:start read+map:end" + finish,
+		"sort/chunks":      "read+map:start read+map:end" + finish,
 		// Six and four chunks, each a lookup and a publish; then the fold.
-		"wordcount/memo":  "read+map:start" + in("memo", 12) + " read+map:end memo:start memo:end" + wcFinish,
-		"sort/memo":       "read+map:start" + in("memo", 8) + " read+map:end memo:start memo:end" + sortFinish,
-		"wordcount/nodes": nodes + wcFinish + wcFinish,
-		"sort/nodes":      nodes + sortFinish + sortFinish,
+		"wordcount/memo":  "read+map:start" + in("memo", 12) + " read+map:end memo:start memo:end" + finish,
+		"sort/memo":       "read+map:start" + in("memo", 8) + " read+map:end memo:start memo:end" + finish,
+		"wordcount/nodes": nodes + finish + finish,
+		"sort/nodes":      nodes + finish + finish,
 		// Drains between rounds, the join of the last run's write, and a
 		// finish that merges the residue, then streams every run.
-		"wordcount/budget": "read+map:start" + in("spill", 3) + " read+map:end spill:start spill:end" + wcFinish + " merge:start merge:end",
-		"sort/budget":      "read+map:start" + in("spill", 2) + " read+map:end spill:start spill:end" + sortFinish + " merge:start merge:end",
-		"wordcount/egress": "read+map:start read+map:end" + wcFinish + " egress:start egress:end",
-		"sort/egress":      "read+map:start read+map:end" + sortFinish + " egress:start egress:end",
+		"wordcount/budget": "read+map:start" + in("spill", 3) + " read+map:end spill:start spill:end" + finish + " merge:start merge:end",
+		"sort/budget":      "read+map:start" + in("spill", 2) + " read+map:end spill:start spill:end" + finish + " merge:start merge:end",
+		"wordcount/egress": "read+map:start read+map:end" + finish + " egress:start egress:end",
+		"sort/egress":      "read+map:start read+map:end" + finish + " egress:start egress:end",
 	}
 	for _, m := range modes {
 		cfg := m.cfg
@@ -111,8 +112,8 @@ func TestEnginePhasesPerJob(t *testing.T) {
 	sortCfg.Boundary = CRLFRecords
 	tera := teraData(3000, 11)
 	const (
-		wcWant   = "read+map:start read+map:end reduce:start reduce:end runsort:start runsort:end merge:start merge:end"
-		sortWant = "read+map:start read+map:end reduce:start reduce:end merge:start merge:end runsort:start runsort:end"
+		// Both apps take the scatter finish: merge, then runsort.
+		want = "read+map:start read+map:end reduce:start reduce:end merge:start merge:end runsort:start runsort:end"
 	)
 	type run struct {
 		labels string
@@ -149,7 +150,7 @@ func TestEnginePhasesPerJob(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for j, want := range []string{wcWant, sortWant} {
+	for j := range runs {
 		for i, r := range runs[j] {
 			if r.err != nil {
 				t.Fatalf("job %d run %d: %v", j, i, r.err)

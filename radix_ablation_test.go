@@ -1,16 +1,19 @@
 package supmr
 
 // Ablation coverage for the fixed-key sort path: -radixsort=off
-// must be byte-identical to the default fast path for every
-// fixed-width-key app, under both runtimes, with injected faults, and
+// must be byte-identical to the default fast path for every app with a
+// fixed-key codec, exact or a string prefix, under both runtimes, with injected faults, and
 // under a spill budget — the gate ci.sh re-runs under the race
 // detector.
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"supmr/internal/apps"
 	"supmr/internal/storage"
 	"supmr/internal/workload"
 )
@@ -93,18 +96,38 @@ func TestRadixAblationDigests(t *testing.T) {
 				t.Fatal("linreg digests diverge")
 			}
 		})
-		t.Run(name+"/wordcount-control", func(t *testing.T) {
-			// No fixed-key codec: the toggle must be a no-op and the
-			// counter must stay zero either way.
+		t.Run(name+"/wordcount", func(t *testing.T) {
+			// Word count takes the radix path through its strings' 8-byte
+			// order prefix, with less ordering the keys that share one.
 			on, onRep := radixRun[string, int64](t, WordCountJob(),
 				func() Container[string, int64] { return WordCountContainer(16) }, text, cfg, true)
-			off, _ := radixRun[string, int64](t, WordCountJob(),
+			off, offRep := radixRun[string, int64](t, WordCountJob(),
 				func() Container[string, int64] { return WordCountContainer(16) }, text, cfg, false)
 			if on != off {
 				t.Fatal("wordcount digests diverge")
 			}
+			if onRep.Stats.RadixRuns == 0 {
+				t.Error("radix-on wordcount reported no radix-sorted runs")
+			}
+			if offRep.Stats.RadixRuns != 0 {
+				t.Errorf("radix-off wordcount reported %d radix runs", offRep.Stats.RadixRuns)
+			}
+		})
+		t.Run(name+"/kmeans-control", func(t *testing.T) {
+			// No fixed-key codec: the toggle must be a no-op and the
+			// counter must stay zero either way.
+			kmCfg := cfg
+			kmCfg.Boundary = FixedRecords(2)
+			pts := clusteredPoints(300)
+			on, onRep := radixRun[int, apps.ClusterAccum](t, kmeansJob(),
+				func() Container[int, apps.ClusterAccum] { return kmeansJob().NewContainer() }, pts, kmCfg, true)
+			off, _ := radixRun[int, apps.ClusterAccum](t, kmeansJob(),
+				func() Container[int, apps.ClusterAccum] { return kmeansJob().NewContainer() }, pts, kmCfg, false)
+			if on != off {
+				t.Fatal("kmeans digests diverge")
+			}
 			if onRep.Stats.RadixRuns != 0 {
-				t.Errorf("wordcount reported %d radix runs without a codec", onRep.Stats.RadixRuns)
+				t.Errorf("kmeans reported %d radix runs without a codec", onRep.Stats.RadixRuns)
 			}
 		})
 	}
@@ -112,19 +135,23 @@ func TestRadixAblationDigests(t *testing.T) {
 
 // TestRadixAblationDrainModes holds the toggle and the counters it feeds
 // across every drain step of the pipeline: never (plain), every chunk
-// into the memo cache, every chunk into node runs, and both. One chunk
-// holds all 8000 records, so each drain sees ~125 pairs per partition —
-// past the radix cutover — and IntermediateN must not depend on where
-// the drained pairs went.
+// into the memo cache, every chunk into node runs, and both. For sort,
+// one chunk holds all 8000 records, so each drain sees ~125 pairs per
+// partition — past the radix cutover — and IntermediateN must not
+// depend on where the drained pairs went. The string-prefix apps (word
+// count, the inverted index, grep) run the same modes over 32 KiB
+// chunks, and the traditional preset besides.
 func TestRadixAblationDrainModes(t *testing.T) {
 	tera := teraData(8000, 5)
 	base := Config{Runtime: RuntimeSupMR, Boundary: CRLFRecords, ChunkBytes: 1 << 20}
-	var want string
-	for _, m := range []struct {
+	type mode struct {
 		name  string
 		memo  bool
 		nodes int
-	}{{"plain", false, 0}, {"memo", true, 0}, {"nodes", false, 2}, {"memo+nodes", true, 2}} {
+	}
+	modes := []mode{{"plain", false, 0}, {"memo", true, 0}, {"nodes", false, 2}, {"memo+nodes", true, 2}}
+	var want string
+	for _, m := range modes {
 		cfg := base
 		cfg.Memo, cfg.Nodes = m.memo, m.nodes
 		on, onRep := radixRun[string, uint64](t, SortJob(),
@@ -148,6 +175,63 @@ func TestRadixAblationDrainModes(t *testing.T) {
 				t.Errorf("%s: IntermediateN = %d, want 8000", m.name, rep.Stats.IntermediateN)
 			}
 		}
+	}
+
+	text := genText(t, 128<<10, 5)
+	// 64 two-letter patterns, so grep's few keys still fill a few runs.
+	var patterns []string
+	for _, a := range "aeinorst" {
+		for _, b := range "aeinorst" {
+			patterns = append(patterns, string([]rune{a, b}))
+		}
+	}
+	// Each app returns its rendered output and RadixRuns.
+	strApps := map[string]func(*testing.T, Config, bool) (string, int){
+		"wordcount": func(t *testing.T, c Config, on bool) (string, int) {
+			out, rep := radixRun[string, int64](t, WordCountJob(),
+				func() Container[string, int64] { return WordCountContainer(16) }, text, c, on)
+			return out, rep.Stats.RadixRuns
+		},
+		"invindex": func(t *testing.T, c Config, on bool) (string, int) {
+			job := InvertedIndexJob()
+			out, rep := radixRun[string, []string](t, job,
+				func() Container[string, []string] { return job.NewContainer(16) }, text, c, on)
+			return out, rep.Stats.RadixRuns
+		},
+		"grep": func(t *testing.T, c Config, on bool) (string, int) {
+			job := GrepJob(patterns...)
+			out, rep := radixRun[string, int64](t, job,
+				func() Container[string, int64] { return job.NewContainer() }, text, c, on)
+			return out, rep.Stats.RadixRuns
+		},
+	}
+	for name, run := range strApps {
+		t.Run(name, func(t *testing.T) {
+			var want string
+			for _, m := range append(modes, mode{name: "traditional"}) {
+				cfg := Config{Runtime: RuntimeSupMR, ChunkBytes: 32 << 10, Memo: m.memo, Nodes: m.nodes}
+				if m.name == "traditional" {
+					cfg = Config{Runtime: RuntimeTraditional}
+				}
+				if name == "invindex" && (m.memo || m.nodes > 0) {
+					continue // posting lists have no codec for memo entries or node frames
+				}
+				on, onRadix := run(t, cfg, true)
+				off, offRadix := run(t, cfg, false)
+				if want == "" {
+					want = on
+				}
+				if on != want || off != want {
+					t.Fatalf("%s: digests diverge from the plain radix-on run", m.name)
+				}
+				if name != "grep" && onRadix == 0 {
+					t.Errorf("%s: radix-on run reported no radix-sorted runs", m.name)
+				}
+				if offRadix != 0 {
+					t.Errorf("%s: radix-off run reported %d radix runs", m.name, offRadix)
+				}
+			}
+		})
 	}
 }
 
@@ -279,5 +363,70 @@ func TestRadixAblationSharedPrefix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// prefixText is word-count input whose words are 9–20 bytes and share
+// their first 8 with many others: each is one of stems plus a 1–12
+// letter tail, so the prefix codec ties on most keys and less orders
+// them.
+func prefixText(stems []string, words int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var b []byte
+	for i := 0; i < words; i++ {
+		b = append(b, stems[rng.Intn(len(stems))]...)
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			b = append(b, 'a'+byte(rng.Intn(4)))
+		}
+		sep := byte(' ')
+		if i%12 == 11 {
+			sep = '\n'
+		}
+		b = append(b, sep)
+	}
+	return b
+}
+
+// TestRadixAblationPrefixTies: word count over keys that share 8-byte
+// prefixes matches its -radixsort=off output. With 16 stems the ties
+// stay under a worker's share and the scatter finish runs (merge, then
+// runsort); with one stem every key ties, the tie guard declines the
+// scatter after its encode and scatter (billed to merge), and the
+// comparison path finishes (runsort, then merge) — on four workers, so
+// that one task never sorts them all.
+func TestRadixAblationPrefixTies(t *testing.T) {
+	stems := make([]string, 16)
+	for i := range stems {
+		stems[i] = fmt.Sprintf("prefix%02d", i)
+	}
+	const (
+		scatterFinish  = "reduce:start reduce:end merge:start merge:end runsort:start runsort:end"
+		tieGuardFinish = "reduce:start reduce:end merge:start merge:end runsort:start runsort:end merge:start merge:end"
+	)
+	for _, c := range []struct {
+		name   string
+		stems  []string
+		finish string
+	}{
+		{"16-stems", stems, scatterFinish},
+		{"one-stem", []string{"samestem"}, tieGuardFinish},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			text := prefixText(c.stems, 40000, 7)
+			cfg := Config{ChunkBytes: 64 << 10, TraceContexts: 2}
+			on, onRep := radixRun[string, int64](t, WordCountJob(),
+				func() Container[string, int64] { return WordCountContainer(16) }, text, cfg, true)
+			off, _ := radixRun[string, int64](t, WordCountJob(),
+				func() Container[string, int64] { return WordCountContainer(16) }, text, cfg, false)
+			if on != off {
+				t.Fatal("radix on and off diverge")
+			}
+			if n := onRep.Stats.OutputPairs; n < 1000 {
+				t.Fatalf("%d distinct words; the ties are too few to test", n)
+			}
+			if got := phaseMarkerLabels(onRep.Markers); !strings.HasSuffix(got, c.finish) {
+				t.Errorf("phase markers end\n got %q\nwant %q", got, c.finish)
+			}
+		})
 	}
 }

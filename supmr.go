@@ -147,9 +147,10 @@ type Config struct {
 	// Merge overrides the merge algorithm. By default SupMR uses the
 	// p-way merge and the RuntimeTraditional preset merges pairwise.
 	Merge *MergeAlgo
-	// RadixSort overrides the fixed-width-key sort fast path (the
-	// scatter finish, the radix run sort and the merge tree's prefix
-	// heads). nil — the default — and
+	// RadixSort overrides the fixed-key sort fast path (the scatter
+	// finish, the radix run sort and the merge tree's prefix heads),
+	// exact for fixed-width keys and, for string keys in byte order, an
+	// 8-byte order prefix whose ties fall to Less. nil — the default — and
 	// &true enable it for apps that opt in via kv.FixedKeyApp; &false
 	// is the -radixsort=off ablation, forcing every run onto the
 	// comparison sort. Output is byte-identical either way.

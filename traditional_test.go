@@ -98,10 +98,10 @@ func tradApps(t *testing.T) map[string]func(Config) tradOut {
 // (no per-lane bytes), four lanes configured or not.
 func TestTraditionalReportPinned(t *testing.T) {
 	want := map[string]tradPin{
-		"wordcount": {"23064ad0888a664ad71bab380924f51ba903ff2485420bc66f2f56ed050bd076", 131072, 1, 16, 3860, 16, 4, 0, 3860},
+		"wordcount": {"23064ad0888a664ad71bab380924f51ba903ff2485420bc66f2f56ed050bd076", 131072, 1, 16, 3860, 16, 4, 16, 3860},
 		"sort":      {"02e46cb1a88175c023e3553c223897adba8597e1b07824061a2240877e48c69a", 800000, 1, 16, 8000, 64, 6, 64, 8000},
 		"histogram": {"350f1ab5112dc84b5f63f22a1cde561010841427255061716460c2bdb5d43459", 131072, 1, 16, 17, 3, 2, 0, 17},
-		"invindex":  {"1c84cdf8cec62b9f70a5a624395ebff874063aa44236c7fd7dcc06ec2a7ed5fa", 65536, 1, 16, 2349, 16, 4, 0, 2349},
+		"invindex":  {"1c84cdf8cec62b9f70a5a624395ebff874063aa44236c7fd7dcc06ec2a7ed5fa", 65536, 1, 16, 2349, 16, 4, 16, 2349},
 	}
 	// Two injected read errors on the first read, both retried; the read
 	// recovers on its third attempt.

@@ -98,9 +98,14 @@ echo "== race: memo store repeats =="
 # A memo store is an index over a spill run store and shares its lock:
 # concurrent Puts, Gets, evictions and releases on one store, and one
 # store shared by concurrent engine submissions, repeat under the
-# detector.
+# detector. A memoized run folds each chunk's output on the compute
+# workers from a helper goroutine while the loop looks up the next
+# chunk, so the fold matrix, the faulted and failing warm runs and the
+# fold's overlap repeat too.
 go test -race -count=5 -run 'TestStoreConcurrent' ./internal/memo/
 go test -race -count=5 -run 'TestMemoEngineSharedAcrossSubmissions' .
+go test -race -count=3 -run 'TestMemoFoldMatrix|TestMemoFaultedWarmRunRecomputes|TestMemoMapPanicWithParkedPayloads|TestMemoFoldFailsMidRun' .
+go test -race -count=3 -run 'TestMemoFoldBehindLookups' ./internal/core/
 
 echo "== race: node-container repeats =="
 # A multi-node run's node containers are flushed into by every map

@@ -1,11 +1,14 @@
 package apps
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"supmr/internal/chunk"
+	"supmr/internal/container"
 	"supmr/internal/core"
 	"supmr/internal/exec"
 	"supmr/internal/kv"
@@ -93,6 +96,40 @@ func TestSortMapKeysFromOneBuffer(t *testing.T) {
 	var discard kv.Emitter[string, uint64] = kv.EmitFunc[string, uint64](func(string, uint64) {})
 	if allocs := testing.AllocsPerRun(5, func() { Sort{}.Map(data, discard) }); allocs > 4 {
 		t.Errorf("Sort.Map over a 1 MiB split allocates %.0f objects, want <= 4", allocs)
+	}
+}
+
+// growEmitter counts Grow hints and emits.
+type growEmitter struct{ grows, hinted, emits int }
+
+func (g *growEmitter) Grow(n int)          { g.grows++; g.hinted += n }
+func (g *growEmitter) Emit(string, uint64) { g.emits++ }
+
+// A sort map task allocates its key buffer and one pair slice: Sort.Map
+// tells a kv.Grower its record count before emitting, and the key-range
+// container's Local sizes its buffer to it instead of doubling from nil.
+func TestSortMapPresizesItsLocal(t *testing.T) {
+	const records = 1 << 20 / workload.TeraRecordSize
+	data := make([]byte, records*workload.TeraRecordSize+37)
+	workload.TeraGen{Seed: 6}.Fill()(0, data)
+	var g growEmitter
+	Sort{}.Map(data, &g)
+	if g.grows != 1 || g.hinted != records || g.emits != records {
+		t.Fatalf("%d Grow calls hinting %d pairs for %d emits; want one hint of exactly %d", g.grows, g.hinted, g.emits, records)
+	}
+	// The key buffer and the pair slice, each allocated once at its size
+	// (rounded up to whole pages), and the Local itself; a pair slice
+	// grown by doubling allocates about twice its final size.
+	c := container.NewKeyRange[string, uint64](0)
+	want := uint64(records*(workload.TeraKeySize+unsafe.Sizeof(kv.Pair[string, uint64]{}))) + 16<<10
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Sort{}.Map(data, c.NewLocal())
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > want {
+			t.Fatalf("a sort map task into a key-range Local allocates %d bytes, want at most %d", got, want)
+		}
 	}
 }
 

@@ -22,7 +22,8 @@ var _ kv.App[string, uint64] = Sort{}
 // Map parses whole records and emits (key, payload-fingerprint) pairs.
 // Chunk boundary adjustment guarantees the split holds whole records.
 // The split's keys are copied into one buffer and emitted as substrings
-// of it: one allocation per split, not one per record.
+// of it: one allocation per split, not one per record. An emitter that
+// implements kv.Grower is told the record count first.
 func (Sort) Map(split []byte, emit kv.Emitter[string, uint64]) {
 	const rs, ks = workload.TeraRecordSize, workload.TeraKeySize
 	// Tolerate a trailing partial record only at true end of input by
@@ -33,6 +34,9 @@ func (Sort) Map(split []byte, emit kv.Emitter[string, uint64]) {
 	n, _ := workload.ParseTeraRecords(whole, func(rec []byte) {
 		buf = append(buf, rec[:ks]...)
 	})
+	if g, ok := emit.(kv.Grower); ok {
+		g.Grow(int(n))
+	}
 	// buf is complete and never written again, so it can back the keys.
 	keys := unsafe.String(unsafe.SliceData(buf), len(buf))
 	for i := 0; i < int(n); i++ {

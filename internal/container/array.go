@@ -134,6 +134,9 @@ func (a *Array[V]) stripeOf(key int) int {
 	return key / per
 }
 
+// NewRunLocal is NewLocal: a run's pairs take the map path.
+func (a *Array[V]) NewRunLocal() Local[int, V] { return a.NewLocal() }
+
 // NewLocal returns a worker-local array accumulator.
 func (a *Array[V]) NewLocal() Local[int, V] {
 	return &arrayLocal[V]{

@@ -38,12 +38,18 @@ type Local[K comparable, V any] interface {
 // re-reducing streaming merge of the same runs (sortalgo.MergeSources),
 // given the associative, order-insensitive reduce every drain already
 // requires (and, for the key-range container, its unique-key contract).
-// The memoized pipeline folds parked per-chunk output back in, and each
+// The memoized pipeline folds each chunk's reduced output in, and each
 // node of a multi-node run folds the entries it received, on the
 // strength of this.
 type Container[K comparable, V any] interface {
 	// NewLocal returns an emitter for one map worker or map task.
 	NewLocal() Local[K, V]
+	// NewRunLocal returns an emitter for one reduced run — a drained
+	// run or a cache entry, whose keys are unique — with NewLocal's
+	// contract. A combining container may skip the local combine, which
+	// has nothing to combine in such a run, and hand the pairs to its
+	// shards as they are; the others return their NewLocal.
+	NewRunLocal() Local[K, V]
 	// Partitions returns the number of reduce partitions currently held.
 	Partitions() int
 	// Reduce applies reduce to every key of partition p, appending the
@@ -59,11 +65,12 @@ type Container[K comparable, V any] interface {
 	// against the job's memory budget between ingest rounds; worker-local
 	// accumulators are transient and not counted.
 	SizeBytes() int64
-	// Reset clears all state, restoring the freshly-initialized
-	// container. The traditional runtime resets when mappers start; the
-	// SupMR pipeline must not (persistent container, §III-C) — except
-	// when the spill layer drains the container to disk, which resets to
-	// actually return the drained memory.
+	// Reset clears all state, restoring an empty container (one may
+	// keep its table capacity for the refill). The traditional runtime
+	// resets when mappers start; the SupMR pipeline must not (persistent
+	// container, §III-C) — except where a drain empties the container
+	// into a run, which resets so the drained entries stop counting
+	// against the budget.
 	Reset()
 	// New returns an empty container configured like the receiver (same
 	// geometry, hasher and combiner) and sharing no state with it. A

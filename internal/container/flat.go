@@ -29,9 +29,13 @@ import (
 // Locals are pooled and reset, not freed, across flushes — §III-C's
 // persistent container applied to the worker-local tier — so a
 // steady-state map wave allocates nothing in the combiner. Flush locks
-// each shard once. A shard's key arena only grows and Reset swaps in
-// fresh tables, so Reduce hands out string views of it that stay valid;
-// a partition reduces in insertion order.
+// each shard once. NewRunLocal's emitter, for a run whose keys are
+// unique, skips the local table: it appends each record with the hash
+// and prefix computed once, at Emit, and its Flush routes and merges
+// them through the combining Local's routine. A shard's key arena only
+// grows, and Reset clears the tables in place (keeping their capacity)
+// but starts a fresh arena, so Reduce hands out string views that stay
+// valid; a partition reduces in insertion order.
 //
 // FlatHash requires a combiner; value-retaining workloads stay on the
 // generic Hash container.
@@ -46,8 +50,9 @@ type FlatHash[V any] struct {
 	bytes atomic.Int64
 	dynV  func(V) int64
 
-	poolMu sync.Mutex
-	pool   []*flatLocal[V]
+	poolMu  sync.Mutex
+	pool    []*flatLocal[V]
+	runPool []*flatRunLocal[V]
 }
 
 type flatShard[V any] struct {
@@ -79,15 +84,24 @@ func NewFlatHash[V any](shards int, combine kv.Combine[V]) *FlatHash[V] {
 	return f
 }
 
-// Reset gives every shard a fresh table, so the drained memory is
-// actually released (the spill layer relies on this) and strings Reduce
-// handed out keep their bytes. Pooled locals keep their tables: they
-// are the persistent worker-local tier and are reused by the next round.
+// Reset empties every shard, keeping its index, entry and value
+// capacity so a refill of the same size does not regrow them, and gives
+// it a fresh arena of the old one's capacity, so strings Reduce handed
+// out keep their bytes. Pooled locals keep their tables: they are the
+// persistent worker-local tier and are reused by the next round.
 func (f *FlatHash[V]) Reset() {
 	for i := range f.shards {
 		s := &f.shards[i]
 		s.mu.Lock()
-		s.table = newFlatTable[V](flatShardSlots)
+		if t := &s.table; t.index == nil {
+			*t = newFlatTable[V](flatShardSlots)
+		} else {
+			t.clearIndex()
+			t.entries = t.entries[:0]
+			clear(t.vals) // stale values must not pin heap
+			t.vals = t.vals[:0]
+			t.arena = make([]byte, 0, cap(t.arena))
+		}
 		s.mu.Unlock()
 	}
 	f.bytes.Store(0)
@@ -141,6 +155,20 @@ func (f *FlatHash[V]) NewLocal() Local[string, V] {
 		return l
 	}
 	return &flatLocal[V]{parent: f, table: newFlatTable[V](flatLocalSlots)}
+}
+
+// NewRunLocal returns an emitter for one reduced run, reusing a pooled
+// one: it skips the local table, whose combine a run's unique keys
+// never use, and hands its records to the shards at Flush.
+func (f *FlatHash[V]) NewRunLocal() Local[string, V] {
+	f.poolMu.Lock()
+	defer f.poolMu.Unlock()
+	if n := len(f.runPool); n > 0 {
+		l := f.runPool[n-1]
+		f.runPool = f.runPool[:n-1]
+		return l
+	}
+	return &flatRunLocal[V]{parent: f}
 }
 
 // Reduce applies reduce over every key in shard p, in insertion order.
@@ -273,15 +301,113 @@ func (t *flatTable[V]) insert(slot, h, prefix uint64, key []byte, val V) {
 	t.vals = append(t.vals, val)
 }
 
+// flatRoute is a Local's flush scratch, retained across flushes:
+// each entry's hash, which picks its shard (low bits) and starts the
+// shard's probe, and the entry indexes grouped by shard — shard s's are
+// order[bounds[s]:bounds[s+1]].
+type flatRoute struct {
+	hashes []uint64
+	bounds []int
+	order  []int32
+}
+
+// merge folds a Local's entries — keys in arena, values in vals, hashes
+// in r.hashes — into the shards, each shard's batch under one lock
+// acquisition. Both Locals flush through it.
+func (f *FlatHash[V]) merge(arena []byte, entries []flatEntry, vals []V, r *flatRoute) {
+	nsh := len(f.shards)
+	mask := uint64(nsh - 1)
+	// Counting sort of entry indexes by shard: count, prefix-sum to each
+	// shard's end, then place backwards so bounds[s] ends at shard s's
+	// start.
+	bounds := append(r.bounds[:0], make([]int, nsh+1)...)
+	for _, h := range r.hashes {
+		bounds[h&mask]++
+	}
+	for s := 1; s <= nsh; s++ {
+		bounds[s] += bounds[s-1]
+	}
+	order := slices.Grow(r.order[:0], len(entries))[:len(entries)]
+	for ei := len(entries) - 1; ei >= 0; ei-- {
+		s := r.hashes[ei] & mask
+		bounds[s]--
+		order[bounds[s]] = int32(ei)
+	}
+	entry := f.entryBytes()
+	var added int64
+	for s := range nsh {
+		if bounds[s] == bounds[s+1] {
+			continue
+		}
+		sh := &f.shards[s]
+		sh.mu.Lock()
+		g := &sh.table
+		for _, ei := range order[bounds[s]:bounds[s+1]] {
+			e, v, h := entries[ei], vals[ei], r.hashes[ei]
+			kb := arena[e.koff : e.koff+e.klen]
+			if gi, slot := g.find(h, e.prefix, kb); gi >= 0 {
+				merged := f.combine(g.vals[gi], v)
+				if f.dynV != nil {
+					added += f.dynV(merged) - f.dynV(g.vals[gi])
+				}
+				g.vals[gi] = merged
+			} else {
+				g.insert(slot, h, e.prefix, kb, v)
+				added += entry + int64(len(kb)) + dynOf(f.dynV, v)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	f.bytes.Add(added)
+	r.bounds, r.order = bounds, order
+}
+
+// flatRunLocal is NewRunLocal's emitter: each record's key is copied to
+// the local arena and the record appended with its hash and prefix,
+// computed once, here; Flush routes and merges them.
+type flatRunLocal[V any] struct {
+	parent  *FlatHash[V]
+	arena   []byte
+	entries []flatEntry
+	vals    []V
+	route   flatRoute
+}
+
+var _ kv.BytesEmitter[int64] = (*flatRunLocal[int64])(nil)
+
+// Emit appends a record under a string key.
+func (l *flatRunLocal[V]) Emit(key string, val V) {
+	l.EmitBytes(unsafe.Slice(unsafe.StringData(key), len(key)), val)
+}
+
+// EmitBytes appends a record under key, copying its bytes.
+func (l *flatRunLocal[V]) EmitBytes(key []byte, val V) {
+	koff := len(l.arena)
+	l.arena = append(l.arena, key...)
+	l.entries = append(l.entries, flatEntry{prefix: kv.KeyPrefix(key), koff: uint32(koff), klen: uint32(len(key))})
+	l.vals = append(l.vals, val)
+	l.route.hashes = append(l.route.hashes, kv.KeyHash(key))
+}
+
+// Flush merges the records into the shards, then returns the local
+// (storage retained) to the parent's pool.
+func (l *flatRunLocal[V]) Flush() {
+	p := l.parent
+	p.merge(l.arena, l.entries, l.vals, &l.route)
+	clear(l.vals) // stale values must not pin heap
+	l.arena, l.entries, l.vals, l.route.hashes = l.arena[:0], l.entries[:0], l.vals[:0], l.route.hashes[:0]
+	p.poolMu.Lock()
+	p.runPool = append(p.runPool, l)
+	p.poolMu.Unlock()
+}
+
 // flatLocal is the per-worker combiner: a flatTable plus scratch, all
 // retained across flushes via the parent's local pool.
 type flatLocal[V any] struct {
 	parent *FlatHash[V]
 	table  flatTable[V]
 	words  []kv.Word // EmitWords' scan batch
-	hashes []uint64  // flush scratch: each entry's recomputed hash
-	bounds []int     // flush scratch: where each shard's entries start
-	order  []int32   // flush scratch: entry indexes grouped by shard
+	route  flatRoute
 }
 
 var _ kv.BytesEmitter[int64] = (*flatLocal[int64])(nil)
@@ -335,62 +461,21 @@ next:
 // Flush merges the local entries into the global shards, each shard's
 // batch under one lock acquisition, then resets the local (storage
 // retained) and returns it to the parent's pool; per the Local contract
-// it must not be used after Flush.
+// it must not be used after Flush. Each entry's hash is recomputed once
+// here, to route it.
 func (l *flatLocal[V]) Flush() {
 	p, t := l.parent, &l.table
-	nsh := len(p.shards)
-	mask := uint64(nsh - 1)
-	// Each entry's hash, recomputed once, routes it and starts its shard
-	// lookup. Counting sort of entry indexes by shard: count, prefix-sum
-	// to each shard's end, then place backwards so bounds[s] ends at
-	// shard s's start and its entries are order[bounds[s]:bounds[s+1]].
-	hashes := slices.Grow(l.hashes[:0], len(t.entries))[:len(t.entries)]
-	bounds := append(l.bounds[:0], make([]int, nsh+1)...)
+	hashes := slices.Grow(l.route.hashes[:0], len(t.entries))[:len(t.entries)]
 	for ei, e := range t.entries {
 		hashes[ei] = t.hash(e)
-		bounds[hashes[ei]&mask]++
 	}
-	for s := 1; s <= nsh; s++ {
-		bounds[s] += bounds[s-1]
-	}
-	order := slices.Grow(l.order[:0], len(t.entries))[:len(t.entries)]
-	for ei := len(t.entries) - 1; ei >= 0; ei-- {
-		s := hashes[ei] & mask
-		bounds[s]--
-		order[bounds[s]] = int32(ei)
-	}
-	entry := p.entryBytes()
-	var added int64
-	for s := range nsh {
-		if bounds[s] == bounds[s+1] {
-			continue
-		}
-		sh := &p.shards[s]
-		sh.mu.Lock()
-		g := &sh.table
-		for _, ei := range order[bounds[s]:bounds[s+1]] {
-			e, v, h := t.entries[ei], t.vals[ei], hashes[ei]
-			kb := t.arena[e.koff : e.koff+e.klen]
-			if gi, slot := g.find(h, e.prefix, kb); gi >= 0 {
-				merged := p.combine(g.vals[gi], v)
-				if p.dynV != nil {
-					added += p.dynV(merged) - p.dynV(g.vals[gi])
-				}
-				g.vals[gi] = merged
-			} else {
-				g.insert(slot, h, e.prefix, kb, v)
-				added += entry + int64(len(kb)) + dynOf(p.dynV, v)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	p.bytes.Add(added)
+	l.route.hashes = hashes
+	p.merge(t.arena, t.entries, t.vals, &l.route)
 
 	t.clearIndex()
 	t.entries = t.entries[:0]
 	clear(t.vals) // stale values must not pin heap
 	t.vals, t.arena = t.vals[:0], t.arena[:0]
-	l.hashes, l.bounds, l.order = hashes, bounds, order
 	p.poolMu.Lock()
 	p.pool = append(p.pool, l)
 	p.poolMu.Unlock()

@@ -3,6 +3,7 @@ package container
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -461,4 +462,52 @@ func TestFlatHashReducedKeysStayValid(t *testing.T) {
 	f.Reset()
 	emit("other-%d", 20_000)
 	check("after Reset and refill")
+}
+
+// Reset keeps each shard's index, entries and values and starts a fresh
+// arena of the old one's capacity: views a Reduce handed out before it
+// still read their keys after a refill, and refilling the same keys
+// allocates one arena per shard and nothing else.
+func TestFlatHashResetKeepsCapacity(t *testing.T) {
+	const shards = 4
+	f := NewFlatHash[int64](shards, sumInt64)
+	keys := make([]string, 5000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+	}
+	fill := func() {
+		l := f.NewLocal()
+		for _, k := range keys {
+			l.Emit(k, 1)
+		}
+		l.Flush()
+	}
+	fill()
+	var views []kv.Pair[string, int64]
+	for p := 0; p < f.Partitions(); p++ {
+		views = f.Reduce(p, reduceSum, views)
+	}
+	kv.SortPairs(views, func(a, b string) bool { return a < b })
+	var arenas uint64
+	for i := range f.shards {
+		arenas += uint64(cap(f.shards[i].table.arena))
+	}
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f.Reset()
+		fill()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > arenas+1<<10 {
+			t.Fatalf("Reset and a same-size refill allocate %d bytes, want the %d of the shards' fresh arenas", got, arenas)
+		}
+	}
+	for i, p := range views {
+		if p.Key != keys[i] {
+			t.Fatalf("view %d reads %q after Reset and refills, want %q", i, p.Key, keys[i])
+		}
+	}
+	if f.Len() != len(keys) || f.SizeBytes() == 0 {
+		t.Errorf("refilled container holds %d keys in %d bytes, want %d keys", f.Len(), f.SizeBytes(), len(keys))
+	}
 }

@@ -10,9 +10,10 @@ import (
 	"supmr/internal/sortalgo"
 )
 
-// The memo fold (internal/core) re-emits per-chunk reduced runs into an
-// empty container through one Local per worker and then finishes like
-// an unmemoized job. These tests pin the two Container/Local contract
+// The memo fold (internal/core) re-emits per-chunk reduced runs into a
+// container through one run Local per piece, and the shuffle's receive
+// through one Local per delivery, and then finishes like an unmemoized
+// job. These tests pin the two Container/Local contract
 // sentences it relies on, for every container kind.
 
 func sumVals[K any](_ K, vs []int64) int64 {
@@ -90,6 +91,24 @@ func checkFoldContract[K comparable](t *testing.T, c Container[K, int64], key fu
 	if got := c.Len(); got != len(want) {
 		t.Errorf("Len after the fold = %d, want %d distinct keys", got, len(want))
 	}
+
+	// The same through NewRunLocal, one Local per run: a reduced run's
+	// keys are unique, and a run Local may route them without combining.
+	c.Reset()
+	wg = sync.WaitGroup{}
+	for i := range runs {
+		wg.Add(1)
+		go func(run []kv.Pair[K, int64]) {
+			defer wg.Done()
+			l := c.NewRunLocal()
+			for _, p := range run {
+				l.Emit(p.Key, p.Val)
+			}
+			l.Flush()
+		}(runs[i])
+	}
+	wg.Wait()
+	samePairs(t, "fold of reduced runs through run Locals", reduceSorted(c, less), want)
 
 	// Sentence two: Reset empties the container and leaves a Local that
 	// has not flushed yet untouched; its pairs land on its own Flush.

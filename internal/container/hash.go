@@ -134,6 +134,9 @@ func (h *Hash[K, V]) PartitionLen(p int) int {
 	return len(s.list)
 }
 
+// NewRunLocal is NewLocal: a run's pairs take the map path.
+func (h *Hash[K, V]) NewRunLocal() Local[K, V] { return h.NewLocal() }
+
 // NewLocal returns a thread-local combiner map for one map worker.
 func (h *Hash[K, V]) NewLocal() Local[K, V] {
 	if h.combine != nil {

@@ -80,6 +80,9 @@ func (c *KeyRange[K, V]) Len() int {
 	return c.total
 }
 
+// NewRunLocal is NewLocal: a run's pairs take the map path.
+func (c *KeyRange[K, V]) NewRunLocal() Local[K, V] { return c.NewLocal() }
+
 // NewLocal returns an unsynchronized buffer for one map worker.
 func (c *KeyRange[K, V]) NewLocal() Local[K, V] {
 	return &keyRangeLocal[K, V]{parent: c}
@@ -88,6 +91,16 @@ func (c *KeyRange[K, V]) NewLocal() Local[K, V] {
 type keyRangeLocal[K comparable, V any] struct {
 	parent *KeyRange[K, V]
 	buf    []kv.Pair[K, V]
+}
+
+var _ kv.Grower = (*keyRangeLocal[string, int])(nil)
+
+// Grow makes room for n more pairs in the private buffer, in one
+// allocation of exactly that size.
+func (l *keyRangeLocal[K, V]) Grow(n int) {
+	if cap(l.buf)-len(l.buf) < n {
+		l.buf = append(make([]kv.Pair[K, V], 0, len(l.buf)+n), l.buf...)
+	}
 }
 
 // Emit appends to the private buffer; no locks on the hot path.

@@ -34,18 +34,20 @@
 // Budgeted, memoized and combiner-ablated multi-node runs differ in one
 // drain step chosen before the loop — never, when over budget, or after
 // every chunk — whose product, a key-sorted run from spill.DrainContainer,
-// goes to the spill store or is parked in memory by chunk index. After
-// the loop a memoized run folds what it parked — drained runs and cache
-// hits, the latter still encoded — back into the container in parallel,
-// and then every single-node run finishes the same way: reduce what is
-// resident and merge it in one round (with the spilled runs, if any).
+// goes to the spill store, is folded back by a memoized run, or is
+// parked in memory by chunk index. A memoized run maps its misses into
+// a scratch container drained after each one, and folds each chunk's
+// output — that drained run, or a cache hit still encoded — into its
+// container in parallel behind the next chunk's lookup. Then every
+// single-node run finishes the same way: reduce what is resident and
+// merge it in one round (with the spilled runs, if any).
 //
 // A multi-node run keeps one container per node (the caller's plus
 // Nodes-1 from Container.New) as the in-node combiner tier: chunk i is
-// mapped into node i % Nodes's, a memoized run folds that node's parked
-// output into it, and it is reduced once, unsorted, for shuffle.Exchange
-// (or drained every chunk, with the combiner ablated). It then takes
-// what its node received and finishes like one node's.
+// mapped — or, memoized, folded — into node i % Nodes's, and it is
+// reduced once, unsorted, for shuffle.Exchange (or drained every chunk,
+// with the combiner ablated). It then takes what its node received and
+// finishes like one node's.
 //
 // Persistence (§III-C) applies at two tiers: the intermediate
 // containers accumulate across rounds (runMappers never resets them),
@@ -175,13 +177,15 @@ type Options struct {
 	Freelist *chunk.FreeList
 	// MemoStore, when set, enables content-addressed memoization: every
 	// ingest chunk is keyed by its content hash under MemoSpace; a hit
-	// skips the map wave and parks the cached map/combine output, still
-	// encoded; a miss is mapped, drained per chunk, published back to
-	// the cache and parked as pairs. After ingest the parked output
-	// folds back into the container on every compute worker and the job
-	// finishes like an unmemoized one (reduce, then merge). Requires an
-	// app whose key/value types have spill codecs. Composes with Nodes:
-	// the fold is per node (CombinerOff decodes a hit to the chunk's run).
+	// skips the map wave and folds the cached map/combine output, still
+	// encoded, into the container; a miss is mapped into a scratch
+	// container, drained, published back to the cache and folded the
+	// same way. Each fold runs on the compute workers while the next
+	// chunk is looked up; the job then finishes like an unmemoized one
+	// (reduce, then merge). Requires an app whose key/value types have
+	// spill codecs. Composes with Nodes: chunk i folds into node i %
+	// Nodes's container (CombinerOff decodes a hit to the chunk's run and
+	// parks it for the exchange).
 	MemoStore *memo.Store
 	// MemoSpace namespaces memo cache keys (application identity plus
 	// any parameters that change its output for the same input bytes).
@@ -235,7 +239,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	// front so jobs whose key/value types cannot serialize refuse to
 	// start instead of failing at the first publish, frame or spill.
 	if opts.MemoryBudget > 0 && (opts.MemoStore != nil || opts.Nodes > 0) {
-		return nil, errors.New("core: MemoryBudget cannot bound a memoized or multi-node run (parked per-chunk output and node containers have no spill path)")
+		return nil, errors.New("core: MemoryBudget cannot bound a memoized or multi-node run (folded or parked per-chunk output and node containers have no spill path)")
 	}
 	var cache *memo.Cache[K, V]
 	if opts.MemoStore != nil {
@@ -259,10 +263,16 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		conts = append(conts, cont.New())
 	}
 	perChunk := exchange != nil && opts.CombinerOff
+	// A memoized run folds every chunk's output into its node's
+	// container, so its misses map into a scratch container of their own.
+	var scratch container.Container[K, V]
+	if cache != nil && !perChunk {
+		scratch = cont.New()
+	}
 
 	// The drain step, chosen once: when a container is emptied into a
 	// key-sorted run, and under which phase and task label. Memo and
-	// perChunk runs drain after every chunk and park the run; a budgeted
+	// perChunk runs drain after every chunk and fold or park the run; a budgeted
 	// run drains to the spill store when the container outgrows the
 	// budget; otherwise the containers persist to the end of ingest.
 	when, drainPhase, drainLabel := drainNever, metrics.PhaseSpill, "spill"
@@ -440,8 +450,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	// prefetch between stream reads, the pump is stopped and the hand-off
 	// drained — releasing the current and any unconsumed chunk — so no
 	// ingest result is left behind when the pool shuts down, and an
-	// in-flight spill write is joined so its run writer is not abandoned.
-	var cur *chunk.Chunk
+	// in-flight spill write or memo fold is joined so neither is
+	// abandoned.
+	var (
+		cur   *chunk.Chunk
+		folds folding
+	)
 	fail := func(err error) (*Result[K, V], error) {
 		pool.Abort(err)
 		closeStop()
@@ -452,6 +466,7 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		if spiller != nil {
 			spiller.Join() // the job error wins; the write ran or was refused
 		}
+		folds.join() // the job error wins; the abort stops the fold's dispatch
 		rec.EndPhase(readPhase)
 		rec.EndPhase(mapPhase)
 		return nil, err
@@ -473,13 +488,17 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 	if first.err != nil && !errors.Is(first.err, io.EOF) {
 		return fail(first.err)
 	}
-	// parked is the every-chunk drain's sink: parked[i] is chunk i's
+	// parked is the perChunk drain's sink: parked[i] is chunk i's
 	// combined output — the freshly drained key-sorted run, or on a memo
-	// hit the cache entry (still encoded unless perChunk needs its pairs).
-	var parked []parkedChunk[K, V]
+	// hit the decoded cache entry.
+	var parked [][]kv.Pair[K, V]
 	cur = first.c
 	for i := 0; cur != nil; i++ {
-		target := conts[i%len(conts)]
+		node := conts[i%len(conts)]
+		target := node
+		if scratch != nil {
+			target = scratch
+		}
 		if err := pool.Err(); err != nil {
 			return fail(err)
 		}
@@ -504,13 +523,15 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		}
 		// Memo lookup, serial and in chunk order on the IO lane, so the
 		// operation order any fault plan sees at the memo site is a pure
-		// function of the input. A hit only fetches and validates the
-		// payload; decoding waits for the fold. A cache failure (injected
-		// fault, torn write caught by the digest, malformed payload) is
-		// swallowed into a miss — the store counts it — and only a
-		// pool-level error fails the job.
+		// function of the input; the previous chunk's fold runs on the
+		// compute workers meanwhile. A hit only fetches, validates and
+		// cuts the payload; decoding waits for the fold. A cache failure
+		// (injected fault, torn write caught by the digest, malformed
+		// payload) is swallowed into a miss — the store counts it — and
+		// only a pool-level error fails the job.
 		var (
-			out     parkedChunk[K, V]
+			run     []kv.Pair[K, V]
+			entry   memo.Entry
 			hit     bool
 			memoKey memo.Key
 		)
@@ -523,9 +544,9 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 			err := inPhase(metrics.PhaseMemo, func() error {
 				return pool.GoIO("memo", metrics.StateIOWait, func() error {
 					if perChunk {
-						out.run, hit, _ = cache.Get(memoKey)
+						run, hit, _ = cache.Get(memoKey)
 					} else {
-						out.entry, hit, _ = cache.Fetch(memoKey)
+						entry, hit, _ = cache.Fetch(memoKey)
 					}
 					return nil
 				}).Wait()
@@ -546,11 +567,13 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		)
 		if hit {
 			// The chunk's bytes were read and hashed but are never
-			// mapped: the cached output is parked for the finish.
+			// mapped: the cached output is folded or parked.
 			stats.MemoHits++
 			stats.MemoBytesSaved += cur.Size()
 			stats.BytesIngested += cur.Size()
-		} else {
+		} else if mapErr = folds.join(); mapErr == nil {
+			// The fold in flight, if any, is joined first: the wave and
+			// the drain need every compute worker.
 			mapDur, mapErr = runMappers(cur, target)
 		}
 		// The wave is done with the bytes: recycle the buffer. cur is
@@ -569,12 +592,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 				// and a failed publish only skips the cache entry, never
 				// the job.
 				err := inPhase(drainPhase, func() (err error) {
-					if out.run, err = drain(target); err != nil || cache == nil {
+					if run, err = drain(target); err != nil || cache == nil {
 						return err
 					}
 					stats.MemoMisses++
 					return pool.GoIO("memo", metrics.StateIOWait, func() error {
-						cache.Put(memoKey, out.run)
+						cache.Put(memoKey, run)
 						return nil
 					}).Wait()
 				})
@@ -582,7 +605,11 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 					return fail(err)
 				}
 			}
-			parked = append(parked, out)
+			if scratch == nil {
+				parked = append(parked, run)
+			} else if err := folds.start(func() error { return foldChunk(cache, hit, entry, run, node, pool) }); err != nil {
+				return fail(err)
+			}
 		}
 		// Join the next chunk, counting how the prefetch performed: a chunk
 		// already cut, or whose read had finished, is a prefetch hit;
@@ -635,15 +662,12 @@ func Run[K comparable, V any](app kv.App[K, V], input chunk.Stream, cont contain
 		merged []kv.Pair[K, V]
 		err    error
 	)
-	if cache != nil && !perChunk {
-		// Every miss drained its container, so all are empty: fold each
-		// container's chunks back in and finish like an unmemoized run.
+	if scratch != nil {
+		// Join the last chunk's fold: every container then holds its
+		// chunks' output, and the run finishes like an unmemoized one.
 		rec.StartPhase(metrics.PhaseMemo)
-		for n := 0; n < len(conts) && err == nil; n++ {
-			err = fold(cache, parked, n, len(conts), conts[n], pool)
-		}
+		err = folds.join()
 		rec.EndPhase(metrics.PhaseMemo)
-		parked = nil
 	}
 	switch {
 	case err != nil: // the fold failed
@@ -683,41 +707,67 @@ type drainWhen int
 const (
 	drainNever      drainWhen = iota // the containers persist to the end of ingest
 	drainOverBudget                  // whenever it outgrows MemoryBudget, to the spill store
-	drainEveryChunk                  // after every map wave, parked in memory
+	drainEveryChunk                  // after every map wave, folded or parked in memory
 )
 
-// parkedChunk is one chunk's combined output waiting for the finish:
-// the drained key-sorted run, or — on a memo hit whose pairs are not
-// exchanged per chunk — the fetched cache entry, left encoded.
-type parkedChunk[K comparable, V any] struct {
-	run   []kv.Pair[K, V]
-	entry memo.Entry
+// folding is the memo fold in flight: at most one, run from a helper
+// goroutine so the loop can go on to the next chunk's lookup. Its
+// pool.ForEach shares the compute workers with nothing — the loop
+// joins it before any pool work of its own on them — so the pool's
+// phases stay sequential.
+type folding struct {
+	done chan error // nil when no fold is in flight
 }
 
-// fold re-emits the parked output of chunks first, first+stride, ...
-// (all of them, or one node's round-robin share) into the empty
-// container cont, one "memo" task per compute worker, each taking every
-// Workers-th of those items through a container Local per item. Cache
-// entries decode straight into the Local (see memo.Cache.Replay); runs
-// are emitted pair by pair. The parked values were reduced already, so
-// this relies on the container contract that re-emitting reduced runs
-// and reducing again equals reducing once.
-func fold[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, V], first, stride int,
+// start joins the fold in flight, then starts fn; it returns the
+// joined fold's error, starting nothing.
+func (f *folding) start(fn func() error) error {
+	if err := f.join(); err != nil {
+		return err
+	}
+	done := make(chan error, 1)
+	f.done = done
+	go func() { done <- fn() }()
+	return nil
+}
+
+// join waits for the fold in flight, if any, and returns its error.
+func (f *folding) join() error {
+	if f.done == nil {
+		return nil
+	}
+	err := <-f.done
+	f.done = nil
+	return err
+}
+
+// foldChunk re-emits one chunk's output — on a hit the fetched cache
+// entry, otherwise the drained run — into cont, one "memo" task per
+// piece of memo.PieceRecords records, each through a run Local of its
+// own (Container.NewRunLocal: the output is reduced, so its keys are
+// unique). Cache entries decode straight into the Local (see
+// memo.Cache.Replay) at the cuts Fetch recorded. This relies on the
+// container contract that re-emitting reduced runs and reducing again
+// equals reducing once.
+func foldChunk[K comparable, V any](cache *memo.Cache[K, V], hit bool, entry memo.Entry, run []kv.Pair[K, V],
 	cont container.Container[K, V], pool exec.Executor) error {
-	workers := pool.Workers()
-	_, err := pool.ForEach("memo", metrics.StateUser, workers, func(w int) error {
-		for i := first + w*stride; i < len(parked); i += workers * stride {
-			local := cont.NewLocal()
-			if cache != nil {
-				if err := cache.Replay(parked[i].entry, local); err != nil {
-					return err
-				}
+	const piece = memo.PieceRecords
+	pieces := (len(run) + piece - 1) / piece
+	if hit {
+		pieces = entry.Pieces()
+	}
+	_, err := pool.ForEach("memo", metrics.StateUser, pieces, func(j int) error {
+		local := cont.NewRunLocal()
+		if hit {
+			if err := cache.Replay(entry.Piece(j), local); err != nil {
+				return err
 			}
-			for _, p := range parked[i].run {
+		} else {
+			for _, p := range run[j*piece : min((j+1)*piece, len(run))] {
 				local.Emit(p.Key, p.Val)
 			}
-			local.Flush()
 		}
+		local.Flush()
 		return nil
 	})
 	return err
@@ -729,13 +779,13 @@ func fold[K comparable, V any](cache *memo.Cache[K, V], parked []parkedChunk[K, 
 // destination receives straight into its container. Each destination
 // then finishes like a single node, one after another on the whole
 // pool. The outputs, key-disjoint and ascending, are laid end to end.
-func finishNodes[K comparable, V any](app kv.App[K, V], conts []container.Container[K, V], parked []parkedChunk[K, V],
+func finishNodes[K comparable, V any](app kv.App[K, V], conts []container.Container[K, V], parked [][]kv.Pair[K, V],
 	exchange *shuffle.Exchange[K, V], fixed *kv.FixedKeyCodec[K], opts Options, stats *Stats) ([]kv.Pair[K, V], error) {
 	pool, rec := opts.Pool, opts.Pool.Record()
 	nodeBlocks := make([][][]kv.Pair[K, V], len(conts))
-	for i, p := range parked {
-		nodeBlocks[i%len(conts)] = append(nodeBlocks[i%len(conts)], p.run)
-		stats.IntermediateN += len(p.run)
+	for i, run := range parked {
+		nodeBlocks[i%len(conts)] = append(nodeBlocks[i%len(conts)], run)
+		stats.IntermediateN += len(run)
 	}
 	if !opts.CombinerOff {
 		rec.StartPhase(metrics.PhaseShuffle)

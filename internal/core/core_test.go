@@ -686,6 +686,57 @@ func TestMemoMalformedEntryRecomputes(t *testing.T) {
 	}
 }
 
+// TestMemoFoldBehindLookups: on a memo device that charges time, a warm
+// run folds each hit while the next chunk is looked up, so the job's
+// record shows the first fold task (the first compute span: a warm run
+// maps nothing) starting before the last lookup (the last IO span: the
+// input device is free) ends. A fold left for the end of ingest would
+// start only then. The device sleeps on the wall clock, which the pool
+// stamps spans with, so compute spans have a length.
+func TestMemoFoldBehindLookups(t *testing.T) {
+	text := genText(t, 32<<10)
+	wc := wcApp{}
+	clk := storage.NewRealClock()
+	disk, err := storage.NewDisk(storage.DiskConfig{Name: "memo", Bandwidth: 1 << 20}, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := memo.NewStore(memo.Config{Device: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	pool := exec.NewPool(nil, exec.Config{Workers: 2, Now: clk.Now})
+	defer pool.Close()
+	run := func() *Result[string, int64] {
+		t.Helper()
+		res, err := Run[string, int64](wc, textStream(t, text, 4<<10), wc.NewContainer(8),
+			Options{Pool: pool, MemoStore: store, MemoSpace: "wc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run() // cold: publishes every chunk
+	from := pool.Record().Mark()
+	warm := run()
+	if warm.Stats.MemoHits < 3 || warm.Stats.MapWaves != 0 {
+		t.Fatalf("warm run: %d hits, %d map waves; want every chunk of several a hit", warm.Stats.MemoHits, warm.Stats.MapWaves)
+	}
+	firstFold, lastLookup := time.Duration(-1), time.Duration(-1)
+	for _, sp := range pool.Record().Spans(from) {
+		switch {
+		case sp.User > 0 && (firstFold < 0 || sp.Start < firstFold):
+			firstFold = sp.Start
+		case sp.IOWait > 0:
+			lastLookup = max(lastLookup, sp.End)
+		}
+	}
+	if firstFold < 0 || lastLookup <= 0 || firstFold >= lastLookup {
+		t.Errorf("first fold task starts at %v, last lookup ends at %v: the folds did not run behind the lookups", firstFold, lastLookup)
+	}
+}
+
 // TestOwnPoolWidenedForEgress: with no Pool, Run builds one whose IO
 // lanes cover the wider of ingest and egress, so four egress lanes write
 // on four lanes even when ingest reads on one.

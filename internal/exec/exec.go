@@ -262,8 +262,10 @@ func (p *Pool) submit(ch chan task, t task) error {
 // aggregate busy time (the sum of per-task wall-clock durations) and the
 // first error: a task error, a *PanicError if a task panicked, or the
 // cancellation cause if the job context was cancelled (dispatch stops
-// between tasks). Tasks must not themselves submit pool work; phases are
-// sequential, tasks within a phase are parallel.
+// between tasks). Tasks must not themselves submit pool work. Phases
+// are sequential — a caller may run one from a goroutine of its own,
+// as the memo fold does behind the ingest loop, so long as it joins it
+// before starting another — and tasks within a phase are parallel.
 func (p *Pool) ForEach(phase string, state metrics.WorkerState, n int, fn func(i int) error) (time.Duration, error) {
 	return p.ForEachScoped(p.ctx, p.rec, 0, phase, state, n, fn)
 }

@@ -26,6 +26,14 @@ type EmitFunc[K any, V any] func(key K, val V)
 // Emit calls f(key, val).
 func (f EmitFunc[K, V]) Emit(key K, val V) { f(key, val) }
 
+// Grower is an optional Emitter extension for a map function that
+// knows how many pairs it is about to emit: it calls Grow(n) first, as
+// one calls strings.Builder's Grow, so the emitter sizes its buffer
+// once instead of growing it pair by pair.
+type Grower interface {
+	Grow(n int)
+}
+
 // BytesEmitter is the allocation-free fast path for byte-keyed
 // workloads: container locals that can consume keys as raw byte slices
 // implement it alongside Emitter. The key is only valid for the

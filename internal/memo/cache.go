@@ -31,10 +31,35 @@ type Cache[K comparable, V any] struct {
 
 // Entry is one fetched cache payload, still encoded: the run's bytes
 // and the record count announced at publish. Fetch returns only
-// entries that Replay accepts.
+// entries that Replay accepts, cut into pieces of PieceRecords records.
 type Entry struct {
 	Payload []byte
 	Records int64
+	cuts    []int // where each piece after the first starts in Payload
+}
+
+// PieceRecords is the record count of a fetched entry's pieces (the
+// last may hold fewer): the grain at which a fold spreads one entry
+// over the compute workers.
+const PieceRecords = 1024
+
+// Pieces is the number of pieces Piece serves: one for an entry Fetch
+// did not cut.
+func (e Entry) Pieces() int { return len(e.cuts) + 1 }
+
+// Piece returns piece j of e as an entry of its own, which Replay
+// accepts whenever it accepts e.
+func (e Entry) Piece(j int) Entry {
+	lo, hi, records := 0, len(e.Payload), int64(PieceRecords)
+	if j > 0 {
+		lo = e.cuts[j-1]
+	}
+	if j < len(e.cuts) {
+		hi = e.cuts[j]
+	} else {
+		records = e.Records - int64(len(e.cuts))*PieceRecords
+	}
+	return Entry{Payload: e.Payload[lo:hi], Records: records}
 }
 
 // NewCache builds the typed layer. space namespaces keys so different
@@ -72,25 +97,45 @@ func (c *Cache[K, V]) Key(sum [32]byte) Key {
 }
 
 // Fetch reads the entry for k without decoding it into pairs: the store
-// verifies the payload digest, and one discarding Replay pass verifies
+// verifies the payload digest, and one discarding replay pass verifies
 // the framing, the codecs and the record count, so a later Replay of
-// the returned entry cannot fail. ok reports a usable hit; a
+// the returned entry, or of any of its pieces, cannot fail. The same
+// pass records the piece cuts. ok reports a usable hit; a
 // present-but-unreadable entry (fault, torn write, malformed payload)
 // returns ok=false with the error for accounting — the store evicts it
 // and the caller recomputes either way.
 func (c *Cache[K, V]) Fetch(k Key) (Entry, bool, error) {
-	return c.fetch(k, func(e Entry) error { return c.Replay(e, spill.Discard[K, V]{}) })
+	return c.fetch(k, func(e *Entry) error {
+		rest, left := e.Payload, e.Records
+		for left > 0 && len(rest) > 0 {
+			n, r, err := spill.Replay(rest, int(min(left, PieceRecords)), c.kc, c.vc, spill.Discard[K, V]{})
+			if err != nil {
+				return fmt.Errorf("%w: %w", ErrMalformed, err)
+			}
+			rest, left = r, left-int64(n)
+			if n < PieceRecords {
+				break
+			}
+			if left > 0 && len(rest) > 0 {
+				e.cuts = append(e.cuts, len(e.Payload)-len(rest))
+			}
+		}
+		if left != 0 || len(rest) > 0 {
+			return fmt.Errorf("%w: the payload does not hold the %d records the entry announced", ErrMalformed, e.Records)
+		}
+		return nil
+	})
 }
 
 // Get fetches and decodes the cached pairs for k, with Fetch's hit and
 // error contract.
 func (c *Cache[K, V]) Get(k Key) ([]kv.Pair[K, V], bool, error) {
 	var pairs []kv.Pair[K, V]
-	_, ok, err := c.fetch(k, func(e Entry) error {
+	_, ok, err := c.fetch(k, func(e *Entry) error {
 		// A record is at least two length bytes, which bounds the
 		// presize whatever count the entry announces.
 		pairs = make([]kv.Pair[K, V], 0, max(0, min(e.Records, int64(len(e.Payload)/2))))
-		return c.Replay(e, kv.EmitFunc[K, V](func(k K, v V) {
+		return c.Replay(*e, kv.EmitFunc[K, V](func(k K, v V) {
 			pairs = append(pairs, kv.Pair[K, V]{Key: k, Val: v})
 		}))
 	})
@@ -101,16 +146,19 @@ func (c *Cache[K, V]) Get(k Key) ([]kv.Pair[K, V], bool, error) {
 }
 
 // fetch reads k's entry from the store, which counts it as a hit only
-// if check — one Replay pass over the digest-verified payload —
-// accepts it. ok=false with a nil error is a clean miss.
-func (c *Cache[K, V]) fetch(k Key, check func(Entry) error) (Entry, bool, error) {
-	payload, records, err := c.store.get(k, func(payload []byte, records int64) error {
-		return check(Entry{Payload: payload, Records: records})
+// if check — one replay pass over the digest-verified payload, which
+// may note what it learns in the entry — accepts it. ok=false with a
+// nil error is a clean miss.
+func (c *Cache[K, V]) fetch(k Key, check func(*Entry) error) (Entry, bool, error) {
+	var e Entry
+	payload, _, err := c.store.get(k, func(payload []byte, records int64) error {
+		e = Entry{Payload: payload, Records: records}
+		return check(&e)
 	})
 	if err != nil || payload == nil {
 		return Entry{}, false, err
 	}
-	return Entry{Payload: payload, Records: records}, true, nil
+	return e, true, nil
 }
 
 // Replay streams e's records into emit in payload (key-sorted) order,

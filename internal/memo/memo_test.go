@@ -423,6 +423,48 @@ func TestCacheFetchReplay(t *testing.T) {
 	}
 }
 
+// TestCacheFetchCutsPieces: Fetch's checking pass cuts the entry every
+// PieceRecords records, and the pieces replay, in order, exactly the
+// entry's records.
+func TestCacheFetchCutsPieces(t *testing.T) {
+	s := newStore(t, 0)
+	c, err := NewCache[string, int64](s, "wc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, PieceRecords, 2 * PieceRecords, 2*PieceRecords + 452} {
+		pairs := make([]kv.Pair[string, int64], n)
+		for i := range pairs {
+			pairs[i] = kv.Pair[string, int64]{Key: fmt.Sprintf("w%06d", i), Val: int64(i)}
+		}
+		k := c.Key(sha256.Sum256([]byte(fmt.Sprint(n))))
+		if err := c.Put(k, pairs); err != nil {
+			t.Fatal(err)
+		}
+		e, ok, err := c.Fetch(k)
+		if err != nil || !ok {
+			t.Fatalf("%d records: fetch ok=%v err=%v", n, ok, err)
+		}
+		if want := max(1, (n+PieceRecords-1)/PieceRecords); e.Pieces() != want {
+			t.Fatalf("%d records cut into %d pieces, want %d", n, e.Pieces(), want)
+		}
+		var got bytesSink
+		for j := 0; j < e.Pieces(); j++ {
+			if err := c.Replay(e.Piece(j), &got); err != nil {
+				t.Fatalf("%d records, piece %d: %v", n, j, err)
+			}
+		}
+		if len(got.pairs) != n {
+			t.Fatalf("%d records: the pieces replayed %d", n, len(got.pairs))
+		}
+		for i, p := range pairs {
+			if got.pairs[i] != p {
+				t.Fatalf("%d records: pair %d replayed as %+v, want %+v", n, i, got.pairs[i], p)
+			}
+		}
+	}
+}
+
 // FuzzCacheReplay drives the one record decoder, spill.Replay, which
 // the shuffle's receive path runs too, with arbitrary bytes and an
 // arbitrary announced count: it never panics, and either returns

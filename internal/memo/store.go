@@ -1,10 +1,10 @@
 // Package memo is the content-addressed result cache behind incremental
 // recompute. Each ingest chunk, identified by the content hash the CDC
 // ingest path computes, maps to the serialized map/combine output that
-// chunk produced on a previous run. On re-run a hit parks the cached
-// output, still encoded, until ingest ends and then folds it back into
-// the job's container — the chunk's bytes are read and hashed but never
-// mapped — turning a mostly-unchanged job into O(delta) map work.
+// chunk produced on a previous run. On re-run a hit folds the cached
+// output, still encoded, into the job's container — the chunk's bytes
+// are read and hashed but never mapped — turning a mostly-unchanged job
+// into O(delta) map work.
 //
 // A cache entry is a spill run: the chunk's drained output in the one
 // record format (spill.AppendRecord), held by a spill.Store over the

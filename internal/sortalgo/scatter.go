@@ -106,7 +106,7 @@ func scatter[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec kv.Fix
 	// 1. Encode. Every run notes the first digit at which any of its
 	// keys differs from one reference key; the least of these is d0, the
 	// first digit that varies. With none, every row is equal and digit 0
-	// puts them all in one bucket, which the guards below take up.
+	// puts them all in one bucket, which the guards take up.
 	ref := make([]byte, w)
 	if !codec.Put(ref, runs[first][0].Key) {
 		return nil, false, nil
@@ -137,6 +137,13 @@ func scatter[K any, V any](runs [][]kv.Pair[K, V], less kv.Less[K], codec kv.Fix
 	}
 	d0 := slices.Min(firstDiff)
 	if d0 == w {
+		// One bucket of every pair. Under a prefix codec its keys still
+		// need sorting by less, and with more than one worker it is over
+		// the share, which plan would find only after the count and the
+		// scatter: the tie guard declines here.
+		if codec.Prefix && ex.Workers() > 1 {
+			return nil, false, nil
+		}
 		d0 = 0
 	}
 

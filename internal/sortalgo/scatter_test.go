@@ -9,9 +9,11 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"supmr/internal/exec"
 	"supmr/internal/kv"
+	"supmr/internal/metrics"
 )
 
 // scatterShapes are the key distributions the generator draws from.
@@ -276,6 +278,48 @@ func TestPrefixTieGuard(t *testing.T) {
 		// On one worker the share is every pair: one task sorts them all.
 		checkScatter(t, runs, strLess, kv.StringPrefixKey(), 1, "tie/"+shape+"/one worker")
 	}
+}
+
+// countingEx counts the ForEach calls made through it.
+type countingEx struct {
+	exec.Executor
+	calls []string
+}
+
+func (c *countingEx) ForEach(phase string, state metrics.WorkerState, n int, fn func(int) error) (time.Duration, error) {
+	c.calls = append(c.calls, phase)
+	return c.Executor.ForEach(phase, state, n, fn)
+}
+
+// When every key shares its prefix, the tie guard declines right after
+// the encode, which found no digit that varies: the count, the scatter
+// and its output array are never paid. On one worker the share is every
+// pair, so the scatter goes on and sorts them in one task.
+func TestPrefixTieGuardDeclinesAfterEncode(t *testing.T) {
+	var runs [][]kv.Pair[string, int]
+	for r := 0; r < 8; r++ {
+		var run []kv.Pair[string, int]
+		for i := 0; i < 64; i++ {
+			run = append(run, kv.Pair[string, int]{Key: fmt.Sprintf("http://w/%d/%d", 63-i, r), Val: r*64 + i})
+		}
+		runs = append(runs, run)
+	}
+	for _, workers := range []int{4, 1} {
+		pool := exec.NewLocal(workers)
+		ex := &countingEx{Executor: pool}
+		out, ok, err := ScatterSort(runs, strLess, kv.StringPrefixKey(), ex)
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case workers > 1 && (ok || len(ex.calls) != 1):
+			t.Errorf("%d workers: ok=%v after ForEach calls %v; want a decline after the encode alone", workers, ok, ex.calls)
+		case workers == 1 && (!ok || len(out) != 8*64):
+			t.Errorf("one worker: ok=%v with %d pairs; want the one-task sort", ok, len(out))
+		}
+	}
+	checkScatter(t, runs, strLess, kv.StringPrefixKey(), 4, "one stem")
 }
 
 // FuzzScatterSortVsReference draws widths 1, 2, 8, 10 and 16 (and the

@@ -1,18 +1,21 @@
 package supmr
 
-// The memoized finish — park per-chunk output (cache hits still
-// encoded), fold it back into the container on every worker after
-// ingest, finish resident — must be invisible: every app and every
-// cache state produces the memo-off output, with the hit/miss counters
-// the cache state implies.
+// The memoized pipeline — fold each chunk's output (cache hits still
+// encoded) into its node's container behind the next lookup, finish
+// resident — must be invisible: every app and every cache state
+// produces the memo-off output, with the hit/miss counters the cache
+// state implies.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"supmr/internal/container"
 	"supmr/internal/memo"
 	"supmr/internal/spill"
 	"supmr/internal/storage"
@@ -89,6 +92,19 @@ func memoFoldMatrix[K comparable, V any](t *testing.T, job Job[K, V], mkCont fun
 		ncfg.Nodes = nodes
 		check(fmt.Sprintf("warm/nodes%d", nodes), run(ncfg, data), want, -1, chunks, 0)
 	}
+
+	// The edit on a 3-node cluster over a store of its own that has seen
+	// only data: the edited chunks miss and map while the folds of their
+	// neighbours' hits are in flight into other nodes' containers.
+	store3, err := NewMemoStore(MemoConfig{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store3.Close()
+	ncfg := mcfg
+	ncfg.Nodes, ncfg.MemoStore = 3, store3
+	check("cold/nodes3", run(ncfg, data), want, -1, 0, chunks)
+	check("edited/nodes3", run(ncfg, edited), wantEdited, -1, hits, misses)
 }
 
 func TestMemoFoldMatrix(t *testing.T) {
@@ -254,4 +270,90 @@ func TestMemoMapPanicWithParkedPayloads(t *testing.T) {
 		}
 	}
 	checkNoGoroutineLeak(t, baseGoroutines)
+}
+
+// foldBomb is a container whose run Locals — the memo fold's — call act
+// at the limit-th record they are handed.
+type foldBomb struct {
+	Container[string, int64]
+	records *atomic.Int64
+	limit   int64
+	act     func()
+}
+
+func (b foldBomb) NewRunLocal() container.Local[string, int64] {
+	return bombLocal{b.Container.NewRunLocal(), b}
+}
+
+type bombLocal struct {
+	container.Local[string, int64]
+	b foldBomb
+}
+
+func (l bombLocal) Emit(k string, v int64) {
+	if l.b.records.Add(1) == l.b.limit {
+		l.b.act()
+	}
+	l.Local.Emit(k, v)
+}
+
+// TestMemoFoldFailsMidRun: a fold that panics, or whose job is cancelled
+// under it, while later chunks are still being looked up fails the job
+// with that panic or cancellation; every chunk buffer goes back and no
+// goroutine — the fold's helper included — is left behind.
+func TestMemoFoldFailsMidRun(t *testing.T) {
+	text := genText(t, 256<<10, 79)
+	edited := append([]byte(nil), text...)
+	copy(edited[len(edited)/2:], "\nzzfoldzz bazooka\nbazooka\n")
+	for _, tc := range []struct {
+		name string
+		act  func(cancel context.CancelFunc)
+		want func(error) bool
+	}{
+		{"panic", func(context.CancelFunc) { panic("fold exploded mid-run") },
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "fold exploded mid-run") }},
+		{"cancel", func(cancel context.CancelFunc) { cancel() },
+			func(err error) bool { return errors.Is(err, context.Canceled) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := storage.NewFakeClock()
+			store, err := NewMemoStore(MemoConfig{Clock: clk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			cfg := Config{Runtime: RuntimeSupMR, Workers: 2, Splits: 4, ChunkBytes: 8 << 10, PrefetchDepth: 2,
+				Clock: clk, Memo: true, MemoStore: store}
+			cold, err := RunBytes[string, int64](WordCountJob(), text, WordCountContainer(8), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := cold.Stats.MemoMisses
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg.Context = ctx
+			baseGoroutines := runtime.NumGoroutine()
+			inner, err := StreamFile(MemoryFile("in", edited, clk), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := track(inner)
+			// A few chunks' worth of records in: the fold of an early hit.
+			bomb := foldBomb{WordCountContainer(8), new(atomic.Int64), 3000, func() { tc.act(cancel) }}
+			_, err = Run[string, int64](WordCountJob(), stream, bomb, cfg)
+			if !tc.want(err) {
+				t.Fatalf("err = %v, want the fold's %s", err, tc.name)
+			}
+			if hits := store.Stats().Hits; hits == 0 || hits >= int64(chunks) {
+				t.Fatalf("%d of %d chunks hit before the failure; want it mid-run", hits, chunks)
+			}
+			for i, c := range stream.seen {
+				if c.Data != nil {
+					t.Errorf("chunk read #%d was never released (%d bytes still held)", i, len(c.Data))
+				}
+			}
+			checkNoGoroutineLeak(t, baseGoroutines)
+		})
+	}
 }

@@ -76,7 +76,7 @@ var modeRules = []modeRule{
 	{"MemoBudget", "a supplied MemoStore", "the store's own budget governs (MemoStore or the engine's shared store)", func(s *settings) bool {
 		return s.MemoBudget != 0 && (s.MemoStore != nil || s.Engine != nil && s.Engine.memo != nil)
 	}},
-	{"MemoryBudget", "Memo", "a memoized run parks every chunk's output in memory and finishes resident, with no spill path for a budget to bound", func(s *settings) bool { return s.Memo && s.MemoryBudget > 0 }},
+	{"MemoryBudget", "Memo", "a memoized run folds every chunk's output into its in-memory container and finishes resident, with no spill path for a budget to bound", func(s *settings) bool { return s.Memo && s.MemoryBudget > 0 }},
 	{"Memo", "AdaptiveChunks", "retuned chunk sizes would make chunk boundaries, and with them cache keys, depend on timing", func(s *settings) bool { return s.Memo && s.AdaptiveChunks }},
 	{"Memo", "ResetEachRound", "the container is already drained after every chunk", func(s *settings) bool { return s.Memo && s.ResetEachRound }},
 	{"MemoryBudget", "Nodes", "a node's container holds everything the node mapped until the exchange, with no spill path for a budget to bound", func(s *settings) bool { return s.Nodes > 0 && s.MemoryBudget > 0 }},

@@ -247,9 +247,10 @@ type Config struct {
 	// local edits do not shift downstream chunks), each chunk's
 	// map/combine output is memoized in a MemoStore keyed by the chunk's
 	// content hash, and a chunk whose key hits the cache skips the map
-	// wave — its cached output is parked, still encoded. After ingest the
-	// compute workers fold the parked output back into the container and
-	// the run finishes like a memo-off run, byte-identical to it.
+	// wave — its cached output, still encoded, is folded into the
+	// container on the compute workers while the next chunk is looked
+	// up. After the last fold the run finishes like a memo-off run,
+	// byte-identical to it.
 	// ChunkBytes sizes the chunks (min ChunkBytes/2, target ChunkBytes,
 	// max 2*ChunkBytes). It composes with Engine and Nodes.
 	Memo bool
